@@ -1,4 +1,4 @@
-"""Leaderboard sweep wall-clock guard (opt-in: ``pytest benchmarks/``).
+"""Leaderboard sweep wall-clock guard (``BENCH_leaderboard.json``).
 
 ``repro leaderboard`` is the PR's cash-in surface: the kernelized sim
 core + solver memo are what make an 8-strategy × 4-app replicated sweep
@@ -10,12 +10,17 @@ the per-scenario floors in ``bench_simcore`` drift.
 
 Records ``BENCH_leaderboard.json`` with the sweep wall time and cell
 throughput; ``leaderboard.tiny_sweep.cells_per_s`` feeds the
-``repro trend`` dashboard.
+``repro trend`` dashboard.  The pytest entry records under pytest's
+``tmp_path``; run this file as a script to refresh the tracked
+snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_leaderboard.py
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.bench.harness import Scale
 from repro.bench.leaderboard import leaderboard_plans, rank_figures
@@ -29,7 +34,11 @@ WALL_CEILING_S = 20.0
 REPLICATES = 1
 
 
-def test_leaderboard_sweep_under_ceiling() -> None:
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert the sweep ceiling; write BENCH_leaderboard.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    """
     plans = leaderboard_plans(Scale.TINY, iterations=2)
     specs = replicate_specs(plans, REPLICATES)
     t0 = time.perf_counter()
@@ -56,11 +65,19 @@ def test_leaderboard_sweep_under_ceiling() -> None:
         f"tiny leaderboard sweep took {wall:.1f}s "
         f"(ceiling {WALL_CEILING_S}s) — sim core or solver regression?")
 
-    write_bench("leaderboard", {
+    return write_bench("leaderboard", {
         "tiny_sweep": {
             "cells": float(cells),
             "wall_s": wall,
             "cells_per_s": cells / wall,
             "worst_geomean_x": max(scores.values()),
         },
-    })
+    }, directory=directory)
+
+
+def test_leaderboard_sweep_under_ceiling(tmp_path) -> None:
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

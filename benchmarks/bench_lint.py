@@ -14,7 +14,11 @@ Two things are on the hook here:
   with the offending renders in the assertion message.
 
 The recorded trajectory (wall times, file/site counts, guidance
-identity) lands in ``BENCH_lint.json`` next to the other bench files.
+identity) lands in ``BENCH_lint.json``.  The pytest entry records under
+pytest's ``tmp_path``; run this file as a script to refresh the tracked
+snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_lint.py
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ FULL_LINT_CEILING_S = 10.0
 GUIDANCE_CEILING_S = 2.0
 
 
-def test_lint_regression() -> None:
-    """Record BENCH_lint.json; assert wall ceilings and zero findings."""
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert wall ceilings and zero findings; write BENCH_lint.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    """
     n_files = len(list(iter_python_files(LINT_TARGETS)))
     lint_wall, report = best_wall_time(
         lambda: check_paths(LINT_TARGETS), repeats=2)
@@ -73,9 +80,17 @@ def test_lint_regression() -> None:
             "schema": guidance.schema,
         },
     }
-    path = write_bench("lint", metrics)
-    print(f"\nwrote {path}")
     print(f"  full_tree: {n_files} files in {lint_wall*1e3:.0f}ms, "
           f"{len(report.findings)} findings")
     print(f"  guidance_apps: {len(guidance.sites)} sites in "
           f"{guide_wall*1e3:.0f}ms, identity {guidance.identity()[:12]}")
+    return write_bench("lint", metrics, directory=directory)
+
+
+def test_lint_regression(tmp_path) -> None:
+    """Assert wall ceilings and zero findings; record under tmp_path."""
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

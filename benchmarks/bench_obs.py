@@ -1,4 +1,4 @@
-"""Span-tracer overhead guard (opt-in: ``pytest benchmarks/bench_obs.py``).
+"""Span-tracer overhead guard (``BENCH_obs.json``).
 
 The repro.obs hook sites (entry-method deliver, strategy fetch/evict,
 queue-lock charges) cost a single module-global ``is not None`` test
@@ -20,11 +20,17 @@ The disabled bound is the ISSUE's acceptance bar: spans must cost
 nothing measurable when off.  The enabled bound is loose — building a
 causal DAG per task/fetch/evict is real work — but still fails loudly
 on an accidentally quadratic structure.
+
+The pytest entry records under pytest's ``tmp_path``; run this file as a
+script to refresh the tracked snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_obs.py
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.bench.regression import write_bench
@@ -67,7 +73,11 @@ def _timed(with_spans: bool) -> tuple[float, dict[str, float] | None]:
     return time.perf_counter() - t0, result
 
 
-def test_span_overhead_is_bounded() -> None:
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert the overhead bounds; write BENCH_obs.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    """
     # interleave the three measurements so machine noise (CPU frequency,
     # neighbours on shared runners) hits all of them alike, then compare
     # best-of mins — two *identical* disabled series bound the noise floor
@@ -93,7 +103,7 @@ def test_span_overhead_is_bounded() -> None:
     assert 0.0 <= run_info["compute_share"] <= 1.0
     assert disabled_x <= DISABLED_BOUND + NOISE_EPSILON
     assert enabled_x <= ENABLED_BOUND + NOISE_EPSILON
-    write_bench("obs", {
+    return write_bench("obs", {
         "stencil_1gib_multi_io": {
             "baseline_s": baseline_s,
             "disabled_s": disabled_s,
@@ -102,4 +112,12 @@ def test_span_overhead_is_bounded() -> None:
             "enabled_x": enabled_x,
             **{f"run_{k}": v for k, v in run_info.items()},
         },
-    })
+    }, directory=directory)
+
+
+def test_span_overhead_is_bounded(tmp_path) -> None:
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

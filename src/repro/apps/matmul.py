@@ -109,6 +109,10 @@ class MatMulConfig:
         """Pick ``n``/``grid`` so A+B+C ≈ ``total_ws`` with panels of
         ``block_dim`` sub-rows (the paper varies total WS at fixed reduced
         WS; fixed ``block_dim`` keeps per-task intensity constant)."""
+        if total_ws <= 0 or block_dim <= 0:
+            raise ConfigError(
+                f"working set and block_dim must be > 0, got {total_ws} "
+                f"and {block_dim}")
         n_target = math.sqrt(total_ws / (3 * ELEMENT_BYTES))
         grid = max(1, round(n_target / block_dim))
         return cls(n=grid * block_dim, grid=grid, **kwargs)

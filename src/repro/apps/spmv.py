@@ -54,13 +54,18 @@ class SpMVConfig:
 
     def __post_init__(self) -> None:
         if self.block_rows <= 0 or self.block_bytes <= 0:
-            raise ConfigError("block_rows and block_bytes must be > 0")
+            raise ConfigError(
+                f"block_rows and block_bytes must be > 0, got "
+                f"{self.block_rows} and {self.block_bytes}")
         if self.couplings < 1 or self.couplings > self.block_rows:
-            raise ConfigError("couplings must be in [1, block_rows]")
+            raise ConfigError(
+                f"couplings must be in [1, {self.block_rows}], got "
+                f"{self.couplings}")
         if not 0.0 <= self.banded <= 1.0:
             raise ConfigError("banded must be in [0, 1]")
         if self.iterations <= 0:
-            raise ConfigError("iterations must be > 0")
+            raise ConfigError(
+                f"iterations must be > 0, got {self.iterations}")
 
     @property
     def nnz_per_block(self) -> int:

@@ -61,11 +61,15 @@ class StencilConfig:
 
     def __post_init__(self) -> None:
         if self.total_bytes <= 0 or self.block_bytes <= 0:
-            raise ConfigError("sizes must be > 0")
+            raise ConfigError(
+                f"total_bytes and block_bytes must be > 0, got "
+                f"{self.total_bytes} and {self.block_bytes}")
         if self.block_bytes > self.total_bytes:
             raise ConfigError("block larger than the total grid")
         if self.iterations <= 0 or self.inner_sweeps <= 0:
-            raise ConfigError("iterations and inner_sweeps must be > 0")
+            raise ConfigError(
+                f"iterations and inner_sweeps must be > 0, got "
+                f"{self.iterations} and {self.inner_sweeps}")
         if self.sweep_traffic_factor <= 0:
             raise ConfigError("sweep_traffic_factor must be > 0")
 

@@ -35,7 +35,9 @@ class StreamAppConfig:
         if self.kernel not in STREAM_KERNELS:
             raise ConfigError(f"unknown STREAM kernel {self.kernel!r}")
         if self.array_bytes <= 0 or self.chares <= 0 or self.repeats <= 0:
-            raise ConfigError("array_bytes, chares, repeats must be > 0")
+            raise ConfigError(
+                f"array_bytes, chares, repeats must be > 0, got "
+                f"{self.array_bytes}, {self.chares}, {self.repeats}")
 
 
 @dataclasses.dataclass

@@ -29,6 +29,7 @@ import typing as _t
 
 from repro.bench.harness import (ExperimentResult, FigurePlan, Scale,
                                  run_plan, speedup_table)
+from repro.errors import ConfigError
 from repro.exec.spec import RunSpec
 from repro.units import GB, GiB, MiB
 
@@ -68,12 +69,17 @@ def _machine(strategy: str, scale: Scale, *, trace: bool = False,
 
 _FIG1_KERNELS = ("copy", "scale", "add", "triad")
 _FIG1_DEVICES = ("ddr4", "mcdram")
+#: cores of the default KNL node the STREAM runs are built on
+_FIG1_CORES = 64
 
 
 def fig1_plan(scale: Scale = Scale.SMALL, *, threads: int = 64,
               array_bytes: int = 64 * MiB) -> FigurePlan:
     """STREAM copy/scale/add/triad on both memory nodes (GB/s)."""
     del scale  # Figure 1 measures raw node bandwidth; capacity-free
+    if not 1 <= threads <= _FIG1_CORES:
+        raise ConfigError(
+            f"threads must be in [1, {_FIG1_CORES}], got {threads}")
     specs = [
         RunSpec("stream",
                 {"device": device, "kernel": kernel, "threads": threads,

@@ -114,6 +114,7 @@ from repro.bench.harness import Scale
 from repro.bench.report import render_experiment
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.strategies import STRATEGIES
+from repro.errors import ConfigError
 from repro.units import format_size, format_time, parse_size
 
 __all__ = ["main"]
@@ -122,13 +123,28 @@ _SCALES = {"tiny": Scale.TINY, "small": Scale.SMALL,
            "medium": Scale.MEDIUM, "full": Scale.FULL}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line naming the bad value, then exit 2."""
+
+    def error(self, message: str) -> _t.NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _size(text: str) -> int:
+    """argparse ``type=`` for byte sizes: bad text is a usage error."""
+    try:
+        return parse_size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", default="multi-io",
                         choices=sorted(STRATEGIES))
     parser.add_argument("--cores", type=int, default=64)
-    parser.add_argument("--mcdram", default="1GiB",
+    parser.add_argument("--mcdram", type=_size, default="1GiB",
                         help="HBM capacity (default 1GiB = 1/16 scale)")
-    parser.add_argument("--ddr", default="6GiB",
+    parser.add_argument("--ddr", type=_size, default="6GiB",
                         help="DDR4 capacity (default 6GiB = 1/16 scale)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run under the repro.lint runtime sanitizer "
@@ -171,8 +187,8 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 def _build(args: argparse.Namespace) -> _t.Any:
     return OOCRuntimeBuilder(
         args.strategy, cores=args.cores,
-        mcdram_capacity=parse_size(args.mcdram),
-        ddr_capacity=parse_size(args.ddr),
+        mcdram_capacity=args.mcdram,
+        ddr_capacity=args.ddr,
         trace=True).build()
 
 
@@ -221,19 +237,19 @@ def _app_runner(args: argparse.Namespace, app: str) -> _t.Any:
     from repro.race import matmul_runner, spmv_runner, stencil_runner
 
     machine = dict(strategy=args.strategy, cores=args.cores,
-                   mcdram=parse_size(args.mcdram), ddr=parse_size(args.ddr))
+                   mcdram=args.mcdram, ddr=args.ddr)
     if app == "stencil":
-        return stencil_runner(total=parse_size(args.total),
-                              block=parse_size(args.block),
+        return stencil_runner(total=args.total,
+                              block=args.block,
                               iterations=args.iterations, **machine)
     if app == "spmv":
         return spmv_runner(block_rows=args.block_rows,
-                           block_bytes=parse_size(args.block_bytes),
-                           vector_bytes=parse_size(args.vector_bytes),
+                           block_bytes=args.block_bytes,
+                           vector_bytes=args.vector_bytes,
                            couplings=args.couplings,
                            iterations=args.iterations,
                            seed=args.matrix_seed, **machine)
-    return matmul_runner(working_set=parse_size(args.working_set),
+    return matmul_runner(working_set=args.working_set,
                          block_dim=args.block_dim, **machine)
 
 
@@ -241,20 +257,20 @@ def _app_spec_params(args: argparse.Namespace, app: str) -> dict[str, _t.Any]:
     """The ``schedule`` RunSpec params matching :func:`_app_runner`."""
     params: dict[str, _t.Any] = dict(
         strategy=args.strategy, cores=args.cores,
-        mcdram=parse_size(args.mcdram), ddr=parse_size(args.ddr))
+        mcdram=args.mcdram, ddr=args.ddr)
     if app == "stencil":
-        params.update(total=parse_size(args.total),
-                      block=parse_size(args.block),
+        params.update(total=args.total,
+                      block=args.block,
                       iterations=args.iterations)
     elif app == "spmv":
         params.update(block_rows=args.block_rows,
-                      block_bytes=parse_size(args.block_bytes),
-                      vector_bytes=parse_size(args.vector_bytes),
+                      block_bytes=args.block_bytes,
+                      vector_bytes=args.vector_bytes,
                       couplings=args.couplings,
                       iterations=args.iterations,
                       matrix_seed=args.matrix_seed)
     else:
-        params.update(working_set=parse_size(args.working_set),
+        params.update(working_set=args.working_set,
                       block_dim=args.block_dim)
     return params
 
@@ -457,8 +473,8 @@ def _cmd_stencil(args: argparse.Namespace) -> int:
     metrics = _start_metrics(args, built, "stencil")
     spans = _start_spans(args, built)
     window_start = built.env.now
-    cfg = StencilConfig(total_bytes=parse_size(args.total),
-                        block_bytes=parse_size(args.block),
+    cfg = StencilConfig(total_bytes=args.total,
+                        block_bytes=args.block,
                         iterations=args.iterations)
     app = Stencil3D(built, cfg)
     result = app.run()
@@ -493,7 +509,7 @@ def _cmd_matmul(args: argparse.Namespace) -> int:
     metrics = _start_metrics(args, built, "matmul")
     spans = _start_spans(args, built)
     window_start = built.env.now
-    cfg = MatMulConfig.for_working_set(parse_size(args.working_set),
+    cfg = MatMulConfig.for_working_set(args.working_set,
                                        block_dim=args.block_dim)
     app = MatMul(built, cfg)
     result = app.run()
@@ -524,8 +540,8 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
     spans = _start_spans(args, built)
     window_start = built.env.now
     cfg = SpMVConfig(block_rows=args.block_rows,
-                     block_bytes=parse_size(args.block_bytes),
-                     vector_bytes=parse_size(args.vector_bytes),
+                     block_bytes=args.block_bytes,
+                     vector_bytes=args.vector_bytes,
                      couplings=args.couplings,
                      iterations=args.iterations,
                      seed=args.matrix_seed)
@@ -555,18 +571,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     spans = _start_spans(args, built)
     window_start = built.env.now
     if args.app == "stencil":
-        cfg = StencilConfig(total_bytes=parse_size(args.total),
-                            block_bytes=parse_size(args.block),
+        cfg = StencilConfig(total_bytes=args.total,
+                            block_bytes=args.block,
                             iterations=args.iterations)
         Stencil3D(built, cfg).run()
     elif args.app == "matmul":
-        cfg = MatMulConfig.for_working_set(parse_size(args.working_set),
+        cfg = MatMulConfig.for_working_set(args.working_set,
                                            block_dim=args.block_dim)
         MatMul(built, cfg).run()
     elif args.app == "spmv":
         cfg = SpMVConfig(block_rows=args.block_rows,
-                         block_bytes=parse_size(args.block_bytes),
-                         vector_bytes=parse_size(args.vector_bytes),
+                         block_bytes=args.block_bytes,
+                         vector_bytes=args.vector_bytes,
                          couplings=args.couplings,
                          iterations=args.iterations,
                          seed=args.matrix_seed)
@@ -574,7 +590,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     else:
         from repro.apps.stream_app import StreamApp, StreamAppConfig
 
-        cfg = StreamAppConfig(array_bytes=parse_size(args.array),
+        cfg = StreamAppConfig(array_bytes=args.array,
                               chares=args.chares, repeats=args.repeats)
         StreamApp(built, cfg).run()
     span_list = _finish_spans(spans, built, window_start,
@@ -831,7 +847,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch to a subcommand; returns the exit code."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Memory heterogeneity-aware runtime system "
                     "(IPDPSW 2017 reproduction)")
@@ -866,22 +882,22 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     p_st = sub.add_parser("stencil", help="run Stencil3D once")
     _add_machine_args(p_st)
-    p_st.add_argument("--total", default="2GiB")
-    p_st.add_argument("--block", default="4MiB")
+    p_st.add_argument("--total", type=_size, default="2GiB")
+    p_st.add_argument("--block", type=_size, default="4MiB")
     p_st.add_argument("--iterations", type=int, default=5)
     p_st.set_defaults(func=_cmd_stencil)
 
     p_mm = sub.add_parser("matmul", help="run blocked MatMul once")
     _add_machine_args(p_mm)
-    p_mm.add_argument("--working-set", default="1.5GiB")
+    p_mm.add_argument("--working-set", type=_size, default="1.5GiB")
     p_mm.add_argument("--block-dim", type=int, default=96)
     p_mm.set_defaults(func=_cmd_matmul)
 
     p_sp = sub.add_parser("spmv", help="run iterated SpMV once")
     _add_machine_args(p_sp)
     p_sp.add_argument("--block-rows", type=int, default=64)
-    p_sp.add_argument("--block-bytes", default="8MiB")
-    p_sp.add_argument("--vector-bytes", default="256KiB")
+    p_sp.add_argument("--block-bytes", type=_size, default="8MiB")
+    p_sp.add_argument("--vector-bytes", type=_size, default="256KiB")
     p_sp.add_argument("--couplings", type=int, default=3)
     p_sp.add_argument("--iterations", type=int, default=5)
     p_sp.add_argument("--matrix-seed", type=int, default=0,
@@ -902,20 +918,20 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_mx.add_argument("--watch", action="store_true",
                       help="narrate flight-recorder snapshot deltas live")
     # stencil shape
-    p_mx.add_argument("--total", default="512MiB")
-    p_mx.add_argument("--block", default="8MiB")
+    p_mx.add_argument("--total", type=_size, default="512MiB")
+    p_mx.add_argument("--block", type=_size, default="8MiB")
     p_mx.add_argument("--iterations", type=int, default=3)
     # matmul shape
-    p_mx.add_argument("--working-set", default="256MiB")
+    p_mx.add_argument("--working-set", type=_size, default="256MiB")
     p_mx.add_argument("--block-dim", type=int, default=96)
     # spmv shape
     p_mx.add_argument("--block-rows", type=int, default=32)
-    p_mx.add_argument("--block-bytes", default="8MiB")
-    p_mx.add_argument("--vector-bytes", default="256KiB")
+    p_mx.add_argument("--block-bytes", type=_size, default="8MiB")
+    p_mx.add_argument("--vector-bytes", type=_size, default="256KiB")
     p_mx.add_argument("--couplings", type=int, default=3)
     p_mx.add_argument("--matrix-seed", type=int, default=0)
     # stream shape
-    p_mx.add_argument("--array", default="4MiB")
+    p_mx.add_argument("--array", type=_size, default="4MiB")
     p_mx.add_argument("--chares", type=int, default=64)
     p_mx.add_argument("--repeats", type=int, default=2)
     p_mx.set_defaults(func=_cmd_metrics)
@@ -973,8 +989,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_race.add_argument("--strategy", default="multi-io",
                         choices=sorted(STRATEGIES))
     p_race.add_argument("--cores", type=int, default=8)
-    p_race.add_argument("--mcdram", default="128MiB")
-    p_race.add_argument("--ddr", default="1GiB")
+    p_race.add_argument("--mcdram", type=_size, default="128MiB")
+    p_race.add_argument("--ddr", type=_size, default="1GiB")
     p_race.add_argument("--explore-schedules", type=int, default=0,
                         metavar="N",
                         help="number of seeded schedule permutations "
@@ -988,16 +1004,16 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_race.add_argument("--limit", type=int, default=None,
                         help="decision limit of a minimized replay token")
     # stencil shape
-    p_race.add_argument("--total", default="256MiB")
-    p_race.add_argument("--block", default="16MiB")
+    p_race.add_argument("--total", type=_size, default="256MiB")
+    p_race.add_argument("--block", type=_size, default="16MiB")
     p_race.add_argument("--iterations", type=int, default=1)
     # matmul shape
-    p_race.add_argument("--working-set", default="128MiB")
+    p_race.add_argument("--working-set", type=_size, default="128MiB")
     p_race.add_argument("--block-dim", type=int, default=64)
     # spmv shape
     p_race.add_argument("--block-rows", type=int, default=16)
-    p_race.add_argument("--block-bytes", default="8MiB")
-    p_race.add_argument("--vector-bytes", default="256KiB")
+    p_race.add_argument("--block-bytes", type=_size, default="8MiB")
+    p_race.add_argument("--vector-bytes", type=_size, default="256KiB")
     p_race.add_argument("--couplings", type=int, default=2)
     p_race.add_argument("--matrix-seed", type=int, default=0)
     p_race.set_defaults(func=_cmd_race)
@@ -1073,7 +1089,11 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_tr.set_defaults(func=_cmd_trend)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

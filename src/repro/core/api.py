@@ -89,9 +89,8 @@ class OOCRuntimeBuilder:
         self.message_latency = message_latency
         self.trace = trace
         self.strategy_kwargs = strategy_kwargs or {}
-        #: fluid bandwidth solver: "incremental" (fast), "vectorized"
-        #: (numpy kernel) or "full" (oracle); None defers to
-        #: repro.sim.fluid.default_solver() — i.e. $REPRO_SOLVER
+        #: fluid bandwidth solver: "incremental" (the default when None)
+        #: or "full" (the eager cross-check oracle)
         self.fluid_solver = fluid_solver
 
     def build(self) -> BuiltRuntime:

@@ -10,13 +10,9 @@ Hashing ~150 small files costs a few milliseconds and is memoized per
 process, so the engine can call it freely.
 
 Runtime configuration that changes simulator behaviour without touching
-source is folded in too: the default fluid solver (``$REPRO_SOLVER``)
-selects a different rate kernel, and a ``$REPRO_GUIDANCE`` placement
-file steers the ``static-guided`` strategy — so runs under different
-solvers or guidance hash to different generations and can never serve
-each other stale tables.  (The solvers are *supposed* to produce
-identical results — but the cache must not assume what the equivalence
-tests exist to verify.)
+source is folded in too: a ``$REPRO_GUIDANCE`` placement file steers the
+``static-guided`` strategy, so runs under different guidance hash to
+different generations and can never serve each other stale tables.
 """
 
 from __future__ import annotations
@@ -58,19 +54,14 @@ def code_fingerprint(root: "Path | str | None" = None, *,
     ``refresh`` bypasses the per-process memo (tests that rewrite
     files mid-process).
     """
-    from repro.sim.fluid import default_solver
-
     base = Path(root) if root is not None else _package_root()
-    # the memo key carries the solver: tests monkeypatch $REPRO_SOLVER
-    # mid-process and must see a fresh generation immediately
-    solver = default_solver()
+    # the memo key carries the guidance: tests monkeypatch
+    # $REPRO_GUIDANCE mid-process and must see a fresh generation
     guidance = _guidance_digest()
-    memo_key = f"{base}\x00{solver}\x00{guidance}"
+    memo_key = f"{base}\x00{guidance}"
     if not refresh and memo_key in _memo:
         return _memo[memo_key]
     digest = hashlib.sha256()
-    digest.update(f"fluid_solver={solver}".encode())
-    digest.update(b"\x01")
     digest.update(f"guidance={guidance}".encode())
     digest.update(b"\x01")
     for path in sorted(base.rglob("*.py"),

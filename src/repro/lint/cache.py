@@ -6,9 +6,8 @@ cache stores finished analysis payloads under
 ``.repro-cache/lint/<fingerprint>/<key>.json`` — the same cache root
 (and the same :func:`repro.exec.fingerprint.code_fingerprint`
 generation scheme) the experiment result cache uses, so editing any
-simulator source, switching ``$REPRO_SOLVER`` or pointing
-``$REPRO_GUIDANCE`` elsewhere starts a fresh generation while ``cache
-clear`` wipes both caches at once.
+simulator source or pointing ``$REPRO_GUIDANCE`` elsewhere starts a
+fresh generation while ``cache clear`` wipes both caches at once.
 
 The entry key is a SHA-256 over the *content* of every analyzed file
 (resolved through the same :func:`~repro.lint.static_checker.

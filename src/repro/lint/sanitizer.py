@@ -290,7 +290,7 @@ class SimSanitizer:
             # every dispatch/cancel decremented it, so at quiescence the
             # counter must equal the untriggered entries actually stored.
             # Checked only here — mid-batch the drain loop lags the counter
-            # deliberately (see Environment._drain_all).
+            # deliberately (see repro.sim.kernel).
             stored = env.live_entry_count()
             if counter != stored:
                 self._report(

@@ -33,13 +33,14 @@ sweeps them out, so dead entries can no longer accumulate without bound.
 
 When a same-instant tie-breaker is installed (the schedule explorer), the
 environment falls back to the legacy single-heap layout whose entries
-carry the permuted sequence keys — batched FIFO lists cannot represent a
-permuted same-instant order.
+carry the permuted sequence keys, driven one event at a time by
+:meth:`Environment.step` — batched FIFO lists cannot represent a permuted
+same-instant order.  Every other ``run()`` goes through the one drain
+loop in :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
 
-import os as _os
 import typing as _t
 from heapq import heapify as _heapify
 from heapq import heappop as _heappop
@@ -64,6 +65,8 @@ URGENT = 0
 #: compact when tombstones exceed both this floor and the live count
 _COMPACT_MIN_DEAD = 64
 
+_INF = float("inf")
+
 #: hoisted for Environment.timeout() (one LOAD_ATTR per timeout otherwise)
 _new_timeout = Timeout.__new__
 
@@ -86,30 +89,10 @@ class Environment:
     __slots__ = ("_now", "_times", "_buckets", "_urgent_buckets",
                  "_agenda_urgent", "_agenda_normal", "_legacy_queue",
                  "_seq", "_live", "_dead", "_active", "_tie_break",
-                 "_kernel", "_reuse", "_current", "_in_kernel",
                  "_tcache_t", "_tcache")
 
-    def __init__(self, initial_time: float = 0.0, *,
-                 reuse_handles: bool = False,
-                 kernel: bool | None = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        #: run() full drains go through the fused kernel loop
-        #: (repro.sim.kernel.drain) unless disabled here or via
-        #: $REPRO_SIM_KERNEL=0; both loops are order-identical
-        if kernel is None:
-            kernel = _os.environ.get("REPRO_SIM_KERNEL", "1") != "0"
-        self._kernel = kernel
-        #: opt-in: event factories may recycle the calling process's
-        #: private handle event (see Process._handle for the contract)
-        self._reuse = bool(reuse_handles)
-        #: process currently being resumed by the kernel loop, published
-        #: only when reuse_handles is on (event factories consult it)
-        self._current = None
-        #: True while a kernel drain is running: the NORMAL event domain
-        #: is then *uncounted* — scheduling paths skip the per-event
-        #: ``_live`` bookkeeping and the kernel reconciles on exit (see
-        #: repro.sim.kernel for the conversion contract)
-        self._in_kernel = False
         #: one-slot bucket cache for timeout(): consecutive timeouts to
         #: the same instant (the 64-lane lockstep shape) skip the float
         #: hash + dict lookup.  Invalidated wholesale wherever a bucket
@@ -162,47 +145,6 @@ class Environment:
         per PE-loop iteration, and the constructor + scheduling call
         layers were a measurable slice of event-churn wall time.
         """
-        proc = self._current
-        if proc is not None:
-            # recycle the resuming process's private handle (reuse_handles
-            # mode): resets instead of an allocation + full slot init.
-            # _current is published only by the fused kernel loop, which
-            # never runs with an observer or tie-breaker installed and
-            # whose NORMAL domain is uncounted — the tracker/tie-break/
-            # _live bookkeeping of the general path is statically dead
-            # here.  _cb0 keeps naming the owner (the kernel attach
-            # relies on it); the ``delay`` slot is NOT refreshed — a
-            # recycled handle's repr may show a stale delay, which the
-            # opaque-handle contract permits (see Process._handle).
-            ev = proc._handle
-            if ev._processed:
-                if delay > 0.0:
-                    ev._processed = False
-                    ev._cb0 = proc
-                    ev._value = value
-                    t = self._now + delay
-                    if t == self._tcache_t:
-                        self._tcache.append(ev)
-                        return ev
-                    buckets = self._buckets
-                    bucket = buckets.get(t)
-                    if bucket is None:
-                        bucket = [ev]
-                        buckets[t] = bucket
-                        _heappush(self._times, t)
-                    else:
-                        bucket.append(ev)
-                    self._tcache_t = t
-                    self._tcache = bucket
-                    return ev
-                if delay == 0.0:
-                    ev._processed = False
-                    ev._cb0 = proc
-                    ev._value = value
-                    self._agenda_normal.append(ev)
-                    return ev
-                # negative or NaN: the validating constructor raises
-                return Timeout(self, delay, value)
         if not (delay >= 0.0 and self._tie_break is None):
             return Timeout(self, delay, value)  # slow/validating path (NaN
             # and negative delays fail the >= check and get the real error)
@@ -222,24 +164,17 @@ class Environment:
             t = self._now + delay
             if t == self._tcache_t:
                 self._tcache.append(ev)
-                if self._in_kernel:
-                    return ev
-                self._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
-                return ev
-            buckets = self._buckets
-            bucket = buckets.get(t)
-            if bucket is None:
-                bucket = [ev]
-                buckets[t] = bucket
-                _heappush(self._times, t)
             else:
-                bucket.append(ev)
-            self._tcache_t = t
-            self._tcache = bucket
-        if self._in_kernel:
-            return ev
+                buckets = self._buckets
+                bucket = buckets.get(t)
+                if bucket is None:
+                    bucket = [ev]
+                    buckets[t] = bucket
+                    _heappush(self._times, t)
+                else:
+                    bucket.append(ev)
+                self._tcache_t = t
+                self._tcache = bucket
         self._live += 1
         if _rh.tracker is not None:
             _rh.tracker.on_scheduled(ev)
@@ -282,28 +217,12 @@ class Environment:
             # current instant: plain FIFO append, no heap traffic
             if priority == URGENT:
                 self._agenda_urgent.append(event)
-                # URGENT entries stay counted even inside a kernel drain:
-                # they are consumed via _dispatch, which decrements
-                self._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(event)
-                return event
-            self._agenda_normal.append(event)
+            else:
+                self._agenda_normal.append(event)
         elif delay > 0.0:
             t = self._now + delay
-            if priority == URGENT:
-                store = self._urgent_buckets
-                bucket = store.get(t)
-                if bucket is None:
-                    store[t] = [event]
-                    _heappush(self._times, t)
-                else:
-                    bucket.append(event)
-                self._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(event)
-                return event
-            store = self._buckets
+            store = (self._urgent_buckets if priority == URGENT
+                     else self._buckets)
             bucket = store.get(t)
             if bucket is None:
                 store[t] = [event]
@@ -319,10 +238,6 @@ class Environment:
         else:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay!r})")
-        # NORMAL domain: uncounted while a kernel drain is running (the
-        # drain reconciles _live on exit; see repro.sim.kernel)
-        if self._in_kernel:
-            return event
         self._live += 1
         if _rh.tracker is not None:
             _rh.tracker.on_scheduled(event)
@@ -369,12 +284,7 @@ class Environment:
         if _rh.tracker is not None:
             _rh.tracker.on_descheduled(event)
         event._cancelled = True
-        if not self._in_kernel:
-            # mid-drain the NORMAL domain is uncounted (and URGENT
-            # entries are never exposed for cancellation), so there is
-            # nothing to decrement; the tombstone is reconciled by the
-            # skip sites (see repro.sim.kernel)
-            self._live -= 1
+        self._live -= 1
         self._dead += 1
         if self._dead > _COMPACT_MIN_DEAD and self._dead > self._live:
             self._compact()
@@ -445,11 +355,12 @@ class Environment:
 
     # -- run loop -----------------------------------------------------------
 
-    def _advance_clock(self) -> bool:
+    def _advance_clock(self, deadline: float = _INF) -> bool:
         """Drain the next non-empty bucket into the agenda; move the clock.
 
-        Returns False when no live future event exists.  The clock only
-        lands on instants that still hold at least one live entry.
+        Returns False when no live future event exists at or before
+        ``deadline``.  The clock only lands on instants that still hold
+        at least one live entry.
         """
         self._tcache_t = -1.0  # buckets may leave the dict below
         times = self._times
@@ -459,6 +370,9 @@ class Environment:
             # case): move the whole bucket without per-event checks
             while times:
                 t = _heappop(times)
+                if t > deadline:
+                    _heappush(times, t)
+                    return False
                 nb = buckets.pop(t, None)
                 if nb is None:
                     continue  # stale duplicate timestamp
@@ -468,6 +382,9 @@ class Environment:
             return False
         while times:
             t = _heappop(times)
+            if t > deadline:
+                _heappush(times, t)
+                return False
             ub = ubuckets.pop(t, None)
             nb = buckets.pop(t, None)
             if ub is None and nb is None:
@@ -579,126 +496,6 @@ class Environment:
             # dropping a crashed process.
             raise event._value
 
-    def _drain_all(self) -> None:
-        """Run every pending event until the queue dries.
-
-        Dispatches to the fused kernel loop (:func:`repro.sim.kernel.drain`)
-        unless it is disabled or an observer (race tracker / sanitizer)
-        is installed — observers get the reference loop, whose per-event
-        hook points are the observable contract.  Both loops process
-        events in identical order.
-        """
-        if self._kernel and _rh.tracker is None:
-            _kernel.drain(self)
-        else:
-            self._drain_reference()
-
-    def _drain_reference(self) -> None:
-        """The reference hot loop: batched drain with inlined dispatch.
-
-        This is the pure scheduling loop with an inlined copy of the
-        callback dispatch (`Event._process` + the failure surfacing of
-        :meth:`_dispatch`): at millions of events per run, the method
-        call layers are a measurable fraction of total wall time.  Any
-        semantic change here must be mirrored in :meth:`step` /
-        :meth:`_dispatch` and in :func:`repro.sim.kernel.drain` (the
-        fused production loop), which must stay order-identical.
-
-        Batching: the current-instant agenda list is swapped out whole
-        and walked with a bare ``for`` (one container op per batch, not
-        per event); events appended meanwhile land in the fresh list and
-        form the next batch — exactly FIFO order.  URGENT events that
-        arrive mid-batch preempt the rest of the normal batch, matching
-        the old heap's ``(time, priority, seq)`` order.
-        """
-        advance = self._advance_clock
-        spare_u: list[Event] = []
-        spare_n: list[Event] = []
-        while True:
-            tracker = _rh.tracker
-            batch = self._agenda_urgent
-            if batch:
-                # URGENT batches are rare (process bootstrap only), so they
-                # take the readable reference dispatch; failure splicing
-                # matches the normal-batch path below.
-                self._agenda_urgent = spare_u
-                try:
-                    for event in batch:
-                        if event._cancelled:
-                            self._dead -= 1
-                        else:
-                            self._dispatch(event)
-                except BaseException:
-                    self._agenda_urgent[:0] = batch[batch.index(event) + 1:]
-                    raise
-                batch.clear()
-                spare_u = batch
-                continue
-            batch = self._agenda_normal
-            if batch:
-                self._agenda_normal = spare_n
-            elif advance():
-                continue
-            else:
-                if self._live:  # pragma: no cover - conservation net
-                    raise SimulationError(
-                        f"{self._live} live entr(ies) unreachable by "
-                        "the run loop (queue conservation broken)")
-                return
-            # _live accounting is batched: per-event position is recovered
-            # with batch.index() on the rare paths (failure, preemption)
-            # instead of paying a counter increment on every event.
-            u_agenda = self._agenda_urgent
-            skipped = 0
-            flushed = 0
-            for event in batch:
-                if event._cancelled:
-                    self._dead -= 1
-                    skipped += 1
-                    continue
-                # -- inlined dispatch (see _dispatch / Event._process).
-                # _cb0/_cbs are deliberately not cleared here: _processed
-                # already gates every callback-view and add-after-process
-                # path, and the batch list drops the refs when cleared.
-                event._processed = True
-                if tracker is not None:
-                    tracker.on_processing(event)
-                callback = event._cb0
-                if callback is not None:
-                    callback(event)
-                callbacks = event._cbs
-                if callbacks is not None:
-                    # cleared so a processed *handle* (reuse mode) can be
-                    # recycled without re-checking overflow callbacks; the
-                    # reference semantics (_process) clear here anyway
-                    event._cbs = None
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # surface the unhandled failure; the rest of the batch
-                    # goes back to the head of its agenda so a follow-up
-                    # run() resumes exactly where this one stopped
-                    idx = batch.index(event)
-                    self._live -= idx + 1 - skipped - flushed
-                    self._agenda_normal[:0] = batch[idx + 1:]
-                    raise event._value
-                # URGENT arrivals (process bootstrap) preempt the rest of
-                # this NORMAL batch, matching the old heap's
-                # (time, priority, seq) order.
-                if u_agenda:
-                    dispatched = batch.index(event) + 1 - skipped
-                    self._live -= dispatched - flushed
-                    flushed = dispatched
-                    while u_agenda:
-                        uev = u_agenda.pop(0)
-                        if uev._cancelled:
-                            self._dead -= 1
-                        else:
-                            self._dispatch(uev)
-            self._live -= len(batch) - skipped - flushed
-            batch.clear()
-            spare_n = batch
-
     def run(self, until: "float | Event | None" = None) -> _t.Any:
         """Run until the queue drains, a deadline, or an event fires.
 
@@ -707,39 +504,45 @@ class Environment:
         * ``until=<Event>`` — run until that event is processed and return
           its value.  Raises :class:`DeadlockError` if the queue drains
           first (the event can then never fire).
-        """
-        if until is None:
-            if self._tie_break is not None:
-                while self._live:
-                    self._legacy_step()
-                return None
-            self._drain_all()
-            return None
 
+        All three go through :func:`repro.sim.kernel.drain`; under a
+        tie-breaker the permuted heap is stepped one event at a time.
+        """
+        target = None
+        deadline = _INF
         if isinstance(until, Event):
             target = until
-            done: list = []
-            target.add_callback(done.append)
-            while self._live and not done:
-                self.step()
-            if not done:
-                raise DeadlockError(
-                    f"event queue drained before {target!r} fired",
-                    waiting=tuple(sorted(p.name for p in self._active.values())),
-                )
-            if not target.ok:
-                target.defuse()
-                raise target.value
-            return target.value
+        elif until is not None:
+            deadline = float(until)
+            if deadline < self._now:
+                raise SimulationError(
+                    f"run(until={deadline!r}) is in the past "
+                    f"(now={self._now!r})")
+        if self._tie_break is not None:
+            if target is not None:
+                while self._live and not target._processed:
+                    self.step()
+            elif until is None:
+                while self._live:
+                    self._legacy_step()
+            else:
+                while self._live and self.peek() <= deadline:
+                    self.step()
+        elif target is None or not target._processed:
+            _kernel.drain(self, target, deadline)
 
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(
-                f"run(until={deadline!r}) is in the past (now={self._now!r})")
-        while self._live and self.peek() <= deadline:
-            self.step()
-        self._now = deadline
-        return None
+        if target is None:
+            if until is not None:
+                self._now = deadline
+            return None
+        if not target._processed:
+            raise DeadlockError(
+                f"event queue drained before {target!r} fired",
+                waiting=self.active_process_names)
+        if not target._ok:
+            target.defuse()
+            raise target._value
+        return target._value
 
     # -- diagnostics ----------------------------------------------------------
 

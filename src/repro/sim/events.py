@@ -119,10 +119,6 @@ class Event:
         env = self.env
         if delay == 0.0 and env._tie_break is None:
             env._agenda_normal.append(self)
-            if env._in_kernel:
-                # NORMAL domain is uncounted during a kernel drain (the
-                # drain reconciles _live on exit; see repro.sim.kernel)
-                return self
             env._live += 1
             if _rh.tracker is not None:
                 _rh.tracker.on_scheduled(self)

@@ -30,20 +30,8 @@ Two solvers are available (``solver=`` constructor flag):
   (the flush is scheduled at the current instant).
 
 * ``"full"`` — the original eager solver: every change recomputes every
-  flow on every link immediately.  Kept as the cross-check oracle; the
-  other solvers must produce identical simulated timelines.
-
-* ``"vectorized"`` — incremental scheduling with a numpy progressive-
-  filling kernel for large components: flows are array columns, links are
-  rows, and each filling round computes the bottleneck share, the capped
-  set and the saturated set as masked array reductions instead of python
-  loops.  The freeze *order* and the per-link residual subtraction order
-  replicate the scalar kernel exactly, so the computed rates are
-  bit-identical to ``"incremental"`` — only the per-round share/mask
-  arithmetic is vectorized (reductions over IEEE doubles are exact and
-  order-independent for min/max and elementwise compare).  Small
-  components fall back to the scalar kernel, which is identical by
-  construction.
+  flow on every link immediately.  Kept as the tests' cross-check
+  oracle; ``"incremental"`` must produce identical simulated timelines.
 
 The epsilon/wake contract: a flow whose ``remaining`` falls to
 ``_EPSILON_BYTES`` or below — or whose ETA is too small for the event
@@ -59,7 +47,6 @@ all; the next ``_mark_dirty`` re-solve picks them back up.
 from __future__ import annotations
 
 import math
-import os
 import typing as _t
 from itertools import count
 from time import perf_counter as _perf_counter
@@ -68,12 +55,7 @@ from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a project dependency
-    _np = None
-
-__all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS", "default_solver"]
+__all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS"]
 
 #: Flows with fewer remaining bytes than this are considered complete.
 #: (Float progress integration leaves sub-byte residue.)  One shared
@@ -82,41 +64,13 @@ __all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS", "default_solver"]
 _EPSILON_BYTES = 1e-3
 
 #: recognised ``FluidNetwork(solver=...)`` values
-SOLVERS = ("incremental", "full", "vectorized")
-
-#: below this flows*links size the vectorized solver uses the scalar
-#: kernel — numpy array setup costs more than it saves on tiny components
-_VEC_MIN_CELLS = 32
+SOLVERS = ("incremental", "full")
 
 #: flow-set-signature memo bound (entries); FIFO eviction.  Steady-state
 #: applications cycle through a handful of phase configurations, so a few
 #: hundred entries cover every realistic phase alphabet while bounding
 #: worst-case memory on adversarial workloads.
 _MEMO_MAX = 512
-
-
-def default_memo() -> bool:
-    """Whether new networks memoize solves (``$REPRO_SOLVER_MEMO``).
-
-    Defaults to on; set ``REPRO_SOLVER_MEMO=0`` to disable (the property
-    suite runs the cross-check both ways).
-    """
-    return os.environ.get("REPRO_SOLVER_MEMO", "1") != "0"
-
-
-def default_solver() -> str:
-    """The solver used when ``FluidNetwork(solver=None)``.
-
-    Reads ``$REPRO_SOLVER`` (CI runs the tier-1 suite once with
-    ``REPRO_SOLVER=vectorized``), defaulting to ``"incremental"``.  The
-    exec-engine result cache folds this into its code fingerprint, so
-    flipping the variable can never serve stale cached tables.
-    """
-    solver = os.environ.get("REPRO_SOLVER", "incremental")
-    if solver not in SOLVERS:
-        raise SimulationError(
-            f"$REPRO_SOLVER={solver!r} is not one of {SOLVERS}")
-    return solver
 
 
 class Link:
@@ -198,20 +152,15 @@ class FluidNetwork:
     """The set of links plus the progressive-filling rate solver."""
 
     def __init__(self, env: Environment, *, solver: str | None = None,
-                 memo: bool | None = None):
+                 memo: bool = True):
         if solver is None:
-            solver = default_solver()
+            solver = "incremental"
         if solver not in SOLVERS:
             raise SimulationError(
                 f"unknown fluid solver {solver!r}; choose from {SOLVERS}")
-        if memo is None:
-            memo = default_memo()
         self.env = env
         self.solver = solver
-        # "vectorized" shares the incremental dirty/flush scheduling and
-        # swaps only the rate kernel, so its timelines match by construction
-        self._incremental = solver != "full"
-        self._vectorized = solver == "vectorized"
+        self._incremental = solver == "incremental"
         self._links: dict[str, Link] = {}
         #: active flows as an insertion-ordered set (dict keys)
         self._flows: dict[Flow, None] = {}
@@ -233,7 +182,7 @@ class FluidNetwork:
         self.solves = 0
         #: wall-clock seconds spent inside _solve (kernel + memo machinery)
         self.solve_wall_s = 0.0
-        # Flow-set-signature memo (incremental/vectorized only; the full
+        # Flow-set-signature memo (incremental only; the full
         # solver stays the unmemoized oracle).  Max-min rates depend only
         # on the component's *structure* — link capacities, per-flow
         # (weight, max_rate, link incidence) and the per-link membership
@@ -242,7 +191,7 @@ class FluidNetwork:
         # Content keying subsumes invalidation: any topology or demand
         # mutation (capacity, weight, max_rate, membership) changes the
         # signature and simply misses.
-        self._memo_enabled = bool(memo) and solver != "full"
+        self._memo_enabled = memo and self._incremental
         self._memo: dict[tuple, tuple[float, ...]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -498,30 +447,19 @@ class FluidNetwork:
                 self.solve_wall_s += _perf_counter() - t0
                 return
             self.memo_misses += 1
-            self._dispatch_solve(flows_l, links_l)
+            self._progressive_fill(flows_l, links_l)
             if len(memo) >= _MEMO_MAX:
                 del memo[next(iter(memo))]  # FIFO: oldest insertion first
             memo[key] = tuple(f._rate for f in flows_l)
             self.solve_wall_s += _perf_counter() - t0
             return
-        self._dispatch_solve(flows, links)
+        self._progressive_fill(flows, links)
         self.solve_wall_s += _perf_counter() - t0
 
-    def _dispatch_solve(self, flows: _t.Iterable[Flow],
+    def _progressive_fill(self, flows: _t.Iterable[Flow],
                         links: _t.Iterable[Link]) -> None:
-        """Run the configured rate kernel (counted as one solve)."""
+        """Run the progressive-filling rate kernel (counted as one solve)."""
         self.solves += 1
-        if self._vectorized and _np is not None:
-            flows_l = list(flows)
-            if len(flows_l) > 1:
-                links_l = list(links)
-                if len(flows_l) * len(links_l) >= _VEC_MIN_CELLS:
-                    self._solve_vectorized(flows_l, links_l)
-                    return
-        self._solve_scalar(flows, links)
-
-    def _solve_scalar(self, flows: _t.Iterable[Flow],
-                      links: _t.Iterable[Link]) -> None:
         unfrozen = dict.fromkeys(flows)
         if len(unfrozen) == 1:
             # Lone-flow fast path (the common case for a solitary mover):
@@ -596,105 +534,6 @@ class FluidNetwork:
                 for flow in unfrozen:
                     flow._rate = bottleneck_share * flow.weight
                 break
-
-    def _solve_vectorized(self, flows_l: list[Flow],
-                          links_l: list[Link]) -> None:
-        """Progressive filling with the per-round reductions as numpy ops.
-
-        Flows are array columns, links are rows.  Each round the bottleneck
-        share, the capped-flow mask and the saturated-link mask come out of
-        masked array arithmetic; freezing still walks the matched flows in
-        the scalar kernel's exact order, subtracting each frozen flow from
-        its links one at a time, so every float in ``residual`` /
-        ``live_weight`` sees the same operation sequence as the scalar
-        kernel and the resulting rates are bit-identical.  (Elementwise
-        divides/multiplies over IEEE doubles match python float ops
-        exactly, and min reductions are exact regardless of order; only
-        *accumulation* order matters, which is why the subtractions stay
-        sequential per flow.)
-        """
-        np = _np
-        m = len(links_l)
-        link_idx = {link: j for j, link in enumerate(links_l)}
-        flow_idx = {f: i for i, f in enumerate(flows_l)}
-        weights = [f.weight for f in flows_l]
-        caps_v = np.array([f.max_rate for f in flows_l])
-        weights_v = np.array(weights)
-        # cap/weight ratios: each is the same lone IEEE division the scalar
-        # kernel performs on demand, so precomputing cannot change bits
-        with np.errstate(invalid="ignore"):  # inf/inf -> nan, never selected
-            ratios_v = caps_v / weights_v
-        cols = [[link_idx[link] for link in f.links] for f in flows_l]
-        residual = np.array([link.capacity for link in links_l])
-        live_weight = np.empty(m)
-        for j, link in enumerate(links_l):
-            acc = 0.0  # same left-to-right accumulation as the scalar sum()
-            for f in link.flows:
-                acc += f.weight
-            live_weight[j] = acc
-        for f in flows_l:
-            f._rate = 0.0
-        weight_floor = 1e-9 * max(weights)
-        unfrozen = np.ones(len(flows_l), dtype=bool)
-        n_left = len(flows_l)
-
-        with np.errstate(divide="ignore"):
-            while n_left:
-                active = live_weight > weight_floor
-                shares = np.full(m, math.inf)
-                np.divide(np.maximum(residual, 0.0), live_weight,
-                          out=shares, where=active)
-                bottleneck_share = float(shares.min())
-                capped_m = unfrozen & (caps_v < bottleneck_share * weights_v)
-                if capped_m.any():
-                    tightest = float(ratios_v[capped_m].min())
-                    batch_m = capped_m & (ratios_v <= tightest * (1 + 1e-12))
-                    # nonzero() ascends = flows_l order = the scalar
-                    # kernel's insertion-ordered unfrozen iteration
-                    for i in np.nonzero(batch_m)[0]:
-                        f = flows_l[i]
-                        rate = f.max_rate
-                        f._rate = rate
-                        w = f.weight
-                        for j in cols[i]:
-                            residual[j] -= rate
-                            live_weight[j] -= w
-                    unfrozen &= ~batch_m
-                    n_left = int(unfrozen.sum())
-                    continue
-                if not math.isfinite(bottleneck_share):
-                    for i in np.nonzero(unfrozen)[0]:
-                        f = flows_l[i]
-                        f._rate = (f.max_rate if math.isfinite(f.max_rate)
-                                   else 0.0)
-                    break
-                # shares is still current: nothing froze since it was
-                # computed, exactly like the scalar kernel's re-division
-                sat_m = active & (
-                    shares <= bottleneck_share * (1 + 1e-12) + 1e-18)
-                froze_any = False
-                # link-major freeze order over ascending link rows matches
-                # the scalar walk over residual's insertion order; within a
-                # link, flows freeze in link.flows insertion order
-                for j in np.nonzero(sat_m)[0]:
-                    for f in links_l[j].flows:
-                        i = flow_idx[f]
-                        if not unfrozen[i]:
-                            continue
-                        rate = bottleneck_share * f.weight
-                        f._rate = rate
-                        unfrozen[i] = False
-                        froze_any = True
-                        w = f.weight
-                        for jj in cols[i]:
-                            residual[jj] -= rate
-                            live_weight[jj] -= w
-                if not froze_any:  # pragma: no cover - numeric safety valve
-                    for i in np.nonzero(unfrozen)[0]:
-                        f = flows_l[i]
-                        f._rate = bottleneck_share * f.weight
-                    break
-                n_left = int(unfrozen.sum())
 
     # -- completion scheduling --------------------------------------------------
 

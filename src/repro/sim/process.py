@@ -21,19 +21,9 @@ import typing as _t
 from repro.errors import ProcessKilled, SimulationError
 from repro.race import hooks as _rh
 from repro.sim.environment import URGENT, Environment
-from repro.sim.events import Event, PENDING, Timeout
+from repro.sim.events import Event, PENDING
 
 __all__ = ["Process"]
-
-#: hoisted allocator for the reusable handle event (see Process._handle)
-_new_timeout = Timeout.__new__
-
-#: every reusable handle shares this one name *object*; the kernel loop
-#: recognises handles by identity (``event.name is HANDLE_NAME``), which
-#: lets it skip the type/_ok checks of the general dispatch path.  Built
-#: via join so it is NOT the interned literal — a user event created with
-#: ``name="proc.handle"`` can never alias it.
-HANDLE_NAME = "".join(("proc.", "handle"))
 
 
 class _Init(Event):
@@ -51,8 +41,7 @@ class _Init(Event):
 class Process(Event):
     """A running generator coroutine inside the simulation."""
 
-    __slots__ = ("generator", "_target", "_send", "_throw", "_resume_cb",
-                 "_handle")
+    __slots__ = ("generator", "_target", "_send", "_throw")
 
     def __init__(self, env: Environment, generator: _t.Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -68,30 +57,8 @@ class Process(Event):
         # type and fuses the resume, and no method object is ever allocated
         self._send = generator.send
         self._throw = generator.throw
-        self._resume_cb = self
         #: the event this process is currently waiting on (None if running/finished)
         self._target: Event | None = None
-        if env._reuse:
-            # The process's private *handle*: a recyclable event the
-            # factories (Store.get / Resource.request / env.timeout) hand
-            # back instead of a fresh allocation when this process calls
-            # them during its own turn.  Ownership contract (opt-in via
-            # Environment(reuse_handles=True)): the awaited event may not
-            # be retained past the resume — keep the delivered value, not
-            # the event object.  Born processed=True: "ready for reuse".
-            handle = _new_timeout(Timeout)
-            handle.env = env
-            handle.name = HANDLE_NAME
-            handle._cb0 = None
-            handle._cbs = None
-            handle._ok = True
-            handle._value = None
-            handle._processed = True
-            handle._cancelled = False
-            handle.delay = 0.0
-            self._handle = handle
-        else:
-            self._handle = None
         env.register_process(self)
         _Init(env).add_callback(self)
 

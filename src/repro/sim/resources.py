@@ -61,12 +61,6 @@ class Store:
             ev = getters.popleft()
             ev._value = item
             env = self.env
-            if env._in_kernel:
-                # inside a kernel drain: no tie-breaker or observer can
-                # be active, and the NORMAL domain is uncounted — skip
-                # their checks on the per-message hot path
-                env._agenda_normal.append(ev)
-                return
             if env._tie_break is None:
                 env._agenda_normal.append(ev)
                 env._live += 1
@@ -84,34 +78,6 @@ class Store:
 
     def get(self) -> Event:
         env = self.env
-        proc = env._current
-        if proc is not None:
-            # recycle the resuming process's private handle (reuse_handles
-            # mode, see Process._handle): three slot resets replace the
-            # allocation + eight-store init below.  _current is published
-            # only by the fused kernel loop, which never runs with an
-            # observer or tie-breaker installed and whose NORMAL domain
-            # is uncounted — the tracker/tie-break/_live branches of the
-            # general path below are statically dead here.  _cb0 keeps
-            # naming the owner (the kernel attach relies on it); _cbs
-            # needs no reset — every drain loop clears it at processing
-            # time, so a processed handle never carries overflow
-            # callbacks.  The
-            # parked branch must restore _value = PENDING: conditions
-            # (all_of/any_of) read ``triggered`` at construction, and a
-            # stale value would make a parked handle look already fired.
-            ev = proc._handle
-            if ev._processed:
-                ev._processed = False
-                ev._cb0 = proc
-                items = self._items
-                if items:
-                    ev._value = items.popleft()
-                    env._agenda_normal.append(ev)
-                else:
-                    ev._value = PENDING
-                    self._getters.append(ev)
-                return ev
         # inlined Event(env, self._get_name): the constructor call frame
         # and the name= keyword cost ~250ns per event at this call rate
         ev = _new_event(Event)
@@ -129,9 +95,7 @@ class Store:
                 tracker.on_handoff_get(item)
             # inlined Event.succeed() (see put()); ev is freshly created
             ev._value = item
-            if env._in_kernel:
-                env._agenda_normal.append(ev)
-            elif env._tie_break is None:
+            if env._tie_break is None:
                 env._agenda_normal.append(ev)
                 env._live += 1
                 if tracker is not None:
@@ -232,23 +196,6 @@ class Resource:
 
     def request(self) -> Event:
         env = self.env
-        proc = env._current
-        if proc is not None:
-            # recycle the caller's handle — see Store.get() (the tracker /
-            # tie-break/_live branches below are statically dead here too)
-            ev = proc._handle
-            if ev._processed:
-                ev._processed = False
-                ev._cb0 = proc
-                in_use = self._in_use
-                if in_use < self.capacity:
-                    self._in_use = in_use + 1
-                    ev._value = None
-                    env._agenda_normal.append(ev)
-                else:
-                    ev._value = PENDING
-                    self._waiters.append(ev)
-                return ev
         # inlined Event(env, self._req_name) — see Store.get()
         ev = _new_event(Event)
         ev.env = env
@@ -261,10 +208,7 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             # inlined Event.succeed() (see Store.put()); ev is fresh
-            if env._in_kernel:
-                ev._value = None
-                env._agenda_normal.append(ev)
-            elif env._tie_break is None:
+            if env._tie_break is None:
                 ev._value = None
                 env._agenda_normal.append(ev)
                 env._live += 1
@@ -287,11 +231,6 @@ class Resource:
             # untriggered by construction
             ev = waiters.popleft()
             env = self.env
-            if env._in_kernel:
-                # inside a kernel drain — see Store.put()
-                ev._value = None
-                env._agenda_normal.append(ev)
-                return
             if env._tie_break is None:
                 ev._value = None
                 env._agenda_normal.append(ev)

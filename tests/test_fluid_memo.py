@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.sim.environment import Environment
-from repro.sim.fluid import _MEMO_MAX, FluidNetwork, default_memo
+from repro.sim.fluid import _MEMO_MAX, FluidNetwork
 
 
 def _run_phases(solver: str, memo: bool, seed: int,
@@ -69,13 +69,6 @@ def test_memo_replay_matches_oracle_and_memo_off(seed: int) -> None:
     # repeated phases must actually exercise the replay path
     assert net_on.memo_hits > 0
     assert net_on.solves == net_on.memo_misses < net_off.solves
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_memo_replay_matches_under_vectorized(seed: int) -> None:
-    scalar, _ = _run_phases("incremental", True, seed)
-    vec, _ = _run_phases("vectorized", True, seed)
-    assert vec == scalar
 
 
 def test_capacity_mutation_invalidates() -> None:
@@ -148,19 +141,6 @@ def test_full_solver_never_memoizes() -> None:
         env.run(net.start_flow(1e8, [link]).done)
     assert net.memo_hits == 0 and net.memo_misses == 0
     assert not net._memo
-
-
-def test_env_gate_disables_memo(monkeypatch) -> None:
-    monkeypatch.setenv("REPRO_SOLVER_MEMO", "0")
-    assert not default_memo()
-    env = Environment()
-    net = FluidNetwork(env, solver="incremental")
-    link = net.add_link("port", 100e9)
-    for _ in range(3):
-        env.run(net.start_flow(1e8, [link]).done)
-    assert net.memo_hits == 0 and net.memo_misses == 0
-    monkeypatch.delenv("REPRO_SOLVER_MEMO")
-    assert default_memo()
 
 
 def test_solve_wall_clock_is_recorded() -> None:

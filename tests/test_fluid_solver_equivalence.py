@@ -1,9 +1,9 @@
-"""Three-solver equivalence oracle + the sim-core numeric bugfix tests.
+"""Solver equivalence oracle + the sim-core numeric bugfix tests.
 
-The ``"vectorized"`` solver must be *bit-identical* to ``"incremental"``
-(same scheduling, same kernel arithmetic, different execution engine) and
-timeline-equivalent to the ``"full"`` oracle.  Alongside, regression
-tests for the three PR bugfixes, each of which fails on the pre-fix code:
+The ``"incremental"`` solver must be timeline-equivalent to the eager
+``"full"`` oracle, down to byte-identical figure tables.  Alongside,
+regression tests for the three PR bugfixes, each of which fails on the
+pre-fix code:
 
 * sub-epsilon remainders force-complete at the wake instant instead of
   being rescheduled (no late ``finished_at``, no zero-progress loop);
@@ -25,8 +25,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.fluid import (_EPSILON_BYTES, _VEC_MIN_CELLS, SOLVERS,
-                             FluidNetwork, default_solver)
+from repro.sim.fluid import _EPSILON_BYTES, SOLVERS, FluidNetwork
 
 ALL_SOLVERS = list(SOLVERS)
 
@@ -99,16 +98,7 @@ SCENARIOS = [_waves_private_lanes, _shared_bottleneck_capped,
 class TestSolverEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS,
                              ids=lambda s: s.__name__.lstrip("_"))
-    def test_vectorized_bitwise_matches_incremental(self, scenario):
-        inc = _run_scenario("incremental", scenario)
-        vec = _run_scenario("vectorized", scenario)
-        # exact float equality, not approx: the numpy kernel replicates
-        # the scalar kernel's operation order
-        assert vec == inc
-
-    @pytest.mark.parametrize("scenario", SCENARIOS,
-                             ids=lambda s: s.__name__.lstrip("_"))
-    @pytest.mark.parametrize("solver", ["incremental", "vectorized"])
+    @pytest.mark.parametrize("solver", ["incremental"])
     def test_all_solvers_match_full_oracle(self, scenario, solver):
         oracle = _run_scenario("full", scenario)
         got = _run_scenario(solver, scenario)
@@ -116,24 +106,11 @@ class TestSolverEquivalence:
         for fid, finished_at in got.items():
             assert finished_at == pytest.approx(oracle[fid], rel=1e-9), fid
 
-    def test_vectorized_path_actually_engages(self):
-        """The big scenarios must cross the numpy-kernel size threshold."""
-        env = Environment()
-        net = FluidNetwork(env, solver="vectorized")
-        flows = _shared_bottleneck_capped(env, net)
-        links = {link for f in flows for link in f.links}
-        assert len(flows) * len(links) >= _VEC_MIN_CELLS
-        assert net._vectorized
-
-    def test_default_solver_reads_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert default_solver() == "incremental"
-        monkeypatch.setenv("REPRO_SOLVER", "vectorized")
-        assert default_solver() == "vectorized"
-        assert FluidNetwork(Environment()).solver == "vectorized"
-        monkeypatch.setenv("REPRO_SOLVER", "bogus")
-        with pytest.raises(SimulationError, match="REPRO_SOLVER"):
-            default_solver()
+    def test_unknown_solver_rejected(self):
+        assert SOLVERS == ("incremental", "full")
+        assert FluidNetwork(Environment()).solver == "incremental"
+        with pytest.raises(SimulationError, match="unknown fluid solver"):
+            FluidNetwork(Environment(), solver="bogus")
 
 
 class TestEpsilonForceComplete:
@@ -285,14 +262,20 @@ class TestTombstoneCompaction:
 
 
 class TestFigureByteIdentity:
-    """Vectorized and incremental must emit byte-identical figure tables."""
+    """Incremental and the full oracle must emit byte-identical tables."""
 
     @staticmethod
     def _table_bytes(plan_fn, monkeypatch, solver: str) -> str:
         from repro.bench.harness import run_plan
 
-        monkeypatch.setenv("REPRO_SOLVER", solver)
-        result = run_plan(plan_fn())
+        init = FluidNetwork.__init__
+
+        def forced(self, env, **kwargs):
+            init(self, env, **{**kwargs, "solver": solver})
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FluidNetwork, "__init__", forced)
+            result = run_plan(plan_fn())
         return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
     def test_fig2_table_identical(self, monkeypatch):
@@ -302,8 +285,8 @@ class TestFigureByteIdentity:
             return fig2_plan(Scale.TINY, iterations=2)
 
         inc = self._table_bytes(plan, monkeypatch, "incremental")
-        vec = self._table_bytes(plan, monkeypatch, "vectorized")
-        assert vec == inc
+        full = self._table_bytes(plan, monkeypatch, "full")
+        assert full == inc
 
     def test_fig8_table_identical(self, monkeypatch):
         from repro.bench.experiments import Scale, fig8_plan
@@ -312,17 +295,5 @@ class TestFigureByteIdentity:
             return fig8_plan(Scale.TINY, iterations=2, reduced_ws_gb=(4,))
 
         inc = self._table_bytes(plan, monkeypatch, "incremental")
-        vec = self._table_bytes(plan, monkeypatch, "vectorized")
-        assert vec == inc
-
-    def test_fingerprint_differs_per_solver(self, monkeypatch):
-        """The result cache must not mix generations across solvers."""
-        from repro.exec.fingerprint import code_fingerprint
-
-        monkeypatch.setenv("REPRO_SOLVER", "incremental")
-        inc = code_fingerprint()
-        monkeypatch.setenv("REPRO_SOLVER", "vectorized")
-        vec = code_fingerprint()
-        assert inc != vec
-        monkeypatch.setenv("REPRO_SOLVER", "incremental")
-        assert code_fingerprint() == inc
+        full = self._table_bytes(plan, monkeypatch, "full")
+        assert full == inc

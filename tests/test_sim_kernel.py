@@ -1,13 +1,14 @@
-"""Kernel drain loop vs reference loop: equivalence and handle semantics.
+"""Loop equivalence: the one drain loop against the ``step()`` oracle.
 
-The fused kernel (:mod:`repro.sim.kernel`) and the reference loop
-(:meth:`Environment._drain_reference`) must produce identical simulations;
-``reuse_handles=True`` additionally recycles each process's private handle
-event through the factories.  These tests run one mixed workload — stores,
-resources, timeouts, conditions, interrupts, mid-run spawns, failures —
-under every loop/mode combination and require identical traces, then pin
-down the handle-specific corners (identity recycling, condition parking,
-cancellation, name aliasing).
+Every ``run()`` flavour — unbounded, ``until=<Event>`` and
+``until=<float>`` — goes through :func:`repro.sim.kernel.drain`, while
+:meth:`Environment.step` processes one event at a time with the plain
+``_dispatch`` path.  The tests drive one mixed workload (stores,
+resources, timeouts, conditions, interrupts, mid-run spawns, failures)
+with each flavour and require the trace of the step-only oracle, then
+pin down the stop conditions: the target's same-instant followers stay
+queued, observers installed mid-run see every later event, and an
+unhandled failure leaves the rest of its batch queued in order.
 """
 
 from __future__ import annotations
@@ -17,15 +18,22 @@ import json
 
 import pytest
 
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import DeadlockError, ProcessKilled
+from repro.race import hooks as _rh
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.process import HANDLE_NAME
 from repro.sim.resources import Resource, Store
 
+INF = float("inf")
 
-def _mixed_workload(env: Environment) -> list:
-    """A workload touching every dispatch path; returns its event trace."""
+
+def _mixed_workload(env: Environment) -> tuple[list, list]:
+    """A workload touching every dispatch path.
+
+    Returns ``(trace, slices)``: the trace the processes append to as the
+    run proceeds, and the processes a chained ``run(until=<Event>)``
+    driver can stop at (every process that finishes successfully).
+    """
     trace: list = []
     store: Store = Store(env, name="s")
     spill: Store = Store(env, name="spill")
@@ -48,8 +56,6 @@ def _mixed_workload(env: Environment) -> list:
             res.release()
 
     def condition_waiter():
-        # parks a factory event inside a condition (AllOf) — in reuse mode
-        # this routes the handle through the overflow-callback path
         got = yield env.all_of([spill.get(), env.timeout(9.0)])
         trace.append((env.now, "cond", sorted(map(str, got.values()))))
 
@@ -81,7 +87,7 @@ def _mixed_workload(env: Environment) -> list:
             trace.append((env.now, "killed", str(exc)))
 
     def spawner():
-        # urgent bootstrap arriving mid-batch: the kernel must preempt
+        # URGENT bootstraps arriving mid-batch preempt the rest of it
         yield env.timeout(2.0)
         for i in range(3):
             env.process(late_child(i), name=f"late{i}")
@@ -107,187 +113,246 @@ def _mixed_workload(env: Environment) -> list:
         yield env.timeout(4.5)
         return "child-done"
 
-    for i in range(2):
-        env.process(consumer(f"c{i}"), name=f"c{i}")
+    slices = [env.process(consumer(f"c{i}"), name=f"c{i}") for i in range(2)]
     for fn in (producer, condition_waiter, any_waiter, guardian,
                interrupter, spawner, canceller, chain_parent):
-        env.process(fn(), name=fn.__name__)
+        slices.append(env.process(fn(), name=fn.__name__))
+    return trace, slices
+
+
+def _step_oracle(env: Environment) -> None:
+    """The test-local oracle: one ``step()`` per event until dry."""
+    while env.peek() < INF:
+        env.step()
+
+
+def _drive_run(env: Environment, slices: list) -> None:
     env.run()
-    trace.append(("end", env.now))
-    return trace
 
 
-ENV_MODES = [
-    pytest.param(dict(), id="kernel-plain"),
-    pytest.param(dict(kernel=False), id="reference"),
-    pytest.param(dict(reuse_handles=True), id="kernel-reuse"),
-    pytest.param(dict(reuse_handles=True, kernel=False), id="reference-reuse"),
+def _drive_step(env: Environment, slices: list) -> None:
+    _step_oracle(env)
+
+
+def _drive_until_event(env: Environment, slices: list) -> None:
+    for proc in slices:
+        env.run(until=proc)
+    env.run()
+
+
+def _drive_until_float(env: Environment, slices: list) -> None:
+    t = 0.0
+    while env.peek() < INF:
+        t += 0.25
+        env.run(until=t)
+
+
+DRIVERS = [
+    pytest.param(_drive_step, id="reference"),
+    pytest.param(_drive_until_event, id="until-event"),
+    pytest.param(_drive_until_float, id="until-float"),
 ]
 
 
-@pytest.mark.parametrize("mode", ENV_MODES[1:])
-def test_all_loop_modes_produce_identical_traces(mode) -> None:
-    reference = _mixed_workload(Environment())
-    assert _mixed_workload(Environment(**mode)) == reference
-
-
-def test_env_var_disables_kernel(monkeypatch) -> None:
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
+def _traced(drive) -> tuple[list, Environment]:
     env = Environment()
-    assert not env._kernel
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "1")
-    assert Environment()._kernel
+    trace, slices = _mixed_workload(env)
+    drive(env, slices)
+    return trace, env
+
+
+@pytest.mark.parametrize("drive", DRIVERS)
+def test_all_loop_modes_produce_identical_traces(drive) -> None:
+    reference, _ = _traced(_drive_run)
+    assert reference  # the workload actually did something
+    got, _ = _traced(drive)
+    assert got == reference
 
 
 def test_live_counter_exact_after_kernel_run() -> None:
-    for mode in (dict(), dict(reuse_handles=True)):
-        env = Environment(**mode)
-        _mixed_workload(env)
-        assert env._live == 0
+    for drive in (_drive_run, _drive_step, _drive_until_event,
+                  _drive_until_float):
+        _, env = _traced(drive)
+        assert env._live == env.live_entry_count() == 0
 
 
-def test_reuse_recycles_one_handle_per_process() -> None:
-    env = Environment(reuse_handles=True)
-    store = Store(env)
-    ids: list[int] = []
-
-    def worker():
-        for k in range(4):
-            ev = store.get()
-            ids.append(id(ev))
-            item = yield ev
-            assert item == k
-            t = env.timeout(0.5)
-            ids.append(id(t))
-            yield t
-
-    def feeder():
-        for k in range(4):
-            store.put(k)
-            yield env.timeout(1.0)
-
-    env.process(worker())
-    env.process(feeder())
-    env.run()
-    # the first get() runs during the URGENT bootstrap turn (outside the
-    # fused NORMAL batch) and allocates fresh; every later factory event
-    # the worker awaited is the same recycled handle object
-    assert len(set(ids[1:])) == 1
-    assert len(set(ids)) <= 2
+def _same_instant_events(env: Environment, names: str,
+                         seen: list) -> list[Event]:
+    events = [env.event(name=name) for name in names]
+    for ev in events:
+        ev.add_callback(lambda e: seen.append((env.now, e.name)))
+    return events
 
 
-def test_reuse_handle_carries_the_shared_name() -> None:
-    env = Environment(reuse_handles=True)
-    captured: list = []
-
-    def worker():
-        yield env.timeout(1.0)  # bootstrap turn: allocated fresh
-        ev = env.timeout(1.0)   # fused turn: the recycled handle
-        captured.append(ev)
-        yield ev
-
-    env.process(worker())
-    env.run()
-    assert captured[0].name is HANDLE_NAME
-
-
-def test_user_event_named_like_a_handle_is_not_mistaken() -> None:
-    # HANDLE_NAME is deliberately not the interned literal: a user event
-    # carrying the same *text* must still dispatch via the generic branch
-    env = Environment(reuse_handles=True)
-    fired: list = []
-    ev = Event(env, name="proc.handle")
-    assert ev.name is not HANDLE_NAME
-    ev.add_callback(lambda e: fired.append(e.value))
-    ev.succeed("ok")
-    env.run()
-    assert fired == ["ok"]
-
-
-def test_reuse_condition_over_factory_events() -> None:
-    # one factory call per turn recycles the handle; the second allocates
-    # fresh — the condition must still collect both values correctly
-    env = Environment(reuse_handles=True)
-    out: list = []
-    store = Store(env)
-
-    def worker():
-        got = yield env.all_of([store.get(), env.timeout(2.0, "t")])
-        out.append(sorted(map(str, got.values())))
-
-    def feeder():
-        yield env.timeout(1.0)
-        store.put("item")
-
-    env.process(worker())
-    env.process(feeder())
-    env.run()
-    assert out == [[sorted(["item", "t"])[0], sorted(["item", "t"])[1]]]
-
-
-def test_reuse_interrupt_while_parked_then_stale_fire() -> None:
-    # the parked handle stays in the store queue after the interrupt; when
-    # put() finally fires it the kernel must drop it (owner moved on) —
-    # matching the reference loop's dead-process check
-    env = Environment(reuse_handles=True)
-    out: list = []
-    store = Store(env)
-
-    def victim():
-        try:
-            yield store.get()
-            out.append("resumed")  # pragma: no cover - must not happen
-        except ProcessKilled:
-            out.append("killed")
-            yield env.timeout(5.0)
-            out.append("continued")
-
-    def killer(proc):
-        yield env.timeout(1.0)
-        proc.interrupt()
-        yield env.timeout(1.0)
-        store.put("stale")
-
-    p = env.process(victim())
-    env.process(killer(p))
-    env.run()
-    assert out == ["killed", "continued"]
-
-
-def test_reuse_cancelled_handle_is_never_recycled() -> None:
-    env = Environment(reuse_handles=True)
+@pytest.mark.parametrize("delay", [0.0, 2.0])
+def test_run_until_target_stops_before_same_instant_followers(delay) -> None:
+    env = Environment()
     seen: list = []
-
-    def worker():
-        yield env.timeout(0.5)  # leave the bootstrap turn (fresh events)
-        doomed = env.timeout(3.0)  # the recycled handle
-        assert doomed.name is HANDLE_NAME
-        assert env.cancel(doomed)
-        nxt = env.timeout(1.0)
-        assert nxt is not doomed  # cancelled handle is permanently retired
-        yield nxt
-        later = env.timeout(1.0)
-        assert later is not doomed
-        yield later
-        seen.append(env.now)
-
-    env.process(worker())
+    a, target, b, c = _same_instant_events(env, "atbc", seen)
+    for ev in (a, target, b, c):
+        ev.succeed(ev.name, delay=delay)
+    assert env.run(until=target) == "t"
+    assert seen == [(delay, "a"), (delay, "t")]
+    assert not b.processed and not c.processed
+    assert env.now == delay
     env.run()
-    assert seen == [2.5]
+    assert [name for _, name in seen] == ["a", "t", "b", "c"]
+
+    # the step oracle stops at the same point
+    oracle = Environment()
+    seen_o: list = []
+    events = _same_instant_events(oracle, "atbc", seen_o)
+    for ev in events:
+        ev.succeed(ev.name, delay=delay)
+    while not events[1].processed:
+        oracle.step()
+    assert seen_o == [(delay, "a"), (delay, "t")]
 
 
-def test_reuse_failure_surfacing_matches_reference() -> None:
-    def scenario(env):
-        def worker():
-            yield env.timeout(1.0)
-            raise ValueError("unhandled")
-        env.process(worker())
+def test_run_until_unreachable_event_deadlocks() -> None:
+    env = Environment()
+    never = env.event(name="never")
+
+    def waiter():
+        yield never
+
+    env.process(waiter(), name="waiter")
+    with pytest.raises(DeadlockError) as info:
+        env.run(until=never)
+    assert info.value.waiting == ("waiter",)
+
+
+@pytest.mark.parametrize("tombstone", [False, True],
+                         ids=["clean", "tombstone"])
+def test_run_until_float_processes_events_at_the_deadline(tombstone) -> None:
+    env = Environment()
+    fired: list = []
+    for t in (1.0, 2.0, 3.0):
+        env.timeout(t, t).add_callback(lambda e: fired.append(e.value))
+    if tombstone:  # a cancelled entry sends the clock down its slow path
+        assert env.cancel(env.timeout(2.5))
+    env.run(until=2.0)
+    assert fired == [1.0, 2.0]
+    assert env.now == 2.0
+    env.run(until=2.5)
+    assert fired == [1.0, 2.0] and env.now == 2.5
+    env.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("drive", [_drive_run, _drive_step],
+                         ids=["run", "reference"])
+def test_urgent_bootstrap_preempts_rest_of_batch(drive) -> None:
+    env = Environment()
+    order: list = []
+
+    def child():
+        order.append("child")
+        yield env.timeout(0.0)
+
+    def spawn(_event):
+        env.process(child(), name="child")
+        order.append("spawner")
+
+    first, second = env.event(), env.event()
+    first.add_callback(spawn)
+    second.add_callback(lambda e: order.append("second"))
+    first.succeed()
+    second.succeed()
+    drive(env, [])
+    assert order == ["spawner", "child", "second"]
+
+
+class _Recorder:
+    """A race-tracker stand-in that records the hooks the loop must call."""
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.processed: list = []
+        self.resumed: list = []
+
+    def on_processing(self, event: Event) -> None:
+        self.processed.append(event)
+
+    def on_resume(self, process, event: Event) -> None:
+        self.resumed.append((self.env.now, process.name))
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: None
+
+
+def test_tracker_installed_mid_run_sees_every_later_event() -> None:
+    env = Environment()
+    recorder = _Recorder(env)
+    resumes: list = []
+
+    def ticker(name, period):
+        while env.now < 6.0:
+            ev = env.timeout(period)
+            yield ev
+            resumes.append((env.now, name, ev))
+            if name == "installer" and env.now == 2.0:
+                _rh.install(recorder)  # mid-batch, from inside a process
+
+    for name, period in (("installer", 1.0), ("fast", 0.5), ("slow", 1.5)):
+        env.process(ticker(name, period), name=name)
+    try:
+        env.run()
+    finally:
+        _rh.uninstall(recorder)
+    # the observer takes over at the next batch: everything after the
+    # install instant goes through on_processing / on_resume
+    later = [(t, name, ev) for t, name, ev in resumes if t > 2.0]
+    assert len(later) > 6
+    processed = {id(ev) for ev in recorder.processed}
+    for t, name, ev in later:
+        assert (t, name) in recorder.resumed
+        assert id(ev) in processed
+
+
+def test_failure_splicing_resumes_at_next_event() -> None:
+    def scenario(drive_one):
+        env = Environment()
+        seen: list = []
+        first, boom, after = _same_instant_events(env, "fxa", seen)
+        first.succeed()
+        boom.fail(ValueError("unhandled"))
+        after.succeed()
         with pytest.raises(ValueError, match="unhandled"):
-            env.run()
-        return env.now
+            drive_one(env)
+        assert not after.processed
+        drive_one(env)
+        return seen
 
-    assert (scenario(Environment(reuse_handles=True))
-            == scenario(Environment(kernel=False)))
+    def drive_run(env):
+        env.run()
+
+    assert scenario(drive_run) == scenario(_step_oracle) == [
+        (0.0, "f"), (0.0, "x"), (0.0, "a")]
+
+
+def test_process_crash_surfaces_then_run_continues() -> None:
+    env = Environment()
+    out: list = []
+
+    def crasher():
+        yield env.timeout(1.0)
+        raise ValueError("crashed")
+
+    def survivor():
+        yield env.timeout(1.0)
+        yield env.timeout(1.0)
+        out.append(env.now)
+
+    env.process(crasher())
+    env.process(survivor())
+    with pytest.raises(ValueError, match="crashed"):
+        env.run()
+    env.run()
+    assert out == [2.0]
+    assert env._live == env.live_entry_count() == 0
 
 
 def _canon(result) -> bytes:
@@ -295,14 +360,29 @@ def _canon(result) -> bytes:
                       default=repr).encode()
 
 
-def test_fig2_fig8_tables_byte_identical_kernel_on_off(monkeypatch) -> None:
-    """The flagship tables must not change when the kernel is disabled."""
-    from repro.bench.experiments import (fig2_stencil_fits_in_hbm,
-                                         fig8_stencil_speedup)
+def _step_run(env: Environment, until=None):
+    """``Environment.run`` rebuilt on ``step()`` (the figure-level oracle)."""
+    if until is None:
+        _step_oracle(env)
+        return None
+    assert isinstance(until, Event), "figure plans only run to events"
+    while not until.processed:
+        if env.peek() == INF:
+            raise DeadlockError(f"queue drained before {until!r}")
+        env.step()
+    if not until.ok:
+        until.defuse()
+        raise until.value
+    return until.value
 
-    monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-    fig2_on = _canon(fig2_stencil_fits_in_hbm())
-    fig8_on = _canon(fig8_stencil_speedup())
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
-    assert _canon(fig2_stencil_fits_in_hbm()) == fig2_on
-    assert _canon(fig8_stencil_speedup()) == fig8_on
+
+def test_fig2_fig8_tables_byte_identical_kernel_on_off(monkeypatch) -> None:
+    """Figure tables through the kernel equal the step-driven oracle's."""
+    from repro.bench.experiments import Scale, fig2_plan, fig8_plan
+    from repro.bench.harness import run_plan
+
+    plans = (lambda: fig2_plan(Scale.TINY, iterations=2),
+             lambda: fig8_plan(Scale.TINY, iterations=2, reduced_ws_gb=(4,)))
+    kernel = [_canon(run_plan(plan())) for plan in plans]
+    monkeypatch.setattr(Environment, "run", _step_run)
+    assert [_canon(run_plan(plan())) for plan in plans] == kernel
