@@ -1,4 +1,4 @@
-"""Exec-engine speedup guard (opt-in: ``pytest benchmarks/bench_exec.py``).
+"""Exec-engine speedup guard (``BENCH_exec.json``).
 
 Measures the PR's two acceptance ratios on a real figure workload
 (the Figure 2 stencil plan at ``Scale.TINY``) and records them in
@@ -20,12 +20,19 @@ Measures the PR's two acceptance ratios on a real figure workload
 
 The equivalence property (identical tables whatever ``--jobs`` is) is
 asserted in ``tests/test_exec_engine.py``; this file only guards speed.
+
+The pytest entry records under pytest's ``tmp_path``; run this file as a
+script to refresh the tracked snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_exec.py
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import time
+from pathlib import Path
 
 from repro.bench.experiments import fig2_plan
 from repro.bench.harness import Scale
@@ -59,7 +66,17 @@ def _timed(engine: Engine) -> float:
     return elapsed
 
 
-def test_exec_engine_speedups(tmp_path) -> None:
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert the speedup floors; write BENCH_exec.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    The cold/warm caches live in a temporary directory either way.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-exec-") as scratch:
+        return _measure(Path(scratch), directory)
+
+
+def _measure(cache_root: Path, directory: Path | None) -> Path:
     cores = os.cpu_count() or 1
     jobs = min(cores, len(_specs()))
     fingerprint = "b" * 64
@@ -69,7 +86,7 @@ def test_exec_engine_speedups(tmp_path) -> None:
     for rep in range(REPEATS):
         serial.append(_timed(Engine(jobs=1)))
         # fresh generation per repeat => every cached run is a true cold
-        cold_root = tmp_path / f"cold{rep}"
+        cold_root = cache_root / f"cold{rep}"
         cold_cached.append(_timed(Engine(jobs=1, cache=ResultCache(
             root=cold_root, fingerprint=fingerprint))))
         warm.append(_timed(Engine(jobs=1, cache=ResultCache(
@@ -132,4 +149,12 @@ def test_exec_engine_speedups(tmp_path) -> None:
         # keys silently absent (a single-core host is the common cause)
         metrics["fig2_tiny_sweep"]["parallel_skipped_reason"] = (
             f"host has {cores} core(s); pool lane needs > 1")
-    write_bench("exec", metrics)
+    return write_bench("exec", metrics, directory=directory)
+
+
+def test_exec_engine_speedups(tmp_path) -> None:
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

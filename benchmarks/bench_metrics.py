@@ -1,4 +1,4 @@
-"""Metrics overhead guard (opt-in: ``pytest benchmarks/bench_metrics.py``).
+"""Metrics overhead guard (``BENCH_metrics.json``).
 
 The repro.metrics hook sites (DataMover move/migrate, allocator failure
 paths, OOCManager end_inflight, strategy fetch/evict) cost a single
@@ -18,11 +18,17 @@ A digest of the enabled run's registry is embedded in the
 context (bytes moved, fetch p95) alongside wall-time.  Deliberately NOT
 part of ``BENCH_simcore.json`` — the sim-core baselines must not absorb
 metrics noise.
+
+The pytest entry records under pytest's ``tmp_path``; run this file as a
+script to refresh the tracked snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_metrics.py
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.bench.regression import write_bench
@@ -60,7 +66,11 @@ def _timed(with_metrics: bool) -> tuple[float, dict[str, float] | None]:
     return time.perf_counter() - t0, result
 
 
-def test_metrics_overhead_is_bounded() -> None:
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert the overhead bounds; write BENCH_metrics.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    """
     # interleave the three measurements so machine noise (CPU frequency,
     # neighbours on shared runners) hits all of them alike, then compare
     # best-of mins — two *identical* disabled series bound the noise floor
@@ -83,7 +93,7 @@ def test_metrics_overhead_is_bounded() -> None:
     assert run_digest.get("repro_moved_bytes_total", 0) > 0
     assert disabled_x <= DISABLED_BOUND + NOISE_EPSILON
     assert enabled_x <= ENABLED_BOUND + NOISE_EPSILON
-    write_bench("metrics", {
+    return write_bench("metrics", {
         "stencil_1gib_multi_io": {
             "baseline_s": baseline_s,
             "disabled_s": disabled_s,
@@ -91,4 +101,12 @@ def test_metrics_overhead_is_bounded() -> None:
             "disabled_x": disabled_x,
             "enabled_x": enabled_x,
         },
-    }, metrics_digest=run_digest)
+    }, directory=directory, metrics_digest=run_digest)
+
+
+def test_metrics_overhead_is_bounded(tmp_path) -> None:
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

@@ -1,4 +1,4 @@
-"""racesan overhead guard (opt-in: ``pytest benchmarks/bench_race.py``).
+"""racesan overhead guard (``BENCH_race.json``).
 
 The repro.race hook sites sit on the hottest sim-core paths there are —
 ``Environment.schedule``/``step``, ``Process._resume``, the buffered
@@ -18,11 +18,17 @@ as ``bench_metrics.py``:
 
 Deliberately NOT part of ``BENCH_simcore.json`` — the sim-core baselines
 must not absorb race-detector noise.
+
+The pytest entry records under pytest's ``tmp_path``; run this file as a
+script to refresh the tracked snapshot::
+
+    PYTHONPATH=src python benchmarks/bench_race.py
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.bench.regression import write_bench
@@ -67,7 +73,11 @@ def _timed(with_race: bool) -> tuple[float, dict[str, int] | None]:
     return time.perf_counter() - t0, result
 
 
-def test_race_overhead_is_bounded() -> None:
+def run_bench(directory: Path | None = None) -> Path:
+    """Assert the overhead bounds; write BENCH_race.json.
+
+    ``directory`` defaults to the repository root (the tracked snapshot).
+    """
     # interleave the measurements so machine noise hits all series alike,
     # then compare best-of mins — two *identical* disabled series bound
     # the noise floor
@@ -90,7 +100,7 @@ def test_race_overhead_is_bounded() -> None:
     assert observed["events"] > 0 and observed["accesses"] > 0
     assert disabled_x <= DISABLED_BOUND + NOISE_EPSILON
     assert enabled_x <= ENABLED_BOUND + NOISE_EPSILON
-    write_bench("race", {
+    return write_bench("race", {
         "stencil_1gib_multi_io": {
             "baseline_s": baseline_s,
             "disabled_s": disabled_s,
@@ -100,4 +110,12 @@ def test_race_overhead_is_bounded() -> None:
             "events_observed": float(observed["events"]),
             "accesses_observed": float(observed["accesses"]),
         },
-    })
+    }, directory=directory)
+
+
+def test_race_overhead_is_bounded(tmp_path) -> None:
+    run_bench(tmp_path)
+
+
+if __name__ == "__main__":  # pragma: no cover - snapshot refresh
+    print(f"wrote {run_bench()}")

@@ -59,8 +59,10 @@ class OOCManager:
         self.tasks_readied = 0
         self.tasks_completed = 0
         self.placement_done = False
-        #: bumped whenever eviction candidacy may have changed (task
-        #: completions, moves); lets scanners memoize negative results
+        #: bumped once per task completion (post_process), when retained
+        #: blocks become evictable; lets scanners memoize negative results.
+        #: Moves do not bump it, so a memo may lag a move until the next
+        #: completion
         self.change_epoch = 0
         #: (time, hbm bytes in use) samples, one per completed move, when
         #: tracing is on — drives the occupancy timeline
@@ -99,7 +101,7 @@ class OOCManager:
         deps = message.entry.resolve_deps(message.target)
         task = OOCTask(message, pe.id, deps, self.env.now)
         for block in task.blocks:
-            block.add_demand(task.tid)
+            block.add_demand(task.tid, task)
         if task.total_dep_bytes > self.tracker.budget:
             raise SchedulingError(
                 f"task #{task.tid} needs {task.total_dep_bytes}B of HBM but "

@@ -30,11 +30,21 @@ class TaskState(enum.Enum):
 
 
 class OOCTask:
-    """A prefetch task: message + resolved, deduplicated dependences."""
+    """A prefetch task: message + resolved, deduplicated dependences.
 
-    __slots__ = ("tid", "message", "pe_id", "deps", "state",
-                 "submitted_at", "ready_at", "started_at", "finished_at",
-                 "retained")
+    ``missing`` is the summed ``nbytes`` of the dependences in ``INDDR``
+    (neither in nor moving to HBM): what a fetch of this task must still
+    bring in.  It is computed once here and then kept current by the
+    blocks' ``begin_move``/``settle`` transitions, which reach the task
+    through its demand registration (``DataBlock.add_demand``).  It is
+    therefore valid only while the task is registered as demand — from
+    ``OOCManager.intercept`` until ``OOCManager.post_process`` — and goes
+    stale afterwards.
+    """
+
+    __slots__ = ("tid", "message", "pe_id", "deps", "blocks", "missing",
+                 "state", "submitted_at", "ready_at", "started_at",
+                 "finished_at", "retained")
 
     def __init__(self, message: Message, pe_id: int,
                  deps: _t.Sequence[tuple[DataBlock, AccessIntent]],
@@ -53,6 +63,10 @@ class OOCTask:
             merged[block.bid] = (block, intent)
         self.deps: tuple[tuple[DataBlock, AccessIntent], ...] = tuple(
             merged[k] for k in sorted(merged))
+        self.blocks: tuple[DataBlock, ...] = tuple(
+            block for block, _ in self.deps)
+        self.missing = sum(block.nbytes for block in self.blocks
+                           if block.state is BlockState.INDDR)
         self.state = TaskState.WAITING
         self.submitted_at = now
         self.ready_at: float | None = None
@@ -62,10 +76,6 @@ class OOCTask:
         self.retained = False
 
     # -- dependence views -----------------------------------------------------
-
-    @property
-    def blocks(self) -> tuple[DataBlock, ...]:
-        return tuple(block for block, _ in self.deps)
 
     @property
     def chare(self) -> _t.Any:

@@ -244,13 +244,12 @@ class Strategy:
         # fitting working set (nothing missing) this is zero — evicting
         # would purge hot data the next iteration refetches.
         pending_missing = sum(
-            self.missing_bytes(task)
-            for pe in mgr.runtime.pes for task in pe.wait_queue)
+            task.missing for pe in mgr.runtime.pes for task in pe.wait_queue)
         low = min(int(self.watermark_low * budget), pending_missing)
         if mgr.tracker.uncommitted >= low or pending_missing == 0:
             return False
-        # memoize fruitless scans: candidacy only changes when a task
-        # completes or a block moves (manager.change_epoch)
+        # memoize fruitless scans until the next task completion
+        # (manager.change_epoch; moves do not bump it)
         if self._wm_seen_epoch == mgr.change_epoch:
             return False
         high = min(int(self.watermark_high * budget), pending_missing)
@@ -269,12 +268,12 @@ class Strategy:
         return evicted
 
     def missing_bytes(self, task: OOCTask) -> int:
-        """Bytes of ``task``'s dependences not in (or moving to) HBM."""
-        total = 0
-        for block in task.blocks:
-            if block.state is BlockState.INDDR:
-                total += block.nbytes
-        return total
+        """Bytes of ``task``'s dependences not in (or moving to) HBM.
+
+        Reads the task's running ``missing`` count, valid while the task
+        is queued (see :class:`~repro.core.ooc_task.OOCTask`).
+        """
+        return task.missing
 
     def can_fetch_task(self, task: OOCTask) -> bool:
         """Would the whole task's missing data fit right now?
@@ -292,8 +291,8 @@ class Strategy:
         if mgr.tracker.can_fit(need):
             return True
         shortfall = need - mgr.tracker.uncommitted
-        # One O(registry) freeable scan per change epoch (completions and
-        # moves are what change candidacy); probes between epochs reuse it.
+        # One O(registry) freeable scan per change epoch (one per task
+        # completion); probes between completions reuse it.
         epoch, freeable_total = self._freeable_cache
         if epoch != mgr.change_epoch:
             freeable_total = sum(

@@ -22,6 +22,7 @@ from repro.errors import BlockStateError
 from repro.lint import hooks as _hooks
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ooc_task import OOCTask
     from repro.mem.allocator import Allocation
     from repro.mem.device import MemoryDevice
 
@@ -94,11 +95,13 @@ class DataBlock:
         #: live allocation handle on ``device``
         self.allocation: "Allocation | None" = None
         self._refcount = 0
-        # Pending demand: serial numbers of queued-but-unfinished tasks
-        # referencing this block.  The wait queues are FIFO, so the
+        # Pending demand: queued-but-unfinished tasks referencing this
+        # block, keyed by serial.  The wait queues are FIFO, so the
         # smallest pending serial approximates the block's next use —
-        # which lets eviction be Belady-like instead of guessing.
-        self._pending: set[int] = set()
+        # which lets eviction be Belady-like instead of guessing.  The
+        # values are the tasks whose ``missing`` byte counts this block's
+        # state transitions keep current.
+        self._pending: dict[int, "OOCTask"] = {}
         self._next_use: int | None = None  # cached min(self._pending)
         #: pinned blocks are never evicted (used by node-group caching)
         self.pinned = False
@@ -159,14 +162,16 @@ class DataBlock:
             self._next_use = min(self._pending)
         return self._next_use
 
-    def add_demand(self, task_serial: int) -> None:
-        self._pending.add(task_serial)
+    def add_demand(self, task_serial: int, task: "OOCTask") -> None:
+        """Register ``task`` as needing this block; its ``missing`` count
+        tracks this block's ``INDDR`` residency until :meth:`drop_demand`."""
+        self._pending[task_serial] = task
         if self._next_use is not None and task_serial < self._next_use:
             self._next_use = task_serial
 
     def drop_demand(self, task_serial: int) -> None:
         try:
-            self._pending.remove(task_serial)
+            del self._pending[task_serial]
         except KeyError:
             raise BlockStateError(
                 f"demand underflow on block {self.name!r}") from None
@@ -187,17 +192,30 @@ class DataBlock:
     def moving(self) -> bool:
         return self.state is BlockState.MOVING
 
+    # begin_move() and settle() are the only state transitions (REP200),
+    # so they are where pending tasks' ``missing`` counts follow the block
+    # into and out of INDDR.
+
     def begin_move(self) -> None:
         if _hooks.observer is not None:
             _hooks.observer.on_begin_move(self)
         if self.state is BlockState.MOVING:
             raise BlockStateError(f"block {self.name!r} is already moving")
+        if self.state is BlockState.INDDR:
+            nbytes = self.nbytes
+            for task in self._pending.values():
+                task.missing -= nbytes
         self.state = BlockState.MOVING
 
     def settle(self, device: "MemoryDevice", state: BlockState) -> None:
         """Finish a move: bind to ``device`` with a concrete state."""
         if state is BlockState.MOVING:
             raise BlockStateError("settle() needs a concrete state")
+        was_ddr = self.state is BlockState.INDDR
+        if was_ddr is not (state is BlockState.INDDR):
+            delta = -self.nbytes if was_ddr else self.nbytes
+            for task in self._pending.values():
+                task.missing += delta
         self.device = device
         self.state = state
         if _hooks.observer is not None:

@@ -1,5 +1,7 @@
 """Unit tests for eviction policies."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.eviction import LRUEviction, NoEviction, OwnBlocksEviction
@@ -36,6 +38,11 @@ def resident(node, name, nbytes=MiB, last_used=None):
     return block
 
 
+def demand(block, serial):
+    """Register a queued task with serial ``serial`` as needing ``block``."""
+    block.add_demand(serial, SimpleNamespace(missing=0))
+
+
 def task_over(blocks):
     msg = Message(_C(), _C._entry_specs["work"])
     return OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks], 0.0)
@@ -60,7 +67,7 @@ class TestOwnBlocks:
         """Blocks a queued task will need are not eagerly evicted."""
         policy = OwnBlocksEviction(pressure_threshold=0.0)
         a, b = resident(node, "a"), resident(node, "b")
-        b.add_demand(99)
+        demand(b, 99)
         victims = policy.post_task_victims(task_over([a, b]))
         assert victims == [a]
 
@@ -112,9 +119,9 @@ class TestLRU:
     def test_demanded_blocks_evicted_last_by_belady(self, node):
         policy = LRUEviction()
         soon = resident(node, "soon", 4 * MiB)
-        soon.add_demand(10)          # next use: task #10
+        demand(soon, 10)          # next use: task #10
         far = resident(node, "far", 4 * MiB)
-        far.add_demand(500)          # next use: task #500
+        demand(far, 500)          # next use: task #500
         idle = resident(node, "idle", 4 * MiB)
         victims = policy.make_space_victims(node.registry, 6 * MiB)
         assert victims == [idle, far]  # idle first, then farthest next use
@@ -122,7 +129,7 @@ class TestLRU:
     def test_include_demanded_false_excludes(self, node):
         policy = LRUEviction()
         hot = resident(node, "hot", 4 * MiB)
-        hot.add_demand(1)
+        demand(hot, 1)
         victims = policy.make_space_victims(node.registry, MiB,
                                             include_demanded=False)
         assert victims == []

@@ -1,9 +1,24 @@
 """Unit tests for DataBlock (the CkIOHandle analog)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import BlockStateError
+from repro.core.ooc_task import OOCTask
+from repro.errors import BlockStateError, CapacityError
+from repro.machine.knl import build_knl
+from repro.mem.allocator import FreeListAllocator
 from repro.mem.block import AccessIntent, BlockState, DataBlock
+from repro.runtime.chare import Chare
+from repro.runtime.entry import entry
+from repro.runtime.message import Message
+from repro.sim.environment import Environment
+from repro.units import GiB, MiB
+
+
+def _queued():
+    """Stand-in for a queued task where only the demand serial matters."""
+    return SimpleNamespace(missing=0)
 
 
 class TestAccessIntent:
@@ -41,15 +56,15 @@ class TestRefcount:
 class TestDemand:
     def test_demand_counts_pending_tasks(self):
         block = DataBlock("b", 100)
-        block.add_demand(5)
-        block.add_demand(9)
+        block.add_demand(5, _queued())
+        block.add_demand(9, _queued())
         assert block.demand == 2
 
     def test_next_use_is_min_pending_serial(self):
         block = DataBlock("b", 100)
-        block.add_demand(9)
-        block.add_demand(5)
-        block.add_demand(7)
+        block.add_demand(9, _queued())
+        block.add_demand(5, _queued())
+        block.add_demand(7, _queued())
         assert block.next_use == 5
         block.drop_demand(5)
         assert block.next_use == 7
@@ -65,9 +80,9 @@ class TestDemand:
 
     def test_next_use_cache_updates_on_smaller_add(self):
         block = DataBlock("b", 100)
-        block.add_demand(10)
+        block.add_demand(10, _queued())
         assert block.next_use == 10
-        block.add_demand(2)
+        block.add_demand(2, _queued())
         assert block.next_use == 2
 
 
@@ -100,3 +115,110 @@ class TestStateMachine:
     def test_unique_ids(self):
         a, b = DataBlock("a", 1), DataBlock("b", 1)
         assert a.bid != b.bid
+
+
+class _C(Chare):
+    @entry(prefetch=True, readonly=["a"])
+    def work(self):
+        pass
+
+
+def queued_task(*blocks):
+    """An OOCTask over ``blocks``, registered as demand like intercept()."""
+    msg = Message(_C(), _C._entry_specs["work"])
+    task = OOCTask(msg, 0, [(b, AccessIntent.READONLY) for b in blocks], 0.0)
+    for block in task.blocks:
+        block.add_demand(task.tid, task)
+    return task
+
+
+@pytest.fixture
+def node():
+    return build_knl(Environment(), cores=2, mcdram_capacity=GiB,
+                     ddr_capacity=4 * GiB)
+
+
+def placed(node, name, nbytes, device):
+    block = DataBlock(name, nbytes)
+    node.registry.register(block)
+    node.topology.place_block(block, device)
+    return block
+
+
+class TestMissingLedger:
+    """begin_move()/settle() keep every pending task's ``missing`` current."""
+
+    def test_initial_count_sums_ddr_blocks(self, node):
+        ddr = placed(node, "ddr", 3 * MiB, node.ddr)
+        hbm = placed(node, "hbm", 5 * MiB, node.hbm)
+        assert queued_task(ddr, hbm).missing == 3 * MiB
+
+    def test_initial_placement_in_hbm_clears_count(self, node):
+        block = DataBlock("b", 2 * MiB)  # INDDR until placed
+        task = queued_task(block)
+        assert task.missing == 2 * MiB
+        node.topology.place_block(block, node.hbm)
+        assert task.missing == 0
+
+    def test_begin_move_from_ddr_decrements_every_pending_task(self, node):
+        shared = placed(node, "shared", 4 * MiB, node.ddr)
+        other = placed(node, "other", MiB, node.ddr)
+        t1, t2 = queued_task(shared, other), queued_task(shared)
+        shared.begin_move()
+        assert (t1.missing, t2.missing) == (MiB, 0)
+
+    def test_settle_to_ddr_increments_every_pending_task(self, node):
+        block = placed(node, "b", 4 * MiB, node.hbm)
+        t1, t2 = queued_task(block), queued_task(block)
+        block.begin_move()
+        assert (t1.missing, t2.missing) == (0, 0)
+        block.settle(node.ddr, BlockState.INDDR)
+        assert (t1.missing, t2.missing) == (4 * MiB, 4 * MiB)
+
+    def test_hbm_to_hbm_move_leaves_count_alone(self, node):
+        resident = placed(node, "r", 4 * MiB, node.hbm)
+        cold = placed(node, "c", MiB, node.ddr)
+        task = queued_task(resident, cold)
+        resident.begin_move()
+        assert task.missing == MiB
+        resident.settle(node.hbm, BlockState.INHBM)
+        assert task.missing == MiB
+
+    def test_full_fetch_and_eviction_round_trip(self, node):
+        block = placed(node, "b", 8 * MiB, node.ddr)
+        task = queued_task(block)
+        node.env.run(until=node.env.process(node.mover.move(block, node.hbm)))
+        assert task.missing == 0
+        node.env.run(until=node.env.process(node.mover.move(block, node.ddr)))
+        assert task.missing == 8 * MiB
+
+    def test_fragmentation_rollback_restores_count(self):
+        env = Environment()
+        node = build_knl(env, mcdram_capacity=3 * MiB, ddr_capacity=GiB,
+                         allocator_cls=FreeListAllocator)
+        a = placed(node, "a", MiB, node.hbm)
+        placed(node, "b", MiB, node.hbm)
+        c = placed(node, "c", MiB, node.hbm)
+        node.topology.release_block(a)
+        node.topology.release_block(c)
+        # 2 MiB free but fragmented: the fetch rolls back at allocate time
+        big = placed(node, "big", 2 * MiB - 4096, node.ddr)
+        task = queued_task(big)
+        proc = env.process(node.mover.move(big, node.hbm))
+        env.run(until=1e-9)
+        assert big.moving and task.missing == 0  # in flight: not missing
+        with pytest.raises(CapacityError):
+            env.run(until=proc)
+        assert task.missing == big.nbytes
+
+    def test_dropped_demand_stops_updates(self, node):
+        block = placed(node, "b", MiB, node.ddr)
+        task = queued_task(block)
+        block.drop_demand(task.tid)
+        block.begin_move()
+        assert task.missing == MiB  # stale by design once unregistered
+
+    def test_blocks_tuple_is_built_once(self, node):
+        task = queued_task(placed(node, "b", MiB, node.ddr))
+        assert task.blocks is task.blocks
+        assert isinstance(task.blocks, tuple)

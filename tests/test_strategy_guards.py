@@ -6,11 +6,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
+from repro.core.ooc_task import OOCTask
 from repro.core.strategies import make_strategy
 from repro.errors import ConfigError
-from repro.mem.block import BlockState
+from repro.mem.block import AccessIntent, BlockState, DataBlock
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
+from repro.runtime.message import Message
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
@@ -102,9 +104,20 @@ class TestIdempotentStop:
 # ---------------------------------------------------------------------------
 
 def _block(nbytes, state, *, in_use=False, pinned=False):
-    return SimpleNamespace(nbytes=nbytes, state=state, in_use=in_use,
-                           pinned=pinned,
-                           in_hbm=state is BlockState.INHBM)
+    block = DataBlock(f"b{nbytes}", nbytes, state=state)
+    if in_use:
+        block.retain()
+    block.pinned = pinned
+    return block
+
+
+def _task(*blocks):
+    """A queued OOCTask over ``blocks``, registered as demand."""
+    msg = Message(W(), W._entry_specs["go"])
+    task = OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks], 0.0)
+    for block in blocks:
+        block.add_demand(task.tid, task)
+    return task
 
 
 class _CountingEviction:
@@ -118,7 +131,7 @@ class _CountingEviction:
 
 def _capacity_manager(*, uncommitted, budget=100 * MiB, registry=(),
                       wait_blocks=()):
-    tasks = [SimpleNamespace(blocks=[b]) for b in wait_blocks]
+    tasks = [_task(b) for b in wait_blocks]
     return SimpleNamespace(
         env=Environment(),
         tracker=SimpleNamespace(budget=budget, uncommitted=uncommitted,
@@ -161,9 +174,24 @@ class TestWatermarkMemoization:
         mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
         strategy = self._strategy(mgr)
         _drain(strategy.maintain_watermarks("io0"))
-        mgr.change_epoch += 1  # a task completed / a block moved
+        mgr.change_epoch += 1  # a task completed
         _drain(strategy.maintain_watermarks("io0"))
         assert mgr.eviction.scans == 2  # rescanned, not stale
+
+    def test_started_fetch_empties_the_pending_reserve(self):
+        """The reserve is sized by the queued tasks' running missing
+        counts: once the block's fetch starts, nothing is missing and no
+        scan runs even in a fresh epoch."""
+        missing = _block(MiB, BlockState.INDDR)
+        mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
+        strategy = self._strategy(mgr)
+        queued = mgr.runtime.pes[0].wait_queue[0]
+        assert strategy.missing_bytes(queued) == MiB
+        missing.begin_move()
+        assert strategy.missing_bytes(queued) == 0
+        mgr.change_epoch += 1
+        assert _drain(strategy.maintain_watermarks("io0")) is False
+        assert mgr.eviction.scans == 0
 
 
 class TestFreeableCacheInvalidation:
@@ -177,7 +205,7 @@ class TestFreeableCacheInvalidation:
         need = _block(32 * MiB, BlockState.INDDR)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is True
         assert strategy._freeable_cache == (0, 64 * MiB)
         # registry iteration is O(n); within one epoch the probe reuses the
@@ -192,11 +220,11 @@ class TestFreeableCacheInvalidation:
         need = _block(32 * MiB, BlockState.INDDR)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is True
-        # the resident block gets acquired by a running task; the manager
-        # bumps change_epoch for exactly this kind of transition
-        resident.in_use = True
+        # the resident block gets acquired by a running task; the probe
+        # sees it once the next completion bumps change_epoch
+        resident.retain()
         mgr.change_epoch += 1
         assert strategy.can_fetch_task(task) is False
         assert strategy._freeable_cache == (1, 0)
@@ -206,9 +234,9 @@ class TestFreeableCacheInvalidation:
         need = _block(32 * MiB, BlockState.INDDR)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is False
-        resident.in_use = False  # its task finished
+        resident.release()  # its task finished
         mgr.change_epoch += 1
         assert strategy.can_fetch_task(task) is True
 
