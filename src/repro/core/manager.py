@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.core.eviction import EvictionPolicy, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask, TaskState
 from repro.errors import SchedulingError
 from repro.mem.block import BlockState, DataBlock
-from repro.metrics import hooks as _mx
-from repro.obs import hooks as _oh
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
 from repro.runtime.runtime import CharmRuntime
@@ -139,8 +138,8 @@ class OOCManager:
             if self.tracer.enabled:
                 self.tracer.record(lane, TraceCategory.SCHEDULING,
                                    started, self.env.now, label="queue-op")
-            if _oh.collector is not None:
-                _oh.collector.on_queue_op(lane, started, self.env.now)
+            if _probe.on_queue_op is not None:
+                _probe.on_queue_op(lane, started, self.env.now)
 
     def pick_run_queue(self, origin: PE) -> PE:
         """Which run queue a ready task goes to.
@@ -171,12 +170,9 @@ class OOCManager:
                 f"in-flight bookkeeping mismatch for {block.name!r}")
         if self.tracer.enabled:
             self.occupancy_log.append((self.env.now, self.hbm.used))
-        if _mx.registry is not None:
-            # sampled at exactly the occupancy-log points, so the gauge's
-            # high-water mark agrees with occupancy_stats' peak
-            _mx.registry.gauge("repro_hbm_used_bytes",
-                               "HBM bytes in use at move completions"
-                               ).set(self.hbm.used)
+        if _probe.on_inflight_end is not None:
+            # sampled at exactly the occupancy-log points
+            _probe.on_inflight_end(self.hbm.used)
         event.succeed(block)
 
     def inflight_event(self, block: DataBlock) -> Event:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import CapacityError, ConfigError, SchedulingError
 from repro.mem.block import BlockState, DataBlock
-from repro.metrics import hooks as _mx
-from repro.obs import hooks as _oh
 from repro.runtime.interception import ReadyTask
 from repro.runtime.pe import PE
 from repro.core.ooc_task import OOCTask, TaskState
@@ -128,24 +127,17 @@ class Strategy:
         """
         mgr = self._mgr()
         if block.state is BlockState.INHBM:
-            if _mx.registry is not None:
-                _mx.registry.counter(
-                    "repro_prefetch_hits_total",
-                    "fetch requests satisfied by residency",
-                    lane=lane).inc()
+            if _probe.on_fetch_hit is not None:
+                _probe.on_fetch_hit(block, lane)
             return True
         if block.moving:
-            if _mx.registry is not None:
-                _mx.registry.counter(
-                    "repro_prefetch_joined_total",
-                    "fetch requests joined to an in-flight move",
-                    lane=lane).inc()
+            if _probe.on_fetch_joined is not None:
+                _probe.on_fetch_joined(block, lane)
             yield mgr.inflight_event(block)
             return True
         started = mgr.env.now
-        if _mx.registry is not None:
-            _mx.registry.counter("repro_prefetch_issued_total",
-                                 "block fetches started", lane=lane).inc()
+        if _probe.on_fetch_issued is not None:
+            _probe.on_fetch_issued(block, lane)
         reservation = mgr.tracker.reserve(block.nbytes)
         done_event = mgr.begin_inflight(block)
         try:
@@ -153,30 +145,19 @@ class Strategy:
         except CapacityError:
             # Fragmentation on the HBM free list: byte accounting said the
             # block fits but no contiguous range did.  Report "no space".
-            if _mx.registry is not None:
-                _mx.registry.counter(
-                    "repro_prefetch_canceled_total",
-                    "fetches abandoned (no space / fragmentation)",
-                    lane=lane).inc()
+            if _probe.on_fetch_canceled is not None:
+                _probe.on_fetch_canceled(block, lane)
             return False
         finally:
             mgr.tracker.unreserve(reservation)
             mgr.end_inflight(block, done_event)
         self.fetches += 1
         self.bytes_fetched += block.nbytes
-        if _mx.registry is not None:
-            _mx.registry.counter("repro_fetched_bytes_total",
-                                 "bytes fetched into HBM", lane=lane
-                                 ).inc(block.nbytes)
-            _mx.registry.histogram("repro_fetch_latency_seconds",
-                                   "reserve-to-resident fetch latency",
-                                   lane=lane).observe(mgr.env.now - started)
         if mgr.tracer.enabled:
             mgr.tracer.record(lane, category, started, mgr.env.now,
                               label=f"fetch {block.name}")
-        if _oh.collector is not None:
-            _oh.collector.on_fetch(block, lane, category, started,
-                                   mgr.env.now)
+        if _probe.on_fetch is not None:
+            _probe.on_fetch(block, lane, category, started, mgr.env.now)
         return True
 
     def evict_block(self, block: DataBlock, lane: str,
@@ -204,22 +185,12 @@ class Strategy:
         block.last_evicted_at = mgr.env.now
         self.evictions += 1
         self.bytes_evicted += block.nbytes
-        if _mx.registry is not None:
-            _mx.registry.counter("repro_evictions_total",
-                                 "blocks evicted to DDR by cause",
-                                 reason=reason).inc()
-            _mx.registry.counter("repro_evicted_bytes_total",
-                                 "bytes evicted to DDR by cause",
-                                 reason=reason).inc(block.nbytes)
-            _mx.registry.histogram("repro_evict_latency_seconds",
-                                   "eviction move latency"
-                                   ).observe(mgr.env.now - started)
         if mgr.tracer.enabled:
             mgr.tracer.record(lane, category, started, mgr.env.now,
                               label=f"evict {block.name}")
-        if _oh.collector is not None:
-            _oh.collector.on_evict(block, lane, category, started,
-                                   mgr.env.now, reason)
+        if _probe.on_evict is not None:
+            _probe.on_evict(block, lane, category, started, mgr.env.now,
+                            reason)
 
     #: proactive eviction watermarks, as fractions of the HBM budget: when
     #: uncommitted space drops below ``low``, evict (demand-aware LRU)
@@ -328,8 +299,8 @@ class Strategy:
         already pinned them.  On failure the retention is rolled back.
         """
         mgr = self._mgr()
-        if _oh.collector is not None:
-            _oh.collector.on_serve(task, lane)
+        if _probe.on_serve is not None:
+            _probe.on_serve(task, lane)
         if not task.retained:
             task.retain_all(mgr.env.now)
         # On-demand eviction flagged by can_fetch_task: pick victims now

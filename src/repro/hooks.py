@@ -1,110 +1,155 @@
-"""Shared hook-slot machinery for the opt-in observer subsystems.
+"""The probe: one catalogue of notify-only points every observer shares.
 
-Three subsystems watch the runtime through module-global hook slots:
-:mod:`repro.lint.hooks` (the "simsan" invariant sanitizer and the
-"racesan" happens-before detector share this slot), :mod:`repro.metrics.hooks`
-(the telemetry registry) and :mod:`repro.race.hooks` (sim-core causality
-tracking).  Each slot module stays dependency-free so hot paths can import
-it without pulling in the subsystem, and every call site keeps the
-disabled-cost discipline::
+Every observer of a run — the simsan invariant sanitizer, the racesan
+happens-before detector, the causal span tracer and the metrics
+subscriber — watches the runtime through the module globals below, one
+per *probe point*.  A point is named after the ``on_*`` method an
+observer implements, and its global holds
 
-    from repro.lint import hooks as _hooks
+* ``None`` when no subscriber implements that method (the default);
+* the bound method itself when exactly one subscriber does;
+* a fan-out calling every implementing subscriber, in subscription
+  order, when several do.
+
+Call sites guard each event with one test and never use a result::
+
+    from repro import hooks as _probe
     ...
-    if _hooks.observer is not None:
-        _hooks.observer.on_retain(self)
+    if _probe.on_retain is not None:
+        _probe.on_retain(self)
 
-:class:`HookSlot` centralises the install/uninstall bookkeeping behind
-those globals.  With zero observers the slot publishes ``None`` (the
-``is not None`` fast path short-circuits); with exactly one it publishes
-the observer itself (no dispatch indirection — the common case costs the
-same as before slots were shareable); with several it publishes a
-:class:`FanOut` that forwards each hook method to every observer that
-implements it.  This is what lets simsan, racesan and metrics be active
-in one run without knowing about each other.
+With nothing subscribed that is one module-global load and an ``is not
+None`` test per event.  A point that no installed observer implements
+stays ``None`` even while others are bound, so it never makes a no-op
+call.  Arguments are always positional; return values are discarded.
+
+:func:`subscribe` binds every catalogued ``on_*`` method an observer
+has; :func:`unsubscribe` removes the observer from every point again.
+The module imports nothing from the rest of the package, so hot modules
+import it for free.  DESIGN.md §16 has the catalogue table and the cost
+argument.
 """
 
 from __future__ import annotations
 
-import sys
 import typing as _t
 
-__all__ = ["FanOut", "HookSlot"]
+__all__ = ["CATALOGUE", "subscribe", "unsubscribe"]
+
+#: a probe point's value: None, one bound method, or a fan-out
+Point = _t.Callable[..., None] | None
+
+# -- sim core: the event loop's ordering sources ------------------------------
+
+#: ``(event)`` an event entered the queue
+on_scheduled: Point = None
+#: ``(event)`` a queued event was cancelled before it ran
+on_descheduled: Point = None
+#: ``(event)`` the loop is about to run the event's callbacks; the fused
+#: resume path of :mod:`repro.sim.kernel` skips it, so the loop stays
+#: fused only while this point and ``on_resume`` are None
+on_processing: Point = None
+#: ``(process, event)`` a process resumes on ``event`` (fused path skips)
+on_resume: Point = None
+#: ``(item)`` an item was buffered in a Store / PriorityStore / wait queue
+on_handoff_put: Point = None
+#: ``(item)`` a buffered item was taken out
+on_handoff_get: Point = None
+
+# -- runtime: converse delivery ------------------------------------------------
+
+#: ``(pe, message, task)`` converse delivered ``message`` on ``pe``
+on_deliver: Point = None
+#: ``(pe_id, message, task, now)`` an entry method starts executing
+on_execute_begin: Point = None
+#: ``(pe_id, message, task, started, now, label)`` it finished
+on_execute_end: Point = None
+
+# -- memory: block state, allocators, mover, kernel access --------------------
+
+#: ``(block)`` before a refcount increment
+on_retain: Point = None
+#: ``(block)`` before a refcount decrement (so underflow is visible)
+on_release: Point = None
+#: ``(block)`` before the block enters MOVING
+on_begin_move: Point = None
+#: ``(block)`` after the block settled on a device
+on_settle: Point = None
+#: ``(allocator, nbytes)`` after an allocation was booked
+on_alloc: Point = None
+#: ``(allocator, nbytes)`` an allocation was rejected (capacity or
+#: fragmentation)
+on_alloc_failure: Point = None
+#: ``(allocator, allocation)`` before a free is booked
+on_free: Point = None
+#: ``(block, src, dst)`` a move starts
+on_move_start: Point = None
+#: ``(block, src, dst)`` a move was rolled back on a fragmented destination
+on_move_rollback: Point = None
+#: ``(block, src, dst, nbytes, started)`` a move completed
+on_move_end: Point = None
+#: ``(reads, writes)`` a kernel touches these block tuples
+on_kernel_access: Point = None
+
+# -- OOC scheduling: strategy fetch/evict, manager -----------------------------
+
+#: ``(task, lane)`` an IO lane starts serving ``task``'s fetches
+on_serve: Point = None
+#: ``(block, lane)`` a fetch request found the block already in HBM
+on_fetch_hit: Point = None
+#: ``(block, lane)`` a fetch request joined a move already in flight
+on_fetch_joined: Point = None
+#: ``(block, lane)`` a fetch move was issued
+on_fetch_issued: Point = None
+#: ``(block, lane)`` an issued fetch was abandoned (no contiguous space)
+on_fetch_canceled: Point = None
+#: ``(block, lane, category, started, now)`` a fetch completed
+on_fetch: Point = None
+#: ``(block, lane, category, started, now, reason)`` an eviction completed
+on_evict: Point = None
+#: ``(lane, started, now)`` a lock-protected queue operation was charged
+on_queue_op: Point = None
+#: ``(hbm_used)`` an in-flight move ended; HBM bytes in use right then
+on_inflight_end: Point = None
+
+#: every probe point, in declaration order
+CATALOGUE: tuple[str, ...] = tuple(
+    name for name in __annotations__ if name.startswith("on_"))
+
+_subscribers: list[_t.Any] = []
 
 
-class FanOut:
-    """Forwards hook calls to several observers, skipping absent methods.
-
-    Dispatchers are built once per method name on first use and memoised
-    in the instance ``__dict__``, so repeated calls bypass ``__getattr__``.
-    Return values are dropped — fan-out is only valid for notification
-    slots, never for value slots like the metrics registry.
-    """
-
-    def __init__(self, observers: _t.Iterable[_t.Any]):
-        self.observers = tuple(observers)
-
-    def __getattr__(self, name: str) -> _t.Callable[..., None]:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        targets = tuple(
-            method for method in
-            (getattr(obs, name, None) for obs in self.observers)
-            if callable(method))
-
-        def dispatch(*args: _t.Any, **kwargs: _t.Any) -> None:
-            for target in targets:
-                target(*args, **kwargs)
-
-        dispatch.__name__ = name
-        self.__dict__[name] = dispatch
-        return dispatch
-
-    def __repr__(self) -> str:
-        names = ", ".join(type(o).__name__ for o in self.observers)
-        return f"<FanOut [{names}]>"
+def _fan_out(methods: tuple[_t.Callable[..., None], ...]
+             ) -> _t.Callable[..., None]:
+    def fan_out(*args: _t.Any) -> None:
+        for method in methods:
+            method(*args)
+    return fan_out
 
 
-class HookSlot:
-    """Manages one module-global observer slot.
+def _publish() -> None:
+    namespace = globals()
+    for point in CATALOGUE:
+        methods = tuple(method for method in
+                        (getattr(obs, point, None) for obs in _subscribers)
+                        if method is not None)
+        namespace[point] = (None if not methods
+                            else methods[0] if len(methods) == 1
+                            else _fan_out(methods))
 
-    The slot *publishes* its current value into ``sys.modules[module]``
-    under ``attr`` so hook call sites keep reading a plain module global:
-    ``None`` (empty), the sole observer (single), or a :class:`FanOut`
-    (multiple).  ``exclusive=True`` restores the old single-occupant
-    semantics for slots whose call sites consume return values (the
-    metrics registry) — fanning those out would silently break them.
-    """
 
-    def __init__(self, module: str, attr: str, *,
-                 exclusive: bool = False, kind: str = "observer"):
-        self.module = module
-        self.attr = attr
-        self.exclusive = exclusive
-        self.kind = kind
-        self.observers: list[_t.Any] = []
+def subscribe(observer: _t.Any) -> None:
+    """Bind every catalogued ``on_*`` method of ``observer`` (idempotent)."""
+    if observer is None:
+        raise TypeError("cannot subscribe None to the probe")
+    if not any(existing is observer for existing in _subscribers):
+        _subscribers.append(observer)
+        _publish()
 
-    def _publish(self) -> None:
-        count = len(self.observers)
-        value = (None if count == 0
-                 else self.observers[0] if count == 1
-                 else FanOut(self.observers))
-        setattr(sys.modules[self.module], self.attr, value)
 
-    def install(self, obs: _t.Any) -> None:
-        """Add ``obs`` to the slot (idempotent for the same object)."""
-        if obs is None:
-            raise RuntimeError(f"cannot install None as a {self.kind}")
-        if any(existing is obs for existing in self.observers):
-            return
-        if self.exclusive and self.observers:
-            raise RuntimeError(f"a {self.kind} is already installed")
-        self.observers.append(obs)
-        self._publish()
-
-    def uninstall(self, obs: _t.Any = None) -> None:
-        """Remove ``obs`` (idempotent); with ``None``, clear the slot."""
-        if obs is None:
-            self.observers.clear()
-        else:
-            self.observers = [o for o in self.observers if o is not obs]
-        self._publish()
+def unsubscribe(observer: _t.Any) -> None:
+    """Remove ``observer`` from every point; a no-op if it is not bound."""
+    kept = [existing for existing in _subscribers if existing is not observer]
+    if len(kept) != len(_subscribers):
+        _subscribers[:] = kept
+        _publish()

@@ -15,8 +15,9 @@ monotone worklist solver, reaching definitions, liveness, loop nests),
 ``REP3xx``) and :mod:`repro.lint.guidance` (canonical placement-guidance
 files consumed by the ``static-guided`` strategy).
 
-Only :mod:`repro.lint.hooks` is imported by hot-path modules; everything
-else loads lazily so the lint machinery costs nothing unless used.
+Hot-path modules import only the probe (:mod:`repro.hooks`), which the
+sanitizer subscribes to; everything here loads lazily so the lint
+machinery costs nothing unless used.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 The DES invariants the scheduler's correctness rests on (§IV-B) are
 scattered across asserts and guard clauses; PR 1 fixed a stuck-``MOVING``
 rollback bug that none of them caught *at the violation site*.  The
-sanitizer is an opt-in observer over the instrumented hook points in
-:mod:`repro.mem.block`, :mod:`repro.mem.allocator`, :mod:`repro.mem.mover`,
-:mod:`repro.machine.node` and :mod:`repro.core.manager` that detects:
+sanitizer is an opt-in subscriber of the probe (:mod:`repro.hooks`,
+DESIGN.md §16): it implements the block, allocator, mover and
+kernel-access points fired from :mod:`repro.mem.block`,
+:mod:`repro.mem.allocator`, :mod:`repro.mem.mover` and
+:mod:`repro.machine.node`, and detects:
 
 * **refcount leaks** — blocks pinned forever at quiescence (SAN201);
 * **use-after-evict** — kernel/retain on a block with no live backing
@@ -36,15 +38,15 @@ Usage::
 ``mode="raise"`` raises :class:`~repro.lint.findings.LintViolation` at the
 violation site (a debugger stops where the invariant broke); ``record``
 collects, for end-of-run reporting in the CLI.  When off — the default —
-the hook sites cost one module-global ``is not None`` test (see the
-sanitizer-overhead bench note in EXPERIMENTS.md).
+each probe site costs one module-global ``is not None`` test (see
+``benchmarks/bench_probe.py``).
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.lint import hooks
+from repro import hooks as _probe
 from repro.lint.findings import LintViolation, Violation
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +59,7 @@ __all__ = ["SimSanitizer"]
 
 
 class SimSanitizer:
-    """Opt-in runtime invariant checker over the lint hook layer."""
+    """Opt-in runtime invariant checker, subscribed to the probe."""
 
     def __init__(self, *, mode: str = "record"):
         if mode not in ("record", "raise"):
@@ -73,12 +75,12 @@ class SimSanitizer:
     # -- lifecycle -----------------------------------------------------------
 
     def install(self, manager: "OOCManager | None" = None) -> "SimSanitizer":
-        """Activate the hook layer; optionally bind an OOC manager.
+        """Subscribe to the probe; optionally bind an OOC manager.
 
         Binding a manager gives violations simulated-time stamps and
         strategy context, and enables the quiescence checks.
         """
-        hooks.install(self)
+        _probe.subscribe(self)
         self.manager = manager
         if manager is not None:
             manager.sanitizer = self
@@ -91,7 +93,7 @@ class SimSanitizer:
         return self
 
     def uninstall(self) -> None:
-        hooks.uninstall(self)
+        _probe.unsubscribe(self)
         if self.manager is not None and \
                 getattr(self.manager, "sanitizer", None) is self:
             self.manager.sanitizer = None
@@ -206,7 +208,7 @@ class SimSanitizer:
                 block=block.name, src=src.name, dst=dst.name)
 
     def on_move_end(self, block: "DataBlock", src: "MemoryDevice",
-                    dst: "MemoryDevice") -> None:
+                    dst: "MemoryDevice", nbytes: int, started: float) -> None:
         self.events_observed += 1
         if block.moving:
             self._report(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro import hooks as _probe
 from repro.config import MachineConfig
 from repro.errors import ConfigError
-from repro.lint import hooks as _hooks
 from repro.machine.cpu import Core, build_cpu
 from repro.mem.allocator import PagedAllocator
 from repro.mem.device import MemoryDevice
@@ -150,8 +150,8 @@ class MachineNode:
         """
         reads = tuple(reads)
         writes = tuple(writes)
-        if _hooks.observer is not None:
-            _hooks.observer.on_kernel_access(reads, writes)
+        if _probe.on_kernel_access is not None:
+            _probe.on_kernel_access(reads, writes)
         traffic: dict[MemoryDevice, list[float]] = {}
         for block in reads:
             if block.device is None:

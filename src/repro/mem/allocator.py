@@ -21,9 +21,8 @@ import typing as _t
 from bisect import insort
 from itertools import count
 
+from repro import hooks as _probe
 from repro.errors import AllocationError, CapacityError
-from repro.lint import hooks as _hooks
-from repro.metrics import hooks as _mx
 
 __all__ = ["Allocation", "Allocator", "BumpAllocator", "FreeListAllocator",
            "PagedAllocator", "PoolAllocator"]
@@ -107,11 +106,8 @@ class Allocator:
     def _take(self, nbytes: int) -> None:
         if nbytes > self.available:
             self.failed_allocs += 1
-            if _mx.registry is not None:
-                _mx.registry.counter(
-                    "repro_alloc_failures_total",
-                    "allocations rejected for lack of capacity",
-                    device=self.name).inc()
+            if _probe.on_alloc_failure is not None:
+                _probe.on_alloc_failure(self, nbytes)
             raise CapacityError(
                 f"{self.name}: cannot allocate {nbytes}B "
                 f"({self.available}B of {self.capacity}B available)",
@@ -119,12 +115,12 @@ class Allocator:
         self.used += nbytes
         self.peak_used = max(self.peak_used, self.used)
         self.alloc_calls += 1
-        if _hooks.observer is not None:
-            _hooks.observer.on_alloc(self, nbytes)
+        if _probe.on_alloc is not None:
+            _probe.on_alloc(self, nbytes)
 
     def _give_back(self, allocation: Allocation) -> None:
-        if _hooks.observer is not None:
-            _hooks.observer.on_free(self, allocation)
+        if _probe.on_free is not None:
+            _probe.on_free(self, allocation)
         if not allocation.live:
             raise AllocationError(f"double free of {allocation!r}")
         allocation.live = False
@@ -205,11 +201,8 @@ class FreeListAllocator(Allocator):
                     self._free[i] = (off + nbytes, length - nbytes)
                 return Allocation(off, nbytes, self)
         self.failed_allocs += 1
-        if _mx.registry is not None:
-            _mx.registry.counter(
-                "repro_alloc_failures_total",
-                "allocations rejected for lack of capacity",
-                device=self.name).inc()
+        if _probe.on_alloc_failure is not None:
+            _probe.on_alloc_failure(self, nbytes)
         raise CapacityError(
             f"{self.name}: no free range of {nbytes}B "
             f"(free total {self.available}B, fragmented)",

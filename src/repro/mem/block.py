@@ -18,8 +18,8 @@ import enum
 import typing as _t
 from itertools import count
 
+from repro import hooks as _probe
 from repro.errors import BlockStateError
-from repro.lint import hooks as _hooks
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.ooc_task import OOCTask
@@ -127,8 +127,8 @@ class DataBlock:
 
     def retain(self, now: float | None = None) -> int:
         """Increment the refcount (a dependent task was scheduled)."""
-        if _hooks.observer is not None:
-            _hooks.observer.on_retain(self)
+        if _probe.on_retain is not None:
+            _probe.on_retain(self)
         self._refcount += 1
         if now is not None:
             self.last_scheduled_at = now
@@ -136,8 +136,8 @@ class DataBlock:
 
     def release(self) -> int:
         """Decrement the refcount (a dependent task finished)."""
-        if _hooks.observer is not None:
-            _hooks.observer.on_release(self)
+        if _probe.on_release is not None:
+            _probe.on_release(self)
         if self._refcount <= 0:
             raise BlockStateError(
                 f"refcount underflow on block {self.name!r}")
@@ -197,8 +197,8 @@ class DataBlock:
     # into and out of INDDR.
 
     def begin_move(self) -> None:
-        if _hooks.observer is not None:
-            _hooks.observer.on_begin_move(self)
+        if _probe.on_begin_move is not None:
+            _probe.on_begin_move(self)
         if self.state is BlockState.MOVING:
             raise BlockStateError(f"block {self.name!r} is already moving")
         if self.state is BlockState.INDDR:
@@ -218,8 +218,8 @@ class DataBlock:
                 task.missing += delta
         self.device = device
         self.state = state
-        if _hooks.observer is not None:
-            _hooks.observer.on_settle(self)
+        if _probe.on_settle is not None:
+            _probe.on_settle(self)
 
     def __repr__(self) -> str:
         dev = self.device.name if self.device else "-"

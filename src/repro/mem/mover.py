@@ -29,9 +29,8 @@ import dataclasses
 import math
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import BlockStateError, CapacityError
-from repro.lint import hooks as _hooks
-from repro.metrics import hooks as _mx
 from repro.mem.block import DataBlock
 from repro.mem.device import MemoryDevice
 from repro.mem.topology import MemoryTopology
@@ -113,11 +112,8 @@ class DataMover:
                 requested=block.nbytes, available=dst.available)
 
         started = self.env.now
-        if _hooks.observer is not None:
-            _hooks.observer.on_move_start(block, src, dst)
-        if _mx.registry is not None:
-            _mx.registry.gauge("repro_moves_inflight",
-                               "block moves currently in flight").inc()
+        if _probe.on_move_start is not None:
+            _probe.on_move_start(block, src, dst)
         block.begin_move()
         src_alloc = block.allocation
 
@@ -131,12 +127,8 @@ class DataMover:
             # range did.  Restore the block (it never left the source) and
             # let the scheduler treat this as "no space".
             block.settle(src, self.topology.state_for(src))
-            if _mx.registry is not None:
-                _mx.registry.gauge("repro_moves_inflight").dec()
-                _mx.registry.counter(
-                    "repro_move_rollbacks_total",
-                    "moves rolled back on fragmented destination",
-                    src=src.name, dst=dst.name).inc()
+            if _probe.on_move_rollback is not None:
+                _probe.on_move_rollback(block, src, dst)
             raise
         after_alloc = self.env.now
 
@@ -162,14 +154,11 @@ class DataMover:
         block.allocation = dst_alloc
         block.settle(dst, self.topology.state_for(dst))
         block.bytes_moved += block.nbytes
-        if _hooks.observer is not None:
-            _hooks.observer.on_move_end(block, src, dst)
+        if _probe.on_move_end is not None:
+            _probe.on_move_end(block, src, dst, block.nbytes, started)
 
         self.moves_completed += 1
         self.bytes_moved += block.nbytes
-        if _mx.registry is not None:
-            self._note_move(src.name, dst.name, block.nbytes,
-                            self.env.now - started)
         result = MoveResult(
             block=block, src=src.name, dst=dst.name, nbytes=block.nbytes,
             started_at=started, finished_at=self.env.now,
@@ -179,20 +168,6 @@ class DataMover:
         if self.keep_results:
             self.results.append(result)
         return result
-
-    def _note_move(self, src: str, dst: str, nbytes: int,
-                   latency: float) -> None:
-        """Record one completed move with the active metrics registry."""
-        reg = _mx.registry
-        reg.gauge("repro_moves_inflight").dec()
-        reg.counter("repro_moves_total", "completed block moves",
-                    src=src, dst=dst).inc()
-        reg.counter("repro_moved_bytes_total",
-                    "bytes moved per direction", src=src, dst=dst
-                    ).inc(nbytes)
-        reg.histogram("repro_move_latency_seconds",
-                      "end-to-end alloc+copy+free move latency",
-                      src=src, dst=dst).observe(latency)
 
     # -- migrate_pages-style move (modelled alternative) -------------------------
 
@@ -219,11 +194,8 @@ class DataMover:
                 requested=padded, available=dst.available)
 
         started = self.env.now
-        if _hooks.observer is not None:
-            _hooks.observer.on_move_start(block, src, dst)
-        if _mx.registry is not None:
-            _mx.registry.gauge("repro_moves_inflight",
-                               "block moves currently in flight").inc()
+        if _probe.on_move_start is not None:
+            _probe.on_move_start(block, src, dst)
         block.begin_move()
         src_alloc = block.allocation
         try:
@@ -233,12 +205,8 @@ class DataMover:
             # range did.  Restore the block (it never left the source) so
             # it is not stuck MOVING, matching `move`'s rollback.
             block.settle(src, self.topology.state_for(src))
-            if _mx.registry is not None:
-                _mx.registry.gauge("repro_moves_inflight").dec()
-                _mx.registry.counter(
-                    "repro_move_rollbacks_total",
-                    "moves rolled back on fragmented destination",
-                    src=src.name, dst=dst.name).inc()
+            if _probe.on_move_rollback is not None:
+                _probe.on_move_rollback(block, src, dst)
             raise
 
         # Kernel bookkeeping scales with page count, serial per mover.
@@ -253,14 +221,11 @@ class DataMover:
         block.allocation = dst_alloc
         block.settle(dst, self.topology.state_for(dst))
         block.bytes_moved += padded
-        if _hooks.observer is not None:
-            _hooks.observer.on_move_end(block, src, dst)
+        if _probe.on_move_end is not None:
+            _probe.on_move_end(block, src, dst, padded, started)
 
         self.moves_completed += 1
         self.bytes_moved += padded
-        if _mx.registry is not None:
-            self._note_move(src.name, dst.name, padded,
-                            self.env.now - started)
         result = MoveResult(
             block=block, src=src.name, dst=dst.name, nbytes=padded,
             started_at=started, finished_at=self.env.now,

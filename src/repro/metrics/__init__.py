@@ -6,8 +6,9 @@ A simulation-clock-aware metrics layer over the OOC runtime:
   mean and high-water marks, fixed-boundary :class:`Histogram` with
   p50/p95/p99, :class:`Timer` spans), labelled ``{pe, tier, strategy,
   app, ...}`` and memoized per label set;
-* a hook slot (:mod:`repro.metrics.hooks`) mirroring the sanitizer's:
-  hot paths pay one ``is not None`` test when metrics are off;
+* a probe subscriber (:class:`MetricsSubscriber`) that owns every pushed
+  metric: hot paths only announce events through :mod:`repro.hooks` and
+  pay one ``is not None`` test per event when metrics are off;
 * polled gauges (:func:`bind_built_runtime`) for queue depths, tier
   occupancy and PE time accounting — zero cost until sampled;
 * a :class:`FlightRecorder` snapshotting the registry on a sim-time
@@ -19,7 +20,6 @@ A simulation-clock-aware metrics layer over the OOC runtime:
 See README "Observability" for the instrument table and CLI usage.
 """
 
-from repro.metrics import hooks
 from repro.metrics.bind import bind_built_runtime
 from repro.metrics.export import (counter_series, digest, narration_line,
                                   render_report, to_json, to_prometheus,
@@ -29,12 +29,13 @@ from repro.metrics.instruments import (DEFAULT_LATENCY_BOUNDS, Counter,
 from repro.metrics.recorder import FlightRecorder, Snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.session import MetricsSession
+from repro.metrics.subscriber import MetricsSubscriber
 
 __all__ = [
-    "hooks",
     "Counter", "Gauge", "PolledGauge", "Histogram", "Timer",
     "DEFAULT_LATENCY_BOUNDS",
     "MetricsRegistry", "FlightRecorder", "Snapshot", "MetricsSession",
+    "MetricsSubscriber",
     "bind_built_runtime",
     "to_prometheus", "to_json", "digest", "render_report",
     "counter_series", "narration_line", "validate_exposition",

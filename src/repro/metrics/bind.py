@@ -1,7 +1,7 @@
 """Wire a registry to a built runtime stack via polled gauges.
 
-The hot paths push counters/histograms through the
-:mod:`repro.metrics.hooks` slot; everything that can be *read* instead of
+The hot paths push counters/histograms through the probe (see
+:mod:`repro.metrics.subscriber`); everything that can be *read* instead of
 *pushed* — queue depths, tier occupancy, PE time accounting, manager task
 counts — is registered here as a polled gauge, sampled only when the
 flight recorder (or an exporter) takes a snapshot.  That keeps the

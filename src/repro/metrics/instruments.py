@@ -4,8 +4,8 @@ Every instrument is identified by a Prometheus-compatible name plus a
 (small) label set — ``{pe, tier, strategy, app, reason, ...}`` — and is
 owned by a :class:`~repro.metrics.registry.MetricsRegistry`, which hands
 out memoized children so hot paths pay one dict lookup per update when
-metrics are enabled (and one ``is not None`` test when they are not; see
-:mod:`repro.metrics.hooks`).
+metrics are enabled (and one ``is not None`` test per probe point when
+they are not; see :mod:`repro.hooks`).
 
 Gauges are *simulation-clock aware*: they integrate ``value * dt`` over
 sim time so the flight-recorder report can show time-weighted means (mean
@@ -34,7 +34,7 @@ DEFAULT_LATENCY_BOUNDS: tuple[float, ...] = (
 class _Instrument:
     """Shared identity: name + sorted label pairs."""
 
-    __slots__ = ("name", "labels", "description")
+    __slots__ = ("name", "labels", "description", "label_suffix", "series")
     kind = "untyped"
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...],
@@ -42,19 +42,12 @@ class _Instrument:
         self.name = name
         self.labels = labels
         self.description = description
-
-    @property
-    def label_suffix(self) -> str:
-        """``{k="v",...}`` rendering, empty string when unlabelled."""
-        if not self.labels:
-            return ""
-        inner = ",".join(f'{k}="{v}"' for k, v in self.labels)
-        return "{" + inner + "}"
-
-    @property
-    def series(self) -> str:
-        """Flat series key: ``name{k="v",...}``."""
-        return self.name + self.label_suffix
+        # rendered once: every flight-recorder snapshot keys on them
+        inner = ",".join(f'{k}="{v}"' for k, v in labels)
+        #: ``{k="v",...}`` rendering, empty string when unlabelled
+        self.label_suffix = "{" + inner + "}" if labels else ""
+        #: flat series key: ``name{k="v",...}``
+        self.series = name + self.label_suffix
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.series}>"

@@ -1,10 +1,10 @@
 """The instrument registry: memoized typed children, flat snapshots.
 
-One :class:`MetricsRegistry` is active per run (installed into
-:mod:`repro.metrics.hooks` by :class:`~repro.metrics.session.MetricsSession`
-or by hand).  Instruments are memoized by ``(name, labels)``, so hot-path
-code can call ``registry.counter("repro_moves_total", src=..., dst=...)``
-on every event and always get the same child back.
+One :class:`MetricsRegistry` holds one run's instruments; a
+:class:`~repro.metrics.subscriber.MetricsSubscriber` feeds it from the
+probe.  Instruments are memoized by ``(name, labels)``, so the
+subscriber can call ``registry.counter("repro_moves_total", src=...,
+dst=...)`` on every event and always get the same child back.
 
 ``base_labels`` (typically ``{strategy, app}``) are stamped onto every
 instrument, giving the ``{pe, tier, strategy, app}`` label discipline the

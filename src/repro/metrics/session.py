@@ -1,4 +1,4 @@
-"""One-call wiring: registry + binding + hook slot + flight recorder.
+"""One-call wiring: registry + binding + probe subscriber + flight recorder.
 
 The drivers' (CLI, benches, tests) entire metrics lifecycle::
 
@@ -8,7 +8,8 @@ The drivers' (CLI, benches, tests) entire metrics lifecycle::
     print(render_report(session.registry, session.recorder))
 
 ``MetricsSession`` is also a context manager; ``finish`` is idempotent and
-always uninstalls the hook slot, so a crashed run cannot leak a registry
+always unsubscribes its :class:`~repro.metrics.subscriber.MetricsSubscriber`
+from the probe (DESIGN.md §16), so a crashed run cannot leak a registry
 into the next one.
 """
 
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.metrics import hooks as _hooks
 from repro.metrics.bind import bind_built_runtime
 from repro.metrics.recorder import FlightRecorder, OnSnapshot
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.subscriber import MetricsSubscriber
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import BuiltRuntime
@@ -28,7 +29,7 @@ __all__ = ["MetricsSession"]
 
 
 class MetricsSession:
-    """Installed, bound and recording from construction until ``finish``."""
+    """Subscribed, bound and recording from construction until ``finish``."""
 
     def __init__(self, built: "BuiltRuntime", *, app: str = "",
                  cadence: float = 0.05, capacity: int = 1024,
@@ -41,18 +42,18 @@ class MetricsSession:
         self.recorder = FlightRecorder(
             built.env, self.registry, cadence=cadence, capacity=capacity,
             on_snapshot=on_snapshot)
-        _hooks.install(self.registry)
+        self.subscriber = MetricsSubscriber(self.registry).subscribe()
         self.recorder.start()
         self._finished = False
 
     def finish(self) -> FlightRecorder:
-        """Final snapshot, stop the recorder, release the hook slot."""
+        """Final snapshot, stop the recorder, leave the probe."""
         if not self._finished:
             self._finished = True
             try:
                 self.recorder.stop()
             finally:
-                _hooks.uninstall(self.registry)
+                self.subscriber.unsubscribe()
         return self.recorder
 
     def __enter__(self) -> "MetricsSession":

@@ -1,11 +1,11 @@
-"""``repro.obs`` — causal observability over the runtime's hook slots.
+"""``repro.obs`` — causal observability over the runtime's probe points.
 
 Four layers, each consuming the one below:
 
 * :mod:`repro.obs.spans` — :class:`SpanTracer` builds a causal span DAG
-  from the obs hook slot (execute/fetch/evict/queue-op call sites) plus
-  the race hook slot's ordering sources (the same happens-before edges
-  racesan derives its vector clocks from);
+  from the probe's execute/fetch/evict/queue-op points plus its sim-core
+  ordering sources (the same happens-before edges racesan derives its
+  vector clocks from);
 * :mod:`repro.obs.critpath` — :func:`critical_path` walks a finished
   run's DAG and decomposes the makespan into
   compute/fetch/evict/lock-wait/scheduling, conservatively (the buckets
@@ -16,9 +16,9 @@ Four layers, each consuming the one below:
 * :mod:`repro.obs.trend` — the ``bench_history.jsonl`` append +
   sparkline dashboard behind ``repro trend``.
 
-Only :mod:`repro.obs.hooks` is imported by hot-path modules; everything
-else loads lazily so observability costs one ``is not None`` test per
-call site unless a tracer is installed.
+Hot-path modules import only the probe (:mod:`repro.hooks`); everything
+here loads lazily so observability costs one ``is not None`` test per
+call site unless a tracer is subscribed.
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
 """Causal span tracing: the span DAG behind the critical-path profiler.
 
 A :class:`Span` is a closed interval on one lane (``pe3``, ``io1``) with
-*causal parents*: the spans whose completion enabled it.  The tracer
-builds the DAG from two hook streams:
+*causal parents*: the spans whose completion enabled it.  The tracer is
+a subscriber of the probe (:mod:`repro.hooks`, DESIGN.md §16) and builds
+the DAG from two groups of its points:
 
-* the **obs slot** (:mod:`repro.obs.hooks`) carries span begin/end
-  notifications from the instrumented call sites — entry-method
-  execution (:func:`repro.runtime.converse.deliver`), block fetch/evict
-  (:class:`repro.core.strategies.base.Strategy`) and queue-lock charges
+* the **span points** mark begin/end at the instrumented call sites —
+  entry-method execution (:func:`repro.runtime.converse.deliver`), block
+  fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
+  queue-lock charges
   (:meth:`repro.core.manager.OOCManager.charge_queue_op`);
-* the **race slot** (:mod:`repro.race.hooks`) carries the same ordering
-  sources racesan's vector clocks are built from — event
-  schedule→callback, Store/wait-queue put→get handoffs, process resumes.
+* the **sim-core points** carry the same ordering sources racesan's
+  vector clocks are built from — event schedule→callback,
+  Store/wait-queue puts, process resumes.
   The tracer threads a *source span id* along those edges instead of a
   clock, which is how a message put into a run queue remembers which
   execute span sent it, across any number of timeout/latency hops.
@@ -34,8 +35,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.obs import hooks as _oh
-from repro.race import hooks as _rh
+from repro import hooks as _probe
 from repro.trace.events import TraceCategory
 
 __all__ = ["Span", "SpanTracer"]
@@ -68,9 +68,9 @@ class Span:
 class SpanTracer:
     """Collects :class:`Span` records and their causal edges.
 
-    Install with :meth:`install` (both hook slots; shareable with racesan
-    and simsan via :class:`repro.hooks.FanOut`), run the application,
-    then :meth:`uninstall` and read :attr:`spans`.
+    Subscribe with :meth:`install` (alongside racesan, simsan or metrics
+    if they are on), run the application, then :meth:`uninstall` and
+    read :attr:`spans`.
     """
 
     def __init__(self, env: _t.Any = None):
@@ -102,13 +102,11 @@ class SpanTracer:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self) -> "SpanTracer":
-        _oh.install(self)
-        _rh.install(self)
+        _probe.subscribe(self)
         return self
 
     def uninstall(self) -> None:
-        _rh.uninstall(self)
-        _oh.uninstall(self)
+        _probe.unsubscribe(self)
 
     # -- span construction -------------------------------------------------
 
@@ -161,7 +159,7 @@ class SpanTracer:
             self._actor_names[key] = name
         return name
 
-    # -- race-slot hooks: the detector's ordering sources -------------------
+    # -- sim-core points: the detector's ordering sources -------------------
 
     def on_scheduled(self, event: _t.Any) -> None:
         src = self._ctx()
@@ -183,14 +181,7 @@ class SpanTracer:
         if src is not None:
             self._item_src[id(item)] = src
 
-    def on_handoff_get(self, item: _t.Any) -> None:
-        pass    # edges are consumed at execute-begin / serve time
-
-    def on_deliver(self, pe: _t.Any, message: _t.Any,
-                   task: _t.Any) -> None:
-        pass    # the obs-slot execute hooks carry richer context
-
-    # -- obs-slot hooks: instrumented call sites ----------------------------
+    # -- span points: instrumented call sites -------------------------------
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:

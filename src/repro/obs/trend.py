@@ -39,15 +39,13 @@ DEFAULT_TREND_METRICS: tuple[tuple[str, str], ...] = (
     ("leaderboard.tiny_sweep.cells_per_s",
      "leaderboard sweep throughput (cells/s)"),
     ("exec.fig2_tiny_sweep.warm_cache_x", "exec warm-cache speedup (x)"),
-    ("metrics.stencil_1gib_multi_io.disabled_x",
-     "metrics hooks disabled overhead (x)"),
-    ("metrics.stencil_1gib_multi_io.enabled_x",
+    ("probe.stencil_1gib_multi_io.disabled_x",
+     "dormant probe overhead (x)"),
+    ("probe.stencil_1gib_multi_io.metrics_x",
      "metrics session enabled overhead (x)"),
-    ("race.stencil_1gib_multi_io.disabled_x",
-     "racesan hooks disabled overhead (x)"),
-    ("obs.stencil_1gib_multi_io.disabled_x",
-     "span tracer disabled overhead (x)"),
-    ("obs.stencil_1gib_multi_io.enabled_x",
+    ("probe.stencil_1gib_multi_io.racesan_x",
+     "racesan enabled overhead (x)"),
+    ("probe.stencil_1gib_multi_io.spans_x",
      "span tracer enabled overhead (x)"),
     ("lint.full_tree.files_per_s", "bwlint throughput (files/s)"),
 )

@@ -3,7 +3,8 @@
 Three parts guard the runtime's concurrent migration decisions:
 
 * :mod:`repro.race.detector` — "racesan", a vector-clock happens-before
-  race detector over the runtime's hook slots (rules ``RACE3xx``);
+  race detector subscribed to the runtime's probe points (rules
+  ``RACE3xx``);
 * :mod:`repro.race.model_checker` — a static placement-state model
   checker over the strategy/mover protocol classes (rules ``REP2xx``,
   also run by :func:`repro.lint.check_source`);
@@ -11,8 +12,9 @@ Three parts guard the runtime's concurrent migration decisions:
   that permutes same-instant event orderings and replays/minimizes
   failing schedules.
 
-Only :mod:`repro.race.hooks` is imported by hot-path modules; everything
-else loads lazily so race checking costs nothing unless used.
+Hot-path modules import only the probe (:mod:`repro.hooks`), which the
+detector subscribes to; everything here loads lazily so race checking
+costs nothing unless used.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """racesan — a vector-clock happens-before race detector for the runtime.
 
-The detector plugs into two hook slots at once:
+The detector is a subscriber of the probe (:mod:`repro.hooks`, DESIGN.md
+§16) and implements two groups of its points:
 
-* :mod:`repro.race.hooks` feeds it *causality*: events scheduled /
-  processed / cancelled (:class:`~repro.sim.environment.Environment`),
-  process resumption (:class:`~repro.sim.process.Process`), buffered
-  queue handoffs (``Store``/``PriorityStore`` and the PE wait queues),
-  and converse message delivery;
-* :mod:`repro.lint.hooks` feeds it *accesses*: kernel reads/writes by
-  declared intent, refcount retain/release, and mover copy/settle steps.
+* *causality*: events scheduled / processed / cancelled
+  (:class:`~repro.sim.environment.Environment`), process resumption
+  (:class:`~repro.sim.process.Process`), buffered queue handoffs
+  (``Store``/``PriorityStore`` and the PE wait queues), and converse
+  message delivery;
+* *accesses*: kernel reads/writes by declared intent, refcount
+  retain/release, and mover copy/settle steps.
 
 From the causality stream it maintains one vector clock per actor (each
 simulated process plus the driving script).  The happens-before edges it
@@ -47,8 +48,7 @@ import os
 import traceback
 import typing as _t
 
-from repro.lint import hooks as lint_hooks
-from repro.race import hooks as race_hooks
+from repro import hooks as _probe
 from repro.race.clock import Clock, format_clock, fresh, happened_before, join
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +110,7 @@ class RaceFinding:
 
 
 class RaceSanitizer:
-    """Happens-before detector over the lint + race hook slots.
+    """Happens-before detector, subscribed to the probe.
 
     Use as a context manager or call :meth:`install` / :meth:`uninstall`
     explicitly.  Findings accumulate in :attr:`findings`; the detector
@@ -148,16 +148,14 @@ class RaceSanitizer:
     # -- lifecycle --------------------------------------------------------
 
     def install(self, env: "Environment | None" = None) -> RaceSanitizer:
-        """Attach to both hook slots; ``env`` anchors report timestamps."""
+        """Subscribe to the probe; ``env`` anchors report timestamps."""
         if env is not None:
             self._env = env
-        lint_hooks.install(self)
-        race_hooks.install(self)
+        _probe.subscribe(self)
         return self
 
     def uninstall(self) -> None:
-        lint_hooks.uninstall(self)
-        race_hooks.uninstall(self)
+        _probe.unsubscribe(self)
 
     def __enter__(self) -> RaceSanitizer:
         return self.install()
@@ -173,7 +171,7 @@ class RaceSanitizer:
         lines.append(tail)
         return "\n".join(lines)
 
-    # -- causality hooks (repro.race.hooks slot) --------------------------
+    # -- causality points ---------------------------------------------------
 
     def on_scheduled(self, event: _t.Any) -> None:
         self.events_observed += 1
@@ -227,7 +225,7 @@ class RaceSanitizer:
         if actor is not None:
             self._current_task[actor] = task
 
-    # -- access hooks (repro.lint.hooks slot) -----------------------------
+    # -- access points ------------------------------------------------------
 
     def on_kernel_access(self, reads: _t.Iterable["DataBlock"],
                          writes: _t.Iterable["DataBlock"]) -> None:
@@ -258,21 +256,6 @@ class RaceSanitizer:
         self.accesses_observed += 1
         join(self._release_clock.setdefault(block.bid, {}), self._publish())
 
-    # sole-observer completeness: lint call sites invoke the published
-    # observer directly, so the parts of its surface racesan does not
-    # need must still exist
-    def on_begin_move(self, block: "DataBlock") -> None:
-        pass
-
-    def on_settle(self, block: "DataBlock") -> None:
-        pass
-
-    def on_alloc(self, allocator: _t.Any, nbytes: int) -> None:
-        pass
-
-    def on_free(self, allocator: _t.Any, allocation: _t.Any) -> None:
-        pass
-
     def on_move_start(self, block: "DataBlock", src: _t.Any,
                       dst: _t.Any) -> None:
         self._acquire_settle(block)
@@ -282,8 +265,8 @@ class RaceSanitizer:
         op = f"move-start {src.name}->{dst.name}"
         self._record(block, op, is_write=True)
 
-    def on_move_end(self, block: "DataBlock", src: _t.Any,
-                    dst: _t.Any) -> None:
+    def on_move_end(self, block: "DataBlock", src: _t.Any, dst: _t.Any,
+                    nbytes: int, started: float) -> None:
         op = f"move-end {src.name}->{dst.name}"
         self._record(block, op, is_write=True)
         join(self._settle_clock.setdefault(block.bid, {}), self._publish())

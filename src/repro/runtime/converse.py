@@ -11,9 +11,8 @@ from __future__ import annotations
 import inspect
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import EntryMethodError
-from repro.obs import hooks as _oh
-from repro.race import hooks as _rh
 from repro.runtime.interception import ReadyTask, RetryFetch
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
@@ -41,14 +40,14 @@ def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
     spec = message.entry
     message.delivered_at = runtime.env.now
     pe.messages_delivered += 1
-    if _rh.tracker is not None:
-        _rh.tracker.on_deliver(pe, message, task)
+    if _probe.on_deliver is not None:
+        _probe.on_deliver(pe, message, task)
 
     started = runtime.env.now
-    if _oh.collector is not None:
+    if _probe.on_execute_begin is not None:
         # begin is published before the entry runs so messages sent from
         # inside it can parent on this span (causal send -> execute edges)
-        _oh.collector.on_execute_begin(pe.id, message, task, started)
+        _probe.on_execute_begin(pe.id, message, task, started)
     runtime.current_pe_id = pe.id
     chare._exec_pe_id = pe.id
     result = spec.func(chare, *message.args, **message.kwargs)
@@ -67,10 +66,9 @@ def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
         runtime.tracer.record(f"pe{pe.id}", TraceCategory.EXECUTE,
                               started, runtime.env.now,
                               label=f"{chare.label}.{spec.name}")
-    if _oh.collector is not None:
-        _oh.collector.on_execute_end(pe.id, message, task, started,
-                                     runtime.env.now,
-                                     f"{chare.label}.{spec.name}")
+    if _probe.on_execute_end is not None:
+        _probe.on_execute_end(pe.id, message, task, started,
+                              runtime.env.now, f"{chare.label}.{spec.name}")
 
     if task is not None and runtime.interceptor is not None:
         post_started = runtime.env.now

@@ -18,8 +18,8 @@ from __future__ import annotations
 import typing as _t
 from collections import deque
 
+from repro import hooks as _probe
 from repro.machine.cpu import Core
-from repro.race import hooks as _rh
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
 from repro.sim.sync import Lock
@@ -55,21 +55,21 @@ class PE:
     # -- wait queue helpers (FIFO, as the paper specifies) ---------------------
 
     def wait_enqueue(self, task: _t.Any) -> None:
-        if _rh.tracker is not None:
-            _rh.tracker.on_handoff_put(task)
+        if _probe.on_handoff_put is not None:
+            _probe.on_handoff_put(task)
         self.wait_queue.append(task)
 
     def wait_requeue_front(self, task: _t.Any) -> None:
         """Put a task back at the head (IO thread could not fetch it yet)."""
-        if _rh.tracker is not None:
-            _rh.tracker.on_handoff_put(task)
+        if _probe.on_handoff_put is not None:
+            _probe.on_handoff_put(task)
         self.wait_queue.appendleft(task)
 
     def wait_dequeue(self) -> _t.Any | None:
         if self.wait_queue:
             task = self.wait_queue.popleft()
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_get(task)
+            if _probe.on_handoff_get is not None:
+                _probe.on_handoff_get(task)
             return task
         return None
 

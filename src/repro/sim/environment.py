@@ -47,8 +47,8 @@ from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 from itertools import count
 
+from repro import hooks as _probe
 from repro.errors import DeadlockError, SimulationError
-from repro.race import hooks as _rh
 from repro.sim import kernel as _kernel
 from repro.sim.events import Event, AllOf, AnyOf, Timeout
 
@@ -176,8 +176,8 @@ class Environment:
                 self._tcache_t = t
                 self._tcache = bucket
         self._live += 1
-        if _rh.tracker is not None:
-            _rh.tracker.on_scheduled(ev)
+        if _probe.on_scheduled is not None:
+            _probe.on_scheduled(ev)
         return ev
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
@@ -210,8 +210,8 @@ class Environment:
                      event]
             _heappush(self._legacy_queue, entry)
             self._live += 1
-            if _rh.tracker is not None:
-                _rh.tracker.on_scheduled(event)
+            if _probe.on_scheduled is not None:
+                _probe.on_scheduled(event)
             return entry
         if delay == 0.0:
             # current instant: plain FIFO append, no heap traffic
@@ -239,8 +239,8 @@ class Environment:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay!r})")
         self._live += 1
-        if _rh.tracker is not None:
-            _rh.tracker.on_scheduled(event)
+        if _probe.on_scheduled is not None:
+            _probe.on_scheduled(event)
         return event
 
     def set_tie_breaker(
@@ -270,8 +270,8 @@ class Environment:
         if type(entry) is list:  # legacy-mode heap entry
             if entry[3] is None:
                 return False
-            if _rh.tracker is not None:
-                _rh.tracker.on_descheduled(entry[3])
+            if _probe.on_descheduled is not None:
+                _probe.on_descheduled(entry[3])
             entry[3] = None
             self._live -= 1
             self._dead += 1
@@ -281,8 +281,8 @@ class Environment:
         event: Event = entry
         if event._cancelled or event._processed:
             return False
-        if _rh.tracker is not None:
-            _rh.tracker.on_descheduled(event)
+        if _probe.on_descheduled is not None:
+            _probe.on_descheduled(event)
         event._cancelled = True
         self._live -= 1
         self._dead += 1
@@ -488,8 +488,8 @@ class Environment:
         """Consume one live event: run its callbacks, surface failures."""
         event._processed = True
         self._live -= 1
-        if _rh.tracker is not None:
-            _rh.tracker.on_processing(event)
+        if _probe.on_processing is not None:
+            _probe.on_processing(event)
         event._process()
         if not event._ok and not event._defused:
             # Nobody handled this failure: surface it instead of silently

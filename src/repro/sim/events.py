@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import SimulationError
-from repro.race import hooks as _rh
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -120,8 +120,8 @@ class Event:
         if delay == 0.0 and env._tie_break is None:
             env._agenda_normal.append(self)
             env._live += 1
-            if _rh.tracker is not None:
-                _rh.tracker.on_scheduled(self)
+            if _probe.on_scheduled is not None:
+                _probe.on_scheduled(self)
         else:
             env.schedule(self, delay=delay)
         return self

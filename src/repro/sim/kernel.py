@@ -25,11 +25,12 @@ driven one event at a time by :meth:`Environment.step`.
   ``generator.send`` directly: an inlined :meth:`Process._resume` minus
   the call frame.  Fusion removes call frames; it never reorders
   dispatch.
-* **Observers.** With a race tracker / sanitizer installed, every event
-  takes the generic path instead, whose ``on_processing`` /
-  ``on_resume`` hooks are the observable contract.  The check is made
-  once per batch, so an observer installed mid-batch takes over at the
-  next batch.
+* **Observers.** Fusion skips exactly two probe points,
+  ``on_processing`` and ``on_resume``.  While either has a subscriber,
+  every event takes the generic path instead, which calls them; the
+  other points fire the same on both paths.  The check is made once per
+  batch, so an observer subscribed mid-batch takes over at the next
+  batch.
 * **Accounting.** ``env._live`` counts every scheduled, uncancelled
   entry.  Scheduling increments it, :meth:`Environment.cancel`
   decrements it, and the loop subtracts the events it processed once per
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import ProcessKilled, SimulationError
-from repro.race import hooks as _rh
 from repro.sim.events import PENDING
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,9 +78,11 @@ def drain(env: "Environment", target: "Event | None" = None,
     unregister = env.unregister_process
     spare: list = []
     while True:
-        tracker = _rh.tracker
-        # observers get the generic path: ``type(cb) is None`` never holds
-        fusable = process_t if tracker is None else None
+        on_processing = _probe.on_processing
+        # observers of the skipped points get the generic path:
+        # ``type(cb) is None`` never holds
+        fusable = (process_t if on_processing is None
+                   and _probe.on_resume is None else None)
         batch = env._agenda_urgent
         urgent = bool(batch)
         if urgent:
@@ -149,8 +152,8 @@ def drain(env: "Environment", target: "Event | None" = None,
                 else:
                     # generic callbacks: flow completions, conditions,
                     # hooks, and every event while an observer is on
-                    if tracker is not None:
-                        tracker.on_processing(event)
+                    if on_processing is not None:
+                        on_processing(event)
                     if callback is not None:
                         callback(event)
                 callbacks = event._cbs

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import ProcessKilled, SimulationError
-from repro.race import hooks as _rh
 from repro.sim.environment import URGENT, Environment
 from repro.sim.events import Event, PENDING
 
@@ -90,8 +90,8 @@ class Process(Event):
         # (is_alive / ok / value / defuse) costs a measurable fraction
         if self._value is not PENDING:
             return
-        if _rh.tracker is not None:
-            _rh.tracker.on_resume(self, event)
+        if _probe.on_resume is not None:
+            _probe.on_resume(self, event)
         try:
             if event._ok:
                 next_event = self._send(event._value)

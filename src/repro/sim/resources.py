@@ -12,8 +12,8 @@ import typing as _t
 from collections import deque
 from itertools import count
 
+from repro import hooks as _probe
 from repro.errors import SimulationError
-from repro.race import hooks as _rh
 from repro.sim.environment import Environment
 from repro.sim.events import PENDING, Event
 
@@ -64,16 +64,16 @@ class Store:
             if env._tie_break is None:
                 env._agenda_normal.append(ev)
                 env._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
+                if _probe.on_scheduled is not None:
+                    _probe.on_scheduled(ev)
             else:
                 env.schedule(ev)
         else:
             # buffered handoff: the later get() succeeds from the getter's
             # own context, so without this hook the put->get causality edge
             # would be invisible to the race detector
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_put(item)
+            if _probe.on_handoff_put is not None:
+                _probe.on_handoff_put(item)
             self._items.append(item)
 
     def get(self) -> Event:
@@ -90,16 +90,15 @@ class Store:
         ev._cancelled = False
         if self._items:
             item = self._items.popleft()
-            tracker = _rh.tracker
-            if tracker is not None:
-                tracker.on_handoff_get(item)
+            if _probe.on_handoff_get is not None:
+                _probe.on_handoff_get(item)
             # inlined Event.succeed() (see put()); ev is freshly created
             ev._value = item
             if env._tie_break is None:
                 env._agenda_normal.append(ev)
                 env._live += 1
-                if tracker is not None:
-                    tracker.on_scheduled(ev)
+                if _probe.on_scheduled is not None:
+                    _probe.on_scheduled(ev)
             else:
                 env.schedule(ev)
         else:
@@ -111,8 +110,8 @@ class Store:
         """Non-blocking pop; returns None when empty."""
         if self._items:
             item = self._items.popleft()
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_get(item)
+            if _probe.on_handoff_get is not None:
+                _probe.on_handoff_get(item)
             return item
         return None
 
@@ -139,16 +138,16 @@ class PriorityStore(Store):
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_put(item)
+            if _probe.on_handoff_put is not None:
+                _probe.on_handoff_put(item)
             heapq.heappush(self._heap, (key, next(self._seq), item))
 
     def get(self) -> Event:
         ev = Event(self.env, name=self._get_name)
         if self._heap:
             item = heapq.heappop(self._heap)[2]
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_get(item)
+            if _probe.on_handoff_get is not None:
+                _probe.on_handoff_get(item)
             ev.succeed(item)
         else:
             self._getters.append(ev)
@@ -157,8 +156,8 @@ class PriorityStore(Store):
     def try_get(self) -> _t.Any | None:
         if self._heap:
             item = heapq.heappop(self._heap)[2]
-            if _rh.tracker is not None:
-                _rh.tracker.on_handoff_get(item)
+            if _probe.on_handoff_get is not None:
+                _probe.on_handoff_get(item)
             return item
         return None
 
@@ -212,8 +211,8 @@ class Resource:
                 ev._value = None
                 env._agenda_normal.append(ev)
                 env._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
+                if _probe.on_scheduled is not None:
+                    _probe.on_scheduled(ev)
             else:
                 ev._value = PENDING
                 ev.succeed()
@@ -235,8 +234,8 @@ class Resource:
                 ev._value = None
                 env._agenda_normal.append(ev)
                 env._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
+                if _probe.on_scheduled is not None:
+                    _probe.on_scheduled(ev)
             else:
                 ev.succeed()
         else:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import typing as _t
-
 from repro.sim.environment import Environment
 from repro.trace.events import TraceCategory, TraceEvent
 
@@ -29,12 +26,8 @@ class Tracer:
         if self.enabled:
             self.events.append(TraceEvent(lane, category, start, end, label))
 
-    @contextlib.contextmanager
-    def span_absent(self) -> _t.Iterator[None]:  # pragma: no cover - trivial
-        yield
-
-    def interval(self, lane: str, category: TraceCategory, label: str = ""):
-        """Context-manager-like helper for generator code.
+    def begin(self) -> float:
+        """Start-of-interval timestamp.
 
         Usage (inside simulated processes, where ``yield`` happens between
         ``begin`` and the ``finish`` call)::
@@ -43,10 +36,6 @@ class Tracer:
             ... yield things ...
             tracer.finish(mark, lane, category, label)
         """
-        raise NotImplementedError("use begin()/finish() inside processes")
-
-    def begin(self) -> float:
-        """Start-of-interval timestamp."""
         return self.env.now
 
     def finish(self, started_at: float, lane: str, category: TraceCategory,

@@ -3,7 +3,7 @@
 import os
 
 from repro.cli import main
-from repro.lint import hooks
+from repro import hooks as probe
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "lint_bad_chare.py")
@@ -129,7 +129,7 @@ class TestSanitizeFlag:
                      "--iterations", "1"])
         assert code == 0
         assert "simsan: 0 violations" in capsys.readouterr().out
-        assert hooks.observer is None  # uninstalled even on success
+        assert probe.on_retain is None  # unsubscribed even on success
 
     def test_matmul_sanitized_run_is_clean(self, capsys):
         code = main(["matmul", "--sanitize", "--strategy", "single-io",
@@ -145,4 +145,4 @@ class TestSanitizeFlag:
     def test_without_flag_no_observer_is_installed(self, capsys):
         assert main(["stream", "--threads", "8"]) == 0
         assert "simsan" not in capsys.readouterr().out
-        assert hooks.observer is None
+        assert probe.on_retain is None

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.metrics import hooks
+from repro import hooks as probe
 from repro.metrics.export import validate_exposition
 
 SMALL_STENCIL = ["--cores", "8", "--mcdram", "128MiB", "--ddr", "1GiB",
@@ -16,7 +16,7 @@ SMALL_STENCIL = ["--cores", "8", "--mcdram", "128MiB", "--ddr", "1GiB",
 def clean_hook_slot():
     yield
     # a failed run must never leak a registry into the next test
-    assert hooks.registry is None
+    assert probe.on_fetch is None
 
 
 class TestMetricsFlag:

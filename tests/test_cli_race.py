@@ -3,8 +3,7 @@
 import os
 
 from repro.cli import main
-from repro.lint import hooks as lint_hooks
-from repro.race import hooks as race_hooks
+from repro import hooks as probe
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "racy_strategy.py")
@@ -34,8 +33,8 @@ class TestDynamicMode:
     def test_fifo_run_under_racesan_is_clean(self, capsys):
         assert main(["race", "--app", "stencil", *SMALL]) == 0
         assert "ok" in capsys.readouterr().out
-        assert race_hooks.tracker is None  # uninstalled after the run
-        assert lint_hooks.observer is None
+        assert probe.on_scheduled is None  # unsubscribed after the run
+        assert probe.on_retain is None
 
     def test_explore_schedules_clean(self, capsys):
         assert main(["race", "--app", "stencil",
@@ -51,8 +50,8 @@ class TestAppFlags:
         out = capsys.readouterr().out
         assert "racesan: 0 finding(s)" in out
         assert "total time" in out  # the normal run still happened
-        assert race_hooks.tracker is None
-        assert lint_hooks.observer is None
+        assert probe.on_scheduled is None
+        assert probe.on_retain is None
 
     def test_stencil_explore_flag_short_circuits(self, capsys):
         assert main(["stencil", "--explore-schedules", "2", "--seed", "5",

@@ -29,20 +29,21 @@ MODULES = [
     "repro.apps", "repro.apps.stencil3d", "repro.apps.matmul",
     "repro.apps.stream_app", "repro.apps.jacobi2d", "repro.apps.spmv",
     "repro.lint", "repro.lint.findings", "repro.lint.rules",
-    "repro.lint.hooks", "repro.lint.static_checker", "repro.lint.sanitizer",
+    "repro.lint.static_checker", "repro.lint.sanitizer",
     "repro.lint.cfg", "repro.lint.dataflow", "repro.lint.traffic",
     "repro.lint.guidance", "repro.lint.callgraph", "repro.lint.phases",
     "repro.lint.sarif", "repro.lint.cache",
     "repro.hooks",
-    "repro.race", "repro.race.hooks", "repro.race.clock",
+    "repro.race", "repro.race.clock",
     "repro.race.detector", "repro.race.model_checker", "repro.race.explorer",
-    "repro.metrics", "repro.metrics.hooks", "repro.metrics.instruments",
+    "repro.metrics", "repro.metrics.instruments",
     "repro.metrics.registry", "repro.metrics.recorder",
     "repro.metrics.export", "repro.metrics.bind", "repro.metrics.session",
+    "repro.metrics.subscriber",
     "repro.exec", "repro.exec.spec", "repro.exec.fingerprint",
     "repro.exec.cache", "repro.exec.runners", "repro.exec.engine",
     "repro.exec.context", "repro.exec.explore",
-    "repro.obs", "repro.obs.hooks", "repro.obs.spans", "repro.obs.critpath",
+    "repro.obs", "repro.obs.spans", "repro.obs.critpath",
     "repro.obs.stats", "repro.obs.report", "repro.obs.trend",
     "repro.obs.html",
     "repro.trace", "repro.bench",

@@ -12,7 +12,8 @@ from repro.apps.matmul import MatMul, MatMulConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.errors import AllocationError, BlockStateError, ConfigError
-from repro.lint import SimSanitizer, hooks
+from repro import hooks as probe
+from repro.lint import SimSanitizer
 from repro.lint.findings import LintViolation
 from repro.machine.knl import build_knl
 from repro.mem.allocator import FreeListAllocator
@@ -56,30 +57,29 @@ def build(strategy="multi-io", cores=4):
 class TestLifecycle:
     def test_install_uninstall_clears_hook_slot(self):
         sanitizer = SimSanitizer().install()
-        assert hooks.observer is sanitizer
+        assert probe.on_retain == sanitizer.on_retain
         sanitizer.uninstall()
-        assert hooks.observer is None
+        assert probe.on_retain is None
 
     def test_second_observer_fans_out(self, san):
-        # the lint slot is shared: a second observer joins a FanOut
+        # probe points are shared: a second sanitizer joins a fan-out
         # rather than being rejected (full coverage in test_hooks_multi)
-        from repro.hooks import FanOut
         other = SimSanitizer().install()
-        assert isinstance(hooks.observer, FanOut)
+        assert probe.on_retain.__name__ == "fan_out"
         other.uninstall()
-        assert hooks.observer is san
+        assert probe.on_retain == san.on_retain
 
     def test_context_manager(self):
         with SimSanitizer() as sanitizer:
-            assert hooks.observer is sanitizer
-        assert hooks.observer is None
+            assert probe.on_retain == sanitizer.on_retain
+        assert probe.on_retain is None
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SimSanitizer(mode="loud")
 
     def test_off_by_default(self):
-        assert hooks.observer is None
+        assert probe.on_retain is None
 
 
 class TestInjectedViolations:

@@ -10,7 +10,8 @@ import pytest
 
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
-from repro.metrics import MetricsSession, hooks
+from repro import hooks as probe
+from repro.metrics import MetricsSession
 from repro.trace.occupancy import occupancy_stats
 from repro.units import MiB
 
@@ -106,7 +107,7 @@ class TestPolledBindings:
 
 class TestSessionLifecycle:
     def test_hook_slot_released_after_finish(self, run):
-        assert hooks.registry is None
+        assert probe.on_fetch is None
 
     def test_finish_idempotent(self, run):
         _, session = run
@@ -118,9 +119,9 @@ class TestSessionLifecycle:
         built = _build(trace=False)
         with pytest.raises(RuntimeError):  # noqa: SIM117 - deliberate nesting
             with MetricsSession(built, app="t") as session:
-                assert hooks.registry is session.registry
+                assert probe.on_fetch == session.subscriber.on_fetch
                 raise RuntimeError("boom")
-        assert hooks.registry is None
+        assert probe.on_fetch is None
         built.runtime.shutdown()
 
     def test_disabled_run_records_nothing(self):
@@ -128,4 +129,4 @@ class TestSessionLifecycle:
         cfg = StencilConfig(total_bytes=32 * MiB, block_bytes=8 * MiB,
                             iterations=1)
         Stencil3D(built, cfg).run()
-        assert hooks.registry is None  # nothing installed, nothing leaked
+        assert probe.on_fetch is None  # nothing subscribed, nothing leaked

@@ -1,8 +1,9 @@
-"""Unit tests for MetricsRegistry and the hooks slot."""
+"""Unit tests for MetricsRegistry and its probe subscriber."""
 
 import pytest
 
-from repro.metrics import hooks
+from repro import hooks as probe
+from repro.metrics import MetricsSubscriber
 from repro.metrics.instruments import Counter, Gauge, PolledGauge
 from repro.metrics.registry import MetricsRegistry
 
@@ -115,31 +116,41 @@ class TestCollection:
 
 class TestHooksSlot:
     def test_default_is_none(self):
-        assert hooks.registry is None
+        assert probe.on_fetch is None and probe.on_move_end is None
 
     def test_install_uninstall_cycle(self):
-        reg = MetricsRegistry()
-        hooks.install(reg)
+        sub = MetricsSubscriber(MetricsRegistry())
+        sub.subscribe()
         try:
-            assert hooks.registry is reg
-            # re-installing the same registry is fine
-            hooks.install(reg)
-            with pytest.raises(RuntimeError):
-                hooks.install(MetricsRegistry())
+            assert probe.on_fetch == sub.on_fetch
+            # re-subscribing the same subscriber is fine
+            sub.subscribe()
+            assert probe.on_fetch == sub.on_fetch
         finally:
-            hooks.uninstall(reg)
-        assert hooks.registry is None
+            sub.unsubscribe()
+        assert probe.on_fetch is None
         # idempotent
-        hooks.uninstall(reg)
+        sub.unsubscribe()
 
     def test_uninstall_of_foreign_registry_is_a_noop(self):
-        reg = MetricsRegistry()
-        hooks.install(reg)
+        sub = MetricsSubscriber(MetricsRegistry()).subscribe()
         try:
-            hooks.uninstall(MetricsRegistry())
-            assert hooks.registry is reg
+            MetricsSubscriber(MetricsRegistry()).unsubscribe()
+            assert probe.on_fetch == sub.on_fetch
         finally:
-            hooks.uninstall(reg)
+            sub.unsubscribe()
+
+    def test_fetch_outcomes_are_counted_per_lane(self):
+        reg = MetricsRegistry()
+        sub = MetricsSubscriber(reg)
+        for point in (sub.on_fetch_hit, sub.on_fetch_joined,
+                      sub.on_fetch_issued, sub.on_fetch_canceled):
+            point(None, "io0")
+        sub.on_fetch_hit(None, "io1")
+        assert reg.total("repro_prefetch_hits_total") == 2
+        assert reg.counter("repro_prefetch_hits_total", lane="io1").value == 1
+        for name in ("joined", "issued", "canceled"):
+            assert reg.total(f"repro_prefetch_{name}_total") == 1
 
 
 def test_polled_and_push_gauge_kinds():

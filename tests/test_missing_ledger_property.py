@@ -17,7 +17,7 @@ from repro.apps.spmv import SpMV, SpMVConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.mem.block import BlockState
-from repro.race import hooks as _rh
+from repro import hooks as _probe
 from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
@@ -25,23 +25,13 @@ from repro.units import GiB, MiB
 STRATEGIES = ["no-io", "single-io", "multi-io", "phase-guided"]
 
 
-def _noop(*_args, **_kwargs):
-    return None
-
-
 class LedgerOracle:
-    """Race-hook tracker that checks the missing-bytes ledger."""
+    """Probe subscriber that checks the missing-bytes ledger per event."""
 
     def __init__(self, registry):
         self.registry = registry
         self.checks = 0
         self.tasks_seen: set[int] = set()
-
-    def __getattr__(self, name):
-        # every other race hook is a notification this oracle ignores
-        if name.startswith("on_"):
-            return _noop
-        raise AttributeError(name)
 
     def on_processing(self, _event):
         self.check()
@@ -90,12 +80,12 @@ def test_missing_matches_rescan_after_every_event(app, strategy, seed):
     built = OOCRuntimeBuilder(strategy, cores=8, mcdram_capacity=64 * MiB,
                               ddr_capacity=GiB, trace=False).build_into(env)
     oracle = LedgerOracle(built.manager.registry)
-    _rh.install(oracle)
+    _probe.subscribe(oracle)
     try:
         APPS[app](built, seed)
         env.run()
     finally:
-        _rh.uninstall(oracle)
+        _probe.unsubscribe(oracle)
     oracle.check()
     summary = built.manager.summary()
     assert summary["tasks_completed"] == summary["tasks_intercepted"] > 0

@@ -6,8 +6,7 @@ from repro.apps.spmv import SpMV, SpMVConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.obs import SpanTracer
-from repro.obs import hooks as obs_hooks
-from repro.race import hooks as race_hooks
+from repro import hooks as probe
 from repro.trace.events import TraceCategory
 from repro.units import GiB, MiB
 
@@ -135,8 +134,8 @@ class TestSpMVCausality:
 class TestLifecycle:
     def test_uninstall_clears_both_slots(self):
         traced_run("multi-io", iterations=1)
-        assert obs_hooks.collector is None
-        assert race_hooks.tracker is None
+        assert probe.on_fetch is None
+        assert probe.on_scheduled is None
 
     def test_disabled_run_records_nothing(self):
         built = OOCRuntimeBuilder("multi-io", cores=4,
@@ -145,7 +144,7 @@ class TestLifecycle:
         Stencil3D(built, StencilConfig(total_bytes=64 * MiB,
                                        block_bytes=16 * MiB,
                                        iterations=1)).run()
-        assert obs_hooks.collector is None
+        assert probe.on_fetch is None
 
     def test_no_io_strategy_uses_pe_lanes(self):
         tracer = traced_run("no-io", iterations=1)

@@ -29,7 +29,7 @@ class TestCollect:
 
     def test_repo_has_bench_files_to_collect(self):
         # the committed snapshots feed the CI trend job
-        assert "obs" in collect_bench_files()
+        assert "probe" in collect_bench_files()
 
 
 class TestAppend:

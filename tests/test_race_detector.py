@@ -87,7 +87,7 @@ class TestDetectorUnits:
         b = _block(1)
         _switch(rs, "mover")
         rs.on_move_start(b, _dev("ddr4"), _dev("mcdram"))
-        rs.on_move_end(b, _dev("ddr4"), _dev("mcdram"))
+        rs.on_move_end(b, _dev("ddr4"), _dev("mcdram"), 0, 0.0)
         _switch(rs, "pe0")
         rs.on_kernel_access([b], [])  # acquires the settle clock
         assert rs.findings == []

@@ -7,7 +7,7 @@ Every ``run()`` flavour — unbounded, ``until=<Event>`` and
 resources, timeouts, conditions, interrupts, mid-run spawns, failures)
 with each flavour and require the trace of the step-only oracle, then
 pin down the stop conditions: the target's same-instant followers stay
-queued, observers installed mid-run see every later event, and an
+queued, probe subscribers added mid-run see every later event, and an
 unhandled failure leaves the rest of its batch queued in order.
 """
 
@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.errors import DeadlockError, ProcessKilled
-from repro.race import hooks as _rh
+from repro import hooks as _probe
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.resources import Resource, Store
@@ -264,7 +264,7 @@ def test_urgent_bootstrap_preempts_rest_of_batch(drive) -> None:
 
 
 class _Recorder:
-    """A race-tracker stand-in that records the hooks the loop must call."""
+    """A probe subscriber recording the two points the fused path skips."""
 
     def __init__(self, env: Environment):
         self.env = env
@@ -277,15 +277,19 @@ class _Recorder:
     def on_resume(self, process, event: Event) -> None:
         self.resumed.append((self.env.now, process.name))
 
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return lambda *args, **kwargs: None
+
+class _ResumeOnly:
+    """Subscribes to ``on_resume`` alone: the loop must still unfuse."""
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.resumed: list = []
+
+    def on_resume(self, process, event: Event) -> None:
+        self.resumed.append((self.env.now, process.name))
 
 
-def test_tracker_installed_mid_run_sees_every_later_event() -> None:
-    env = Environment()
-    recorder = _Recorder(env)
+def _run_with_mid_run_subscriber(env: Environment, subscriber) -> list:
     resumes: list = []
 
     def ticker(name, period):
@@ -294,22 +298,38 @@ def test_tracker_installed_mid_run_sees_every_later_event() -> None:
             yield ev
             resumes.append((env.now, name, ev))
             if name == "installer" and env.now == 2.0:
-                _rh.install(recorder)  # mid-batch, from inside a process
+                _probe.subscribe(subscriber)  # mid-batch, inside a process
 
     for name, period in (("installer", 1.0), ("fast", 0.5), ("slow", 1.5)):
         env.process(ticker(name, period), name=name)
     try:
         env.run()
     finally:
-        _rh.uninstall(recorder)
-    # the observer takes over at the next batch: everything after the
-    # install instant goes through on_processing / on_resume
+        _probe.unsubscribe(subscriber)
+    assert _probe.on_processing is None and _probe.on_resume is None
     later = [(t, name, ev) for t, name, ev in resumes if t > 2.0]
     assert len(later) > 6
+    return later
+
+
+def test_tracker_installed_mid_run_sees_every_later_event() -> None:
+    env = Environment()
+    recorder = _Recorder(env)
+    later = _run_with_mid_run_subscriber(env, recorder)
+    # the subscriber takes over at the next batch: everything after the
+    # subscription instant goes through on_processing / on_resume
     processed = {id(ev) for ev in recorder.processed}
     for t, name, ev in later:
         assert (t, name) in recorder.resumed
         assert id(ev) in processed
+
+
+def test_resume_only_subscriber_unfuses_the_loop() -> None:
+    env = Environment()
+    recorder = _ResumeOnly(env)
+    later = _run_with_mid_run_subscriber(env, recorder)
+    for t, name, _ev in later:
+        assert (t, name) in recorder.resumed
 
 
 def test_failure_splicing_resumes_at_next_event() -> None:
