@@ -1,4 +1,4 @@
-"""Simulation-core microbenchmark: incremental vs full solver, event churn.
+"""Simulation-core microbenchmark: solve batching, memo replay, event churn.
 
 Measures wall-clock of the event core + fluid model on four scenarios and
 records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
@@ -6,25 +6,26 @@ records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
 * ``contention_64pe`` — 64 PEs, each with a private read/write port pair,
   several flows per PE, all starting at the same instant wave after wave.
   This is the shape of a 64-core streaming phase (Stencil3D halo exchange,
-  STREAM itself).  The incremental solver batches each wave's arrivals into
+  STREAM itself).  The fluid network batches each wave's arrivals into
   one solve and re-solves only the finished flow's two-link component per
-  departure, where the full solver re-solves all 64 PEs every time.
+  departure; the memo replays every repeated component.
 * ``shared_link_movers`` — 64 concurrent movers crossing the *same* two
   ports (the Figure 7 memcpy pile-up).  One connected component, so the
-  gain here is same-instant batching only; this bounds the worst case.
+  saving here is same-instant batching only; this bounds the worst case.
 * ``event_churn`` — no fluid model at all: 64 store/resource worker loops
   hammering ``Store.get``/``Resource.request``/``env.timeout``.  This is
   the pure event-core hot path of the drain loop; the recorded
   ``ops_per_s`` is the number quoted in EXPERIMENTS.md.
 * ``steady_phases`` — one phase configuration repeated ten times over a
   shared port pair.  The flow-set-signature memo replays the cached rate
-  vectors for every phase after the first; the recorded speedup is
-  memo-off wall over memo-on wall on the identical timeline.
+  vectors for every phase after the first.
 
-Both fluid scenarios assert the two solvers agree on the simulated
-timeline.  The pytest entry runs in the default test path (so the perf
-harness cannot rot) and records under pytest's ``tmp_path``; run this
-file as a script to refresh the tracked snapshot::
+The fluid scenarios are gated on their solve and memo-hit counts, which
+are deterministic: a change that breaks batching or replay moves them.
+The event-churn scenario is gated on an absolute throughput floor.  The
+pytest entry runs in the default test path (so the perf harness cannot
+rot) and records under pytest's ``tmp_path``; run this file as a script
+to refresh the tracked snapshot::
 
     PYTHONPATH=src python benchmarks/bench_simcore.py
 """
@@ -32,8 +33,6 @@ file as a script to refresh the tracked snapshot::
 from __future__ import annotations
 
 from pathlib import Path
-
-import pytest
 
 from repro.bench.regression import best_wall_time, write_bench
 from repro.sim.environment import Environment
@@ -51,7 +50,7 @@ FLOW_CAP = 12e9
 BASE_BYTES = 256e6
 
 
-def run_contention(solver: str, *, pes: int = PES,
+def run_contention(*, pes: int = PES,
                    flows_per_pe: int = FLOWS_PER_PE,
                    waves: int = WAVES) -> tuple[float, FluidNetwork]:
     """64 private lanes, synchronized waves of flow arrivals.
@@ -59,7 +58,7 @@ def run_contention(solver: str, *, pes: int = PES,
     Returns (simulated end time, the network with its solve counters).
     """
     env = Environment()
-    net = FluidNetwork(env, solver=solver)
+    net = FluidNetwork(env)
     lanes = [(net.add_link(f"pe{i}.read", READ_BW),
               net.add_link(f"pe{i}.write", WRITE_BW))
              for i in range(pes)]
@@ -76,11 +75,11 @@ def run_contention(solver: str, *, pes: int = PES,
     return env.now, net
 
 
-def run_shared_link_movers(solver: str, *, movers: int = PES,
+def run_shared_link_movers(*, movers: int = PES,
                            waves: int = WAVES) -> tuple[float, FluidNetwork]:
     """64 concurrent flows across one shared port pair (Figure 7 shape)."""
     env = Environment()
-    net = FluidNetwork(env, solver=solver)
+    net = FluidNetwork(env)
     src_read = net.add_link("ddr4.read", 80e9)
     dst_write = net.add_link("mcdram.write", 170e9)
     for _wave in range(waves):
@@ -94,7 +93,7 @@ def run_shared_link_movers(solver: str, *, movers: int = PES,
     return env.now, net
 
 
-def run_steady_phases(*, memo: bool, lanes: int = 48, phases: int = 10,
+def run_steady_phases(*, lanes: int = 48, phases: int = 10,
                       sizes: int = 6) -> tuple[float, FluidNetwork]:
     """Steady-state re-solve: one phase configuration repeated verbatim.
 
@@ -102,10 +101,10 @@ def run_steady_phases(*, memo: bool, lanes: int = 48, phases: int = 10,
     start at once over one shared port pair, then drain in staggered
     departure waves — each wave a component re-solve.  Every later phase
     repeats the exact flow-set-signature sequence of the first, so the
-    memo replays all of it; memo-off recomputes every solve.
+    memo replays all of it.
     """
     env = Environment()
-    net = FluidNetwork(env, solver="incremental", memo=memo)
+    net = FluidNetwork(env)
     read = net.add_link("hbm.read", 400e9)
     write = net.add_link("ddr4.write", WRITE_BW)
     share = WRITE_BW / lanes
@@ -165,69 +164,36 @@ def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
     return env.now, rounds * pes
 
 
-def _measure(run_fn, solver: str) -> dict:
-    elapsed, (sim_time, net) = best_wall_time(
-        lambda: run_fn(solver), repeats=2)
+def _measure(run_fn) -> dict:
+    elapsed, (sim_time, net) = best_wall_time(run_fn, repeats=2)
     return {"wall_s": elapsed, "sim_time_s": sim_time, "solves": net.solves,
-            "solve_wall_s": net.solve_wall_s,
             "memo_hits": net.memo_hits, "memo_misses": net.memo_misses}
 
 
-#: the contention and steady-phase ratios are machine-independent.  The
-#: churn floor is absolute: the one drain loop measured 280k-460k ops/s
+#: exact (solves, memo hits) per fluid scenario.  Both counts repeat run
+#: to run, so any change to batching, component-local solving or memo
+#: replay shows up as a mismatch rather than as wall-clock noise.
+EXPECTED_COUNTS = {
+    "contention_64pe": (7, 21),
+    "shared_link_movers": (5, 15),
+    "steady_phases": (43, 387),
+}
+
+#: the churn floor is absolute: the drain loop measured 280k-460k ops/s
 #: (best of 15) on a shared 2-core x86 host, so 150k leaves ~2x headroom
-#: under the noisiest measurement.  It sits below the 955k that PR 10's
-#: handle recycling recorded (530k-850k on the same host in the same
-#: session); that mode was removed together with its second copy of the
-#: loop, and the figure plans never used it.
-CONTENTION_FLOOR = 3.0
+#: under the noisiest measurement.
 EVENT_CHURN_FLOOR_OPS = 150e3
-STEADY_MEMO_FLOOR = 1.5
 
 
 def run_bench(directory: Path | None = None) -> Path:
-    """Measure every scenario, assert the floors, write BENCH_simcore.json.
+    """Measure every scenario, assert the gates, write BENCH_simcore.json.
 
     ``directory`` defaults to the repository root (the tracked snapshot).
     """
-    metrics: dict[str, dict[str, float]] = {}
-
-    full = _measure(run_contention, "full")
-    inc = _measure(run_contention, "incremental")
-    # identical simulated timelines (same final instant)
-    assert inc["sim_time_s"] == pytest.approx(full["sim_time_s"], rel=1e-9)
-    contention_speedup = full["wall_s"] / inc["wall_s"]
-    metrics["contention_64pe"] = {
-        "full_s": full["wall_s"], "incremental_s": inc["wall_s"],
-        "speedup": contention_speedup,
-        "full_solves": full["solves"], "incremental_solves": inc["solves"],
-        "sim_time_s": inc["sim_time_s"],
-    }
-
-    full = _measure(run_shared_link_movers, "full")
-    inc = _measure(run_shared_link_movers, "incremental")
-    assert inc["sim_time_s"] == pytest.approx(full["sim_time_s"], rel=1e-9)
-    metrics["shared_link_movers"] = {
-        "full_s": full["wall_s"], "incremental_s": inc["wall_s"],
-        "speedup": full["wall_s"] / inc["wall_s"],
-        "full_solves": full["solves"], "incremental_solves": inc["solves"],
-        "sim_time_s": inc["sim_time_s"],
-    }
-
-    on_elapsed, (on_sim, on_net) = best_wall_time(
-        lambda: run_steady_phases(memo=True), repeats=2)
-    off_elapsed, (off_sim, off_net) = best_wall_time(
-        lambda: run_steady_phases(memo=False), repeats=2)
-    # the memo must not change the simulated timeline, only the wall cost
-    assert on_sim == off_sim
-    assert on_net.memo_hits > 0 and off_net.memo_hits == 0
-    steady_speedup = off_elapsed / on_elapsed
-    metrics["steady_phases"] = {
-        "memo_on_s": on_elapsed, "memo_off_s": off_elapsed,
-        "speedup": steady_speedup,
-        "solves_memo_on": on_net.solves, "solves_memo_off": off_net.solves,
-        "memo_hits": on_net.memo_hits, "memo_misses": on_net.memo_misses,
-        "sim_time_s": on_sim,
+    metrics: dict[str, dict[str, float]] = {
+        "contention_64pe": _measure(run_contention),
+        "shared_link_movers": _measure(run_shared_link_movers),
+        "steady_phases": _measure(run_steady_phases),
     }
 
     # best-of-15: the ~25ms scenario is short enough that scheduler noise
@@ -243,44 +209,27 @@ def run_bench(directory: Path | None = None) -> Path:
     }
 
     for scenario, row in metrics.items():
-        if "full_s" in row:
-            print(f"  {scenario}: full {row['full_s']*1e3:.1f}ms "
-                  f"-> incremental {row['incremental_s']*1e3:.1f}ms "
-                  f"({row['speedup']:.1f}x; solves "
-                  f"{row['full_solves']} -> {row['incremental_solves']})")
-        elif "memo_on_s" in row:
-            print(f"  {scenario}: memo off {row['memo_off_s']*1e3:.1f}ms "
-                  f"-> on {row['memo_on_s']*1e3:.1f}ms "
-                  f"({row['speedup']:.1f}x; solves "
-                  f"{row['solves_memo_off']} -> {row['solves_memo_on']}, "
-                  f"{row['memo_hits']} hits)")
+        if "solves" in row:
+            print(f"  {scenario}: {row['wall_s']*1e3:.1f}ms "
+                  f"({row['solves']} solves, {row['memo_hits']} memo hits)")
         else:
             print(f"  {scenario}: {row['wall_s']*1e3:.1f}ms "
                   f"({row['ops_per_s']/1e3:.0f}k ops/s)")
 
-    assert contention_speedup >= CONTENTION_FLOOR, (
-        f"incremental solver only {contention_speedup:.2f}x faster on the "
-        f"64-PE contention scenario (wanted >={CONTENTION_FLOOR}x)")
+    for scenario, expected in EXPECTED_COUNTS.items():
+        row = metrics[scenario]
+        got = (row["solves"], row["memo_hits"])
+        assert got == expected, (
+            f"{scenario}: (solves, memo hits) {got}, expected {expected}")
     assert churn_ops_per_s >= EVENT_CHURN_FLOOR_OPS, (
         f"event churn at {churn_ops_per_s / 1e3:.0f}k ops/s, below the "
         f"{EVENT_CHURN_FLOOR_OPS / 1e3:.0f}k floor")
-    assert steady_speedup >= STEADY_MEMO_FLOOR, (
-        f"solver memo only {steady_speedup:.2f}x faster on the repeated-"
-        f"phase scenario (wanted >={STEADY_MEMO_FLOOR}x)")
     return write_bench("simcore", metrics, directory=directory)
 
 
 def test_simcore_regression(tmp_path) -> None:
-    """Assert the contention/churn/memo floors; record under tmp_path."""
+    """Assert the solve-count and churn gates; record under tmp_path."""
     run_bench(tmp_path)
-
-
-def test_solvers_agree_on_solve_counts() -> None:
-    """The incremental solver must do strictly less solving work."""
-    _, full_net = run_contention("full", pes=8, flows_per_pe=2, waves=2)
-    _, inc_net = run_contention("incremental", pes=8, flows_per_pe=2,
-                                waves=2)
-    assert inc_net.solves < full_net.solves
 
 
 if __name__ == "__main__":  # pragma: no cover - snapshot refresh

@@ -19,8 +19,8 @@ File format (one JSON object)::
       "created": "2026-08-06T12:00:00+00:00",
       "python": "3.12.3",
       "metrics": {
-        "contention_64pe": {"full_s": 1.9, "incremental_s": 0.21,
-                             "speedup": 9.0, ...},
+        "contention_64pe": {"wall_s": 0.015, "solves": 7,
+                             "memo_hits": 21, ...},
         ...
       }
     }

@@ -401,18 +401,28 @@ def _progress_line(event: dict) -> None:
           file=sys.stderr)
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.exec import ResultCache, run_specs
-
-    scale = _SCALES[args.scale]
+def _figure_names(args: argparse.Namespace) -> list[str]:
+    """The requested figure plans (all of them by default), validated."""
     names = list(args.figures or [])
     if args.all or not names:
         names = sorted(exps.PLANS)
     unknown = sorted(set(names) - set(exps.PLANS))
     if unknown:
-        print(f"unknown figure(s) {unknown}; "
-              f"choose from {sorted(exps.PLANS)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown figure(s) {unknown}; "
+                          f"choose from {sorted(exps.PLANS)}")
+    return names
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ConfigError(f"--replicates must be >= 1, got {replicates}")
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.exec import ResultCache, run_specs
+
+    scale = _SCALES[args.scale]
+    names = _figure_names(args)
     plans = [exps.PLANS[name](scale) for name in names]
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     # one batch across all requested figures: shared runs (e.g. the
@@ -704,14 +714,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                                   replicate_specs)
 
     scale = _SCALES[args.scale]
-    names = list(args.figures or [])
-    if args.all or not names:
-        names = sorted(exps.PLANS)
-    unknown = sorted(set(names) - set(exps.PLANS))
-    if unknown:
-        print(f"unknown figure(s) {unknown}; "
-              f"choose from {sorted(exps.PLANS)}", file=sys.stderr)
-        return 2
+    names = _figure_names(args)
+    _check_replicates(args.replicates)
     plans = [exps.PLANS[name](scale) for name in names]
     specs = replicate_specs(plans, args.replicates)
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
@@ -750,9 +754,9 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     apps = list(args.apps or LEADERBOARD_APPS)
     unknown = sorted(set(apps) - set(LEADERBOARD_APPS))
     if unknown:
-        print(f"unknown app(s) {unknown}; "
-              f"choose from {sorted(LEADERBOARD_APPS)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown app(s) {unknown}; "
+                          f"choose from {sorted(LEADERBOARD_APPS)}")
+    _check_replicates(args.replicates)
     strategies = sorted(args.strategies or STRATEGIES)
     if args.baseline is not None and args.baseline not in strategies:
         print(f"baseline {args.baseline!r} is not among the swept "

@@ -52,15 +52,13 @@ class Cluster:
     def __init__(self, n_nodes: int, *, fabric: FabricConfig | None = None,
                  builder_factory: _t.Callable[[], OOCRuntimeBuilder]
                  | None = None,
-                 fluid_solver: str | None = None,
                  **builder_kwargs: _t.Any):
         if n_nodes < 1:
             raise ConfigError("a cluster needs at least one node")
         self.env = Environment()
         self.fabric_config = fabric if fabric is not None else FabricConfig()
-        self.fabric = FluidNetwork(self.env, solver=fluid_solver)
+        self.fabric = FluidNetwork(self.env)
         self.nodes: list[BuiltRuntime] = []
-        builder_kwargs.setdefault("fluid_solver", fluid_solver)
         for rank in range(n_nodes):
             if builder_factory is not None:
                 builder = builder_factory()

@@ -70,8 +70,7 @@ class OOCRuntimeBuilder:
                  message_latency: float = 2e-6,
                  trace: bool = True,
                  strategy_kwargs: dict[str, _t.Any] | None = None,
-                 machine_config: MachineConfig | None = None,
-                 fluid_solver: str | None = None):
+                 machine_config: MachineConfig | None = None):
         #: explicit machine description; overrides the KNL knobs when set
         #: (e.g. :func:`repro.config.nvm_dram_config`)
         self.machine_config = machine_config
@@ -89,9 +88,6 @@ class OOCRuntimeBuilder:
         self.message_latency = message_latency
         self.trace = trace
         self.strategy_kwargs = strategy_kwargs or {}
-        #: fluid bandwidth solver: "incremental" (the default when None)
-        #: or "full" (the eager cross-check oracle)
-        self.fluid_solver = fluid_solver
 
     def build(self) -> BuiltRuntime:
         """Build a complete stack in a fresh environment."""
@@ -105,16 +101,14 @@ class OOCRuntimeBuilder:
         """
         if self.machine_config is not None:
             machine = build_machine(env, self.machine_config,
-                                    allocator_cls=self.allocator_cls,
-                                    fluid_solver=self.fluid_solver)
+                                    allocator_cls=self.allocator_cls)
         else:
             machine = build_knl(
                 env, cores=self.cores, memory_mode=self.memory_mode,
                 cluster_mode=self.cluster_mode,
                 mcdram_capacity=self.mcdram_capacity,
                 ddr_capacity=self.ddr_capacity,
-                allocator_cls=self.allocator_cls,
-                fluid_solver=self.fluid_solver)
+                allocator_cls=self.allocator_cls)
         tracer = Tracer(env, enabled=self.trace)
         runtime = CharmRuntime(machine, tracer=tracer,
                                message_latency=self.message_latency)

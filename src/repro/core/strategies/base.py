@@ -140,8 +140,15 @@ class Strategy:
             _probe.on_fetch_issued(block, lane)
         reservation = mgr.tracker.reserve(block.nbytes)
         done_event = mgr.begin_inflight(block)
+        finalized = False
         try:
             yield from mgr.mover.move(block, mgr.hbm)
+        except GeneratorExit:
+            # the garbage collector is finalizing a runtime dropped
+            # mid-move: its bookkeeping died with it, and end_inflight's
+            # probe point would reach a later run's subscribers
+            finalized = True
+            raise
         except CapacityError:
             # Fragmentation on the HBM free list: byte accounting said the
             # block fits but no contiguous range did.  Report "no space".
@@ -149,8 +156,9 @@ class Strategy:
                 _probe.on_fetch_canceled(block, lane)
             return False
         finally:
-            mgr.tracker.unreserve(reservation)
-            mgr.end_inflight(block, done_event)
+            if not finalized:
+                mgr.tracker.unreserve(reservation)
+                mgr.end_inflight(block, done_event)
         self.fetches += 1
         self.bytes_fetched += block.nbytes
         if mgr.tracer.enabled:
@@ -177,10 +185,15 @@ class Strategy:
                 f"evicting in-use/pinned block {block.name!r}")
         started = mgr.env.now
         done_event = mgr.begin_inflight(block)
+        finalized = False
         try:
             yield from mgr.mover.move(block, mgr.ddr)
+        except GeneratorExit:
+            finalized = True  # see fetch_block
+            raise
         finally:
-            mgr.end_inflight(block, done_event)
+            if not finalized:
+                mgr.end_inflight(block, done_event)
         block.evict_count += 1
         block.last_evicted_at = mgr.env.now
         self.evictions += 1

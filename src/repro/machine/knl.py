@@ -28,11 +28,10 @@ __all__ = ["build_machine", "build_knl"]
 def build_machine(env: Environment, config: MachineConfig, *,
                   allocator_cls: type = PagedAllocator,
                   allocator_kwargs: dict[str, _t.Any] | None = None,
-                  fluid_solver: str | None = None) -> MachineNode:
+                  ) -> MachineNode:
     """Build a node from an explicit config (flat-mode semantics)."""
     node = MachineNode(env, config, allocator_cls=allocator_cls,
-                       allocator_kwargs=allocator_kwargs,
-                       fluid_solver=fluid_solver)
+                       allocator_kwargs=allocator_kwargs)
     node.mcdram_cache = None  # type: ignore[attr-defined]
     return node
 
@@ -46,7 +45,7 @@ def build_knl(env: Environment, *,
               hybrid_cache_fraction: float = 0.5,
               allocator_cls: type = PagedAllocator,
               allocator_kwargs: dict[str, _t.Any] | None = None,
-              fluid_solver: str | None = None) -> MachineNode:
+              ) -> MachineNode:
     """Build the paper's KNL node in the requested mode.
 
     In CACHE mode the returned node has only the DDR4 device (numa node 0)
@@ -64,8 +63,7 @@ def build_knl(env: Environment, *,
 
     if memory_mode is MemoryMode.FLAT:
         node = MachineNode(env, base, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs,
-                           fluid_solver=fluid_solver)
+                           allocator_kwargs=allocator_kwargs)
         node.mcdram_cache = None  # type: ignore[attr-defined]
         return node
 
@@ -77,8 +75,7 @@ def build_knl(env: Environment, *,
             devices=(ddr_cfg,), memory_mode=memory_mode,
             cluster_mode=cluster_mode)
         node = MachineNode(env, cfg, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs,
-                           fluid_solver=fluid_solver)
+                           allocator_kwargs=allocator_kwargs)
         node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
             mcdram_cfg.capacity,
             hit_bandwidth=mcdram_cfg.read_bandwidth,
@@ -100,8 +97,7 @@ def build_knl(env: Environment, *,
             cluster_mode=cluster_mode,
             hybrid_cache_fraction=hybrid_cache_fraction)
         node = MachineNode(env, cfg, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs,
-                           fluid_solver=fluid_solver)
+                           allocator_kwargs=allocator_kwargs)
         if cache_bytes > 0:
             node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
                 cache_bytes,

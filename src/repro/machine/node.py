@@ -54,11 +54,10 @@ class MachineNode:
 
     def __init__(self, env: Environment, config: MachineConfig, *,
                  allocator_cls: type = PagedAllocator,
-                 allocator_kwargs: dict[str, _t.Any] | None = None,
-                 fluid_solver: str | None = None):
+                 allocator_kwargs: dict[str, _t.Any] | None = None):
         self.env = env
         self.config = config
-        self.network = FluidNetwork(env, solver=fluid_solver)
+        self.network = FluidNetwork(env)
         kwargs = allocator_kwargs or {}
         devices = []
         for dev_cfg in config.devices:

@@ -34,8 +34,8 @@ __all__ = ["DEFAULT_TREND_METRICS", "collect_bench_files", "append_history",
 #: dotted paths (bench.scenario.metric) plotted by default, with labels
 DEFAULT_TREND_METRICS: tuple[tuple[str, str], ...] = (
     ("simcore.event_churn.ops_per_s", "sim-core event churn (ops/s)"),
-    ("simcore.contention_64pe.speedup", "incremental-solve speedup (x)"),
-    ("simcore.steady_phases.speedup", "solver memo speedup (x)"),
+    ("simcore.contention_64pe.wall_s", "64-PE contention fluid wall (s)"),
+    ("simcore.steady_phases.wall_s", "steady-phase memo replay wall (s)"),
     ("leaderboard.tiny_sweep.cells_per_s",
      "leaderboard sweep throughput (cells/s)"),
     ("exec.fig2_tiny_sweep.warm_cache_x", "exec warm-cache speedup (x)"),

@@ -15,23 +15,22 @@ The model is event-driven: whenever the flow set changes, every affected
 flow's progress is advanced at its old rate, rates are recomputed, and the
 next completion is scheduled.
 
-Two solvers are available (``solver=`` constructor flag):
+Flow arrivals and departures mark their links *dirty*; the recompute is
+deferred to a flush event at the same simulated timestamp, so any number
+of same-instant changes (64 movers starting at once, a whole wave
+completing together) cost **one** solve.  The solve itself is restricted
+to the connected component of the flow<->link graph reachable from the
+dirty links: flows on untouched components keep their rates, which is
+exact because max-min allocations decompose per component.  Rates are
+never stale from the outside: reading ``Flow.rate`` /
+``Link.utilization`` / ``snapshot()`` settles any pending recompute
+first, and no simulated time can pass while links are dirty (the flush is
+scheduled at the current instant).  A flow-set-signature memo replays the
+rate vector of any component configuration solved before.
 
-* ``"incremental"`` (default) — flow arrivals/departures mark their links
-  *dirty*; the recompute is deferred to a flush event at the same simulated
-  timestamp, so any number of same-instant changes (64 movers starting at
-  once, a whole wave completing together) cost **one** solve.  The solve
-  itself is restricted to the connected component of the flow↔link graph
-  reachable from the dirty links — flows on untouched components keep
-  their rates, which is exact because max-min allocations decompose per
-  component.  Rates are never stale from the outside: reading
-  ``Flow.rate`` / ``Link.utilization`` / ``snapshot()`` settles any pending
-  recompute first, and no simulated time can pass while links are dirty
-  (the flush is scheduled at the current instant).
-
-* ``"full"`` — the original eager solver: every change recomputes every
-  flow on every link immediately.  Kept as the tests' cross-check
-  oracle; ``"incremental"`` must produce identical simulated timelines.
+The tests hold this solver to an eager oracle that re-solves every flow on
+every link, unmemoized, on each change (``tests/fluid_oracle.py``): the
+simulated timelines must agree.
 
 The epsilon/wake contract: a flow whose ``remaining`` falls to
 ``_EPSILON_BYTES`` or below — or whose ETA is too small for the event
@@ -49,22 +48,18 @@ from __future__ import annotations
 import math
 import typing as _t
 from itertools import count
-from time import perf_counter as _perf_counter
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 
-__all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS"]
+__all__ = ["Link", "Flow", "FluidNetwork"]
 
 #: Flows with fewer remaining bytes than this are considered complete.
 #: (Float progress integration leaves sub-byte residue.)  One shared
 #: tolerance: start_flow's instant-complete check, _advance's completion
 #: sweep and _schedule_wake's force-completion all compare against it.
 _EPSILON_BYTES = 1e-3
-
-#: recognised ``FluidNetwork(solver=...)`` values
-SOLVERS = ("incremental", "full")
 
 #: flow-set-signature memo bound (entries); FIFO eviction.  Steady-state
 #: applications cycle through a handful of phase configurations, so a few
@@ -151,25 +146,17 @@ class Flow:
 class FluidNetwork:
     """The set of links plus the progressive-filling rate solver."""
 
-    def __init__(self, env: Environment, *, solver: str | None = None,
-                 memo: bool = True):
-        if solver is None:
-            solver = "incremental"
-        if solver not in SOLVERS:
-            raise SimulationError(
-                f"unknown fluid solver {solver!r}; choose from {SOLVERS}")
+    def __init__(self, env: Environment):
         self.env = env
-        self.solver = solver
-        self._incremental = solver == "incremental"
         self._links: dict[str, Link] = {}
         #: active flows as an insertion-ordered set (dict keys)
         self._flows: dict[Flow, None] = {}
         self._fid = count()
         self._link_uid = count()
         self._last_advance = env.now
-        #: links whose flow set changed at the current instant (incremental)
+        #: links whose flow set changed at the current instant
         self._dirty: set[Link] = set()
-        #: pending same-instant flush event, if any (incremental)
+        #: pending same-instant flush event, if any
         self._flush_event: Event | None = None
         #: schedule() token of the pending "next completion" wakeup, if any
         #: (an Event in the batched event loop, a heap entry under a
@@ -180,18 +167,14 @@ class FluidNetwork:
         self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
-        #: wall-clock seconds spent inside _solve (kernel + memo machinery)
-        self.solve_wall_s = 0.0
-        # Flow-set-signature memo (incremental only; the full
-        # solver stays the unmemoized oracle).  Max-min rates depend only
-        # on the component's *structure* — link capacities, per-flow
-        # (weight, max_rate, link incidence) and the per-link membership
-        # order the freeze loops walk — never on remaining bytes, so
-        # identical configurations can replay the cached rate vector.
+        # Flow-set-signature memo.  Max-min rates depend only on the
+        # component's *structure* — link capacities, per-flow (weight,
+        # max_rate, link incidence) and the per-link membership order the
+        # freeze loops walk — never on remaining bytes, so identical
+        # configurations can replay the cached rate vector.
         # Content keying subsumes invalidation: any topology or demand
         # mutation (capacity, weight, max_rate, membership) changes the
         # signature and simply misses.
-        self._memo_enabled = memo and self._incremental
         self._memo: dict[tuple, tuple[float, ...]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -247,10 +230,7 @@ class FluidNetwork:
         self._flows[flow] = None
         for link in resolved:
             link.flows[flow] = None
-        if self._incremental:
-            self._mark_dirty(resolved)
-        else:
-            self._recompute_and_reschedule()
+        self._mark_dirty(resolved)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -274,10 +254,7 @@ class FluidNetwork:
         exc = SimulationError(f"flow #{flow.fid} cancelled")
         flow.done.fail(exc)
         flow.done.defuse()
-        if self._incremental:
-            self._mark_dirty(flow.links)
-        else:
-            self._recompute_and_reschedule()
+        self._mark_dirty(flow.links)
 
     # -- solver ------------------------------------------------------------------
 
@@ -311,8 +288,7 @@ class FluidNetwork:
         for flow in sorted(finished, key=lambda f: f.fid):
             touched.extend(flow.links)
             self._complete(flow, now)
-        if self._incremental:
-            self._mark_dirty(touched)
+        self._mark_dirty(touched)
 
     def _complete(self, flow: Flow, now: float) -> None:
         """Finish a flow: detach, stamp, count, fire ``done``.
@@ -327,7 +303,7 @@ class FluidNetwork:
         self.completed_flows += 1
         flow.done.succeed(flow)
 
-    # -- incremental bookkeeping ---------------------------------------------
+    # -- deferred re-solve ---------------------------------------------------
 
     def _mark_dirty(self, links: _t.Iterable[Link]) -> None:
         """Record a flow-set change; defer the solve to the flush instant."""
@@ -431,30 +407,24 @@ class FluidNetwork:
         ``flows`` must be closed over ``links``: every flow crossing a link
         in ``links`` is in ``flows`` and vice versa.  Each flow's personal
         ``max_rate`` is honoured by treating it as a candidate bottleneck
-        alongside its links.
+        alongside its links.  A component whose signature was solved
+        before replays the memoized rates instead of running the kernel.
         """
-        t0 = _perf_counter()
-        if self._memo_enabled:
-            flows_l = list(flows)
-            links_l = list(links)
-            key = self._signature(flows_l, links_l)
-            memo = self._memo
-            rates = memo.get(key)
-            if rates is not None:
-                self.memo_hits += 1
-                for f, r in zip(flows_l, rates):
-                    f._rate = r
-                self.solve_wall_s += _perf_counter() - t0
-                return
-            self.memo_misses += 1
-            self._progressive_fill(flows_l, links_l)
-            if len(memo) >= _MEMO_MAX:
-                del memo[next(iter(memo))]  # FIFO: oldest insertion first
-            memo[key] = tuple(f._rate for f in flows_l)
-            self.solve_wall_s += _perf_counter() - t0
+        flows_l = list(flows)
+        links_l = list(links)
+        key = self._signature(flows_l, links_l)
+        memo = self._memo
+        rates = memo.get(key)
+        if rates is not None:
+            self.memo_hits += 1
+            for f, r in zip(flows_l, rates):
+                f._rate = r
             return
-        self._progressive_fill(flows, links)
-        self.solve_wall_s += _perf_counter() - t0
+        self.memo_misses += 1
+        self._progressive_fill(flows_l, links_l)
+        if len(memo) >= _MEMO_MAX:
+            del memo[next(iter(memo))]  # FIFO: oldest insertion first
+        memo[key] = tuple(f._rate for f in flows_l)
 
     def _progressive_fill(self, flows: _t.Iterable[Flow],
                         links: _t.Iterable[Link]) -> None:
@@ -537,11 +507,6 @@ class FluidNetwork:
 
     # -- completion scheduling --------------------------------------------------
 
-    def _recompute_and_reschedule(self) -> None:
-        """Eager (``solver="full"``) path: solve everything, re-arm the wake."""
-        self._solve(self._flows, self._links.values())
-        self._schedule_wake()
-
     def _schedule_wake(self) -> None:
         """(Re-)arm the next-completion wakeup from current rates.
 
@@ -570,12 +535,9 @@ class FluidNetwork:
             for flow in sorted(finished, key=lambda f: f.fid):
                 touched.extend(flow.links)
                 self._complete(flow, now)
-            if self._incremental:
-                # the departures free capacity at this instant; the flush
-                # re-solves and re-enters here with the survivors
-                self._mark_dirty(touched)
-            else:
-                self._recompute_and_reschedule()
+            # the departures free capacity at this instant; the flush
+            # re-solves and re-enters here with the survivors
+            self._mark_dirty(touched)
             return
         horizon = math.inf
         for flow in self._flows:
@@ -594,20 +556,13 @@ class FluidNetwork:
     def _on_wake(self, _event: Event) -> None:
         self._wake_entry = None
         self._advance()
-        if self._incremental:
-            if not self._dirty:
-                # nothing actually finished (float slop): just re-arm
-                self._schedule_wake()
-            # else: _advance marked the departures dirty and scheduled a
-            # same-instant flush, which batches with any follow-on arrivals
-        else:
-            self._recompute_and_reschedule()
+        if not self._dirty:
+            # nothing actually finished (float slop): just re-arm
+            self._schedule_wake()
+        # else: _advance marked the departures dirty and scheduled a
+        # same-instant flush, which batches with any follow-on arrivals
 
     # -- instantaneous queries ------------------------------------------------
-
-    def instantaneous_rate(self, flow: Flow) -> float:
-        """Current fair-share rate of an active flow (B/s)."""
-        return flow.rate
 
     def snapshot(self) -> dict[str, float]:
         """Per-link utilisation snapshot for tracing."""

@@ -1,8 +1,9 @@
 """Bad CLI values: one line on stderr naming the value, exit status 2.
 
 Sizes are parsed by argparse ``type=`` converters (a usage error);
-counts are validated by the app configs, whose ``ConfigError`` the CLI
-catches once in ``main``.  Neither path may end in a traceback.
+counts are validated by the app configs, and replicate counts and
+figure/app names by the sweep commands, all raising a ``ConfigError``
+the CLI catches once in ``main``.  Neither path may end in a traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ CASES = [
     ("stream-size", ["metrics", "--app", "stream", "--array", "lots"],
      "lots"),
     ("stream-count", ["stream", "--threads", "0"], "0"),
+    ("report-replicates",
+     ["report", "--figures", "fig2", "--replicates", "0"], "0"),
+    ("leaderboard-replicates", ["leaderboard", "--replicates", "0"], "0"),
+    ("experiments-figure", ["experiments", "--figures", "fig99"], "fig99"),
+    ("report-figure", ["report", "--figures", "fig99"], "fig99"),
+    ("leaderboard-app", ["leaderboard", "--apps", "nope"], "nope"),
 ]
 
 

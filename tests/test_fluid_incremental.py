@@ -1,10 +1,11 @@
-"""Incremental vs full fluid solver: identical simulated timelines.
+"""Deferred component-local solving vs the eager oracle: same timelines.
 
-The tentpole contract: ``solver="incremental"`` is a pure wall-clock
-optimisation — every simulated quantity (completion instants, rates,
-application run times) must match the eager ``solver="full"`` oracle.
-Exact bit-equality is not required (component-local solves change float
-summation order), so comparisons use a tight relative tolerance.
+The contract: batching same-instant changes into one solve and solving
+only the touched component is a pure wall-clock optimisation — every
+simulated quantity (completion instants, rates, application run times)
+must match :class:`EagerFluidNetwork`.  Exact bit-equality is not
+required (component-local solves change float summation order), so
+comparisons use a tight relative tolerance.
 """
 
 import math
@@ -19,24 +20,20 @@ from repro.machine.knl import build_knl
 from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
-from repro.units import GiB, MiB
+from repro.units import GiB
+from tests.fluid_oracle import EagerFluidNetwork
 
 REL = 1e-9
 
 
-def test_solver_flag_validated():
-    with pytest.raises(SimulationError):
-        FluidNetwork(Environment(), solver="bogus")
-
-
-def _synthetic_run(solver, *, lanes=6, flows_per_lane=3, shared=True):
+def _synthetic_run(network_cls, *, lanes=6, flows_per_lane=3, shared=True):
     """A mixed workload: per-lane private links plus an optional shared
     link coupling half the lanes; staggered arrivals and departures.
 
     Returns (finish times by fid, sampled (time, rates) trace, end time).
     """
     env = Environment()
-    net = FluidNetwork(env, solver=solver)
+    net = network_cls(env)
     shared_link = net.add_link("shared", 50e9) if shared else None
     finish = {}
     samples = []
@@ -72,8 +69,8 @@ def _synthetic_run(solver, *, lanes=6, flows_per_lane=3, shared=True):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_synthetic_timeline_equivalence(shared):
-    full = _synthetic_run("full", shared=shared)
-    inc = _synthetic_run("incremental", shared=shared)
+    full = _synthetic_run(EagerFluidNetwork, shared=shared)
+    inc = _synthetic_run(FluidNetwork, shared=shared)
     assert inc[2] == pytest.approx(full[2], rel=REL)
     assert set(inc[0]) == set(full[0])
     for fid, t in full[0].items():
@@ -83,11 +80,38 @@ def test_synthetic_timeline_equivalence(shared):
         assert rates_inc == pytest.approx(rates_full, rel=REL)
 
 
-def _fig7_style_run(solver, *, threads=64):
+def _contention_run(network_cls, *, pes=8, flows_per_pe=2, waves=2):
+    """Private per-PE port pairs, synchronized waves of capped flows."""
+    env = Environment()
+    net = network_cls(env)
+    lanes = [(net.add_link(f"pe{i}.read", 100e9),
+              net.add_link(f"pe{i}.write", 80e9)) for i in range(pes)]
+    for _wave in range(waves):
+        dones = []
+        for i, lane in enumerate(lanes):
+            for j in range(flows_per_pe):
+                # distinct sizes => staggered departures, each a rate change
+                nbytes = 256e6 * (1.0 + ((i * flows_per_pe + j) % 7) / 7.0)
+                dones.append(net.start_flow(nbytes, lane, max_rate=12e9).done)
+        env.run(env.all_of(dones))
+    return env.now, net.solves
+
+
+def test_solvers_agree_on_solve_counts():
+    """Batching and component-local solves do strictly less solving work."""
+    t_full, solves_full = _contention_run(EagerFluidNetwork)
+    t_inc, solves_inc = _contention_run(FluidNetwork)
+    assert t_inc == pytest.approx(t_full, rel=REL)
+    assert solves_inc < solves_full
+
+
+def _fig7_style_run(network_cls, monkeypatch, *, threads=64):
     """The Figure 7 shape: 64 concurrent movers DDR->HBM on one node."""
+    monkeypatch.setattr("repro.machine.node.FluidNetwork", network_cls)
     env = Environment()
     node = build_knl(env, mcdram_capacity=Scale.SMALL.mcdram,
-                     ddr_capacity=Scale.SMALL.ddr, fluid_solver=solver)
+                     ddr_capacity=Scale.SMALL.ddr)
+    assert type(node.network) is network_cls
     per_thread = Scale.SMALL.size(2 * GiB) // threads
     blocks = []
     for i in range(threads):
@@ -101,21 +125,23 @@ def _fig7_style_run(solver, *, threads=64):
     return env.now, node.network.solves
 
 
-def test_fig7_memcpy_timeline_equivalence():
-    t_full, solves_full = _fig7_style_run("full")
-    t_inc, solves_inc = _fig7_style_run("incremental")
+def test_fig7_memcpy_timeline_equivalence(monkeypatch):
+    t_full, solves_full = _fig7_style_run(EagerFluidNetwork, monkeypatch)
+    t_inc, solves_inc = _fig7_style_run(FluidNetwork, monkeypatch)
     assert t_inc == pytest.approx(t_full, rel=REL)
-    # ... and the incremental solver actually solves less
+    # ... and the shipped network actually solves less
     assert solves_inc < solves_full
 
 
-def _fig8_style_run(solver):
+def _fig8_style_run(network_cls, monkeypatch):
     """A shrunk Figure 8 point: Stencil3D under the multi-io strategy."""
+    monkeypatch.setattr("repro.machine.node.FluidNetwork", network_cls)
     built = OOCRuntimeBuilder(
         "multi-io", cores=8,
         mcdram_capacity=Scale.SMALL.mcdram // 8,
         ddr_capacity=Scale.SMALL.ddr // 8,
-        trace=False, fluid_solver=solver).build()
+        trace=False).build()
+    assert type(built.machine.network) is network_cls
     cfg = StencilConfig(total_bytes=Scale.SMALL.size(4 * GiB),
                         block_bytes=Scale.SMALL.size(4 * GiB) // 16,
                         iterations=2)
@@ -123,9 +149,9 @@ def _fig8_style_run(solver):
     return result.total_time, built.machine.network.solves
 
 
-def test_fig8_stencil_timeline_equivalence():
-    t_full, solves_full = _fig8_style_run("full")
-    t_inc, solves_inc = _fig8_style_run("incremental")
+def test_fig8_stencil_timeline_equivalence(monkeypatch):
+    t_full, solves_full = _fig8_style_run(EagerFluidNetwork, monkeypatch)
+    t_inc, solves_inc = _fig8_style_run(FluidNetwork, monkeypatch)
     assert t_inc == pytest.approx(t_full, rel=REL)
     assert solves_inc < solves_full
 
@@ -172,9 +198,9 @@ class TestIncrementalMechanics:
         assert net.solves == solves_before + 1
 
     def test_cancel_mid_flight_matches_full(self):
-        def run(solver):
+        def run(network_cls):
             env = Environment()
-            net = FluidNetwork(env, solver=solver)
+            net = network_cls(env)
             link = net.add_link("l", 10e9)
             keep = net.start_flow(20e9, [link])
             victim = net.start_flow(20e9, [link])
@@ -189,4 +215,5 @@ class TestIncrementalMechanics:
             env.run(keep.done)
             return env.now, keep.finished_at
 
-        assert run("incremental") == pytest.approx(run("full"), rel=REL)
+        assert run(FluidNetwork) == pytest.approx(run(EagerFluidNetwork),
+                                                  rel=REL)

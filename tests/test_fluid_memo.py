@@ -10,8 +10,9 @@ configurations.  Correctness rests on two claims these tests pin down:
 * any mutation of that structure changes the signature, so stale entries
   can never be served (content keying subsumes invalidation).
 
-The full solver is the unmemoized oracle: every scenario here is
-cross-checked against ``solver="full"`` timelines and rates.
+The eager oracle never memoizes: the replay scenario is cross-checked
+against :class:`EagerFluidNetwork` timelines and rates, and against the
+shipped solver with the memo bypassed.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import pytest
 
 from repro.sim.environment import Environment
 from repro.sim.fluid import _MEMO_MAX, FluidNetwork
+from tests.fluid_oracle import EagerFluidNetwork, UnmemoizedFluidNetwork
 
 
-def _run_phases(solver: str, memo: bool, seed: int,
+def _run_phases(network_cls, seed: int,
                 phases: int = 5, repeats: int = 3):
     """Run a randomized phase alphabet ``repeats`` times; return the trace.
 
@@ -35,7 +37,7 @@ def _run_phases(solver: str, memo: bool, seed: int,
     """
     rng = random.Random(seed)
     env = Environment()
-    net = FluidNetwork(env, solver=solver, memo=memo)
+    net = network_cls(env)
     links = [net.add_link(f"l{i}", rng.choice([50e9, 80e9, 100e9]))
              for i in range(4)]
     alphabet = []
@@ -61,9 +63,9 @@ def _run_phases(solver: str, memo: bool, seed: int,
 
 @pytest.mark.parametrize("seed", range(4))
 def test_memo_replay_matches_oracle_and_memo_off(seed: int) -> None:
-    oracle, _ = _run_phases("full", False, seed)
-    memo_off, net_off = _run_phases("incremental", False, seed)
-    memo_on, net_on = _run_phases("incremental", True, seed)
+    oracle, _ = _run_phases(EagerFluidNetwork, seed)
+    memo_off, net_off = _run_phases(UnmemoizedFluidNetwork, seed)
+    memo_on, net_on = _run_phases(FluidNetwork, seed)
     assert memo_on == memo_off == oracle
     assert net_off.memo_hits == net_off.memo_misses == 0
     # repeated phases must actually exercise the replay path
@@ -73,7 +75,7 @@ def test_memo_replay_matches_oracle_and_memo_off(seed: int) -> None:
 
 def test_capacity_mutation_invalidates() -> None:
     env = Environment()
-    net = FluidNetwork(env, solver="incremental", memo=True)
+    net = FluidNetwork(env)
     link = net.add_link("port", 100e9)
     first = net.start_flow(1e9, [link])
     assert first.rate == 100e9
@@ -86,7 +88,7 @@ def test_capacity_mutation_invalidates() -> None:
 
 def test_weight_and_cap_changes_invalidate() -> None:
     env = Environment()
-    net = FluidNetwork(env, solver="incremental", memo=True)
+    net = FluidNetwork(env)
     link = net.add_link("port", 90e9)
 
     def pair_rates(w, cap):
@@ -109,7 +111,7 @@ def test_membership_order_is_part_of_the_signature() -> None:
     # same flow multiset, different link.flows insertion order: the freeze
     # loop walks that order, so the signatures must be distinct entries
     env = Environment()
-    net = FluidNetwork(env, solver="incremental", memo=True)
+    net = FluidNetwork(env)
     link = net.add_link("port", 60e9)
     a = net.start_flow(1e9, [link], weight=1.0, max_rate=5e9)
     b = net.start_flow(1e9, [link], weight=2.0)
@@ -124,28 +126,10 @@ def test_membership_order_is_part_of_the_signature() -> None:
 
 def test_memo_is_fifo_bounded() -> None:
     env = Environment()
-    net = FluidNetwork(env, solver="incremental", memo=True)
+    net = FluidNetwork(env)
     link = net.add_link("port", 100e9)
     for k in range(_MEMO_MAX + 40):
         flow = net.start_flow(1e6, [link], weight=1.0 + k * 1e-6)
         env.run(flow.done)
     assert len(net._memo) <= _MEMO_MAX
 
-
-def test_full_solver_never_memoizes() -> None:
-    env = Environment()
-    net = FluidNetwork(env, solver="full", memo=True)
-    assert not net._memo_enabled
-    link = net.add_link("port", 100e9)
-    for _ in range(3):
-        env.run(net.start_flow(1e8, [link]).done)
-    assert net.memo_hits == 0 and net.memo_misses == 0
-    assert not net._memo
-
-
-def test_solve_wall_clock_is_recorded() -> None:
-    env = Environment()
-    net = FluidNetwork(env, solver="incremental")
-    link = net.add_link("port", 100e9)
-    env.run(net.start_flow(1e9, [link]).done)
-    assert net.solve_wall_s > 0.0

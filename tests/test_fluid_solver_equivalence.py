@@ -1,7 +1,8 @@
 """Solver equivalence oracle + the sim-core numeric bugfix tests.
 
-The ``"incremental"`` solver must be timeline-equivalent to the eager
-``"full"`` oracle, down to byte-identical figure tables.  Alongside,
+:class:`FluidNetwork` must be timeline-equivalent to the eager
+:class:`EagerFluidNetwork` oracle, on hand-written scenarios, on random
+flow scripts and down to byte-identical figure tables.  Alongside,
 regression tests for the three PR bugfixes, each of which fails on the
 pre-fix code:
 
@@ -22,18 +23,24 @@ import math
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.fluid import _EPSILON_BYTES, SOLVERS, FluidNetwork
+from repro.sim.fluid import _EPSILON_BYTES, FluidNetwork
+from tests.fluid_oracle import EagerFluidNetwork
 
-ALL_SOLVERS = list(SOLVERS)
+#: the shipped network and the eager oracle, under their solver names
+SHIPPED = pytest.param(FluidNetwork, id="incremental")
+ALL_NETWORKS = [SHIPPED, pytest.param(EagerFluidNetwork, id="full")]
 
 
-def _run_scenario(solver: str, scenario) -> dict[int, float]:
-    """Run a scenario under one solver; map flow fid -> finished_at."""
+def _run_scenario(network_cls, scenario) -> dict[int, float]:
+    """Run a scenario on one network class; map flow fid -> finished_at."""
     env = Environment()
-    net = FluidNetwork(env, solver=solver)
+    net = network_cls(env)
     flows = scenario(env, net)
     env.run()
     return {f.fid: f.finished_at for f in flows}
@@ -98,28 +105,87 @@ SCENARIOS = [_waves_private_lanes, _shared_bottleneck_capped,
 class TestSolverEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS,
                              ids=lambda s: s.__name__.lstrip("_"))
-    @pytest.mark.parametrize("solver", ["incremental"])
-    def test_all_solvers_match_full_oracle(self, scenario, solver):
-        oracle = _run_scenario("full", scenario)
-        got = _run_scenario(solver, scenario)
+    @pytest.mark.parametrize("network_cls", [SHIPPED])
+    def test_all_solvers_match_full_oracle(self, scenario, network_cls):
+        oracle = _run_scenario(EagerFluidNetwork, scenario)
+        got = _run_scenario(network_cls, scenario)
         assert got.keys() == oracle.keys()
         for fid, finished_at in got.items():
             assert finished_at == pytest.approx(oracle[fid], rel=1e-9), fid
 
-    def test_unknown_solver_rejected(self):
-        assert SOLVERS == ("incremental", "full")
-        assert FluidNetwork(Environment()).solver == "incremental"
-        with pytest.raises(SimulationError, match="unknown fluid solver"):
-            FluidNetwork(Environment(), solver="bogus")
+
+#: a random flow script: link capacities, then flows that arrive at one of
+#: a few shared instants and may be cancelled some offset later
+FLOW_SCRIPTS = st.fixed_dictionaries({
+    "link_caps": st.lists(st.sampled_from([10e9, 40e9, 64e9, 90e9, 170e9]),
+                          min_size=1, max_size=5),
+    "flows": st.lists(
+        st.fixed_dictionaries({
+            "links": st.sets(st.integers(min_value=0, max_value=4),
+                             min_size=1, max_size=3),
+            "nbytes": st.floats(min_value=1e6, max_value=5e8),
+            "weight": st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+            "cap": st.sampled_from([math.inf, 2e9, 12e9]),
+            "arrive": st.sampled_from([0.0, 1e-3, 2.5e-3, 4e-3]),
+            "cancel_after": st.one_of(
+                st.none(), st.sampled_from([0.0, 3e-4, 1e-3, 5e-3])),
+        }),
+        min_size=1, max_size=12),
+})
+
+
+def _run_script(network_cls, script):
+    """Replay a flow script; per flow, (done succeeded?, finished_at)."""
+    env = Environment()
+    net = network_cls(env)
+    links = [net.add_link(f"l{i}", cap)
+             for i, cap in enumerate(script["link_caps"])]
+    actions = []  # (time, script order, flow index, start?)
+    for k, spec in enumerate(script["flows"]):
+        actions.append((spec["arrive"], 2 * k, k, True))
+        if spec["cancel_after"] is not None:
+            actions.append((spec["arrive"] + spec["cancel_after"],
+                            2 * k + 1, k, False))
+    actions.sort()
+    flows = {}
+
+    def driver():
+        for at, _order, k, start in actions:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            if start:
+                spec = script["flows"][k]
+                chosen = dict.fromkeys(links[i % len(links)]
+                                       for i in sorted(spec["links"]))
+                flows[k] = net.start_flow(spec["nbytes"], list(chosen),
+                                          weight=spec["weight"],
+                                          max_rate=spec["cap"])
+            else:
+                net.cancel_flow(flows[k])
+
+    env.process(driver())
+    env.run()
+    return [(flows[k].done.ok, flows[k].finished_at)
+            for k in range(len(script["flows"]))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(script=FLOW_SCRIPTS)
+def test_random_flow_scripts_match_oracle(script):
+    got = _run_script(FluidNetwork, script)
+    oracle = _run_script(EagerFluidNetwork, script)
+    assert [ok for ok, _ in got] == [ok for ok, _ in oracle]
+    for (_, finished_at), (_, expected) in zip(got, oracle):
+        assert finished_at == pytest.approx(expected, rel=1e-9)
 
 
 class TestEpsilonForceComplete:
     """Bugfix 1: sub-epsilon remainders complete at the wake, on time."""
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_sub_epsilon_remainder_completes_now(self, solver):
+    @pytest.mark.parametrize("network_cls", ALL_NETWORKS)
+    def test_sub_epsilon_remainder_completes_now(self, network_cls):
         env = Environment()
-        net = FluidNetwork(env, solver=solver)
+        net = network_cls(env)
         link = net.add_link("l", 100.0)
         flow = net.start_flow(1000.0, [link])
         env.run(3.0)
@@ -134,11 +200,11 @@ class TestEpsilonForceComplete:
         assert flow.done.triggered and flow.done.ok
         env.run()
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_sub_ulp_eta_does_not_spin(self, solver):
+    @pytest.mark.parametrize("network_cls", ALL_NETWORKS)
+    def test_sub_ulp_eta_does_not_spin(self, network_cls):
         """An ETA below one clock ulp force-completes instead of looping."""
         env = Environment()
-        net = FluidNetwork(env, solver=solver)
+        net = network_cls(env)
         link = net.add_link("l", 1e16)
         env.run(1.0)
         # eta = 2e-3 / 1e16 = 2e-19; 1.0 + 2e-19 == 1.0 in float, so a
@@ -155,10 +221,10 @@ class TestEpsilonForceComplete:
 class TestZeroRateAndCancel:
     """Bugfix 2: rate-zero parking and cancel idempotence."""
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_zero_rate_flow_parks_without_wake(self, solver):
+    @pytest.mark.parametrize("network_cls", ALL_NETWORKS)
+    def test_zero_rate_flow_parks_without_wake(self, network_cls):
         env = Environment()
-        net = FluidNetwork(env, solver=solver)
+        net = network_cls(env)
         link = net.add_link("l", 100.0)
         flow = net.start_flow(1e6, [link], max_rate=0.0)
         env.run()  # must terminate: no inf/nan wake was scheduled
@@ -171,10 +237,10 @@ class TestZeroRateAndCancel:
         env.run()
         assert flow.finished
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_cancel_at_exact_completion_instant_is_noop(self, solver):
+    @pytest.mark.parametrize("network_cls", ALL_NETWORKS)
+    def test_cancel_at_exact_completion_instant_is_noop(self, network_cls):
         env = Environment()
-        net = FluidNetwork(env, solver=solver)
+        net = network_cls(env)
         link = net.add_link("l", 100.0)
         flow = net.start_flow(1000.0, [link])  # completes at t=10
 
@@ -191,10 +257,10 @@ class TestZeroRateAndCancel:
         assert flow.finished_at == 10.0
         assert flow.done.ok  # completed, not cancelled
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_cancel_after_finish_is_noop(self, solver):
+    @pytest.mark.parametrize("network_cls", ALL_NETWORKS)
+    def test_cancel_after_finish_is_noop(self, network_cls):
         env = Environment()
-        net = FluidNetwork(env, solver=solver)
+        net = network_cls(env)
         link = net.add_link("l", 100.0)
         flow = net.start_flow(500.0, [link])
         env.run()
@@ -262,19 +328,14 @@ class TestTombstoneCompaction:
 
 
 class TestFigureByteIdentity:
-    """Incremental and the full oracle must emit byte-identical tables."""
+    """The shipped network and the eager oracle emit identical tables."""
 
     @staticmethod
-    def _table_bytes(plan_fn, monkeypatch, solver: str) -> str:
+    def _table_bytes(plan_fn, monkeypatch, network_cls) -> str:
         from repro.bench.harness import run_plan
 
-        init = FluidNetwork.__init__
-
-        def forced(self, env, **kwargs):
-            init(self, env, **{**kwargs, "solver": solver})
-
         with monkeypatch.context() as patch:
-            patch.setattr(FluidNetwork, "__init__", forced)
+            patch.setattr("repro.machine.node.FluidNetwork", network_cls)
             result = run_plan(plan_fn())
         return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
@@ -284,8 +345,8 @@ class TestFigureByteIdentity:
         def plan():
             return fig2_plan(Scale.TINY, iterations=2)
 
-        inc = self._table_bytes(plan, monkeypatch, "incremental")
-        full = self._table_bytes(plan, monkeypatch, "full")
+        inc = self._table_bytes(plan, monkeypatch, FluidNetwork)
+        full = self._table_bytes(plan, monkeypatch, EagerFluidNetwork)
         assert full == inc
 
     def test_fig8_table_identical(self, monkeypatch):
@@ -294,6 +355,6 @@ class TestFigureByteIdentity:
         def plan():
             return fig8_plan(Scale.TINY, iterations=2, reduced_ws_gb=(4,))
 
-        inc = self._table_bytes(plan, monkeypatch, "incremental")
-        full = self._table_bytes(plan, monkeypatch, "full")
+        inc = self._table_bytes(plan, monkeypatch, FluidNetwork)
+        full = self._table_bytes(plan, monkeypatch, EagerFluidNetwork)
         assert full == inc

@@ -214,14 +214,6 @@ class TestMetricsDigestEquivalence:
 
     expected = json.loads(DIGESTS.read_text())
 
-    @pytest.fixture(autouse=True)
-    def _collect_dropped_runtimes(self):
-        # an unfinished runtime dropped by an earlier test still holds
-        # suspended strategy generators; finalizing them mid-run runs
-        # their ``finally`` blocks, whose end_inflight fires probe points
-        # into this test's subscriber.  Collect them up front.
-        gc.collect()
-
     def test_stencil_multi_io(self):
         from repro.apps.stencil3d import Stencil3D, StencilConfig
         from repro.core.api import OOCRuntimeBuilder
@@ -288,3 +280,43 @@ class TestMetricsDigestEquivalence:
         finally:
             metrics.unsubscribe()
         assert digest(registry) == self.expected["mover_rollback"]
+
+
+class InflightRecorder:
+    def __init__(self):
+        self.calls = []
+
+    def on_inflight_end(self, hbm_used):
+        self.calls.append(hbm_used)
+
+
+class TestDroppedRuntime:
+    """A runtime dropped mid-run fires nothing into a later subscriber."""
+
+    @staticmethod
+    def _start_and_drop() -> int:
+        from repro.apps.stencil3d import Stencil3D, StencilConfig
+        from repro.core.api import OOCRuntimeBuilder
+        from repro.units import MiB
+
+        built = OOCRuntimeBuilder("multi-io", cores=8,
+                                  mcdram_capacity=64 * MiB,
+                                  ddr_capacity=512 * MiB).build()
+        app = Stencil3D(built, StencilConfig(total_bytes=128 * MiB,
+                                             block_bytes=8 * MiB,
+                                             iterations=1))
+        app.array.broadcast("exchange", built.runtime.reducer(len(app.array)))
+        built.env.run(until=built.env.now + 1e-4)
+        # the strategy generators moving these blocks stay suspended
+        return len(built.manager._inflight)
+
+    def test_finalizing_suspended_moves_fires_no_probe_points(self):
+        gc.collect()
+        assert self._start_and_drop() == 8
+        recorder = InflightRecorder()
+        probe.subscribe(recorder)
+        try:
+            gc.collect()
+        finally:
+            probe.unsubscribe(recorder)
+        assert recorder.calls == []
