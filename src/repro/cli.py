@@ -282,6 +282,7 @@ def _explore_or_replay(args: argparse.Namespace, app: str) -> int | None:
     """
     schedules = getattr(args, "explore_schedules", 0)
     seed = getattr(args, "seed", None)
+    _check_count("--explore-schedules", schedules, 0)
     if not schedules and seed is None:
         return None
     from repro.race import explore, run_schedule
@@ -289,6 +290,7 @@ def _explore_or_replay(args: argparse.Namespace, app: str) -> int | None:
     runner = _app_runner(args, app)
     if schedules:
         jobs = getattr(args, "jobs", 1)
+        _check_count("--jobs", jobs)
         if jobs > 1:
             from repro.exec.explore import parallel_explore
 
@@ -413,14 +415,15 @@ def _figure_names(args: argparse.Namespace) -> list[str]:
     return names
 
 
-def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ConfigError(f"--replicates must be >= 1, got {replicates}")
+def _check_count(flag: str, value: int, minimum: int = 1) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.exec import ResultCache, run_specs
 
+    _check_count("--jobs", args.jobs)
     scale = _SCALES[args.scale]
     names = _figure_names(args)
     plans = [exps.PLANS[name](scale) for name in names]
@@ -715,7 +718,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     scale = _SCALES[args.scale]
     names = _figure_names(args)
-    _check_replicates(args.replicates)
+    _check_count("--replicates", args.replicates)
+    _check_count("--jobs", args.jobs)
     plans = [exps.PLANS[name](scale) for name in names]
     specs = replicate_specs(plans, args.replicates)
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
@@ -756,7 +760,8 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     if unknown:
         raise ConfigError(f"unknown app(s) {unknown}; "
                           f"choose from {sorted(LEADERBOARD_APPS)}")
-    _check_replicates(args.replicates)
+    _check_count("--replicates", args.replicates)
+    _check_count("--jobs", args.jobs)
     strategies = sorted(args.strategies or STRATEGIES)
     if args.baseline is not None and args.baseline not in strategies:
         print(f"baseline {args.baseline!r} is not among the swept "
@@ -810,6 +815,8 @@ def _cmd_trend(args: argparse.Namespace) -> int:
             print(f"trend: recorded {len(record['benches'])} bench "
                   f"snapshot(s) for {commit}")
         return 0
+    if history is not None and not history.is_file():
+        raise ConfigError(f"--history {args.history}: no such file")
     records = obs_trend.load_history(history)
     with open(args.out, "w") as fh:
         fh.write(obs_trend.render_trend_html(records))

@@ -63,8 +63,8 @@ def _lru_victims(registry: BlockRegistry, needed_bytes: int,
     # (Belady's rule), not the LRU one — for cyclic reuse patterns LRU
     # would evict exactly the block needed soonest.
     candidates = sorted(
-        (b for b in registry if _evictable(b)
-         and (include_demanded or b.demand == 0)),
+        (b for b in registry.evictable_blocks()
+         if include_demanded or b.demand == 0),
         key=lambda b: (
             (0, b.last_scheduled_at if b.last_scheduled_at is not None
              else -1.0, b.bid)

@@ -227,8 +227,8 @@ class Strategy:
         # the tasks still sitting in wait queues actually miss.  For a
         # fitting working set (nothing missing) this is zero — evicting
         # would purge hot data the next iteration refetches.
-        pending_missing = sum(
-            task.missing for pe in mgr.runtime.pes for task in pe.wait_queue)
+        pending_missing = self.pending_missing(
+            max(1, int(self.watermark_high * budget)))
         low = min(int(self.watermark_low * budget), pending_missing)
         if mgr.tracker.uncommitted >= low or pending_missing == 0:
             return False
@@ -250,6 +250,22 @@ class Strategy:
                                             reason="watermark")
                 evicted = True
         return evicted
+
+    def pending_missing(self, cap: int) -> int:
+        """Missing bytes of the tasks in every wait queue, summed until
+        the partial sum reaches ``cap``.
+
+        ``task.missing`` is never negative, so a sum stopped at ``cap`` is
+        as good as the full one for ``min(x, full)`` with ``x <= cap`` and
+        for the ``== 0`` test — which is all the watermarks ask.
+        """
+        total = 0
+        for pe in self._mgr().runtime.pes:
+            for task in pe.wait_queue:
+                total += task.missing
+                if total >= cap:
+                    return total
+        return total
 
     def missing_bytes(self, task: OOCTask) -> int:
         """Bytes of ``task``'s dependences not in (or moving to) HBM.
@@ -275,14 +291,13 @@ class Strategy:
         if mgr.tracker.can_fit(need):
             return True
         shortfall = need - mgr.tracker.uncommitted
-        # One O(registry) freeable scan per change epoch (one per task
-        # completion); probes between completions reuse it.
+        # One freeable sum over the idle index per change epoch (one per
+        # task completion); probes between completions reuse it, lagging
+        # moves until the next completion.
         epoch, freeable_total = self._freeable_cache
         if epoch != mgr.change_epoch:
             freeable_total = sum(
-                block.nbytes for block in mgr.registry
-                if block.state is BlockState.INHBM and not block.in_use
-                and not block.pinned)
+                block.nbytes for block in mgr.registry.evictable_blocks())
             self._freeable_cache = (mgr.change_epoch, freeable_total)
         # the task's own resident blocks are about to be retained, so they
         # cannot be victims — subtract them from the freeable estimate

@@ -76,7 +76,7 @@ class DataBlock:
         "bid", "name", "nbytes", "state", "device", "allocation",
         "_refcount", "_pending", "_next_use", "pinned",
         "last_scheduled_at", "last_evicted_at", "fetch_count",
-        "evict_count", "bytes_moved", "payload", "owner",
+        "evict_count", "bytes_moved", "payload", "owner", "_idle_index",
     )
 
     def __init__(self, name: str, nbytes: int, *,
@@ -113,6 +113,11 @@ class DataBlock:
         self.payload = payload
         #: chare (or other object) that declared this handle, for tracing
         self.owner = owner
+        # The idle index of the device this block is settled on in HBM
+        # (``MemoryDevice.idle_blocks``), else None.  The block is in that
+        # dict exactly while its refcount is 0; retain/release/begin_move/
+        # settle keep it so.
+        self._idle_index: "dict[int, DataBlock] | None" = None
 
     # -- reference counting -------------------------------------------------
 
@@ -130,6 +135,8 @@ class DataBlock:
         if _probe.on_retain is not None:
             _probe.on_retain(self)
         self._refcount += 1
+        if self._refcount == 1 and self._idle_index is not None:
+            del self._idle_index[self.bid]
         if now is not None:
             self.last_scheduled_at = now
         return self._refcount
@@ -142,6 +149,8 @@ class DataBlock:
             raise BlockStateError(
                 f"refcount underflow on block {self.name!r}")
         self._refcount -= 1
+        if self._refcount == 0 and self._idle_index is not None:
+            self._idle_index[self.bid] = self
         return self._refcount
 
     @property
@@ -194,7 +203,7 @@ class DataBlock:
 
     # begin_move() and settle() are the only state transitions (REP200),
     # so they are where pending tasks' ``missing`` counts follow the block
-    # into and out of INDDR.
+    # into and out of INDDR, and where it leaves and joins the idle index.
 
     def begin_move(self) -> None:
         if _probe.on_begin_move is not None:
@@ -205,6 +214,10 @@ class DataBlock:
             nbytes = self.nbytes
             for task in self._pending.values():
                 task.missing -= nbytes
+        if self._idle_index is not None:
+            if self._refcount == 0:
+                del self._idle_index[self.bid]
+            self._idle_index = None
         self.state = BlockState.MOVING
 
     def settle(self, device: "MemoryDevice", state: BlockState) -> None:
@@ -218,6 +231,16 @@ class DataBlock:
                 task.missing += delta
         self.device = device
         self.state = state
+        index = device.idle_blocks if state is BlockState.INHBM else None
+        if index is not self._idle_index:
+            # a re-placement without begin_move (place_block after
+            # release_block) may leave an old index behind
+            if self._refcount == 0:
+                if self._idle_index is not None:
+                    del self._idle_index[self.bid]
+                if index is not None:
+                    index[self.bid] = self
+            self._idle_index = index
         if _probe.on_settle is not None:
             _probe.on_settle(self)
 

@@ -22,8 +22,13 @@ from repro.units import format_bandwidth, format_size
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mem.allocator import Allocation, Allocator
+    from repro.mem.block import DataBlock
 
 __all__ = ["MemoryDevice"]
+
+#: Conventional KNL numa node numbering (paper §IV-C).
+DDR_NODE = 0
+HBM_NODE = 1
 
 
 class MemoryDevice:
@@ -53,6 +58,11 @@ class MemoryDevice:
         #: cumulative traffic counters (bytes)
         self.bytes_read = 0.0
         self.bytes_written = 0.0
+        #: the idle index: blocks settled here in INHBM with refcount 0,
+        #: by bid — the eviction candidates.  DataBlock's retain/release/
+        #: begin_move/settle maintain it; only the HBM node keeps one.
+        self.idle_blocks: "dict[int, DataBlock] | None" = (
+            {} if numa_node == HBM_NODE else None)
 
     # -- capacity ---------------------------------------------------------------
 

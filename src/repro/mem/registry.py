@@ -22,6 +22,9 @@ class BlockRegistry:
     def __init__(self, topology: MemoryTopology):
         self.topology = topology
         self._blocks: dict[int, DataBlock] = {}
+        # the devices' idle indices: the HBM node's, or none in cache mode
+        self._idle_indices = [dev.idle_blocks for dev in topology.devices
+                              if dev.idle_blocks is not None]
 
     # -- membership -----------------------------------------------------------
 
@@ -59,10 +62,17 @@ class BlockRegistry:
                    if b.device is not None and b.device.name == device_name
                    and b.allocation is not None and b.allocation.live)
 
-    def evictable_blocks(self, state: BlockState = BlockState.INHBM) -> list[DataBlock]:
-        """Blocks the paper would allow to be evicted: refcount 0, not pinned."""
-        return [b for b in self._blocks.values()
-                if b.state is state and not b.in_use and not b.pinned]
+    def evictable_blocks(self) -> list[DataBlock]:
+        """Blocks the paper would allow to be evicted: in HBM, refcount 0,
+        not pinned.
+
+        Read from the HBM device's idle index, so the cost follows the
+        idle blocks rather than the registry.  ``pinned`` and membership
+        are checked here: the index tracks only state and refcount.
+        """
+        blocks = self._blocks
+        return [b for index in self._idle_indices for b in index.values()
+                if not b.pinned and b.bid in blocks]
 
     def total_bytes(self) -> int:
         return sum(b.nbytes for b in self._blocks.values())

@@ -14,13 +14,9 @@ import typing as _t
 from repro.errors import CapacityError, ConfigError
 from repro.mem.allocator import Allocation
 from repro.mem.block import BlockState, DataBlock
-from repro.mem.device import MemoryDevice
+from repro.mem.device import DDR_NODE, HBM_NODE, MemoryDevice
 
 __all__ = ["MemoryTopology"]
-
-#: Conventional KNL numa node numbering (paper §IV-C).
-DDR_NODE = 0
-HBM_NODE = 1
 
 
 class MemoryTopology:

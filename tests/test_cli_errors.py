@@ -1,9 +1,10 @@
 """Bad CLI values: one line on stderr naming the value, exit status 2.
 
 Sizes are parsed by argparse ``type=`` converters (a usage error);
-counts are validated by the app configs, and replicate counts and
-figure/app names by the sweep commands, all raising a ``ConfigError``
-the CLI catches once in ``main``.  Neither path may end in a traceback.
+counts are validated by the app configs, replicate, job and schedule
+counts, figure/app names and the trend history path by the commands,
+all raising a ``ConfigError`` the CLI catches once in ``main``.
+Neither path may end in a traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ CASES = [
     ("experiments-figure", ["experiments", "--figures", "fig99"], "fig99"),
     ("report-figure", ["report", "--figures", "fig99"], "fig99"),
     ("leaderboard-app", ["leaderboard", "--apps", "nope"], "nope"),
+    ("race-schedules", ["race", "--explore-schedules", "-1"], "-1"),
+    ("stencil-schedules", ["stencil", "--explore-schedules", "-2"], "-2"),
+    ("experiments-jobs", ["experiments", "--figures", "fig1", "-j", "0"],
+     "0"),
+    ("report-jobs", ["report", "--figures", "fig2", "-j", "-1"], "-1"),
+    ("leaderboard-jobs", ["leaderboard", "-j", "0"], "0"),
+    ("trend-history",
+     ["trend", "render", "--history", "no-such-history.jsonl"],
+     "no-such-history.jsonl"),
 ]
 
 

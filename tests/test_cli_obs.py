@@ -144,9 +144,13 @@ class TestTrendCommand:
         assert len(history.read_text().splitlines()) == 1
 
     def test_render_empty_history(self, tmp_path, capsys):
+        # an existing empty file; a missing one is a usage error
+        # (tests/test_cli_errors.py)
+        history = tmp_path / "none.jsonl"
+        history.write_text("")
         out = tmp_path / "trend.html"
         assert main(["trend", "render",
-                     "--history", str(tmp_path / "none.jsonl"),
+                     "--history", str(history),
                      "-o", str(out)]) == 0
         capsys.readouterr()
         assert "No bench history yet" in out.read_text()

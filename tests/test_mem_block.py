@@ -222,3 +222,87 @@ class TestMissingLedger:
         task = queued_task(placed(node, "b", MiB, node.ddr))
         assert task.blocks is task.blocks
         assert isinstance(task.blocks, tuple)
+
+
+class TestIdleIndex:
+    """retain/release/begin_move/settle keep ``hbm.idle_blocks`` equal to
+    the blocks settled in HBM with refcount 0."""
+
+    def test_placement_in_hbm_indexes_an_idle_block(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        assert node.hbm.idle_blocks == {block.bid: block}
+        assert node.ddr.idle_blocks is None
+
+    def test_retain_from_zero_removes(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        block.retain()
+        assert block.bid not in node.hbm.idle_blocks
+        block.retain()  # 1 -> 2: nothing left to remove
+        assert node.hbm.idle_blocks == {}
+
+    def test_release_to_zero_adds(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        block.retain()
+        block.retain()
+        block.release()  # 2 -> 1: still in use
+        assert node.hbm.idle_blocks == {}
+        block.release()
+        assert node.hbm.idle_blocks == {block.bid: block}
+
+    def test_refcount_on_ddr_block_never_indexes(self, node):
+        block = placed(node, "b", MiB, node.ddr)
+        block.retain()
+        block.release()
+        assert node.hbm.idle_blocks == {}
+
+    def test_begin_move_removes(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        block.begin_move()
+        assert node.hbm.idle_blocks == {}
+        block.retain()  # an in-flight block's refcount leaves the index be
+        block.release()
+        assert node.hbm.idle_blocks == {}
+
+    def test_settle_to_hbm_adds_only_at_refcount_zero(self, node):
+        idle = placed(node, "idle", MiB, node.ddr)
+        busy = placed(node, "busy", MiB, node.ddr)
+        busy.retain()
+        for block in (idle, busy):
+            block.begin_move()
+            block.settle(node.hbm, BlockState.INHBM)
+        assert node.hbm.idle_blocks == {idle.bid: idle}
+        busy.release()
+        assert node.hbm.idle_blocks == {idle.bid: idle, busy.bid: busy}
+
+    def test_settle_to_ddr_leaves_it_out(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        block.begin_move()
+        block.settle(node.ddr, BlockState.INDDR)
+        assert node.hbm.idle_blocks == {}
+        block.retain()
+        block.release()
+        assert node.hbm.idle_blocks == {}
+
+    def test_rollback_settle_to_source_restores(self):
+        env = Environment()
+        node = build_knl(env, mcdram_capacity=GiB, ddr_capacity=3 * MiB,
+                         allocator_cls=FreeListAllocator)
+        a = placed(node, "a", MiB, node.ddr)
+        placed(node, "b", MiB, node.ddr)
+        c = placed(node, "c", MiB, node.ddr)
+        node.topology.release_block(a)
+        node.topology.release_block(c)
+        # 2 MiB free in DDR4 but fragmented: the eviction rolls back
+        big = placed(node, "big", 2 * MiB - 4096, node.hbm)
+        proc = env.process(node.mover.move(big, node.ddr))
+        env.run(until=1e-9)
+        assert big.moving and node.hbm.idle_blocks == {}
+        with pytest.raises(CapacityError):
+            env.run(until=proc)
+        assert big.in_hbm and node.hbm.idle_blocks == {big.bid: big}
+
+    def test_replacement_without_move_follows_the_device(self, node):
+        block = placed(node, "b", MiB, node.hbm)
+        node.topology.release_block(block)
+        node.topology.place_block(block, node.ddr)
+        assert node.hbm.idle_blocks == {}

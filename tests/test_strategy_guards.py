@@ -9,7 +9,8 @@ from repro.core.api import OOCRuntimeBuilder
 from repro.core.ooc_task import OOCTask
 from repro.core.strategies import make_strategy
 from repro.errors import ConfigError
-from repro.mem.block import AccessIntent, BlockState, DataBlock
+from repro.machine.knl import build_knl
+from repro.mem.block import AccessIntent, DataBlock
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.message import Message
@@ -103,8 +104,9 @@ class TestIdempotentStop:
 # Epoch-memoized caches (_wm_seen_epoch / _freeable_cache)
 # ---------------------------------------------------------------------------
 
-def _block(nbytes, state, *, in_use=False, pinned=False):
-    block = DataBlock(f"b{nbytes}", nbytes, state=state)
+def _block(nbytes, *, in_use=False, pinned=False):
+    """A block in DDR4 until ``_capacity_manager`` places it in HBM."""
+    block = DataBlock(f"b{nbytes}", nbytes)
     if in_use:
         block.retain()
     block.pinned = pinned
@@ -131,14 +133,21 @@ class _CountingEviction:
 
 def _capacity_manager(*, uncommitted, budget=100 * MiB, registry=(),
                       wait_blocks=()):
+    """A fake manager over a real KNL node: the ``registry`` blocks are
+    registered and placed in its HBM, so the idle index holds them."""
+    node = build_knl(Environment(), cores=1, mcdram_capacity=HBM,
+                     ddr_capacity=DDR)
+    for block in registry:
+        node.registry.register(block)
+        node.topology.place_block(block, node.hbm)
     tasks = [_task(b) for b in wait_blocks]
     return SimpleNamespace(
-        env=Environment(),
+        env=node.env,
         tracker=SimpleNamespace(budget=budget, uncommitted=uncommitted,
                                 can_fit=lambda n: False),
         runtime=SimpleNamespace(
             pes=[SimpleNamespace(wait_queue=tasks)]),
-        registry=list(registry),
+        registry=node.registry,
         eviction=_CountingEviction(),
         change_epoch=0,
     )
@@ -159,7 +168,7 @@ class TestWatermarkMemoization:
         return strategy
 
     def test_fruitless_scan_memoized_within_epoch(self):
-        missing = _block(MiB, BlockState.INDDR)
+        missing = _block(MiB)
         mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
         strategy = self._strategy(mgr)
         assert _drain(strategy.maintain_watermarks("io0")) is False
@@ -170,7 +179,7 @@ class TestWatermarkMemoization:
         assert mgr.eviction.scans == 1
 
     def test_epoch_bump_invalidates_watermark_memo(self):
-        missing = _block(MiB, BlockState.INDDR)
+        missing = _block(MiB)
         mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
         strategy = self._strategy(mgr)
         _drain(strategy.maintain_watermarks("io0"))
@@ -182,7 +191,7 @@ class TestWatermarkMemoization:
         """The reserve is sized by the queued tasks' running missing
         counts: once the block's fetch starts, nothing is missing and no
         scan runs even in a fresh epoch."""
-        missing = _block(MiB, BlockState.INDDR)
+        missing = _block(MiB)
         mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
         strategy = self._strategy(mgr)
         queued = mgr.runtime.pes[0].wait_queue[0]
@@ -201,23 +210,24 @@ class TestFreeableCacheInvalidation:
         return strategy
 
     def test_freeable_scan_cached_within_epoch(self):
-        resident = _block(64 * MiB, BlockState.INHBM)
-        need = _block(32 * MiB, BlockState.INDDR)
+        resident = _block(64 * MiB)
+        need = _block(32 * MiB)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
         task = _task(need)
         assert strategy.can_fetch_task(task) is True
         assert strategy._freeable_cache == (0, 64 * MiB)
-        # registry iteration is O(n); within one epoch the probe reuses the
-        # cache (replace the registry with a trap to prove it)
+        # within one epoch the probe reuses the cached sum instead of
+        # reading the idle index again (replace the registry with a trap
+        # to prove it)
         mgr.registry = None
         assert strategy.can_fetch_task(task) is True
 
     def test_epoch_bump_recomputes_freeable_bytes(self):
         """A block becoming busy must be seen at the next epoch — the
         cache may never return a stale 'yes there is space'."""
-        resident = _block(64 * MiB, BlockState.INHBM)
-        need = _block(32 * MiB, BlockState.INDDR)
+        resident = _block(64 * MiB)
+        need = _block(32 * MiB)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
         task = _task(need)
@@ -230,8 +240,8 @@ class TestFreeableCacheInvalidation:
         assert strategy._freeable_cache == (1, 0)
 
     def test_epoch_bump_sees_newly_freeable_space(self):
-        resident = _block(64 * MiB, BlockState.INHBM, in_use=True)
-        need = _block(32 * MiB, BlockState.INDDR)
+        resident = _block(64 * MiB, in_use=True)
+        need = _block(32 * MiB)
         mgr = _capacity_manager(uncommitted=0, registry=[resident])
         strategy = self._strategy(mgr)
         task = _task(need)
