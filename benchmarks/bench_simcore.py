@@ -17,8 +17,8 @@ records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
   the pure event-core hot path of the drain loop; the recorded
   ``ops_per_s`` is the number quoted in EXPERIMENTS.md.
 * ``steady_phases`` — one phase configuration repeated ten times over a
-  shared port pair.  The flow-set-signature memo replays the cached rate
-  vectors for every phase after the first.
+  shared port pair.  The component memo replays the cached rates for
+  every phase after the first.
 
 The fluid scenarios are gated on their solve and memo-hit counts, which
 are deterministic: a change that breaks batching or replay moves them.
@@ -100,8 +100,8 @@ def run_steady_phases(*, lanes: int = 48, phases: int = 10,
     ``lanes`` flows with a small alphabet of (size, cap) combinations all
     start at once over one shared port pair, then drain in staggered
     departure waves — each wave a component re-solve.  Every later phase
-    repeats the exact flow-set-signature sequence of the first, so the
-    memo replays all of it.
+    repeats the exact sequence of memo keys of the first, so the memo
+    replays all of it.
     """
     env = Environment()
     net = FluidNetwork(env)

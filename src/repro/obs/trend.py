@@ -48,6 +48,10 @@ DEFAULT_TREND_METRICS: tuple[tuple[str, str], ...] = (
     ("probe.stencil_1gib_multi_io.spans_x",
      "span tracer enabled overhead (x)"),
     ("lint.full_tree.files_per_s", "bwlint throughput (files/s)"),
+    ("e2e.fig8-stencil.wall_s", "e2e fig8-stencil wall (s)"),
+    ("e2e.fig9-matmul.wall_s", "e2e fig9-matmul wall (s)"),
+    ("e2e.fits-hbm-replicated.wall_s", "e2e fits-hbm-replicated wall (s)"),
+    ("e2e.observed-stencil.wall_s", "e2e observed-stencil wall (s)"),
 )
 
 
@@ -57,7 +61,12 @@ def history_path(directory: "Path | None" = None) -> Path:
 
 
 def collect_bench_files(directory: "Path | None" = None) -> dict[str, dict]:
-    """Load every ``BENCH_*.json`` at the repo root, keyed by bench name."""
+    """Load every ``BENCH_*.json`` at the repo root, keyed by bench name.
+
+    ``BENCH_e2e.json`` is ``benchmarks/e2e/run.py --json`` output, not a
+    regression record: each workload's per-metric ``median`` folds into
+    ``metrics[workload][metric]``.
+    """
     base = directory if directory is not None else repo_root()
     benches: dict[str, dict] = {}
     for path in sorted(base.glob("BENCH_*.json")):
@@ -65,9 +74,25 @@ def collect_bench_files(directory: "Path | None" = None) -> dict[str, dict]:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
             continue
+        if path.name == "BENCH_e2e.json" and isinstance(data, dict):
+            data = _fold_e2e(data)
         if isinstance(data, dict) and "metrics" in data:
             benches[data.get("bench", path.stem[len("BENCH_"):])] = data
     return benches
+
+
+def _fold_e2e(run: dict) -> dict | None:
+    workloads = run.get("workloads")
+    if not isinstance(workloads, dict):
+        return None
+    metrics = {
+        workload: {metric: summary["median"]
+                   for metric, summary in per_metric.items()
+                   if isinstance(summary, dict) and "median" in summary}
+        for workload, per_metric in workloads.items()
+        if isinstance(per_metric, dict)}
+    return {"bench": "e2e", "python": run.get("python"),
+            "correct": run.get("correct"), "metrics": metrics}
 
 
 def load_history(path: "Path | None" = None) -> list[dict]:

@@ -25,8 +25,20 @@ exact because max-min allocations decompose per component.  Rates are
 never stale from the outside: reading ``Flow.rate`` /
 ``Link.utilization`` / ``snapshot()`` settles any pending recompute
 first, and no simulated time can pass while links are dirty (the flush is
-scheduled at the current instant).  A flow-set-signature memo replays the
-rate vector of any component configuration solved before.
+scheduled at the current instant).
+
+A memo replays the rates of any component configuration solved before.
+Its key is kept up to date incrementally rather than re-derived from
+every flow: each flow gets a small-int *class* for its ``(weight,
+max_rate, links)``, and each link caches the tuple of its flows' classes
+in membership order (``Link._enc``) plus its neighbour links, refreshed
+only after a flow starts on or leaves it.  A request walks the cached
+neighbours to the component's closure and concatenates the cached
+tuples.  Flows of one class join and leave all their links together, so
+the k-th class-X flow on one link is the k-th class-X flow on every
+other: the key fixes the flow order, link order and memberships the
+kernel reads, and since same-class flows always receive bit-identical
+rates, one ``{class: rate}`` dict replays the whole component.
 
 The tests hold this solver to an eager oracle that re-solves every flow on
 every link, unmemoized, on each change (``tests/fluid_oracle.py``): the
@@ -47,7 +59,8 @@ from __future__ import annotations
 
 import math
 import typing as _t
-from itertools import count
+from itertools import chain, count
+from operator import attrgetter
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
@@ -61,17 +74,20 @@ __all__ = ["Link", "Flow", "FluidNetwork"]
 #: sweep and _schedule_wake's force-completion all compare against it.
 _EPSILON_BYTES = 1e-3
 
-#: flow-set-signature memo bound (entries); FIFO eviction.  Steady-state
+#: component memo bound (entries); FIFO eviction.  Steady-state
 #: applications cycle through a handful of phase configurations, so a few
 #: hundred entries cover every realistic phase alphabet while bounding
 #: worst-case memory on adversarial workloads.
 _MEMO_MAX = 512
 
+_by_uid = attrgetter("uid")
+
 
 class Link:
     """A capacity-limited pipe, e.g. the read port of a memory device."""
 
-    __slots__ = ("name", "capacity", "flows", "uid", "network")
+    __slots__ = ("name", "capacity", "flows", "uid", "network", "_enc",
+                 "_nbrs")
 
     def __init__(self, name: str, capacity: float, *, uid: int = 0,
                  network: "FluidNetwork | None" = None):
@@ -86,6 +102,11 @@ class Link:
         #: creation index, for deterministic dirty-set ordering
         self.uid = uid
         self.network = network
+        #: classes of ``flows`` in membership order, and the links those
+        #: classes cross (first-occurrence order); None once a flow starts
+        #: on or leaves this link, until the next solve request refreshes it
+        self._enc: tuple[int, ...] | None = ()
+        self._nbrs: tuple[Link, ...] = ()
 
     @property
     def utilization(self) -> float:
@@ -108,7 +129,8 @@ class Flow:
     """
 
     __slots__ = ("fid", "links", "remaining", "total", "weight", "max_rate",
-                 "_rate", "done", "started_at", "finished_at", "network")
+                 "_rate", "done", "started_at", "finished_at", "network",
+                 "_cls")
 
     def __init__(self, fid: int, links: tuple[Link, ...], nbytes: float,
                  weight: float, max_rate: float, done: Event, now: float,
@@ -124,6 +146,9 @@ class Flow:
         self.started_at = now
         self.finished_at: float | None = None
         self.network = network
+        #: the network's class id for (weight, max_rate, links); set when
+        #: the flow joins its links
+        self._cls = -1
 
     @property
     def rate(self) -> float:
@@ -167,15 +192,18 @@ class FluidNetwork:
         self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
-        # Flow-set-signature memo.  Max-min rates depend only on the
-        # component's *structure* — link capacities, per-flow (weight,
-        # max_rate, link incidence) and the per-link membership order the
-        # freeze loops walk — never on remaining bytes, so identical
-        # configurations can replay the cached rate vector.
-        # Content keying subsumes invalidation: any topology or demand
-        # mutation (capacity, weight, max_rate, membership) changes the
-        # signature and simply misses.
-        self._memo: dict[tuple, tuple[float, ...]] = {}
+        #: flow classes: (weight, max_rate, links) -> class id, and the
+        #: distinct links of each class id
+        self._classes: dict[tuple, int] = {}
+        self._class_links: list[tuple[Link, ...]] = []
+        # Component memo.  Max-min rates depend only on the component's
+        # *structure* — link capacities, per-flow (weight, max_rate, link
+        # incidence) and the per-link membership order the freeze loops
+        # walk — never on remaining bytes, so a configuration seen before
+        # can replay its cached rates.  Content keying subsumes
+        # invalidation: a capacity or membership change changes the key
+        # and simply misses.  Values are flat {class: rate} dicts.
+        self._memo: dict[tuple, dict[int, float]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -226,10 +254,17 @@ class FluidNetwork:
             self.completed_flows += 1
             done.succeed(flow)
             return flow
+        ckey = (flow.weight, flow.max_rate, resolved)
+        cls = self._classes.get(ckey)
+        if cls is None:
+            cls = self._classes[ckey] = len(self._class_links)
+            self._class_links.append(tuple(dict.fromkeys(resolved)))
+        flow._cls = cls
         self._advance()
         self._flows[flow] = None
         for link in resolved:
             link.flows[flow] = None
+            link._enc = None
         self._mark_dirty(resolved)
         return flow
 
@@ -262,6 +297,7 @@ class FluidNetwork:
         self._flows.pop(flow, None)
         for link in flow.links:
             link.flows.pop(flow, None)
+            link._enc = None
 
     def _advance(self) -> None:
         """Integrate progress since the last rate change; finish flows."""
@@ -339,96 +375,86 @@ class FluidNetwork:
     def _ensure_current(self) -> None:
         """Solve the components touched by dirty links; re-arm the wake."""
         dirty, self._dirty = self._dirty, set()
-        # Connected-component closure over the flow<->link bipartite graph.
-        # Flows outside the closure share no links with it (directly or
-        # transitively), so their max-min rates are unaffected.
-        comp_flows: dict[Flow, None] = {}
-        comp_links: dict[Link, None] = {}
-        stack = sorted(dirty, key=lambda l: l.uid)
-        for link in stack:
-            comp_links[link] = None
+        # Connected-component closure over the flow<->link bipartite graph,
+        # walked link to link through the cached neighbours.  Flows outside
+        # the closure share no links with it (directly or transitively), so
+        # their max-min rates are unaffected.  ``links`` is the discovery
+        # order (dirty links by uid first), ``popped`` the visit order.
+        stack = sorted(dirty, key=_by_uid)
+        links = stack[:]
+        seen = set(stack)
+        popped: list[Link] = []
+        members = 0
         while stack:
             link = stack.pop()
-            for flow in link.flows:
-                if flow not in comp_flows:
-                    comp_flows[flow] = None
-                    for other in flow.links:
-                        if other not in comp_links:
-                            comp_links[other] = None
-                            stack.append(other)
-        if comp_flows:
-            self._solve(comp_flows, comp_links)
+            popped.append(link)
+            if link._enc is None:
+                self._encode(link)
+            members += len(link.flows)
+            for other in link._nbrs:
+                if other not in seen:
+                    seen.add(other)
+                    links.append(other)
+                    stack.append(other)
+        if members:
+            key: list = [len(dirty)]
+            for link in links:
+                key.append(link.uid)
+                key.append(link.capacity)
+                key += link._enc
+                key.append(-1)
+            self._solve(tuple(key), links, popped)
         self._schedule_wake()
+
+    def _encode(self, link: Link) -> None:
+        """Refresh ``link._enc`` and ``link._nbrs`` from its flows."""
+        enc = link._enc = tuple([f._cls for f in link.flows])
+        classes = dict.fromkeys(enc)
+        class_links = self._class_links
+        if len(classes) == 1:
+            link._nbrs = class_links[enc[0]]
+        else:
+            link._nbrs = tuple(dict.fromkeys(
+                chain.from_iterable([class_links[c] for c in classes])))
 
     # -- the max-min solve -----------------------------------------------------
 
-    def _signature(self, flows_l: list[Flow],
-                   links_l: list[Link]) -> tuple:
-        """Canonical content key of a solve's component.
+    def _solve(self, key: tuple, links: list[Link],
+               popped: list[Link]) -> None:
+        """Set the rates of every flow on ``links``, a closed component.
 
-        Captures everything the rate kernels read, in the exact iteration
-        order they read it: link capacities (in ``links`` order), per-flow
-        ``(weight, max_rate, link indices)`` (in ``flows`` order) and each
-        link's membership as flow indices (in ``link.flows`` insertion
-        order — the freeze loops walk that order, and float subtraction
-        order shapes the low bits of the computed rates).  Two isomorphic
-        configurations therefore share one entry, and the replayed vector
-        is bit-identical to what the kernel would recompute.
+        ``key`` is ``(n_dirty, then per link of links: uid, capacity, its
+        flows' classes, -1)``.  The -1 terminators make it parseable left
+        to right (uids, classes >= 0; capacities > 0), and replaying the
+        closure walk over it recovers the link order, the flow order and
+        every membership the kernel reads, so a key solved before replays
+        the bit-identical rates.  Otherwise the kernel runs over the flows
+        in visit order: the first occurrences along ``popped``.
         """
-        # One flat tuple instead of nested per-flow tuples: this runs on
-        # every solve request (hit or miss), and the flat encoding halves
-        # the allocation + hash-dispatch cost.  The two count prefixes and
-        # the -1 row terminators make the encoding parseable left-to-right
-        # (no field can be -1: capacities/weights > 0, max_rate/indices
-        # >= 0), hence injective over configurations.
-        parts: list = [len(links_l), len(flows_l)]
-        append = parts.append
-        link_idx = {}
-        for j, link in enumerate(links_l):
-            link_idx[id(link)] = j
-            append(link.capacity)
-        flow_idx = {}
-        for i, f in enumerate(flows_l):
-            flow_idx[id(f)] = i
-            append(f.weight)
-            append(f.max_rate)
-            for l in f.links:
-                append(link_idx[id(l)])
-            append(-1)
-        for link in links_l:
-            for f in link.flows:
-                append(flow_idx[id(f)])
-            append(-1)
-        return tuple(parts)
+        memo = self._memo
+        rates = memo.get(key)
+        if rates is not None:
+            self.memo_hits += 1
+            for link in links:
+                for f in link.flows:
+                    f._rate = rates[f._cls]
+            return
+        self.memo_misses += 1
+        flows = dict.fromkeys([f for link in popped for f in link.flows])
+        self._progressive_fill(flows, links)
+        if len(memo) >= _MEMO_MAX:
+            del memo[next(iter(memo))]  # FIFO: oldest insertion first
+        memo[key] = {f._cls: f._rate for f in flows}
 
-    def _solve(self, flows: _t.Iterable[Flow], links: _t.Iterable[Link]) -> None:
+    def _progressive_fill(self, flows: _t.Iterable[Flow],
+                        links: _t.Iterable[Link]) -> None:
         """Weighted max-min fair allocation via progressive filling.
 
         ``flows`` must be closed over ``links``: every flow crossing a link
         in ``links`` is in ``flows`` and vice versa.  Each flow's personal
         ``max_rate`` is honoured by treating it as a candidate bottleneck
-        alongside its links.  A component whose signature was solved
-        before replays the memoized rates instead of running the kernel.
+        alongside its links.  Counted as one solve.
         """
-        flows_l = list(flows)
-        links_l = list(links)
-        key = self._signature(flows_l, links_l)
-        memo = self._memo
-        rates = memo.get(key)
-        if rates is not None:
-            self.memo_hits += 1
-            for f, r in zip(flows_l, rates):
-                f._rate = r
-            return
-        self.memo_misses += 1
-        self._progressive_fill(flows_l, links_l)
-        if len(memo) >= _MEMO_MAX:
-            del memo[next(iter(memo))]  # FIFO: oldest insertion first
-        memo[key] = tuple(f._rate for f in flows_l)
-
-    def _progressive_fill(self, flows: _t.Iterable[Flow],
-                        links: _t.Iterable[Link]) -> None:
-        """Run the progressive-filling rate kernel (counted as one solve)."""
         self.solves += 1
         unfrozen = dict.fromkeys(flows)
         if len(unfrozen) == 1:
@@ -526,10 +552,18 @@ class FluidNetwork:
             self.env.cancel(self._wake_entry)
             self._wake_entry = None
         now = self.env.now
-        finished = [flow for flow in self._flows
-                    if flow.remaining <= _EPSILON_BYTES
-                    or (flow._rate > 0.0
-                        and now + flow.remaining / flow._rate <= now)]
+        finished: list[Flow] = []
+        horizon = math.inf
+        for flow in self._flows:
+            remaining = flow.remaining
+            if remaining <= _EPSILON_BYTES:
+                finished.append(flow)
+            elif flow._rate > 0.0:
+                eta = remaining / flow._rate
+                if now + eta <= now:
+                    finished.append(flow)
+                elif eta < horizon:
+                    horizon = eta
         if finished:
             touched: list[Link] = []
             for flow in sorted(finished, key=lambda f: f.fid):
@@ -539,12 +573,6 @@ class FluidNetwork:
             # re-solves and re-enters here with the survivors
             self._mark_dirty(touched)
             return
-        horizon = math.inf
-        for flow in self._flows:
-            if flow._rate > 0.0:
-                candidate = flow.remaining / flow._rate
-                if candidate < horizon:
-                    horizon = candidate
         if not math.isfinite(horizon):
             return
         wake = Event(self.env, name="fluid.wake")

@@ -2,7 +2,7 @@
 
 :class:`FluidNetwork` defers each re-solve to a same-instant flush,
 restricts it to the touched connected component, and replays memoized
-rate vectors.  All three are wall-clock optimisations: none may change a
+component rates.  All three are wall-clock optimisations: none may change a
 simulated quantity.  The classes here drop them one at a time.
 
 * :class:`UnmemoizedFluidNetwork` keeps the deferred component-local
@@ -21,10 +21,13 @@ from repro.sim.fluid import FluidNetwork
 
 
 class UnmemoizedFluidNetwork(FluidNetwork):
-    """The shipped solver with the flow-set memo bypassed."""
+    """The shipped solver with the component memo bypassed."""
 
-    def _solve(self, flows, links) -> None:
-        self._progressive_fill(flows, links)
+    def _solve(self, key, links, popped) -> None:
+        # the shipped miss path's flow order: first occurrences along the
+        # closure walk's visit order
+        self._progressive_fill(
+            dict.fromkeys([f for link in popped for f in link.flows]), links)
 
 
 class EagerFluidNetwork(UnmemoizedFluidNetwork):
@@ -32,5 +35,5 @@ class EagerFluidNetwork(UnmemoizedFluidNetwork):
 
     def _mark_dirty(self, links) -> None:
         # never sets ``_dirty``: rates are current the moment this returns
-        self._solve(self._flows, self._links.values())
+        self._progressive_fill(self._flows, self._links.values())
         self._schedule_wake()

@@ -1,13 +1,13 @@
-"""Flow-set-signature memo: replay correctness, invalidation, oracle check.
+"""Component memo: replay correctness, invalidation, oracle check.
 
-The memo replays cached max-min rate vectors for previously seen component
+The memo replays cached max-min rates for previously seen component
 configurations.  Correctness rests on two claims these tests pin down:
 
 * rates depend only on the component *structure* (capacities, weights,
   per-flow caps, membership order) — never on remaining bytes — so a
   repeated phase may replay, and the replayed vector is what the kernel
   would recompute bit-for-bit;
-* any mutation of that structure changes the signature, so stale entries
+* any mutation of that structure changes the key, so stale entries
   can never be served (content keying subsumes invalidation).
 
 The eager oracle never memoizes: the replay scenario is cross-checked
@@ -109,19 +109,43 @@ def test_weight_and_cap_changes_invalidate() -> None:
 
 def test_membership_order_is_part_of_the_signature() -> None:
     # same flow multiset, different link.flows insertion order: the freeze
-    # loop walks that order, so the signatures must be distinct entries
+    # loop walks that order, so the two configurations must be distinct
+    # memo entries (two misses, no replay)
     env = Environment()
     net = FluidNetwork(env)
     link = net.add_link("port", 60e9)
     a = net.start_flow(1e9, [link], weight=1.0, max_rate=5e9)
     b = net.start_flow(1e9, [link], weight=2.0)
-    sig_ab = net._signature([a, b], [link])
+    assert (a.rate, b.rate) == (5e9, 55e9)
+    assert (net.memo_hits, net.memo_misses) == (0, 1)
     env.run(env.all_of([a.done, b.done]))
+    hits, misses = net.memo_hits, net.memo_misses
     c = net.start_flow(1e9, [link], weight=2.0)
     d = net.start_flow(1e9, [link], weight=1.0, max_rate=5e9)
-    sig_cd = net._signature([c, d], [link])
+    assert (c.rate, d.rate) == (55e9, 5e9)
+    assert (net.memo_hits, net.memo_misses) == (hits, misses + 1)
     env.run(env.all_of([c.done, d.done]))
-    assert sig_ab != sig_cd
+
+
+def test_dirty_set_is_part_of_the_key() -> None:
+    # the closure walk starts from the dirty links, and its visit order is
+    # the kernel's flow order: the same component reached from a different
+    # dirty set is a separate entry even when every membership matches
+    env = Environment()
+    net = FluidNetwork(env)
+    a, b = net.add_link("a", 60e9), net.add_link("b", 40e9)
+    first = [net.start_flow(4e9, [a, b]) for _ in range(2)]
+    assert first[0].rate == 20e9
+    assert (net.memo_hits, net.memo_misses) == (0, 1)  # dirty {a, b}
+    env.run(env.all_of([f.done for f in first]))
+    second = [net.start_flow(4e9, [a, b]) for _ in range(2)]
+    short = net.start_flow(1e6, [a])
+    assert second[0].rate == 20e9
+    assert (net.memo_hits, net.memo_misses) == (0, 2)  # + the short flow
+    env.run(short.done)
+    assert second[0].rate == 20e9  # settles the departure: dirty {a} alone
+    assert (net.memo_hits, net.memo_misses) == (0, 3)
+    env.run(env.all_of([f.done for f in second]))
 
 
 def test_memo_is_fifo_bounded() -> None:

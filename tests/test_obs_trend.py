@@ -27,6 +27,26 @@ class TestCollect:
         write_bench_file(tmp_path, "ok", {"s": {"m": 1.0}})
         assert set(collect_bench_files(tmp_path)) == {"ok"}
 
+    def test_folds_e2e_run_medians(self, tmp_path):
+        run = {"seed": 0, "python": "3.11", "correct": True,
+               "units": {"wall_s": "s"},
+               "workloads": {"fig9-matmul": {
+                   "wall_s": {"median": 0.9, "q1": 0.8, "q3": 1.0, "n": 5},
+                   "peak_rss_mb": {"median": 49.0, "q1": 48.0, "q3": 50.0,
+                                   "n": 5}}}}
+        (tmp_path / "BENCH_e2e.json").write_text(json.dumps(run))
+        e2e = collect_bench_files(tmp_path)["e2e"]
+        assert e2e["metrics"] == {"fig9-matmul": {"wall_s": 0.9,
+                                                  "peak_rss_mb": 49.0}}
+        record = append_history("c1", directory=tmp_path,
+                                path=tmp_path / "h.jsonl")
+        html = render_trend_html([record])
+        assert "e2e fig9-matmul wall (s)" in html
+
+    def test_e2e_file_without_workloads_is_skipped(self, tmp_path):
+        (tmp_path / "BENCH_e2e.json").write_text(json.dumps({"seed": 0}))
+        assert collect_bench_files(tmp_path) == {}
+
     def test_repo_has_bench_files_to_collect(self):
         # the committed snapshots feed the CI trend job
         assert "probe" in collect_bench_files()
