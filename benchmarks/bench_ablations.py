@@ -74,7 +74,7 @@ def test_ablation_memcpy_beats_migrate_pages(benchmark):
 def _matmul_time(eviction):
     built = OOCRuntimeBuilder(
         "multi-io", cores=64, mcdram_capacity=GiB, ddr_capacity=6 * GiB,
-        eviction=eviction, trace=False).build()
+        eviction=eviction).build()
     cfg = MatMulConfig.for_working_set(int(2.25 * GiB), block_dim=96)
     app = MatMul(built, cfg)
     return app.run().total_time
@@ -93,7 +93,7 @@ def test_ablation_eviction_policy_on_reuse_workload(benchmark):
 def _stencil_time(node_level):
     built = OOCRuntimeBuilder(
         "multi-io", cores=64, mcdram_capacity=GiB, ddr_capacity=6 * GiB,
-        node_level_run_queue=node_level, trace=False).build()
+        node_level_run_queue=node_level).build()
     cfg = StencilConfig(total_bytes=2 * GiB, block_bytes=4 * MiB,
                         iterations=3)
     app = Stencil3D(built, cfg)
@@ -117,7 +117,7 @@ def test_ablation_cluster_mode(benchmark):
     def run(mode):
         built = OOCRuntimeBuilder(
             "multi-io", cores=64, mcdram_capacity=GiB, ddr_capacity=6 * GiB,
-            cluster_mode=mode, trace=False).build()
+            cluster_mode=mode).build()
         cfg = StencilConfig(total_bytes=2 * GiB, block_bytes=4 * MiB,
                             iterations=3)
         return Stencil3D(built, cfg).run().total_time
@@ -138,7 +138,7 @@ def _spmv_fit_speedup(eviction):
     for strategy, policy in (("ddr-only", None), ("multi-io", eviction)):
         built = OOCRuntimeBuilder(
             strategy, cores=32, mcdram_capacity=256 * MiB,
-            ddr_capacity=4 * GiB, eviction=policy, trace=False).build()
+            ddr_capacity=4 * GiB, eviction=policy).build()
         times[strategy] = SpMV(built, cfg).run().total_time
     return times["ddr-only"] / times["multi-io"]
 

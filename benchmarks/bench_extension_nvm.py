@@ -27,12 +27,12 @@ def _speedup(machine_config=None):
     times = {}
     for strategy in ("naive", "multi-io"):
         if machine_config is not None:
-            built = OOCRuntimeBuilder(strategy, trace=False,
+            built = OOCRuntimeBuilder(strategy,
                                       machine_config=machine_config).build()
         else:
             built = OOCRuntimeBuilder(strategy, cores=64,
                                       mcdram_capacity=FAST,
-                                      ddr_capacity=SLOW, trace=False).build()
+                                      ddr_capacity=SLOW).build()
         cfg = StencilConfig(total_bytes=TOTAL, block_bytes=BLOCK,
                             iterations=3)
         times[strategy] = Stencil3D(built, cfg).run().total_time

@@ -1,7 +1,8 @@
 """Probe overhead guard (``BENCH_probe.json``).
 
-Every observer — simsan, racesan, the metrics subscriber and the span
-tracer — watches the runtime through the probe points of
+Every observer — simsan, racesan, the metrics subscriber, the span
+tracer and the Projections interval tracer — watches the runtime
+through the probe points of
 :mod:`repro.hooks`.  With nothing subscribed, each point costs a single
 module-global ``is not None`` test.  This bench times one hook-heavy
 workload, a 1 GiB Stencil3D run under multi-io on 16 cores, where every
@@ -17,7 +18,8 @@ evict continuously, in these lanes:
   ``racesan`` (a :class:`~repro.race.RaceSanitizer` with stack capture
   off, to measure the algorithm rather than the traceback module) and
   ``spans`` (a :class:`~repro.obs.SpanTracer` plus a critical-path walk
-  of its result).
+  of its result) and ``projections`` (a :class:`~repro.trace.Tracer`
+  alone, the Figure 5/6 interval recorder).
 
 Every lane sample is timed right after a fresh ``baseline`` sample, and
 a lane's ratio is the median over rounds of these adjacent pairs.  On a
@@ -63,6 +65,8 @@ CEILINGS = {
     "racesan": 2.5 + NOISE_EPSILON,
     # a causal DAG per task/fetch/evict plus the critical-path walk
     "spans": 2.0 + NOISE_EPSILON,
+    # one interval record per execute/fetch/evict/queue-op: metrics' bound
+    "projections": 1.3 + NOISE_EPSILON,
 }
 LANES = ("baseline", *CEILINGS)
 ROUNDS = 7
@@ -77,9 +81,8 @@ def run_stencil(lane: str) -> dict[str, _t.Any]:
         racesan = RaceSanitizer(stacks=False).install(env)
     built = OOCRuntimeBuilder("multi-io", cores=16,
                               mcdram_capacity=256 * MiB,
-                              ddr_capacity=2 * GiB,
-                              trace=False).build_into(env)
-    simsan = session = tracer = None
+                              ddr_capacity=2 * GiB).build_into(env)
+    simsan = session = tracer = projections = None
     if lane == "simsan":
         from repro.lint import SimSanitizer
         simsan = SimSanitizer(mode="record").install(built.manager)
@@ -89,6 +92,9 @@ def run_stencil(lane: str) -> dict[str, _t.Any]:
     elif lane == "spans":
         from repro.obs import SpanTracer
         tracer = SpanTracer(env).install()
+    elif lane == "projections":
+        from repro.trace import Tracer
+        projections = Tracer(env).install()
     try:
         cfg = StencilConfig(total_bytes=GiB, block_bytes=16 * MiB,
                             iterations=3)
@@ -96,7 +102,7 @@ def run_stencil(lane: str) -> dict[str, _t.Any]:
         if simsan is not None:
             assert built.manager.check_quiescent() == 0
     finally:
-        for observer in (simsan, racesan, tracer):
+        for observer in (simsan, racesan, tracer, projections):
             if observer is not None:
                 observer.uninstall()
         if session is not None:
@@ -118,6 +124,9 @@ def run_stencil(lane: str) -> dict[str, _t.Any]:
                 "spans_path_steps": float(len(report.steps)),
                 "spans_makespan_s": report.makespan,
                 "spans_compute_share": report.share("compute")}
+    if projections is not None:
+        return {"projections_events": float(len(projections)),
+                "projections_samples": float(len(projections.occupancy))}
     return {}
 
 
@@ -155,6 +164,9 @@ def measure() -> dict[str, _t.Any]:
     assert record["spans"] > 0 and record["spans_path_steps"] > 0
     # the decomposition stays conservative on the bench workload too
     assert 0.0 <= record["spans_compute_share"] <= 1.0
+    # the interval tracer sees every span the causal tracer closes
+    assert record["projections_events"] == record["spans"]
+    assert record["projections_samples"] > 0
     assert digest.get("repro_moved_bytes_total", 0) > 0
     print("\nprobe overhead, median of", ROUNDS, "pairs: baseline "
           f"{record['baseline_s'] * 1e3:.1f}ms   " + "   ".join(
@@ -199,6 +211,10 @@ def test_race_overhead_is_bounded(measured) -> None:
 
 def test_span_overhead_is_bounded(measured) -> None:
     check(measured, "spans")
+
+
+def test_projections_overhead_is_bounded(measured) -> None:
+    check(measured, "projections")
 
 
 if __name__ == "__main__":  # pragma: no cover - snapshot refresh

@@ -28,7 +28,7 @@ DDR = 96 * GiB // SCALE
 
 def flat_prefetch_time(total, block):
     built = OOCRuntimeBuilder("multi-io", cores=64, mcdram_capacity=MCDRAM,
-                              ddr_capacity=DDR, trace=False).build()
+                              ddr_capacity=DDR).build()
     cfg = StencilConfig(total_bytes=total, block_bytes=block, iterations=5)
     return Stencil3D(built, cfg).run().total_time
 

@@ -17,7 +17,7 @@ def main():
     for strategy in ("hbm-only", "multi-io"):
         built = OOCRuntimeBuilder(
             strategy, cores=16, mcdram_capacity=1 * GiB,
-            ddr_capacity=2 * GiB, trace=False).build()
+            ddr_capacity=2 * GiB).build()
         cfg = JacobiConfig(chare_grid=6, block_bytes=16 * MiB,
                            tolerance=5e-3, max_iterations=200)
         result = Jacobi2D(built, cfg, seed=1).run()

@@ -20,8 +20,7 @@ STRATEGIES = ["naive", "ddr-only", "single-io", "no-io", "multi-io"]
 
 def run(strategy, total_ws):
     built = OOCRuntimeBuilder(
-        strategy, cores=64, mcdram_capacity=MCDRAM, ddr_capacity=DDR,
-        trace=False).build()
+        strategy, cores=64, mcdram_capacity=MCDRAM, ddr_capacity=DDR).build()
     cfg = MatMulConfig.for_working_set(total_ws, block_dim=96)
     app = MatMul(built, cfg)
     result = app.run()

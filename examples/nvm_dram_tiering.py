@@ -19,11 +19,11 @@ BLOCK = 4 * MiB
 
 def run(strategy, machine_config=None):
     if machine_config is not None:
-        built = OOCRuntimeBuilder(strategy, trace=False,
+        built = OOCRuntimeBuilder(strategy,
                                   machine_config=machine_config).build()
     else:
         built = OOCRuntimeBuilder(strategy, cores=64, mcdram_capacity=FAST,
-                                  ddr_capacity=SLOW, trace=False).build()
+                                  ddr_capacity=SLOW).build()
     cfg = StencilConfig(total_bytes=TOTAL, block_bytes=BLOCK, iterations=5)
     return Stencil3D(built, cfg).run()
 

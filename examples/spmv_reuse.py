@@ -24,8 +24,7 @@ DDR = 4 * GiB
 
 def run(strategy, block_rows, eviction=None):
     built = OOCRuntimeBuilder(strategy, cores=32, mcdram_capacity=HBM,
-                              ddr_capacity=DDR, eviction=eviction,
-                              trace=False).build()
+                              ddr_capacity=DDR, eviction=eviction).build()
     cfg = SpMVConfig(block_rows=block_rows, block_bytes=4 * MiB,
                      iterations=8)
     return SpMV(built, cfg).run()

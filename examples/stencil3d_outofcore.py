@@ -9,6 +9,7 @@ the laggard (the paper's Figure 5 comparison).
 """
 
 from repro import OOCRuntimeBuilder, Stencil3D, StencilConfig
+from repro.trace import Tracer
 from repro.trace.projections import build_report
 from repro.trace.render import render_usage_bars
 from repro.units import GiB, MiB, format_time
@@ -23,13 +24,20 @@ STRATEGIES = ["naive", "ddr-only", "single-io", "no-io", "multi-io"]
 
 
 def run(strategy, trace=False):
+    """One run; with ``trace``, also the Projections tracer that saw it."""
     built = OOCRuntimeBuilder(
-        strategy, cores=64, mcdram_capacity=MCDRAM, ddr_capacity=DDR,
-        trace=trace).build()
+        strategy, cores=64, mcdram_capacity=MCDRAM, ddr_capacity=DDR).build()
     cfg = StencilConfig(total_bytes=TOTAL, block_bytes=BLOCK,
                         iterations=ITERATIONS)
-    app = Stencil3D(built, cfg)
-    return built, app.run()
+    # subscribe the tracer for this run only; the finally keeps it from
+    # seeing any later run
+    tracer = Tracer(built.env).install() if trace else None
+    try:
+        result = Stencil3D(built, cfg).run()
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    return built, result, tracer
 
 
 def main():
@@ -37,7 +45,7 @@ def main():
           f"{BLOCK // MiB} MiB blocks, {ITERATIONS} iterations\n")
     times = {}
     for strategy in STRATEGIES:
-        built, result = run(strategy)
+        built, result, _ = run(strategy)
         times[strategy] = result.total_time
         print(f"{strategy:10s} total={format_time(result.total_time):>10s} "
               f"kernel/task={format_time(result.mean_kernel_time):>10s} "
@@ -52,8 +60,8 @@ def main():
 
     print("\nProjections comparison (paper Figure 5): single vs multi IO")
     for strategy in ("single-io", "multi-io"):
-        built, _ = run(strategy, trace=True)
-        report = build_report(built.runtime.tracer)
+        _, _, tracer = run(strategy, trace=True)
+        report = build_report(tracer)
         print(f"\n[{strategy}] mean worker utilization "
               f"{report.mean_utilization():.1%}, wait fraction "
               f"{report.mean_wait_fraction():.1%}")

@@ -37,7 +37,7 @@ def through_runtime():
     for placement in ("ddr-only", "hbm-only"):
         built = OOCRuntimeBuilder(placement, cores=64,
                                   mcdram_capacity=16 * GiB,
-                                  ddr_capacity=96 * GiB, trace=False).build()
+                                  ddr_capacity=96 * GiB).build()
         cfg = StreamAppConfig(kernel="triad", array_bytes=64 * MiB,
                               chares=64, repeats=3)
         result = StreamApp(built, cfg).run()

@@ -103,6 +103,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import typing as _t
 
@@ -188,8 +190,41 @@ def _build(args: argparse.Namespace) -> _t.Any:
     return OOCRuntimeBuilder(
         args.strategy, cores=args.cores,
         mcdram_capacity=args.mcdram,
-        ddr_capacity=args.ddr,
-        trace=True).build()
+        ddr_capacity=args.ddr).build()
+
+
+def _check_observer_args(args: argparse.Namespace) -> None:
+    """Reject bad observer options before anything is simulated."""
+    interval = args.metrics_interval
+    if not interval > 0:
+        raise ConfigError(f"--metrics-interval must be > 0, got {interval:g}")
+    trace_out = args.trace_out
+    if trace_out:
+        parent = os.path.dirname(os.path.abspath(trace_out))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"--trace-out {trace_out}: "
+                              f"no such directory {parent}")
+
+
+@contextlib.contextmanager
+def _projections(args: argparse.Namespace, built: _t.Any, *,
+                 always: bool = False) -> _t.Iterator[_t.Any]:
+    """Subscribe a Projections :class:`~repro.trace.Tracer` for the app.
+
+    Only when something reads its intervals: ``--trace-out``, or
+    ``always`` (the stencil command renders HBM occupancy).  Wrap the
+    app's construction too, which already runs its setup phase.
+    """
+    if not (always or args.trace_out):
+        yield None
+        return
+    from repro.trace.tracer import Tracer
+
+    tracer = Tracer(built.env).install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
 
 
 def _start_sanitizer(args: argparse.Namespace) -> _t.Any:
@@ -331,7 +366,7 @@ def _finish_spans(tracer: _t.Any, built: _t.Any, window_start: float,
     return tracer.spans
 
 
-def _write_trace(args: argparse.Namespace, built: _t.Any, *,
+def _write_trace(args: argparse.Namespace, tracer: _t.Any, *,
                  counters: _t.Any = None, spans: _t.Any = None) -> None:
     """Write the merged Chrome trace when ``--trace-out`` was given."""
     trace_out = getattr(args, "trace_out", None)
@@ -339,8 +374,7 @@ def _write_trace(args: argparse.Namespace, built: _t.Any, *,
         return
     from repro.trace import export as trace_export
 
-    payload = trace_export.to_json(built.runtime.tracer,
-                                   counters=counters, spans=spans)
+    payload = trace_export.to_json(tracer, counters=counters, spans=spans)
     with open(trace_out, "w") as fh:
         fh.write(payload)
     # stderr: keep stdout machine-parseable under ``--format json/prom``
@@ -370,16 +404,14 @@ def _start_metrics(args: argparse.Namespace, built: _t.Any,
 
 def _finish_metrics(session: _t.Any, args: argparse.Namespace,
                     app: str, *, spans: _t.Any = None,
-                    built: _t.Any = None) -> None:
+                    tracer: _t.Any = None) -> None:
     """Stop the recorder and print the chosen export format.
 
-    Also writes the ``--trace-out`` Chrome trace; ``built`` lets the
-    trace be exported (with ``spans`` merged) when no metrics session
-    was open.
+    Also writes the ``--trace-out`` Chrome trace from ``tracer``'s
+    intervals, with the metrics counters and ``spans`` merged in.
     """
     if session is None:
-        if built is not None:
-            _write_trace(args, built, spans=spans)
+        _write_trace(args, tracer, spans=spans)
         return
     from repro.metrics import (counter_series, render_report, to_json,
                                to_prometheus)
@@ -392,7 +424,7 @@ def _finish_metrics(session: _t.Any, args: argparse.Namespace,
         print(to_json(session.registry, recorder, indent=2))
     else:
         print(render_report(session.registry, recorder, title=app))
-    _write_trace(args, session.built, counters=counter_series(recorder),
+    _write_trace(args, tracer, counters=counter_series(recorder),
                  spans=spans)
 
 
@@ -475,6 +507,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_stencil(args: argparse.Namespace) -> int:
+    _check_observer_args(args)
     code = _explore_or_replay(args, "stencil")
     if code is not None:
         return code
@@ -489,8 +522,8 @@ def _cmd_stencil(args: argparse.Namespace) -> int:
     cfg = StencilConfig(total_bytes=args.total,
                         block_bytes=args.block,
                         iterations=args.iterations)
-    app = Stencil3D(built, cfg)
-    result = app.run()
+    with _projections(args, built, always=True) as tracer:
+        result = Stencil3D(built, cfg).run()
     print(f"strategy        : {args.strategy}")
     print(f"chares          : {cfg.n_chares} "
           f"({format_size(cfg.block_bytes)} blocks)")
@@ -501,16 +534,17 @@ def _cmd_stencil(args: argparse.Namespace) -> int:
         print(f"{key:16s}: {value}")
     from repro.trace.occupancy import render_occupancy
     print("hbm occupancy   :")
-    print(render_occupancy(built.manager.occupancy_log,
+    print(render_occupancy(tracer.occupancy,
                            built.machine.hbm.capacity, width=60))
     span_list = _finish_spans(spans, built, window_start,
                               f"stencil/{args.strategy}")
-    _finish_metrics(metrics, args, "stencil", spans=span_list, built=built)
+    _finish_metrics(metrics, args, "stencil", spans=span_list, tracer=tracer)
     race_code = _finish_racesan(racesan)
     return max(race_code, _finish_sanitizer(sanitizer, built.manager))
 
 
 def _cmd_matmul(args: argparse.Namespace) -> int:
+    _check_observer_args(args)
     code = _explore_or_replay(args, "matmul")
     if code is not None:
         return code
@@ -524,8 +558,8 @@ def _cmd_matmul(args: argparse.Namespace) -> int:
     window_start = built.env.now
     cfg = MatMulConfig.for_working_set(args.working_set,
                                        block_dim=args.block_dim)
-    app = MatMul(built, cfg)
-    result = app.run()
+    with _projections(args, built) as tracer:
+        result = MatMul(built, cfg).run()
     print(f"strategy        : {args.strategy}")
     print(f"matrix          : {cfg.n} x {cfg.n} "
           f"({cfg.grid}x{cfg.grid} chares)")
@@ -535,12 +569,13 @@ def _cmd_matmul(args: argparse.Namespace) -> int:
         print(f"{key:16s}: {value}")
     span_list = _finish_spans(spans, built, window_start,
                               f"matmul/{args.strategy}")
-    _finish_metrics(metrics, args, "matmul", spans=span_list, built=built)
+    _finish_metrics(metrics, args, "matmul", spans=span_list, tracer=tracer)
     race_code = _finish_racesan(racesan)
     return max(race_code, _finish_sanitizer(sanitizer, built.manager))
 
 
 def _cmd_spmv(args: argparse.Namespace) -> int:
+    _check_observer_args(args)
     code = _explore_or_replay(args, "spmv")
     if code is not None:
         return code
@@ -558,8 +593,8 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
                      couplings=args.couplings,
                      iterations=args.iterations,
                      seed=args.matrix_seed)
-    app = SpMV(built, cfg)
-    result = app.run()
+    with _projections(args, built) as tracer:
+        result = SpMV(built, cfg).run()
     print(f"strategy        : {args.strategy}")
     print(f"block rows      : {cfg.block_rows} "
           f"({format_size(cfg.block_bytes)} matrix blocks, "
@@ -571,44 +606,48 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
         print(f"{key:16s}: {value}")
     span_list = _finish_spans(spans, built, window_start,
                               f"spmv/{args.strategy}")
-    _finish_metrics(metrics, args, "spmv", spans=span_list, built=built)
+    _finish_metrics(metrics, args, "spmv", spans=span_list, tracer=tracer)
     race_code = _finish_racesan(racesan)
     return max(race_code, _finish_sanitizer(sanitizer, built.manager))
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run one app under the telemetry subsystem and export the metrics."""
+    _check_observer_args(args)
     args.metrics = True
     built = _build(args)
     metrics = _start_metrics(args, built, args.app)
     spans = _start_spans(args, built)
     window_start = built.env.now
+    app_cls: type
     if args.app == "stencil":
+        app_cls = Stencil3D
         cfg = StencilConfig(total_bytes=args.total,
                             block_bytes=args.block,
                             iterations=args.iterations)
-        Stencil3D(built, cfg).run()
     elif args.app == "matmul":
+        app_cls = MatMul
         cfg = MatMulConfig.for_working_set(args.working_set,
                                            block_dim=args.block_dim)
-        MatMul(built, cfg).run()
     elif args.app == "spmv":
+        app_cls = SpMV
         cfg = SpMVConfig(block_rows=args.block_rows,
                          block_bytes=args.block_bytes,
                          vector_bytes=args.vector_bytes,
                          couplings=args.couplings,
                          iterations=args.iterations,
                          seed=args.matrix_seed)
-        SpMV(built, cfg).run()
     else:
         from repro.apps.stream_app import StreamApp, StreamAppConfig
 
+        app_cls = StreamApp
         cfg = StreamAppConfig(array_bytes=args.array,
                               chares=args.chares, repeats=args.repeats)
-        StreamApp(built, cfg).run()
+    with _projections(args, built) as tracer:
+        app_cls(built, cfg).run()
     span_list = _finish_spans(spans, built, window_start,
                               f"{args.app}/{args.strategy}")
-    _finish_metrics(metrics, args, args.app, spans=span_list, built=built)
+    _finish_metrics(metrics, args, args.app, spans=span_list, tracer=tracer)
     return 0
 
 

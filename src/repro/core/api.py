@@ -37,7 +37,6 @@ from repro.machine.node import MachineNode
 from repro.mem.allocator import PagedAllocator
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
-from repro.trace.tracer import Tracer
 from repro.units import GiB
 
 __all__ = ["OOCRuntimeBuilder", "BuiltRuntime"]
@@ -68,7 +67,6 @@ class OOCRuntimeBuilder:
                  node_level_run_queue: bool = False,
                  allocator_cls: type = PagedAllocator,
                  message_latency: float = 2e-6,
-                 trace: bool = True,
                  strategy_kwargs: dict[str, _t.Any] | None = None,
                  machine_config: MachineConfig | None = None):
         #: explicit machine description; overrides the KNL knobs when set
@@ -86,7 +84,6 @@ class OOCRuntimeBuilder:
         self.node_level_run_queue = node_level_run_queue
         self.allocator_cls = allocator_cls
         self.message_latency = message_latency
-        self.trace = trace
         self.strategy_kwargs = strategy_kwargs or {}
 
     def build(self) -> BuiltRuntime:
@@ -96,8 +93,8 @@ class OOCRuntimeBuilder:
     def build_into(self, env: Environment) -> BuiltRuntime:
         """Build a complete stack bound to an existing environment.
 
-        Used by :class:`repro.cluster.Cluster` to place several nodes in
-        one simulation.
+        Lets a caller prepare the environment first, e.g. install a
+        seeded tie-breaker or an observer that needs the env.
         """
         if self.machine_config is not None:
             machine = build_machine(env, self.machine_config,
@@ -109,9 +106,7 @@ class OOCRuntimeBuilder:
                 mcdram_capacity=self.mcdram_capacity,
                 ddr_capacity=self.ddr_capacity,
                 allocator_cls=self.allocator_cls)
-        tracer = Tracer(env, enabled=self.trace)
-        runtime = CharmRuntime(machine, tracer=tracer,
-                               message_latency=self.message_latency)
+        runtime = CharmRuntime(machine, message_latency=self.message_latency)
         if isinstance(self.strategy_spec, Strategy):
             strategy = self.strategy_spec
         else:

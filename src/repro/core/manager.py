@@ -20,7 +20,6 @@ from repro.runtime.message import Message
 from repro.runtime.pe import PE
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.events import Event
-from repro.trace.events import TraceCategory
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.strategies.base import Strategy
@@ -29,7 +28,7 @@ __all__ = ["OOCManager"]
 
 
 class OOCManager:
-    """Glue between the runtime, a strategy, the tracker and the tracer."""
+    """Glue between the runtime, a strategy and the HBM tracker."""
 
     def __init__(self, runtime: CharmRuntime, strategy: "Strategy", *,
                  eviction: EvictionPolicy | None = None,
@@ -42,7 +41,6 @@ class OOCManager:
         self.topology = self.machine.topology
         self.registry = self.machine.registry
         self.mover = self.machine.mover
-        self.tracer = runtime.tracer
         self.hbm = self.topology.hbm
         self.ddr = self.topology.ddr
         self.tracker = HBMTracker(self.hbm, headroom=hbm_headroom)
@@ -63,9 +61,6 @@ class OOCManager:
         #: Moves do not bump it, so a memo may lag a move until the next
         #: completion
         self.change_epoch = 0
-        #: (time, hbm bytes in use) samples, one per completed move, when
-        #: tracing is on — drives the occupancy timeline
-        self.occupancy_log: list[tuple[float, int]] = []
         #: active :class:`repro.lint.sanitizer.SimSanitizer`, or None (set
         #: by ``SimSanitizer.install(manager)``)
         self.sanitizer: _t.Any = None
@@ -135,9 +130,6 @@ class OOCManager:
         if self.queue_lock_cost > 0:
             started = self.env.now
             yield self.env.timeout(self.queue_lock_cost)
-            if self.tracer.enabled:
-                self.tracer.record(lane, TraceCategory.SCHEDULING,
-                                   started, self.env.now, label="queue-op")
             if _probe.on_queue_op is not None:
                 _probe.on_queue_op(lane, started, self.env.now)
 
@@ -168,10 +160,7 @@ class OOCManager:
         if current is not event:
             raise SchedulingError(
                 f"in-flight bookkeeping mismatch for {block.name!r}")
-        if self.tracer.enabled:
-            self.occupancy_log.append((self.env.now, self.hbm.used))
         if _probe.on_inflight_end is not None:
-            # sampled at exactly the occupancy-log points
             _probe.on_inflight_end(self.hbm.used)
         event.succeed(block)
 

@@ -161,9 +161,6 @@ class Strategy:
                 mgr.end_inflight(block, done_event)
         self.fetches += 1
         self.bytes_fetched += block.nbytes
-        if mgr.tracer.enabled:
-            mgr.tracer.record(lane, category, started, mgr.env.now,
-                              label=f"fetch {block.name}")
         if _probe.on_fetch is not None:
             _probe.on_fetch(block, lane, category, started, mgr.env.now)
         return True
@@ -198,9 +195,6 @@ class Strategy:
         block.last_evicted_at = mgr.env.now
         self.evictions += 1
         self.bytes_evicted += block.nbytes
-        if mgr.tracer.enabled:
-            mgr.tracer.record(lane, category, started, mgr.env.now,
-                              label=f"evict {block.name}")
         if _probe.on_evict is not None:
             _probe.on_evict(block, lane, category, started, mgr.env.now,
                             reason)

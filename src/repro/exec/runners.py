@@ -68,8 +68,7 @@ def _build(params: _t.Mapping[str, _t.Any]) -> _t.Any:
     builder = OOCRuntimeBuilder(
         params["strategy"], cores=int(params["cores"]),
         mcdram_capacity=int(params["mcdram"]),
-        ddr_capacity=int(params["ddr"]),
-        trace=bool(params.get("trace", False)))
+        ddr_capacity=int(params["ddr"]))
     replicate = int(params.get("replicate", 0))
     if replicate == 0:
         return builder.build()
@@ -87,21 +86,31 @@ def _build(params: _t.Mapping[str, _t.Any]) -> _t.Any:
 
 
 def run_stencil_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One Stencil3D run; traced runs add Projections-report metrics."""
+    """One Stencil3D run; traced runs add Projections-report metrics.
+
+    A traced run subscribes a :class:`~repro.trace.Tracer` for the app
+    run only, so no later run in this process sees its probe points.
+    """
     from repro.apps.stencil3d import Stencil3D, StencilConfig
+    from repro.trace.tracer import Tracer
 
     built = _build(params)
     cfg = StencilConfig(total_bytes=int(params["total"]),
                         block_bytes=int(params["block"]),
                         iterations=int(params["iterations"]))
-    result = Stencil3D(built, cfg).run()
+    tracer = Tracer(built.env).install() if params.get("trace") else None
+    try:
+        result = Stencil3D(built, cfg).run()
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
     out = {"total_time": result.total_time,
            "mean_iteration_time": result.mean_iteration_time,
            "mean_kernel_time": result.mean_kernel_time}
-    if params.get("trace"):
+    if tracer is not None:
         from repro.trace.projections import build_report
 
-        report = build_report(built.runtime.tracer)
+        report = build_report(tracer)
         tasks_per_pe = {f"pe{pe.id}": pe.tasks_executed
                         for pe in built.runtime.pes}
         out["wait_fraction"] = report.mean_wait_fraction()

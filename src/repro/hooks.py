@@ -1,9 +1,9 @@
 """The probe: one catalogue of notify-only points every observer shares.
 
 Every observer of a run — the simsan invariant sanitizer, the racesan
-happens-before detector, the causal span tracer and the metrics
-subscriber — watches the runtime through the module globals below, one
-per *probe point*.  A point is named after the ``on_*`` method an
+happens-before detector, the causal span tracer, the metrics subscriber
+and the Projections interval tracer — watches the runtime through the
+module globals below, one per *probe point*.  A point is named after the ``on_*`` method an
 observer implements, and its global holds
 
 * ``None`` when no subscriber implements that method (the default);

@@ -274,7 +274,7 @@ def stencil_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
 
         built = OOCRuntimeBuilder(
             _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr, trace=False).build_into(env)
+            ddr_capacity=ddr).build_into(env)
         _permute_io_order(built.strategy, rng)
         cfg = StencilConfig(total_bytes=total, block_bytes=block,
                             iterations=iterations)
@@ -295,7 +295,7 @@ def spmv_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
 
         built = OOCRuntimeBuilder(
             _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr, trace=False).build_into(env)
+            ddr_capacity=ddr).build_into(env)
         _permute_io_order(built.strategy, rng)
         cfg = SpMVConfig(block_rows=block_rows, block_bytes=block_bytes,
                          vector_bytes=vector_bytes, couplings=couplings,
@@ -316,7 +316,7 @@ def matmul_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
 
         built = OOCRuntimeBuilder(
             _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr, trace=False).build_into(env)
+            ddr_capacity=ddr).build_into(env)
         _permute_io_order(built.strategy, rng)
         cfg = MatMulConfig.for_working_set(working_set, block_dim=block_dim)
         MatMul(built, cfg).run()

@@ -16,7 +16,6 @@ from repro.errors import EntryMethodError
 from repro.runtime.interception import ReadyTask, RetryFetch
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
-from repro.trace.events import TraceCategory
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import CharmRuntime
@@ -60,12 +59,6 @@ def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
     pe.note_busy(elapsed)
     pe.tasks_executed += 1
     chare._measured_load += elapsed
-    if runtime.tracer.enabled:
-        # guard here, not in record(): the lane/label f-strings are the
-        # expensive part on the hot path (mirrors the hook-slot discipline)
-        runtime.tracer.record(f"pe{pe.id}", TraceCategory.EXECUTE,
-                              started, runtime.env.now,
-                              label=f"{chare.label}.{spec.name}")
     if _probe.on_execute_end is not None:
         _probe.on_execute_end(pe.id, message, task, started,
                               runtime.env.now, f"{chare.label}.{spec.name}")

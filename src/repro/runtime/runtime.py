@@ -14,7 +14,6 @@ from repro.runtime.message import Message
 from repro.runtime.pe import PE
 from repro.runtime.reduction import Reducer
 from repro.sim.events import Event
-from repro.trace.tracer import Tracer
 
 __all__ = ["CharmRuntime"]
 
@@ -31,8 +30,7 @@ class CharmRuntime:
 
     def __init__(self, machine: MachineNode, *,
                  n_pes: int | None = None,
-                 message_latency: float = 2e-6,
-                 tracer: Tracer | None = None):
+                 message_latency: float = 2e-6):
         self.machine = machine
         self.env = machine.env
         if n_pes is None:
@@ -42,7 +40,6 @@ class CharmRuntime:
                 f"n_pes must be in [1, {len(machine.cores)}], got {n_pes}")
         #: fixed per-message delivery latency (intra-node)
         self.message_latency = message_latency
-        self.tracer = tracer if tracer is not None else Tracer(self.env)
         self.pes: list[PE] = [PE(self.env, i, machine.cores[i])
                               for i in range(n_pes)]
         #: the OOC manager, installed by :meth:`install_interceptor`

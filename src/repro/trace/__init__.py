@@ -6,6 +6,17 @@ IO threads) and Figure 6 (synchronous fetch overhead vs asynchronous).
 This package records the same information from the simulation: typed,
 per-PE time intervals, aggregated into utilisation/wait breakdowns, an
 ASCII timeline renderer, and JSON/CSV export.
+
+:class:`Tracer` is a subscriber of the probe (:mod:`repro.hooks`).  The
+code that reads its intervals subscribes it for one run and
+unsubscribes it in a ``finally``::
+
+    tracer = Tracer(built.env).install()
+    try:
+        Stencil3D(built, cfg).run()
+    finally:
+        tracer.uninstall()
+    report = build_report(tracer)
 """
 
 from repro.trace.events import TraceCategory, TraceEvent

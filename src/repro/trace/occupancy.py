@@ -2,7 +2,9 @@
 
 The paper's IO scheduler "keeps track of the HBM memory in use out of the
 total 16GB"; this module renders that ledger over time — the one-line
-answer to "was HBM actually full?" when a strategy underperforms.
+answer to "was HBM actually full?" when a strategy underperforms.  The
+``(time, used)`` log is a subscribed :class:`~repro.trace.Tracer`'s
+``occupancy``, one sample per completed move.
 """
 
 from __future__ import annotations

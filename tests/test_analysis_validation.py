@@ -105,7 +105,7 @@ class TestStencilAgainstSim:
         """DDR-only Stencil3D iteration time ≈ the analytic blend."""
         built = OOCRuntimeBuilder("ddr-only", cores=64,
                                   mcdram_capacity=GiB,
-                                  ddr_capacity=6 * GiB, trace=False).build()
+                                  ddr_capacity=6 * GiB).build()
         cfg = StencilConfig(total_bytes=2 * GiB, block_bytes=8 * MiB,
                             iterations=3)
         app = Stencil3D(built, cfg)
@@ -124,7 +124,7 @@ class TestStencilAgainstSim:
         and land within ~25%% of it (overlap quality)."""
         built = OOCRuntimeBuilder("multi-io", cores=64,
                                   mcdram_capacity=GiB,
-                                  ddr_capacity=6 * GiB, trace=False).build()
+                                  ddr_capacity=6 * GiB).build()
         cfg = StencilConfig(total_bytes=2 * GiB, block_bytes=4 * MiB,
                             iterations=3)
         result = Stencil3D(built, cfg).run()
@@ -143,7 +143,7 @@ class TestStencilAgainstSim:
         for strategy in ("naive", "multi-io"):
             built = OOCRuntimeBuilder(strategy, cores=64,
                                       mcdram_capacity=hbm,
-                                      ddr_capacity=ddr, trace=False).build()
+                                      ddr_capacity=ddr).build()
             cfg = StencilConfig(total_bytes=2 * GiB, block_bytes=4 * MiB,
                                 iterations=3)
             results[strategy] = Stencil3D(built, cfg).run().total_time

@@ -41,10 +41,6 @@ class TestBuilder:
                                   ddr_capacity="2GiB").build()
         assert built.machine.hbm.capacity == 512 * MiB
 
-    def test_trace_flag(self):
-        assert OOCRuntimeBuilder(cores=2, trace=False).build() \
-            .runtime.tracer.enabled is False
-
     def test_memory_and_cluster_modes(self):
         built = OOCRuntimeBuilder(
             "naive", cores=2, cluster_mode=ClusterMode.QUADRANT).build()

@@ -11,7 +11,7 @@ from repro.units import GiB, MiB
 def builder(strategy, cores=8, **kwargs):
     return OOCRuntimeBuilder(strategy, cores=cores,
                              mcdram_capacity=256 * MiB,
-                             ddr_capacity=2 * GiB, trace=False, **kwargs)
+                             ddr_capacity=2 * GiB, **kwargs)
 
 
 class TestStencilTraffic:

@@ -17,7 +17,7 @@ DDR = 2 * GiB
 
 def builder(strategy, cores=8, **kwargs):
     return OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
-                             ddr_capacity=DDR, trace=False, **kwargs)
+                             ddr_capacity=DDR, **kwargs)
 
 
 class TestMatMulConfig:

@@ -12,7 +12,7 @@ from repro.units import GiB, MiB
 def builder(strategy, cores=8, **kwargs):
     return OOCRuntimeBuilder(strategy, cores=cores,
                              mcdram_capacity=128 * MiB,
-                             ddr_capacity=2 * GiB, trace=False, **kwargs)
+                             ddr_capacity=2 * GiB, **kwargs)
 
 
 class TestSpMVConfig:

@@ -14,7 +14,7 @@ DDR = 2 * GiB
 def run_stencil(strategy, *, total=512 * MiB, block=32 * MiB, iterations=2,
                 cores=8, **kwargs):
     built = OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
-                              ddr_capacity=DDR, trace=False, **kwargs).build()
+                              ddr_capacity=DDR, **kwargs).build()
     cfg = StencilConfig(total_bytes=total, block_bytes=block,
                         iterations=iterations)
     app = Stencil3D(built, cfg)

@@ -2,8 +2,9 @@
 
 Sizes are parsed by argparse ``type=`` converters (a usage error);
 counts are validated by the app configs, replicate, job and schedule
-counts, figure/app names and the trend history path by the commands,
-all raising a ``ConfigError`` the CLI catches once in ``main``.
+counts, figure/app names, the trend history path, the metrics interval
+and the ``--trace-out`` directory by the commands, all raising a
+``ConfigError`` the CLI catches once in ``main``.
 Neither path may end in a traceback.
 """
 
@@ -40,6 +41,14 @@ CASES = [
     ("trend-history",
      ["trend", "render", "--history", "no-such-history.jsonl"],
      "no-such-history.jsonl"),
+    ("stencil-metrics-interval",
+     ["stencil", "--metrics", "--metrics-interval", "0"], "0"),
+    ("metrics-interval",
+     ["metrics", "--app", "stencil", "--metrics-interval", "-0.5"], "-0.5"),
+    ("stencil-trace-out",
+     ["stencil", "--trace-out", "no-such-dir/t.json"], "no-such-dir/t.json"),
+    ("matmul-trace-out",
+     ["matmul", "--trace-out", "no-such-dir/m.json"], "no-such-dir/m.json"),
 ]
 
 

@@ -31,9 +31,10 @@ class Worker(Chare):
         reducer.contribute()
 
 
-def build(strategy="multi-io", **kwargs):
-    return OOCRuntimeBuilder(strategy, cores=4, mcdram_capacity=HBM,
-                             ddr_capacity=DDR, **kwargs).build()
+def build(strategy="multi-io", env=None, **kwargs):
+    builder = OOCRuntimeBuilder(strategy, cores=4, mcdram_capacity=HBM,
+                                ddr_capacity=DDR, **kwargs)
+    return builder.build() if env is None else builder.build_into(env)
 
 
 class TestWiring:
@@ -105,9 +106,16 @@ class TestAccountingAndSummary:
         assert summary["hbm_peak_used"] > 0
 
     def test_queue_lock_cost_traced(self):
-        built = self.run_once(queue_lock_cost=1e-6)
+        from repro.sim.environment import Environment
         from repro.trace.events import TraceCategory
-        assert built.runtime.tracer.total_time(TraceCategory.SCHEDULING) > 0
+        from repro.trace.tracer import Tracer
+        env = Environment()
+        tracer = Tracer(env).install()
+        try:
+            self.run_once(queue_lock_cost=1e-6, env=env)
+        finally:
+            tracer.uninstall()
+        assert tracer.total_time(TraceCategory.SCHEDULING) > 0
 
     def test_zero_queue_lock_cost_supported(self):
         built = self.run_once(queue_lock_cost=0.0)

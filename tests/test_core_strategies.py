@@ -17,6 +17,9 @@ from repro.errors import CapacityError, SchedulingError
 from repro.mem.block import BlockState
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
+from repro.sim.environment import Environment
+from repro.trace.events import TraceCategory
+from repro.trace.tracer import Tracer
 from repro.units import GiB, MiB
 
 HBM = 256 * MiB
@@ -39,9 +42,10 @@ class Worker(Chare):
 
 
 def run_app(strategy, *, chares=16, block=32 * MiB, rounds=2, cores=4,
-            **builder_kwargs):
-    built = OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
-                              ddr_capacity=DDR, **builder_kwargs).build()
+            env=None, **builder_kwargs):
+    builder = OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
+                                ddr_capacity=DDR, **builder_kwargs)
+    built = builder.build_into(Environment() if env is None else env)
     rt = built.runtime
     arr = rt.create_array(Worker, chares)
     barrier = rt.reducer(chares)
@@ -53,6 +57,17 @@ def run_app(strategy, *, chares=16, block=32 * MiB, rounds=2, cores=4,
         arr.broadcast("compute", red)
         rt.run_until(red.done)
     return built, arr
+
+
+def traced_lanes(strategy, category, **kwargs):
+    """Lanes of ``category`` intervals, from a Tracer subscribed to run_app."""
+    env = Environment()
+    tracer = Tracer(env).install()
+    try:
+        run_app(strategy, env=env, **kwargs)
+    finally:
+        tracer.uninstall()
+    return {e.lane for e in tracer.events if e.category is category}
 
 
 PREFETCH_STRATEGIES = ["single-io", "no-io", "multi-io"]
@@ -166,17 +181,11 @@ class TestStaticStrategies:
 class TestStrategySpecifics:
     def test_single_io_serialises_fetches(self):
         """One IO thread: fetch count equals total, all on lane io0."""
-        built, _ = run_app("single-io")
-        from repro.trace.events import TraceCategory
-        lanes = {e.lane for e in built.runtime.tracer.events
-                 if e.category is TraceCategory.IO_FETCH}
+        lanes = traced_lanes("single-io", TraceCategory.IO_FETCH)
         assert lanes == {"io0"}
 
     def test_multi_io_spreads_fetches(self):
-        built, _ = run_app("multi-io", cores=4)
-        from repro.trace.events import TraceCategory
-        lanes = {e.lane for e in built.runtime.tracer.events
-                 if e.category is TraceCategory.IO_FETCH}
+        lanes = traced_lanes("multi-io", TraceCategory.IO_FETCH, cores=4)
         assert len(lanes) > 1
 
     def test_multi_io_pins_io_threads_to_smt_siblings(self):
@@ -186,10 +195,7 @@ class TestStrategySpecifics:
             assert pinning[pe.id] == pe.core.smt_sibling().global_id
 
     def test_no_io_fetches_on_worker_lanes(self):
-        built, _ = run_app("no-io")
-        from repro.trace.events import TraceCategory
-        fetch_lanes = {e.lane for e in built.runtime.tracer.events
-                       if e.category is TraceCategory.PREPROCESS_FETCH}
+        fetch_lanes = traced_lanes("no-io", TraceCategory.PREPROCESS_FETCH)
         assert fetch_lanes and all(l.startswith("pe") for l in fetch_lanes)
 
     def test_no_io_charges_worker_overhead(self):
@@ -197,12 +203,10 @@ class TestStrategySpecifics:
         assert built.runtime.total_overhead_time() > 0
 
     def test_multi_io_worker_evict_mode(self):
-        built, _ = run_app("multi-io",
-                           strategy_kwargs={"evict_mode": "worker"})
-        from repro.trace.events import TraceCategory
-        evict_lanes = {e.lane for e in built.runtime.tracer.events
-                       if e.category is TraceCategory.POSTPROCESS_EVICT}
-        assert all(l.startswith("pe") for l in evict_lanes)
+        evict_lanes = traced_lanes("multi-io",
+                                   TraceCategory.POSTPROCESS_EVICT,
+                                   strategy_kwargs={"evict_mode": "worker"})
+        assert evict_lanes and all(l.startswith("pe") for l in evict_lanes)
 
     def test_multi_io_bad_evict_mode_rejected(self):
         from repro.errors import ConfigError

@@ -20,7 +20,7 @@ def runs():
     for strategy in STRATEGIES:
         built = OOCRuntimeBuilder(strategy, cores=8,
                                   mcdram_capacity=128 * MiB,
-                                  ddr_capacity=1 * GiB, trace=False).build()
+                                  ddr_capacity=1 * GiB).build()
         cfg = StencilConfig(total_bytes=256 * MiB, block_bytes=8 * MiB,
                             iterations=3)
         result = Stencil3D(built, cfg).run()

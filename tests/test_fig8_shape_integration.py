@@ -22,7 +22,7 @@ def times():
     out = {}
     for strategy in ("naive", "ddr-only", "single-io", "no-io", "multi-io"):
         built = OOCRuntimeBuilder(strategy, cores=64, mcdram_capacity=HBM,
-                                  ddr_capacity=DDR, trace=False).build()
+                                  ddr_capacity=DDR).build()
         cfg = StencilConfig(total_bytes=TOTAL, block_bytes=BLOCK,
                             iterations=ITERATIONS)
         out[strategy] = Stencil3D(built, cfg).run().total_time

@@ -139,8 +139,7 @@ def _fig8_style_run(network_cls, monkeypatch):
     built = OOCRuntimeBuilder(
         "multi-io", cores=8,
         mcdram_capacity=Scale.SMALL.mcdram // 8,
-        ddr_capacity=Scale.SMALL.ddr // 8,
-        trace=False).build()
+        ddr_capacity=Scale.SMALL.ddr // 8).build()
     assert type(built.machine.network) is network_cls
     cfg = StencilConfig(total_bytes=Scale.SMALL.size(4 * GiB),
                         block_bytes=Scale.SMALL.size(4 * GiB) // 16,

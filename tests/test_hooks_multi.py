@@ -185,7 +185,7 @@ class TestThreeObserverCoexistence:
             assert probe.on_move_end.__name__ == "fan_out"
             built = OOCRuntimeBuilder(
                 "multi-io", cores=8, mcdram_capacity=128 << 20,
-                ddr_capacity=1 << 30, trace=False).build_into(env)
+                ddr_capacity=1 << 30).build_into(env)
             cfg = StencilConfig(total_bytes=256 << 20, block_bytes=16 << 20,
                                 iterations=1)
             Stencil3D(built, cfg).run()
@@ -237,8 +237,7 @@ class TestMetricsDigestEquivalence:
 
         built = OOCRuntimeBuilder("multi-io", cores=8,
                                   mcdram_capacity=32 * MiB,
-                                  ddr_capacity=1024 * MiB,
-                                  trace=False).build()
+                                  ddr_capacity=1024 * MiB).build()
         with MetricsSession(built, app="matmul", cadence=0.01) as session:
             MatMul(built, MatMulConfig.for_working_set(
                 64 * MiB, block_dim=64)).run()

@@ -51,7 +51,7 @@ def rules(sanitizer):
 
 def build(strategy="multi-io", cores=4):
     return OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
-                             ddr_capacity=DDR, trace=False).build()
+                             ddr_capacity=DDR).build()
 
 
 class TestLifecycle:

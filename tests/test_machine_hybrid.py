@@ -16,8 +16,7 @@ class TestHybridMode:
         """Hybrid mode: the OOC runtime manages the flat MCDRAM slice."""
         built = OOCRuntimeBuilder(
             "multi-io", cores=8, memory_mode=MemoryMode.HYBRID,
-            mcdram_capacity=512 * MiB, ddr_capacity=4 * GiB,
-            trace=False).build()
+            mcdram_capacity=512 * MiB, ddr_capacity=4 * GiB).build()
         # half of the 512 MiB is cache, half is the flat node-1 pool
         assert built.machine.hbm.capacity == 256 * MiB
         assert built.machine.mcdram_cache.capacity == 256 * MiB

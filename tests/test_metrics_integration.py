@@ -1,9 +1,9 @@
 """End-to-end: a stencil run under MetricsSession.
 
 The acceptance-critical property: the pushed ``repro_hbm_used_bytes``
-gauge is updated at exactly the points the manager samples its
-``occupancy_log``, so its high-water mark must agree with the
-``occupancy_stats`` peak of the same run.
+gauge is updated at exactly the points a subscribed Projections
+``Tracer`` samples its ``occupancy``, so its high-water mark must agree
+with the ``occupancy_stats`` peak of the same run.
 """
 
 import pytest
@@ -13,37 +13,46 @@ from repro.core.api import OOCRuntimeBuilder
 from repro import hooks as probe
 from repro.metrics import MetricsSession
 from repro.trace.occupancy import occupancy_stats
+from repro.trace.tracer import Tracer
 from repro.units import MiB
 
 
-def _build(strategy="multi-io", trace=True):
+def _build(strategy="multi-io"):
     return OOCRuntimeBuilder(strategy, cores=8,
                              mcdram_capacity=64 * MiB,
-                             ddr_capacity=512 * MiB,
-                             trace=trace).build()
+                             ddr_capacity=512 * MiB).build()
+
+
+def _observed_run():
+    """A stencil run under a MetricsSession and a Projections Tracer."""
+    built = _build()
+    session = MetricsSession(built, app="stencil", cadence=0.01)
+    tracer = Tracer(built.env).install()
+    cfg = StencilConfig(total_bytes=128 * MiB, block_bytes=8 * MiB,
+                        iterations=2)
+    try:
+        Stencil3D(built, cfg).run()
+    finally:
+        tracer.uninstall()
+    session.finish()
+    return built, session, tracer
 
 
 @pytest.fixture
 def run():
-    built = _build()
-    session = MetricsSession(built, app="stencil", cadence=0.01)
-    cfg = StencilConfig(total_bytes=128 * MiB, block_bytes=8 * MiB,
-                        iterations=2)
-    Stencil3D(built, cfg).run()
-    session.finish()
+    built, session, _ = _observed_run()
     return built, session
 
 
 class TestHbmAgreement:
-    def test_hwm_gauge_equals_occupancy_peak(self, run):
-        built, session = run
-        manager = built.manager
-        assert manager.occupancy_log, "run must have logged occupancy"
+    def test_hwm_gauge_equals_occupancy_peak(self):
+        built, session, tracer = _observed_run()
+        assert tracer.occupancy, "run must have sampled occupancy"
         gauge = session.registry.get("repro_hbm_used_bytes")
         assert gauge is not None
-        peak_bytes = max(used for _, used in manager.occupancy_log)
+        peak_bytes = max(used for _, used in tracer.occupancy)
         assert gauge.high_water == peak_bytes
-        stats = occupancy_stats(manager.occupancy_log,
+        stats = occupancy_stats(tracer.occupancy,
                                 built.machine.hbm.capacity)
         assert gauge.high_water / built.machine.hbm.capacity == \
             pytest.approx(stats["peak"])
@@ -116,7 +125,7 @@ class TestSessionLifecycle:
         assert session.recorder.snapshots_taken == before
 
     def test_context_manager_releases_on_error(self):
-        built = _build(trace=False)
+        built = _build()
         with pytest.raises(RuntimeError):  # noqa: SIM117 - deliberate nesting
             with MetricsSession(built, app="t") as session:
                 assert probe.on_fetch == session.subscriber.on_fetch
@@ -125,7 +134,7 @@ class TestSessionLifecycle:
         built.runtime.shutdown()
 
     def test_disabled_run_records_nothing(self):
-        built = _build(trace=False)
+        built = _build()
         cfg = StencilConfig(total_bytes=32 * MiB, block_bytes=8 * MiB,
                             iterations=1)
         Stencil3D(built, cfg).run()

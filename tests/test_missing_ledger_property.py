@@ -78,7 +78,7 @@ def test_missing_matches_rescan_after_every_event(app, strategy, seed):
     env = Environment()
     env.set_tie_breaker(SeededTieBreaker(seed))
     built = OOCRuntimeBuilder(strategy, cores=8, mcdram_capacity=64 * MiB,
-                              ddr_capacity=GiB, trace=False).build_into(env)
+                              ddr_capacity=GiB).build_into(env)
     oracle = LedgerOracle(built.manager.registry)
     _probe.subscribe(oracle)
     try:

@@ -29,7 +29,7 @@ class TestNvmRuns:
     def run(self, strategy):
         machine = nvm_dram_config(cores=16, dram_capacity=256 * MiB,
                                   nvm_capacity=2 * GiB)
-        built = OOCRuntimeBuilder(strategy, trace=False,
+        built = OOCRuntimeBuilder(strategy,
                                   machine_config=machine).build()
         cfg = StencilConfig(total_bytes=512 * MiB, block_bytes=8 * MiB,
                             iterations=2)
@@ -65,10 +65,10 @@ class TestNvmRuns:
                 if machine_config is None:
                     built = OOCRuntimeBuilder(
                         strategy, cores=32, mcdram_capacity=256 * MiB,
-                        ddr_capacity=2 * GiB, trace=False).build()
+                        ddr_capacity=2 * GiB).build()
                 else:
                     built = OOCRuntimeBuilder(
-                        strategy, trace=False,
+                        strategy,
                         machine_config=machine_config).build()
                 cfg = StencilConfig(total_bytes=512 * MiB,
                                     block_bytes=4 * MiB, iterations=2)

@@ -10,34 +10,39 @@ import pytest
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.trace.occupancy import occupancy_stats
+from repro.trace.tracer import Tracer
 from repro.units import GiB, MiB
 
 
 def run(strategy):
+    """One stencil run; returns the stack and its occupancy samples."""
     built = OOCRuntimeBuilder(strategy, cores=8, mcdram_capacity=128 * MiB,
-                              ddr_capacity=1 * GiB, trace=True).build()
+                              ddr_capacity=1 * GiB).build()
     cfg = StencilConfig(total_bytes=256 * MiB, block_bytes=8 * MiB,
                         iterations=2)
-    Stencil3D(built, cfg).run()
-    return built
+    tracer = Tracer(built.env).install()
+    try:
+        Stencil3D(built, cfg).run()
+    finally:
+        tracer.uninstall()
+    return built, tracer.occupancy
 
 
 class TestOccupancyByStrategy:
     def test_static_strategies_log_nothing(self):
         for strategy in ("naive", "ddr-only"):
-            built = run(strategy)
-            assert built.manager.occupancy_log == []
+            _, log = run(strategy)
+            assert log == []
 
     @pytest.mark.parametrize("strategy", ["single-io", "no-io", "multi-io"])
     def test_prefetch_strategies_keep_hbm_busy(self, strategy):
-        built = run(strategy)
-        stats = occupancy_stats(built.manager.occupancy_log,
-                                built.machine.hbm.capacity)
+        built, log = run(strategy)
+        stats = occupancy_stats(log, built.machine.hbm.capacity)
         assert stats["samples"] > 10
         assert stats["peak"] > 0.7
         assert 0.0 < stats["mean"] <= 1.0
 
     def test_occupancy_never_exceeds_capacity(self):
-        built = run("multi-io")
+        built, log = run("multi-io")
         cap = built.machine.hbm.capacity
-        assert all(used <= cap for _, used in built.manager.occupancy_log)
+        assert all(used <= cap for _, used in log)

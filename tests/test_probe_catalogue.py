@@ -17,8 +17,10 @@ from repro.lint.sanitizer import SimSanitizer
 from repro.metrics.subscriber import MetricsSubscriber
 from repro.obs.spans import SpanTracer
 from repro.race.detector import RaceSanitizer
+from repro.trace.tracer import Tracer
 
-SUBSCRIBERS = (SimSanitizer, RaceSanitizer, SpanTracer, MetricsSubscriber)
+SUBSCRIBERS = (SimSanitizer, RaceSanitizer, SpanTracer, MetricsSubscriber,
+               Tracer)
 SRC = Path(probe.__file__).parent
 
 

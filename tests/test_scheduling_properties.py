@@ -44,7 +44,7 @@ def run_workload(strategy, chares, block_mib, hbm_mib, rounds,
                  shared_blocks):
     built = OOCRuntimeBuilder(
         strategy, cores=4, mcdram_capacity=hbm_mib * MiB,
-        ddr_capacity=DDR, trace=False).build()
+        ddr_capacity=DDR).build()
     rt = built.runtime
     group = rt.create_node_group()
     shared = [group.share_block(i, block_mib * MiB)

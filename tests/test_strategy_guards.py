@@ -35,7 +35,7 @@ class W(Chare):
 
 def run_once(strategy, chares=8, block=8 * MiB, **kwargs):
     built = OOCRuntimeBuilder(strategy, cores=4, mcdram_capacity=HBM,
-                              ddr_capacity=DDR, trace=False,
+                              ddr_capacity=DDR,
                               **kwargs).build()
     rt = built.runtime
     arr = rt.create_array(W, chares)

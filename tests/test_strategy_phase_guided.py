@@ -75,7 +75,7 @@ def run_two_phase(guide, *, chares=8, block=16 * MiB, cores=4,
                   **builder_kwargs):
     built = OOCRuntimeBuilder(
         "phase-guided", cores=cores, mcdram_capacity=HBM, ddr_capacity=DDR,
-        trace=False, strategy_kwargs={"guidance": guide},
+        strategy_kwargs={"guidance": guide},
         **builder_kwargs).build()
     rt = built.runtime
     arr = rt.create_array(TwoPhaseWorker, chares)
@@ -94,7 +94,7 @@ class TestPhaseTracking:
     def test_entry_phase_map_built_from_phase_table(self):
         strategy = PhaseGuidedStrategy(guidance=TWO_PHASE_GUIDE)
         built = OOCRuntimeBuilder(strategy, cores=2, mcdram_capacity=HBM,
-                                  ddr_capacity=DDR, trace=False).build()
+                                  ddr_capacity=DDR).build()
         assert strategy._entry_phase == {"TwoPhaseWorker.setup": 0,
                                         "TwoPhaseWorker.first": 1,
                                         "TwoPhaseWorker.second": 2}
@@ -107,7 +107,7 @@ class TestPhaseTracking:
             phase_row(0, ["W.go"]), phase_row(1, ["W.go"])])
         strategy = PhaseGuidedStrategy(guidance=guide)
         OOCRuntimeBuilder(strategy, cores=2, mcdram_capacity=HBM,
-                          ddr_capacity=DDR, trace=False).build()
+                          ddr_capacity=DDR).build()
         assert strategy._entry_phase == {"W.go": 0}
 
     def test_phase_advances_monotonically_through_run(self):
@@ -143,8 +143,7 @@ class TestDegradedModes:
         assert phased.strategy.lookahead_prefetches == 0
 
         built = OOCRuntimeBuilder(
-            "multi-io", cores=4, mcdram_capacity=HBM, ddr_capacity=DDR,
-            trace=False).build()
+            "multi-io", cores=4, mcdram_capacity=HBM, ddr_capacity=DDR).build()
         rt = built.runtime
         arr = rt.create_array(TwoPhaseWorker, 8)
         barrier = rt.reducer(8)
@@ -217,7 +216,7 @@ class TestAcceptance:
 
         built = OOCRuntimeBuilder(strategy, cores=8,
                                   mcdram_capacity=128 * MiB,
-                                  ddr_capacity=2 * GiB, trace=False).build()
+                                  ddr_capacity=2 * GiB).build()
         racesan = RaceSanitizer(stacks=False).install(built.env)
         return built, racesan
 
@@ -259,7 +258,7 @@ class TestAcceptance:
         def run(strategy):
             built = OOCRuntimeBuilder(
                 strategy, cores=64, mcdram_capacity=512 * MiB,
-                ddr_capacity=3 * GiB, trace=False).build()
+                ddr_capacity=3 * GiB).build()
             cfg = StencilConfig(total_bytes=1 * GiB, block_bytes=2 * MiB,
                                 iterations=3)
             return Stencil3D(built, cfg).run().total_time

@@ -72,7 +72,7 @@ class TwoBlockWorker(Chare):
 def run_app(strategy, *, chare=Worker, chares=16, block=32 * MiB, rounds=2,
             cores=4, **builder_kwargs):
     built = OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
-                              ddr_capacity=DDR, trace=False,
+                              ddr_capacity=DDR,
                               **builder_kwargs).build()
     rt = built.runtime
     arr = rt.create_array(chare, chares)
@@ -171,7 +171,7 @@ class TestAcceptance:
 
         built = OOCRuntimeBuilder(strategy, cores=8,
                                   mcdram_capacity=128 * MiB,
-                                  ddr_capacity=2 * GiB, trace=False).build()
+                                  ddr_capacity=2 * GiB).build()
         racesan = RaceSanitizer(stacks=False).install(built.env)
         return built, racesan
 

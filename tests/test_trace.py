@@ -43,20 +43,6 @@ class TestTracer:
         assert tracer.total_time(TraceCategory.EXECUTE) == 5.0
         assert tracer.total_time(TraceCategory.EXECUTE, lane="pe0") == 4.0
 
-    def test_disabled_tracer_records_nothing(self):
-        t = Tracer(Environment(), enabled=False)
-        t.record("pe0", TraceCategory.EXECUTE, 0.0, 1.0)
-        assert len(t) == 0
-
-    def test_begin_finish_helper(self):
-        env = Environment()
-        t = Tracer(env)
-        mark = t.begin()
-        env.run(until=2.0)
-        duration = t.finish(mark, "pe0", TraceCategory.EXECUTE)
-        assert duration == 2.0
-        assert t.events[0].end == 2.0
-
     def test_clear(self, tracer):
         tracer.clear()
         assert len(tracer) == 0

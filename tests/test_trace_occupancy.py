@@ -5,6 +5,7 @@ import pytest
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.trace.occupancy import occupancy_stats, render_occupancy
+from repro.trace.tracer import Tracer
 from repro.units import GiB, MiB
 
 
@@ -55,22 +56,17 @@ class TestOccupancyFromRun:
     def test_manager_logs_moves_when_tracing(self):
         built = OOCRuntimeBuilder("multi-io", cores=8,
                                   mcdram_capacity=256 * MiB,
-                                  ddr_capacity=2 * GiB, trace=True).build()
+                                  ddr_capacity=2 * GiB).build()
         cfg = StencilConfig(total_bytes=512 * MiB, block_bytes=16 * MiB,
                             iterations=2)
-        Stencil3D(built, cfg).run()
-        log = built.manager.occupancy_log
+        tracer = Tracer(built.env).install()
+        try:
+            Stencil3D(built, cfg).run()
+        finally:
+            tracer.uninstall()
+        log = tracer.occupancy
         assert len(log) > 0
         times = [t for t, _ in log]
         assert times == sorted(times)
         stats = occupancy_stats(log, built.machine.hbm.capacity)
         assert 0.5 < stats["peak"] <= 1.0  # out-of-core run fills HBM
-
-    def test_no_log_when_tracing_disabled(self):
-        built = OOCRuntimeBuilder("multi-io", cores=8,
-                                  mcdram_capacity=256 * MiB,
-                                  ddr_capacity=2 * GiB, trace=False).build()
-        cfg = StencilConfig(total_bytes=512 * MiB, block_bytes=16 * MiB,
-                            iterations=1)
-        Stencil3D(built, cfg).run()
-        assert built.manager.occupancy_log == []

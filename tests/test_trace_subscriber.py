@@ -1,0 +1,129 @@
+"""The Projections ``Tracer`` as a run-scoped probe subscriber.
+
+Its intervals come from the same probe points as the causal spans, so
+on one run both must see the same execute, fetch, evict and queue-op
+intervals.  The spec runner subscribes it for one app run only: after
+``execute_spec`` every probe point is unbound again, even when the app
+raised, and a second traced spec starts from an empty tracer.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import pytest
+
+from repro import hooks as probe
+from repro.apps.stencil3d import Stencil3D, StencilConfig
+from repro.core.api import OOCRuntimeBuilder
+from repro.exec.runners import execute_spec
+from repro.obs.spans import SpanTracer
+from repro.trace import tracer as tracer_module
+from repro.trace.events import TraceCategory
+from repro.trace.tracer import Tracer
+from repro.units import GiB, MiB
+
+#: small out-of-core stencil: HBM holds half the grid, so it evicts
+TRACED_SPEC = {"kind": "stencil", "params": {
+    "strategy": "multi-io", "cores": 8, "mcdram": 128 * MiB,
+    "ddr": GiB, "trace": True, "total": 256 * MiB, "block": 16 * MiB,
+    "iterations": 1}}
+
+EXECUTE = {TraceCategory.EXECUTE}
+FETCH = {TraceCategory.IO_FETCH, TraceCategory.PREPROCESS_FETCH}
+EVICT = {TraceCategory.IO_EVICT, TraceCategory.POSTPROCESS_EVICT}
+QUEUE_OP = {TraceCategory.SCHEDULING}
+
+
+def _intervals(records, categories):
+    return collections.Counter((r.lane, r.category, r.start, r.end)
+                               for r in records if r.category in categories)
+
+
+def _label(span):
+    """A span's label without the eviction reason the Tracer leaves out."""
+    if span.category in EVICT:
+        return span.label.rsplit(" [", 1)[0]
+    return span.label
+
+
+@pytest.mark.parametrize("strategy", ["multi-io", "no-io"])
+def test_intervals_match_the_span_tracer(strategy):
+    built = OOCRuntimeBuilder(strategy, cores=8, mcdram_capacity=128 * MiB,
+                              ddr_capacity=GiB).build()
+    spans = SpanTracer(built.env).install()
+    tracer = Tracer(built.env).install()
+    try:
+        Stencil3D(built, StencilConfig(total_bytes=256 * MiB,
+                                       block_bytes=16 * MiB,
+                                       iterations=2)).run()
+    finally:
+        tracer.uninstall()
+        spans.uninstall()
+    for categories in (EXECUTE, FETCH, EVICT, QUEUE_OP):
+        mine = _intervals(tracer.events, categories)
+        assert mine, f"the run produced no {categories} intervals"
+        assert mine == _intervals(spans.spans, categories)
+    assert len(tracer) == len(spans)
+    assert collections.Counter(ev.label for ev in tracer.events) == \
+        collections.Counter(_label(span) for span in spans.spans)
+    assert len(tracer.occupancy) == built.machine.mover.moves_completed
+
+
+class _Recording(Tracer):
+    """A Tracer that remembers every instance the runner creates."""
+
+    made: list["_Recording"] = []
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.made.append(self)
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    _Recording.made = []
+    monkeypatch.setattr(tracer_module, "Tracer", _Recording)
+    return _Recording.made
+
+
+def _all_points_unbound():
+    return all(getattr(probe, point) is None for point in probe.CATALOGUE)
+
+
+def test_traced_spec_unbinds_every_point(recording):
+    out = execute_spec(TRACED_SPEC)
+    assert out["ok"], out.get("traceback")
+    assert 0.0 < out["result"]["utilization"] <= 1.0
+    assert len(recording) == 1 and len(recording[0]) > 0
+    assert _all_points_unbound()
+
+
+def test_failing_traced_spec_unbinds_every_point(recording, monkeypatch):
+    def boom(app):
+        raise RuntimeError("app failed mid-run")
+
+    monkeypatch.setattr(Stencil3D, "run", boom)
+    out = execute_spec(TRACED_SPEC)
+    assert not out["ok"]
+    assert "app failed mid-run" in out["error"]
+    assert len(recording) == 1, "the tracer was installed before the app"
+    assert _all_points_unbound()
+
+
+def test_back_to_back_traced_specs_do_not_share_events(recording):
+    first = execute_spec(TRACED_SPEC)
+    seen = list(recording[0].events)
+    second = execute_spec(TRACED_SPEC)
+    assert first["result"] == second["result"]
+    assert len(recording) == 2 and recording[0] is not recording[1]
+    assert recording[0].events == seen, "first tracer saw the second run"
+    assert recording[1].events == seen
+    assert recording[1].occupancy == recording[0].occupancy
+
+
+def test_untraced_spec_installs_no_tracer(recording):
+    params = {**TRACED_SPEC["params"], "trace": False}
+    out = execute_spec({"kind": "stencil", "params": params})
+    assert out["ok"] and "utilization" not in out["result"]
+    assert recording == []
