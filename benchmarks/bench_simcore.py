@@ -1,6 +1,6 @@
 """Simulation-core microbenchmark: solve batching, memo replay, event churn.
 
-Measures wall-clock of the event core + fluid model on four scenarios and
+Measures wall-clock of the event core + fluid model on five scenarios and
 records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
 
 * ``contention_64pe`` — 64 PEs, each with a private read/write port pair,
@@ -19,6 +19,9 @@ records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
 * ``steady_phases`` — one phase configuration repeated ten times over a
   shared port pair.  The component memo replays the cached rates for
   every phase after the first.
+* ``reordered_phases`` — one mixed-class phase configuration re-entered
+  under rotated arrival orders.  The memo key is order-free, so every
+  phase after the first replays too.
 
 The fluid scenarios are gated on their solve and memo-hit counts, which
 are deterministic: a change that breaks batching or replay moves them.
@@ -32,6 +35,7 @@ to refresh the tracked snapshot::
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from repro.bench.regression import best_wall_time, write_bench
@@ -122,6 +126,37 @@ def run_steady_phases(*, lanes: int = 48, phases: int = 10,
     return env.now, net
 
 
+def run_reordered_phases(*, lanes: int = 24, phases: int = 8,
+                         sizes: int = 4) -> tuple[float, FluidNetwork]:
+    """One phase configuration re-entered under rotated arrival orders.
+
+    ``lanes`` flows of a few classes (two port pairs sharing one read
+    port, three per-flow caps, two weights) start at once and drain in
+    staggered departure waves, as in ``steady_phases``; every later
+    phase starts the same flows rotated by a different offset.  The memo
+    key counts flows per class on each link, so each rotation meets the
+    first phase's sequence of keys and replays all of it; a key that
+    recorded arrival order would miss on every rotation.
+    """
+    env = Environment()
+    net = FluidNetwork(env)
+    read = net.add_link("hbm.read", 400e9)
+    writes = (net.add_link("ddr4.write", WRITE_BW),
+              net.add_link("mcdram.write", 170e9))
+    caps = (FLOW_CAP, 2.5 * FLOW_CAP, math.inf)
+    specs = [(BASE_BYTES * (1.0 + (k % sizes) / sizes),
+              [read, writes[k % 2]], 1.0 + (k % 5 == 0), caps[k % 3])
+             for k in range(lanes)]
+    for phase in range(phases):
+        shift = (7 * phase) % lanes
+        dones = []
+        for nbytes, links, weight, cap in specs[shift:] + specs[:shift]:
+            flow = net.start_flow(nbytes, links, weight=weight, max_rate=cap)
+            dones.append(flow.done)
+        env.run(env.all_of(dones))
+    return env.now, net
+
+
 def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
     """Store/Resource/Timeout churn with no fluid flows (pure event core).
 
@@ -177,6 +212,8 @@ EXPECTED_COUNTS = {
     "contention_64pe": (7, 21),
     "shared_link_movers": (5, 15),
     "steady_phases": (43, 387),
+    # an arrival-order-sensitive key re-solves every rotation: (72, 16)
+    "reordered_phases": (11, 77),
 }
 
 #: the churn floor is absolute: the drain loop measured 280k-460k ops/s
@@ -194,6 +231,7 @@ def run_bench(directory: Path | None = None) -> Path:
         "contention_64pe": _measure(run_contention),
         "shared_link_movers": _measure(run_shared_link_movers),
         "steady_phases": _measure(run_steady_phases),
+        "reordered_phases": _measure(run_reordered_phases),
     }
 
     # best-of-15: the ~25ms scenario is short enough that scheduler noise

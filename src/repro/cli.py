@@ -198,12 +198,15 @@ def _check_observer_args(args: argparse.Namespace) -> None:
     interval = args.metrics_interval
     if not interval > 0:
         raise ConfigError(f"--metrics-interval must be > 0, got {interval:g}")
-    trace_out = args.trace_out
-    if trace_out:
-        parent = os.path.dirname(os.path.abspath(trace_out))
+    _check_out_dir("--trace-out", args.trace_out)
+
+
+def _check_out_dir(flag: str, path: str | None) -> None:
+    """Reject an output ``path`` whose directory is missing, before any work."""
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
-            raise ConfigError(f"--trace-out {trace_out}: "
-                              f"no such directory {parent}")
+            raise ConfigError(f"{flag} {path}: no such directory {parent}")
 
 
 @contextlib.contextmanager
@@ -670,6 +673,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: no targets given (files, directories or module names)",
               file=sys.stderr)
         return 2
+    _check_out_dir("--guidance", args.guidance)
     try:
         from repro.lint.cache import AnalysisCache, cached_check_paths
         cache = AnalysisCache(enabled=not args.no_cache)
@@ -723,6 +727,7 @@ def _cmd_guide(args: argparse.Namespace) -> int:
     from repro.lint import AnalyzerCrash
     from repro.lint.cache import AnalysisCache, cached_build_guidance
 
+    _check_out_dir("--output", args.output)
     targets = args.targets or ["repro.apps"]
     try:
         guide = cached_build_guidance(
@@ -759,6 +764,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     names = _figure_names(args)
     _check_count("--replicates", args.replicates)
     _check_count("--jobs", args.jobs)
+    _check_out_dir("--out", args.out)
     plans = [exps.PLANS[name](scale) for name in names]
     specs = replicate_specs(plans, args.replicates)
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
@@ -801,6 +807,7 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
                           f"choose from {sorted(LEADERBOARD_APPS)}")
     _check_count("--replicates", args.replicates)
     _check_count("--jobs", args.jobs)
+    _check_out_dir("--out", args.out)
     strategies = sorted(args.strategies or STRATEGIES)
     if args.baseline is not None and args.baseline not in strategies:
         print(f"baseline {args.baseline!r} is not among the swept "
@@ -856,6 +863,7 @@ def _cmd_trend(args: argparse.Namespace) -> int:
         return 0
     if history is not None and not history.is_file():
         raise ConfigError(f"--history {args.history}: no such file")
+    _check_out_dir("--out", args.out)
     records = obs_trend.load_history(history)
     with open(args.out, "w") as fh:
         fh.write(obs_trend.render_trend_html(records))

@@ -30,19 +30,22 @@ scheduled at the current instant).
 A memo replays the rates of any component configuration solved before.
 Its key is kept up to date incrementally rather than re-derived from
 every flow: each flow gets a small-int *class* for its ``(weight,
-max_rate, links)``, and each link caches the tuple of its flows' classes
-in membership order (``Link._enc``) plus its neighbour links, refreshed
-only after a flow starts on or leaves it.  A request walks the cached
-neighbours to the component's closure and concatenates the cached
-tuples.  Flows of one class join and leave all their links together, so
-the k-th class-X flow on one link is the k-th class-X flow on every
-other: the key fixes the flow order, link order and memberships the
-kernel reads, and since same-class flows always receive bit-identical
-rates, one ``{class: rate}`` dict replays the whole component.
+max_rate, links)``, and each link keeps how many flows of each class
+cross it (``Link._counts``), caching them as flat ``(class, count)``
+pairs in class-id order (``Link._enc``) plus its neighbour links,
+refreshed only after a flow starts on or leaves it.  A request walks the
+cached neighbours to the component's closure and concatenates the
+cached pairs link by link in uid order.  The max-min kernel runs over
+classes with multiplicities, in class-id order, so it reads nothing the
+key does not hold: a configuration reached in another arrival order, or
+from another set of dirty links, replays one ``{class: rate}`` dict.
+With equal weights the class kernel is bit-identical to walking the
+flows in any order; with mixed weights its class-id order is the
+definition.
 
 The tests hold this solver to an eager oracle that re-solves every flow on
-every link, unmemoized, on each change (``tests/fluid_oracle.py``): the
-simulated timelines must agree.
+every link with a per-flow kernel, unmemoized, on each change
+(``tests/fluid_oracle.py``): the simulated timelines must agree.
 
 The epsilon/wake contract: a flow whose ``remaining`` falls to
 ``_EPSILON_BYTES`` or below — or whose ETA is too small for the event
@@ -86,8 +89,8 @@ _by_uid = attrgetter("uid")
 class Link:
     """A capacity-limited pipe, e.g. the read port of a memory device."""
 
-    __slots__ = ("name", "capacity", "flows", "uid", "network", "_enc",
-                 "_nbrs")
+    __slots__ = ("name", "capacity", "flows", "uid", "network", "_counts",
+                 "_enc", "_nbrs")
 
     def __init__(self, name: str, capacity: float, *, uid: int = 0,
                  network: "FluidNetwork | None" = None):
@@ -97,14 +100,16 @@ class Link:
         #: bytes per second
         self.capacity = float(capacity)
         #: active flows crossing this link, as an insertion-ordered set
-        #: (dict keys) so solver iteration order is deterministic
+        #: (dict keys)
         self.flows: dict["Flow", None] = {}
-        #: creation index, for deterministic dirty-set ordering
+        #: creation index; orders the links of a memo key
         self.uid = uid
         self.network = network
-        #: classes of ``flows`` in membership order, and the links those
-        #: classes cross (first-occurrence order); None once a flow starts
-        #: on or leaves this link, until the next solve request refreshes it
+        #: how many of ``flows`` belong to each flow class
+        self._counts: dict[int, int] = {}
+        #: ``_counts`` as flat (class, count, ...) pairs in class-id order,
+        #: and the links those classes cross; None once a flow starts on or
+        #: leaves this link, until the next solve request refreshes it
         self._enc: tuple[int, ...] | None = ()
         self._nbrs: tuple[Link, ...] = ()
 
@@ -192,17 +197,18 @@ class FluidNetwork:
         self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
-        #: flow classes: (weight, max_rate, links) -> class id, and the
-        #: distinct links of each class id
+        #: flow classes: (weight, max_rate, links) -> class id; per class
+        #: id, that key (links with repeats) and its distinct links
         self._classes: dict[tuple, int] = {}
+        self._class_keys: list[tuple[float, float, tuple[Link, ...]]] = []
         self._class_links: list[tuple[Link, ...]] = []
         # Component memo.  Max-min rates depend only on the component's
-        # *structure* — link capacities, per-flow (weight, max_rate, link
-        # incidence) and the per-link membership order the freeze loops
-        # walk — never on remaining bytes, so a configuration seen before
-        # can replay its cached rates.  Content keying subsumes
-        # invalidation: a capacity or membership change changes the key
-        # and simply misses.  Values are flat {class: rate} dicts.
+        # *structure* — link capacities and how many flows of each class
+        # cross each link — never on remaining bytes or arrival order, so
+        # a configuration seen before can replay its cached rates.
+        # Content keying subsumes invalidation: a capacity or membership
+        # change changes the key and simply misses.  Values are flat
+        # {class: rate} dicts.
         self._memo: dict[tuple, dict[int, float]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -258,12 +264,15 @@ class FluidNetwork:
         cls = self._classes.get(ckey)
         if cls is None:
             cls = self._classes[ckey] = len(self._class_links)
+            self._class_keys.append(ckey)
             self._class_links.append(tuple(dict.fromkeys(resolved)))
         flow._cls = cls
         self._advance()
         self._flows[flow] = None
-        for link in resolved:
+        for link in self._class_links[cls]:
             link.flows[flow] = None
+            counts = link._counts
+            counts[cls] = counts.get(cls, 0) + 1
             link._enc = None
         self._mark_dirty(resolved)
         return flow
@@ -295,8 +304,14 @@ class FluidNetwork:
 
     def _detach(self, flow: Flow) -> None:
         self._flows.pop(flow, None)
-        for link in flow.links:
-            link.flows.pop(flow, None)
+        cls = flow._cls
+        for link in self._class_links[cls]:
+            del link.flows[flow]
+            counts = link._counts
+            if counts[cls] == 1:
+                del counts[cls]
+            else:
+                counts[cls] -= 1
             link._enc = None
 
     def _advance(self) -> None:
@@ -378,108 +393,136 @@ class FluidNetwork:
         # Connected-component closure over the flow<->link bipartite graph,
         # walked link to link through the cached neighbours.  Flows outside
         # the closure share no links with it (directly or transitively), so
-        # their max-min rates are unaffected.  ``links`` is the discovery
-        # order (dirty links by uid first), ``popped`` the visit order.
-        stack = sorted(dirty, key=_by_uid)
-        links = stack[:]
-        seen = set(stack)
-        popped: list[Link] = []
-        members = 0
+        # their max-min rates are unaffected.  Links left without flows
+        # constrain nothing and stay out of the key and the kernel.
+        stack = list(dirty)
+        seen = set(dirty)
+        links: list[Link] = []
         while stack:
             link = stack.pop()
-            popped.append(link)
             if link._enc is None:
                 self._encode(link)
-            members += len(link.flows)
-            for other in link._nbrs:
-                if other not in seen:
-                    seen.add(other)
-                    links.append(other)
-                    stack.append(other)
-        if members:
-            key: list = [len(dirty)]
+            if link._enc:
+                links.append(link)
+                for other in link._nbrs:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        if links:
+            links.sort(key=_by_uid)
+            key: list = []
             for link in links:
                 key.append(link.uid)
                 key.append(link.capacity)
                 key += link._enc
                 key.append(-1)
-            self._solve(tuple(key), links, popped)
+            self._solve(tuple(key), links)
         self._schedule_wake()
 
     def _encode(self, link: Link) -> None:
-        """Refresh ``link._enc`` and ``link._nbrs`` from its flows."""
-        enc = link._enc = tuple([f._cls for f in link.flows])
-        classes = dict.fromkeys(enc)
+        """Refresh ``link._enc`` and ``link._nbrs`` from its class counts."""
+        counts = link._counts
         class_links = self._class_links
-        if len(classes) == 1:
+        if len(counts) == 1:
+            [enc] = counts.items()  # the (class, count) pair is the encoding
+            link._enc = enc
             link._nbrs = class_links[enc[0]]
         else:
+            enc = link._enc = tuple(
+                chain.from_iterable(sorted(counts.items())))
             link._nbrs = tuple(dict.fromkeys(
-                chain.from_iterable([class_links[c] for c in classes])))
+                chain.from_iterable([class_links[c] for c in enc[::2]])))
 
     # -- the max-min solve -----------------------------------------------------
 
-    def _solve(self, key: tuple, links: list[Link],
-               popped: list[Link]) -> None:
+    def _solve(self, key: tuple, links: list[Link]) -> None:
         """Set the rates of every flow on ``links``, a closed component.
 
-        ``key`` is ``(n_dirty, then per link of links: uid, capacity, its
-        flows' classes, -1)``.  The -1 terminators make it parseable left
-        to right (uids, classes >= 0; capacities > 0), and replaying the
-        closure walk over it recovers the link order, the flow order and
-        every membership the kernel reads, so a key solved before replays
-        the bit-identical rates.  Otherwise the kernel runs over the flows
-        in visit order: the first occurrences along ``popped``.
+        ``key`` is, per link of ``links`` (uid order): uid, capacity, its
+        ``(class, count)`` pairs in class-id order, -1.  The -1
+        terminators make it parseable left to right (uids, classes >= 0;
+        capacities, counts > 0), and it holds everything the kernel reads,
+        so a key solved before replays the bit-identical rates whatever
+        order its flows arrived in.
         """
         memo = self._memo
         rates = memo.get(key)
-        if rates is not None:
+        if rates is None:
+            self.memo_misses += 1
+            rates = self._progressive_fill(links)
+            if len(memo) >= _MEMO_MAX:
+                del memo[next(iter(memo))]  # FIFO: oldest insertion first
+            memo[key] = rates
+        else:
             self.memo_hits += 1
-            for link in links:
-                for f in link.flows:
-                    f._rate = rates[f._cls]
-            return
-        self.memo_misses += 1
-        flows = dict.fromkeys([f for link in popped for f in link.flows])
-        self._progressive_fill(flows, links)
-        if len(memo) >= _MEMO_MAX:
-            del memo[next(iter(memo))]  # FIFO: oldest insertion first
-        memo[key] = {f._cls: f._rate for f in flows}
+        for link in links:
+            for f in link.flows:
+                f._rate = rates[f._cls]
 
-    def _progressive_fill(self, flows: _t.Iterable[Flow],
-                        links: _t.Iterable[Link]) -> None:
-        """Weighted max-min fair allocation via progressive filling.
+    def _progressive_fill(self, links: list[Link]) -> dict[int, float]:
+        """Weighted max-min fair rates per flow class, by progressive filling.
 
-        ``flows`` must be closed over ``links``: every flow crossing a link
-        in ``links`` is in ``flows`` and vice versa.  Each flow's personal
-        ``max_rate`` is honoured by treating it as a candidate bottleneck
-        alongside its links.  Counted as one solve.
+        ``links`` is a closed component in uid order with fresh ``_enc``:
+        every flow crossing one of them crosses only links in ``links``.
+        Flows of one class cross the same links with the same weight and
+        cap, so they always freeze together at one rate: the kernel runs
+        over classes with multiplicities and returns ``{class: rate}``.
+        Each class's ``max_rate`` is a candidate bottleneck alongside its
+        links.  Counted as one solve.
+
+        Nothing here depends on arrival order.  Live weights are summed
+        flow by flow in class-id order, and a freeze subtracts from each
+        link class by class in class-id order, ``count`` times each, one
+        subtraction at a time (``cap - k * x`` is not ``k`` sequential
+        subtractions of ``x``).  With equal weights every subtraction in
+        one freeze step is the same value, so the result is bit-identical
+        to walking the flows in any order.
         """
         self.solves += 1
-        unfrozen = dict.fromkeys(flows)
-        if len(unfrozen) == 1:
-            # Lone-flow fast path (the common case for a solitary mover):
-            # arithmetic-identical to one trip through the loop below.
-            flow = next(iter(unfrozen))
-            if flow.links:
-                weight = flow.weight
-                share = min(link.capacity / weight for link in flow.links)
-                if flow.max_rate < share * weight:
-                    flow._rate = flow.max_rate
-                else:
-                    flow._rate = share * weight
-                return
-        for flow in unfrozen:
-            flow._rate = 0.0
+        specs = self._class_keys
+        counts: dict[int, int] = {}
+        for link in links:
+            counts.update(link._counts)
+        if len(counts) == 1:
+            [(cls, n)] = counts.items()
+            if n == 1:
+                # Lone-flow fast path (the common case for a solitary
+                # mover): arithmetic-identical to one trip through the
+                # loop below.
+                weight, max_rate, path = specs[cls]
+                share = min(link.capacity / weight for link in path)
+                if max_rate < share * weight:
+                    return {cls: max_rate}
+                return {cls: share * weight}
+        unfrozen = dict.fromkeys(sorted(counts))
+        rates = dict.fromkeys(unfrozen, 0.0)
         residual = {link: link.capacity for link in links}
-        live_weight = {link: sum(f.weight for f in link.flows)
-                       for link in residual}
+        live_weight: dict[Link, float] = {}
+        for link in links:
+            enc = link._enc
+            w = 0.0
+            for i in range(0, len(enc), 2):
+                cls_weight = specs[enc[i]][0]
+                for _ in range(enc[i + 1]):
+                    w += cls_weight
+            live_weight[link] = w
         # Repeated subtraction leaves ~1e-16 residues in live_weight and
         # residual; a link whose flows all froze must read exactly empty,
         # or its ~0/~0 ratio poisons the next bottleneck computation with
         # an arbitrary (even negative) share.
-        weight_floor = 1e-9 * max(
-            (f.weight for f in unfrozen), default=1.0)
+        weight_floor = 1e-9 * max(specs[c][0] for c in unfrozen)
+
+        def freeze(batch: list[int]) -> None:
+            # ``batch`` is in class-id order and its rates are set
+            for cls in batch:
+                del unfrozen[cls]
+                rate = rates[cls]
+                weight, _, path = specs[cls]
+                n = counts[cls]
+                for link in path:
+                    for _ in range(n):
+                        residual[link] -= rate
+                        live_weight[link] -= weight
 
         while unfrozen:
             # Fair share per unit weight on every still-loaded link.
@@ -489,47 +532,43 @@ class FluidNetwork:
                 if w > weight_floor:
                     bottleneck_share = min(bottleneck_share,
                                            max(cap, 0.0) / w)
-            # Flows capped below the link share freeze at their cap first.
-            capped = [f for f in unfrozen
-                      if f.max_rate < bottleneck_share * f.weight]
+            # Classes capped below the link share freeze at their cap first.
+            capped = [c for c in unfrozen
+                      if specs[c][1] < bottleneck_share * specs[c][0]]
             if capped:
-                # Freeze the most-constrained capped flows, then re-iterate.
-                tightest = min(f.max_rate / f.weight for f in capped)
-                batch = [f for f in capped
-                         if f.max_rate / f.weight <= tightest * (1 + 1e-12)]
-                for flow in batch:
-                    flow._rate = flow.max_rate
-                    unfrozen.pop(flow, None)
-                    for link in flow.links:
-                        residual[link] -= flow._rate
-                        live_weight[link] -= flow.weight
+                # Freeze the most-constrained capped classes, then re-iterate.
+                tightest = min(specs[c][1] / specs[c][0] for c in capped)
+                batch = [c for c in capped
+                         if specs[c][1] / specs[c][0] <= tightest * (1 + 1e-12)]
+                for cls in batch:
+                    rates[cls] = specs[cls][1]
+                freeze(batch)
                 continue
             if not math.isfinite(bottleneck_share):
-                # Remaining flows traverse no loaded link: unconstrained
+                # Remaining classes traverse no loaded link: unconstrained
                 # except by their own caps (handled above), so they can
                 # only be flows with max_rate == inf and no links — which
                 # start_flow forbids for nbytes > 0.  Freeze at cap anyway.
-                for flow in unfrozen:
-                    flow._rate = flow.max_rate if math.isfinite(flow.max_rate) else 0.0
+                for cls in unfrozen:
+                    cap = specs[cls][1]
+                    rates[cls] = cap if math.isfinite(cap) else 0.0
                 break
-            # Freeze every flow whose bottleneck link is saturated at this share.
+            # Freeze every class whose bottleneck link is saturated at this
+            # share.
             saturated = [link for link, cap in residual.items()
                          if live_weight[link] > weight_floor
                          and max(cap, 0.0) / live_weight[link]
                          <= bottleneck_share * (1 + 1e-12) + 1e-18]
-            froze_any = False
-            for link in saturated:
-                for flow in [f for f in link.flows if f in unfrozen]:
-                    flow._rate = bottleneck_share * flow.weight
-                    unfrozen.pop(flow, None)
-                    froze_any = True
-                    for l2 in flow.links:
-                        residual[l2] -= flow._rate
-                        live_weight[l2] -= flow.weight
-            if not froze_any:  # pragma: no cover - numeric safety valve
-                for flow in unfrozen:
-                    flow._rate = bottleneck_share * flow.weight
+            batch = sorted({c for link in saturated for c in link._counts
+                            if c in unfrozen})
+            if not batch:  # pragma: no cover - numeric safety valve
+                for cls in unfrozen:
+                    rates[cls] = bottleneck_share * specs[cls][0]
                 break
+            for cls in batch:
+                rates[cls] = bottleneck_share * specs[cls][0]
+            freeze(batch)
+        return rates
 
     # -- completion scheduling --------------------------------------------------
 

@@ -3,8 +3,9 @@
 Sizes are parsed by argparse ``type=`` converters (a usage error);
 counts are validated by the app configs, replicate, job and schedule
 counts, figure/app names, the trend history path, the metrics interval
-and the ``--trace-out`` directory by the commands, all raising a
-``ConfigError`` the CLI catches once in ``main``.
+and the directory of every output path (``--trace-out``, ``guide -o``,
+``lint --guidance``, ``trend``/``report``/``leaderboard -o``) by the
+commands, all raising a ``ConfigError`` the CLI catches once in ``main``.
 Neither path may end in a traceback.
 """
 
@@ -49,6 +50,17 @@ CASES = [
      ["stencil", "--trace-out", "no-such-dir/t.json"], "no-such-dir/t.json"),
     ("matmul-trace-out",
      ["matmul", "--trace-out", "no-such-dir/m.json"], "no-such-dir/m.json"),
+    ("guide-output",
+     ["guide", "-o", "no-such-dir/x.json"], "no-such-dir/x.json"),
+    ("lint-guidance",
+     ["lint", "repro.apps", "--guidance", "no-such-dir/g.json"],
+     "no-such-dir/g.json"),
+    ("trend-out", ["trend", "render", "-o", "no-such-dir/t.html"],
+     "no-such-dir/t.html"),
+    ("report-out", ["report", "--figures", "fig2", "-o", "no-such-dir/r.html"],
+     "no-such-dir/r.html"),
+    ("leaderboard-out", ["leaderboard", "-o", "no-such-dir/l.html"],
+     "no-such-dir/l.html"),
 ]
 
 

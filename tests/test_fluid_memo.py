@@ -3,8 +3,9 @@
 The memo replays cached max-min rates for previously seen component
 configurations.  Correctness rests on two claims these tests pin down:
 
-* rates depend only on the component *structure* (capacities, weights,
-  per-flow caps, membership order) — never on remaining bytes — so a
+* rates depend only on the component *structure* (capacities and how
+  many flows of each (weight, cap, links) class cross each link) — never
+  on remaining bytes, arrival order or which links changed — so a
   repeated phase may replay, and the replayed vector is what the kernel
   would recompute bit-for-bit;
 * any mutation of that structure changes the key, so stale entries
@@ -107,10 +108,10 @@ def test_weight_and_cap_changes_invalidate() -> None:
     assert net.memo_hits >= 1
 
 
-def test_membership_order_is_part_of_the_signature() -> None:
-    # same flow multiset, different link.flows insertion order: the freeze
-    # loop walks that order, so the two configurations must be distinct
-    # memo entries (two misses, no replay)
+def test_arrival_order_is_not_part_of_the_key() -> None:
+    # same flow multiset, different arrival order: the key counts flows
+    # per class and the kernel walks classes in class-id order, so the
+    # second configuration replays the first one's entry
     env = Environment()
     net = FluidNetwork(env)
     link = net.add_link("port", 60e9)
@@ -123,14 +124,14 @@ def test_membership_order_is_part_of_the_signature() -> None:
     c = net.start_flow(1e9, [link], weight=2.0)
     d = net.start_flow(1e9, [link], weight=1.0, max_rate=5e9)
     assert (c.rate, d.rate) == (55e9, 5e9)
-    assert (net.memo_hits, net.memo_misses) == (hits, misses + 1)
+    assert (net.memo_hits, net.memo_misses) == (hits + 1, misses)
     env.run(env.all_of([c.done, d.done]))
 
 
-def test_dirty_set_is_part_of_the_key() -> None:
-    # the closure walk starts from the dirty links, and its visit order is
-    # the kernel's flow order: the same component reached from a different
-    # dirty set is a separate entry even when every membership matches
+def test_dirty_set_is_not_part_of_the_key() -> None:
+    # the closure walk starts from the dirty links, but the key lists the
+    # component's links in uid order: the same component reached from a
+    # different dirty set, and in a different arrival order, is a hit
     env = Environment()
     net = FluidNetwork(env)
     a, b = net.add_link("a", 60e9), net.add_link("b", 40e9)
@@ -138,13 +139,13 @@ def test_dirty_set_is_part_of_the_key() -> None:
     assert first[0].rate == 20e9
     assert (net.memo_hits, net.memo_misses) == (0, 1)  # dirty {a, b}
     env.run(env.all_of([f.done for f in first]))
-    second = [net.start_flow(4e9, [a, b]) for _ in range(2)]
     short = net.start_flow(1e6, [a])
+    second = [net.start_flow(4e9, [a, b]) for _ in range(2)]
     assert second[0].rate == 20e9
     assert (net.memo_hits, net.memo_misses) == (0, 2)  # + the short flow
     env.run(short.done)
     assert second[0].rate == 20e9  # settles the departure: dirty {a} alone
-    assert (net.memo_hits, net.memo_misses) == (0, 3)
+    assert (net.memo_hits, net.memo_misses) == (1, 2)
     env.run(env.all_of([f.done for f in second]))
 
 

@@ -7,9 +7,10 @@ lockstep on the shipped :class:`FluidNetwork` and on
 request).  Each script plays twice, draining in between, so the second
 pass meets configurations the memo has seen.  After every settle:
 
-* every cached ``link._enc`` (and its neighbour links) equals what a fresh
-  walk of ``link.flows`` computes, so no start or departure skipped an
-  invalidation;
+* every link's per-class flow counts, and every cached ``link._enc``
+  (and its neighbour links), equal what a fresh count over
+  ``link.flows`` computes, so no start or departure skipped an update or
+  an invalidation;
 * every active flow's rate equals the unmemoized network's bit for bit,
   so no replayed entry belongs to a different configuration;
 * flows of one class hold identical rates, which is what lets one
@@ -84,9 +85,14 @@ def _check_caches(net: FluidNetwork) -> None:
     for link in net.links:
         if link._enc is None:
             continue
-        enc = tuple(f._cls for f in link.flows)
-        assert link._enc == enc
-        nbrs = dict.fromkeys(other for cls in enc
+        counts: dict[int, int] = {}
+        for flow in link.flows:
+            counts[flow._cls] = counts.get(flow._cls, 0) + 1
+        assert link._counts == counts
+        classes = sorted(counts)
+        assert link._enc == tuple(x for cls in classes
+                                  for x in (cls, counts[cls]))
+        nbrs = dict.fromkeys(other for cls in classes
                              for other in net._class_links[cls])
         assert link._nbrs == tuple(nbrs)
 
