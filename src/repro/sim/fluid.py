@@ -15,30 +15,25 @@ The model is event-driven: whenever the flow set changes, every affected
 flow's progress is advanced at its old rate, rates are recomputed, and the
 next completion is scheduled.
 
-Flow arrivals and departures mark their links *dirty*; the recompute is
-deferred to a flush event at the same simulated timestamp, so any number
-of same-instant changes (64 movers starting at once, a whole wave
-completing together) cost **one** solve.  The solve itself is restricted
-to the connected component of the flow<->link graph reachable from the
-dirty links: flows on untouched components keep their rates, which is
-exact because max-min allocations decompose per component.  Rates are
-never stale from the outside: reading ``Flow.rate`` /
-``Link.utilization`` / ``snapshot()`` settles any pending recompute
-first, and no simulated time can pass while links are dirty (the flush is
-scheduled at the current instant).
+The unit of state is the flow *class*: a small int per distinct
+``(weight, max_rate, links)``.  Flows of one class share one rate, and
+each class keeps its active flows sorted by ``remaining``.  Arrivals and
+departures mark their classes *dirty*; the recompute is deferred to a
+flush event at the same simulated timestamp, so any number of
+same-instant changes (64 movers starting at once, a whole wave
+completing together) cost **one** solve, restricted to the connected
+component of the class<->link graph reachable from the dirty classes
+(max-min allocations decompose per component).  Rates are never stale
+from the outside: reading ``Flow.rate`` / ``Link.utilization`` /
+``snapshot()`` settles any pending recompute first, and no simulated
+time can pass while classes are dirty.
 
 A memo replays the rates of any component configuration solved before.
-Its key is kept up to date incrementally rather than re-derived from
-every flow: each flow gets a small-int *class* for its ``(weight,
-max_rate, links)``, and each link keeps how many flows of each class
-cross it (``Link._counts``), caching them as flat ``(class, count)``
-pairs in class-id order (``Link._enc``) plus its neighbour links,
-refreshed only after a flow starts on or leaves it.  A request walks the
-cached neighbours to the component's closure and concatenates the
-cached pairs link by link in uid order.  The max-min kernel runs over
+Its key is the component's ``(class, count)`` pairs in class-id order,
+then its link capacities in uid order.  The max-min kernel runs over
 classes with multiplicities, in class-id order, so it reads nothing the
 key does not hold: a configuration reached in another arrival order, or
-from another set of dirty links, replays one ``{class: rate}`` dict.
+from another set of dirty classes, replays one ``{class: rate}`` dict.
 With equal weights the class kernel is bit-identical to walking the
 flows in any order; with mixed weights its class-id order is the
 definition.
@@ -62,6 +57,7 @@ from __future__ import annotations
 
 import math
 import typing as _t
+from bisect import insort
 from itertools import chain, count
 from operator import attrgetter
 
@@ -84,13 +80,14 @@ _EPSILON_BYTES = 1e-3
 _MEMO_MAX = 512
 
 _by_uid = attrgetter("uid")
+_by_fid = attrgetter("fid")
+_by_remaining = attrgetter("remaining")
 
 
 class Link:
     """A capacity-limited pipe, e.g. the read port of a memory device."""
 
-    __slots__ = ("name", "capacity", "flows", "uid", "network", "_counts",
-                 "_enc", "_nbrs")
+    __slots__ = ("name", "capacity", "uid", "network", "_classes")
 
     def __init__(self, name: str, capacity: float, *, uid: int = 0,
                  network: "FluidNetwork | None" = None):
@@ -99,30 +96,27 @@ class Link:
         self.name = name
         #: bytes per second
         self.capacity = float(capacity)
-        #: active flows crossing this link, as an insertion-ordered set
-        #: (dict keys)
-        self.flows: dict["Flow", None] = {}
-        #: creation index; orders the links of a memo key
+        #: creation index; orders the capacities of a memo key
         self.uid = uid
         self.network = network
-        #: how many of ``flows`` belong to each flow class
-        self._counts: dict[int, int] = {}
-        #: ``_counts`` as flat (class, count, ...) pairs in class-id order,
-        #: and the links those classes cross; None once a flow starts on or
-        #: leaves this link, until the next solve request refreshes it
-        self._enc: tuple[int, ...] | None = ()
-        self._nbrs: tuple[Link, ...] = ()
+        #: ids of every flow class crossing this link, live or not, in
+        #: creation order (appended when the class is created)
+        self._classes: list[int] = []
 
     @property
     def utilization(self) -> float:
         """Instantaneous fraction of capacity in use."""
         network = self.network
-        if network is not None and network._dirty:
+        if network is None:
+            return 0.0
+        if network._dirty:
             network._ensure_current()
-        return sum(f._rate for f in self.flows) / self.capacity
+        rates, flows = network._class_rate, network._class_flows
+        return sum(rates[c] * len(flows[c])
+                   for c in self._classes) / self.capacity
 
     def __repr__(self) -> str:
-        return f"<Link {self.name} cap={self.capacity:g} flows={len(self.flows)}>"
+        return f"<Link {self.name} cap={self.capacity:g}>"
 
 
 class Flow:
@@ -146,21 +140,28 @@ class Flow:
         self.remaining = float(nbytes)
         self.weight = float(weight)
         self.max_rate = float(max_rate)
+        #: the rate this flow left with; stamped when it finishes or is
+        #: cancelled (an active flow reads its class's rate instead)
         self._rate = 0.0
         self.done = done
         self.started_at = now
         self.finished_at: float | None = None
         self.network = network
         #: the network's class id for (weight, max_rate, links); set when
-        #: the flow joins its links
+        #: the flow joins its class
         self._cls = -1
 
     @property
     def rate(self) -> float:
-        """Current fair-share rate (B/s); settles any pending recompute."""
+        """Current fair-share rate (B/s); settles any pending recompute.
+
+        Once the flow finished or was cancelled: the rate it left with.
+        """
         network = self.network
-        if network is not None and network._dirty:
-            network._ensure_current()
+        if self.finished_at is None and network is not None:
+            if network._dirty:
+                network._ensure_current()
+            return network._class_rate[self._cls]
         return self._rate
 
     @property
@@ -169,8 +170,8 @@ class Flow:
 
     def __repr__(self) -> str:
         links = "+".join(l.name for l in self.links)
-        return (f"<Flow #{self.fid} {links} {self.remaining:.0f}/{self.total:.0f}B "
-                f"@{self._rate:g}B/s>")
+        return (f"<Flow #{self.fid} {links} "
+                f"{self.remaining:.0f}/{self.total:.0f}B>")
 
 
 class FluidNetwork:
@@ -179,13 +180,11 @@ class FluidNetwork:
     def __init__(self, env: Environment):
         self.env = env
         self._links: dict[str, Link] = {}
-        #: active flows as an insertion-ordered set (dict keys)
-        self._flows: dict[Flow, None] = {}
         self._fid = count()
         self._link_uid = count()
         self._last_advance = env.now
-        #: links whose flow set changed at the current instant
-        self._dirty: set[Link] = set()
+        #: classes whose flow set changed at the current instant
+        self._dirty: set[int] = set()
         #: pending same-instant flush event, if any
         self._flush_event: Event | None = None
         #: schedule() token of the pending "next completion" wakeup, if any
@@ -197,18 +196,20 @@ class FluidNetwork:
         self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
-        #: flow classes: (weight, max_rate, links) -> class id; per class
-        #: id, that key (links with repeats) and its distinct links
+        #: flow classes: (weight, max_rate, links) -> class id.  Per class
+        #: id: that key, its links in uid order, its rate, and its active
+        #: flows sorted by ``remaining``
         self._classes: dict[tuple, int] = {}
         self._class_keys: list[tuple[float, float, tuple[Link, ...]]] = []
         self._class_links: list[tuple[Link, ...]] = []
-        # Component memo.  Max-min rates depend only on the component's
-        # *structure* — link capacities and how many flows of each class
-        # cross each link — never on remaining bytes or arrival order, so
-        # a configuration seen before can replay its cached rates.
-        # Content keying subsumes invalidation: a capacity or membership
-        # change changes the key and simply misses.  Values are flat
-        # {class: rate} dicts.
+        self._class_rate: list[float] = []
+        self._class_flows: list[list[Flow]] = []
+        #: ids of the classes holding active flows
+        self._live: set[int] = set()
+        # Component memo.  Max-min rates depend only on link capacities
+        # and how many flows of each class a component holds, so a
+        # configuration seen before replays its {class: rate} dict.  A
+        # capacity or membership change changes the key and misses.
         self._memo: dict[tuple, dict[int, float]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -234,13 +235,17 @@ class FluidNetwork:
 
     @property
     def active_flows(self) -> frozenset[Flow]:
-        return frozenset(self._flows)
+        return frozenset(chain.from_iterable(
+            self._class_flows[c] for c in self._live))
 
     # -- flow lifecycle ---------------------------------------------------------
 
     def start_flow(self, nbytes: float, links: _t.Sequence[Link | str],
                    weight: float = 1.0, max_rate: float = math.inf) -> Flow:
-        """Begin a transfer; returns the Flow whose ``.done`` can be awaited."""
+        """Begin a transfer; returns the Flow whose ``.done`` can be awaited.
+
+        A link named more than once in ``links`` counts once.
+        """
         if not nbytes >= 0:  # rejects negatives and NaN in one comparison
             raise SimulationError(f"flow size must be >= 0, got {nbytes!r}")
         if not weight > 0:
@@ -248,7 +253,8 @@ class FluidNetwork:
         if not max_rate >= 0:
             raise SimulationError(
                 f"flow max_rate must be >= 0, got {max_rate!r}")
-        resolved = tuple(self.link(l) if isinstance(l, str) else l for l in links)
+        resolved = tuple(dict.fromkeys(
+            self.link(l) if isinstance(l, str) else l for l in links))
         if not resolved and nbytes > 0:
             raise SimulationError("a non-empty flow needs at least one link")
         done = self.env.event(name="flow.done")
@@ -263,18 +269,18 @@ class FluidNetwork:
         ckey = (flow.weight, flow.max_rate, resolved)
         cls = self._classes.get(ckey)
         if cls is None:
-            cls = self._classes[ckey] = len(self._class_links)
+            cls = self._classes[ckey] = len(self._class_keys)
             self._class_keys.append(ckey)
-            self._class_links.append(tuple(dict.fromkeys(resolved)))
+            self._class_links.append(tuple(sorted(resolved, key=_by_uid)))
+            self._class_rate.append(0.0)
+            self._class_flows.append([])
+            for link in resolved:
+                link._classes.append(cls)
         flow._cls = cls
         self._advance()
-        self._flows[flow] = None
-        for link in self._class_links[cls]:
-            link.flows[flow] = None
-            counts = link._counts
-            counts[cls] = counts.get(cls, 0) + 1
-            link._enc = None
-        self._mark_dirty(resolved)
+        self._live.add(cls)
+        insort(self._class_flows[cls], flow, key=_by_remaining)
+        self._mark_dirty((cls,))
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -286,10 +292,10 @@ class FluidNetwork:
         instant (``_advance`` below may complete it, in which case its
         ``done`` already succeeded and must not be failed on top).
         """
-        if flow not in self._flows:
+        if flow.network is not self or flow.finished_at is not None:
             return
         self._advance()
-        if flow not in self._flows:
+        if flow.finished_at is not None:
             # _advance() integrated the final dt and completed the flow at
             # this very instant: it finished before the cancel landed.
             return
@@ -298,24 +304,25 @@ class FluidNetwork:
         exc = SimulationError(f"flow #{flow.fid} cancelled")
         flow.done.fail(exc)
         flow.done.defuse()
-        self._mark_dirty(flow.links)
+        self._mark_dirty((flow._cls,))
 
     # -- solver ------------------------------------------------------------------
 
     def _detach(self, flow: Flow) -> None:
-        self._flows.pop(flow, None)
         cls = flow._cls
-        for link in self._class_links[cls]:
-            del link.flows[flow]
-            counts = link._counts
-            if counts[cls] == 1:
-                del counts[cls]
-            else:
-                counts[cls] -= 1
-            link._enc = None
+        flows = self._class_flows[cls]
+        flows.remove(flow)
+        if not flows:
+            self._live.discard(cls)
+        flow._rate = self._class_rate[cls]
 
     def _advance(self) -> None:
-        """Integrate progress since the last rate change; finish flows."""
+        """Integrate progress since the last rate change; finish flows.
+
+        Every flow of a class gets the same decrement and subtraction
+        rounding is monotone, so each class list stays sorted by
+        ``remaining`` and its finished flows form a prefix.
+        """
         now = self.env.now
         dt = now - self._last_advance
         self._last_advance = now
@@ -325,44 +332,43 @@ class FluidNetwork:
             return
         if self._dirty:  # pragma: no cover - defensive invariant
             raise SimulationError(
-                "fluid rates were stale across a time step (dirty links "
+                "fluid rates were stale across a time step (dirty classes "
                 "survived past their flush instant)")
+        rates, class_flows = self._class_rate, self._class_flows
         finished: list[Flow] = []
-        for flow in self._flows:
-            flow.remaining -= flow._rate * dt
-            if flow.remaining <= _EPSILON_BYTES:
-                flow.remaining = 0.0
+        for cls in self._live:
+            flows = class_flows[cls]
+            step = rates[cls] * dt
+            for flow in flows:
+                flow.remaining -= step
+            for flow in flows:
+                if flow.remaining > _EPSILON_BYTES:
+                    break
                 finished.append(flow)
-        if not finished:
-            return
-        touched: list[Link] = []
-        for flow in sorted(finished, key=lambda f: f.fid):
-            touched.extend(flow.links)
-            self._complete(flow, now)
-        self._mark_dirty(touched)
+        if finished:
+            self._complete_all(finished, now)
 
-    def _complete(self, flow: Flow, now: float) -> None:
-        """Finish a flow: detach, stamp, count, fire ``done``.
+    def _complete_all(self, finished: list[Flow], now: float) -> None:
+        """Finish ``finished`` in fid order, then re-solve their classes.
 
         Shared by _advance's completion sweep and _schedule_wake's
         sub-epsilon force-completion so the two paths cannot drift.
         """
-        self._detach(flow)
-        flow.remaining = 0.0
-        flow.finished_at = now
-        self.completed_bytes += flow.total
-        self.completed_flows += 1
-        flow.done.succeed(flow)
+        for flow in sorted(finished, key=_by_fid):
+            self._detach(flow)
+            flow.remaining = 0.0
+            flow.finished_at = now
+            self.completed_bytes += flow.total
+            self.completed_flows += 1
+            flow.done.succeed(flow)
+        # departures free capacity now; the flush re-solves the survivors
+        self._mark_dirty({flow._cls for flow in finished})
 
     # -- deferred re-solve ---------------------------------------------------
 
-    def _mark_dirty(self, links: _t.Iterable[Link]) -> None:
+    def _mark_dirty(self, classes: _t.Iterable[int]) -> None:
         """Record a flow-set change; defer the solve to the flush instant."""
-        self._dirty.update(links)
-        if not self._dirty:
-            # nothing to re-solve, but the completion horizon may have moved
-            self._schedule_wake()
-            return
+        self._dirty.update(classes)
         if self._wake_entry is not None:
             # the pending completion wake is computed from now-stale rates
             self.env.cancel(self._wake_entry)
@@ -388,86 +394,82 @@ class FluidNetwork:
             self._schedule_wake()
 
     def _ensure_current(self) -> None:
-        """Solve the components touched by dirty links; re-arm the wake."""
+        """Solve the components touched by dirty classes; re-arm the wake."""
         dirty, self._dirty = self._dirty, set()
-        # Connected-component closure over the flow<->link bipartite graph,
-        # walked link to link through the cached neighbours.  Flows outside
-        # the closure share no links with it (directly or transitively), so
-        # their max-min rates are unaffected.  Links left without flows
-        # constrain nothing and stay out of the key and the kernel.
+        # Connected-component closure over the class<->link graph, each
+        # link expanded once through its static class list filtered by
+        # liveness.  Dirty classes left without flows only lead the walk
+        # to their links; they stay out of the key and the kernel.
+        class_flows, class_links = self._class_flows, self._class_links
         stack = list(dirty)
         seen = set(dirty)
-        links: list[Link] = []
+        expanded: set[Link] = set()
+        classes: list[int] = []
         while stack:
-            link = stack.pop()
-            if link._enc is None:
-                self._encode(link)
-            if link._enc:
-                links.append(link)
-                for other in link._nbrs:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        if links:
-            links.sort(key=_by_uid)
-            key: list = []
-            for link in links:
-                key.append(link.uid)
-                key.append(link.capacity)
-                key += link._enc
-                key.append(-1)
-            self._solve(tuple(key), links)
+            cls = stack.pop()
+            if class_flows[cls]:
+                classes.append(cls)
+            for link in class_links[cls]:
+                if link not in expanded:
+                    expanded.add(link)
+                    for other in link._classes:
+                        if other not in seen and class_flows[other]:
+                            seen.add(other)
+                            stack.append(other)
+        if classes:
+            if len(classes) == 1:
+                [cls] = classes
+                links = class_links[cls]
+                key = [cls, len(class_flows[cls])]
+            else:
+                classes.sort()
+                links = sorted(set(chain.from_iterable(
+                    [class_links[c] for c in classes])), key=_by_uid)
+                key = []
+                for cls in classes:
+                    key.append(cls)
+                    key.append(len(class_flows[cls]))
+            key.append(-1)
+            key += [link.capacity for link in links]
+            self._solve(tuple(key), classes, links)
         self._schedule_wake()
-
-    def _encode(self, link: Link) -> None:
-        """Refresh ``link._enc`` and ``link._nbrs`` from its class counts."""
-        counts = link._counts
-        class_links = self._class_links
-        if len(counts) == 1:
-            [enc] = counts.items()  # the (class, count) pair is the encoding
-            link._enc = enc
-            link._nbrs = class_links[enc[0]]
-        else:
-            enc = link._enc = tuple(
-                chain.from_iterable(sorted(counts.items())))
-            link._nbrs = tuple(dict.fromkeys(
-                chain.from_iterable([class_links[c] for c in enc[::2]])))
 
     # -- the max-min solve -----------------------------------------------------
 
-    def _solve(self, key: tuple, links: list[Link]) -> None:
-        """Set the rates of every flow on ``links``, a closed component.
+    def _solve(self, key: tuple, classes: list[int],
+               links: _t.Sequence[Link]) -> None:
+        """Set the rate of every class in ``classes``, a closed component.
 
-        ``key`` is, per link of ``links`` (uid order): uid, capacity, its
-        ``(class, count)`` pairs in class-id order, -1.  The -1
-        terminators make it parseable left to right (uids, classes >= 0;
-        capacities, counts > 0), and it holds everything the kernel reads,
-        so a key solved before replays the bit-identical rates whatever
-        order its flows arrived in.
+        ``key`` is the ``(class, count)`` pairs of ``classes`` in class-id
+        order, -1, then the capacities of ``links`` in uid order.  The
+        classes name the links, so it holds everything the kernel reads: a
+        key solved before replays the bit-identical rates whatever order
+        its flows arrived in.
         """
         memo = self._memo
         rates = memo.get(key)
         if rates is None:
             self.memo_misses += 1
-            rates = self._progressive_fill(links)
+            rates = self._progressive_fill(classes, links)
             if len(memo) >= _MEMO_MAX:
                 del memo[next(iter(memo))]  # FIFO: oldest insertion first
             memo[key] = rates
         else:
             self.memo_hits += 1
-        for link in links:
-            for f in link.flows:
-                f._rate = rates[f._cls]
+        class_rate = self._class_rate
+        for cls, rate in rates.items():
+            class_rate[cls] = rate
 
-    def _progressive_fill(self, links: list[Link]) -> dict[int, float]:
+    def _progressive_fill(self, classes: list[int],
+                          links: _t.Sequence[Link]) -> dict[int, float]:
         """Weighted max-min fair rates per flow class, by progressive filling.
 
-        ``links`` is a closed component in uid order with fresh ``_enc``:
-        every flow crossing one of them crosses only links in ``links``.
-        Flows of one class cross the same links with the same weight and
-        cap, so they always freeze together at one rate: the kernel runs
-        over classes with multiplicities and returns ``{class: rate}``.
-        Each class's ``max_rate`` is a candidate bottleneck alongside its
+        ``classes`` are the live classes of a closed component in class-id
+        order and ``links`` the links they cross, in uid order.  Flows of
+        one class cross the same links with the same weight and cap, so
+        they always freeze together at one rate: the kernel runs over
+        classes with multiplicities and returns ``{class: rate}``.  Each
+        class's ``max_rate`` is a candidate bottleneck alongside its
         links.  Counted as one solve.
 
         Nothing here depends on arrival order.  Live weights are summed
@@ -479,33 +481,28 @@ class FluidNetwork:
         to walking the flows in any order.
         """
         self.solves += 1
-        specs = self._class_keys
-        counts: dict[int, int] = {}
-        for link in links:
-            counts.update(link._counts)
-        if len(counts) == 1:
-            [(cls, n)] = counts.items()
-            if n == 1:
-                # Lone-flow fast path (the common case for a solitary
-                # mover): arithmetic-identical to one trip through the
-                # loop below.
-                weight, max_rate, path = specs[cls]
-                share = min(link.capacity / weight for link in path)
-                if max_rate < share * weight:
-                    return {cls: max_rate}
-                return {cls: share * weight}
-        unfrozen = dict.fromkeys(sorted(counts))
-        rates = dict.fromkeys(unfrozen, 0.0)
+        specs, class_links = self._class_keys, self._class_links
+        counts = {cls: len(self._class_flows[cls]) for cls in classes}
+        if len(classes) == 1 and counts[classes[0]] == 1:
+            # Lone-flow fast path (the common case for a solitary mover):
+            # arithmetic-identical to one trip through the loop below.
+            [cls] = classes
+            weight, max_rate, _ = specs[cls]
+            share = min(link.capacity / weight for link in class_links[cls])
+            if max_rate < share * weight:
+                return {cls: max_rate}
+            return {cls: share * weight}
+        unfrozen = dict.fromkeys(classes)
+        rates = dict.fromkeys(classes, 0.0)
         residual = {link: link.capacity for link in links}
-        live_weight: dict[Link, float] = {}
-        for link in links:
-            enc = link._enc
-            w = 0.0
-            for i in range(0, len(enc), 2):
-                cls_weight = specs[enc[i]][0]
-                for _ in range(enc[i + 1]):
-                    w += cls_weight
-            live_weight[link] = w
+        live_weight = dict.fromkeys(links, 0.0)
+        for cls in classes:
+            weight = specs[cls][0]
+            for link in class_links[cls]:
+                w = live_weight[link]
+                for _ in range(counts[cls]):
+                    w += weight
+                live_weight[link] = w
         # Repeated subtraction leaves ~1e-16 residues in live_weight and
         # residual; a link whose flows all froze must read exactly empty,
         # or its ~0/~0 ratio poisons the next bottleneck computation with
@@ -517,9 +514,9 @@ class FluidNetwork:
             for cls in batch:
                 del unfrozen[cls]
                 rate = rates[cls]
-                weight, _, path = specs[cls]
+                weight = specs[cls][0]
                 n = counts[cls]
-                for link in path:
+                for link in class_links[cls]:
                     for _ in range(n):
                         residual[link] -= rate
                         live_weight[link] -= weight
@@ -553,14 +550,14 @@ class FluidNetwork:
                     cap = specs[cls][1]
                     rates[cls] = cap if math.isfinite(cap) else 0.0
                 break
-            # Freeze every class whose bottleneck link is saturated at this
+            # Freeze every class that crosses a link saturated at this
             # share.
-            saturated = [link for link, cap in residual.items()
+            saturated = {link for link, cap in residual.items()
                          if live_weight[link] > weight_floor
                          and max(cap, 0.0) / live_weight[link]
-                         <= bottleneck_share * (1 + 1e-12) + 1e-18]
-            batch = sorted({c for link in saturated for c in link._counts
-                            if c in unfrozen})
+                         <= bottleneck_share * (1 + 1e-12) + 1e-18}
+            batch = [c for c in unfrozen
+                     if not saturated.isdisjoint(class_links[c])]
             if not batch:  # pragma: no cover - numeric safety valve
                 for cls in unfrozen:
                     rates[cls] = bottleneck_share * specs[cls][0]
@@ -586,31 +583,34 @@ class FluidNetwork:
           rate-zero (starved or ``max_rate == 0``) no wake is scheduled at
           all, and the flow parks until the next ``_mark_dirty`` re-solve
           changes its rate.
+
+        Both tests are monotone in ``remaining`` over one class's rate, so
+        each class is read in sorted order only up to its first flow that
+        is not force-completed, whose ETA is the class's minimum.
         """
         if self._wake_entry is not None:
             self.env.cancel(self._wake_entry)
             self._wake_entry = None
         now = self.env.now
+        rates, class_flows = self._class_rate, self._class_flows
         finished: list[Flow] = []
         horizon = math.inf
-        for flow in self._flows:
-            remaining = flow.remaining
-            if remaining <= _EPSILON_BYTES:
+        for cls in self._live:
+            rate = rates[cls]
+            for flow in class_flows[cls]:
+                remaining = flow.remaining
+                if remaining > _EPSILON_BYTES:
+                    if not rate > 0.0:
+                        break
+                    eta = remaining / rate
+                    if now + eta > now:
+                        if eta < horizon:
+                            horizon = eta
+                        break
                 finished.append(flow)
-            elif flow._rate > 0.0:
-                eta = remaining / flow._rate
-                if now + eta <= now:
-                    finished.append(flow)
-                elif eta < horizon:
-                    horizon = eta
         if finished:
-            touched: list[Link] = []
-            for flow in sorted(finished, key=lambda f: f.fid):
-                touched.extend(flow.links)
-                self._complete(flow, now)
-            # the departures free capacity at this instant; the flush
-            # re-solves and re-enters here with the survivors
-            self._mark_dirty(touched)
+            # the flush re-solves and re-enters here with the survivors
+            self._complete_all(finished, now)
             return
         if not math.isfinite(horizon):
             return

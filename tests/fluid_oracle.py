@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import typing as _t
+from operator import attrgetter
 
 from repro.sim.fluid import Flow, FluidNetwork, Link
 
@@ -33,10 +34,11 @@ def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],
     """Weighted max-min fair allocation via progressive filling, per flow.
 
     ``flows`` must be closed over ``links``: every flow crossing a link
-    in ``links`` is in ``flows`` and vice versa.  Each flow's personal
-    ``max_rate`` is honoured by treating it as a candidate bottleneck
-    alongside its links.  Sets every ``flow._rate``; counted as one solve
-    of ``net``.
+    in ``links`` is in ``flows`` and vice versa.  A link's flows are
+    walked in the order of ``flows``.  Each flow's personal ``max_rate``
+    is honoured by treating it as a candidate bottleneck alongside its
+    links.  Flows of one class freeze together at one rate, which is
+    stored as their class's rate; counted as one solve of ``net``.
     """
     net.solves += 1
     unfrozen = dict.fromkeys(flows)
@@ -44,18 +46,19 @@ def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],
         # Lone-flow fast path: arithmetic-identical to one trip through
         # the loop below.
         flow = next(iter(unfrozen))
-        if flow.links:
-            weight = flow.weight
-            share = min(link.capacity / weight for link in flow.links)
-            if flow.max_rate < share * weight:
-                flow._rate = flow.max_rate
-            else:
-                flow._rate = share * weight
-            return
+        weight = flow.weight
+        share = min(link.capacity / weight for link in flow.links)
+        rate = share * weight
+        net._class_rate[flow._cls] = (flow.max_rate if flow.max_rate < rate
+                                      else rate)
+        return
+    rates = dict.fromkeys(unfrozen, 0.0)
+    on_link: dict[Link, list[Flow]] = {link: [] for link in links}
     for flow in unfrozen:
-        flow._rate = 0.0
-    residual = {link: link.capacity for link in links}
-    live_weight = {link: sum(f.weight for f in link.flows)
+        for link in flow.links:
+            on_link[link].append(flow)
+    residual = {link: link.capacity for link in on_link}
+    live_weight = {link: sum(f.weight for f in on_link[link])
                    for link in residual}
     # a link whose flows all froze must read exactly empty despite the
     # ~1e-16 residues repeated subtraction leaves
@@ -76,15 +79,16 @@ def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],
             batch = [f for f in capped
                      if f.max_rate / f.weight <= tightest * (1 + 1e-12)]
             for flow in batch:
-                flow._rate = flow.max_rate
+                rates[flow] = flow.max_rate
                 unfrozen.pop(flow, None)
                 for link in flow.links:
-                    residual[link] -= flow._rate
+                    residual[link] -= flow.max_rate
                     live_weight[link] -= flow.weight
             continue
         if not math.isfinite(bottleneck_share):
             for flow in unfrozen:
-                flow._rate = flow.max_rate if math.isfinite(flow.max_rate) else 0.0
+                rates[flow] = (flow.max_rate if math.isfinite(flow.max_rate)
+                               else 0.0)
             break
         saturated = [link for link, cap in residual.items()
                      if live_weight[link] > weight_floor
@@ -92,33 +96,34 @@ def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],
                      <= bottleneck_share * (1 + 1e-12) + 1e-18]
         froze_any = False
         for link in saturated:
-            for flow in [f for f in link.flows if f in unfrozen]:
-                flow._rate = bottleneck_share * flow.weight
+            for flow in [f for f in on_link[link] if f in unfrozen]:
+                rate = rates[flow] = bottleneck_share * flow.weight
                 unfrozen.pop(flow, None)
                 froze_any = True
                 for l2 in flow.links:
-                    residual[l2] -= flow._rate
+                    residual[l2] -= rate
                     live_weight[l2] -= flow.weight
         if not froze_any:
             for flow in unfrozen:
-                flow._rate = bottleneck_share * flow.weight
+                rates[flow] = bottleneck_share * flow.weight
             break
+    for flow, rate in rates.items():
+        net._class_rate[flow._cls] = rate
 
 
 class UnmemoizedFluidNetwork(FluidNetwork):
     """The shipped solver with the component memo bypassed."""
 
-    def _solve(self, key, links) -> None:
-        rates = self._progressive_fill(links)
-        for link in links:
-            for f in link.flows:
-                f._rate = rates[f._cls]
+    def _solve(self, key, classes, links) -> None:
+        for cls, rate in self._progressive_fill(classes, links).items():
+            self._class_rate[cls] = rate
 
 
 class EagerFluidNetwork(UnmemoizedFluidNetwork):
     """Solve everything on every change; never defer, never memoize."""
 
-    def _mark_dirty(self, links) -> None:
+    def _mark_dirty(self, classes) -> None:
         # never sets ``_dirty``: rates are current the moment this returns
-        flow_order_fill(self, self._flows, self._links.values())
+        flows = sorted(self.active_flows, key=attrgetter("fid"))
+        flow_order_fill(self, flows, self._links.values())
         self._schedule_wake()

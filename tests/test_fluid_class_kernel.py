@@ -1,7 +1,7 @@
 """Property: with equal weights the class kernel is the flow-order kernel.
 
 The shipped solver runs progressive filling over flow classes with
-multiplicities, in class-id order, and keys its memo on per-link class
+multiplicities, in class-id order, and keys its memo on per-class flow
 counts.  Random equal-weight flow sets over 2-4 links (mixed caps and
 capacities, multi-link flows, repeated classes) start at one instant:
 

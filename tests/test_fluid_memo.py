@@ -129,22 +129,23 @@ def test_arrival_order_is_not_part_of_the_key() -> None:
 
 
 def test_dirty_set_is_not_part_of_the_key() -> None:
-    # the closure walk starts from the dirty links, but the key lists the
-    # component's links in uid order: the same component reached from a
-    # different dirty set, and in a different arrival order, is a hit
+    # the closure walk starts from the dirty classes, but the key lists
+    # the component's classes in class-id order: the same component
+    # reached from a different dirty set, and in a different arrival
+    # order, is a hit
     env = Environment()
     net = FluidNetwork(env)
     a, b = net.add_link("a", 60e9), net.add_link("b", 40e9)
     first = [net.start_flow(4e9, [a, b]) for _ in range(2)]
     assert first[0].rate == 20e9
-    assert (net.memo_hits, net.memo_misses) == (0, 1)  # dirty {a, b}
+    assert (net.memo_hits, net.memo_misses) == (0, 1)  # dirty: the a+b class
     env.run(env.all_of([f.done for f in first]))
     short = net.start_flow(1e6, [a])
     second = [net.start_flow(4e9, [a, b]) for _ in range(2)]
     assert second[0].rate == 20e9
     assert (net.memo_hits, net.memo_misses) == (0, 2)  # + the short flow
     env.run(short.done)
-    assert second[0].rate == 20e9  # settles the departure: dirty {a} alone
+    assert second[0].rate == 20e9  # settles the departure: the a class alone
     assert (net.memo_hits, net.memo_misses) == (1, 2)
     env.run(env.all_of([f.done for f in second]))
 

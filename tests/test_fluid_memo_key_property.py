@@ -1,20 +1,25 @@
-"""Property: the incrementally kept memo key never goes stale or aliases.
+"""Property: per-class fluid state never goes stale and the memo key is exact.
 
 Random start/cancel/complete scripts over 2-4 links, with repeated flow
-classes, multi-link flows and one direct ``link.capacity`` change, run in
-lockstep on the shipped :class:`FluidNetwork` and on
-:class:`UnmemoizedFluidNetwork` (the same solver, kernel on every
-request).  Each script plays twice, draining in between, so the second
-pass meets configurations the memo has seen.  After every settle:
+classes, multi-link flows, paths that name a link twice and one direct
+``link.capacity`` change, run in lockstep on the shipped
+:class:`FluidNetwork` and on :class:`UnmemoizedFluidNetwork` (the same
+solver, kernel on every request).  Each script plays twice, draining in
+between, so the second pass meets configurations the memo has seen.
+After every settle:
 
-* every link's per-class flow counts, and every cached ``link._enc``
-  (and its neighbour links), equal what a fresh count over
-  ``link.flows`` computes, so no start or departure skipped an update or
-  an invalidation;
+* each class's flow list is exactly the active flows of that class,
+  sorted by ``remaining``, and a class is live if and only if it has
+  flows, so no start, advance or departure skipped an update;
 * every active flow's rate equals the unmemoized network's bit for bit,
   so no replayed entry belongs to a different configuration;
-* flows of one class hold identical rates, which is what lets one
-  ``{class: rate}`` dict replay a whole component.
+* every solve request is a memo hit exactly when a reference encoder
+  says so.  The reference rebuilds the previous design's key from the
+  active flows alone: the closure of the dirty classes' links over the
+  flow<->link graph, then per link in uid order ``(uid, capacity,
+  (class, count) pairs in class-id order, -1)``.  The shipped key must
+  draw the same distinctions, so the counts of kernel runs and replays
+  cannot move.
 """
 
 from __future__ import annotations
@@ -25,16 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.environment import Environment
-from repro.sim.fluid import FluidNetwork
+from repro.sim.fluid import _MEMO_MAX, FluidNetwork
 from tests.fluid_oracle import UnmemoizedFluidNetwork
 
 #: caps and capacities off the integer grid, so float subtraction order
 #: shows in the low bits of the rates; caps c/1.0 == 2c/2.0 put flows of
-#: different classes into one capped freeze batch, walked in flow order
+#: different classes into one capped freeze batch
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("start"),
-              st.lists(st.integers(0, 3), min_size=1, max_size=3,
-                       unique=True),
+              st.lists(st.integers(0, 3), min_size=1, max_size=3),
               st.sampled_from([1.0, 2.0, 0.7]),
               st.sampled_from([math.inf, 7.7e9 / 3, 15.4e9 / 3]),
               st.sampled_from([2e6, 3e7, 4e8])),
@@ -43,6 +47,59 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("capacity"), st.integers(0, 3),
               st.sampled_from([64e9 / 3, 136e9 / 3])),
 ), min_size=10, max_size=40)
+
+
+def _per_link_key(flows, dirty_links) -> tuple | None:
+    """The per-link memo key of the component reached from ``dirty_links``."""
+    on_link: dict = {}
+    for flow in flows:
+        for link in flow.links:
+            on_link.setdefault(link, []).append(flow)
+    stack = list(dirty_links)
+    seen = set(stack)
+    while stack:
+        for flow in on_link.get(stack.pop(), ()):
+            for other in flow.links:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    key: list = []
+    for link in sorted((l for l in seen if l in on_link),
+                       key=lambda l: l.uid):
+        counts: dict[int, int] = {}
+        for flow in on_link[link]:
+            counts[flow._cls] = counts.get(flow._cls, 0) + 1
+        key += [link.uid, link.capacity]
+        for cls in sorted(counts):
+            key += [cls, counts[cls]]
+        key.append(-1)
+    return tuple(key) or None
+
+
+class _ReferenceKeyed(FluidNetwork):
+    """The shipped network, checking each request against the reference."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.reference_memo: dict[tuple, None] = {}
+
+    def _ensure_current(self) -> None:
+        dirty_links = {link for cls in self._dirty
+                       for link in self._class_keys[cls][2]}
+        key = _per_link_key(self.active_flows, dirty_links)
+        hits, misses = self.memo_hits, self.memo_misses
+        super()._ensure_current()
+        if key is None:
+            assert (self.memo_hits, self.memo_misses) == (hits, misses)
+            return
+        memo = self.reference_memo
+        if key in memo:
+            assert (self.memo_hits, self.memo_misses) == (hits + 1, misses)
+            return
+        assert (self.memo_hits, self.memo_misses) == (hits, misses + 1)
+        if len(memo) >= _MEMO_MAX:
+            del memo[next(iter(memo))]
+        memo[key] = None
 
 
 class _Run:
@@ -60,9 +117,8 @@ class _Run:
         kind = step[0]
         if kind == "start":
             _, lidx, weight, cap, nbytes = step
-            chosen = dict.fromkeys(self.links[i % len(self.links)]
-                                   for i in lidx)
-            flow = self.net.start_flow(nbytes, list(chosen), weight=weight,
+            path = [self.links[i % len(self.links)] for i in lidx]
+            flow = self.net.start_flow(nbytes, path, weight=weight,
                                        max_rate=cap)
             self.flows.append(flow)
             self.pass_flows.append(flow)
@@ -81,27 +137,18 @@ class _Run:
         return [f.rate.hex() for f in self.flows if not f.finished]
 
 
-def _check_caches(net: FluidNetwork) -> None:
-    for link in net.links:
-        if link._enc is None:
-            continue
-        counts: dict[int, int] = {}
-        for flow in link.flows:
-            counts[flow._cls] = counts.get(flow._cls, 0) + 1
-        assert link._counts == counts
-        classes = sorted(counts)
-        assert link._enc == tuple(x for cls in classes
-                                  for x in (cls, counts[cls]))
-        nbrs = dict.fromkeys(other for cls in classes
-                             for other in net._class_links[cls])
-        assert link._nbrs == tuple(nbrs)
-
-
-def _check_class_rates(net: FluidNetwork) -> None:
-    by_class: dict[int, set[str]] = {}
-    for flow in net.active_flows:
-        by_class.setdefault(flow._cls, set()).add(flow.rate.hex())
-    assert all(len(rates) == 1 for rates in by_class.values())
+def _check_class_state(run: _Run) -> None:
+    net = run.net
+    expected: dict[int, set] = {}
+    for flow in run.flows:
+        if not flow.finished:
+            expected.setdefault(flow._cls, set()).add(flow)
+    for cls, flows in enumerate(net._class_flows):
+        assert set(flows) == expected.get(cls, set())
+        assert len(flows) == len(set(flows))
+        remaining = [flow.remaining for flow in flows]
+        assert remaining == sorted(remaining)
+        assert (cls in net._live) == bool(flows)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -109,7 +156,7 @@ def _check_class_rates(net: FluidNetwork) -> None:
                      min_size=2, max_size=4),
        steps=STEPS)
 def test_memo_key_stays_exact(caps, steps):
-    shipped = _Run(FluidNetwork, caps)
+    shipped = _Run(_ReferenceKeyed, caps)
     oracle = _Run(UnmemoizedFluidNetwork, caps)
     capacity_changed = False
     for _pass in range(2):
@@ -123,8 +170,7 @@ def test_memo_key_stays_exact(caps, steps):
             oracle.apply(step)
             assert shipped.settle() == oracle.settle()
             assert shipped.env.now == oracle.env.now
-            _check_caches(shipped.net)
-            _check_class_rates(shipped.net)
+            _check_class_state(shipped)
         shipped.env.run()
         oracle.env.run()
     assert ([f.finished_at for f in shipped.flows]
