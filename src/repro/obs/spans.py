@@ -6,7 +6,8 @@ a subscriber of the probe (:mod:`repro.hooks`, DESIGN.md §16) and builds
 the DAG from two groups of its points:
 
 * the **span points** mark begin/end at the instrumented call sites —
-  entry-method execution (:func:`repro.runtime.converse.deliver`), block
+  entry-method execution (the inline entry body of
+  :func:`repro.runtime.converse.converse_scheduler`), block
   fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
   queue-lock charges
   (:meth:`repro.core.manager.OOCManager.charge_queue_op`);

@@ -95,7 +95,7 @@ class Chare:
         """Run a compute kernel on this chare's PE (generator; ``yield from``)."""
         if self.runtime is None:
             raise ChareError("kernel() on an unbound chare")
-        # Use the PE whose converse loop is executing us (set by deliver):
+        # Use the PE whose converse loop is executing us (set on delivery):
         # with the node-level run queue option a ready task may run on a PE
         # other than the chare's home.
         pe = self.runtime.pes[getattr(self, "_exec_pe_id", self.pe_id)]

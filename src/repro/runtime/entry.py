@@ -19,7 +19,6 @@ message time, so data-dependent block lists work).
 
 from __future__ import annotations
 
-import inspect
 import typing as _t
 
 from repro.errors import EntryMethodError
@@ -123,10 +122,6 @@ def entry(func: _t.Callable | None = None, *, prefetch: bool = False,
             raise EntryMethodError(
                 f"entry {f.__name__!r}: [prefetch] requires at least one "
                 "declared data dependence")
-        if not inspect.isgeneratorfunction(f) and prefetch:
-            # Prefetch entries almost always run kernels; a plain function
-            # is legal (zero simulated time) but worth allowing explicitly.
-            pass
         setattr(f, _SPEC_ATTR, EntrySpec(f.__name__, f, prefetch, tuple(deps)))
         return f
 

@@ -20,7 +20,7 @@ _msg_ids = count()
 
 
 class Message:
-    """An entry-method invocation in flight."""
+    """An entry-method invocation in flight (never subclassed)."""
 
     __slots__ = ("mid", "target", "entry", "args", "kwargs", "nbytes",
                  "created_at", "delivered_at", "intercepted")
@@ -32,9 +32,9 @@ class Message:
         self.target = target
         self.entry = entry
         self.args = args
-        self.kwargs = kwargs or {}
+        self.kwargs = {} if kwargs is None else kwargs
         #: payload size, for communication-cost accounting
-        self.nbytes = int(nbytes)
+        self.nbytes = nbytes if type(nbytes) is int else int(nbytes)
         self.created_at = created_at
         self.delivered_at: float | None = None
         #: set once the OOC manager has seen this message, so a ready task

@@ -73,14 +73,7 @@ class PE:
             return task
         return None
 
-    @property
-    def wait_depth(self) -> int:
-        return len(self.wait_queue)
-
     # -- accounting -------------------------------------------------------------
-
-    def note_busy(self, seconds: float) -> None:
-        self.busy_time += seconds
 
     def note_overhead(self, seconds: float) -> None:
         self.overhead_time += seconds

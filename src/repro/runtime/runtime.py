@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing as _t
 
 from repro.errors import ChareError, RuntimeModelError
@@ -38,7 +39,10 @@ class CharmRuntime:
         if not 1 <= n_pes <= len(machine.cores):
             raise RuntimeModelError(
                 f"n_pes must be in [1, {len(machine.cores)}], got {n_pes}")
-        #: fixed per-message delivery latency (intra-node)
+        if not 0.0 <= message_latency < math.inf:
+            raise RuntimeModelError("message_latency must be finite and "
+                                    f">= 0, got {message_latency!r}")
+        #: fixed per-message delivery latency (intra-node); 0 puts at once
         self.message_latency = message_latency
         self.pes: list[PE] = [PE(self.env, i, machine.cores[i])
                               for i in range(n_pes)]
@@ -101,16 +105,17 @@ class CharmRuntime:
         """
         if target.runtime is not self:
             raise ChareError(f"{target!r} does not belong to this runtime")
-        spec = target.entry_spec(entry_name)
-        msg = Message(target, spec, args, kwargs, nbytes=nbytes,
-                      created_at=self.env.now)
+        spec = (target._entry_specs.get(entry_name)
+                or target.entry_spec(entry_name))  # raises the ChareError
+        env = self.env
+        msg = Message(target, spec, args, kwargs, nbytes, env._now)
         self.messages_sent += 1
-        pe = self.pes[target.pe_id]
-        if self.message_latency > 0:
-            self.env.timeout(self.message_latency).add_callback(
-                lambda _ev: pe.run_queue.put(msg))
+        run_queue = self.pes[target.pe_id].run_queue
+        if self.message_latency:
+            # the timeout carries the message; its callback is the put
+            env.timeout(self.message_latency, msg)._cb0 = run_queue.put_event
         else:
-            pe.run_queue.put(msg)
+            run_queue.put(msg)
         return msg
 
     # -- load balancing ---------------------------------------------------------

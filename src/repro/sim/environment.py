@@ -343,16 +343,6 @@ class Environment:
                 n += sum(1 for e in bucket if not e._cancelled)
         return n
 
-    def stored_entry_count(self) -> int:
-        """Total parked entries including tombstones (leak diagnostics)."""
-        if self._tie_break is not None:
-            return len(self._legacy_queue)
-        n = len(self._agenda_urgent) + len(self._agenda_normal)
-        for store in (self._buckets, self._urgent_buckets):
-            for bucket in store.values():
-                n += len(bucket)
-        return n
-
     # -- run loop -----------------------------------------------------------
 
     def _advance_clock(self, deadline: float = _INF) -> bool:

@@ -233,11 +233,6 @@ class FluidNetwork:
     def links(self) -> tuple[Link, ...]:
         return tuple(self._links.values())
 
-    @property
-    def active_flows(self) -> frozenset[Flow]:
-        return frozenset(chain.from_iterable(
-            self._class_flows[c] for c in self._live))
-
     # -- flow lifecycle ---------------------------------------------------------
 
     def start_flow(self, nbytes: float, links: _t.Sequence[Link | str],

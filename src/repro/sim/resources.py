@@ -56,8 +56,7 @@ class Store:
         getters = self._getters
         if getters:
             # inlined Event.succeed() minus its already-triggered guard: a
-            # parked getter is untriggered by construction.  put() runs
-            # once per runtime message; the call layers were measurable.
+            # parked getter is untriggered by construction
             ev = getters.popleft()
             ev._value = item
             env = self.env
@@ -72,6 +71,29 @@ class Store:
             # buffered handoff: the later get() succeeds from the getter's
             # own context, so without this hook the put->get causality edge
             # would be invisible to the race detector
+            if _probe.on_handoff_put is not None:
+                _probe.on_handoff_put(item)
+            self._items.append(item)
+
+    def put_event(self, event: Event) -> None:
+        """Event callback: :meth:`put` ``event``'s value (a delayed put).
+
+        put()'s body, inlined: it runs once per runtime message.
+        """
+        item = event._value
+        getters = self._getters
+        if getters:
+            ev = getters.popleft()
+            ev._value = item
+            env = self.env
+            if env._tie_break is None:
+                env._agenda_normal.append(ev)
+                env._live += 1
+                if _probe.on_scheduled is not None:
+                    _probe.on_scheduled(ev)
+            else:
+                env.schedule(ev)
+        else:
             if _probe.on_handoff_put is not None:
                 _probe.on_handoff_put(item)
             self._items.append(item)
@@ -141,6 +163,9 @@ class PriorityStore(Store):
             if _probe.on_handoff_put is not None:
                 _probe.on_handoff_put(item)
             heapq.heappush(self._heap, (key, next(self._seq), item))
+
+    def put_event(self, event: Event) -> None:
+        self.put(event._value)
 
     def get(self) -> Event:
         ev = Event(self.env, name=self._get_name)

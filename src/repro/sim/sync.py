@@ -102,10 +102,6 @@ class CondVar:
         self.total_waits = 0
         self.total_notifies = 0
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def wait(self) -> Event:
         """Return an event that fires on the next matching notify."""
         ev = self.env.event(name=f"{self.name}.wait")

@@ -24,9 +24,16 @@ from __future__ import annotations
 
 import math
 import typing as _t
+from itertools import chain
 from operator import attrgetter
 
 from repro.sim.fluid import Flow, FluidNetwork, Link
+
+
+def active_flows(net: FluidNetwork) -> frozenset[Flow]:
+    """The flows ``net`` is carrying: every flow of every live class."""
+    return frozenset(chain.from_iterable(
+        net._class_flows[c] for c in net._live))
 
 
 def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],
@@ -124,6 +131,6 @@ class EagerFluidNetwork(UnmemoizedFluidNetwork):
 
     def _mark_dirty(self, classes) -> None:
         # never sets ``_dirty``: rates are current the moment this returns
-        flows = sorted(self.active_flows, key=attrgetter("fid"))
+        flows = sorted(active_flows(self), key=attrgetter("fid"))
         flow_order_fill(self, flows, self._links.values())
         self._schedule_wake()

@@ -7,6 +7,7 @@ from repro.config import ClusterMode, MemoryMode
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.eviction import LRUEviction
 from repro.core.strategies import MultiIOThreadStrategy
+from repro.errors import RuntimeModelError
 from repro.units import GiB, MiB
 
 
@@ -45,6 +46,14 @@ class TestBuilder:
         built = OOCRuntimeBuilder(
             "naive", cores=2, cluster_mode=ClusterMode.QUADRANT).build()
         assert "quadrant" in built.machine.config.name
+
+    @pytest.mark.parametrize("latency", [-1e-6, float("nan")])
+    def test_bad_message_latency_rejected(self, latency):
+        builder = OOCRuntimeBuilder("no-io", cores=2,
+                                    message_latency=latency)
+        with pytest.raises(RuntimeModelError,
+                           match=f"message_latency .*{latency!r}"):
+            builder.build()
 
     def test_two_builds_are_independent(self):
         b1 = OOCRuntimeBuilder("multi-io", cores=2).build()

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.sim.environment import Environment
 from repro.sim.fluid import _MEMO_MAX, FluidNetwork
-from tests.fluid_oracle import UnmemoizedFluidNetwork
+from tests.fluid_oracle import UnmemoizedFluidNetwork, active_flows
 
 #: caps and capacities off the integer grid, so float subtraction order
 #: shows in the low bits of the rates; caps c/1.0 == 2c/2.0 put flows of
@@ -86,7 +86,7 @@ class _ReferenceKeyed(FluidNetwork):
     def _ensure_current(self) -> None:
         dirty_links = {link for cls in self._dirty
                        for link in self._class_keys[cls][2]}
-        key = _per_link_key(self.active_flows, dirty_links)
+        key = _per_link_key(active_flows(self), dirty_links)
         hits, misses = self.memo_hits, self.memo_misses
         super()._ensure_current()
         if key is None:

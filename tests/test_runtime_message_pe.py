@@ -51,7 +51,7 @@ class TestPE:
         assert pe.wait_dequeue() == "a"
         pe.wait_requeue_front("a")
         assert pe.wait_dequeue() == "a"
-        assert pe.wait_depth == 1
+        assert len(pe.wait_queue) == 1
 
     def test_empty_dequeue_returns_none(self):
         _, pe = make_pe()
@@ -61,7 +61,7 @@ class TestPE:
         env, pe = make_pe()
         pe.started_at = 0.0
         env.run(until=10.0)
-        pe.note_busy(4.0)
+        pe.busy_time += 4.0
         pe.note_overhead(1.0)
         pe.stopped_at = 10.0
         assert pe.wall_time == 10.0
@@ -79,7 +79,7 @@ class TestRuntimeStats:
                          ddr_capacity=2 * GiB)
         rt = CharmRuntime(node)
         assert rt.total_busy_time() == 0.0
-        rt.pes[0].note_busy(1.5)
+        rt.pes[0].busy_time += 1.5
         rt.pes[1].note_overhead(0.5)
         assert rt.total_busy_time() == 1.5
         assert rt.total_overhead_time() == 0.5

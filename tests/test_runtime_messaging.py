@@ -105,6 +105,20 @@ class TestMessaging:
         for pe in rt.pes:
             assert pe.stopped_at is not None
 
+    @pytest.mark.parametrize("latency", [-1e-6, float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_bad_message_latency_rejected(self, latency):
+        with pytest.raises(RuntimeModelError,
+                           match=f"message_latency .*{latency!r}"):
+            make_runtime(message_latency=latency)
+
+    def test_zero_latency_puts_synchronously(self):
+        rt = make_runtime(cores=1, message_latency=0.0)
+        arr = rt.create_array(Echo, 1)
+        rt.send(arr[0], "setup")
+        # no event in between: the message is already on the run queue
+        assert len(rt.pes[0].run_queue) == 1
+
 
 class TestReducer:
     def test_fires_at_expected_count(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
+from tests.fluid_oracle import active_flows
 
 
 def make_net(*caps):
@@ -185,7 +186,7 @@ class TestFluidProperties:
         env, net = make_net(50.0)
         for s in sizes:
             net.start_flow(s, ["l0"])
-        total_rate = sum(f.rate for f in net.active_flows)
+        total_rate = sum(f.rate for f in active_flows(net))
         assert total_rate <= 50.0 * (1 + 1e-9)
 
     @settings(max_examples=30, deadline=None)

@@ -396,13 +396,14 @@ def _step_run(env: Environment, until=None):
     return until.value
 
 
-def test_fig2_fig8_tables_byte_identical_kernel_on_off(monkeypatch) -> None:
+def test_fig2_fig8_tables_byte_identical_kernel_on_off(
+        monkeypatch, fig8_tiny_plan, fig8_tiny_result) -> None:
     """Figure tables through the kernel equal the step-driven oracle's."""
-    from repro.bench.experiments import Scale, fig2_plan, fig8_plan
+    from repro.bench.experiments import Scale, fig2_plan
     from repro.bench.harness import run_plan
 
-    plans = (lambda: fig2_plan(Scale.TINY, iterations=2),
-             lambda: fig8_plan(Scale.TINY, iterations=2, reduced_ws_gb=(4,)))
-    kernel = [_canon(run_plan(plan())) for plan in plans]
+    plans = (lambda: fig2_plan(Scale.TINY, iterations=2), fig8_tiny_plan)
+    # the fig8 kernel run is the session-shared one (tests/conftest.py)
+    kernel = [_canon(run_plan(plans[0]())), _canon(fig8_tiny_result)]
     monkeypatch.setattr(Environment, "run", _step_run)
     assert [_canon(run_plan(plan())) for plan in plans] == kernel
