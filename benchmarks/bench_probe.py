@@ -63,8 +63,9 @@ CEILINGS = {
     "metrics": 1.3 + NOISE_EPSILON,
     # full vector-clock tracking is real work, but bounded work
     "racesan": 2.5 + NOISE_EPSILON,
-    # a causal DAG per task/fetch/evict plus the critical-path walk
-    "spans": 2.0 + NOISE_EPSILON,
+    # a causal DAG per task/fetch/evict plus the critical-path walk;
+    # sources are stamped at send, so the drain loop stays fused
+    "spans": 1.6 + NOISE_EPSILON,
     # one interval record per execute/fetch/evict/queue-op: metrics' bound
     "projections": 1.3 + NOISE_EPSILON,
 }

@@ -56,8 +56,13 @@ on_handoff_put: Point = None
 #: ``(item)`` a buffered item was taken out
 on_handoff_get: Point = None
 
-# -- runtime: converse delivery ------------------------------------------------
+# -- runtime: messages, reductions, converse delivery --------------------------
 
+#: ``(message)`` ``CharmRuntime.send`` built ``message``; the sender is
+#: ``env.active_process`` (None for driver code outside the loop)
+on_send: Point = None
+#: ``(reducer)`` the last contribution completed ``reducer``
+on_reduce: Point = None
 #: ``(pe, message, task)`` converse delivered ``message`` on ``pe``
 on_deliver: Point = None
 #: ``(pe_id, message, task, now)`` an entry method starts executing

@@ -11,17 +11,22 @@ the DAG from two groups of its points:
   fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
   queue-lock charges
   (:meth:`repro.core.manager.OOCManager.charge_queue_op`);
-* the **sim-core points** carry the same ordering sources racesan's
-  vector clocks are built from — event schedule→callback,
-  Store/wait-queue puts, process resumes.
-  The tracer threads a *source span id* along those edges instead of a
-  clock, which is how a message put into a run queue remembers which
-  execute span sent it, across any number of timeout/latency hops.
+* the **source points** stamp causality where it is created:
+  ``on_send`` when :meth:`~repro.runtime.runtime.CharmRuntime.send`
+  builds a message and ``on_reduce`` when a
+  :class:`~repro.runtime.reduction.Reducer` completes.
+
+A message's source is the execute span open on the process that sent
+it, ``env.active_process``, whether or not the entry has yielded since
+it began.  Driver code runs with no process active; its sends take the
+span that made the completing contribution of the latest reduction.
+The tracer subscribes to none of the sim-core points, so a run with
+spans on keeps the kernel's fused resume path.
 
 Causal edges recorded:
 
-* ``send → execute``: a message enqueued while an execute span is open
-  (directly or via scheduled events) parents the receiver's span;
+* ``send → execute``: a message's source span parents the receiver's
+  execute span;
 * ``submit → fetch``: the first fetch an IO thread issues for a task is
   parented on the span that produced the task's message;
 * ``fetch → execute``: an execute span is parented on the last fetch
@@ -69,30 +74,23 @@ class Span:
 class SpanTracer:
     """Collects :class:`Span` records and their causal edges.
 
-    Subscribe with :meth:`install` (alongside racesan, simsan or metrics
-    if they are on), run the application, then :meth:`uninstall` and
-    read :attr:`spans`.
+    Construct it on the run's environment, subscribe with
+    :meth:`install` (alongside racesan, simsan or metrics if they are
+    on), run the application, then :meth:`uninstall` and read
+    :attr:`spans`.
     """
 
-    def __init__(self, env: _t.Any = None):
+    def __init__(self, env: _t.Any):
         self.env = env
         self.spans: list[Span] = []
         self.by_sid: dict[int, Span] = {}
         self._next_sid = 0
-        # -- causality state (racesan's ordering sources) ------------------
-        self._ambient_actor: str | None = None
-        self._actor_names: dict[int, str] = {}
-        self._name_counts: dict[str, int] = {}
-        #: id(event) -> source span id, snapshotted at schedule time
-        self._event_src: dict[int, int] = {}
-        #: source span of the event currently being processed
-        self._event_snap: int | None = None
-        #: actor name -> its currently-open execute span id
-        self._open: dict[str, int] = {}
-        #: actor name -> (sid, causes) of the open execute span
-        self._pending_exec: dict[str, tuple[int, list[int]]] = {}
-        #: id(queued item) -> source span id (put→get handoff edge)
-        self._item_src: dict[int, int] = {}
+        #: process -> (sid, causes) of the execute span open on it
+        self._open: dict[_t.Any, tuple[int, list[int]]] = {}
+        #: message -> source span id, stamped at send
+        self._item_src: dict[_t.Any, int] = {}
+        #: the span that completed the latest reduction (driver sends)
+        self._reduce_src: int | None = None
         #: lane -> origin span id for the next fetch of the served task
         self._serve_origin: dict[str, int] = {}
         #: lane -> tid of the task the lane is currently serving
@@ -141,54 +139,28 @@ class SpanTracer:
         self.by_sid[sid] = span
         return span
 
-    # -- current causal source ---------------------------------------------
+    # -- causal sources: stamped where messages and reductions happen ------
 
-    def _ctx(self) -> int | None:
-        actor = self._ambient_actor
-        if actor is not None:
-            return self._open.get(actor)
-        return self._event_snap
-
-    def _actor_for(self, process: _t.Any) -> str:
-        key = id(process)
-        name = self._actor_names.get(key)
-        if name is None:
-            base = getattr(process, "name", None) or "proc"
-            count = self._name_counts.get(base, 0)
-            self._name_counts[base] = count + 1
-            name = base if count == 0 else f"{base}~{count}"
-            self._actor_names[key] = name
-        return name
-
-    # -- sim-core points: the detector's ordering sources -------------------
-
-    def on_scheduled(self, event: _t.Any) -> None:
-        src = self._ctx()
+    def on_send(self, message: _t.Any) -> None:
+        process = self.env.active_process
+        if process is None:
+            src = self._reduce_src
+        else:
+            opened = self._open.get(process)
+            src = None if opened is None else opened[0]
         if src is not None:
-            self._event_src[id(event)] = src
+            self._item_src[message] = src
 
-    def on_descheduled(self, event: _t.Any) -> None:
-        self._event_src.pop(id(event), None)
-
-    def on_processing(self, event: _t.Any) -> None:
-        self._event_snap = self._event_src.pop(id(event), None)
-        self._ambient_actor = None
-
-    def on_resume(self, process: _t.Any, event: _t.Any) -> None:
-        self._ambient_actor = self._actor_for(process)
-
-    def on_handoff_put(self, item: _t.Any) -> None:
-        src = self._ctx()
-        if src is not None:
-            self._item_src[id(item)] = src
+    def on_reduce(self, reducer: _t.Any) -> None:
+        opened = self._open.get(self.env.active_process)
+        self._reduce_src = None if opened is None else opened[0]
 
     # -- span points: instrumented call sites -------------------------------
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
-        sid = self._new_sid()
         causes: list[int] = []
-        src = self._item_src.pop(id(message), None)
+        src = self._item_src.pop(message, None)
         if src is not None:
             causes.append(src)
         if task is not None:
@@ -196,25 +168,21 @@ class SpanTracer:
                 fetched = self._block_fetch.get(id(block))
                 if fetched is not None:
                     causes.append(fetched)
-        actor = f"converse-pe{pe_id}"
-        self._open[actor] = sid
-        self._pending_exec[actor] = (sid, causes)
+        self._open[self.env.active_process] = (self._new_sid(), causes)
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
-        actor = f"converse-pe{pe_id}"
-        pending = self._pending_exec.pop(actor, None)
-        self._open.pop(actor, None)
-        if pending is None:      # installed mid-run: no matching begin
+        opened = self._open.pop(self.env.active_process, None)
+        if opened is None:      # installed mid-run: no matching begin
             return
-        sid, causes = pending
+        sid, causes = opened
         self._add(sid, f"pe{pe_id}", TraceCategory.EXECUTE,
                   started, now, label, causes,
                   tid=None if task is None else task.tid)
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
         self._lane_task[lane] = task.tid
-        src = self._item_src.get(id(task.message))
+        src = self._item_src.get(task.message)
         if src is not None:
             self._serve_origin[lane] = src
 

@@ -44,6 +44,8 @@ class Chare:
         self.index: tuple[int, ...] = ()
         self.pe_id: int = -1
         self.array: "ChareArray | None" = None
+        #: ``Type[i,j]``: names blocks and execute spans; set by _bind
+        self.label = f"{type(self).__name__}[]"
         #: blocks declared by this chare, in declaration order
         self.blocks: list[DataBlock] = []
         #: cumulative entry-method execution time (drives load balancing)
@@ -57,11 +59,7 @@ class Chare:
         self.index = index
         self.pe_id = pe_id
         self.array = array
-
-    @property
-    def label(self) -> str:
-        idx = ",".join(map(str, self.index))
-        return f"{type(self).__name__}[{idx}]"
+        self.label = f"{type(self).__name__}[{','.join(map(str, index))}]"
 
     def entry_spec(self, name: str) -> EntrySpec:
         try:

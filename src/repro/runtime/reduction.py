@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import RuntimeModelError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
@@ -55,6 +56,8 @@ class Reducer:
             result = (self.combiner(self.values) if self.combiner is not None
                       else list(self.values))
             self.done.succeed(result)
+            if _probe.on_reduce is not None:
+                _probe.on_reduce(self)
 
     def __repr__(self) -> str:
         return (f"<Reducer {self.name} {self.received}/{self.expected}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import typing as _t
 
+from repro import hooks as _probe
 from repro.errors import ChareError, RuntimeModelError
 from repro.machine.node import MachineNode
 from repro.runtime.chare import Chare, ChareArray, NodeGroup
@@ -48,8 +49,6 @@ class CharmRuntime:
                               for i in range(n_pes)]
         #: the OOC manager, installed by :meth:`install_interceptor`
         self.interceptor: Interceptor | None = None
-        #: PE whose scheduler is currently executing (for chare helpers)
-        self.current_pe_id = 0
         self.arrays: list[ChareArray] = []
         self.node_groups: list[NodeGroup] = []
         self.messages_sent = 0
@@ -110,6 +109,8 @@ class CharmRuntime:
         env = self.env
         msg = Message(target, spec, args, kwargs, nbytes, env._now)
         self.messages_sent += 1
+        if _probe.on_send is not None:
+            _probe.on_send(msg)
         run_queue = self.pes[target.pe_id].run_queue
         if self.message_latency:
             # the timeout carries the message; its callback is the put

@@ -89,7 +89,7 @@ class Environment:
     __slots__ = ("_now", "_times", "_buckets", "_urgent_buckets",
                  "_agenda_urgent", "_agenda_normal", "_legacy_queue",
                  "_seq", "_live", "_dead", "_active", "_tie_break",
-                 "_tcache_t", "_tcache")
+                 "_tcache_t", "_tcache", "active_process")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -120,6 +120,9 @@ class Environment:
         self._dead = 0
         #: live processes, for deadlock diagnostics
         self._active: dict[int, "Process"] = {}
+        #: the process whose generator is running right now, else None
+        #: (SimPy's name); set and cleared around every resume
+        self.active_process: "Process | None" = None
         #: optional same-instant tie-breaker (schedule explorer); maps the
         #: raw sequence number to the heap sequence key
         self._tie_break: _t.Callable[[int], _t.Any] | None = None

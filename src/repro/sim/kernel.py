@@ -24,7 +24,8 @@ driven one event at a time by :meth:`Environment.step`.
   :class:`~repro.sim.process.Process` waiter by type and drives
   ``generator.send`` directly: an inlined :meth:`Process._resume` minus
   the call frame.  Fusion removes call frames; it never reorders
-  dispatch.
+  dispatch.  Both paths set ``env.active_process`` to the process for
+  exactly the duration of its ``send`` and clear it on every exit arm.
 * **Observers.** Fusion skips exactly two probe points,
   ``on_processing`` and ``on_resume``.  While either has a subscriber,
   every event takes the generic path instead, which calls them; the
@@ -117,13 +118,16 @@ def drain(env: "Environment", target: "Event | None" = None,
                     # -- fused resume: inlined Process._resume; the except
                     # arms mirror it exactly
                     if callback._value is pending:
+                        env.active_process = callback
                         try:
                             nxt = callback._send(event._value)
                         except StopIteration as stop:
+                            env.active_process = None
                             callback._target = None
                             unregister(callback)
                             callback.succeed(stop.value)
                         except ProcessKilled as killed:
+                            env.active_process = None
                             callback._target = None
                             unregister(callback)
                             callback._ok = False
@@ -131,10 +135,12 @@ def drain(env: "Environment", target: "Event | None" = None,
                             callback._defused = True
                             env.schedule(callback)
                         except BaseException as exc:
+                            env.active_process = None
                             callback._target = None
                             unregister(callback)
                             callback.fail(exc)
                         else:
+                            env.active_process = None
                             try:
                                 callback._target = nxt
                                 # inlined add_callback single-waiter

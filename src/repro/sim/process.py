@@ -92,6 +92,8 @@ class Process(Event):
             return
         if _probe.on_resume is not None:
             _probe.on_resume(self, event)
+        env = self.env
+        env.active_process = self
         try:
             if event._ok:
                 next_event = self._send(event._value)
@@ -99,23 +101,27 @@ class Process(Event):
                 event._defused = True
                 next_event = self._throw(event._value)
         except StopIteration as stop:
+            env.active_process = None
             self._target = None
-            self.env.unregister_process(self)
+            env.unregister_process(self)
             self.succeed(stop.value)
             return
         except ProcessKilled as killed:
+            env.active_process = None
             self._target = None
-            self.env.unregister_process(self)
+            env.unregister_process(self)
             self._ok = False
             self._value = killed
             self._defused = True
-            self.env.schedule(self)
+            env.schedule(self)
             return
         except BaseException as exc:
+            env.active_process = None
             self._target = None
-            self.env.unregister_process(self)
+            env.unregister_process(self)
             self.fail(exc)
             return
+        env.active_process = None
 
         # Yield-target validation rides on the slot accesses themselves: a
         # non-Event (no _cb0/_processed slots) raises AttributeError, turned

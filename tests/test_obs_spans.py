@@ -135,7 +135,14 @@ class TestLifecycle:
     def test_uninstall_clears_both_slots(self):
         traced_run("multi-io", iterations=1)
         assert probe.on_fetch is None
-        assert probe.on_scheduled is None
+        assert probe.on_send is None
+        assert probe.on_reduce is None
+
+    def test_subscribes_to_no_sim_core_point(self):
+        # the kernel's fused resume path stays on while spans are traced
+        for point in ("on_scheduled", "on_descheduled", "on_processing",
+                      "on_resume", "on_handoff_put", "on_handoff_get"):
+            assert not hasattr(SpanTracer, point), point
 
     def test_disabled_run_records_nothing(self):
         built = OOCRuntimeBuilder("multi-io", cores=4,

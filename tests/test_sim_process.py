@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import hooks as probe
 from repro.errors import ProcessKilled, SimulationError
+from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
 
 
@@ -142,3 +144,121 @@ class TestDiagnostics:
         proc = env.process(body(env))
         env.run()
         assert proc.waiting_on is target
+
+
+class _ResumeCounter:
+    """An ``on_resume`` subscriber: binding it turns the fused path off."""
+
+    def __init__(self):
+        self.resumes = 0
+
+    def on_resume(self, process, event):
+        self.resumes += 1
+
+
+class TestActiveProcess:
+    """``env.active_process`` names the process whose generator runs."""
+
+    @staticmethod
+    def _spawn(env):
+        seen = []
+
+        def body(name):
+            seen.append((name, env.active_process))
+            yield env.timeout(1.0)
+            seen.append((name, env.active_process))
+            try:
+                yield env.event().fail(RuntimeError("thrown in"))
+            except RuntimeError:
+                seen.append((name, env.active_process))
+            yield env.timeout(0.0)
+            seen.append((name, env.active_process))
+
+        procs = {name: env.process(body(name), name=name)
+                 for name in ("a", "b")}
+        return seen, procs
+
+    @staticmethod
+    def _check(env, seen, procs):
+        assert len(seen) == 8
+        assert all(active is procs[name] for name, active in seen)
+        assert env.active_process is None
+
+    def test_none_outside_run(self, env):
+        assert env.active_process is None
+        seen, procs = self._spawn(env)
+        assert env.active_process is None
+        env.run(until=0.5)
+        assert env.active_process is None
+        env.run()
+        self._check(env, seen, procs)
+
+    def test_none_inside_plain_event_callbacks(self, env):
+        seen = []
+        late = env.event()
+
+        def body():
+            yield env.timeout(1.0)
+            late.succeed()   # its callbacks run later, from the loop
+            yield env.timeout(1.0)
+
+        env.process(body())
+        env.timeout(0.5).add_callback(
+            lambda event: seen.append(env.active_process))
+        late.add_callback(lambda event: seen.append(env.active_process))
+        env.run()
+        assert seen == [None, None]
+
+    def test_fused_path(self, env):
+        seen, procs = self._spawn(env)
+        env.run()
+        self._check(env, seen, procs)
+
+    def test_generic_path(self, env):
+        counter = _ResumeCounter()
+        probe.subscribe(counter)
+        try:
+            seen, procs = self._spawn(env)
+            env.run()
+        finally:
+            probe.unsubscribe(counter)
+        assert counter.resumes > 0
+        self._check(env, seen, procs)
+
+    def test_tie_breaker_step_mode(self, env):
+        env.set_tie_breaker(SeededTieBreaker(0))
+        seen, procs = self._spawn(env)
+        env.run()
+        self._check(env, seen, procs)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_cleared_when_the_generator_raises(self, env, observed):
+        counter = _ResumeCounter()
+
+        def body():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        env.process(body())
+        if observed:
+            probe.subscribe(counter)
+        try:
+            with pytest.raises(ValueError):
+                env.run()
+        finally:
+            probe.unsubscribe(counter)
+        assert env.active_process is None
+
+    def test_cleared_after_an_interrupt(self, env):
+        def victim():
+            yield env.timeout(10.0)
+
+        def killer(target):
+            yield env.timeout(1.0)
+            target.interrupt("stop")
+
+        target = env.process(victim())
+        env.process(killer(target))
+        env.run()
+        assert isinstance(target.value, ProcessKilled)
+        assert env.active_process is None
