@@ -12,8 +12,6 @@
    memory bandwidth") vs Quadrant.
 """
 
-import pytest
-
 from repro.apps.matmul import MatMul, MatMulConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.config import ClusterMode
@@ -51,22 +49,19 @@ def _migrate_many(allocator_cls, *, use_migrate_pages=False, blocks=64,
     return total
 
 
-def test_ablation_pool_allocator_reduces_alloc_cost(benchmark):
+def test_ablation_pool_allocator_reduces_alloc_cost():
     """Paper §IV-C: pooling removes the numa_alloc_onnode cost on reuse."""
     t_freelist = _migrate_many(FreeListAllocator)
-    t_pool = benchmark.pedantic(_migrate_many, args=(PoolAllocator,),
-                                rounds=1, iterations=1)
+    t_pool = _migrate_many(PoolAllocator)
     print(f"\nfreelist={t_freelist:.6f}s pool={t_pool:.6f}s "
           f"saving={(1 - t_pool / t_freelist):.2%}")
     assert t_pool < t_freelist
 
 
-def test_ablation_memcpy_beats_migrate_pages(benchmark):
+def test_ablation_memcpy_beats_migrate_pages():
     """Paper §IV-C, citing [11]: memcpy is the more scalable mechanism."""
     t_memcpy = _migrate_many(FreeListAllocator)
-    t_migrate = benchmark.pedantic(
-        _migrate_many, args=(FreeListAllocator,),
-        kwargs={"use_migrate_pages": True}, rounds=1, iterations=1)
+    t_migrate = _migrate_many(FreeListAllocator, use_migrate_pages=True)
     print(f"\nmemcpy={t_memcpy:.6f}s migrate_pages={t_migrate:.6f}s")
     assert t_memcpy < t_migrate
 
@@ -80,12 +75,11 @@ def _matmul_time(eviction):
     return app.run().total_time
 
 
-def test_ablation_eviction_policy_on_reuse_workload(benchmark):
+def test_ablation_eviction_policy_on_reuse_workload():
     """Own-blocks (paper) vs LRU-on-demand under panel reuse: demand-only
     eviction never does useless eager work, so it must not lose."""
     t_own = _matmul_time(OwnBlocksEviction())
-    t_lru = benchmark.pedantic(_matmul_time, args=(LRUEviction(),),
-                               rounds=1, iterations=1)
+    t_lru = _matmul_time(LRUEviction())
     print(f"\nown-blocks={t_own:.4f}s lru={t_lru:.4f}s")
     assert t_lru < t_own * 1.25
 
@@ -100,17 +94,16 @@ def _stencil_time(node_level):
     return app.run().total_time
 
 
-def test_ablation_node_level_run_queue(benchmark):
+def test_ablation_node_level_run_queue():
     """§IV-B: 'Another mechanism to mitigate load imbalance could be by
     using a node-level run queue.'  It must not hurt, and usually helps."""
     t_per_pe = _stencil_time(False)
-    t_node = benchmark.pedantic(_stencil_time, args=(True,),
-                                rounds=1, iterations=1)
+    t_node = _stencil_time(True)
     print(f"\nper-PE runq={t_per_pe:.4f}s node-level runq={t_node:.4f}s")
     assert t_node < t_per_pe * 1.15
 
 
-def test_ablation_cluster_mode(benchmark):
+def test_ablation_cluster_mode():
     """Quadrant mode's shorter mesh routes give slightly better bandwidth;
     the paper picked All-to-All as the most bandwidth-stressed mode."""
 
@@ -123,8 +116,7 @@ def test_ablation_cluster_mode(benchmark):
         return Stencil3D(built, cfg).run().total_time
 
     t_a2a = run(ClusterMode.ALL_TO_ALL)
-    t_quad = benchmark.pedantic(run, args=(ClusterMode.QUADRANT,),
-                                rounds=1, iterations=1)
+    t_quad = run(ClusterMode.QUADRANT)
     print(f"\nall-to-all={t_a2a:.4f}s quadrant={t_quad:.4f}s")
     assert t_quad < t_a2a
 
@@ -143,13 +135,12 @@ def _spmv_fit_speedup(eviction):
     return times["ddr-only"] / times["multi-io"]
 
 
-def test_ablation_eager_eviction_wastes_iterative_reuse(benchmark):
+def test_ablation_eager_eviction_wastes_iterative_reuse():
     """On an iterative workload that fits in HBM, the paper's eager
     own-blocks policy discards blocks between iterations (speedup ~1x);
     demand-only LRU keeps them resident and wins ~2x."""
     own = _spmv_fit_speedup(OwnBlocksEviction())
-    lru = benchmark.pedantic(_spmv_fit_speedup, args=(LRUEviction(),),
-                             rounds=1, iterations=1)
+    lru = _spmv_fit_speedup(LRUEviction())
     print(f"\nfitting SpMV speedup vs ddr-only: own-blocks={own:.2f}x "
           f"lru={lru:.2f}x")
     assert lru > 1.5

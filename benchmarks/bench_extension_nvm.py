@@ -39,13 +39,10 @@ def _speedup(machine_config=None):
     return times["naive"] / times["multi-io"]
 
 
-def test_extension_nvm_dram_benefits_more(benchmark):
+def test_extension_nvm_dram_benefits_more():
     knl_speedup = _speedup()
-    nvm_speedup = benchmark.pedantic(
-        _speedup,
-        args=(nvm_dram_config(cores=64, dram_capacity=FAST,
-                              nvm_capacity=SLOW),),
-        rounds=1, iterations=1)
+    nvm_speedup = _speedup(nvm_dram_config(cores=64, dram_capacity=FAST,
+                                           nvm_capacity=SLOW))
     print(f"\nKNL (bandwidth-only gap):   multi-io speedup {knl_speedup:.2f}x")
     print(f"NVM+DRAM (bw + latency gap): multi-io speedup {nvm_speedup:.2f}x")
     # the conclusion's prediction

@@ -1,24 +1,16 @@
 """Benchmark harness: experiment definitions for every paper table/figure.
 
-Each ``fig*`` function in :mod:`repro.bench.experiments` regenerates one
-figure's data series; :mod:`repro.bench.report` renders them as the rows
-the paper plots.  The pytest-benchmark wrappers live in ``benchmarks/``.
+Each figure is a :class:`~repro.bench.harness.FigurePlan` in
+:mod:`repro.bench.experiments` (``PLANS``): its simulation runs, how
+they fold into an :class:`ExperimentResult`, and the paper's shape
+claims about that result, which ``repro experiments`` checks.
+:mod:`repro.bench.report` renders results as the rows the paper plots.
 """
 
 from repro.bench.harness import (
     ExperimentResult,
     Scale,
-    run_trial,
     speedup_table,
-)
-from repro.bench.experiments import (
-    fig1_stream_bandwidth,
-    fig2_stencil_fits_in_hbm,
-    fig5_projections_wait,
-    fig6_sync_vs_async,
-    fig7_memcpy_cost,
-    fig8_stencil_speedup,
-    fig9_matmul_speedup,
 )
 from repro.bench.report import format_table, render_experiment
 from repro.bench.regression import (
@@ -28,10 +20,7 @@ from repro.bench.regression import (
 )
 
 __all__ = [
-    "ExperimentResult", "Scale", "run_trial", "speedup_table",
-    "fig1_stream_bandwidth", "fig2_stencil_fits_in_hbm",
-    "fig5_projections_wait", "fig6_sync_vs_async", "fig7_memcpy_cost",
-    "fig8_stencil_speedup", "fig9_matmul_speedup",
+    "ExperimentResult", "Scale", "speedup_table",
     "format_table", "render_experiment",
     "best_wall_time", "read_bench", "write_bench",
 ]

@@ -28,7 +28,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.exec.spec import RunSpec
 
 __all__ = ["Scale", "ExperimentResult", "FigurePlan", "run_plan",
-           "run_trial", "speedup_table"]
+           "speedup_table"]
 
 
 class Scale(enum.Enum):
@@ -82,6 +82,10 @@ class ExperimentResult:
         return names
 
 
+def _no_claims(result: ExperimentResult) -> list[str]:
+    return []
+
+
 class FigurePlan(_t.NamedTuple):
     """One figure as data: its runs, and how to fold them into a result.
 
@@ -90,13 +94,14 @@ class FigurePlan(_t.NamedTuple):
     builds the :class:`ExperimentResult`.  Keeping enumeration separate
     from assembly is what lets the exec engine batch, dedup, cache and
     parallelize runs across figures without changing any figure's
-    output.
+    output.  ``claims`` lists the paper's claims the result breaks.
     """
 
     figure: str
     specs: "list[RunSpec]"
     assemble: _t.Callable[[_t.Sequence[_t.Mapping[str, _t.Any]]],
                           ExperimentResult]
+    claims: _t.Callable[[ExperimentResult], list[str]] = _no_claims
 
 
 def run_plan(plan: FigurePlan) -> ExperimentResult:
@@ -104,13 +109,6 @@ def run_plan(plan: FigurePlan) -> ExperimentResult:
     from repro.exec.context import execute
 
     return plan.assemble(execute(plan.specs))
-
-
-def run_trial(build_fn: _t.Callable[[], _t.Any],
-              run_fn: _t.Callable[[_t.Any], float]) -> float:
-    """Build + run one trial, returning the figure-of-merit."""
-    ctx = build_fn()
-    return run_fn(ctx)
 
 
 def speedup_table(times: _t.Mapping[str, _t.Mapping[str, float]],

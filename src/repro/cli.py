@@ -10,7 +10,8 @@ Commands
     (key: canonical run spec + a fingerprint of ``src/repro``), so a
     re-run after an unrelated edit is answered from disk.  ``--no-cache``
     bypasses the cache, ``--cache-stats`` prints hit/miss counts to
-    stderr.  Tables are byte-identical whatever ``--jobs`` is.
+    stderr.  Tables are byte-identical whatever ``--jobs`` is.  A table
+    that breaks a paper claim prints ``FigN: claim failed: ...`` and exits 1.
 ``cache``
     Inspect (``stats``) or delete (``clear``) the on-disk result cache.
 ``stencil`` / ``matmul`` / ``spmv``
@@ -112,7 +113,7 @@ from repro.apps.matmul import MatMul, MatMulConfig
 from repro.apps.spmv import SpMV, SpMVConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.bench import experiments as exps
-from repro.bench.harness import Scale
+from repro.bench.harness import Scale, run_plan
 from repro.bench.report import render_experiment
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.strategies import STRATEGIES
@@ -479,8 +480,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 print(f"{plan.figure}: {r.spec.display()}: {r.error}",
                       file=sys.stderr)
             continue
-        print(render_experiment(plan.assemble([r.result for r in chunk])))
+        result = plan.assemble([r.result for r in chunk])
+        print(render_experiment(result))
         print()
+        for text in plan.claims(result):
+            exit_code = 1
+            print(f"{plan.figure}: claim failed: {text}", file=sys.stderr)
     if cache is not None and args.cache_stats:
         stats = cache.session_stats()
         print(f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es), "
@@ -656,8 +661,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     sanitizer = _start_sanitizer(args)
-    print(render_experiment(exps.fig1_stream_bandwidth(
-        threads=args.threads)))
+    print(render_experiment(run_plan(exps.fig1_plan(threads=args.threads))))
     return _finish_sanitizer(sanitizer)
 
 

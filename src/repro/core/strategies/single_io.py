@@ -74,9 +74,6 @@ class SingleIOThreadStrategy(Strategy):
 
     # -- IO thread -------------------------------------------------------------
 
-    def _any_waiting(self) -> bool:
-        return any(pe.wait_queue for pe in self._mgr().runtime.pes)
-
     def _io_main(self) -> _t.Generator:
         mgr = self._mgr()
         pes = mgr.runtime.pes

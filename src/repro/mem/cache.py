@@ -18,13 +18,11 @@ cache of ``C`` bytes:
   fraction of lines sharing a set is ``1 - (s/n)(1 - (1 - 1/s)^n)``, the
   classic occupancy result; colliding lines ping-pong every iteration.
 
-Both a closed-form estimate and a small Monte-Carlo set-mapping simulation
-(for validating the closed form in tests) are provided.
+The closed form is validated in the tests against a small Monte-Carlo
+set-mapping simulation.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import ConfigError
 
@@ -101,29 +99,6 @@ class DirectMappedCache:
             steady = steady + (1.0 - steady) * self.conflict_fraction(working_set)
         cold = 1.0 / max(reuse_sweeps, 1)
         return min(1.0, steady * (1.0 - cold) + cold)
-
-    def simulate_miss_rate(self, working_set: int, *, sweeps: int = 3,
-                           page_size: int = 4096, seed: int = 0) -> float:
-        """Monte-Carlo check of :meth:`miss_rate` via explicit set mapping.
-
-        Pages are assigned random frame colours (the OS view); a cyclic
-        sweep is replayed against a direct-mapped tag array at page
-        granularity.  Coarser than line granularity but exhibits the same
-        collision statistics, scaled.
-        """
-        pages = max(1, working_set // page_size)
-        page_sets = max(1, self.capacity // page_size)
-        rng = np.random.default_rng(seed)
-        colour = rng.integers(0, page_sets, size=pages)
-        tags = np.full(page_sets, -1, dtype=np.int64)
-        misses = 0
-        for _ in range(max(1, sweeps)):
-            for page in range(pages):
-                s = colour[page]
-                if tags[s] != page:
-                    misses += 1
-                    tags[s] = page
-        return misses / (pages * max(1, sweeps))
 
     # -- effective service rates ----------------------------------------------
 

@@ -1,8 +1,7 @@
 """Block registry: the runtime's metadata store over all ``CkIOHandle``s.
 
 The paper stores and queries "metadata about the data block" at runtime
-level; this registry is that store, plus the invariant checks the test
-suite leans on (capacity accounting, refcount sanity, state consistency).
+level; this registry is that store.
 """
 
 from __future__ import annotations
@@ -76,38 +75,3 @@ class BlockRegistry:
 
     def total_bytes(self) -> int:
         return sum(b.nbytes for b in self._blocks.values())
-
-    # -- invariants ---------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise if any cross-cutting invariant is violated.
-
-        * a block's registry-visible residency never exceeds its device's
-          allocator accounting;
-        * resident blocks have live allocations matching their device;
-        * no refcount is negative (enforced in DataBlock, re-checked here).
-        """
-        per_device: dict[str, int] = {}
-        for block in self._blocks.values():
-            if block.refcount < 0:  # pragma: no cover - DataBlock forbids it
-                raise BlockStateError(f"negative refcount on {block!r}")
-            if block.allocation is not None and block.allocation.live:
-                if block.device is None:
-                    raise BlockStateError(
-                        f"block {block.name!r} has live allocation but no device")
-                if block.allocation.nbytes < block.nbytes:
-                    raise BlockStateError(
-                        f"block {block.name!r} allocation smaller than block")
-                per_device[block.device.name] = (
-                    per_device.get(block.device.name, 0) + block.allocation.nbytes)
-            elif block.state is not BlockState.MOVING and block.device is not None:
-                # A settled block must have live backing store.
-                raise BlockStateError(
-                    f"block {block.name!r} is {block.state.value} on "
-                    f"{block.device.name} without a live allocation")
-        for dev in self.topology.devices:
-            used = per_device.get(dev.name, 0)
-            if used > dev.allocator.used:
-                raise BlockStateError(
-                    f"registry accounts {used}B on {dev.name} but allocator "
-                    f"says only {dev.allocator.used}B are in use")

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.bench.experiments import (
-    fig1_stream_bandwidth,
-    fig7_memcpy_cost,
-)
-from repro.bench.harness import ExperimentResult, Scale, speedup_table
+from repro.bench.experiments import PLANS, fig1_plan, fig7_plan
+from repro.bench.harness import ExperimentResult, Scale, run_plan, speedup_table
 from repro.bench.report import format_table, render_experiment
 from repro.units import GiB
 
@@ -65,18 +62,39 @@ class TestFastExperiments:
     """The two experiments cheap enough for the unit-test suite."""
 
     def test_fig1_shape(self):
-        result = fig1_stream_bandwidth(threads=32)
+        result = run_plan(fig1_plan(threads=32))
         assert set(result.series) == {"copy", "scale", "add", "triad"}
         for row in result.series.values():
             assert row["mcdram"] > 4 * row["ddr4"]
 
+    def test_fig1_one_thread_cannot_saturate(self):
+        """One core cannot extract full MCDRAM bandwidth (this is what
+        makes the per-PE contention model meaningful)."""
+        for row in run_plan(fig1_plan(threads=1)).series.values():
+            assert row["mcdram"] < 20  # GB/s; capped by per-core bandwidth
+
     def test_fig7_shape(self):
         # the direction asymmetry needs enough threads to saturate the
         # DDR4 ports (64 x 5 GB/s >> 80 GB/s)
-        result = fig7_memcpy_cost(scale=Scale.SMALL, block_gb=(1, 4),
-                                  threads=64)
+        result = run_plan(fig7_plan(Scale.SMALL, block_gb=(1, 4), threads=64))
         assert list(result.series) == ["1GB", "4GB"]
         for row in result.series.values():
             assert row["hbm-to-ddr"] > row["ddr-to-hbm"]
         assert (result.series["4GB"]["ddr-to-hbm"]
                 > result.series["1GB"]["ddr-to-hbm"])
+
+
+class TestPlanClaims:
+    """The paper's shape claims hold on the TINY figure tables.
+
+    Figure 9 at TINY takes ~30 s, so CI checks its claims through
+    ``repro experiments`` instead.
+    """
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5", "fig6", "fig7"])
+    def test_claims_hold(self, name):
+        plan = PLANS[name](Scale.TINY)
+        assert plan.claims(run_plan(plan)) == []
+
+    def test_fig8_claims_hold(self, fig8_tiny_plan, fig8_tiny_result):
+        assert fig8_tiny_plan().claims(fig8_tiny_result) == []

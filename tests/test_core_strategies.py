@@ -21,6 +21,7 @@ from repro.sim.environment import Environment
 from repro.trace.events import TraceCategory
 from repro.trace.tracer import Tracer
 from repro.units import GiB, MiB
+from tests.mem_oracle import check_registry_invariants
 
 HBM = 256 * MiB
 DDR = 2 * GiB
@@ -122,7 +123,7 @@ class TestPrefetchInvariants:
 
     def test_registry_invariants_after_run(self, strategy):
         built, _ = run_app(strategy)
-        built.machine.registry.check_invariants()
+        check_registry_invariants(built.machine.registry)
 
     def test_refcounts_drain_to_zero(self, strategy):
         built, arr = run_app(strategy)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import experiments as exps
 from repro.cli import main
 
 
@@ -53,6 +54,24 @@ class TestExperimentsEngine:
                      "--cache-dir", cache_dir])
         assert "[1/" in err and "fig1/" in err
         assert "[1/" not in out
+
+    def test_broken_claim_exits_1_with_the_table_intact(self, capsys,
+                                                        monkeypatch,
+                                                        cache_dir):
+        argv = ["experiments", "--figures", "fig1", "--scale", "tiny",
+                "--cache-dir", cache_dir]
+        code, want_out, _ = run_cli(capsys, argv)
+        assert code == 0
+        monkeypatch.setitem(
+            exps.PLANS, "fig1",
+            lambda scale: exps.fig1_plan(scale)._replace(
+                claims=lambda result: ["MCDRAM no faster than DDR4"]))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == want_out
+        assert [line for line in err.splitlines()
+                if "claim failed" in line] == [
+            "Fig1: claim failed: MCDRAM no faster than DDR4"]
 
 
 class TestCacheCommand:

@@ -9,6 +9,7 @@ from repro.mem.block import BlockState, DataBlock
 from repro.mem.cache import DirectMappedCache
 from repro.sim.environment import Environment
 from repro.units import GiB, KiB, MiB
+from tests.mem_oracle import check_registry_invariants, simulate_miss_rate
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ class TestRegistry:
         block = DataBlock("b", 100)
         node.registry.register(block)
         node.topology.place_block(block, node.hbm)
-        node.registry.check_invariants()
+        check_registry_invariants(node.registry)
 
     def test_invariants_catch_dangling_residency(self, node):
         block = DataBlock("b", 100)
@@ -60,7 +61,7 @@ class TestRegistry:
         node.topology.place_block(block, node.hbm)
         node.topology.release_block(block)  # state still says INHBM
         with pytest.raises(BlockStateError):
-            node.registry.check_invariants()
+            check_registry_invariants(node.registry)
 
     def test_resident_bytes_per_device(self, node):
         block = DataBlock("b", 512)
@@ -121,7 +122,7 @@ class TestDirectMappedCache:
         """Monte-Carlo mapping agrees with the closed form when thrashing."""
         cache = DirectMappedCache(4 * MiB, line_size=4096)
         ws = 16 * MiB
-        simulated = cache.simulate_miss_rate(ws, sweeps=4)
+        simulated = simulate_miss_rate(cache, ws, sweeps=4)
         modelled = cache.miss_rate(ws, reuse_sweeps=4)
         assert simulated == pytest.approx(modelled, abs=0.15)
 

@@ -7,6 +7,7 @@ from repro.config import DRAM_DEVICE, NVM_DEVICE, nvm_dram_config
 from repro.core.api import OOCRuntimeBuilder
 from repro.mem.block import BlockState
 from repro.units import GiB, MiB
+from tests.mem_oracle import check_registry_invariants
 
 
 class TestNvmConfig:
@@ -45,7 +46,7 @@ class TestNvmRuns:
         built, _ = self.run("multi-io")
         # at completion, residual blocks are wherever the run left them;
         # the invariant checks happened during execution (shared machinery)
-        built.machine.registry.check_invariants()
+        check_registry_invariants(built.machine.registry)
         assert built.strategy.fetches > 0
 
     def test_eviction_pays_nvm_write_penalty(self):

@@ -19,6 +19,7 @@ from repro.mem.block import BlockState
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.units import MiB
+from tests.mem_oracle import check_registry_invariants
 
 DDR = 4 * 1024 * MiB
 
@@ -107,7 +108,7 @@ def test_prefetch_invariants_hold(w):
     assert built.manager.tasks_completed == expected
 
     # 5. registry-wide consistency
-    built.machine.registry.check_invariants()
+    check_registry_invariants(built.machine.registry)
 
 
 @settings(max_examples=8, deadline=None,

@@ -10,6 +10,7 @@ from repro.mem.block import BlockState
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.units import GiB, MiB
+from tests.mem_oracle import check_registry_invariants
 
 HBM = 256 * MiB
 DDR = 2 * GiB
@@ -185,7 +186,7 @@ class TestDegradedModes:
 
     def test_registry_invariants_after_run(self):
         built, _ = run_two_phase(TWO_PHASE_GUIDE)
-        built.machine.registry.check_invariants()
+        check_registry_invariants(built.machine.registry)
         assert built.machine.hbm.allocator.peak_used <= HBM
 
 
