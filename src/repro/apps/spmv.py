@@ -75,10 +75,6 @@ class SpMVConfig:
     def flops_per_task(self) -> float:
         return self.nnz_per_block * FLOPS_PER_NNZ
 
-    @property
-    def total_matrix_bytes(self) -> int:
-        return self.block_rows * self.block_bytes
-
     def coupling_pattern(self) -> list[tuple[int, ...]]:
         """Which x-blocks each block row reads (deterministic in seed)."""
         rng = RandomStreams(self.seed).stream("spmv-pattern")

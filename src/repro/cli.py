@@ -109,15 +109,13 @@ import os
 import sys
 import typing as _t
 
-from repro.apps.matmul import MatMul, MatMulConfig
-from repro.apps.spmv import SpMV, SpMVConfig
-from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.bench import experiments as exps
 from repro.bench.harness import Scale, run_plan
 from repro.bench.report import render_experiment
-from repro.core.api import OOCRuntimeBuilder
 from repro.core.strategies import STRATEGIES
 from repro.errors import ConfigError
+from repro.exec.apps import APPS, build
+from repro.sim.environment import Environment
 from repro.units import format_size, format_time, parse_size
 
 __all__ = ["main"]
@@ -187,11 +185,31 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                              "(with --seed)")
 
 
-def _build(args: argparse.Namespace) -> _t.Any:
-    return OOCRuntimeBuilder(
-        args.strategy, cores=args.cores,
-        mcdram_capacity=args.mcdram,
-        ddr_capacity=args.ddr).build()
+def _add_shape_args(parser: argparse.ArgumentParser,
+                    apps: _t.Sequence[str], **defaults: _t.Any) -> None:
+    """Register the shape flags of ``apps`` from the app catalogue.
+
+    ``defaults`` are the command's own, keyed by params key; a flag two
+    apps share (``--iterations``) is registered once.  Flag help shows
+    on single-app commands only.
+    """
+    seen: set[str] = set()
+    for app in apps:
+        for field in APPS[app].shape:
+            if field.key in seen:
+                continue
+            seen.add(field.key)
+            parser.add_argument(field.flag, type=_size if field.size else int,
+                                default=defaults[field.key],
+                                help=field.help if len(apps) == 1 else None)
+
+
+def _app_params(args: argparse.Namespace, app: str) -> dict[str, _t.Any]:
+    """The run's params mapping (:mod:`repro.exec.apps`) from the flags."""
+    return {"strategy": args.strategy, "cores": args.cores,
+            "mcdram": args.mcdram, "ddr": args.ddr,
+            **{field.key: getattr(args, field.dest)
+               for field in APPS[app].shape}}
 
 
 def _check_observer_args(args: argparse.Namespace) -> None:
@@ -271,82 +289,46 @@ def _finish_racesan(racesan: _t.Any) -> int:
     return 1 if racesan.findings else 0
 
 
-def _app_runner(args: argparse.Namespace, app: str) -> _t.Any:
-    """Build an explorer runner from the CLI's app/machine arguments."""
-    from repro.race import matmul_runner, spmv_runner, stencil_runner
-
-    machine = dict(strategy=args.strategy, cores=args.cores,
-                   mcdram=args.mcdram, ddr=args.ddr)
-    if app == "stencil":
-        return stencil_runner(total=args.total,
-                              block=args.block,
-                              iterations=args.iterations, **machine)
-    if app == "spmv":
-        return spmv_runner(block_rows=args.block_rows,
-                           block_bytes=args.block_bytes,
-                           vector_bytes=args.vector_bytes,
-                           couplings=args.couplings,
-                           iterations=args.iterations,
-                           seed=args.matrix_seed, **machine)
-    return matmul_runner(working_set=args.working_set,
-                         block_dim=args.block_dim, **machine)
-
-
-def _app_spec_params(args: argparse.Namespace, app: str) -> dict[str, _t.Any]:
-    """The ``schedule`` RunSpec params matching :func:`_app_runner`."""
-    params: dict[str, _t.Any] = dict(
-        strategy=args.strategy, cores=args.cores,
-        mcdram=args.mcdram, ddr=args.ddr)
-    if app == "stencil":
-        params.update(total=args.total,
-                      block=args.block,
-                      iterations=args.iterations)
-    elif app == "spmv":
-        params.update(block_rows=args.block_rows,
-                      block_bytes=args.block_bytes,
-                      vector_bytes=args.vector_bytes,
-                      couplings=args.couplings,
-                      iterations=args.iterations,
-                      matrix_seed=args.matrix_seed)
-    else:
-        params.update(working_set=args.working_set,
-                      block_dim=args.block_dim)
-    return params
-
-
-def _explore_or_replay(args: argparse.Namespace, app: str) -> int | None:
-    """Handle ``--explore-schedules`` / ``--seed`` schedule modes.
-
-    Returns an exit code when one of the modes ran, None for a normal run.
-    """
-    schedules = getattr(args, "explore_schedules", 0)
-    seed = getattr(args, "seed", None)
-    _check_count("--explore-schedules", schedules, 0)
-    if not schedules and seed is None:
-        return None
-    from repro.race import explore, run_schedule
-
-    runner = _app_runner(args, app)
-    if schedules:
-        jobs = getattr(args, "jobs", 1)
-        _check_count("--jobs", jobs)
-        if jobs > 1:
-            from repro.exec.explore import parallel_explore
-
-            report = parallel_explore(
-                app, _app_spec_params(args, app), schedules=schedules,
-                base_seed=seed if seed is not None else 0, jobs=jobs,
-                runner=runner)
-        else:
-            report = explore(runner, schedules=schedules,
-                             base_seed=seed if seed is not None else 0)
-        print(report.render())
-        return 1 if report.failing else 0
-    outcome = run_schedule(runner, seed, limit=getattr(args, "limit", None))
+def _print_outcome(outcome: _t.Any) -> int:
+    """Print one schedule's verdict and findings; returns the exit code."""
     print(outcome.render())
     for item in outcome.race_findings + outcome.san_violations:
         print(item.render())
     return 1 if outcome.failed else 0
+
+
+def _explore_or_replay(args: argparse.Namespace, app: str,
+                       params: _t.Mapping[str, _t.Any]) -> int | None:
+    """Handle ``--explore-schedules`` / ``--seed`` schedule modes.
+
+    Returns an exit code when one of the modes ran, None for a normal run.
+    """
+    schedules, seed, limit = args.explore_schedules, args.seed, args.limit
+    _check_count("--explore-schedules", schedules, 0)
+    if limit is not None:
+        if seed is None:
+            raise ConfigError(f"--limit {limit} needs --seed")
+        _check_count("--limit", limit, 0)
+    if not schedules and seed is None:
+        return None
+    from repro.race import app_runner, explore, run_schedule
+
+    # builds the app config: a bad shape fails before any schedule runs
+    runner = app_runner(app, params)
+    if not schedules:
+        return _print_outcome(run_schedule(runner, seed, limit=limit))
+    jobs = getattr(args, "jobs", 1)
+    _check_count("--jobs", jobs)
+    base_seed = seed if seed is not None else 0
+    if jobs > 1:
+        from repro.exec.explore import parallel_explore
+
+        report = parallel_explore(app, params, schedules=schedules,
+                                  base_seed=base_seed, jobs=jobs)
+    else:
+        report = explore(runner, schedules=schedules, base_seed=base_seed)
+    print(report.render())
+    return 1 if report.failing else 0
 
 
 def _start_spans(args: argparse.Namespace, built: _t.Any) -> _t.Any:
@@ -514,149 +496,72 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stencil(args: argparse.Namespace) -> int:
+#: the app lines of the ``stencil`` / ``matmul`` / ``spmv`` run report
+_HEADERS: dict[str, _t.Callable[[_t.Any, _t.Any], list[str]]] = {
+    "stencil": lambda cfg, result: [
+        f"chares          : {cfg.n_chares} "
+        f"({format_size(cfg.block_bytes)} blocks)",
+        f"total time      : {format_time(result.total_time)}",
+        f"mean iteration  : {format_time(result.mean_iteration_time)}",
+        f"mean kernel/task: {format_time(result.mean_kernel_time)}"],
+    "matmul": lambda cfg, result: [
+        f"matrix          : {cfg.n} x {cfg.n} "
+        f"({cfg.grid}x{cfg.grid} chares)",
+        f"total time      : {format_time(result.total_time)}",
+        f"mean kernel/task: {format_time(result.mean_kernel_time)}"],
+    "spmv": lambda cfg, result: [
+        f"block rows      : {cfg.block_rows} "
+        f"({format_size(cfg.block_bytes)} matrix blocks, "
+        f"{cfg.couplings} coupling(s))",
+        f"total time      : {format_time(result.total_time)}",
+        f"mean iteration  : {format_time(result.mean_iteration_time)}",
+        f"tasks completed : {result.tasks_completed}"],
+}
+
+
+def _cmd_app(args: argparse.Namespace) -> int:
+    """Run one app once.
+
+    ``stencil``/``matmul``/``spmv`` print the run report and honour the
+    schedule and checker flags; ``metrics`` prints only the telemetry.
+    """
     _check_observer_args(args)
-    code = _explore_or_replay(args, "stencil")
-    if code is not None:
-        return code
-    sanitizer = _start_sanitizer(args)
-    built = _build(args)
+    report = args.command != "metrics"
+    app = args.command if report else args.app
+    params = _app_params(args, app)
+    entry = APPS[app]
+    cfg = entry.config(params)
+    if report:
+        code = _explore_or_replay(args, app, params)
+        if code is not None:
+            return code
+    sanitizer = _start_sanitizer(args) if report else None
+    built = build(params, Environment())
     if sanitizer is not None:
         sanitizer.bind(built.manager)
-    racesan = _start_racesan(args, built)
-    metrics = _start_metrics(args, built, "stencil")
+    racesan = _start_racesan(args, built) if report else None
+    metrics = _start_metrics(args, built, app)
     spans = _start_spans(args, built)
     window_start = built.env.now
-    cfg = StencilConfig(total_bytes=args.total,
-                        block_bytes=args.block,
-                        iterations=args.iterations)
-    with _projections(args, built, always=True) as tracer:
-        result = Stencil3D(built, cfg).run()
-    print(f"strategy        : {args.strategy}")
-    print(f"chares          : {cfg.n_chares} "
-          f"({format_size(cfg.block_bytes)} blocks)")
-    print(f"total time      : {format_time(result.total_time)}")
-    print(f"mean iteration  : {format_time(result.mean_iteration_time)}")
-    print(f"mean kernel/task: {format_time(result.mean_kernel_time)}")
-    for key, value in built.manager.summary().items():
-        print(f"{key:16s}: {value}")
-    from repro.trace.occupancy import render_occupancy
-    print("hbm occupancy   :")
-    print(render_occupancy(tracer.occupancy,
-                           built.machine.hbm.capacity, width=60))
+    occupancy = report and app == "stencil"
+    with _projections(args, built, always=occupancy) as tracer:
+        result = entry.cls(built, cfg).run()
+    if report:
+        print(f"strategy        : {args.strategy}")
+        for line in _HEADERS[app](cfg, result):
+            print(line)
+        for key, value in built.manager.summary().items():
+            print(f"{key:16s}: {value}")
+    if occupancy:
+        from repro.trace.occupancy import render_occupancy
+        print("hbm occupancy   :")
+        print(render_occupancy(tracer.occupancy,
+                               built.machine.hbm.capacity, width=60))
     span_list = _finish_spans(spans, built, window_start,
-                              f"stencil/{args.strategy}")
-    _finish_metrics(metrics, args, "stencil", spans=span_list, tracer=tracer)
+                              f"{app}/{args.strategy}")
+    _finish_metrics(metrics, args, app, spans=span_list, tracer=tracer)
     race_code = _finish_racesan(racesan)
     return max(race_code, _finish_sanitizer(sanitizer, built.manager))
-
-
-def _cmd_matmul(args: argparse.Namespace) -> int:
-    _check_observer_args(args)
-    code = _explore_or_replay(args, "matmul")
-    if code is not None:
-        return code
-    sanitizer = _start_sanitizer(args)
-    built = _build(args)
-    if sanitizer is not None:
-        sanitizer.bind(built.manager)
-    racesan = _start_racesan(args, built)
-    metrics = _start_metrics(args, built, "matmul")
-    spans = _start_spans(args, built)
-    window_start = built.env.now
-    cfg = MatMulConfig.for_working_set(args.working_set,
-                                       block_dim=args.block_dim)
-    with _projections(args, built) as tracer:
-        result = MatMul(built, cfg).run()
-    print(f"strategy        : {args.strategy}")
-    print(f"matrix          : {cfg.n} x {cfg.n} "
-          f"({cfg.grid}x{cfg.grid} chares)")
-    print(f"total time      : {format_time(result.total_time)}")
-    print(f"mean kernel/task: {format_time(result.mean_kernel_time)}")
-    for key, value in built.manager.summary().items():
-        print(f"{key:16s}: {value}")
-    span_list = _finish_spans(spans, built, window_start,
-                              f"matmul/{args.strategy}")
-    _finish_metrics(metrics, args, "matmul", spans=span_list, tracer=tracer)
-    race_code = _finish_racesan(racesan)
-    return max(race_code, _finish_sanitizer(sanitizer, built.manager))
-
-
-def _cmd_spmv(args: argparse.Namespace) -> int:
-    _check_observer_args(args)
-    code = _explore_or_replay(args, "spmv")
-    if code is not None:
-        return code
-    sanitizer = _start_sanitizer(args)
-    built = _build(args)
-    if sanitizer is not None:
-        sanitizer.bind(built.manager)
-    racesan = _start_racesan(args, built)
-    metrics = _start_metrics(args, built, "spmv")
-    spans = _start_spans(args, built)
-    window_start = built.env.now
-    cfg = SpMVConfig(block_rows=args.block_rows,
-                     block_bytes=args.block_bytes,
-                     vector_bytes=args.vector_bytes,
-                     couplings=args.couplings,
-                     iterations=args.iterations,
-                     seed=args.matrix_seed)
-    with _projections(args, built) as tracer:
-        result = SpMV(built, cfg).run()
-    print(f"strategy        : {args.strategy}")
-    print(f"block rows      : {cfg.block_rows} "
-          f"({format_size(cfg.block_bytes)} matrix blocks, "
-          f"{cfg.couplings} coupling(s))")
-    print(f"total time      : {format_time(result.total_time)}")
-    print(f"mean iteration  : {format_time(result.mean_iteration_time)}")
-    print(f"tasks completed : {result.tasks_completed}")
-    for key, value in built.manager.summary().items():
-        print(f"{key:16s}: {value}")
-    span_list = _finish_spans(spans, built, window_start,
-                              f"spmv/{args.strategy}")
-    _finish_metrics(metrics, args, "spmv", spans=span_list, tracer=tracer)
-    race_code = _finish_racesan(racesan)
-    return max(race_code, _finish_sanitizer(sanitizer, built.manager))
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Run one app under the telemetry subsystem and export the metrics."""
-    _check_observer_args(args)
-    args.metrics = True
-    built = _build(args)
-    metrics = _start_metrics(args, built, args.app)
-    spans = _start_spans(args, built)
-    window_start = built.env.now
-    app_cls: type
-    if args.app == "stencil":
-        app_cls = Stencil3D
-        cfg = StencilConfig(total_bytes=args.total,
-                            block_bytes=args.block,
-                            iterations=args.iterations)
-    elif args.app == "matmul":
-        app_cls = MatMul
-        cfg = MatMulConfig.for_working_set(args.working_set,
-                                           block_dim=args.block_dim)
-    elif args.app == "spmv":
-        app_cls = SpMV
-        cfg = SpMVConfig(block_rows=args.block_rows,
-                         block_bytes=args.block_bytes,
-                         vector_bytes=args.vector_bytes,
-                         couplings=args.couplings,
-                         iterations=args.iterations,
-                         seed=args.matrix_seed)
-    else:
-        from repro.apps.stream_app import StreamApp, StreamAppConfig
-
-        app_cls = StreamApp
-        cfg = StreamAppConfig(array_bytes=args.array,
-                              chares=args.chares, repeats=args.repeats)
-    with _projections(args, built) as tracer:
-        app_cls(built, cfg).run()
-    span_list = _finish_spans(spans, built, window_start,
-                              f"{args.app}/{args.strategy}")
-    _finish_metrics(metrics, args, args.app, spans=span_list, tracer=tracer)
-    return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
@@ -894,17 +799,14 @@ def _cmd_race(args: argparse.Namespace) -> int:
         print(f"{len(report.errors)} error(s), "
               f"{len(report.warnings)} warning(s)")
         return 0 if report.ok(strict=True) else 1
-    code = _explore_or_replay(args, args.app)
+    params = _app_params(args, args.app)
+    code = _explore_or_replay(args, args.app, params)
     if code is not None:
         return code
     # no schedules asked for: one FIFO run under racesan+simsan
-    from repro.race import run_schedule
+    from repro.race import app_runner, run_schedule
 
-    outcome = run_schedule(_app_runner(args, args.app))
-    print(outcome.render())
-    for item in outcome.race_findings + outcome.san_violations:
-        print(item.render())
-    return 1 if outcome.failed else 0
+    return _print_outcome(run_schedule(app_runner(args.app, params)))
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
@@ -944,27 +846,20 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     p_st = sub.add_parser("stencil", help="run Stencil3D once")
     _add_machine_args(p_st)
-    p_st.add_argument("--total", type=_size, default="2GiB")
-    p_st.add_argument("--block", type=_size, default="4MiB")
-    p_st.add_argument("--iterations", type=int, default=5)
-    p_st.set_defaults(func=_cmd_stencil)
+    _add_shape_args(p_st, ["stencil"], total="2GiB", block="4MiB",
+                    iterations=5)
+    p_st.set_defaults(func=_cmd_app)
 
     p_mm = sub.add_parser("matmul", help="run blocked MatMul once")
     _add_machine_args(p_mm)
-    p_mm.add_argument("--working-set", type=_size, default="1.5GiB")
-    p_mm.add_argument("--block-dim", type=int, default=96)
-    p_mm.set_defaults(func=_cmd_matmul)
+    _add_shape_args(p_mm, ["matmul"], working_set="1.5GiB", block_dim=96)
+    p_mm.set_defaults(func=_cmd_app)
 
     p_sp = sub.add_parser("spmv", help="run iterated SpMV once")
     _add_machine_args(p_sp)
-    p_sp.add_argument("--block-rows", type=int, default=64)
-    p_sp.add_argument("--block-bytes", type=_size, default="8MiB")
-    p_sp.add_argument("--vector-bytes", type=_size, default="256KiB")
-    p_sp.add_argument("--couplings", type=int, default=3)
-    p_sp.add_argument("--iterations", type=int, default=5)
-    p_sp.add_argument("--matrix-seed", type=int, default=0,
-                      help="sparsity-pattern seed (column couplings)")
-    p_sp.set_defaults(func=_cmd_spmv)
+    _add_shape_args(p_sp, ["spmv"], block_rows=64, block_bytes="8MiB",
+                    vector_bytes="256KiB", couplings=3, iterations=5, seed=0)
+    p_sp.set_defaults(func=_cmd_app)
 
     p_sm = sub.add_parser("stream", help="STREAM bandwidth table (Fig 1)")
     p_sm.add_argument("--threads", type=int, default=64)
@@ -975,28 +870,15 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_mx = sub.add_parser(
         "metrics", help="run one app under the telemetry subsystem")
     _add_machine_args(p_mx)
-    p_mx.add_argument("--app", default="stencil",
-                      choices=["stencil", "matmul", "spmv", "stream"])
+    p_mx.add_argument("--app", default="stencil", choices=list(APPS))
     p_mx.add_argument("--watch", action="store_true",
                       help="narrate flight-recorder snapshot deltas live")
-    # stencil shape
-    p_mx.add_argument("--total", type=_size, default="512MiB")
-    p_mx.add_argument("--block", type=_size, default="8MiB")
-    p_mx.add_argument("--iterations", type=int, default=3)
-    # matmul shape
-    p_mx.add_argument("--working-set", type=_size, default="256MiB")
-    p_mx.add_argument("--block-dim", type=int, default=96)
-    # spmv shape
-    p_mx.add_argument("--block-rows", type=int, default=32)
-    p_mx.add_argument("--block-bytes", type=_size, default="8MiB")
-    p_mx.add_argument("--vector-bytes", type=_size, default="256KiB")
-    p_mx.add_argument("--couplings", type=int, default=3)
-    p_mx.add_argument("--matrix-seed", type=int, default=0)
-    # stream shape
-    p_mx.add_argument("--array", type=_size, default="4MiB")
-    p_mx.add_argument("--chares", type=int, default=64)
-    p_mx.add_argument("--repeats", type=int, default=2)
-    p_mx.set_defaults(func=_cmd_metrics)
+    _add_shape_args(p_mx, list(APPS), total="512MiB", block="8MiB",
+                    iterations=3, working_set="256MiB", block_dim=96,
+                    block_rows=32, block_bytes="8MiB", vector_bytes="256KiB",
+                    couplings=3, seed=0, array_bytes="4MiB", chares=64,
+                    repeats=2)
+    p_mx.set_defaults(func=_cmd_app, metrics=True)
 
     p_lint = sub.add_parser(
         "lint", help="check dependence declarations statically")
@@ -1046,8 +928,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_race.add_argument("--static", action="store_true",
                         help="model-check the placement-state protocol "
                              "(REP2xx) instead of running an app")
-    p_race.add_argument("--app", default="stencil",
-                        choices=["stencil", "matmul", "spmv"])
+    race_apps = ["stencil", "matmul", "spmv"]
+    p_race.add_argument("--app", default="stencil", choices=race_apps)
     p_race.add_argument("--strategy", default="multi-io",
                         choices=sorted(STRATEGIES))
     p_race.add_argument("--cores", type=int, default=8)
@@ -1065,19 +947,10 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                              "single-schedule replay seed")
     p_race.add_argument("--limit", type=int, default=None,
                         help="decision limit of a minimized replay token")
-    # stencil shape
-    p_race.add_argument("--total", type=_size, default="256MiB")
-    p_race.add_argument("--block", type=_size, default="16MiB")
-    p_race.add_argument("--iterations", type=int, default=1)
-    # matmul shape
-    p_race.add_argument("--working-set", type=_size, default="128MiB")
-    p_race.add_argument("--block-dim", type=int, default=64)
-    # spmv shape
-    p_race.add_argument("--block-rows", type=int, default=16)
-    p_race.add_argument("--block-bytes", type=_size, default="8MiB")
-    p_race.add_argument("--vector-bytes", type=_size, default="256KiB")
-    p_race.add_argument("--couplings", type=int, default=2)
-    p_race.add_argument("--matrix-seed", type=int, default=0)
+    _add_shape_args(p_race, race_apps, total="256MiB", block="16MiB",
+                    iterations=1, working_set="128MiB", block_dim=64,
+                    block_rows=16, block_bytes="8MiB", vector_bytes="256KiB",
+                    couplings=2, seed=0)
     p_race.set_defaults(func=_cmd_race)
 
     p_rep = sub.add_parser(

@@ -7,8 +7,11 @@ package makes that set *declarative* and *incremental*:
 * :mod:`repro.exec.spec` — :class:`RunSpec`, the canonical description
   of one run (app, machine, strategy, seed, overrides) with a
   byte-stable JSON form and SHA-256 content key;
-* :mod:`repro.exec.runners` — the picklable executors that turn a spec
-  into a result dict inside a worker process;
+* :mod:`repro.exec.apps` — the app catalogue: how one params mapping
+  becomes an app config, a built runtime and a result dict, shared by
+  the executors, the schedule explorer and the CLI;
+* :mod:`repro.exec.runners` — the executors that turn a spec into a
+  result dict inside a worker process;
 * :mod:`repro.exec.engine` — :class:`Engine`: dedup, cache lookup,
   largest-cost-first process-pool fan-out with per-spec crash
   isolation, deterministic merge back in spec order;
@@ -29,8 +32,7 @@ from repro.exec.cache import (ResultCache, cache_stats, clear_cache,
 from repro.exec.context import (ExecContext, execute, get_context,
                                 set_context, using)
 from repro.exec.engine import Engine, RunResult, run_specs
-from repro.exec.explore import (ParallelExplorationReport, parallel_explore,
-                                schedule_specs)
+from repro.exec.explore import ParallelExplorationReport, parallel_explore
 from repro.exec.fingerprint import code_fingerprint
 from repro.exec.spec import RunSpec, canonical_json, stable_seed
 
@@ -40,5 +42,5 @@ __all__ = [
     "ResultCache", "default_cache_root", "cache_stats", "clear_cache",
     "Engine", "RunResult", "run_specs",
     "ExecContext", "get_context", "set_context", "using", "execute",
-    "ParallelExplorationReport", "parallel_explore", "schedule_specs",
+    "ParallelExplorationReport", "parallel_explore",
 ]

@@ -8,9 +8,10 @@ the report is line-for-line identical to a serial
 :func:`repro.race.explorer.explore` sweep over the same seeds.
 
 Minimization of the first failing seed stays serial and local (it is a
-binary search — inherently sequential) using the caller-provided
-runner, so the replay token and its findings come from real
-:class:`~repro.race.explorer.ScheduleOutcome` objects.
+binary search — inherently sequential) on the app's
+:func:`~repro.race.explorer.app_runner`, so the replay token and its
+findings come from real :class:`~repro.race.explorer.ScheduleOutcome`
+objects.
 """
 
 from __future__ import annotations
@@ -22,21 +23,9 @@ from repro.exec.engine import Engine, RunResult
 from repro.exec.spec import RunSpec
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.race.explorer import Runner, ScheduleOutcome
+    from repro.race.explorer import ScheduleOutcome
 
-__all__ = ["schedule_specs", "ParallelExplorationReport",
-           "parallel_explore"]
-
-
-def schedule_specs(app: str, app_params: _t.Mapping[str, _t.Any], *,
-                   schedules: int, base_seed: int = 0) -> list[RunSpec]:
-    """One ``schedule`` spec per seed in ``[base_seed, base_seed + N)``."""
-    specs = []
-    for seed in range(base_seed, base_seed + schedules):
-        params = {"app": app, "seed": seed, "limit": None, **app_params}
-        specs.append(RunSpec("schedule", params,
-                             label=f"schedule/{app}/seed{seed}"))
-    return specs
+__all__ = ["ParallelExplorationReport", "parallel_explore"]
 
 
 @dataclasses.dataclass
@@ -54,69 +43,54 @@ class ParallelExplorationReport:
     @property
     def failing(self) -> list[dict]:
         """Outcome rows whose schedule crashed, raced or violated."""
-        return [o for o in self.outcomes if o.get("failed")]
+        return [o for o in self.outcomes if o["failed"]]
 
     @property
     def ok(self) -> bool:
         """True when every explored schedule was clean."""
         return not self.failing
 
-    def render(self, *, max_findings: int = 3) -> str:
+    def render(self) -> str:
         """The serial explorer's report format, one line per schedule."""
-        lines = [o["rendered"] for o in self.outcomes]
-        lines.append(f"explored {len(self.outcomes)} schedule(s): "
-                     f"{len(self.failing)} failing")
-        if self.minimized is not None:
-            lines.append(
-                f"minimized replay token: seed={self.minimized.seed} "
-                f"limit={self.minimized.limit} "
-                f"(re-run with --seed {self.minimized.seed} "
-                f"--limit {self.minimized.limit})")
-            shown = (self.minimized.race_findings[:max_findings]
-                     + self.minimized.san_violations[:max_findings])
-            lines.extend(item.render() for item in shown)
-        return "\n".join(lines)
+        from repro.race.explorer import render_report
+
+        return render_report([o["rendered"] for o in self.outcomes],
+                             len(self.failing), self.minimized)
 
 
 def parallel_explore(app: str, app_params: _t.Mapping[str, _t.Any], *,
-                     schedules: int, base_seed: int = 0, jobs: int = 2,
-                     runner: "Runner | None" = None,
-                     minimize: bool = True,
-                     engine: "Engine | None" = None
-                     ) -> ParallelExplorationReport:
+                     schedules: int, base_seed: int,
+                     jobs: int) -> ParallelExplorationReport:
     """Explore ``schedules`` seeds in parallel; minimize the first failure.
 
-    A spec whose worker crashed outright (engine-level error, not a
-    schedule verdict) is reported as a failed outcome with the error in
-    its rendered line.
+    Every seed in ``[base_seed, base_seed + schedules)`` is one
+    ``schedule`` spec carrying the app run's params mapping
+    (:mod:`repro.exec.apps`) whole under ``"params"``.  A spec whose
+    worker crashed outright (engine-level error, not a schedule verdict)
+    is reported as a failed outcome with the error in its rendered line.
     """
-    specs = schedule_specs(app, app_params, schedules=schedules,
-                           base_seed=base_seed)
-    eng = engine if engine is not None else Engine(jobs=jobs)
-    results = eng.run(specs)
-    outcomes = [_as_outcome_dict(spec, result)
-                for spec, result in zip(specs, results)]
-    report = ParallelExplorationReport(outcomes=outcomes)
-    failing = report.failing
-    if failing and minimize and runner is not None:
-        first = failing[0]
-        if first.get("seed") is not None:
-            from repro.race.explorer import minimize_schedule, run_schedule
+    from repro.race.explorer import app_runner, minimize_schedule, run_schedule
 
-            local = run_schedule(runner, int(first["seed"]))
-            if local.failed:
-                report.minimized = minimize_schedule(runner, local)
+    specs = [RunSpec("schedule",
+                     {"app": app, "seed": seed, "params": dict(app_params)},
+                     label=f"schedule/{app}/seed{seed}")
+             for seed in range(base_seed, base_seed + schedules)]
+    results = Engine(jobs=jobs).run(specs)
+    report = ParallelExplorationReport(
+        outcomes=[_as_outcome_dict(spec, result)
+                  for spec, result in zip(specs, results)])
+    if report.failing:
+        runner = app_runner(app, app_params)
+        local = run_schedule(runner, int(report.failing[0]["seed"]))
+        if local.failed:
+            report.minimized = minimize_schedule(runner, local)
     return report
 
 
 def _as_outcome_dict(spec: RunSpec, result: RunResult) -> dict:
     if result.ok and result.result is not None:
         return result.result
-    seed = spec.params.get("seed")
-    return {"seed": seed, "limit": None, "decisions": 0,
-            "error": "worker-error", "detail": result.error or "",
-            "races": 0, "violations": 0, "tasks_completed": None,
-            "failed": True,
+    seed = spec.params["seed"]
+    return {"seed": seed, "failed": True,
             "rendered": f"seed={seed}: FAIL error=worker-error — "
-                        f"{result.error}",
-            "finding_lines": []}
+                        f"{result.error}"}

@@ -14,6 +14,7 @@ payload instead of letting one bad config kill the whole sweep.
 
 from __future__ import annotations
 
+import functools
 import time
 import traceback
 import typing as _t
@@ -62,51 +63,39 @@ def run_memcpy_spec(params: _t.Mapping[str, _t.Any]) -> dict:
     return {"elapsed": env.now}
 
 
-def _build(params: _t.Mapping[str, _t.Any]) -> _t.Any:
-    from repro.core.api import OOCRuntimeBuilder
+def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
+    """One catalogue app run; traced runs add Projections-report metrics.
 
-    builder = OOCRuntimeBuilder(
-        params["strategy"], cores=int(params["cores"]),
-        mcdram_capacity=int(params["mcdram"]),
-        ddr_capacity=int(params["ddr"]))
-    replicate = int(params.get("replicate", 0))
-    if replicate == 0:
-        return builder.build()
-    # Replicate r > 0: permute same-instant event ordering with the
-    # explorer's seeded tie-breaker.  Deterministic per (spec, r) — the
-    # replicate id is part of the spec identity, so every replicate is
-    # its own cache entry and re-runs stay byte-identical.
-    from repro.exec.spec import stable_seed
-    from repro.race.explorer import SeededTieBreaker
-    from repro.sim.environment import Environment
-
-    env = Environment()
-    env.set_tie_breaker(SeededTieBreaker(stable_seed("replicate", replicate)))
-    return builder.build_into(env)
-
-
-def run_stencil_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One Stencil3D run; traced runs add Projections-report metrics.
-
-    A traced run subscribes a :class:`~repro.trace.Tracer` for the app
-    run only, so no later run in this process sees its probe points.
+    A traced run (``params["trace"]``, set by the Figure 5/6 stencil
+    specs) subscribes a :class:`~repro.trace.Tracer` for the app run
+    only, so no later run in this process sees its probe points.
     """
-    from repro.apps.stencil3d import Stencil3D, StencilConfig
+    from repro.exec.apps import APPS, build
+    from repro.sim.environment import Environment
     from repro.trace.tracer import Tracer
 
-    built = _build(params)
-    cfg = StencilConfig(total_bytes=int(params["total"]),
-                        block_bytes=int(params["block"]),
-                        iterations=int(params["iterations"]))
-    tracer = Tracer(built.env).install() if params.get("trace") else None
+    entry = APPS[app]
+    env = Environment()
+    replicate = int(params.get("replicate", 0))
+    if replicate:
+        # Replicate r > 0: permute same-instant event ordering with the
+        # explorer's seeded tie-breaker.  Deterministic per (spec, r) — the
+        # replicate id is part of the spec identity, so every replicate is
+        # its own cache entry and re-runs stay byte-identical.
+        from repro.exec.spec import stable_seed
+        from repro.race.explorer import SeededTieBreaker
+
+        env.set_tie_breaker(
+            SeededTieBreaker(stable_seed("replicate", replicate)))
+    built = build(params, env)
+    cfg = entry.config(params)
+    tracer = Tracer(env).install() if params.get("trace") else None
     try:
-        result = Stencil3D(built, cfg).run()
+        result = entry.cls(built, cfg).run()
     finally:
         if tracer is not None:
             tracer.uninstall()
-    out = {"total_time": result.total_time,
-           "mean_iteration_time": result.mean_iteration_time,
-           "mean_kernel_time": result.mean_kernel_time}
+    out = entry.result(result)
     if tracer is not None:
         from repro.trace.projections import build_report
 
@@ -120,87 +109,18 @@ def run_stencil_spec(params: _t.Mapping[str, _t.Any]) -> dict:
     return out
 
 
-def run_matmul_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One blocked-MatMul run (Figure 9 cell)."""
-    from repro.apps.matmul import MatMul, MatMulConfig
-
-    built = _build(params)
-    cfg = MatMulConfig.for_working_set(int(params["working_set"]),
-                                       block_dim=int(params["block_dim"]))
-    result = MatMul(built, cfg).run()
-    return {"total_time": result.total_time,
-            "mean_kernel_time": result.mean_kernel_time}
-
-
-def run_spmv_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One iterated-SpMV run (guided-placement sweep cell)."""
-    from repro.apps.spmv import SpMV, SpMVConfig
-
-    built = _build(params)
-    cfg = SpMVConfig(block_rows=int(params["block_rows"]),
-                     block_bytes=int(params["block_bytes"]),
-                     vector_bytes=int(params["vector_bytes"]),
-                     couplings=int(params["couplings"]),
-                     iterations=int(params["iterations"]),
-                     seed=int(params.get("seed", 0)))
-    result = SpMV(built, cfg).run()
-    return {"total_time": result.total_time,
-            "mean_iteration_time":
-                sum(result.iteration_times) / len(result.iteration_times)}
-
-
-def run_stream_app_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One STREAM-over-chares run (strategy-sensitive, leaderboard cell)."""
-    from repro.apps.stream_app import StreamApp, StreamAppConfig
-
-    built = _build(params)
-    cfg = StreamAppConfig(kernel=params.get("kernel", "triad"),
-                          array_bytes=int(params["array_bytes"]),
-                          chares=int(params["chares"]),
-                          repeats=int(params.get("repeats", 2)))
-    result = StreamApp(built, cfg).run()
-    return {"total_time": result.elapsed_best,
-            "bandwidth": result.bandwidth}
-
-
 def run_schedule_spec(params: _t.Mapping[str, _t.Any]) -> dict:
-    """One seeded schedule permutation under racesan+simsan."""
-    from repro.race.explorer import (matmul_runner, run_schedule,
-                                     spmv_runner, stencil_runner)
+    """One seeded schedule permutation under racesan+simsan.
 
-    machine = dict(strategy=params["strategy"], cores=int(params["cores"]),
-                   mcdram=int(params["mcdram"]), ddr=int(params["ddr"]))
-    if params["app"] == "stencil":
-        runner = stencil_runner(total=int(params["total"]),
-                                block=int(params["block"]),
-                                iterations=int(params["iterations"]),
-                                **machine)
-    elif params["app"] == "spmv":
-        runner = spmv_runner(block_rows=int(params["block_rows"]),
-                             block_bytes=int(params["block_bytes"]),
-                             vector_bytes=int(params["vector_bytes"]),
-                             couplings=int(params["couplings"]),
-                             iterations=int(params["iterations"]),
-                             seed=int(params.get("matrix_seed", 0)),
-                             **machine)
-    else:
-        runner = matmul_runner(working_set=int(params["working_set"]),
-                               block_dim=int(params["block_dim"]),
-                               **machine)
-    seed = params.get("seed")
-    limit = params.get("limit")
-    outcome = run_schedule(runner, seed if seed is None else int(seed),
-                           limit=limit if limit is None else int(limit))
-    findings = outcome.race_findings + outcome.san_violations
-    return {"seed": outcome.seed, "limit": outcome.limit,
-            "decisions": outcome.decisions, "error": outcome.error,
-            "detail": outcome.detail,
-            "races": len(outcome.race_findings),
-            "violations": len(outcome.san_violations),
-            "tasks_completed": outcome.tasks_completed,
-            "failed": outcome.failed,
-            "rendered": outcome.render(),
-            "finding_lines": [f.render() for f in findings[:8]]}
+    ``params["params"]`` is the app run's own params mapping, nested so
+    its keys (SpMV's matrix ``seed``) never meet the schedule's ``seed``.
+    """
+    from repro.race.explorer import app_runner, run_schedule
+
+    outcome = run_schedule(app_runner(params["app"], params["params"]),
+                           int(params["seed"]))
+    return {"seed": outcome.seed, "failed": outcome.failed,
+            "rendered": outcome.render()}
 
 
 def run_selftest_spec(params: _t.Mapping[str, _t.Any]) -> dict:
@@ -214,14 +134,14 @@ def run_selftest_spec(params: _t.Mapping[str, _t.Any]) -> dict:
     return {"value": params.get("value"), "spun": acc if spin else 0}
 
 
-#: spec kind -> executor; keep every entry a top-level function
+#: spec kind -> executor
 EXECUTORS: dict[str, _t.Callable[[_t.Mapping[str, _t.Any]], dict]] = {
     "stream": run_stream_spec,
     "memcpy": run_memcpy_spec,
-    "stencil": run_stencil_spec,
-    "matmul": run_matmul_spec,
-    "spmv": run_spmv_spec,
-    "stream_app": run_stream_app_spec,
+    "stencil": functools.partial(run_app_spec, "stencil"),
+    "matmul": functools.partial(run_app_spec, "matmul"),
+    "spmv": functools.partial(run_app_spec, "spmv"),
+    "stream_app": functools.partial(run_app_spec, "stream"),
     "schedule": run_schedule_spec,
     "selftest": run_selftest_spec,
 }

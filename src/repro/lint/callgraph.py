@@ -294,13 +294,6 @@ class CallGraph:
     #: send/broadcast calls whose entry name is not a literal string
     unknown_sends: int
 
-    def dispatched_names(self) -> set[str]:
-        """Entry names named by at least one literal dispatch."""
-        names = {d.entry for d in self.driver_dispatches}
-        for dispatches in self.entry_dispatches.values():
-            names |= {d.entry for d in dispatches}
-        return names
-
     def reachable(self) -> set[tuple[str, str]]:
         """Entries reachable from driver dispatches via message edges."""
         queue = [key for d in self.driver_dispatches

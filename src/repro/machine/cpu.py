@@ -25,11 +25,6 @@ class HardwareThread:
     core_id: int
     smt_lane: int
 
-    @property
-    def is_primary(self) -> bool:
-        """The lane worker PEs run on."""
-        return self.smt_lane == 0
-
 
 class Core:
     """A physical core with its SMT lanes."""

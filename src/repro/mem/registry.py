@@ -50,9 +50,6 @@ class BlockRegistry:
 
     # -- aggregate queries -------------------------------------------------------
 
-    def blocks_in_state(self, state: BlockState) -> list[DataBlock]:
-        return [b for b in self._blocks.values() if b.state is state]
-
     def bytes_in_state(self, state: BlockState) -> int:
         return sum(b.nbytes for b in self._blocks.values() if b.state is state)
 

@@ -26,17 +26,14 @@ __all__ = [
     "check_paths", "check_file", "check_source", "check_tree",
     "default_targets",
     "SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
-    "run_schedule", "replay", "minimize_schedule", "explore",
-    "stencil_runner", "matmul_runner", "spmv_runner",
+    "run_schedule", "replay", "minimize_schedule", "explore", "app_runner",
 ]
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.race.detector import RaceAccess, RaceFinding, RaceSanitizer
     from repro.race.explorer import (ExplorationReport, ScheduleOutcome,
-                                     SeededTieBreaker, explore,
-                                     matmul_runner, minimize_schedule,
-                                     replay, run_schedule, spmv_runner,
-                                     stencil_runner)
+                                     SeededTieBreaker, app_runner, explore,
+                                     minimize_schedule, replay, run_schedule)
     from repro.race.model_checker import (check_file, check_paths,
                                           check_source, check_tree,
                                           default_targets)
@@ -59,9 +56,7 @@ _LAZY = {
     "replay": "repro.race.explorer",
     "minimize_schedule": "repro.race.explorer",
     "explore": "repro.race.explorer",
-    "stencil_runner": "repro.race.explorer",
-    "matmul_runner": "repro.race.explorer",
-    "spmv_runner": "repro.race.explorer",
+    "app_runner": "repro.race.explorer",
 }
 
 

@@ -39,7 +39,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
            "run_schedule", "replay", "minimize_schedule", "explore",
-           "stencil_runner", "matmul_runner", "spmv_runner"]
+           "render_report", "app_runner"]
 
 #: a runner builds + runs one application inside the given environment and
 #: returns the OOC manager (or None); ``rng`` seeds app-level ordering
@@ -218,20 +218,26 @@ class ExplorationReport:
     def ok(self) -> bool:
         return not self.failing
 
-    def render(self, *, max_findings: int = 3) -> str:
-        lines = [o.render() for o in self.outcomes]
-        lines.append(f"explored {len(self.outcomes)} schedule(s): "
-                     f"{len(self.failing)} failing")
-        if self.minimized is not None:
-            lines.append(
-                f"minimized replay token: seed={self.minimized.seed} "
-                f"limit={self.minimized.limit} "
-                f"(re-run with --seed {self.minimized.seed} "
-                f"--limit {self.minimized.limit})")
-            shown = (self.minimized.race_findings[:max_findings]
-                     + self.minimized.san_violations[:max_findings])
-            lines.extend(item.render() for item in shown)
-        return "\n".join(lines)
+    def render(self) -> str:
+        return render_report([o.render() for o in self.outcomes],
+                             len(self.failing), self.minimized)
+
+
+def render_report(lines: _t.Sequence[str], failing: int,
+                  minimized: ScheduleOutcome | None) -> str:
+    """An exploration report: one line per schedule, the failing count,
+    then the minimized replay token and its first three findings of
+    each kind."""
+    out = [*lines, f"explored {len(lines)} schedule(s): {failing} failing"]
+    if minimized is not None:
+        out.append(
+            f"minimized replay token: seed={minimized.seed} "
+            f"limit={minimized.limit} "
+            f"(re-run with --seed {minimized.seed} "
+            f"--limit {minimized.limit})")
+        shown = minimized.race_findings[:3] + minimized.san_violations[:3]
+        out.extend(item.render() for item in shown)
+    return "\n".join(out)
 
 
 def explore(runner: Runner, *, schedules: int = 8, base_seed: int = 0,
@@ -248,7 +254,7 @@ def explore(runner: Runner, *, schedules: int = 8, base_seed: int = 0,
     return report
 
 
-# -- stock application runners -------------------------------------------------
+# -- the application runner ---------------------------------------------------
 
 
 def _permute_io_order(strategy: _t.Any, rng: "random.Random | None") -> None:
@@ -263,62 +269,22 @@ def _fresh_strategy(strategy: _t.Any) -> _t.Any:
     return strategy() if callable(strategy) else strategy
 
 
-def stencil_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
-                   mcdram: int = 128 << 20, ddr: int = 1 << 30,
-                   total: int = 128 << 20, block: int = 16 << 20,
-                   iterations: int = 1) -> Runner:
-    """A runner for one Stencil3D configuration (explorer fixture)."""
+def app_runner(app: str, params: _t.Mapping[str, _t.Any]) -> Runner:
+    """A runner for one :data:`repro.exec.apps.APPS` run from its params.
+
+    The app config is built once, here, so a bad shape raises
+    :class:`~repro.errors.ConfigError` before any schedule runs.
+    ``params["strategy"]`` may also be a strategy class or factory.
+    """
+    from repro.exec.apps import APPS, build
+
+    entry = APPS[app]
+    cfg = entry.config(params)
+
     def run(env: "Environment", rng: "random.Random | None") -> _t.Any:
-        from repro.apps.stencil3d import Stencil3D, StencilConfig
-        from repro.core.api import OOCRuntimeBuilder
-
-        built = OOCRuntimeBuilder(
-            _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr).build_into(env)
+        built = build({**params,
+                       "strategy": _fresh_strategy(params["strategy"])}, env)
         _permute_io_order(built.strategy, rng)
-        cfg = StencilConfig(total_bytes=total, block_bytes=block,
-                            iterations=iterations)
-        Stencil3D(built, cfg).run()
-        return built.manager
-    return run
-
-
-def spmv_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
-                mcdram: int = 128 << 20, ddr: int = 1 << 30,
-                block_rows: int = 16, block_bytes: int = 8 << 20,
-                vector_bytes: int = 1 << 20, couplings: int = 2,
-                iterations: int = 1, seed: int = 0) -> Runner:
-    """A runner for one iterated-SpMV configuration (explorer fixture)."""
-    def run(env: "Environment", rng: "random.Random | None") -> _t.Any:
-        from repro.apps.spmv import SpMV, SpMVConfig
-        from repro.core.api import OOCRuntimeBuilder
-
-        built = OOCRuntimeBuilder(
-            _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr).build_into(env)
-        _permute_io_order(built.strategy, rng)
-        cfg = SpMVConfig(block_rows=block_rows, block_bytes=block_bytes,
-                         vector_bytes=vector_bytes, couplings=couplings,
-                         iterations=iterations, seed=seed)
-        SpMV(built, cfg).run()
-        return built.manager
-    return run
-
-
-def matmul_runner(*, strategy: _t.Any = "multi-io", cores: int = 8,
-                  mcdram: int = 128 << 20, ddr: int = 1 << 30,
-                  working_set: int = 64 << 20,
-                  block_dim: int = 64) -> Runner:
-    """A runner for one blocked-MatMul configuration (explorer fixture)."""
-    def run(env: "Environment", rng: "random.Random | None") -> _t.Any:
-        from repro.apps.matmul import MatMul, MatMulConfig
-        from repro.core.api import OOCRuntimeBuilder
-
-        built = OOCRuntimeBuilder(
-            _fresh_strategy(strategy), cores=cores, mcdram_capacity=mcdram,
-            ddr_capacity=ddr).build_into(env)
-        _permute_io_order(built.strategy, rng)
-        cfg = MatMulConfig.for_working_set(working_set, block_dim=block_dim)
-        MatMul(built, cfg).run()
+        entry.cls(built, cfg).run()
         return built.manager
     return run

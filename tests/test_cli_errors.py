@@ -1,8 +1,10 @@
 """Bad CLI values: one line on stderr naming the value, exit status 2.
 
 Sizes are parsed by argparse ``type=`` converters (a usage error);
-counts are validated by the app configs, replicate, job and schedule
-counts, figure/app names, the trend history path, the metrics interval
+counts are validated by the app configs (under ``race``,
+``--explore-schedules`` and ``--seed`` before any schedule runs),
+replicate, job and schedule counts, the replay ``--limit``, figure/app
+names, the trend history path, the metrics interval
 and the directory of every output path (``--trace-out``, ``guide -o``,
 ``lint --guidance``, ``trend``/``report``/``leaderboard -o``) by the
 commands, all raising a ``ConfigError`` the CLI catches once in ``main``.
@@ -35,6 +37,24 @@ CASES = [
     ("leaderboard-app", ["leaderboard", "--apps", "nope"], "nope"),
     ("race-schedules", ["race", "--explore-schedules", "-1"], "-1"),
     ("stencil-schedules", ["stencil", "--explore-schedules", "-2"], "-2"),
+    # a bad app shape fails once, before any schedule runs
+    ("race-shape",
+     ["race", "--app", "stencil", "--iterations", "0",
+      "--explore-schedules", "2"], "0"),
+    ("race-shape-jobs",
+     ["race", "--app", "spmv", "--block-rows", "0",
+      "--explore-schedules", "2", "-j", "2"], "0"),
+    ("race-shape-fifo", ["race", "--app", "matmul", "--working-set", "0"],
+     "0"),
+    ("stencil-shape-schedules",
+     ["stencil", "--iterations", "0", "--explore-schedules", "2"], "0"),
+    ("matmul-shape-seed", ["matmul", "--block-dim", "0", "--seed", "1"],
+     "0"),
+    ("spmv-shape-seed",
+     ["spmv", "--block-rows", "4", "--couplings", "99", "--seed", "1"], "99"),
+    ("race-limit", ["race", "--seed", "1", "--limit", "-1"], "-1"),
+    ("race-limit-no-seed", ["race", "--limit", "5"], "--limit 5"),
+    ("stencil-limit-no-seed", ["stencil", "--limit", "3"], "--limit 3"),
     ("experiments-jobs", ["experiments", "--figures", "fig1", "-j", "0"],
      "0"),
     ("report-jobs", ["report", "--figures", "fig2", "-j", "-1"], "-1"),

@@ -165,21 +165,19 @@ class TestDetectorUnits:
 
 class TestDetectorIntegration:
     def test_shipped_strategies_run_clean(self):
-        from repro.race.explorer import (matmul_runner, run_schedule,
-                                         stencil_runner)
+        from repro.race.explorer import app_runner, run_schedule
+        machine = dict(cores=8, mcdram=64 << 20, ddr=1 << 30)
+        stencil = dict(total=128 << 20, block=16 << 20, iterations=1)
         cases = [
-            ("stencil", stencil_runner(strategy="multi-io", mcdram=64 << 20,
-                                       total=128 << 20, block=16 << 20,
-                                       iterations=1), (None, 0, 1)),
-            ("stencil", stencil_runner(strategy="single-io", mcdram=64 << 20,
-                                       total=128 << 20, block=16 << 20,
-                                       iterations=1), (None, 0)),
-            ("stencil", stencil_runner(strategy="no-io", mcdram=64 << 20,
-                                       total=128 << 20, block=16 << 20,
-                                       iterations=1), (None, 0)),
-            ("matmul", matmul_runner(strategy="multi-io", mcdram=64 << 20,
-                                     working_set=64 << 20, block_dim=64),
-             (None,)),
+            ("stencil", app_runner("stencil", dict(
+                strategy="multi-io", **machine, **stencil)), (None, 0, 1)),
+            ("stencil", app_runner("stencil", dict(
+                strategy="single-io", **machine, **stencil)), (None, 0)),
+            ("stencil", app_runner("stencil", dict(
+                strategy="no-io", **machine, **stencil)), (None, 0)),
+            ("matmul", app_runner("matmul", dict(
+                strategy="multi-io", **machine, working_set=64 << 20,
+                block_dim=64)), (None,)),
         ]
         for app, runner, seeds in cases:
             for seed in seeds:
@@ -188,10 +186,10 @@ class TestDetectorIntegration:
                     f"{app} seed={seed}: {outcome.render()}"
 
     def test_racy_fixture_reports_race301_with_evidence(self):
-        from repro.race.explorer import run_schedule, stencil_runner
-        runner = stencil_runner(strategy=load_racy_strategy(),
-                                mcdram=64 << 20, total=128 << 20,
-                                block=16 << 20, iterations=1)
+        from repro.race.explorer import app_runner, run_schedule
+        runner = app_runner("stencil", dict(
+            strategy=load_racy_strategy(), cores=8, mcdram=64 << 20,
+            ddr=1 << 30, total=128 << 20, block=16 << 20, iterations=1))
         outcome = run_schedule(runner, None)
         races = [f for f in outcome.race_findings if f.rule == "RACE301"]
         assert races, outcome.render()

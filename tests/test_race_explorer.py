@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.race.explorer import (SeededTieBreaker, explore,
-                                 minimize_schedule, replay, run_schedule,
-                                 stencil_runner)
+from repro.race.explorer import (SeededTieBreaker, app_runner, explore,
+                                 minimize_schedule, replay, run_schedule)
 from repro.sim.environment import Environment
 
 from tests.test_race_detector import load_racy_strategy
 
-SHAPE = dict(mcdram=64 << 20, total=128 << 20, block=16 << 20, iterations=1)
+SHAPE = dict(cores=8, mcdram=64 << 20, ddr=1 << 30, total=128 << 20,
+             block=16 << 20, iterations=1)
 
 
 class TestSeededTieBreaker:
@@ -78,7 +78,7 @@ class TestTieBreakerHook:
 
 class TestScheduleRuns:
     def test_clean_run_and_determinism(self):
-        runner = stencil_runner(strategy="multi-io", **SHAPE)
+        runner = app_runner("stencil", dict(strategy="multi-io", **SHAPE))
         a = run_schedule(runner, 11)
         b = run_schedule(runner, 11)
         assert not a.failed
@@ -87,7 +87,7 @@ class TestScheduleRuns:
         assert a.tasks_completed and a.tasks_completed > 0
 
     def test_outcome_render_shapes(self):
-        runner = stencil_runner(strategy="multi-io", **SHAPE)
+        runner = app_runner("stencil", dict(strategy="multi-io", **SHAPE))
         ok = run_schedule(runner, 1)
         assert "ok (" in ok.render() and "seed=1" in ok.render()
 
@@ -119,7 +119,8 @@ class TestScheduleRuns:
 class TestExplorationOfSeededBug:
     @pytest.fixture(scope="class")
     def racy_runner(self):
-        return stencil_runner(strategy=load_racy_strategy(), **SHAPE)
+        return app_runner("stencil",
+                          dict(strategy=load_racy_strategy(), **SHAPE))
 
     def test_explorer_finds_minimizes_and_replays(self, racy_runner):
         report = explore(racy_runner, schedules=2, base_seed=0)
@@ -140,7 +141,7 @@ class TestExplorationOfSeededBug:
         assert token.limit <= failing.decisions
 
     def test_exploration_of_clean_strategy_reports_ok(self):
-        runner = stencil_runner(strategy="multi-io", **SHAPE)
+        runner = app_runner("stencil", dict(strategy="multi-io", **SHAPE))
         report = explore(runner, schedules=2, base_seed=0)
         assert report.ok and report.minimized is None
         assert "0 failing" in report.render()
