@@ -17,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from repro.core.api import BuiltRuntime
 from repro.errors import ConfigError
 from repro.runtime.chare import Chare, NodeGroup

@@ -139,7 +139,14 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_machine_args(parser: argparse.ArgumentParser) -> None:
+def _add_machine_args(parser: argparse.ArgumentParser, *,
+                      checks: bool = True) -> None:
+    """The machine and observer flags of one app run.
+
+    ``checks`` adds the checker and schedule flags (``--sanitize``,
+    ``--race``, ``--explore-schedules``, ``--seed``, ``--limit``), which
+    only the app commands honour.
+    """
     parser.add_argument("--strategy", default="multi-io",
                         choices=sorted(STRATEGIES))
     parser.add_argument("--cores", type=int, default=64)
@@ -147,9 +154,11 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="HBM capacity (default 1GiB = 1/16 scale)")
     parser.add_argument("--ddr", type=_size, default="6GiB",
                         help="DDR4 capacity (default 6GiB = 1/16 scale)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run under the repro.lint runtime sanitizer "
-                             "(simsan); non-zero exit on violations")
+    if checks:
+        parser.add_argument("--sanitize", action="store_true",
+                            help="run under the repro.lint runtime "
+                                 "sanitizer (simsan); non-zero exit on "
+                                 "violations")
     parser.add_argument("--metrics", action="store_true",
                         help="record repro.metrics telemetry and print it "
                              "after the run")
@@ -168,6 +177,8 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                              "merges metrics counter tracks with "
                              "--metrics and causal flow arrows with "
                              "--spans")
+    if not checks:
+        return
     parser.add_argument("--race", action="store_true",
                         help="run under the repro.race happens-before "
                              "detector (racesan); non-zero exit on races")
@@ -535,11 +546,11 @@ def _cmd_app(args: argparse.Namespace) -> int:
         code = _explore_or_replay(args, app, params)
         if code is not None:
             return code
-    sanitizer = _start_sanitizer(args) if report else None
+    sanitizer = _start_sanitizer(args)
     built = build(params, Environment())
     if sanitizer is not None:
         sanitizer.bind(built.manager)
-    racesan = _start_racesan(args, built) if report else None
+    racesan = _start_racesan(args, built)
     metrics = _start_metrics(args, built, app)
     spans = _start_spans(args, built)
     window_start = built.env.now
@@ -869,7 +880,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     p_mx = sub.add_parser(
         "metrics", help="run one app under the telemetry subsystem")
-    _add_machine_args(p_mx)
+    _add_machine_args(p_mx, checks=False)
     p_mx.add_argument("--app", default="stencil", choices=list(APPS))
     p_mx.add_argument("--watch", action="store_true",
                       help="narrate flight-recorder snapshot deltas live")

@@ -7,11 +7,12 @@ a schedule-dependent bug — the paper's runtime makes no such promise
 across N permuted schedules:
 
 * :class:`SeededTieBreaker` plugs into
-  :meth:`repro.sim.environment.Environment.set_tie_breaker` and replaces
-  each raw heap sequence number with ``(jitter, seq)``, where ``jitter``
-  is drawn from a seeded RNG — permuting only orders among same-instant,
-  same-priority events; everything else is untouched and every run is a
-  pure function of the seed;
+  :meth:`repro.sim.environment.Environment.set_tie_breaker` and hands
+  the event heap one int key ``jitter << 56 | seq`` per scheduled entry,
+  where ``jitter`` is drawn from a seeded RNG — permuting only orders
+  among same-instant, same-priority events; everything else is untouched
+  and every run is a pure function of the seed.  The kernel drains that
+  heap with :func:`repro.sim.kernel.drain_keyed`;
 * the IO round-robin start offset (strategies with ``_rr_start``) is
   drawn from the same seed, permuting which PE the scan serves first;
 * each schedule runs under ``racesan`` + ``simsan`` and is checked for
@@ -48,27 +49,39 @@ Runner = _t.Callable[["Environment", "random.Random | None"], _t.Any]
 
 
 class SeededTieBreaker:
-    """Maps raw sequence numbers to ``(jitter, seq)`` heap keys.
+    """Draws the int heap keys ``jitter << 56 | seq`` (``seq`` = 0, 1, ...).
 
-    Keys stay unique (``seq`` is the tiebreak of the tiebreak), so the
-    permutation is total and deterministic in the seed.  With ``limit``
-    set, decisions beyond it get jitter 0 — FIFO, and *ahead* of any
-    jittered same-instant entry — which is what makes minimized replays
-    stable: only the first ``limit`` decisions ever differ from FIFO.
+    ``jitter`` is a seeded draw in ``[1, 2**16]``, so keys sort exactly as
+    the ``(jitter, seq)`` pairs they encode (``seq`` stays below
+    ``2**56``), and they stay unique (``seq`` is the tiebreak of the
+    tiebreak): the permutation is total and deterministic in the seed.
+    With ``limit`` set, decisions beyond it get jitter 0, i.e. key
+    ``seq`` — FIFO, and *ahead* of any jittered same-instant entry —
+    which is what makes minimized replays stable: only the first
+    ``limit`` decisions ever differ from FIFO, and they draw the same
+    jitters whatever the limit.
     """
 
     def __init__(self, seed: int, limit: int | None = None):
         self.seed = seed
         self.limit = limit
+        #: keys handed out so far
         self.decisions = 0
         self._rng = random.Random(seed)
 
-    def __call__(self, seq: int) -> tuple[int, int]:
-        self.decisions += 1
-        jitter = self._rng.getrandbits(16) + 1
-        if self.limit is not None and self.decisions > self.limit:
-            return (0, seq)
-        return (jitter, seq)
+    def keys(self) -> _t.Iterator[int]:
+        """The endless key stream ``Environment.schedule`` draws from."""
+        draw = self._rng.getrandbits
+        limit = self.limit
+        seq = 0
+        while limit is None or seq < limit:
+            self.decisions = seq + 1
+            yield (draw(16) + 1) << 56 | seq
+            seq += 1
+        while True:
+            self.decisions = seq + 1
+            yield seq
+            seq += 1
 
 
 @dataclasses.dataclass

@@ -31,12 +31,14 @@ drain loops skip it.  When tombstones outnumber live entries (a long
 open-loop run cancelling bandwidth wakeups forever), :meth:`_compact`
 sweeps them out, so dead entries can no longer accumulate without bound.
 
-When a same-instant tie-breaker is installed (the schedule explorer), the
-environment falls back to the legacy single-heap layout whose entries
-carry the permuted sequence keys, driven one event at a time by
-:meth:`Environment.step` — batched FIFO lists cannot represent a permuted
-same-instant order.  Every other ``run()`` goes through the one drain
-loop in :mod:`repro.sim.kernel`.
+When a same-instant tie-breaker is installed (schedule-explorer runs and
+report/leaderboard replicates > 0), every entry goes on one heap of
+``(time, priority << 80 | key, event)`` tuples instead, where ``key`` is
+the tie-breaker's next int key — batched FIFO lists cannot represent a
+permuted same-instant order.  ``run()`` drains that heap with
+:func:`repro.sim.kernel.drain_keyed` and everything else with
+:func:`repro.sim.kernel.drain`.  Both layouts tombstone through
+``event._cancelled``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import typing as _t
 from heapq import heapify as _heapify
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
-from itertools import count
 
 from repro import hooks as _probe
 from repro.errors import DeadlockError, SimulationError
@@ -80,15 +81,14 @@ class Environment:
         env.process(my_generator(env))
         env.run()
 
-    :meth:`schedule` returns an opaque token (the event itself in the
-    batched layout, a heap entry under a tie-breaker) which may be passed
-    to :meth:`cancel` for O(1) invalidation.  Cancelled entries are
+    :meth:`schedule` returns the event, which may be passed to
+    :meth:`cancel` for O(1) invalidation.  Cancelled entries are
     skipped lazily and swept out wholesale once they outnumber live ones.
     """
 
     __slots__ = ("_now", "_times", "_buckets", "_urgent_buckets",
-                 "_agenda_urgent", "_agenda_normal", "_legacy_queue",
-                 "_seq", "_live", "_dead", "_active", "_tie_break",
+                 "_agenda_urgent", "_agenda_normal", "_keyed",
+                 "_live", "_dead", "_active", "_tie_break",
                  "_tcache_t", "_tcache", "active_process")
 
     def __init__(self, initial_time: float = 0.0):
@@ -96,7 +96,7 @@ class Environment:
         #: one-slot bucket cache for timeout(): consecutive timeouts to
         #: the same instant (the 64-lane lockstep shape) skip the float
         #: hash + dict lookup.  Invalidated wholesale wherever a bucket
-        #: can leave ``_buckets`` (_advance_clock / peek / _compact).
+        #: can leave ``_buckets`` (_advance_clock / _compact).
         self._tcache_t = -1.0
         self._tcache: list[Event] | None = None
         #: heap of bucket timestamps (floats; may hold stale duplicates)
@@ -109,9 +109,8 @@ class Environment:
         #: events due at the current instant, FIFO per priority band
         self._agenda_urgent: list[Event] = []
         self._agenda_normal: list[Event] = []
-        #: legacy ``[time, priority, seq, event]`` heap (tie-breaker mode)
-        self._legacy_queue: list[list] = []
-        self._seq = count()
+        #: ``(time, priority << 80 | key, event)`` heap (tie-breaker mode)
+        self._keyed: list[tuple] = []
         #: number of live (non-cancelled) entries across all structures.
         #: NOTE: while a batch is draining this lags behind by the events
         #: dispatched so far in the batch (flushed at batch end).
@@ -123,9 +122,8 @@ class Environment:
         #: the process whose generator is running right now, else None
         #: (SimPy's name); set and cleared around every resume
         self.active_process: "Process | None" = None
-        #: optional same-instant tie-breaker (schedule explorer); maps the
-        #: raw sequence number to the heap sequence key
-        self._tie_break: _t.Callable[[int], _t.Any] | None = None
+        #: the installed tie-breaker's key iterator, else None
+        self._tie_break: _t.Iterator[int] | None = None
 
     # -- clock --------------------------------------------------------------
 
@@ -146,11 +144,12 @@ class Environment:
         This is a fully inlined copy of ``Timeout.__init__`` + the
         future-bucket branch of :meth:`schedule`: one timeout is created
         per PE-loop iteration, and the constructor + scheduling call
-        layers were a measurable slice of event-churn wall time.
+        layers were a measurable slice of event-churn wall time.  Under a
+        tie-breaker the built timeout goes to :meth:`schedule`.
         """
-        if not (delay >= 0.0 and self._tie_break is None):
-            return Timeout(self, delay, value)  # slow/validating path (NaN
-            # and negative delays fail the >= check and get the real error)
+        if not delay >= 0.0:
+            return Timeout(self, delay, value)  # validating path: NaN and
+            # negative delays fail the >= check and get the real error
         ev = _new_timeout(Timeout)
         ev.env = self
         ev.name = "timeout"
@@ -161,6 +160,8 @@ class Environment:
         ev._processed = False
         ev._cancelled = False
         ev.delay = delay
+        if self._tie_break is not None:
+            return self.schedule(ev, delay)
         if delay == 0.0:
             self._agenda_normal.append(ev)
         else:
@@ -198,24 +199,23 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL) -> _t.Any:
+                 priority: int = NORMAL) -> Event:
         """Queue a triggered event for callback processing at ``now+delay``.
 
-        Returns an opaque token that may be passed to :meth:`cancel`.
+        Returns ``event``, which may be passed to :meth:`cancel`.
         """
         tie_break = self._tie_break
         if tie_break is not None:
-            # legacy single-heap layout: entries carry permuted seq keys
-            if delay < 0 or delay != delay:
+            # one heap; the int key orders same-(time, priority) entries
+            if not delay >= 0.0:  # negative or NaN
                 raise SimulationError(
                     f"cannot schedule into the past (delay={delay!r})")
-            entry = [self._now + delay, priority, tie_break(next(self._seq)),
-                     event]
-            _heappush(self._legacy_queue, entry)
+            _heappush(self._keyed, (self._now + delay,
+                                    priority << 80 | next(tie_break), event))
             self._live += 1
             if _probe.on_scheduled is not None:
                 _probe.on_scheduled(event)
-            return entry
+            return event
         if delay == 0.0:
             # current instant: plain FIFO append, no heap traffic
             if priority == URGENT:
@@ -246,42 +246,28 @@ class Environment:
             _probe.on_scheduled(event)
         return event
 
-    def set_tie_breaker(
-            self, fn: "_t.Callable[[int], _t.Any] | None") -> None:
-        """Install a same-instant ordering permuter (schedule explorer).
+    def set_tie_breaker(self, breaker: _t.Any) -> None:
+        """Install a same-instant ordering permuter (``None`` removes it).
 
-        ``fn`` maps each raw sequence number to the sequence key actually
-        used in the heap — events with equal ``(time, priority)`` are then
-        processed in key order instead of FIFO, while the keys stay unique
-        so cross-time/priority ordering is untouched.  Must be installed
-        before anything is scheduled: the batched FIFO layout cannot
-        retrofit permuted keys onto already-queued events.
+        ``breaker.keys()`` must return an endless iterator of distinct
+        non-negative ints below ``2**80``; :meth:`schedule` draws one per
+        entry.  Events with equal ``(time, priority)`` are then processed
+        in key order instead of FIFO, while cross-time/priority ordering
+        is untouched.  Must be installed before anything is scheduled:
+        the batched FIFO layout cannot retrofit keys onto queued events.
         """
-        if self._live or self._dead or self._legacy_queue:
+        if self._live or self._dead or self._keyed:
             raise SimulationError(
                 "set_tie_breaker() requires an empty event queue")
-        self._tie_break = fn
+        self._tie_break = None if breaker is None else iter(breaker.keys())
 
-    def cancel(self, entry: _t.Any) -> bool:
-        """Invalidate a scheduled entry in place (O(1)).
+    def cancel(self, event: Event) -> bool:
+        """Invalidate a scheduled event in place (O(1)).
 
-        The entry's callbacks will never run; the dead entry is discarded
-        lazily (and swept wholesale once tombstones outnumber live
-        entries).  Returns False if the entry was already cancelled or
-        processed.
+        Its callbacks will never run; the dead entry is discarded lazily
+        (and swept wholesale once tombstones outnumber live entries).
+        Returns False if the event was already cancelled or processed.
         """
-        if type(entry) is list:  # legacy-mode heap entry
-            if entry[3] is None:
-                return False
-            if _probe.on_descheduled is not None:
-                _probe.on_descheduled(entry[3])
-            entry[3] = None
-            self._live -= 1
-            self._dead += 1
-            if self._dead > _COMPACT_MIN_DEAD and self._dead > self._live:
-                self._compact()
-            return True
-        event: Event = entry
         if event._cancelled or event._processed:
             return False
         if _probe.on_descheduled is not None:
@@ -304,9 +290,9 @@ class Environment:
         """
         self._tcache_t = -1.0  # the sweep below may drop buckets
         if self._tie_break is not None:
-            queue = self._legacy_queue
-            queue[:] = [e for e in queue if e[3] is not None]
-            _heapify(queue)
+            heap = self._keyed
+            heap[:] = [e for e in heap if not e[2]._cancelled]
+            _heapify(heap)
             self._dead = 0
             return
         for agenda in (self._agenda_urgent, self._agenda_normal):
@@ -334,11 +320,11 @@ class Environment:
     def live_entry_count(self) -> int:
         """O(pending) recount of live entries (simsan conservation check).
 
-        Only meaningful at quiescence or between :meth:`step` calls — an
-        in-flight drain batch is invisible to this walk.
+        Only meaningful at quiescence — an in-flight drain batch is
+        invisible to this walk.
         """
         if self._tie_break is not None:
-            return sum(1 for e in self._legacy_queue if e[3] is not None)
+            return sum(1 for e in self._keyed if not e[2]._cancelled)
         n = sum(1 for e in self._agenda_urgent if not e._cancelled)
         n += sum(1 for e in self._agenda_normal if not e._cancelled)
         for store in (self._buckets, self._urgent_buckets):
@@ -404,91 +390,6 @@ class Environment:
                 return True
         return False
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        self._tcache_t = -1.0  # the sweep below may drop buckets
-        if self._tie_break is not None:
-            queue = self._legacy_queue
-            while queue and queue[0][3] is None:
-                _heappop(queue)
-                self._dead -= 1
-            return queue[0][0] if queue else float("inf")
-        for agenda in (self._agenda_urgent, self._agenda_normal):
-            if agenda:
-                live = [e for e in agenda if not e._cancelled]
-                if len(live) != len(agenda):
-                    self._dead -= len(agenda) - len(live)
-                    agenda[:] = live
-                if agenda:
-                    return self._now
-        times = self._times
-        while times:
-            t = times[0]
-            live_t = False
-            for store in (self._urgent_buckets, self._buckets):
-                bucket = store.get(t)
-                if bucket is not None:
-                    keep = [e for e in bucket if not e._cancelled]
-                    self._dead -= len(bucket) - len(keep)
-                    if keep:
-                        bucket[:] = keep
-                        live_t = True
-                    else:
-                        del store[t]
-            if live_t:
-                return t
-            _heappop(times)
-        return float("inf")
-
-    def step(self) -> None:
-        """Process exactly one live event (advancing the clock to it)."""
-        if self._tie_break is not None:
-            self._legacy_step()
-            return
-        urgent, normal = self._agenda_urgent, self._agenda_normal
-        while True:
-            if urgent:
-                event = urgent.pop(0)
-            elif normal:
-                event = normal.pop(0)
-            elif not self._advance_clock():
-                raise SimulationError("step() on an empty event queue")
-            else:
-                urgent, normal = self._agenda_urgent, self._agenda_normal
-                continue
-            if event._cancelled:
-                self._dead -= 1
-                continue
-            break
-        self._dispatch(event)
-
-    def _legacy_step(self) -> None:
-        queue = self._legacy_queue
-        while True:
-            if not queue:
-                raise SimulationError("step() on an empty event queue")
-            entry = _heappop(queue)
-            when, event = entry[0], entry[3]
-            if event is not None:
-                break
-            self._dead -= 1
-        # mark the entry consumed so a late cancel() is a no-op
-        entry[3] = None
-        self._now = when
-        self._dispatch(event)
-
-    def _dispatch(self, event: Event) -> None:
-        """Consume one live event: run its callbacks, surface failures."""
-        event._processed = True
-        self._live -= 1
-        if _probe.on_processing is not None:
-            _probe.on_processing(event)
-        event._process()
-        if not event._ok and not event._defused:
-            # Nobody handled this failure: surface it instead of silently
-            # dropping a crashed process.
-            raise event._value
-
     def run(self, until: "float | Event | None" = None) -> _t.Any:
         """Run until the queue drains, a deadline, or an event fires.
 
@@ -498,8 +399,8 @@ class Environment:
           its value.  Raises :class:`DeadlockError` if the queue drains
           first (the event can then never fire).
 
-        All three go through :func:`repro.sim.kernel.drain`; under a
-        tie-breaker the permuted heap is stepped one event at a time.
+        All three go through :func:`repro.sim.kernel.drain`, or
+        :func:`repro.sim.kernel.drain_keyed` under a tie-breaker.
         """
         target = None
         deadline = _INF
@@ -511,18 +412,11 @@ class Environment:
                 raise SimulationError(
                     f"run(until={deadline!r}) is in the past "
                     f"(now={self._now!r})")
-        if self._tie_break is not None:
-            if target is not None:
-                while self._live and not target._processed:
-                    self.step()
-            elif until is None:
-                while self._live:
-                    self._legacy_step()
+        if target is None or not target._processed:
+            if self._tie_break is None:
+                _kernel.drain(self, target, deadline)
             else:
-                while self._live and self.peek() <= deadline:
-                    self.step()
-        elif target is None or not target._processed:
-            _kernel.drain(self, target, deadline)
+                _kernel.drain_keyed(self, target, deadline)
 
         if target is None:
             if until is not None:

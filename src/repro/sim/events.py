@@ -123,7 +123,7 @@ class Event:
             if _probe.on_scheduled is not None:
                 _probe.on_scheduled(self)
         else:
-            env.schedule(self, delay=delay)
+            env.schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":

@@ -1,12 +1,16 @@
-"""The simulation kernel: the one drain loop behind every ``run()``.
+"""The simulation kernel: the two drain loops behind every ``run()``.
 
 :func:`drain` processes the environment's pending events in exactly
 ``(time, priority-band, scheduling order)`` order until the queue dries,
 a target event has been processed, or the next event lies past a
 deadline.  ``Environment.run()``, ``run(until=<float>)`` and
-``run(until=<Event>)`` all go through it; only the tie-breaker mode of
-the schedule explorer, whose permuted single heap has no batches, is
-driven one event at a time by :meth:`Environment.step`.
+``run(until=<Event>)`` all go through it.  Under a same-instant
+tie-breaker, whose permuted single heap has no batches, the same three
+forms go through :func:`drain_keyed`, which pops that heap one event at
+a time with the same fused resume, generic-callback and failure arms;
+the batching and the per-batch rules below are :func:`drain`'s alone.
+Neither loop has a one-event twin in ``src/``: ``tests/sim_oracle.py``
+holds the plain stepper both are tested against.
 
 * **Batching.** Each pass swaps the current-instant agenda list out
   whole and walks it with a bare ``for``: one container operation per
@@ -41,16 +45,18 @@ driven one event at a time by :meth:`Environment.step`.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 
 from repro import hooks as _probe
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import PENDING
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
     from repro.sim.events import Event
 
-__all__ = ["drain"]
+__all__ = ["drain", "drain_keyed"]
 
 _INF = float("inf")
 
@@ -59,24 +65,26 @@ _INF = float("inf")
 _Process: type | None = None
 
 
+def _process_type() -> type:
+    global _Process
+    if _Process is None:
+        from repro.sim.process import Process
+        _Process = Process
+    return _Process
+
+
 def drain(env: "Environment", target: "Event | None" = None,
           deadline: float = _INF) -> None:
     """Process pending events in order until a stop condition holds.
 
     Returns when the queue is dry, right after ``target`` has been
     processed, or when the next pending event lies after ``deadline``
-    (events *at* the deadline are processed).  :meth:`Environment.step`
-    / :meth:`Environment._dispatch` are the one-event versions of this
-    loop and must stay order-identical to it.
+    (events *at* the deadline are processed).  The one-event stepper in
+    ``tests/sim_oracle.py`` is the reference both loops are held to.
     """
-    global _Process
-    if _Process is None:
-        from repro.sim.process import Process
-        _Process = Process
-    process_t = _Process
+    process_t = _process_type()
     pending = PENDING
     advance = env._advance_clock
-    unregister = env.unregister_process
     spare: list = []
     while True:
         on_processing = _probe.on_processing
@@ -115,30 +123,14 @@ def drain(env: "Environment", target: "Event | None" = None,
                 callback = event._cb0
                 event._cb0 = None
                 if type(callback) is fusable and event._ok:
-                    # -- fused resume: inlined Process._resume; the except
-                    # arms mirror it exactly
+                    # -- fused resume: inlined Process._resume, sharing
+                    # its exit arm (Process._finish)
                     if callback._value is pending:
                         env.active_process = callback
                         try:
                             nxt = callback._send(event._value)
-                        except StopIteration as stop:
-                            env.active_process = None
-                            callback._target = None
-                            unregister(callback)
-                            callback.succeed(stop.value)
-                        except ProcessKilled as killed:
-                            env.active_process = None
-                            callback._target = None
-                            unregister(callback)
-                            callback._ok = False
-                            callback._value = killed
-                            callback._defused = True
-                            env.schedule(callback)
                         except BaseException as exc:
-                            env.active_process = None
-                            callback._target = None
-                            unregister(callback)
-                            callback.fail(exc)
+                            callback._finish(exc)
                         else:
                             env.active_process = None
                             try:
@@ -150,11 +142,7 @@ def drain(env: "Environment", target: "Event | None" = None,
                                 else:
                                     nxt.add_callback(callback)
                             except AttributeError:
-                                callback._target = None
-                                raise SimulationError(
-                                    f"process {callback.name!r} yielded "
-                                    f"{nxt!r}; processes may only yield "
-                                    "Event instances") from None
+                                raise callback._bad_yield(nxt) from None
                 else:
                     # generic callbacks: flow completions, conditions,
                     # hooks, and every event while an observer is on
@@ -183,3 +171,73 @@ def drain(env: "Environment", target: "Event | None" = None,
             spare = batch
         if event is target:
             return
+
+
+def drain_keyed(env: "Environment", target: "Event | None" = None,
+                deadline: float = _INF) -> None:
+    """:func:`drain` for the tie-breaker heap, one pop per event.
+
+    Same stop conditions, fused resume, generic-callback and failure arms
+    as :func:`drain`, but events come off ``env._keyed`` in
+    ``(time, priority << 80 | key)`` order.  Nothing is batched: an event
+    scheduled by a callback may sort ahead of every queued one at the
+    same instant, so the heap head is re-read after every event.  The
+    probe points are re-read per event too, so an observer subscribed
+    mid-instant takes over at the next event.
+    """
+    process_t = _process_type()
+    pending = PENDING
+    heap = env._keyed
+    done = 0
+    try:
+        while heap:
+            entry = _heappop(heap)
+            event = entry[2]
+            if event._cancelled:
+                env._dead -= 1
+                continue
+            when = entry[0]
+            if when > deadline:
+                _heappush(heap, entry)
+                return
+            env._now = when
+            done += 1
+            event._processed = True
+            callback = event._cb0
+            event._cb0 = None
+            if (type(callback) is process_t and event._ok
+                    and _probe.on_processing is None
+                    and _probe.on_resume is None):
+                # -- fused resume, as in drain()
+                if callback._value is pending:
+                    env.active_process = callback
+                    try:
+                        nxt = callback._send(event._value)
+                    except BaseException as exc:
+                        callback._finish(exc)
+                    else:
+                        env.active_process = None
+                        try:
+                            callback._target = nxt
+                            if nxt._cb0 is None and not nxt._processed:
+                                nxt._cb0 = callback
+                            else:
+                                nxt.add_callback(callback)
+                        except AttributeError:
+                            raise callback._bad_yield(nxt) from None
+            else:
+                if _probe.on_processing is not None:
+                    _probe.on_processing(event)
+                if callback is not None:
+                    callback(event)
+            callbacks = event._cbs
+            if callbacks is not None:
+                event._cbs = None
+                for extra in callbacks:
+                    extra(event)
+            if not event._ok and not event._defused:
+                raise event._value  # nobody handled the failure
+            if event is target:
+                return
+    finally:
+        env._live -= done

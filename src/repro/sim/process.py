@@ -100,26 +100,8 @@ class Process(Event):
             else:
                 event._defused = True
                 next_event = self._throw(event._value)
-        except StopIteration as stop:
-            env.active_process = None
-            self._target = None
-            env.unregister_process(self)
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as killed:
-            env.active_process = None
-            self._target = None
-            env.unregister_process(self)
-            self._ok = False
-            self._value = killed
-            self._defused = True
-            env.schedule(self)
-            return
         except BaseException as exc:
-            env.active_process = None
-            self._target = None
-            env.unregister_process(self)
-            self.fail(exc)
+            self._finish(exc)
             return
         env.active_process = None
 
@@ -141,10 +123,35 @@ class Process(Event):
             else:
                 next_event.add_callback(self)
         except AttributeError:
-            self._target = None
-            raise SimulationError(
-                f"process {self.name!r} yielded {next_event!r}; processes may "
-                "only yield Event instances") from None
+            raise self._bad_yield(next_event) from None
+
+    def _finish(self, exc: BaseException) -> None:
+        """Retire the process after its generator raised ``exc``.
+
+        The one exit arm of every resume, here and in the kernel's fused
+        loops: a return succeeds the process with the returned value, a
+        kill fails it pre-defused, and any other exception fails it.
+        """
+        env = self.env
+        env.active_process = None
+        self._target = None
+        env.unregister_process(self)
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif isinstance(exc, ProcessKilled):
+            self._ok = False
+            self._value = exc
+            self._defused = True
+            env.schedule(self)
+        else:
+            self.fail(exc)
+
+    def _bad_yield(self, yielded: _t.Any) -> SimulationError:
+        """The error for a generator that yielded a non-:class:`Event`."""
+        self._target = None
+        return SimulationError(
+            f"process {self.name!r} yielded {yielded!r}; processes may "
+            "only yield Event instances")
 
     # The process is its own resume callback: generic dispatch paths call
     # ``event._cb0(event)`` without caring whether the waiter is a plain

@@ -66,6 +66,14 @@ CASES = [
      ["stencil", "--metrics", "--metrics-interval", "0"], "0"),
     ("metrics-interval",
      ["metrics", "--app", "stencil", "--metrics-interval", "-0.5"], "-0.5"),
+    # `repro metrics` has no checker or schedule mode: those flags are
+    # unknown there rather than silently ignored
+    ("metrics-sanitize", ["metrics", "--sanitize"], "--sanitize"),
+    ("metrics-race", ["metrics", "--race"], "--race"),
+    ("metrics-explore-schedules",
+     ["metrics", "--explore-schedules", "2"], "--explore-schedules"),
+    ("metrics-seed", ["metrics", "--seed", "1"], "--seed"),
+    ("metrics-limit", ["metrics", "--limit", "1"], "--limit"),
     ("stencil-trace-out",
      ["stencil", "--trace-out", "no-such-dir/t.json"], "no-such-dir/t.json"),
     ("matmul-trace-out",

@@ -30,6 +30,7 @@ from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.fluid import _EPSILON_BYTES, FluidNetwork
+from tests import sim_oracle
 from tests.fluid_oracle import EagerFluidNetwork, active_flows
 
 #: the shipped network and the eager oracle, under their solver names
@@ -213,7 +214,7 @@ class TestEpsilonForceComplete:
         for _ in range(50):
             if flow.finished:
                 break
-            env.step()
+            sim_oracle.step(env)
         assert flow.finished
         assert flow.finished_at == 1.0
 
@@ -287,7 +288,7 @@ class TestZeroRateAndCancel:
 def _stored_entry_count(env: Environment) -> int:
     """Total parked entries including tombstones (leak diagnostics)."""
     if env._tie_break is not None:
-        return len(env._legacy_queue)
+        return len(env._keyed)
     n = len(env._agenda_urgent) + len(env._agenda_normal)
     for store in (env._buckets, env._urgent_buckets):
         for bucket in store.values():

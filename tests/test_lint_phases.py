@@ -323,11 +323,11 @@ phase 2: MatMulChare.multiply [src/repro/apps/matmul.py:219] trips=1
 """
 
 GOLDEN_SPMV = """\
-phase 0: SpMVVectors.setup [src/repro/apps/spmv.py:158] trips=1
+phase 0: SpMVVectors.setup [src/repro/apps/spmv.py:156] trips=1
   entry SpMVVectors.setup
-phase 1: SpMVChare.setup [src/repro/apps/spmv.py:166] trips=64
+phase 1: SpMVChare.setup [src/repro/apps/spmv.py:164] trips=64
   entry SpMVChare.setup
-phase 2: SpMVChare.multiply [src/repro/apps/spmv.py:179] trips=10
+phase 2: SpMVChare.multiply [src/repro/apps/spmv.py:177] trips=10
   entry SpMVChare.multiply
   site SpMVChare.A reads=8388608 writes=-
   site SpMVChare.y reads=- writes=262144

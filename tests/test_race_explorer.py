@@ -13,34 +13,48 @@ SHAPE = dict(cores=8, mcdram=64 << 20, ddr=1 << 30, total=128 << 20,
              block=16 << 20, iterations=1)
 
 
+def _keys(breaker: SeededTieBreaker, n: int) -> list[int]:
+    stream = breaker.keys()
+    return [next(stream) for _ in range(n)]
+
+
+def _pairs(keys: list[int]) -> list[tuple[int, int]]:
+    """Decode ``jitter << 56 | seq`` keys back into ``(jitter, seq)``."""
+    return [(k >> 56, k & ((1 << 56) - 1)) for k in keys]
+
+
 class TestSeededTieBreaker:
     def test_same_seed_same_keys(self):
-        a = [SeededTieBreaker(7)(i) for i in range(50)]
-        b = [SeededTieBreaker(7)(i) for i in range(50)]
+        a = _keys(SeededTieBreaker(7), 50)
+        b = _keys(SeededTieBreaker(7), 50)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = [SeededTieBreaker(7)(i) for i in range(50)]
-        b = [SeededTieBreaker(8)(i) for i in range(50)]
+        a = _keys(SeededTieBreaker(7), 50)
+        b = _keys(SeededTieBreaker(8), 50)
         assert a != b
 
     def test_keys_are_unique_and_jittered(self):
-        keys = [SeededTieBreaker(3)(i) for i in range(100)]
+        breaker = SeededTieBreaker(3)
+        keys = _keys(breaker, 100)
         assert len(set(keys)) == 100
-        assert all(jitter >= 1 for jitter, _ in keys)
+        assert breaker.decisions == 100
+        pairs = _pairs(keys)
+        assert [seq for _, seq in pairs] == list(range(100))
+        assert all(1 <= jitter <= 1 << 16 for jitter, _ in pairs)
 
     def test_limit_falls_back_to_fifo(self):
         breaker = SeededTieBreaker(3, limit=2)
-        keys = [breaker(i) for i in range(5)]
-        assert all(jitter >= 1 for jitter, _ in keys[:2])
-        assert keys[2:] == [(0, 2), (0, 3), (0, 4)]
+        pairs = _pairs(_keys(breaker, 5))
+        assert all(jitter >= 1 for jitter, _ in pairs[:2])
+        assert pairs[2:] == [(0, 2), (0, 3), (0, 4)]
+        assert breaker.decisions == 5
 
     def test_rng_stream_is_limit_independent(self):
-        # the jitter draw happens before the limit check, so the first
-        # `limit` decisions are identical across limits — the property
-        # replay tokens depend on
-        full = [SeededTieBreaker(9)(i) for i in range(10)]
-        cut = [SeededTieBreaker(9, limit=4)(i) for i in range(10)]
+        # the first `limit` decisions draw the same jitters whatever the
+        # limit — the property replay tokens depend on
+        full = _keys(SeededTieBreaker(9), 10)
+        cut = _keys(SeededTieBreaker(9, limit=4), 10)
         assert cut[:4] == full[:4]
 
 

@@ -1,14 +1,16 @@
-"""Loop equivalence: the one drain loop against the ``step()`` oracle.
+"""Loop equivalence: the drain loops against the one-event stepper.
 
 Every ``run()`` flavour — unbounded, ``until=<Event>`` and
-``until=<float>`` — goes through :func:`repro.sim.kernel.drain`, while
-:meth:`Environment.step` processes one event at a time with the plain
-``_dispatch`` path.  The tests drive one mixed workload (stores,
-resources, timeouts, conditions, interrupts, mid-run spawns, failures)
-with each flavour and require the trace of the step-only oracle, then
-pin down the stop conditions: the target's same-instant followers stay
-queued, probe subscribers added mid-run see every later event, and an
-unhandled failure leaves the rest of its batch queued in order.
+``until=<float>`` — goes through :func:`repro.sim.kernel.drain`, or
+:func:`repro.sim.kernel.drain_keyed` under a tie-breaker, while
+:func:`tests.sim_oracle.step` processes one event at a time with the
+plain ``Event._process`` dispatch.  The tests drive one mixed workload
+(stores, resources, timeouts, conditions, interrupts, mid-run spawns,
+failures) with each flavour, with and without a seeded tie-breaker, and
+require the trace of the step-only oracle, then pin down the stop
+conditions: the target's same-instant followers stay queued, probe
+subscribers added mid-run see every later event, and an unhandled
+failure leaves the rest of its batch queued in order.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import pytest
 
 from repro.errors import DeadlockError, ProcessKilled
 from repro import hooks as _probe
+from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.resources import Resource, Store
+
+from tests import sim_oracle
 
 INF = float("inf")
 
@@ -120,18 +125,12 @@ def _mixed_workload(env: Environment) -> tuple[list, list]:
     return trace, slices
 
 
-def _step_oracle(env: Environment) -> None:
-    """The test-local oracle: one ``step()`` per event until dry."""
-    while env.peek() < INF:
-        env.step()
-
-
 def _drive_run(env: Environment, slices: list) -> None:
     env.run()
 
 
 def _drive_step(env: Environment, slices: list) -> None:
-    _step_oracle(env)
+    sim_oracle.run(env)
 
 
 def _drive_until_event(env: Environment, slices: list) -> None:
@@ -142,7 +141,7 @@ def _drive_until_event(env: Environment, slices: list) -> None:
 
 def _drive_until_float(env: Environment, slices: list) -> None:
     t = 0.0
-    while env.peek() < INF:
+    while sim_oracle.peek(env) < INF:
         t += 0.25
         env.run(until=t)
 
@@ -154,8 +153,10 @@ DRIVERS = [
 ]
 
 
-def _traced(drive) -> tuple[list, Environment]:
+def _traced(drive, breaker=None) -> tuple[list, Environment]:
     env = Environment()
+    if breaker is not None:
+        env.set_tie_breaker(breaker)
     trace, slices = _mixed_workload(env)
     drive(env, slices)
     return trace, env
@@ -167,6 +168,20 @@ def test_all_loop_modes_produce_identical_traces(drive) -> None:
     assert reference  # the workload actually did something
     got, _ = _traced(drive)
     assert got == reference
+
+
+@pytest.mark.parametrize("limit", [None, 0, 5, 50])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("drive", [_drive_run, *DRIVERS[1:]],
+                         ids=["run", "until-event", "until-float"])
+def test_keyed_loop_matches_step_oracle(drive, seed, limit) -> None:
+    reference, oracle_env = _traced(_drive_step,
+                                    SeededTieBreaker(seed, limit))
+    assert reference
+    got, env = _traced(drive, SeededTieBreaker(seed, limit))
+    assert got == reference
+    assert env.now == oracle_env.now
+    assert env._live == env.live_entry_count() == 0
 
 
 def test_live_counter_exact_after_kernel_run() -> None:
@@ -205,7 +220,7 @@ def test_run_until_target_stops_before_same_instant_followers(delay) -> None:
     for ev in events:
         ev.succeed(ev.name, delay=delay)
     while not events[1].processed:
-        oracle.step()
+        sim_oracle.step(oracle)
     assert seen_o == [(delay, "a"), (delay, "t")]
 
 
@@ -349,7 +364,7 @@ def test_failure_splicing_resumes_at_next_event() -> None:
     def drive_run(env):
         env.run()
 
-    assert scenario(drive_run) == scenario(_step_oracle) == [
+    assert scenario(drive_run) == scenario(sim_oracle.run) == [
         (0.0, "f"), (0.0, "x"), (0.0, "a")]
 
 
@@ -380,22 +395,6 @@ def _canon(result) -> bytes:
                       default=repr).encode()
 
 
-def _step_run(env: Environment, until=None):
-    """``Environment.run`` rebuilt on ``step()`` (the figure-level oracle)."""
-    if until is None:
-        _step_oracle(env)
-        return None
-    assert isinstance(until, Event), "figure plans only run to events"
-    while not until.processed:
-        if env.peek() == INF:
-            raise DeadlockError(f"queue drained before {until!r}")
-        env.step()
-    if not until.ok:
-        until.defuse()
-        raise until.value
-    return until.value
-
-
 def test_fig2_fig8_tables_byte_identical_kernel_on_off(
         monkeypatch, fig8_tiny_plan, fig8_tiny_result) -> None:
     """Figure tables through the kernel equal the step-driven oracle's."""
@@ -405,5 +404,5 @@ def test_fig2_fig8_tables_byte_identical_kernel_on_off(
     plans = (lambda: fig2_plan(Scale.TINY, iterations=2), fig8_tiny_plan)
     # the fig8 kernel run is the session-shared one (tests/conftest.py)
     kernel = [_canon(run_plan(plans[0]())), _canon(fig8_tiny_result)]
-    monkeypatch.setattr(Environment, "run", _step_run)
+    monkeypatch.setattr(Environment, "run", sim_oracle.run)
     assert [_canon(run_plan(plan())) for plan in plans] == kernel
