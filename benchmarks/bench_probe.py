@@ -17,9 +17,10 @@ evict continuously, in these lanes:
   ``metrics`` (a full :class:`~repro.metrics.MetricsSession`),
   ``racesan`` (a :class:`~repro.race.RaceSanitizer` with stack capture
   off, to measure the algorithm rather than the traceback module) and
-  ``spans`` (a :class:`~repro.obs.SpanTracer` plus a critical-path walk
-  of its result) and ``projections`` (a :class:`~repro.trace.Tracer`
-  alone, the Figure 5/6 interval recorder).
+  ``spans`` (a :class:`~repro.obs.SpanTracer`, the interval recorder
+  with its causal layer, plus a critical-path walk of its result) and
+  ``projections`` (a :class:`~repro.trace.Tracer` alone, the Figure 5/6
+  interval recorder).
 
 Every lane sample is timed right after a fresh ``baseline`` sample, and
 a lane's ratio is the median over rounds of these adjacent pairs.  On a
@@ -63,8 +64,9 @@ CEILINGS = {
     "metrics": 1.3 + NOISE_EPSILON,
     # full vector-clock tracking is real work, but bounded work
     "racesan": 2.5 + NOISE_EPSILON,
-    # a causal DAG per task/fetch/evict plus the critical-path walk;
-    # sources are stamped at send, so the drain loop stays fused
+    # the interval log plus a causal record per interval, the DAG joined
+    # from them and the critical-path walk; sources are stamped at send,
+    # so the drain loop stays fused
     "spans": 1.6 + NOISE_EPSILON,
     # one interval record per execute/fetch/evict/queue-op: metrics' bound
     "projections": 1.3 + NOISE_EPSILON,
@@ -121,7 +123,7 @@ def run_stencil(lane: str) -> dict[str, _t.Any]:
     if tracer is not None:
         from repro.obs import critical_path
         report = critical_path(tracer.spans)
-        return {"spans": float(len(tracer)),
+        return {"spans": float(len(tracer.spans)),
                 "spans_path_steps": float(len(report.steps)),
                 "spans_makespan_s": report.makespan,
                 "spans_compute_share": report.share("compute")}

@@ -232,11 +232,14 @@ def _check_observer_args(args: argparse.Namespace) -> None:
 
 
 def _check_out_dir(flag: str, path: str | None) -> None:
-    """Reject an output ``path`` whose directory is missing, before any work."""
+    """Reject an output ``path`` that cannot be written, before any work:
+    one whose directory is missing, or one that is itself a directory."""
     if path:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ConfigError(f"{flag} {path}: no such directory {parent}")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path}: is a directory")
 
 
 @contextlib.contextmanager

@@ -1,14 +1,15 @@
 """Causal span tracing: the span DAG behind the critical-path profiler.
 
 A :class:`Span` is a closed interval on one lane (``pe3``, ``io1``) with
-*causal parents*: the spans whose completion enabled it.  The tracer is
-a subscriber of the probe (:mod:`repro.hooks`, DESIGN.md §16) and builds
-the DAG from two groups of its points:
+*causal parents*: the spans whose completion enabled it.
+:class:`SpanTracer` is the Projections interval recorder
+(:class:`repro.trace.Tracer`, DESIGN.md §16) with a causal layer on
+top.  It builds the DAG from two groups of probe points:
 
-* the **span points** mark begin/end at the instrumented call sites —
-  entry-method execution (the inline entry body of
-  :func:`repro.runtime.converse.converse_scheduler`), block
-  fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
+* the **span points** are the recorder's interval points, plus the
+  begin of an execution and ``on_serve`` — entry-method execution (the
+  inline entry body of :func:`repro.runtime.converse.converse_scheduler`),
+  block fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
   queue-lock charges
   (:meth:`repro.core.manager.OOCManager.charge_queue_op`);
 * the **source points** stamp causality where it is created:
@@ -39,10 +40,11 @@ full edge set for Perfetto flow arrows and the critical-path walk.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing as _t
 
-from repro import hooks as _probe
 from repro.trace.events import TraceCategory
+from repro.trace.tracer import Tracer
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -71,22 +73,33 @@ class Span:
         return self.end - self.start
 
 
-class SpanTracer:
-    """Collects :class:`Span` records and their causal edges.
+class SpanTracer(Tracer):
+    """The Projections interval recorder plus the causal layer.
 
     Construct it on the run's environment, subscribe with
     :meth:`install` (alongside racesan, simsan or metrics if they are
     on), run the application, then :meth:`uninstall` and read
-    :attr:`spans`.
+    :attr:`spans`.  Each interval lands once, in the inherited
+    :attr:`events` log; next to it the tracer keeps one small causal
+    record, and :attr:`spans` joins the two when it is read.  It always
+    subscribes on its own, never reading another recorder's log, so two
+    span tracers on one run stay independent.
     """
 
     def __init__(self, env: _t.Any):
-        self.env = env
-        self.spans: list[Span] = []
-        self.by_sid: dict[int, Span] = {}
-        self._next_sid = 0
+        super().__init__(env)
+        #: one per interval of ``events``: ``(sid, causes, tid, block,
+        #: evict reason)``, or None for an execute end with no matching
+        #: begin (installed mid-run), which gets no span
+        self._causal: list[tuple[_t.Any, ...] | None] = []
+        #: how many causal records ``_spans`` has been built from
+        self._built = 0
+        self._spans: list[Span] = []
+        self._by_sid: dict[int, Span] = {}
+        #: span ids, in begin order for executes and close order otherwise
+        self._new_sid = itertools.count().__next__
         #: process -> (sid, causes) of the execute span open on it
-        self._open: dict[_t.Any, tuple[int, list[int]]] = {}
+        self._open: dict[_t.Any, tuple[int, tuple[int, ...]]] = {}
         #: message -> source span id, stamped at send
         self._item_src: dict[_t.Any, int] = {}
         #: the span that completed the latest reduction (driver sends)
@@ -98,46 +111,43 @@ class SpanTracer:
         #: id(block) -> span id of the move that (last) made it resident
         self._block_fetch: dict[int, int] = {}
 
-    # -- lifecycle ---------------------------------------------------------
+    def _host(self) -> None:
+        return None
 
-    def install(self) -> "SpanTracer":
-        _probe.subscribe(self)
-        return self
+    # -- the span DAG: the log joined with the causal records -------------
 
-    def uninstall(self) -> None:
-        _probe.unsubscribe(self)
+    @property
+    def spans(self) -> list[Span]:
+        """Every closed span, in the order the spans closed."""
+        self._build()
+        return self._spans
 
-    # -- span construction -------------------------------------------------
-
-    def _new_sid(self) -> int:
-        sid = self._next_sid
-        self._next_sid += 1
-        return sid
-
-    def _add(self, sid: int, lane: str, category: TraceCategory,
-             start: float, end: float, label: str,
-             causes: _t.Sequence[int], *, tid: int | None = None,
-             block: str = "") -> Span:
-        unique: list[int] = []
-        for cause in causes:
-            if cause != sid and cause not in unique:
-                unique.append(cause)
-        # primary parent: the cause that finished (or will finish) last —
-        # an open cause (sender still executing) outranks any closed one
-        parent: int | None = None
-        best = -1.0
-        for cause in unique:
-            done = self.by_sid.get(cause)
-            if done is None:      # still open: latest by construction
-                parent = cause
-                break
-            if done.end >= best:
-                best, parent = done.end, cause
-        span = Span(sid, lane, category, start, end, label,
-                    tuple(unique), parent, tid, block)
-        self.spans.append(span)
-        self.by_sid[sid] = span
-        return span
+    def _build(self) -> None:
+        # Built in close order, a cause with no span yet is one that was
+        # still open when its effect closed: it finishes last, so it is
+        # the primary parent; otherwise the latest-ending cause is.
+        spans, by_sid, first = self._spans, self._by_sid, self._built
+        for record, event in zip(self._causal[first:], self.events[first:]):
+            if record is None:
+                continue
+            sid, causes, tid, block, reason = record
+            lane, category, start, end, label = event
+            parent: int | None = None
+            best = -1.0
+            for cause in causes:
+                done = by_sid.get(cause)
+                if done is None:
+                    parent = cause
+                    break
+                if done.end >= best:
+                    best, parent = done.end, cause
+            if reason is not None:
+                label = f"{label} [{reason}]"
+            span = Span(sid, lane, category, start, end, label, causes,
+                        parent, tid, block)
+            spans.append(span)
+            by_sid[sid] = span
+        self._built = len(self._causal)
 
     # -- causal sources: stamped where messages and reductions happen ------
 
@@ -155,7 +165,7 @@ class SpanTracer:
         opened = self._open.get(self.env.active_process)
         self._reduce_src = None if opened is None else opened[0]
 
-    # -- span points: instrumented call sites -------------------------------
+    # -- span points: the inherited interval plus its causal record ---------
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
@@ -166,19 +176,18 @@ class SpanTracer:
         if task is not None:
             for block in task.blocks:
                 fetched = self._block_fetch.get(id(block))
-                if fetched is not None:
+                if fetched is not None and fetched not in causes:
                     causes.append(fetched)
-        self._open[self.env.active_process] = (self._new_sid(), causes)
+        self._open[self.env.active_process] = (self._new_sid(),
+                                               tuple(causes))
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
+        super().on_execute_end(pe_id, message, task, started, now, label)
         opened = self._open.pop(self.env.active_process, None)
-        if opened is None:      # installed mid-run: no matching begin
-            return
-        sid, causes = opened
-        self._add(sid, f"pe{pe_id}", TraceCategory.EXECUTE,
-                  started, now, label, causes,
-                  tid=None if task is None else task.tid)
+        self._causal.append(
+            None if opened is None else
+            (*opened, None if task is None else task.tid, "", None))
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
         self._lane_task[lane] = task.tid
@@ -188,38 +197,19 @@ class SpanTracer:
 
     def on_fetch(self, block: _t.Any, lane: str, category: TraceCategory,
                  started: float, now: float) -> None:
-        causes: list[int] = []
+        super().on_fetch(block, lane, category, started, now)
         origin = self._serve_origin.pop(lane, None)
-        if origin is not None:
-            causes.append(origin)
         sid = self._new_sid()
-        self._add(sid, lane, category, started, now,
-                  f"fetch {block.name}", causes,
-                  tid=self._lane_task.get(lane), block=block.name)
+        self._causal.append((sid, () if origin is None else (origin,),
+                             self._lane_task.get(lane), block.name, None))
         self._block_fetch[id(block)] = sid
 
     def on_evict(self, block: _t.Any, lane: str, category: TraceCategory,
                  started: float, now: float, reason: str) -> None:
-        sid = self._new_sid()
-        self._add(sid, lane, category, started, now,
-                  f"evict {block.name} [{reason}]", (),
-                  tid=self._lane_task.get(lane), block=block.name)
+        super().on_evict(block, lane, category, started, now, reason)
+        self._causal.append((self._new_sid(), (), self._lane_task.get(lane),
+                             block.name, reason))
 
     def on_queue_op(self, lane: str, started: float, now: float) -> None:
-        self._add(self._new_sid(), lane, TraceCategory.SCHEDULING,
-                  started, now, "queue-op", ())
-
-    # -- queries ------------------------------------------------------------
-
-    def lanes(self) -> list[str]:
-        return sorted({span.lane for span in self.spans})
-
-    def makespan(self) -> tuple[float, float]:
-        """The ``(start, end)`` envelope of every recorded span."""
-        if not self.spans:
-            return (0.0, 0.0)
-        return (min(s.start for s in self.spans),
-                max(s.end for s in self.spans))
-
-    def __len__(self) -> int:
-        return len(self.spans)
+        super().on_queue_op(lane, started, now)
+        self._causal.append((self._new_sid(), (), None, "", None))

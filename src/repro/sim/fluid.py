@@ -259,7 +259,7 @@ class FluidNetwork:
             flow.remaining = 0.0
             flow.finished_at = self.env.now
             self.completed_flows += 1
-            done.succeed(flow)
+            done.succeed()
             return flow
         ckey = (flow.weight, flow.max_rate, resolved)
         cls = self._classes.get(ckey)
@@ -355,7 +355,7 @@ class FluidNetwork:
             flow.finished_at = now
             self.completed_bytes += flow.total
             self.completed_flows += 1
-            flow.done.succeed(flow)
+            flow.done.succeed()
         # departures free capacity now; the flush re-solves the survivors
         self._mark_dirty({flow._cls for flow in finished})
 

@@ -7,8 +7,12 @@ This package records the same information from the simulation: typed,
 per-PE time intervals, aggregated into utilisation/wait breakdowns, an
 ASCII timeline renderer, and JSON/CSV export.
 
-:class:`Tracer` is a subscriber of the probe (:mod:`repro.hooks`).  The
-code that reads its intervals subscribes it for one run and
+:class:`Tracer` is a run's one interval recorder, a subscriber of the
+probe (:mod:`repro.hooks`).  :class:`repro.obs.SpanTracer` extends it
+with an optional causal layer, so with spans on each interval is still
+logged once, and a plain ``Tracer`` installed next to a recorder on the
+same environment reads that recorder's log instead of subscribing.  The
+code that reads the intervals subscribes the tracer for one run and
 unsubscribes it in a ``finally``::
 
     tracer = Tracer(built.env).install()

@@ -40,10 +40,6 @@ class PETimeline:
                 + self.lock_wait + self.scheduling)
 
     @property
-    def accounted(self) -> float:
-        return self.execute + self.overhead + self.io_fetch + self.io_evict
-
-    @property
     def idle(self) -> float:
         """The Projections 'red': window time not doing anything useful."""
         return max(0.0, self.window - self.execute - self.overhead
@@ -111,21 +107,6 @@ class ProjectionsReport:
                 totals += tl.preprocess_fetch
                 counts += n
         return totals / counts if counts else 0.0
-
-    def summary_rows(self) -> list[dict[str, float | str]]:
-        rows: list[dict[str, float | str]] = []
-        for name, tl in sorted(self.lanes.items()):
-            rows.append({
-                "lane": name,
-                "window_s": tl.window,
-                "execute_s": tl.execute,
-                "overhead_s": tl.overhead,
-                "io_s": tl.io_fetch + tl.io_evict,
-                "idle_s": tl.idle,
-                "utilization": tl.utilization,
-                "wait_fraction": tl.wait_fraction,
-            })
-        return rows
 
 
 def build_report(tracer: Tracer, *, start: float = 0.0,

@@ -1,4 +1,4 @@
-"""Trace collection: the Projections interval recorder."""
+"""Trace collection: the one interval recorder of a run."""
 
 from __future__ import annotations
 
@@ -16,15 +16,17 @@ _SCHEDULING = TraceCategory.SCHEDULING
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` intervals from the probe during a run.
+    """Records :class:`TraceEvent` intervals from the probe during a run.
 
-    A subscriber of :mod:`repro.hooks` (DESIGN.md §16), like
-    :class:`repro.obs.SpanTracer`: the code that reads the intervals
-    calls :meth:`install` right before the application is constructed,
-    and :meth:`uninstall` in a ``finally`` once it returns.  Nothing is
-    recorded while it is not subscribed.  Besides the intervals it keeps
-    :attr:`occupancy`, one ``(time, hbm bytes in use)`` sample per
-    completed move, which drives :mod:`repro.trace.occupancy`.
+    The code that reads the intervals calls :meth:`install` right before
+    the application is constructed, and :meth:`uninstall` in a
+    ``finally`` once it returns (DESIGN.md §16).  Besides the intervals
+    it keeps :attr:`occupancy`, one ``(time, hbm bytes in use)`` sample
+    per completed move.  A run has one recorder: installed on an
+    environment that already has one subscribed (a
+    :class:`repro.obs.SpanTracer`, say), a tracer subscribes nothing and
+    reads that recorder's log; :meth:`uninstall` releases only its own
+    hold, and the recorder stays subscribed while any hold remains.
     """
 
     def __init__(self, env: Environment):
@@ -32,19 +34,36 @@ class Tracer:
         self.events: list[TraceEvent] = []
         #: (time, hbm bytes in use) at every completed move
         self.occupancy: list[tuple[float, int]] = []
+        #: the recorder this tracer holds while installed (maybe itself)
+        self._held: Tracer | None = None
+        #: installed tracers holding this one as their recorder
+        self._holds = 0
 
     # -- lifecycle ---------------------------------------------------------
 
+    def _host(self) -> "Tracer | None":
+        """The recorder already subscribed on this tracer's environment."""
+        return next((observer for observer in _probe._subscribers
+                     if isinstance(observer, Tracer)
+                     and observer.env is self.env), None)
+
     def install(self) -> "Tracer":
-        _probe.subscribe(self)
+        if self._held is None:
+            host = self._host()
+            if host is None:
+                host = self
+                _probe.subscribe(self)
+            self.events, self.occupancy = host.events, host.occupancy
+            host._holds += 1
+            self._held = host
         return self
 
     def uninstall(self) -> None:
-        _probe.unsubscribe(self)
-
-    def record(self, lane: str, category: TraceCategory, start: float,
-               end: float, label: str = "") -> None:
-        self.events.append(TraceEvent(lane, category, start, end, label))
+        host, self._held = self._held, None
+        if host is not None:
+            host._holds -= 1
+            if not host._holds:
+                _probe.unsubscribe(host)
 
     # -- probe points ------------------------------------------------------
     # The simulated clock never runs backwards, so these skip the
@@ -79,16 +98,6 @@ class Tracer:
 
     def events_for(self, lane: str) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.lane == lane]
-
-    def total_time(self, category: TraceCategory,
-                   lane: str | None = None) -> float:
-        return sum(ev.duration for ev in self.events
-                   if ev.category is category
-                   and (lane is None or ev.lane == lane))
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.occupancy.clear()
 
     def __len__(self) -> int:
         return len(self.events)

@@ -26,7 +26,6 @@ import typing as _t
 
 from repro.obs.spans import SpanTracer
 from repro.runtime.message import Message
-from repro.trace.events import TraceCategory
 
 
 class EventThreadedSpanTracer(SpanTracer):
@@ -48,7 +47,7 @@ class EventThreadedSpanTracer(SpanTracer):
         #: actor name -> its currently-open execute span id
         self._open_by_actor: dict[str, int] = {}
         #: actor name -> (sid, causes) of the open execute span
-        self._pending_exec: dict[str, tuple[int, list[int]]] = {}
+        self._pending_exec: dict[str, tuple[int, tuple[int, ...]]] = {}
         #: id(queued item) -> source span id (put->get handoff edge)
         self._src_by_id: dict[int, int] = {}
 
@@ -111,23 +110,21 @@ class EventThreadedSpanTracer(SpanTracer):
         if task is not None:
             for block in task.blocks:
                 fetched = self._block_fetch.get(id(block))
-                if fetched is not None:
+                if fetched is not None and fetched not in causes:
                     causes.append(fetched)
         actor = f"converse-pe{pe_id}"
         self._open_by_actor[actor] = sid
-        self._pending_exec[actor] = (sid, causes)
+        self._pending_exec[actor] = (sid, tuple(causes))
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
         actor = f"converse-pe{pe_id}"
         pending = self._pending_exec.pop(actor, None)
         self._open_by_actor.pop(actor, None)
-        if pending is None:
-            return
-        sid, causes = pending
-        self._add(sid, f"pe{pe_id}", TraceCategory.EXECUTE,
-                  started, now, label, causes,
-                  tid=None if task is None else task.tid)
+        if pending is not None:
+            # hand the span to the shipped close path, keyed as it keys it
+            self._open[self.env.active_process] = pending
+        super().on_execute_end(pe_id, message, task, started, now, label)
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
         self._lane_task[lane] = task.tid

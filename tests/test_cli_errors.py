@@ -4,18 +4,24 @@ Sizes are parsed by argparse ``type=`` converters (a usage error);
 counts are validated by the app configs (under ``race``,
 ``--explore-schedules`` and ``--seed`` before any schedule runs),
 replicate, job and schedule counts, the replay ``--limit``, figure/app
-names, the trend history path, the metrics interval
-and the directory of every output path (``--trace-out``, ``guide -o``,
-``lint --guidance``, ``trend``/``report``/``leaderboard -o``) by the
-commands, all raising a ``ConfigError`` the CLI catches once in ``main``.
+names, the trend history path, the metrics interval and every output
+path (``--trace-out``, ``guide -o``, ``lint --guidance``,
+``trend``/``report``/``leaderboard -o``: its directory must exist and
+it must not be one) by the commands, all raising a ``ConfigError`` the
+CLI catches once in ``main``.
 Neither path may end in a traceback.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+#: an output path that exists and is a directory
+A_DIR = str(Path(__file__).resolve().parent)
 
 CASES = [
     # (case id, argv, the bad value the message must name)
@@ -89,6 +95,15 @@ CASES = [
      "no-such-dir/r.html"),
     ("leaderboard-out", ["leaderboard", "-o", "no-such-dir/l.html"],
      "no-such-dir/l.html"),
+    # an output path that is an existing directory fails before the run
+    ("stencil-trace-out-dir", ["stencil", "--trace-out", A_DIR], A_DIR),
+    ("matmul-trace-out-dir", ["matmul", "--trace-out", A_DIR], A_DIR),
+    ("guide-output-dir", ["guide", "-o", A_DIR], A_DIR),
+    ("lint-guidance-dir", ["lint", "repro.apps", "--guidance", A_DIR],
+     A_DIR),
+    ("trend-out-dir", ["trend", "render", "-o", A_DIR], A_DIR),
+    ("report-out-dir", ["report", "--figures", "fig2", "-o", A_DIR], A_DIR),
+    ("leaderboard-out-dir", ["leaderboard", "-o", A_DIR], A_DIR),
 ]
 
 

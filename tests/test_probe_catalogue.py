@@ -7,6 +7,7 @@ every catalogued point is fired somewhere under ``src/repro`` and has at
 least one subscriber.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -35,10 +36,20 @@ def _call_sites():
 
 
 def _fired_points():
+    """Every point read as ``_probe.on_*`` under src/repro.
+
+    Any read counts, not only a direct call, so a point fired through a
+    local alias (``on_processing = _probe.on_processing``) is seen.
+    """
     fired = set()
-    call = re.compile(r"_probe\.(on_\w+)\(")
     for path in _call_sites():
-        fired.update(call.findall(path.read_text()))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "_probe"
+                    and node.attr.startswith("on_")):
+                fired.add(node.attr)
     return fired
 
 

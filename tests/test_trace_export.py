@@ -15,7 +15,7 @@ import pytest
 
 from repro.obs.spans import Span
 from repro.sim.environment import Environment
-from repro.trace.events import TraceCategory
+from repro.trace.events import TraceCategory, TraceEvent
 from repro.trace.export import span_events, to_csv, to_json
 from repro.trace.tracer import Tracer
 
@@ -23,9 +23,11 @@ from repro.trace.tracer import Tracer
 @pytest.fixture
 def tracer():
     t = Tracer(Environment())
-    t.record("pe0", TraceCategory.EXECUTE, 0.0, 0.004, "stencil.sweep")
-    t.record("io0", TraceCategory.IO_FETCH, 0.001, 0.003, "fetch b3")
-    t.record("io0", TraceCategory.IO_EVICT, 0.003, 0.0035, "evict b1")
+    t.events.extend([
+        TraceEvent("pe0", TraceCategory.EXECUTE, 0.0, 0.004, "stencil.sweep"),
+        TraceEvent("io0", TraceCategory.IO_FETCH, 0.001, 0.003, "fetch b3"),
+        TraceEvent("io0", TraceCategory.IO_EVICT, 0.003, 0.0035, "evict b1"),
+    ])
     return t
 
 

@@ -1,7 +1,7 @@
 """Additional rendering tests: glyph selection and bucket dominance."""
 
 from repro.sim.environment import Environment
-from repro.trace.events import TraceCategory
+from repro.trace.events import TraceCategory, TraceEvent
 from repro.trace.render import render_timeline
 from repro.trace.tracer import Tracer
 
@@ -9,7 +9,7 @@ from repro.trace.tracer import Tracer
 def make_tracer(events):
     tracer = Tracer(Environment())
     for lane, cat, start, end in events:
-        tracer.record(lane, cat, start, end)
+        tracer.events.append(TraceEvent(lane, cat, start, end))
     return tracer
 
 

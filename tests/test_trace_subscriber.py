@@ -1,8 +1,9 @@
 """The Projections ``Tracer`` as a run-scoped probe subscriber.
 
-Its intervals come from the same probe points as the causal spans, so
-on one run both must see the same execute, fetch, evict and queue-op
-intervals.  The spec runner subscribes it for one app run only: after
+A run has one interval recorder: a plain ``Tracer`` installed next to a
+``SpanTracer`` reads the span tracer's log, so the Projections intervals
+and the spans are two views of the same execute, fetch, evict and
+queue-op records.  The spec runner subscribes it for one app run only: after
 ``execute_spec`` every probe point is unbound again, even when the app
 raised, and a second traced spec starts from an empty tracer.
 """
@@ -18,6 +19,7 @@ from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.exec.runners import execute_spec
 from repro.obs.spans import SpanTracer
+from repro.sim.environment import Environment
 from repro.trace import tracer as tracer_module
 from repro.trace.events import TraceCategory
 from repro.trace.tracer import Tracer
@@ -49,6 +51,7 @@ def _label(span):
 
 @pytest.mark.parametrize("strategy", ["multi-io", "no-io"])
 def test_intervals_match_the_span_tracer(strategy):
+    """The Projections intervals and the spans are two views of one log."""
     built = OOCRuntimeBuilder(strategy, cores=8, mcdram_capacity=128 * MiB,
                               ddr_capacity=GiB).build()
     spans = SpanTracer(built.env).install()
@@ -60,14 +63,50 @@ def test_intervals_match_the_span_tracer(strategy):
     finally:
         tracer.uninstall()
         spans.uninstall()
+    assert tracer.events is spans.events
     for categories in (EXECUTE, FETCH, EVICT, QUEUE_OP):
         mine = _intervals(tracer.events, categories)
         assert mine, f"the run produced no {categories} intervals"
         assert mine == _intervals(spans.spans, categories)
-    assert len(tracer) == len(spans)
-    assert collections.Counter(ev.label for ev in tracer.events) == \
-        collections.Counter(_label(span) for span in spans.spans)
+    # installed before the app, so every interval has its span, in order
+    assert [ev.label for ev in tracer.events] == \
+        [_label(span) for span in spans.spans]
+    assert all(span.label != _label(span) for span in spans.spans
+               if span.category in EVICT)
     assert len(tracer.occupancy) == built.machine.mover.moves_completed
+
+
+def test_one_recorder_per_environment():
+    env = Environment()
+    spans = SpanTracer(env).install()
+    tracer = Tracer(env).install()
+    try:
+        # the plain tracer reads the span tracer's log: no fan-out
+        assert probe.on_execute_end == spans.on_execute_end
+        assert probe.on_queue_op == spans.on_queue_op
+        assert tracer.events is spans.events
+        assert tracer.occupancy is spans.occupancy
+        second = Tracer(env).install()
+        assert second.events is spans.events
+        second.uninstall()
+        # a span tracer always subscribes on its own
+        other = SpanTracer(env).install()
+        assert other.events is not spans.events
+        other.uninstall()
+        # releasing the recorder's own hold keeps it for the reader
+        spans.uninstall()
+        assert probe.on_execute_end == spans.on_execute_end
+    finally:
+        tracer.uninstall()
+        spans.uninstall()
+    assert _all_points_unbound()
+    # a tracer on another environment records on its own
+    alone = Tracer(Environment()).install()
+    try:
+        assert probe.on_execute_end == alone.on_execute_end
+    finally:
+        alone.uninstall()
+    assert _all_points_unbound()
 
 
 class _Recording(Tracer):
