@@ -85,20 +85,6 @@ class MemoryDevice:
 
     # -- traffic ------------------------------------------------------------------
 
-    def read_flow(self, nbytes: float, *, weight: float = 1.0,
-                  max_rate: float = math.inf) -> Flow:
-        """Start a read stream against this device."""
-        self.bytes_read += nbytes
-        return self.network.start_flow(nbytes, [self.read_link],
-                                       weight=weight, max_rate=max_rate)
-
-    def write_flow(self, nbytes: float, *, weight: float = 1.0,
-                   max_rate: float = math.inf) -> Flow:
-        """Start a write stream against this device."""
-        self.bytes_written += nbytes
-        return self.network.start_flow(nbytes, [self.write_link],
-                                       weight=weight, max_rate=max_rate)
-
     def mixed_flow(self, read_bytes: float, write_bytes: float, *,
                    weight: float = 1.0, max_rate: float = math.inf) -> Flow:
         """A combined read+write stream (e.g. a kernel's traffic).

@@ -28,15 +28,15 @@ from the outside: reading ``Flow.rate`` / ``Link.utilization`` /
 ``snapshot()`` settles any pending recompute first, and no simulated
 time can pass while classes are dirty.
 
-A memo replays the rates of any component configuration solved before.
-Its key is the component's ``(class, count)`` pairs in class-id order,
-then its link capacities in uid order.  The max-min kernel runs over
-classes with multiplicities, in class-id order, so it reads nothing the
-key does not hold: a configuration reached in another arrival order, or
-from another set of dirty classes, replays one ``{class: rate}`` dict.
-With equal weights the class kernel is bit-identical to walking the
-flows in any order; with mixed weights its class-id order is the
-definition.
+A memo replays the rates of any component configuration solved before,
+keyed by the component's ``(class, count)`` pairs in class-id order and
+its link capacities in uid order.  The kernel runs over classes with
+multiplicities in class-id order, so it reads nothing the key does not
+hold.  Two caches skip recomputing what a flush already knows: the
+component of each ``(dirty, live)`` class-mask pair, and the path and
+class of each caller ``(weight, max_rate, *links)``.  Both hand back
+what the uncached code computes, so no rate, count or event moves
+(DESIGN §14).
 
 The tests hold this solver to an eager oracle that re-solves every flow on
 every link with a per-flow kernel, unmemoized, on each change
@@ -183,8 +183,8 @@ class FluidNetwork:
         self._fid = count()
         self._link_uid = count()
         self._last_advance = env.now
-        #: classes whose flow set changed at the current instant
-        self._dirty: set[int] = set()
+        #: mask of the classes changed at the current instant (bit c: class c)
+        self._dirty = 0
         #: pending same-instant flush event, if any
         self._flush_event: Event | None = None
         #: schedule() token of the pending "next completion" wakeup, if any
@@ -200,12 +200,19 @@ class FluidNetwork:
         #: id: that key, its links in uid order, its rate, and its active
         #: flows sorted by ``remaining``
         self._classes: dict[tuple, int] = {}
+        #: a caller's resolved ``(weight, max_rate, *links)`` -> (path, class)
+        self._paths: dict[tuple, tuple[tuple[Link, ...], int]] = {}
         self._class_keys: list[tuple[float, float, tuple[Link, ...]]] = []
         self._class_links: list[tuple[Link, ...]] = []
         self._class_rate: list[float] = []
         self._class_flows: list[list[Flow]] = []
-        #: ids of the classes holding active flows
+        #: ids of the classes holding active flows, as a set and a bit mask
         self._live: set[int] = set()
+        self._live_bits = 0
+        #: component cache: (dirty mask, live mask) -> the component's live
+        #: classes in id order and its links in uid order.  Cleared when a
+        #: class is created (``Link._classes`` grows); FIFO at _MEMO_MAX.
+        self._components: dict[tuple[int, int], tuple[tuple, tuple]] = {}
         # Component memo.  Max-min rates depend only on link capacities
         # and how many flows of each class a component holds, so a
         # configuration seen before replays its {class: rate} dict.  A
@@ -248,58 +255,46 @@ class FluidNetwork:
         if not max_rate >= 0:
             raise SimulationError(
                 f"flow max_rate must be >= 0, got {max_rate!r}")
-        resolved = tuple(dict.fromkeys(
-            self.link(l) if isinstance(l, str) else l for l in links))
-        if not resolved and nbytes > 0:
-            raise SimulationError("a non-empty flow needs at least one link")
-        done = self.env.event(name="flow.done")
+        pkey = (weight, max_rate, *links)
+        path = self._paths.get(pkey)
+        if path is None:
+            resolved = tuple(dict.fromkeys(
+                self.link(l) if isinstance(l, str) else l for l in pkey[2:]))
+            if not resolved and nbytes > 0:
+                raise SimulationError(
+                    "a non-empty flow needs at least one link")
+        else:
+            resolved, cls = path
+        env = self.env
+        done = Event(env, "flow.done")
         flow = Flow(next(self._fid), resolved, nbytes, weight, max_rate,
-                    done, self.env.now, network=self)
+                    done, env.now, network=self)
         if nbytes <= _EPSILON_BYTES:
             flow.remaining = 0.0
-            flow.finished_at = self.env.now
+            flow.finished_at = env.now
             self.completed_flows += 1
             done.succeed()
             return flow
-        ckey = (flow.weight, flow.max_rate, resolved)
-        cls = self._classes.get(ckey)
-        if cls is None:
-            cls = self._classes[ckey] = len(self._class_keys)
-            self._class_keys.append(ckey)
-            self._class_links.append(tuple(sorted(resolved, key=_by_uid)))
-            self._class_rate.append(0.0)
-            self._class_flows.append([])
-            for link in resolved:
-                link._classes.append(cls)
+        if path is None:
+            ckey = (flow.weight, flow.max_rate, resolved)
+            cls = self._classes.get(ckey)
+            if cls is None:
+                cls = self._classes[ckey] = len(self._class_keys)
+                self._class_keys.append(ckey)
+                self._class_links.append(tuple(sorted(resolved, key=_by_uid)))
+                self._class_rate.append(0.0)
+                self._class_flows.append([])
+                for link in resolved:
+                    link._classes.append(cls)
+                self._components.clear()
+            self._paths[pkey] = (resolved, cls)
         flow._cls = cls
         self._advance()
         self._live.add(cls)
+        self._live_bits |= 1 << cls
         insort(self._class_flows[cls], flow, key=_by_remaining)
-        self._mark_dirty((cls,))
+        self._mark_dirty(1 << cls)
         return flow
-
-    def cancel_flow(self, flow: Flow) -> None:
-        """Abort an in-flight flow; its ``done`` event fails.
-
-        Idempotent: cancelling a flow that already finished, was already
-        cancelled, or was never started here is a no-op — including the
-        race where the flow reaches zero bytes at the *exact* cancel
-        instant (``_advance`` below may complete it, in which case its
-        ``done`` already succeeded and must not be failed on top).
-        """
-        if flow.network is not self or flow.finished_at is not None:
-            return
-        self._advance()
-        if flow.finished_at is not None:
-            # _advance() integrated the final dt and completed the flow at
-            # this very instant: it finished before the cancel landed.
-            return
-        self._detach(flow)
-        flow.finished_at = self.env.now
-        exc = SimulationError(f"flow #{flow.fid} cancelled")
-        flow.done.fail(exc)
-        flow.done.defuse()
-        self._mark_dirty((flow._cls,))
 
     # -- solver ------------------------------------------------------------------
 
@@ -309,6 +304,7 @@ class FluidNetwork:
         flows.remove(flow)
         if not flows:
             self._live.discard(cls)
+            self._live_bits &= ~(1 << cls)
         flow._rate = self._class_rate[cls]
 
     def _advance(self) -> None:
@@ -336,6 +332,8 @@ class FluidNetwork:
             step = rates[cls] * dt
             for flow in flows:
                 flow.remaining -= step
+            if flows[0].remaining > _EPSILON_BYTES:
+                continue  # the head has the least left: nothing finished
             for flow in flows:
                 if flow.remaining > _EPSILON_BYTES:
                     break
@@ -344,39 +342,39 @@ class FluidNetwork:
             self._complete_all(finished, now)
 
     def _complete_all(self, finished: list[Flow], now: float) -> None:
-        """Finish ``finished`` in fid order, then re-solve their classes.
-
-        Shared by _advance's completion sweep and _schedule_wake's
-        sub-epsilon force-completion so the two paths cannot drift.
-        """
-        for flow in sorted(finished, key=_by_fid):
+        """Finish ``finished`` in fid order, then re-solve their classes
+        (_advance's sweep and _schedule_wake's force-completion share it)."""
+        if len(finished) > 1:
+            finished.sort(key=_by_fid)
+        classes = 0
+        for flow in finished:
             self._detach(flow)
             flow.remaining = 0.0
             flow.finished_at = now
             self.completed_bytes += flow.total
             self.completed_flows += 1
             flow.done.succeed()
+            classes |= 1 << flow._cls
         # departures free capacity now; the flush re-solves the survivors
-        self._mark_dirty({flow._cls for flow in finished})
+        self._mark_dirty(classes)
 
     # -- deferred re-solve ---------------------------------------------------
 
-    def _mark_dirty(self, classes: _t.Iterable[int]) -> None:
-        """Record a flow-set change; defer the solve to the flush instant."""
-        self._dirty.update(classes)
+    def _mark_dirty(self, classes: int) -> None:
+        """Record a change of the ``classes`` mask; defer the solve."""
+        self._dirty |= classes
         if self._wake_entry is not None:
             # the pending completion wake is computed from now-stale rates
             self.env.cancel(self._wake_entry)
             self._wake_entry = None
         if self._flush_event is None:
-            flush = Event(self.env, name="fluid.flush")
-            flush._ok = True
+            flush = Event(self.env, "fluid.flush")
             flush._value = None
             # NORMAL priority: the flush lands *after* every same-instant
             # event already in the queue, so a burst of arrivals (64 movers
             # resuming from the same timeout) batches into one solve.
             self.env.schedule(flush)
-            flush.add_callback(self._on_flush)
+            flush._cb0 = self._on_flush
             self._flush_event = flush
 
     def _on_flush(self, _event: Event) -> None:
@@ -389,15 +387,37 @@ class FluidNetwork:
             self._schedule_wake()
 
     def _ensure_current(self) -> None:
-        """Solve the components touched by dirty classes; re-arm the wake."""
-        dirty, self._dirty = self._dirty, set()
-        # Connected-component closure over the class<->link graph, each
-        # link expanded once through its static class list filtered by
-        # liveness.  Dirty classes left without flows only lead the walk
-        # to their links; they stay out of the key and the kernel.
+        """Solve the component touched by dirty classes; re-arm the wake."""
+        dirty, self._dirty = self._dirty, 0
+        ckey = (dirty, self._live_bits)
+        component = self._components.get(ckey)
+        if component is None:
+            component = self._component(dirty)
+            if len(self._components) >= _MEMO_MAX:  # FIFO, like the memo
+                del self._components[next(iter(self._components))]
+            self._components[ckey] = component
+        classes, links = component
+        if classes:
+            class_flows = self._class_flows
+            key = []
+            for cls in classes:
+                key.append(cls)
+                key.append(len(class_flows[cls]))
+            key.append(-1)
+            for link in links:
+                key.append(link.capacity)
+            self._solve(tuple(key), classes, links)
+        self._schedule_wake()
+
+    def _component(self, dirty: int) -> tuple[tuple, tuple]:
+        """The live classes reached from the ``dirty`` mask, in id order,
+        and their links in uid order: the closure over the class<->link
+        graph, each link expanded once through its class list filtered by
+        liveness.  Dirty classes left without flows only lead the walk to
+        their links."""
         class_flows, class_links = self._class_flows, self._class_links
-        stack = list(dirty)
-        seen = set(dirty)
+        stack = [cls for cls in range(dirty.bit_length()) if dirty >> cls & 1]
+        seen = set(stack)
         expanded: set[Link] = set()
         classes: list[int] = []
         while stack:
@@ -411,35 +431,18 @@ class FluidNetwork:
                         if other not in seen and class_flows[other]:
                             seen.add(other)
                             stack.append(other)
-        if classes:
-            if len(classes) == 1:
-                [cls] = classes
-                links = class_links[cls]
-                key = [cls, len(class_flows[cls])]
-            else:
-                classes.sort()
-                links = sorted(set(chain.from_iterable(
-                    [class_links[c] for c in classes])), key=_by_uid)
-                key = []
-                for cls in classes:
-                    key.append(cls)
-                    key.append(len(class_flows[cls]))
-            key.append(-1)
-            key += [link.capacity for link in links]
-            self._solve(tuple(key), classes, links)
-        self._schedule_wake()
+        links = set(chain.from_iterable([class_links[c] for c in classes]))
+        return tuple(sorted(classes)), tuple(sorted(links, key=_by_uid))
 
     # -- the max-min solve -----------------------------------------------------
 
-    def _solve(self, key: tuple, classes: list[int],
+    def _solve(self, key: tuple, classes: _t.Sequence[int],
                links: _t.Sequence[Link]) -> None:
         """Set the rate of every class in ``classes``, a closed component.
 
         ``key`` is the ``(class, count)`` pairs of ``classes`` in class-id
-        order, -1, then the capacities of ``links`` in uid order.  The
-        classes name the links, so it holds everything the kernel reads: a
-        key solved before replays the bit-identical rates whatever order
-        its flows arrived in.
+        order, -1, then the capacities of ``links`` in uid order: all the
+        kernel reads, so a key solved before replays bit-identical rates.
         """
         memo = self._memo
         rates = memo.get(key)
@@ -455,7 +458,7 @@ class FluidNetwork:
         for cls, rate in rates.items():
             class_rate[cls] = rate
 
-    def _progressive_fill(self, classes: list[int],
+    def _progressive_fill(self, classes: _t.Sequence[int],
                           links: _t.Sequence[Link]) -> dict[int, float]:
         """Weighted max-min fair rates per flow class, by progressive filling.
 
@@ -510,11 +513,12 @@ class FluidNetwork:
                 del unfrozen[cls]
                 rate = rates[cls]
                 weight = specs[cls][0]
-                n = counts[cls]
                 for link in class_links[cls]:
-                    for _ in range(n):
-                        residual[link] -= rate
-                        live_weight[link] -= weight
+                    r, w = residual[link], live_weight[link]
+                    for _ in range(counts[cls]):
+                        r -= rate
+                        w -= weight
+                    residual[link], live_weight[link] = r, w
 
         while unfrozen:
             # Fair share per unit weight on every still-loaded link.
@@ -569,15 +573,12 @@ class FluidNetwork:
 
         Two guard rails before any wake is scheduled:
 
-        * a flow whose ``remaining`` already sits at or below
-          ``_EPSILON_BYTES``, or whose ETA is so small that
-          ``now + eta == now`` in float, is force-completed *now* — a wake
-          scheduled for such a flow would fire at the same instant with
-          ``dt == 0``, make no progress, and re-arm itself forever;
-        * rate-zero flows contribute no horizon: when every flow is
-          rate-zero (starved or ``max_rate == 0``) no wake is scheduled at
-          all, and the flow parks until the next ``_mark_dirty`` re-solve
-          changes its rate.
+        * a flow with ``remaining <= _EPSILON_BYTES``, or an ETA so small
+          that ``now + eta == now`` in float, is force-completed *now*: its
+          wake would fire at this instant with ``dt == 0`` and re-arm
+          itself forever;
+        * rate-zero flows (starved, or ``max_rate == 0``) contribute no
+          horizon and park until the next ``_mark_dirty`` re-solve.
 
         Both tests are monotone in ``remaining`` over one class's rate, so
         each class is read in sorted order only up to its first flow that
@@ -609,11 +610,10 @@ class FluidNetwork:
             return
         if not math.isfinite(horizon):
             return
-        wake = Event(self.env, name="fluid.wake")
-        wake._ok = True
+        wake = Event(self.env, "fluid.wake")
         wake._value = None
         self._wake_entry = self.env.schedule(wake, delay=horizon)
-        wake.add_callback(self._on_wake)
+        wake._cb0 = self._on_wake
 
     def _on_wake(self, _event: Event) -> None:
         self._wake_entry = None

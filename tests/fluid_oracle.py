@@ -16,6 +16,9 @@ change a simulated quantity.  The classes here drop them one at a time.
   re-solves every flow on every link at once with :func:`flow_order_fill`,
   unmemoized, and re-arms the completion wake from the fresh rates.
 
+:func:`cancel_flow` aborts an in-flight flow on any of them; nothing in
+the shipped runtime cancels a flow.
+
 To run a whole runtime under the oracle, monkeypatch
 ``repro.machine.node.FluidNetwork`` with :class:`EagerFluidNetwork`.
 """
@@ -27,6 +30,7 @@ import typing as _t
 from itertools import chain
 from operator import attrgetter
 
+from repro.errors import SimulationError
 from repro.sim.fluid import Flow, FluidNetwork, Link
 
 
@@ -34,6 +38,30 @@ def active_flows(net: FluidNetwork) -> frozenset[Flow]:
     """The flows ``net`` is carrying: every flow of every live class."""
     return frozenset(chain.from_iterable(
         net._class_flows[c] for c in net._live))
+
+
+def cancel_flow(net: FluidNetwork, flow: Flow) -> None:
+    """Abort an in-flight flow of ``net``; its ``done`` event fails.
+
+    Idempotent: cancelling a flow that already finished, was already
+    cancelled, or was never started on ``net`` is a no-op — including the
+    race where the flow reaches zero bytes at the *exact* cancel instant
+    (``_advance`` below may complete it, in which case its ``done``
+    already succeeded and must not be failed on top).  The departure
+    goes through ``net._mark_dirty``, like every start and completion.
+    """
+    if flow.network is not net or flow.finished_at is not None:
+        return
+    net._advance()
+    if flow.finished_at is not None:
+        # _advance() integrated the final dt and completed the flow at
+        # this very instant: it finished before the cancel landed.
+        return
+    net._detach(flow)
+    flow.finished_at = net.env.now
+    flow.done.fail(SimulationError(f"flow #{flow.fid} cancelled"))
+    flow.done.defuse()
+    net._mark_dirty(1 << flow._cls)
 
 
 def flow_order_fill(net: FluidNetwork, flows: _t.Iterable[Flow],

@@ -13,7 +13,8 @@ import pytest
 
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
-from tests.fluid_oracle import EagerFluidNetwork, UnmemoizedFluidNetwork
+from tests.fluid_oracle import (EagerFluidNetwork, UnmemoizedFluidNetwork,
+                                cancel_flow)
 
 NETWORKS = [pytest.param(FluidNetwork, id="shipped"),
             pytest.param(UnmemoizedFluidNetwork, id="unmemoized"),
@@ -65,7 +66,7 @@ def test_cancelled_flow_keeps_the_rate_it_left_with(network_cls):
     cancelled = net.start_flow(1000.0, [link])
     survivor = net.start_flow(1000.0, [link])
     env.run(1.0)
-    net.cancel_flow(cancelled)
+    cancel_flow(net, cancelled)
     env.run(2.0)
     assert survivor.rate == 100.0
     assert cancelled.rate == 50.0

@@ -21,7 +21,7 @@ from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
 from repro.units import GiB
-from tests.fluid_oracle import EagerFluidNetwork
+from tests.fluid_oracle import EagerFluidNetwork, cancel_flow
 
 REL = 1e-9
 
@@ -206,7 +206,7 @@ class TestIncrementalMechanics:
 
             def killer():
                 yield env.timeout(1.0)
-                net.cancel_flow(victim)
+                cancel_flow(net, victim)
 
             env.process(killer(), name="killer")
             with pytest.raises(SimulationError):

@@ -31,7 +31,7 @@ from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.fluid import _EPSILON_BYTES, FluidNetwork
 from tests import sim_oracle
-from tests.fluid_oracle import EagerFluidNetwork, active_flows
+from tests.fluid_oracle import EagerFluidNetwork, active_flows, cancel_flow
 
 #: the shipped network and the eager oracle, under their solver names
 SHIPPED = pytest.param(FluidNetwork, id="incremental")
@@ -92,7 +92,7 @@ def _arrivals_and_cancels(env, net):
 
     def canceller():
         yield env.timeout(2e-3)
-        net.cancel_flow(doomed)
+        cancel_flow(net, doomed)
         flows.append(net.start_flow(48e6, [l2], max_rate=5e9))
 
     env.process(canceller())
@@ -162,7 +162,7 @@ def _run_script(network_cls, script):
                                           weight=spec["weight"],
                                           max_rate=spec["cap"])
             else:
-                net.cancel_flow(flows[k])
+                cancel_flow(net, flows[k])
 
     env.process(driver())
     env.run()
@@ -234,7 +234,7 @@ class TestZeroRateAndCancel:
         assert net._wake_entry is None
         # the parked flow is still live and picked up by the next re-solve
         assert flow in active_flows(net)
-        net.cancel_flow(flow)
+        cancel_flow(net, flow)
         env.run()
         assert flow.finished
 
@@ -250,7 +250,7 @@ class TestZeroRateAndCancel:
             # advance completes the flow; pre-fix the cancel then failed
             # the already-succeeded done event
             yield env.timeout(10.0)
-            net.cancel_flow(flow)
+            cancel_flow(net, flow)
 
         env.process(canceller())
         env.run()
@@ -266,8 +266,8 @@ class TestZeroRateAndCancel:
         flow = net.start_flow(500.0, [link])
         env.run()
         assert flow.finished
-        net.cancel_flow(flow)  # idempotent no-op
-        net.cancel_flow(flow)
+        cancel_flow(net, flow)  # idempotent no-op
+        cancel_flow(net, flow)
         assert flow.done.ok
 
     def test_bad_flow_parameters_rejected(self):

@@ -35,7 +35,16 @@ class TestMemoryDevice:
     def test_read_flow_drains_at_capacity(self):
         env = Environment()
         dev = make_device(env=env, network=FluidNetwork(env))
-        flow = dev.read_flow(90e9)
+        flow = dev.mixed_flow(90e9, 0)
+        assert flow.links == (dev.read_link,)
+        env.run(until=flow.done)
+        assert env.now == pytest.approx(1.0)
+
+    def test_write_flow_drains_at_capacity(self):
+        env = Environment()
+        dev = make_device(env=env, network=FluidNetwork(env))
+        flow = dev.mixed_flow(0, 80e9)
+        assert flow.links == (dev.write_link,)
         env.run(until=flow.done)
         assert env.now == pytest.approx(1.0)
 
@@ -49,8 +58,8 @@ class TestMemoryDevice:
     def test_traffic_counters(self):
         env = Environment()
         dev = make_device(env=env, network=FluidNetwork(env))
-        dev.read_flow(100.0)
-        dev.write_flow(50.0)
+        dev.mixed_flow(100.0, 0)
+        dev.mixed_flow(0, 50.0)
         assert dev.bytes_read == 100.0
         assert dev.bytes_written == 50.0
 
