@@ -12,10 +12,11 @@ records them in ``BENCH_simcore.json`` (see :mod:`repro.bench.regression`):
 * ``shared_link_movers`` — 64 concurrent movers crossing the *same* two
   ports (the Figure 7 memcpy pile-up).  One connected component, so the
   saving here is same-instant batching only; this bounds the worst case.
-* ``event_churn`` — no fluid model at all: 64 store/resource worker loops
-  hammering ``Store.get``/``Resource.request``/``env.timeout``.  This is
-  the pure event-core hot path of the drain loop; the recorded
-  ``ops_per_s`` is the number quoted in EXPERIMENTS.md.
+* ``event_churn`` — no fluid model at all: 64 worker loops on the
+  runtime's per-message hop, a delayed ``Store.put_event`` delivery, a
+  ``Store.get`` and an ``env.timeout``.  This is the pure event-core hot
+  path of the drain loop; the recorded ``ops_per_s`` is the number quoted
+  in EXPERIMENTS.md.
 * ``steady_phases`` — one phase configuration repeated ten times over a
   shared port pair.  The component memo replays the cached rates for
   every phase after the first.
@@ -41,7 +42,7 @@ from pathlib import Path
 from repro.bench.regression import best_wall_time, write_bench
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 #: scenario shape: a 64-PE machine, a few flows per PE lane
 PES = 64
@@ -158,39 +159,37 @@ def run_reordered_phases(*, lanes: int = 24, phases: int = 8,
 
 
 def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
-    """Store/Resource/Timeout churn with no fluid flows (pure event core).
+    """Message-delivery churn with no fluid flows (pure event core).
 
-    Each of ``pes`` workers loops: blocking ``get`` from its store, a
-    counted-resource acquire/release, and a tiny timeout — the per-message
-    skeleton of the runtime's PE loop.  Returns (simulated end time,
-    total worker iterations).
+    The feeder delivers each item the way ``CharmRuntime.send`` delivers
+    a message: a latency timeout carrying the item, whose callback is the
+    store's ``put_event``.  Each of ``pes`` workers loops: blocking ``get``
+    from its store, then a tiny timeout — the per-message skeleton of the
+    runtime's PE loop.  Returns (simulated end time, total worker
+    iterations).
     """
     env = Environment()
     stores = [Store(env, name=f"q{i}") for i in range(pes)]
-    res = Resource(env, capacity=32, name="slots")
 
     def worker(store: Store):
         # bound methods hoisted out of the loop, same as the runtime's own
         # PE loops — the scenario measures the event core, not LOAD_ATTR
-        get, request = store.get, res.request
-        timeout, release = env.timeout, res.release
+        get, timeout = store.get, env.timeout
         while True:
             item = yield get()
             if item is None:
                 return
-            yield request()
             yield timeout(1e-6)
-            release()
 
     def feeder():
-        puts = [store.put for store in stores]
+        puts = [store.put_event for store in stores]
         timeout = env.timeout
         for r in range(rounds):
             for put in puts:
-                put(r)
+                timeout(1e-6, r)._cb0 = put
             yield timeout(1e-5)
         for put in puts:
-            put(None)
+            timeout(1e-6, None)._cb0 = put
 
     for store in stores:
         env.process(worker(store), name=f"w.{store.name}")

@@ -12,7 +12,7 @@ Measures copy/scale/add/triad on both memory nodes two ways:
 from repro import OOCRuntimeBuilder, StreamApp, StreamAppConfig, build_knl
 from repro.machine.stream import STREAM_KERNELS, run_stream
 from repro.sim.environment import Environment
-from repro.units import GB, GiB, MiB, format_bandwidth
+from repro.units import GiB, MiB, format_bandwidth
 
 
 def bare_machine():

@@ -44,7 +44,6 @@ from repro.core import (
     EvictionPolicy,
     OwnBlocksEviction,
     LRUEviction,
-    NoEviction,
     STRATEGIES,
     make_strategy,
 )
@@ -74,7 +73,7 @@ __all__ = [
     # core API
     "BuiltRuntime", "OOCRuntimeBuilder", "OOCManager", "OOCTask",
     "HBMTracker", "EvictionPolicy", "OwnBlocksEviction", "LRUEviction",
-    "NoEviction", "STRATEGIES", "make_strategy",
+    "STRATEGIES", "make_strategy",
     # memory & runtime
     "AccessIntent", "BlockState", "DataBlock",
     "Chare", "ChareArray", "CharmRuntime", "NodeGroup", "entry",

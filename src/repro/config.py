@@ -132,10 +132,6 @@ class MachineConfig:
         if len(set(nodes)) != len(nodes):
             raise ConfigError("duplicate numa node ids in device list")
 
-    @property
-    def hardware_threads(self) -> int:
-        return self.cores * self.smt
-
     def device(self, name: str) -> DeviceConfig:
         for dev in self.devices:
             if dev.name == name:

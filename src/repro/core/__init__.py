@@ -23,7 +23,6 @@ from repro.core.eviction import (
     EvictionPolicy,
     OwnBlocksEviction,
     LRUEviction,
-    NoEviction,
 )
 from repro.core.manager import OOCManager
 from repro.core.strategies import (
@@ -41,7 +40,7 @@ from repro.core.strategies import (
 __all__ = [
     "OOCTask", "TaskState",
     "HBMTracker",
-    "EvictionPolicy", "OwnBlocksEviction", "LRUEviction", "NoEviction",
+    "EvictionPolicy", "OwnBlocksEviction", "LRUEviction",
     "OOCManager",
     "Strategy",
     "NaiveStrategy", "DDROnlyStrategy", "HBMOnlyStrategy",

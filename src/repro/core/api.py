@@ -34,7 +34,6 @@ from repro.core.manager import OOCManager
 from repro.core.strategies import Strategy, make_strategy
 from repro.machine.knl import build_knl, build_machine
 from repro.machine.node import MachineNode
-from repro.mem.allocator import PagedAllocator
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
 from repro.units import GiB
@@ -62,12 +61,8 @@ class OOCRuntimeBuilder:
                  mcdram_capacity: int | str = 16 * GiB,
                  ddr_capacity: int | str = 96 * GiB,
                  eviction: EvictionPolicy | None = None,
-                 hbm_headroom: int = 0,
-                 queue_lock_cost: float = 1e-6,
                  node_level_run_queue: bool = False,
-                 allocator_cls: type = PagedAllocator,
                  message_latency: float = 2e-6,
-                 strategy_kwargs: dict[str, _t.Any] | None = None,
                  machine_config: MachineConfig | None = None):
         #: explicit machine description; overrides the KNL knobs when set
         #: (e.g. :func:`repro.config.nvm_dram_config`)
@@ -79,12 +74,8 @@ class OOCRuntimeBuilder:
         self.mcdram_capacity = mcdram_capacity
         self.ddr_capacity = ddr_capacity
         self.eviction = eviction
-        self.hbm_headroom = hbm_headroom
-        self.queue_lock_cost = queue_lock_cost
         self.node_level_run_queue = node_level_run_queue
-        self.allocator_cls = allocator_cls
         self.message_latency = message_latency
-        self.strategy_kwargs = strategy_kwargs or {}
 
     def build(self) -> BuiltRuntime:
         """Build a complete stack in a fresh environment."""
@@ -97,25 +88,20 @@ class OOCRuntimeBuilder:
         seeded tie-breaker or an observer that needs the env.
         """
         if self.machine_config is not None:
-            machine = build_machine(env, self.machine_config,
-                                    allocator_cls=self.allocator_cls)
+            machine = build_machine(env, self.machine_config)
         else:
             machine = build_knl(
                 env, cores=self.cores, memory_mode=self.memory_mode,
                 cluster_mode=self.cluster_mode,
                 mcdram_capacity=self.mcdram_capacity,
-                ddr_capacity=self.ddr_capacity,
-                allocator_cls=self.allocator_cls)
+                ddr_capacity=self.ddr_capacity)
         runtime = CharmRuntime(machine, message_latency=self.message_latency)
         if isinstance(self.strategy_spec, Strategy):
             strategy = self.strategy_spec
         else:
-            strategy = make_strategy(self.strategy_spec,
-                                     **self.strategy_kwargs)
+            strategy = make_strategy(self.strategy_spec)
         manager = OOCManager(
             runtime, strategy,
             eviction=self.eviction,
-            hbm_headroom=self.hbm_headroom,
-            queue_lock_cost=self.queue_lock_cost,
             node_level_run_queue=self.node_level_run_queue)
         return BuiltRuntime(env, machine, runtime, manager, strategy)

@@ -7,9 +7,7 @@ by checking the data blocks' reference counts."
 :class:`OwnBlocksEviction` is that rule.  :class:`LRUEviction` is an
 ablation that instead frees least-recently-used refcount-zero blocks when
 space is actually needed (keeping hot blocks resident — beneficial under
-reuse, as MatMul's read-only panels show).  :class:`NoEviction` disables
-eviction (useful to demonstrate the HBM-full deadlock the paper's design
-avoids, and as the policy for the static baselines).
+reuse, as MatMul's read-only panels show).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.hbm import HBMTracker
     from repro.core.ooc_task import OOCTask
 
-__all__ = ["EvictionPolicy", "OwnBlocksEviction", "LRUEviction", "NoEviction"]
+__all__ = ["EvictionPolicy", "OwnBlocksEviction", "LRUEviction"]
 
 
 def _evictable(block: DataBlock) -> bool:
@@ -128,17 +126,3 @@ class LRUEviction(EvictionPolicy):
     def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
                            include_demanded: bool = True) -> list[DataBlock]:
         return _lru_victims(registry, needed_bytes, include_demanded)
-
-
-class NoEviction(EvictionPolicy):
-    """Never evict (static baselines / deadlock demonstrations)."""
-
-    name = "none"
-
-    def post_task_victims(self, task: "OOCTask",
-                          tracker: "HBMTracker | None" = None) -> list[DataBlock]:
-        return []
-
-    def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
-                           include_demanded: bool = True) -> list[DataBlock]:
-        return []

@@ -22,12 +22,8 @@ __all__ = ["HBMTracker"]
 class HBMTracker:
     """Reservation ledger over the HBM device's allocator."""
 
-    def __init__(self, hbm: MemoryDevice, *, headroom: int = 0):
-        if headroom < 0:
-            raise SchedulingError("headroom must be >= 0")
+    def __init__(self, hbm: MemoryDevice):
         self.hbm = hbm
-        #: bytes deliberately kept free (the paper's baseline leaves ~1 GB)
-        self.headroom = int(headroom)
         self.reserved = 0
         self.peak_reserved = 0
         self.rejected_fits = 0
@@ -38,7 +34,7 @@ class HBMTracker:
     @property
     def budget(self) -> int:
         """Capacity available to the OOC scheduler."""
-        return self.hbm.capacity - self.headroom
+        return self.hbm.capacity
 
     @property
     def in_use(self) -> int:

@@ -26,14 +26,15 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["OOCManager"]
 
+#: cost of one lock-protected queue operation, seconds (§IV-B lock delays)
+QUEUE_LOCK_COST = 1e-6
+
 
 class OOCManager:
     """Glue between the runtime, a strategy and the HBM tracker."""
 
     def __init__(self, runtime: CharmRuntime, strategy: "Strategy", *,
                  eviction: EvictionPolicy | None = None,
-                 hbm_headroom: int = 0,
-                 queue_lock_cost: float = 1e-6,
                  node_level_run_queue: bool = False):
         self.runtime = runtime
         self.env = runtime.env
@@ -43,10 +44,8 @@ class OOCManager:
         self.mover = self.machine.mover
         self.hbm = self.topology.hbm
         self.ddr = self.topology.ddr
-        self.tracker = HBMTracker(self.hbm, headroom=hbm_headroom)
+        self.tracker = HBMTracker(self.hbm)
         self.eviction = eviction if eviction is not None else OwnBlocksEviction()
-        #: cost of one lock-protected queue operation (§IV-B lock delays)
-        self.queue_lock_cost = queue_lock_cost
         #: paper future work: one node-level run queue instead of per-PE
         self.node_level_run_queue = node_level_run_queue
         self.strategy = strategy
@@ -93,7 +92,7 @@ class OOCManager:
             raise SchedulingError(
                 "a [prefetch] message arrived before finalize_placement()")
         deps = message.entry.resolve_deps(message.target)
-        task = OOCTask(message, pe.id, deps, self.env.now)
+        task = OOCTask(message, pe.id, deps)
         for block in task.blocks:
             block.add_demand(task.tid, task)
         if task.total_dep_bytes > self.tracker.budget:
@@ -111,7 +110,6 @@ class OOCManager:
                     f"block {block.name!r} left HBM while task #{task.tid} "
                     "was running (refcount gating failed)")
         task.state = TaskState.DONE
-        task.finished_at = self.env.now
         task.release_all()
         for block in task.blocks:
             block.drop_demand(task.tid)
@@ -127,11 +125,10 @@ class OOCManager:
 
     def charge_queue_op(self, lane: str) -> _t.Generator:
         """Charge one lock-protected queue operation to ``lane``."""
-        if self.queue_lock_cost > 0:
-            started = self.env.now
-            yield self.env.timeout(self.queue_lock_cost)
-            if _probe.on_queue_op is not None:
-                _probe.on_queue_op(lane, started, self.env.now)
+        started = self.env.now
+        yield self.env.timeout(QUEUE_LOCK_COST)
+        if _probe.on_queue_op is not None:
+            _probe.on_queue_op(lane, started, self.env.now)
 
     def pick_run_queue(self, origin: PE) -> PE:
         """Which run queue a ready task goes to.

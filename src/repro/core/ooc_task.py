@@ -43,12 +43,10 @@ class OOCTask:
     """
 
     __slots__ = ("tid", "message", "pe_id", "deps", "blocks", "missing",
-                 "state", "submitted_at", "ready_at", "started_at",
-                 "finished_at", "retained")
+                 "state", "retained")
 
     def __init__(self, message: Message, pe_id: int,
-                 deps: _t.Sequence[tuple[DataBlock, AccessIntent]],
-                 now: float):
+                 deps: _t.Sequence[tuple[DataBlock, AccessIntent]]):
         self.tid = next(_task_ids)
         self.message = message
         self.pe_id = pe_id
@@ -68,10 +66,6 @@ class OOCTask:
         self.missing = sum(block.nbytes for block in self.blocks
                            if block.state is BlockState.INDDR)
         self.state = TaskState.WAITING
-        self.submitted_at = now
-        self.ready_at: float | None = None
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
         #: True once refcounts were taken (so release is exactly-once)
         self.retained = False
 
@@ -84,10 +78,6 @@ class OOCTask:
     @property
     def total_dep_bytes(self) -> int:
         return sum(block.nbytes for block in self.blocks)
-
-    def missing_blocks(self) -> list[DataBlock]:
-        """Dependences not currently resident in HBM."""
-        return [b for b in self.blocks if b.state is not BlockState.INHBM]
 
     def all_resident(self) -> bool:
         return all(b.state is BlockState.INHBM for b in self.blocks)
@@ -108,15 +98,6 @@ class OOCTask:
         for block in self.blocks:
             block.release()
         self.retained = False
-
-    # -- latency metrics ----------------------------------------------------------
-
-    @property
-    def fetch_latency(self) -> float | None:
-        """Submit-to-ready time (includes queueing behind other tasks)."""
-        if self.ready_at is None:
-            return None
-        return self.ready_at - self.submitted_at
 
     def __repr__(self) -> str:
         tgt = getattr(self.message.target, "label", "?")

@@ -369,7 +369,6 @@ class Strategy:
             # zero-missing-dependence fast path skipped fetch_task_blocks
             task.retain_all(mgr.env.now)
         task.state = TaskState.READY
-        task.ready_at = mgr.env.now
         target_pe = mgr.pick_run_queue(pe)
         target_pe.run_queue.put(ReadyTask(task.message, task))
         mgr.tasks_readied += 1

@@ -6,10 +6,9 @@ All IO threads are likely working in parallel, hence there is no starvation
 problem."  IO threads are pinned to the SMT sibling of their worker's core
 ("scheduled on the hyperthread cores corresponding to the worker threads").
 
-Eviction defaults to the IO thread (``evict_mode="io"``) so that both fetch
-*and* evict are asynchronous, matching the strategy's stated benefit; the
-§IV-B narration where the finishing worker evicts inline is available as
-``evict_mode="worker"`` for the ablation bench.
+The IO thread also evicts, so that both fetch *and* evict are asynchronous,
+matching the strategy's stated benefit: a finishing worker only queues its
+task's victims for its IO thread.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from collections import deque
 
 from repro.core.ooc_task import OOCTask
 from repro.core.strategies.base import Strategy
-from repro.errors import ConfigError
 from repro.mem.block import DataBlock
 from repro.runtime.pe import PE
 from repro.sim.sync import Gate
@@ -34,26 +32,15 @@ class MultiIOThreadStrategy(Strategy):
     name = "multi-io"
     intercepts = True
 
-    def __init__(self, *, evict_mode: str = "io",
-                 wake_all_after_evict: bool = True,
-                 prefetch_ahead: int = 4):
+    #: ready-task depth per PE the IO thread may build up.  The paper
+    #: prefetches "till the HBM is full", but with 64 IO threads that
+    #: over-pins HBM (every ready task holds refcounts on its blocks) and
+    #: forces demand-eviction churn of shared blocks; a small bound keeps
+    #: the pipeline fed while leaving room for reuse.
+    prefetch_ahead = 4
+
+    def __init__(self) -> None:
         super().__init__()
-        if evict_mode not in ("io", "worker"):
-            raise ConfigError(f"evict_mode must be 'io' or 'worker', "
-                              f"got {evict_mode!r}")
-        if prefetch_ahead < 1:
-            raise ConfigError("prefetch_ahead must be >= 1")
-        self.evict_mode = evict_mode
-        #: ready-task depth per PE the IO thread may build up.  The paper
-        #: prefetches "till the HBM is full", but with 64 IO threads that
-        #: over-pins HBM (every ready task holds refcounts on its blocks)
-        #: and forces demand-eviction churn of shared blocks; a small
-        #: bound keeps the pipeline fed while leaving room for reuse.
-        self.prefetch_ahead = prefetch_ahead
-        #: broadcast-wake after evictions so IO threads sleeping on a full
-        #: HBM (whose space was freed by *another* PE) make progress; the
-        #: paper wakes only the local IO thread, which is deadlock-prone.
-        self.wake_all_after_evict = wake_all_after_evict
         self.gates: dict[int, Gate] = {}
         self.evict_requests: dict[int, deque[DataBlock]] = {}
         self.io_processes: list = []
@@ -88,21 +75,14 @@ class MultiIOThreadStrategy(Strategy):
         self.gates[pe.id].open()
 
     def task_finished(self, pe: PE, task: OOCTask) -> _t.Generator:
-        mgr = self._mgr()
-        victims = self.post_task_victims(task)
-        if self.evict_mode == "worker":
-            for victim in victims:
-                if victim.in_hbm and not victim.in_use and not victim.pinned:
-                    yield from self.evict_block(
-                        victim, f"pe{pe.id}", TraceCategory.POSTPROCESS_EVICT,
-                        reason="post-task")
-        else:
-            self.evict_requests[pe.id].extend(victims)
+        self.evict_requests[pe.id].extend(self.post_task_victims(task))
         # A completion releases reference counts, which can make blocks
         # evictable for *other* PEs' stalled fetches — broadcast the wake
         # (the paper wakes only the local IO thread, which can deadlock
         # when capacity is freed logically rather than by an eviction).
-        self._wake_after_evict(pe, True)
+        self._wake_after_evict(pe)
+        return
+        yield  # pragma: no cover
 
     def post_task_victims(self, task: OOCTask) -> list[DataBlock]:
         """Eviction candidates after ``task`` completed (overridable).
@@ -114,11 +94,16 @@ class MultiIOThreadStrategy(Strategy):
         mgr = self._mgr()
         return mgr.eviction.post_task_victims(task, mgr.tracker)
 
-    def _wake_after_evict(self, pe: PE, evicted: bool) -> None:
+    def _wake_after_evict(self, pe: PE) -> None:
+        """Open ``pe``'s gate, then every IO thread's.
+
+        IO threads sleeping on a full HBM whose space was freed by
+        *another* PE must make progress; the paper wakes only the local
+        IO thread, which is deadlock-prone.
+        """
         self.gates[pe.id].open()
-        if evicted and self.wake_all_after_evict:
-            for gate in self.gates.values():
-                gate.open()
+        for gate in self.gates.values():
+            gate.open()
 
     # -- IO thread (one per PE, pinned to the SMT sibling) ------------------------
 
@@ -143,14 +128,14 @@ class MultiIOThreadStrategy(Strategy):
                     progress = True
                     evicted_any = True
             if evicted_any:
-                self._wake_after_evict(pe, True)
+                self._wake_after_evict(pe)
                 gate.close()
             # Keep the free-space reserve topped up so fetches below never
             # wait on eviction.
             wm = yield from self.maintain_watermarks(lane)
             if wm:
                 progress = True
-                self._wake_after_evict(pe, True)
+                self._wake_after_evict(pe)
                 gate.close()
             # Fetch "till the HBM is full" — bounded by the ready-depth
             # limit so the pipeline stays fed without over-pinning HBM.

@@ -46,8 +46,8 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
     intercepts = True
 
     def __init__(self, *, guidance: "GuidanceFile | None" = None,
-                 guidance_path: str | None = None, **kwargs):
-        super().__init__(**kwargs)
+                 guidance_path: str | None = None):
+        super().__init__()
         self._guidance = guidance
         self._guidance_path = guidance_path
         #: highest phase index observed from submitted entries

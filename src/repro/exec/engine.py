@@ -25,7 +25,6 @@ A ``progress`` callback receives one dict per completion
 from __future__ import annotations
 
 import dataclasses
-import time
 import typing as _t
 from concurrent import futures
 

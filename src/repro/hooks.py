@@ -51,7 +51,7 @@ on_descheduled: Point = None
 on_processing: Point = None
 #: ``(process, event)`` a process resumes on ``event`` (fused path skips)
 on_resume: Point = None
-#: ``(item)`` an item was buffered in a Store / PriorityStore / wait queue
+#: ``(item)`` an item was buffered in a Store or a PE wait queue
 on_handoff_put: Point = None
 #: ``(item)`` a buffered item was taken out
 on_handoff_get: Point = None

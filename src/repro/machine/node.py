@@ -43,11 +43,6 @@ class KernelResult:
     def duration(self) -> float:
         return self.finished_at - self.started_at
 
-    @property
-    def memory_bound(self) -> bool:
-        """True when memory time, not the compute floor, set the duration."""
-        return self.duration > self.compute_floor * (1 + 1e-9)
-
 
 class MachineNode:
     """A simulated node built from a :class:`MachineConfig`."""

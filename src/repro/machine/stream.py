@@ -19,7 +19,6 @@ calibration anchor for the ~4x MCDRAM:DDR4 ratio the paper's Figure 1 shows.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.errors import ExperimentError
 from repro.machine.node import MachineNode

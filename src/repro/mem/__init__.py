@@ -7,8 +7,8 @@ high-capacity DDR4) plus everything the paper's runtime needs around them:
   block with an access intent, placement state (``INHBM``/``INDDR``), and a
   reference count used to gate eviction;
 * :class:`~repro.mem.device.MemoryDevice` — capacity + bandwidth ports;
-* :class:`~repro.mem.topology.MemoryTopology` — the NUMA view
-  (``numa_alloc_onnode`` analog);
+* :class:`~repro.mem.topology.MemoryTopology` — the NUMA view (devices by
+  node id, block placement);
 * :class:`~repro.mem.mover.DataMover` — the paper's §IV-C three-step move
   (allocate at destination, ``memcpy``, free source);
 * :class:`~repro.mem.cache.DirectMappedCache` — the KNL *cache mode* model.
@@ -19,7 +19,6 @@ from repro.mem.device import MemoryDevice
 from repro.mem.allocator import (
     Allocation,
     Allocator,
-    BumpAllocator,
     FreeListAllocator,
     PagedAllocator,
     PoolAllocator,
@@ -32,7 +31,7 @@ from repro.mem.cache import DirectMappedCache
 __all__ = [
     "AccessIntent", "BlockState", "DataBlock",
     "MemoryDevice",
-    "Allocation", "Allocator", "BumpAllocator", "FreeListAllocator",
+    "Allocation", "Allocator", "FreeListAllocator",
     "PagedAllocator", "PoolAllocator",
     "MemoryTopology",
     "DataMover", "MoveResult",

@@ -8,8 +8,7 @@ this optimization in the future".  We implement both ends of that trade-off:
 * :class:`FreeListAllocator` — first-fit with coalescing; every allocation
   pays ``alloc_cost`` seconds (mmap/page-table work of ``numa_alloc_onnode``);
 * :class:`PoolAllocator` — size-class pooling; reuse is (nearly) free, which
-  is exactly the paper's proposed optimisation and an ablation bench target;
-* :class:`BumpAllocator` — trivial arena for tests and static placements.
+  is exactly the paper's proposed optimisation and an ablation bench target.
 
 Allocators only track *space*; the time cost is charged by the
 :class:`~repro.mem.mover.DataMover`, which asks ``alloc_cost(nbytes)``.
@@ -24,8 +23,8 @@ from itertools import count
 from repro import hooks as _probe
 from repro.errors import AllocationError, CapacityError
 
-__all__ = ["Allocation", "Allocator", "BumpAllocator", "FreeListAllocator",
-           "PagedAllocator", "PoolAllocator"]
+__all__ = ["Allocation", "Allocator", "FreeListAllocator", "PagedAllocator",
+           "PoolAllocator"]
 
 #: Default per-call allocation overhead, seconds. Calibrated to the scale of
 #: Linux mmap+first-touch costs for multi-GB buffers on KNL-class hardware.
@@ -128,29 +127,6 @@ class Allocator:
         self.free_calls += 1
 
 
-class BumpAllocator(Allocator):
-    """Monotonic arena: frees return capacity but never reuse offsets.
-
-    Suitable for static placements (the Naive/DDR4-only/HBM-only baselines)
-    where nothing is ever moved.
-    """
-
-    def __init__(self, capacity: int, **kwargs: _t.Any):
-        super().__init__(capacity, **kwargs)
-        self._cursor = 0
-
-    def allocate(self, nbytes: int) -> Allocation:
-        if nbytes <= 0:
-            raise AllocationError("allocation size must be > 0")
-        self._take(nbytes)
-        alloc = Allocation(self._cursor, nbytes, self)
-        self._cursor += nbytes
-        return alloc
-
-    def free(self, allocation: Allocation) -> None:
-        self._give_back(allocation)
-
-
 class PagedAllocator(Allocator):
     """Page-backed allocation: capacity is the only constraint.
 
@@ -223,15 +199,6 @@ class FreeListAllocator(Allocator):
                 merged.append((off, length))
         self._free = merged
 
-    @property
-    def fragment_count(self) -> int:
-        """Number of disjoint free ranges (fragmentation metric)."""
-        return len(self._free)
-
-    @property
-    def largest_free_range(self) -> int:
-        return max((length for _, length in self._free), default=0)
-
 
 class PoolAllocator(Allocator):
     """Size-class pooling: frees keep the space; same-size allocs are cheap.
@@ -299,16 +266,6 @@ class PoolAllocator(Allocator):
 
     def free_cost(self, nbytes: int) -> float:
         return self.pool_hit_cost  # just a list push
-
-    def drain_pools(self) -> int:
-        """Release pooled chunks back to the inner allocator; returns bytes."""
-        drained = 0
-        for pool in self._pools.values():
-            for inner in pool:
-                self._inner.free(inner)
-                drained += inner.nbytes
-        self._pools.clear()
-        return drained
 
 
 #: PoolAllocator bookkeeping: maps outer allocation ids to inner free-list

@@ -194,10 +194,6 @@ class DataBlock:
         return self.state is BlockState.INHBM
 
     @property
-    def in_ddr(self) -> bool:
-        return self.state is BlockState.INDDR
-
-    @property
     def moving(self) -> bool:
         return self.state is BlockState.MOVING
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import BlockStateError
-from repro.mem.block import BlockState, DataBlock
+from repro.mem.block import DataBlock
 from repro.mem.topology import MemoryTopology
 
 __all__ = ["BlockRegistry"]
@@ -49,14 +49,6 @@ class BlockRegistry:
         return self._blocks.get(bid)
 
     # -- aggregate queries -------------------------------------------------------
-
-    def bytes_in_state(self, state: BlockState) -> int:
-        return sum(b.nbytes for b in self._blocks.values() if b.state is state)
-
-    def resident_bytes(self, device_name: str) -> int:
-        return sum(b.nbytes for b in self._blocks.values()
-                   if b.device is not None and b.device.name == device_name
-                   and b.allocation is not None and b.allocation.live)
 
     def evictable_blocks(self) -> list[DataBlock]:
         """Blocks the paper would allow to be evicted: in HBM, refcount 0,

@@ -1,10 +1,9 @@
-"""The NUMA view of a node: ``numa_alloc_onnode`` and friends.
+"""The NUMA view of a node: devices by node id, and block placement.
 
 The paper's data movement (§IV-C) is written against libnuma: "HBM is
 exposed to the userspace as Memory node 1 and DDR4 is exposed as Memory
-node 0."  :class:`MemoryTopology` reproduces that interface over simulated
-devices, including the ``--preferred``-style spill placement used by the
-Naive baseline.
+node 0."  :class:`MemoryTopology` reproduces that numbering over simulated
+devices and binds (and releases) each block's initial residency.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import CapacityError, ConfigError
-from repro.mem.allocator import Allocation
 from repro.mem.block import BlockState, DataBlock
 from repro.mem.device import DDR_NODE, HBM_NODE, MemoryDevice
 
@@ -67,16 +65,6 @@ class MemoryTopology:
         """Paper block state corresponding to residency on ``device``."""
         return BlockState.INHBM if device.numa_node == HBM_NODE else BlockState.INDDR
 
-    # -- libnuma analogs ------------------------------------------------------------
-
-    def numa_alloc_onnode(self, nbytes: int, numa_node: int) -> Allocation:
-        """``void* numa_alloc_onnode(size_t size, int node)`` analog."""
-        return self.node(numa_node).allocate(nbytes)
-
-    def numa_free(self, allocation: Allocation, numa_node: int) -> None:
-        """``numa_free`` analog."""
-        self.node(numa_node).free(allocation)
-
     # -- block placement -----------------------------------------------------------
 
     def place_block(self, block: DataBlock, device: MemoryDevice) -> None:
@@ -86,20 +74,6 @@ class MemoryTopology:
         block.allocation = device.allocate(block.nbytes)
         block.settle(device, self.state_for(device))
 
-    def place_preferred(self, block: DataBlock,
-                        preferred: MemoryDevice,
-                        fallback: MemoryDevice) -> MemoryDevice:
-        """``numactl --preferred``-style placement: spill on exhaustion.
-
-        This is the Naive baseline's allocation rule (§IV-B): fill HBM to
-        capacity, put the overflow on DDR4.
-        """
-        if preferred.can_allocate(block.nbytes):
-            self.place_block(block, preferred)
-            return preferred
-        self.place_block(block, fallback)
-        return fallback
-
     def release_block(self, block: DataBlock) -> None:
         """Free a block's space (it keeps its last state for inspection)."""
         if block.allocation is None or not block.allocation.live:
@@ -107,12 +81,6 @@ class MemoryTopology:
         assert block.device is not None
         block.device.free(block.allocation)
         block.allocation = None
-
-    # -- accounting -------------------------------------------------------------
-
-    def usage(self) -> dict[str, int]:
-        """Bytes in use per device name."""
-        return {dev.name: dev.used for dev in self.devices}
 
     def __repr__(self) -> str:
         devs = ", ".join(f"{n}:{d.name}" for n, d in sorted(self._by_node.items()))

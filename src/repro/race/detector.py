@@ -6,7 +6,7 @@ The detector is a subscriber of the probe (:mod:`repro.hooks`, DESIGN.md
 * *causality*: events scheduled / processed / cancelled
   (:class:`~repro.sim.environment.Environment`), process resumption
   (:class:`~repro.sim.process.Process`), buffered queue handoffs
-  (``Store``/``PriorityStore`` and the PE wait queues), and converse
+  (``Store`` and the PE wait queues), and converse
   message delivery;
 * *accesses*: kernel reads/writes by declared intent, refcount
   retain/release, and mover copy/settle steps.

@@ -15,7 +15,7 @@ from repro.runtime.entry import EntrySpec, entry
 from repro.runtime.chare import Chare, ChareArray, NodeGroup
 from repro.runtime.pe import PE
 from repro.runtime.reduction import Reducer
-from repro.runtime.loadbalance import block_map, round_robin_map, GreedyLoadBalancer
+from repro.runtime.loadbalance import round_robin_map
 from repro.runtime.runtime import CharmRuntime
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "EntrySpec", "entry",
     "Chare", "ChareArray", "NodeGroup",
     "PE", "Reducer",
-    "block_map", "round_robin_map", "GreedyLoadBalancer",
+    "round_robin_map",
     "CharmRuntime",
 ]

@@ -48,8 +48,6 @@ class Chare:
         self.label = f"{type(self).__name__}[]"
         #: blocks declared by this chare, in declaration order
         self.blocks: list[DataBlock] = []
-        #: cumulative entry-method execution time (drives load balancing)
-        self._measured_load = 0.0
 
     # -- wiring (done by the runtime at insertion) ----------------------------
 

@@ -88,7 +88,6 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
         elapsed = now - started
         pe.busy_time += elapsed
         pe.tasks_executed += 1
-        chare._measured_load += elapsed
         if _probe.on_execute_end is not None:
             _probe.on_execute_end(pe_id, message, task, started, now,
                                   f"{chare.label}.{spec.name}")

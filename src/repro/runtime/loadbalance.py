@@ -1,9 +1,9 @@
-"""Chare-to-PE placement and simple load balancing.
+"""Chare-to-PE placement.
 
 "Objects do not migrate at anytime, they migrate only when load balancing
 explicitly moves them to a different PE." (§III-A)  The evaluation keeps
-placement static, so the core offering here is the initial map; a greedy
-measured-load rebalancer is included for completeness and ablations.
+placement static, so placement is the initial map alone: no chare moves
+after it is created.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import typing as _t
 
 from repro.errors import RuntimeModelError
 
-__all__ = ["round_robin_map", "block_map", "block_cyclic_map",
-           "GreedyLoadBalancer"]
+__all__ = ["round_robin_map", "block_cyclic_map"]
 
 Index = tuple[int, ...]
 
@@ -28,18 +27,6 @@ def round_robin_map(indices: _t.Sequence[Index], n_pes: int) -> dict[Index, int]
     if n_pes <= 0:
         raise RuntimeModelError("need at least one PE")
     return {idx: i % n_pes for i, idx in enumerate(sorted(indices))}
-
-
-def block_map(indices: _t.Sequence[Index], n_pes: int) -> dict[Index, int]:
-    """Contiguous slabs of chares per PE (locality-preserving)."""
-    if n_pes <= 0:
-        raise RuntimeModelError("need at least one PE")
-    ordered = sorted(indices)
-    n = len(ordered)
-    mapping: dict[Index, int] = {}
-    for i, idx in enumerate(ordered):
-        mapping[idx] = min(i * n_pes // max(n, 1), n_pes - 1)
-    return mapping
 
 
 def block_cyclic_map(indices: _t.Sequence[Index], n_pes: int) -> dict[Index, int]:
@@ -62,35 +49,3 @@ def block_cyclic_map(indices: _t.Sequence[Index], n_pes: int) -> dict[Index, int
         pr -= 1
     pc = n_pes // pr
     return {idx: (idx[0] % pr) * pc + (idx[1] % pc) for idx in indices}
-
-
-class GreedyLoadBalancer:
-    """Longest-processing-time-first rebalancing from measured loads."""
-
-    def __init__(self, n_pes: int):
-        if n_pes <= 0:
-            raise RuntimeModelError("need at least one PE")
-        self.n_pes = n_pes
-
-    def rebalance(self, loads: _t.Mapping[Index, float]) -> dict[Index, int]:
-        """Assign chares (heaviest first) to the least-loaded PE."""
-        pe_load = [0.0] * self.n_pes
-        mapping: dict[Index, int] = {}
-        # Sort by load descending, index ascending for determinism.
-        for idx in sorted(loads, key=lambda i: (-loads[i], i)):
-            target = min(range(self.n_pes), key=lambda p: (pe_load[p], p))
-            mapping[idx] = target
-            pe_load[target] += loads[idx]
-        return mapping
-
-    @staticmethod
-    def imbalance(loads: _t.Mapping[Index, float],
-                  mapping: _t.Mapping[Index, int], n_pes: int) -> float:
-        """max/mean PE load ratio (1.0 = perfectly balanced)."""
-        pe_load = [0.0] * n_pes
-        for idx, pe in mapping.items():
-            pe_load[pe] += loads.get(idx, 0.0)
-        mean = sum(pe_load) / n_pes
-        if mean == 0:
-            return 1.0
-        return max(pe_load) / mean

@@ -41,13 +41,6 @@ class Message:
         #: re-entering the converse queue is not intercepted twice
         self.intercepted = False
 
-    @property
-    def queue_delay(self) -> float | None:
-        """Time from send to delivery, if delivered."""
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.created_at
-
     def __repr__(self) -> str:
         tgt = getattr(self.target, "label", type(self.target).__name__)
         return f"<Message #{self.mid} {tgt}.{self.entry.name}>"

@@ -22,7 +22,6 @@ from repro import hooks as _probe
 from repro.machine.cpu import Core
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
-from repro.sim.sync import Lock
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -41,8 +40,6 @@ class PE:
         self.run_queue = Store(env, name=f"pe{pe_id}.runq")
         #: tasks parked until their data is prefetched
         self.wait_queue: deque = deque()
-        #: protects the wait queue (cooperative, but contention is traced)
-        self.wait_lock = Lock(env, name=f"pe{pe_id}.waitlock")
         self.scheduler_process: "Process | None" = None
         # -- accounting -------------------------------------------------------
         self.busy_time = 0.0          # executing entry methods

@@ -9,7 +9,7 @@ from repro import hooks as _probe
 from repro.errors import ChareError, RuntimeModelError
 from repro.machine.node import MachineNode
 from repro.runtime.chare import Chare, ChareArray, NodeGroup
-from repro.runtime.converse import STOP, converse_scheduler
+from repro.runtime.converse import converse_scheduler
 from repro.runtime.interception import Interceptor
 from repro.runtime.loadbalance import round_robin_map
 from repro.runtime.message import Message
@@ -52,7 +52,6 @@ class CharmRuntime:
         self.arrays: list[ChareArray] = []
         self.node_groups: list[NodeGroup] = []
         self.messages_sent = 0
-        self._running = True
         for pe in self.pes:
             pe.scheduler_process = self.env.process(
                 converse_scheduler(self, pe), name=f"converse-pe{pe.id}")
@@ -119,40 +118,6 @@ class CharmRuntime:
             run_queue.put(msg)
         return msg
 
-    # -- load balancing ---------------------------------------------------------
-
-    def migrate(self, chare: Chare, new_pe: int) -> None:
-        """Move a chare to another PE.
-
-        "Objects do not migrate at anytime, they migrate only when load
-        balancing explicitly moves them" (§III-A): messages sent after the
-        migration route to the new PE; in-flight deliveries complete where
-        they are.
-        """
-        if chare.runtime is not self:
-            raise ChareError(f"{chare!r} does not belong to this runtime")
-        if not 0 <= new_pe < len(self.pes):
-            raise RuntimeModelError(f"no PE {new_pe}")
-        chare.pe_id = new_pe
-
-    def rebalance(self, array: ChareArray) -> dict[tuple[int, ...], int]:
-        """Greedy LPT rebalancing of one array from measured loads.
-
-        Uses each chare's cumulative entry-method execution time (the
-        instrumented load Charm++'s load balancers consume) and resets the
-        measurements afterwards.  Returns the new index -> PE map.
-        """
-        from repro.runtime.loadbalance import GreedyLoadBalancer
-
-        loads = {idx: chare._measured_load
-                 for idx, chare in array.elements.items()}
-        mapping = GreedyLoadBalancer(len(self.pes)).rebalance(loads)
-        for idx, pe_id in mapping.items():
-            chare = array.elements[idx]
-            chare.pe_id = pe_id
-            chare._measured_load = 0.0
-        return mapping
-
     def reducer(self, expected: int, *,
                 combiner: _t.Callable[[list], _t.Any] | None = None,
                 name: str = "reduction") -> Reducer:
@@ -163,23 +128,6 @@ class CharmRuntime:
     def run_until(self, event: Event) -> _t.Any:
         """Advance the simulation until ``event`` fires; returns its value."""
         return self.env.run(until=event)
-
-    def shutdown(self) -> None:
-        """Stop all PE schedulers (drains pending run-queue items first)."""
-        if not self._running:
-            return
-        self._running = False
-        for pe in self.pes:
-            pe.run_queue.put(STOP)
-        self.env.run()
-
-    # -- stats ---------------------------------------------------------------------
-
-    def total_busy_time(self) -> float:
-        return sum(pe.busy_time for pe in self.pes)
-
-    def total_overhead_time(self) -> float:
-        return sum(pe.overhead_time for pe in self.pes)
 
     def __repr__(self) -> str:
         return (f"<CharmRuntime pes={len(self.pes)} arrays={len(self.arrays)} "

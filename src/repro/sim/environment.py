@@ -51,7 +51,7 @@ from heapq import heappush as _heappush
 from repro import hooks as _probe
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import kernel as _kernel
-from repro.sim.events import Event, AllOf, AnyOf, Timeout
+from repro.sim.events import Event, AllOf, Timeout
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -186,9 +186,6 @@ class Environment:
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def process(self, generator: _t.Generator, name: str = "") -> "Process":
         """Spawn a new simulated process from a generator."""

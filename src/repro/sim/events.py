@@ -22,7 +22,7 @@ from repro.errors import SimulationError
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
 
-__all__ = ["PENDING", "Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["PENDING", "Event", "Timeout", "AllOf"]
 
 
 class _Pending:
@@ -208,8 +208,8 @@ class Timeout(Event):
         return f"<Timeout {self.delay:g}s {state}>"
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
+class AllOf(Event):
+    """Fires when every child event has fired; fails fast on child failure."""
 
     __slots__ = ("events", "_remaining")
 
@@ -230,15 +230,6 @@ class _Condition(Event):
         return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; fails fast on child failure."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             return
         if not event.ok:
@@ -248,18 +239,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires (or fails)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self.succeed(self._collect())

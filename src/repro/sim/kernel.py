@@ -134,7 +134,6 @@ def drain(env: "Environment", target: "Event | None" = None,
                         else:
                             env.active_process = None
                             try:
-                                callback._target = nxt
                                 # inlined add_callback single-waiter
                                 # branch (see Process._resume)
                                 if nxt._cb0 is None and not nxt._processed:
@@ -218,7 +217,6 @@ def drain_keyed(env: "Environment", target: "Event | None" = None,
                     else:
                         env.active_process = None
                         try:
-                            callback._target = nxt
                             if nxt._cb0 is None and not nxt._processed:
                                 nxt._cb0 = callback
                             else:

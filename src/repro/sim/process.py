@@ -41,7 +41,7 @@ class _Init(Event):
 class Process(Event):
     """A running generator coroutine inside the simulation."""
 
-    __slots__ = ("generator", "_target", "_send", "_throw")
+    __slots__ = ("generator", "_send", "_throw")
 
     def __init__(self, env: Environment, generator: _t.Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -57,8 +57,6 @@ class Process(Event):
         # type and fuses the resume, and no method object is ever allocated
         self._send = generator.send
         self._throw = generator.throw
-        #: the event this process is currently waiting on (None if running/finished)
-        self._target: Event | None = None
         env.register_process(self)
         _Init(env).add_callback(self)
 
@@ -66,11 +64,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    @property
-    def waiting_on(self) -> Event | None:
-        """The event this process is blocked on, for diagnostics."""
-        return self._target
 
     def interrupt(self, cause: _t.Any = None) -> None:
         """Kill the process by throwing :class:`ProcessKilled` into it."""
@@ -112,7 +105,6 @@ class Process(Event):
         # not detected (same as simpy): processes and their events must
         # share one environment.
         try:
-            self._target = next_event
             # inlined add_callback() single-waiter branch (the ~universal
             # case: the yielded event has no other waiter yet).  An
             # unprocessed event with _cb0 unset cannot have overflow
@@ -134,7 +126,6 @@ class Process(Event):
         """
         env = self.env
         env.active_process = None
-        self._target = None
         env.unregister_process(self)
         if isinstance(exc, StopIteration):
             self.succeed(exc.value)
@@ -148,7 +139,6 @@ class Process(Event):
 
     def _bad_yield(self, yielded: _t.Any) -> SimulationError:
         """The error for a generator that yielded a non-:class:`Event`."""
-        self._target = None
         return SimulationError(
             f"process {self.name!r} yielded {yielded!r}; processes may "
             "only yield Event instances")

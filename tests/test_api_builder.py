@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.config import ClusterMode, MemoryMode
+from repro.config import ClusterMode
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.eviction import LRUEviction
 from repro.core.strategies import MultiIOThreadStrategy
@@ -20,15 +20,9 @@ class TestBuilder:
         assert built.runtime.interceptor is built.manager
 
     def test_strategy_instance_accepted(self):
-        strategy = MultiIOThreadStrategy(evict_mode="worker")
+        strategy = MultiIOThreadStrategy()
         built = OOCRuntimeBuilder(strategy, cores=2).build()
         assert built.strategy is strategy
-
-    def test_strategy_kwargs_forwarded(self):
-        built = OOCRuntimeBuilder(
-            "multi-io", cores=2,
-            strategy_kwargs={"evict_mode": "worker"}).build()
-        assert built.strategy.evict_mode == "worker"
 
     def test_eviction_policy_forwarded(self):
         policy = LRUEviction()

@@ -1,7 +1,5 @@
 """Extra application paths: traffic accounting and reuse diagnostics."""
 
-import pytest
-
 from repro.apps.matmul import MatMul, MatMulConfig
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.core.api import OOCRuntimeBuilder

@@ -1,6 +1,5 @@
 """Tests for MatMul, StreamApp and Jacobi2D applications."""
 
-import numpy as np
 import pytest
 
 from repro.apps.jacobi2d import Jacobi2D, JacobiConfig
@@ -8,7 +7,6 @@ from repro.apps.matmul import MatMul, MatMulConfig
 from repro.apps.stream_app import StreamApp, StreamAppConfig
 from repro.core.api import OOCRuntimeBuilder
 from repro.errors import ConfigError
-from repro.mem.block import BlockState
 from repro.units import GiB, MiB
 
 HBM = 256 * MiB

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.spmv import SpMV, SpMVConfig
 from repro.core.api import OOCRuntimeBuilder
-from repro.core.eviction import LRUEviction, OwnBlocksEviction
+from repro.core.eviction import LRUEviction
 from repro.errors import ConfigError
 from repro.units import GiB, MiB
 

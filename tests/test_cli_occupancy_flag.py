@@ -1,7 +1,5 @@
 """CLI shows the occupancy sparkline for traced runs."""
 
-import pytest
-
 from repro.cli import main
 
 

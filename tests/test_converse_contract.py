@@ -122,7 +122,6 @@ class TestLatency:
         rt.env.run()
         for msg in (first, second, later):
             assert msg.delivered_at == msg.created_at + LATENCY
-            assert msg.queue_delay == msg.delivered_at - msg.created_at
         assert later.created_at == 1.0
 
     def test_sends_from_inside_an_entry_carry_the_latency(self):
@@ -178,7 +177,6 @@ class TestAccounting:
         assert [pe.tasks_executed for pe in rt.pes] == [5, 3]
         assert rt.messages_sent == 8
         assert rt.pes[1].busy_time == pytest.approx(0.25)
-        assert arr[1]._measured_load == pytest.approx(0.25)
 
     def test_plain_entry_returning_a_generator_is_driven(self):
         rt = make_runtime(cores=1, message_latency=LATENCY)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.eviction import LRUEviction, NoEviction, OwnBlocksEviction
+from repro.core.eviction import LRUEviction, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask
 from repro.machine.knl import build_knl
@@ -45,7 +45,7 @@ def demand(block, serial):
 
 def task_over(blocks):
     msg = Message(_C(), _C._entry_specs["work"])
-    return OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks], 0.0)
+    return OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks])
 
 
 class TestOwnBlocks:
@@ -133,11 +133,3 @@ class TestLRU:
         victims = policy.make_space_victims(node.registry, MiB,
                                             include_demanded=False)
         assert victims == []
-
-
-class TestNoEviction:
-    def test_never_evicts(self, node):
-        policy = NoEviction()
-        a = resident(node, "a")
-        assert policy.post_task_victims(task_over([a])) == []
-        assert policy.make_space_victims(node.registry, GiB) == []

@@ -112,19 +112,11 @@ class TestAccountingAndSummary:
         env = Environment()
         tracer = Tracer(env).install()
         try:
-            self.run_once(queue_lock_cost=1e-6, env=env)
+            self.run_once(env=env)
         finally:
             tracer.uninstall()
         assert sum(ev.duration for ev in tracer.events
                    if ev.category is TraceCategory.SCHEDULING) > 0
-
-    def test_zero_queue_lock_cost_supported(self):
-        built = self.run_once(queue_lock_cost=0.0)
-        assert built.manager.tasks_completed == 8
-
-    def test_hbm_headroom_respected(self):
-        built = self.run_once(hbm_headroom=64 * MiB, chares=16)
-        assert built.machine.hbm.allocator.peak_used <= HBM - 64 * MiB
 
     def test_demand_counters_drain(self):
         built = self.run_once()

@@ -150,8 +150,8 @@ class TestStaticStrategies:
 
     def test_naive_fill_limit_honoured(self):
         built = OOCRuntimeBuilder(
-            "naive", cores=2, mcdram_capacity=HBM, ddr_capacity=DDR,
-            strategy_kwargs={"hbm_fill_limit": 64 * MiB}).build()
+            make_strategy("naive", hbm_fill_limit=64 * MiB), cores=2,
+            mcdram_capacity=HBM, ddr_capacity=DDR).build()
         rt = built.runtime
         arr = rt.create_array(Worker, 8)
         barrier = rt.reducer(8)
@@ -201,18 +201,7 @@ class TestStrategySpecifics:
 
     def test_no_io_charges_worker_overhead(self):
         built, _ = run_app("no-io")
-        assert built.runtime.total_overhead_time() > 0
-
-    def test_multi_io_worker_evict_mode(self):
-        evict_lanes = traced_lanes("multi-io",
-                                   TraceCategory.POSTPROCESS_EVICT,
-                                   strategy_kwargs={"evict_mode": "worker"})
-        assert evict_lanes and all(l.startswith("pe") for l in evict_lanes)
-
-    def test_multi_io_bad_evict_mode_rejected(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            make_strategy("multi-io", evict_mode="bogus")
+        assert sum(pe.overhead_time for pe in built.runtime.pes) > 0
 
     def test_node_level_run_queue_option(self):
         built, arr = run_app("multi-io", node_level_run_queue=True)

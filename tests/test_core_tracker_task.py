@@ -6,7 +6,7 @@ from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask, TaskState
 from repro.errors import SchedulingError
 from repro.machine.knl import build_knl
-from repro.mem.block import AccessIntent, BlockState, DataBlock
+from repro.mem.block import AccessIntent, DataBlock
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.message import Message
@@ -21,10 +21,6 @@ def node():
 
 
 class TestHBMTracker:
-    def test_budget_excludes_headroom(self, node):
-        tracker = HBMTracker(node.hbm, headroom=256 * MiB)
-        assert tracker.budget == 768 * MiB
-
     def test_can_fit_respects_reservations(self, node):
         tracker = HBMTracker(node.hbm)
         assert tracker.can_fit(GiB)
@@ -61,10 +57,6 @@ class TestHBMTracker:
         tracker.unreserve(300)
         assert tracker.peak_reserved == 300
 
-    def test_negative_headroom_rejected(self, node):
-        with pytest.raises(SchedulingError):
-            HBMTracker(node.hbm, headroom=-1)
-
 
 class _Dummy(Chare):
     @entry(prefetch=True, readwrite=["a"])
@@ -76,7 +68,7 @@ def make_task(node, blocks_with_intents, pe_id=0):
     chare = _Dummy()
     spec = _Dummy._entry_specs["work"]
     msg = Message(chare, spec)
-    return OOCTask(msg, pe_id, blocks_with_intents, now=0.0)
+    return OOCTask(msg, pe_id, blocks_with_intents)
 
 
 class TestOOCTask:
@@ -98,7 +90,7 @@ class TestOOCTask:
         node.topology.place_block(b, node.ddr)
         task = make_task(node, [(a, AccessIntent.READONLY),
                                 (b, AccessIntent.READONLY)])
-        assert task.missing_blocks() == [b]
+        assert task.missing == b.nbytes  # only b must still come in
         assert not task.all_resident()
         assert task.total_dep_bytes == 2 * MiB
 
@@ -113,13 +105,6 @@ class TestOOCTask:
         assert block.refcount == 0
         with pytest.raises(SchedulingError):
             task.release_all()
-
-    def test_fetch_latency_metric(self, node):
-        block = DataBlock("a", MiB)
-        task = make_task(node, [(block, AccessIntent.READONLY)])
-        assert task.fetch_latency is None
-        task.ready_at = 2.5
-        assert task.fetch_latency == 2.5
 
     def test_initial_state(self, node):
         task = make_task(node, [(DataBlock("a", 1), AccessIntent.READONLY)])

@@ -9,7 +9,7 @@ import pytest
 import repro
 
 MODULES = [
-    "repro", "repro.analysis", "repro.cli", "repro.config",
+    "repro", "repro.cli", "repro.config",
     "repro.errors", "repro.units",
     "repro.sim", "repro.sim.events", "repro.sim.environment",
     "repro.sim.process", "repro.sim.sync", "repro.sim.resources",

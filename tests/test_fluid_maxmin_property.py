@@ -8,7 +8,6 @@ directly against randomly generated topologies — independent of the
 progressive-filling implementation.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.environment import Environment

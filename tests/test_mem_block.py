@@ -108,7 +108,8 @@ class TestStateMachine:
 
     def test_state_predicates(self):
         block = DataBlock("b", 8)
-        assert block.in_ddr and not block.in_hbm and not block.moving
+        assert block.state is BlockState.INDDR
+        assert not block.in_hbm and not block.moving
         block.begin_move()
         assert block.moving
 
@@ -126,7 +127,7 @@ class _C(Chare):
 def queued_task(*blocks):
     """An OOCTask over ``blocks``, registered as demand like intercept()."""
     msg = Message(_C(), _C._entry_specs["work"])
-    task = OOCTask(msg, 0, [(b, AccessIntent.READONLY) for b in blocks], 0.0)
+    task = OOCTask(msg, 0, [(b, AccessIntent.READONLY) for b in blocks])
     for block in task.blocks:
         block.add_demand(task.tid, task)
     return task

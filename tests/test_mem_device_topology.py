@@ -106,12 +106,6 @@ class TestMemoryTopology:
         with pytest.raises(ConfigError):
             MemoryTopology([a, b])
 
-    def test_numa_alloc_onnode(self, topo):
-        alloc = topo.numa_alloc_onnode(1024, 1)
-        assert topo.hbm.used == 1024
-        topo.numa_free(alloc, 1)
-        assert topo.hbm.used == 0
-
     def test_place_block_sets_state(self, topo):
         block = DataBlock("b", 64 * MiB)
         topo.place_block(block, topo.hbm)
@@ -122,16 +116,6 @@ class TestMemoryTopology:
     def test_state_for_maps_devices(self, topo):
         assert topo.state_for(topo.hbm) is BlockState.INHBM
         assert topo.state_for(topo.ddr) is BlockState.INDDR
-
-    def test_place_preferred_spills(self, topo):
-        """The Naive baseline's rule: HBM until full, then DDR4."""
-        placed = []
-        for i in range(6):
-            block = DataBlock(f"b{i}", 256 * MiB)
-            placed.append(topo.place_preferred(block, topo.hbm, topo.ddr))
-        names = [d.name for d in placed]
-        assert names[:4] == ["mcdram"] * 4      # 4 x 256 MiB fills 1 GiB
-        assert names[4:] == ["ddr4"] * 2
 
     def test_double_place_rejected(self, topo):
         block = DataBlock("b", 1024)
@@ -146,11 +130,6 @@ class TestMemoryTopology:
         assert topo.hbm.used == 0
         with pytest.raises(CapacityError):
             topo.release_block(block)
-
-    def test_usage_summary(self, topo):
-        block = DataBlock("b", 1024)
-        topo.place_block(block, topo.ddr)
-        assert topo.usage() == {"ddr4": 1024, "mcdram": 0}
 
 
 class TestKNLFactory:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import BlockStateError, ConfigError
 from repro.machine.knl import build_knl
-from repro.mem.block import BlockState, DataBlock
+from repro.mem.block import DataBlock
 from repro.mem.cache import DirectMappedCache
 from repro.sim.environment import Environment
 from repro.units import GiB, KiB, MiB
@@ -29,14 +29,6 @@ class TestRegistry:
         node.registry.register(block)
         with pytest.raises(BlockStateError):
             node.registry.register(block)
-
-    def test_bytes_in_state(self, node):
-        for i, dev in enumerate([node.hbm, node.hbm, node.ddr]):
-            block = DataBlock(f"b{i}", 1000)
-            node.registry.register(block)
-            node.topology.place_block(block, dev)
-        assert node.registry.bytes_in_state(BlockState.INHBM) == 2000
-        assert node.registry.bytes_in_state(BlockState.INDDR) == 1000
 
     def test_evictable_excludes_in_use_and_pinned(self, node):
         free_b = DataBlock("free", 10)
@@ -62,13 +54,6 @@ class TestRegistry:
         node.topology.release_block(block)  # state still says INHBM
         with pytest.raises(BlockStateError):
             check_registry_invariants(node.registry)
-
-    def test_resident_bytes_per_device(self, node):
-        block = DataBlock("b", 512)
-        node.registry.register(block)
-        node.topology.place_block(block, node.ddr)
-        assert node.registry.resident_bytes("ddr4") == 512
-        assert node.registry.resident_bytes("mcdram") == 0
 
 
 class TestDirectMappedCache:

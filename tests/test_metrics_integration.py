@@ -131,7 +131,6 @@ class TestSessionLifecycle:
                 assert probe.on_fetch == session.subscriber.on_fetch
                 raise RuntimeError("boom")
         assert probe.on_fetch is None
-        built.runtime.shutdown()
 
     def test_disabled_run_records_nothing(self):
         built = _build()

@@ -1,11 +1,8 @@
 """Tests for the NVM+DRAM extension (paper conclusion)."""
 
-import pytest
-
 from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.config import DRAM_DEVICE, NVM_DEVICE, nvm_dram_config
 from repro.core.api import OOCRuntimeBuilder
-from repro.mem.block import BlockState
 from repro.units import GiB, MiB
 from tests.mem_oracle import check_registry_invariants
 

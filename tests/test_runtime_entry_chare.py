@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ChareError, EntryMethodError
 from repro.machine.knl import build_knl
-from repro.mem.block import AccessIntent, DataBlock
+from repro.mem.block import AccessIntent
 from repro.runtime.chare import Chare, NodeGroup
 from repro.runtime.entry import entry
 from repro.runtime.runtime import CharmRuntime

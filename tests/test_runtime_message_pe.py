@@ -1,13 +1,10 @@
 """Unit tests for Message metadata and PE accounting."""
 
-import pytest
-
 from repro.machine.knl import build_knl
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
-from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
 from repro.units import GiB
 
@@ -25,13 +22,6 @@ def make_pe():
 
 
 class TestMessage:
-    def test_queue_delay_none_until_delivered(self):
-        chare = Thing()
-        msg = Message(chare, Thing._entry_specs["poke"], created_at=1.0)
-        assert msg.queue_delay is None
-        msg.delivered_at = 3.5
-        assert msg.queue_delay == 2.5
-
     def test_unique_ids(self):
         chare = Thing()
         spec = Thing._entry_specs["poke"]
@@ -70,16 +60,3 @@ class TestPE:
     def test_wall_time_zero_before_start(self):
         _, pe = make_pe()
         assert pe.wall_time == 0.0
-
-
-class TestRuntimeStats:
-    def test_busy_and_overhead_totals(self):
-        env = Environment()
-        node = build_knl(env, cores=2, mcdram_capacity=GiB,
-                         ddr_capacity=2 * GiB)
-        rt = CharmRuntime(node)
-        assert rt.total_busy_time() == 0.0
-        rt.pes[0].busy_time += 1.5
-        rt.pes[1].note_overhead(0.5)
-        assert rt.total_busy_time() == 1.5
-        assert rt.total_overhead_time() == 0.5

@@ -1,4 +1,4 @@
-"""Integration tests: messaging, converse delivery, reductions, LB."""
+"""Integration tests: messaging, converse delivery, reductions, placement."""
 
 import pytest
 
@@ -6,12 +6,7 @@ from repro.errors import RuntimeModelError
 from repro.machine.knl import build_knl
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
-from repro.runtime.loadbalance import (
-    GreedyLoadBalancer,
-    block_cyclic_map,
-    block_map,
-    round_robin_map,
-)
+from repro.runtime.loadbalance import block_cyclic_map, round_robin_map
 from repro.runtime.reduction import Reducer
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
@@ -99,12 +94,6 @@ class TestMessaging:
         assert pe.tasks_executed == 2
         assert pe.busy_time == pytest.approx(0.5, abs=1e-4)
 
-    def test_shutdown_stops_schedulers(self):
-        rt = make_runtime()
-        rt.shutdown()
-        for pe in rt.pes:
-            assert pe.stopped_at is not None
-
     @pytest.mark.parametrize("latency", [-1e-6, float("nan"), float("inf"),
                                          float("-inf")])
     def test_bad_message_latency_rejected(self, latency):
@@ -164,11 +153,6 @@ class TestLoadBalanceMaps:
         mapping = round_robin_map(indices, 4)
         assert set(mapping.values()) == {0, 1, 2, 3}
 
-    def test_block_map_contiguity(self):
-        indices = [(i,) for i in range(8)]
-        mapping = block_map(indices, 2)
-        assert [mapping[(i,)] for i in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
-
     def test_block_cyclic_2d_tiles(self):
         indices = [(i, j) for i in range(8) for j in range(8)]
         mapping = block_cyclic_map(indices, 4)  # 2x2 PE grid
@@ -182,34 +166,6 @@ class TestLoadBalanceMaps:
         assert block_cyclic_map(indices, 3) == round_robin_map(indices, 3)
 
     def test_zero_pes_rejected(self):
-        for fn in (round_robin_map, block_map, block_cyclic_map):
+        for fn in (round_robin_map, block_cyclic_map):
             with pytest.raises(RuntimeModelError):
                 fn([(0,)], 0)
-
-
-class TestGreedyLB:
-    def test_heaviest_first_balances(self):
-        lb = GreedyLoadBalancer(2)
-        loads = {(0,): 10.0, (1,): 9.0, (2,): 2.0, (3,): 1.0}
-        mapping = lb.rebalance(loads)
-        per_pe = [0.0, 0.0]
-        for idx, pe in mapping.items():
-            per_pe[pe] += loads[idx]
-        assert abs(per_pe[0] - per_pe[1]) <= 2.0
-
-    def test_imbalance_metric(self):
-        loads = {(0,): 4.0, (1,): 4.0}
-        perfect = {(0,): 0, (1,): 1}
-        terrible = {(0,): 0, (1,): 0}
-        assert GreedyLoadBalancer.imbalance(loads, perfect, 2) == 1.0
-        assert GreedyLoadBalancer.imbalance(loads, terrible, 2) == 2.0
-
-    def test_improves_random_assignment(self):
-        import random
-        rng = random.Random(7)
-        loads = {(i,): rng.uniform(0.1, 10.0) for i in range(40)}
-        lb = GreedyLoadBalancer(8)
-        random_map = {idx: rng.randrange(8) for idx in loads}
-        greedy_map = lb.rebalance(loads)
-        assert (GreedyLoadBalancer.imbalance(loads, greedy_map, 8)
-                <= GreedyLoadBalancer.imbalance(loads, random_map, 8))

@@ -11,7 +11,6 @@ asserts the §IV-B invariants hold in every reachable state:
 * the run is deterministic.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import OOCRuntimeBuilder
@@ -129,5 +128,6 @@ def test_conservation_of_bytes(w):
     """Everything fetched was either evicted or is still resident in HBM."""
     built, _ = run_workload(**w)
     strat = built.strategy
-    resident = built.machine.registry.bytes_in_state(BlockState.INHBM)
+    resident = sum(b.nbytes for b in built.machine.registry
+                   if b.state is BlockState.INHBM)
     assert strat.bytes_fetched == strat.bytes_evicted + resident

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
 
 
 @pytest.fixture
@@ -126,18 +125,3 @@ class TestAllOf:
         other = Environment()
         with pytest.raises(SimulationError):
             env.all_of([env.timeout(1), other.timeout(1)])
-
-
-class TestAnyOf:
-    def test_fires_on_first(self, env):
-        a, b = env.timeout(1.0), env.timeout(3.0)
-        first = env.any_of([a, b])
-        env.run(until=first)
-        assert env.now == 1.0
-
-    def test_only_fires_once(self, env):
-        a, b = env.timeout(1.0), env.timeout(3.0)
-        first = env.any_of([a, b])
-        env.run()
-        assert first.processed
-        assert env.now == 3.0

@@ -1,7 +1,5 @@
 """Unit + property tests for the max-min fair fluid bandwidth model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -5,7 +5,7 @@ Every ``run()`` flavour — unbounded, ``until=<Event>`` and
 :func:`repro.sim.kernel.drain_keyed` under a tie-breaker, while
 :func:`tests.sim_oracle.step` processes one event at a time with the
 plain ``Event._process`` dispatch.  The tests drive one mixed workload
-(stores, resources, timeouts, conditions, interrupts, mid-run spawns,
+(stores, a gate, timeouts, conditions, interrupts, mid-run spawns,
 failures) with each flavour, with and without a seeded tie-breaker, and
 require the trace of the step-only oracle, then pin down the stop
 conditions: the target's same-instant followers stay queued, probe
@@ -25,7 +25,8 @@ from repro import hooks as _probe
 from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
+from repro.sim.sync import Gate
 
 from tests import sim_oracle
 
@@ -42,7 +43,11 @@ def _mixed_workload(env: Environment) -> tuple[list, list]:
     trace: list = []
     store: Store = Store(env, name="s")
     spill: Store = Store(env, name="spill")
-    res = Resource(env, capacity=2, name="r")
+    # a two-token pool: get() acquires a slot, put() hands it back
+    slots: Store = Store(env, name="slots")
+    slots.put("t0")
+    slots.put("t1")
+    gate = Gate(env, name="g")
 
     def producer():
         for k in range(6):
@@ -56,18 +61,21 @@ def _mixed_workload(env: Environment) -> tuple[list, list]:
             trace.append((env.now, tag, "got", item))
             if item >= 4:
                 return item
-            yield res.request()
+            token = yield slots.get()
             yield env.timeout(0.25)
-            res.release()
+            slots.put(token)
 
     def condition_waiter():
         got = yield env.all_of([spill.get(), env.timeout(9.0)])
         trace.append((env.now, "cond", sorted(map(str, got.values()))))
 
-    def any_waiter():
-        first = yield env.any_of([env.timeout(2.5, "quick"),
-                                  env.timeout(50.0, "slow")])
-        trace.append((env.now, "any", sorted(map(str, first.values()))))
+    def gate_waiter():
+        got = yield env.all_of([gate.wait(), env.timeout(2.5, "quick")])
+        trace.append((env.now, "gate", sorted(map(str, got.values()))))
+
+    def gate_opener():
+        yield env.timeout(1.25)
+        gate.open()
 
     def crasher():
         yield env.timeout(3.0)
@@ -119,8 +127,8 @@ def _mixed_workload(env: Environment) -> tuple[list, list]:
         return "child-done"
 
     slices = [env.process(consumer(f"c{i}"), name=f"c{i}") for i in range(2)]
-    for fn in (producer, condition_waiter, any_waiter, guardian,
-               interrupter, spawner, canceller, chain_parent):
+    for fn in (producer, condition_waiter, gate_waiter, gate_opener,
+               guardian, interrupter, spawner, canceller, chain_parent):
         slices.append(env.process(fn(), name=fn.__name__))
     return trace, slices
 

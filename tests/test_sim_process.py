@@ -135,16 +135,6 @@ class TestDiagnostics:
         env.run()
         assert env.active_process_names == ("alpha", "beta")
 
-    def test_waiting_on_exposed(self, env):
-        target = env.event(name="the-target")
-
-        def body(env):
-            yield target
-
-        proc = env.process(body(env))
-        env.run()
-        assert proc.waiting_on is target
-
 
 class _ResumeCounter:
     """An ``on_resume`` subscriber: binding it turns the fused path off."""

@@ -28,14 +28,3 @@ class TestRandomStreams:
         s2.stream("other")            # extra consumer created first
         second = s2.stream("main").random(4)
         assert np.array_equal(first, second)
-
-    def test_fork_gives_new_family(self):
-        base = RandomStreams(3)
-        fork = base.fork("trial-1")
-        assert fork.seed != base.seed
-        a = base.stream("m").random(3)
-        b = fork.stream("m").random(3)
-        assert not np.array_equal(a, b)
-
-    def test_fork_deterministic(self):
-        assert RandomStreams(3).fork("x").seed == RandomStreams(3).fork("x").seed

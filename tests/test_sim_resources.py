@@ -1,10 +1,9 @@
-"""Unit tests for stores and resources."""
+"""Unit tests for the FIFO store behind the run queues."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Store
 
 
 @pytest.fixture
@@ -39,11 +38,16 @@ class TestStore:
         store.put("b")
         assert first.value == "a" and second.value == "b"
 
-    def test_try_get_nonblocking(self, env):
+    def test_put_event_delivers_the_event_value(self, env):
+        """The delayed put ``CharmRuntime.send`` arms on a latency timeout."""
         store = Store(env)
-        assert store.try_get() is None
-        store.put(1)
-        assert store.try_get() == 1
+        getter = store.get()
+        env.timeout(1.0, "msg")._cb0 = store.put_event
+        env.run()
+        assert getter.value == "msg" and env.now == 1.0
+        env.timeout(1.0, "late")._cb0 = store.put_event
+        env.run()
+        assert store.items == ("late",)
 
     def test_len_and_items(self, env):
         store = Store(env)
@@ -51,55 +55,3 @@ class TestStore:
         store.put("b")
         assert len(store) == 2
         assert store.items == ("a", "b")
-
-
-class TestPriorityStore:
-    def test_pops_smallest(self, env):
-        store = PriorityStore(env)
-        for v in (3, 1, 2):
-            store.put(v)
-        assert [store.get().value for _ in range(3)] == [1, 2, 3]
-
-    def test_explicit_priority(self, env):
-        store = PriorityStore(env)
-        store.put("low", priority=10)
-        store.put("high", priority=1)
-        assert store.get().value == "high"
-
-    def test_fifo_among_equal_priorities(self, env):
-        store = PriorityStore(env)
-        store.put("first", priority=1)
-        store.put("second", priority=1)
-        assert store.get().value == "first"
-
-    def test_blocked_getter_served_on_put(self, env):
-        store = PriorityStore(env)
-        ev = store.get()
-        store.put(7)
-        assert ev.value == 7
-
-
-class TestResource:
-    def test_grants_up_to_capacity(self, env):
-        res = Resource(env, capacity=2)
-        assert res.request().triggered
-        assert res.request().triggered
-        assert not res.request().triggered
-        assert res.in_use == 2
-        assert res.queue_length == 1
-
-    def test_release_hands_to_waiter(self, env):
-        res = Resource(env, capacity=1)
-        res.request()
-        waiter = res.request()
-        res.release()
-        assert waiter.triggered
-        assert res.in_use == 1
-
-    def test_release_idle_raises(self, env):
-        with pytest.raises(SimulationError):
-            Resource(env).release()
-
-    def test_zero_capacity_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Resource(env, capacity=0)

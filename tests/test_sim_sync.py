@@ -1,103 +1,14 @@
-"""Unit tests for simulated synchronisation primitives."""
+"""Unit tests for the IO threads' wake-up gate."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.sync import CondVar, Gate, Lock, Semaphore
+from repro.sim.sync import Gate
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestLock:
-    def test_uncontended_acquire_immediate(self, env):
-        lock = Lock(env)
-        ev = lock.acquire()
-        assert ev.triggered
-        assert lock.locked
-
-    def test_fifo_handoff(self, env):
-        lock = Lock(env)
-        order = []
-
-        def worker(env, lock, name, hold):
-            yield lock.acquire()
-            order.append(f"{name}-in")
-            yield env.timeout(hold)
-            order.append(f"{name}-out")
-            lock.release()
-
-        env.process(worker(env, lock, "a", 2.0))
-        env.process(worker(env, lock, "b", 1.0))
-        env.process(worker(env, lock, "c", 1.0))
-        env.run()
-        assert order == ["a-in", "a-out", "b-in", "b-out", "c-in", "c-out"]
-
-    def test_release_unlocked_raises(self, env):
-        with pytest.raises(SimulationError):
-            Lock(env).release()
-
-    def test_contention_counters(self, env):
-        lock = Lock(env)
-        lock.acquire()
-        lock.acquire()  # must wait
-        assert lock.total_acquires == 2
-        assert lock.contended_acquires == 1
-
-
-class TestSemaphore:
-    def test_counts_down(self, env):
-        sem = Semaphore(env, value=2)
-        assert sem.acquire().triggered
-        assert sem.acquire().triggered
-        assert not sem.acquire().triggered
-
-    def test_release_wakes_waiter(self, env):
-        sem = Semaphore(env, value=1)
-        sem.acquire()
-        waiter = sem.acquire()
-        assert not waiter.triggered
-        sem.release()
-        assert waiter.triggered
-
-    def test_negative_initial_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Semaphore(env, value=-1)
-
-    def test_release_without_waiters_increments(self, env):
-        sem = Semaphore(env, value=0)
-        sem.release()
-        assert sem.value == 1
-
-
-class TestCondVar:
-    def test_wait_blocks_until_notify(self, env):
-        cond = CondVar(env)
-        ev = cond.wait()
-        assert not ev.triggered
-        assert cond.notify() == 1
-        assert ev.triggered
-
-    def test_notify_without_waiters_is_lost(self, env):
-        cond = CondVar(env)
-        assert cond.notify() == 0
-        ev = cond.wait()
-        assert not ev.triggered  # the earlier notify did not latch
-
-    def test_notify_all(self, env):
-        cond = CondVar(env)
-        waiters = [cond.wait() for _ in range(4)]
-        assert cond.notify_all() == 4
-        assert all(w.triggered for w in waiters)
-
-    def test_fifo_notify_order(self, env):
-        cond = CondVar(env)
-        first, second = cond.wait(), cond.wait()
-        cond.notify(1)
-        assert first.triggered and not second.triggered
 
 
 class TestGate:
@@ -120,14 +31,6 @@ class TestGate:
         gate = Gate(env)
         gate.open()
         gate.close()
-        assert not gate.wait().triggered
-
-    def test_pulse_wakes_without_latching(self, env):
-        gate = Gate(env)
-        waiter = gate.wait()
-        assert gate.pulse() == 1
-        assert waiter.triggered
-        assert not gate.is_open
         assert not gate.wait().triggered
 
     def test_io_thread_wakeup_pattern(self, env):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
-from repro.core.strategies import make_strategy
-from repro.errors import ConfigError, SchedulingError
+from repro.core.strategies import MultiIOThreadStrategy, make_strategy
+from repro.errors import SchedulingError
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.units import GiB, MiB
@@ -67,13 +67,11 @@ class TestDetachedStrategy:
         with pytest.raises(SchedulingError):
             strategy._mgr()
 
-    def test_prefetch_ahead_validation(self):
-        with pytest.raises(ConfigError):
-            make_strategy("multi-io", prefetch_ahead=0)
-
     def test_prefetch_ahead_bounds_run_queue_depth(self):
-        built = run_once("multi-io",
-                         strategy_kwargs={"prefetch_ahead": 1})
+        class Shallow(MultiIOThreadStrategy):
+            prefetch_ahead = 1
+
+        built = run_once(Shallow())
         assert built.manager.tasks_completed == 8
 
 

@@ -116,7 +116,7 @@ def _block(nbytes, *, in_use=False, pinned=False):
 def _task(*blocks):
     """A queued OOCTask over ``blocks``, registered as demand."""
     msg = Message(W(), W._entry_specs["go"])
-    task = OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks], 0.0)
+    task = OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks])
     for block in blocks:
         block.add_demand(task.tid, task)
     return task

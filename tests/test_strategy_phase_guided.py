@@ -75,9 +75,8 @@ TWO_PHASE_GUIDE = v2_guide(
 def run_two_phase(guide, *, chares=8, block=16 * MiB, cores=4,
                   **builder_kwargs):
     built = OOCRuntimeBuilder(
-        "phase-guided", cores=cores, mcdram_capacity=HBM, ddr_capacity=DDR,
-        strategy_kwargs={"guidance": guide},
-        **builder_kwargs).build()
+        PhaseGuidedStrategy(guidance=guide), cores=cores,
+        mcdram_capacity=HBM, ddr_capacity=DDR, **builder_kwargs).build()
     rt = built.runtime
     arr = rt.create_array(TwoPhaseWorker, chares)
     barrier = rt.reducer(chares)

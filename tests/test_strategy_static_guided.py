@@ -92,8 +92,7 @@ class TestPlacement:
         # the test Worker has no guidance record, so every block gets
         # the default density and placement degrades to the baseline
         empty = GuidanceFile(sites={})
-        guided, garr = run_app("static-guided",
-                               strategy_kwargs={"guidance": empty})
+        guided, garr = run_app(StaticGuidedStrategy(guidance=empty))
         naive, narr = run_app("naive")
         assert [c.data.state for c in garr] == [c.data.state for c in narr]
         assert guided.env.now == naive.env.now
@@ -107,9 +106,8 @@ class TestPlacement:
         })
         # 8 chares x 2 x 32 MiB = 512 MiB over a 256 MiB HBM: only the
         # 8 hot blocks fit
-        built, arr = run_app("static-guided", chare=TwoBlockWorker,
-                             chares=8, rounds=1,
-                             strategy_kwargs={"guidance": guide})
+        built, arr = run_app(StaticGuidedStrategy(guidance=guide),
+                             chare=TwoBlockWorker, chares=8, rounds=1)
         assert all(c.hot.state is BlockState.INHBM for c in arr)
         assert all(c.cold.state is BlockState.INDDR for c in arr)
 
@@ -117,8 +115,8 @@ class TestPlacement:
         guide = GuidanceFile(sites={
             "Worker.data": record("Worker", "data", tier="ddr",
                                   priority=0.0)})
-        built, arr = run_app("static-guided", chares=4, rounds=1,
-                             strategy_kwargs={"guidance": guide})
+        built, arr = run_app(StaticGuidedStrategy(guidance=guide),
+                             chares=4, rounds=1)
         assert all(c.data.state is BlockState.INDDR for c in arr)
         assert built.strategy.blocks_pinned_ddr == 4
 

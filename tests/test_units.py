@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.units import (
-    GB, GiB, KiB, MB, MiB, MS, US,
+    GB, GiB, MiB,
     format_bandwidth, format_size, format_time,
     parse_bandwidth, parse_size, parse_time,
 )
