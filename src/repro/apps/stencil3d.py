@@ -157,9 +157,9 @@ class StencilChare(Chare):
             # Single chare: no communication, go straight to compute.
             self.send("compute_kernel", reducer)
             return
-        assert self.array is not None
+        array = self.array  # read once: chares hold their array weakly
         for nbr in self.neighbours:
-            self.array.send(nbr, "recv_ghost", reducer, nbytes=self.ghost_bytes)
+            array.send(nbr, "recv_ghost", reducer, nbytes=self.ghost_bytes)
 
     @entry
     def recv_ghost(self, reducer: Reducer) -> None:

@@ -36,7 +36,9 @@ class OOCManager:
     def __init__(self, runtime: CharmRuntime, strategy: "Strategy", *,
                  eviction: EvictionPolicy | None = None,
                  node_level_run_queue: bool = False):
-        self.runtime = runtime
+        #: the runtime's PEs; the runtime itself is not kept, because it
+        #: holds this manager as its interceptor
+        self.pes = runtime.pes
         self.env = runtime.env
         self.machine = runtime.machine
         self.topology = self.machine.topology
@@ -139,7 +141,7 @@ class OOCManager:
         """
         if not self.node_level_run_queue:
             return origin
-        return min(self.runtime.pes,
+        return min(self.pes,
                    key=lambda p: (len(p.run_queue), p.id))
 
     # -- in-flight move registry ------------------------------------------------------

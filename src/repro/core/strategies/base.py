@@ -17,6 +17,7 @@ centralises the fiddly parts every strategy needs:
 from __future__ import annotations
 
 import typing as _t
+import weakref
 
 from repro import hooks as _probe
 from repro.errors import CapacityError, ConfigError, SchedulingError
@@ -32,6 +33,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Strategy"]
 
 
+def _detached() -> None:
+    """The manager reference of a strategy not attached yet."""
+    return None
+
+
 class Strategy:
     """Base class for all scheduling strategies."""
 
@@ -41,7 +47,9 @@ class Strategy:
     intercepts = True
 
     def __init__(self) -> None:
-        self.manager: "OOCManager | None" = None
+        #: returns the attached manager, else None: a weak reference,
+        #: because the manager holds its strategy
+        self._manager: _t.Callable[[], "OOCManager | None"] = _detached
         self.fetches = 0
         self.evictions = 0
         self.bytes_fetched = 0
@@ -55,8 +63,13 @@ class Strategy:
 
     # -- lifecycle ---------------------------------------------------------------
 
+    @property
+    def manager(self) -> "OOCManager | None":
+        """The manager this strategy is attached to, else None."""
+        return self._manager()
+
     def attach(self, manager: "OOCManager") -> None:
-        self.manager = manager
+        self._manager = weakref.ref(manager)
         self.setup()
 
     def setup(self) -> None:
@@ -98,9 +111,10 @@ class Strategy:
     # -- shared machinery -----------------------------------------------------------
 
     def _mgr(self) -> "OOCManager":
-        if self.manager is None:
+        manager = self._manager()
+        if manager is None:
             raise SchedulingError(f"strategy {self.name!r} is not attached")
-        return self.manager
+        return manager
 
     def _require_pes(self) -> list[PE]:
         """The runtime's PEs, validated non-empty.
@@ -109,7 +123,7 @@ class Strategy:
         zero-PE runtime must fail loudly at :meth:`setup` instead of with a
         ``ZeroDivisionError`` on the first scan.
         """
-        pes = self._mgr().runtime.pes
+        pes = self._mgr().pes
         if not pes:
             raise ConfigError(
                 f"strategy {self.name!r} needs at least one PE; "
@@ -254,7 +268,7 @@ class Strategy:
         for the ``== 0`` test — which is all the watermarks ask.
         """
         total = 0
-        for pe in self._mgr().runtime.pes:
+        for pe in self._mgr().pes:
             for task in pe.wait_queue:
                 total += task.missing
                 if total >= cap:

@@ -111,7 +111,7 @@ class NoIOThreadStrategy(Strategy):
     def _nudge_starved_pes(self, except_pe: int) -> None:
         """Post RetryFetch to parked PEs whose head task could now fit."""
         mgr = self._mgr()
-        for other in mgr.runtime.pes:
+        for other in mgr.pes:
             if other.id == except_pe or not other.wait_queue:
                 continue
             if other.id in self._retry_pending:

@@ -76,7 +76,7 @@ class SingleIOThreadStrategy(Strategy):
 
     def _io_main(self) -> _t.Generator:
         mgr = self._mgr()
-        pes = mgr.runtime.pes
+        pes = mgr.pes
         assert self.gate is not None
         while True:
             self.gate.close()

@@ -15,6 +15,7 @@ payload instead of letting one bad config kill the whole sweep.
 from __future__ import annotations
 
 import functools
+import gc
 import time
 import traceback
 import typing as _t
@@ -60,7 +61,9 @@ def run_memcpy_spec(params: _t.Mapping[str, _t.Any]) -> dict:
     done = [env.process(node.mover.move(b, dst), name=f"mv{i}")
             for i, b in enumerate(blocks)]
     env.run(env.all_of(done))
-    return {"elapsed": env.now}
+    elapsed = env.now
+    env.close()
+    return {"elapsed": elapsed}
 
 
 def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
@@ -68,7 +71,9 @@ def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
 
     A traced run (``params["trace"]``, set by the Figure 5/6 stencil
     specs) subscribes a :class:`~repro.trace.Tracer` for the app run
-    only, so no later run in this process sees its probe points.
+    only, so no later run in this process sees its probe points.  Once
+    the result is read, ``Environment.close()`` ends the run, so its
+    object graph frees by reference count.
     """
     from repro.exec.apps import APPS, build
     from repro.sim.environment import Environment
@@ -106,6 +111,7 @@ def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
         out["utilization"] = report.mean_utilization()
         out["preprocess_per_task"] = \
             report.mean_preprocess_per_task(tasks_per_pe)
+    env.close()
     return out
 
 
@@ -153,6 +159,11 @@ def execute_spec(payload: _t.Mapping[str, _t.Any]) -> dict:
     Always returns a structured payload — ``{"ok": True, "result", ...}``
     or ``{"ok": False, "error", "traceback"}`` — so one failed spec
     reports an error row instead of killing the sweep.
+
+    The spec runs with the cyclic garbage collector paused: a run frees
+    its object graph by reference count (app runs end with
+    ``Environment.close()``), so a collection in mid-run would only walk
+    live objects.  The caller's collector state is restored on return.
     """
     t0 = time.perf_counter()
     try:
@@ -161,11 +172,16 @@ def execute_spec(payload: _t.Mapping[str, _t.Any]) -> dict:
         return {"ok": False, "elapsed_s": 0.0,
                 "error": f"unknown spec kind {payload.get('kind')!r}",
                 "traceback": ""}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         result = executor(payload["params"])
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return {"ok": False, "elapsed_s": time.perf_counter() - t0,
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc()}
+    finally:
+        if collecting:
+            gc.enable()
     return {"ok": True, "elapsed_s": time.perf_counter() - t0,
             "result": result}

@@ -405,38 +405,44 @@ def loop_nests(func: ast.FunctionDef | ast.AsyncFunctionDef,
     config-aware evaluator).  Nested function bodies are not descended
     into — they have their own nests.
     """
-    evaluate = evaluate or _const_evaluator
+    return _nest(func.body, 0, evaluate or _const_evaluator)
 
-    def walk(stmts: _t.Sequence[ast.stmt], depth: int) -> list[Loop]:
-        loops: list[Loop] = []
-        for stmt in stmts:
-            if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-                node = _t.cast("ast.While | ast.For", stmt)
-                bounded, trip = _loop_trip(node, evaluate)
-                loop = Loop(
-                    node=node, line=stmt.lineno,
-                    kind="while" if isinstance(stmt, ast.While) else "for",
-                    bounded=bounded, trip=trip, depth=depth)
-                loop.children = walk(stmt.body, depth + 1)
-                loops.append(loop)
-                loops.extend(walk(stmt.orelse, depth))
-            elif isinstance(stmt, ast.If):
-                loops.extend(walk(stmt.body, depth))
-                loops.extend(walk(stmt.orelse, depth))
-            elif isinstance(stmt, ast.Try):
-                loops.extend(walk(stmt.body, depth))
-                for handler in stmt.handlers:
-                    loops.extend(walk(handler.body, depth))
-                loops.extend(walk(stmt.orelse, depth))
-                loops.extend(walk(stmt.finalbody, depth))
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                loops.extend(walk(stmt.body, depth))
-            elif isinstance(stmt, ast.Match):
-                for case in stmt.cases:
-                    loops.extend(walk(case.body, depth))
-        return loops
 
-    return walk(func.body, 0)
+def _nest(stmts: _t.Sequence[ast.stmt], depth: int,
+          evaluate: Evaluator) -> list[Loop]:
+    """The loops of ``stmts`` at nesting ``depth``, children filled in.
+
+    Module level rather than a closure inside :func:`loop_nests`: a
+    self-referencing nested function is a function<->cell cycle that
+    only the garbage collector frees.
+    """
+    loops: list[Loop] = []
+    for stmt in stmts:
+        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
+            node = _t.cast("ast.While | ast.For", stmt)
+            bounded, trip = _loop_trip(node, evaluate)
+            loop = Loop(
+                node=node, line=stmt.lineno,
+                kind="while" if isinstance(stmt, ast.While) else "for",
+                bounded=bounded, trip=trip, depth=depth)
+            loop.children = _nest(stmt.body, depth + 1, evaluate)
+            loops.append(loop)
+            loops.extend(_nest(stmt.orelse, depth, evaluate))
+        elif isinstance(stmt, ast.If):
+            loops.extend(_nest(stmt.body, depth, evaluate))
+            loops.extend(_nest(stmt.orelse, depth, evaluate))
+        elif isinstance(stmt, ast.Try):
+            loops.extend(_nest(stmt.body, depth, evaluate))
+            for handler in stmt.handlers:
+                loops.extend(_nest(handler.body, depth, evaluate))
+            loops.extend(_nest(stmt.orelse, depth, evaluate))
+            loops.extend(_nest(stmt.finalbody, depth, evaluate))
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            loops.extend(_nest(stmt.body, depth, evaluate))
+        elif isinstance(stmt, ast.Match):
+            for case in stmt.cases:
+                loops.extend(_nest(case.body, depth, evaluate))
+    return loops
 
 
 def iter_loops(loops: list[Loop]) -> _t.Iterator[Loop]:

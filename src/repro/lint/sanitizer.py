@@ -321,14 +321,14 @@ class SimSanitizer:
                 "SAN206",
                 f"{len(mgr._inflight)} move(s) still in flight at shutdown",
                 inflight=names)
-        pending_wait = sum(len(pe.wait_queue) for pe in mgr.runtime.pes)
+        pending_wait = sum(len(pe.wait_queue) for pe in mgr.pes)
         if pending_wait:
             self._report(
                 "SAN206",
                 f"{pending_wait} task(s) still parked in wait queues at "
                 "shutdown — their prefetch will never complete",
                 waiting=pending_wait)
-        pending_run = sum(len(pe.run_queue) for pe in mgr.runtime.pes)
+        pending_run = sum(len(pe.run_queue) for pe in mgr.pes)
         if pending_run:
             self._report(
                 "SAN206",

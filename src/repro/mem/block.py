@@ -76,14 +76,13 @@ class DataBlock:
         "bid", "name", "nbytes", "state", "device", "allocation",
         "_refcount", "_pending", "_next_use", "pinned",
         "last_scheduled_at", "last_evicted_at", "fetch_count",
-        "evict_count", "bytes_moved", "payload", "owner", "_idle_index",
+        "evict_count", "bytes_moved", "payload", "_idle_index",
     )
 
     def __init__(self, name: str, nbytes: int, *,
                  state: BlockState = BlockState.INDDR,
                  device: "MemoryDevice | None" = None,
-                 payload: _t.Any = None,
-                 owner: _t.Any = None):
+                 payload: _t.Any = None):
         if nbytes < 0:
             raise BlockStateError(f"block {name!r} size must be >= 0")
         self.bid = next(_block_ids)
@@ -111,13 +110,11 @@ class DataBlock:
         self.evict_count = 0
         self.bytes_moved = 0
         self.payload = payload
-        #: chare (or other object) that declared this handle, for tracing
-        self.owner = owner
         # The idle index of the device this block is settled on in HBM
-        # (``MemoryDevice.idle_blocks``), else None.  The block is in that
-        # dict exactly while its refcount is 0; retain/release/begin_move/
-        # settle keep it so.
-        self._idle_index: "dict[int, DataBlock] | None" = None
+        # (``MemoryDevice.idle_blocks``), else None.  The block's bid is
+        # in that dict exactly while its refcount is 0; retain/release/
+        # begin_move/settle keep it so.
+        self._idle_index: "dict[int, None] | None" = None
 
     # -- reference counting -------------------------------------------------
 
@@ -150,7 +147,7 @@ class DataBlock:
                 f"refcount underflow on block {self.name!r}")
         self._refcount -= 1
         if self._refcount == 0 and self._idle_index is not None:
-            self._idle_index[self.bid] = self
+            self._idle_index[self.bid] = None
         return self._refcount
 
     @property
@@ -235,7 +232,7 @@ class DataBlock:
                 if self._idle_index is not None:
                     del self._idle_index[self.bid]
                 if index is not None:
-                    index[self.bid] = self
+                    index[self.bid] = None
             self._idle_index = index
         if _probe.on_settle is not None:
             _probe.on_settle(self)

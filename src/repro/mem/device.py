@@ -22,7 +22,6 @@ from repro.units import format_bandwidth, format_size
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mem.allocator import Allocation, Allocator
-    from repro.mem.block import DataBlock
 
 __all__ = ["MemoryDevice"]
 
@@ -58,10 +57,13 @@ class MemoryDevice:
         #: cumulative traffic counters (bytes)
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        #: the idle index: blocks settled here in INHBM with refcount 0,
-        #: by bid — the eviction candidates.  DataBlock's retain/release/
+        #: the idle index: the bids of the blocks settled here in INHBM
+        #: with refcount 0 — the eviction candidates — as an insertion-
+        #: ordered dict of ``bid -> None``.  Ids, not blocks: a block
+        #: points at its device, so holding blocks here would make every
+        #: idle block a reference cycle.  DataBlock's retain/release/
         #: begin_move/settle maintain it; only the HBM node keeps one.
-        self.idle_blocks: "dict[int, DataBlock] | None" = (
+        self.idle_blocks: "dict[int, None] | None" = (
             {} if numa_node == HBM_NODE else None)
 
     # -- capacity ---------------------------------------------------------------

@@ -58,9 +58,9 @@ class BlockRegistry:
         idle blocks rather than the registry.  ``pinned`` and membership
         are checked here: the index tracks only state and refcount.
         """
-        blocks = self._blocks
-        return [b for index in self._idle_indices for b in index.values()
-                if not b.pinned and b.bid in blocks]
+        get = self._blocks.get
+        return [b for index in self._idle_indices for bid in index
+                if (b := get(bid)) is not None and not b.pinned]
 
     def total_bytes(self) -> int:
         return sum(b.nbytes for b in self._blocks.values())

@@ -179,6 +179,7 @@ def run_schedule(runner: Runner, seed: int | None = None, *,
             outcome.tasks_completed = manager.summary().get("tasks_completed")
         except Exception:  # noqa: BLE001 - summary is best-effort
             outcome.tasks_completed = None
+    env.close()
     return outcome
 
 

@@ -10,6 +10,7 @@ working set is far larger.
 from __future__ import annotations
 
 import typing as _t
+import weakref
 from itertools import count
 
 from repro.errors import ChareError
@@ -43,7 +44,9 @@ class Chare:
         self.runtime: "CharmRuntime | None" = None
         self.index: tuple[int, ...] = ()
         self.pe_id: int = -1
-        self.array: "ChareArray | None" = None
+        #: weak reference to the owning array (which holds its elements),
+        #: else None; read through :attr:`array`
+        self._array: "weakref.ref[ChareArray] | None" = None
         #: ``Type[i,j]``: names blocks and execute spans; set by _bind
         self.label = f"{type(self).__name__}[]"
         #: blocks declared by this chare, in declaration order
@@ -56,8 +59,17 @@ class Chare:
         self.runtime = runtime
         self.index = index
         self.pe_id = pe_id
-        self.array = array
+        self._array = None if array is None else weakref.ref(array)
         self.label = f"{type(self).__name__}[{','.join(map(str, index))}]"
+
+    @property
+    def array(self) -> "ChareArray | None":
+        """The chare array this chare belongs to (None for a node group).
+
+        Held weakly, so a run's chares and arrays free by reference
+        count: whoever created the array keeps it alive.
+        """
+        return None if self._array is None else self._array()
 
     def entry_spec(self, name: str) -> EntrySpec:
         try:
@@ -79,8 +91,7 @@ class Chare:
         if self.runtime is None:
             raise ChareError(
                 f"declare_block before {self.label} was inserted into the runtime")
-        block = DataBlock(f"{self.label}.{name}", nbytes,
-                          payload=payload, owner=self)
+        block = DataBlock(f"{self.label}.{name}", nbytes, payload=payload)
         self.runtime.machine.registry.register(block)
         self.blocks.append(block)
         return block

@@ -20,22 +20,15 @@ from repro.runtime.pe import PE
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import CharmRuntime
 
-__all__ = ["STOP", "converse_scheduler"]
-
-
-class _Stop:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<STOP>"
-
-
-#: sentinel that shuts a PE scheduler down
-STOP = _Stop()
+__all__ = ["converse_scheduler"]
 
 
 def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
     """The scheduler loop bound to one PE (one simulated process).
 
-    Entry methods run inline: a plain one makes no generator frame.
+    Entry methods run inline: a plain one makes no generator frame.  The
+    loop never returns: it stays parked on its run queue until
+    ``Environment.close()`` ends the run.
     """
     env = runtime.env
     get = pe.run_queue.get
@@ -53,8 +46,6 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
                 pe.note_overhead(env._now - started)
                 continue
             message, task = item, None
-        elif item is STOP:
-            break
         elif isinstance(item, ReadyTask):
             message, task = item.message, item.task
         elif isinstance(item, RetryFetch):
@@ -71,7 +62,6 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
         chare = message.target
         spec = message.entry
         started = env._now
-        message.delivered_at = started
         pe.messages_delivered += 1
         if _probe.on_deliver is not None:
             _probe.on_deliver(pe, message, task)
@@ -96,4 +86,3 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
             post_started = env._now
             yield from runtime.interceptor.post_process(pe, task)
             pe.note_overhead(env._now - post_started)
-    pe.stopped_at = env.now

@@ -23,11 +23,11 @@ class Message:
     """An entry-method invocation in flight (never subclassed)."""
 
     __slots__ = ("mid", "target", "entry", "args", "kwargs", "nbytes",
-                 "created_at", "delivered_at", "intercepted")
+                 "intercepted")
 
     def __init__(self, target: "Chare", entry: "EntrySpec",
                  args: tuple = (), kwargs: dict | None = None,
-                 nbytes: int = 0, created_at: float = 0.0):
+                 nbytes: int = 0):
         self.mid = next(_msg_ids)
         self.target = target
         self.entry = entry
@@ -35,8 +35,6 @@ class Message:
         self.kwargs = {} if kwargs is None else kwargs
         #: payload size, for communication-cost accounting
         self.nbytes = nbytes if type(nbytes) is int else int(nbytes)
-        self.created_at = created_at
-        self.delivered_at: float | None = None
         #: set once the OOC manager has seen this message, so a ready task
         #: re-entering the converse queue is not intercepted twice
         self.intercepted = False

@@ -47,7 +47,6 @@ class PE:
         self.tasks_executed = 0
         self.messages_delivered = 0
         self.started_at: float | None = None
-        self.stopped_at: float | None = None
 
     # -- wait queue helpers (FIFO, as the paper specifies) ---------------------
 
@@ -77,11 +76,10 @@ class PE:
 
     @property
     def wall_time(self) -> float:
-        """Scheduler lifetime (start to stop, or to 'now' while running)."""
+        """Scheduler lifetime: from its start to ``now``."""
         if self.started_at is None:
             return 0.0
-        end = self.stopped_at if self.stopped_at is not None else self.env.now
-        return end - self.started_at
+        return self.env.now - self.started_at
 
     @property
     def idle_time(self) -> float:

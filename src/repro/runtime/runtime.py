@@ -49,8 +49,6 @@ class CharmRuntime:
                               for i in range(n_pes)]
         #: the OOC manager, installed by :meth:`install_interceptor`
         self.interceptor: Interceptor | None = None
-        self.arrays: list[ChareArray] = []
-        self.node_groups: list[NodeGroup] = []
         self.messages_sent = 0
         for pe in self.pes:
             pe.scheduler_process = self.env.process(
@@ -70,7 +68,11 @@ class CharmRuntime:
                      indices: _t.Sequence[Index] | int, *,
                      pe_map: _t.Mapping[Index, int] | None = None,
                      name: str = "") -> ChareArray:
-        """Create a chare array over ``indices`` (int = 1-D range)."""
+        """Create a chare array over ``indices`` (int = 1-D range).
+
+        The runtime keeps no reference to the array, and its chares hold
+        it weakly: the caller keeps it alive for as long as it runs.
+        """
         if isinstance(indices, int):
             index_list: list[Index] = [(i,) for i in range(indices)]
         else:
@@ -80,16 +82,13 @@ class CharmRuntime:
             raise ChareError("a chare array needs at least one element")
         if pe_map is None:
             pe_map = round_robin_map(index_list, len(self.pes))
-        array = ChareArray(self, cls, index_list, pe_map, name=name)
-        self.arrays.append(array)
-        return array
+        return ChareArray(self, cls, index_list, pe_map, name=name)
 
     def create_node_group(self, cls: type[NodeGroup] = NodeGroup,
                           *args: _t.Any, **kwargs: _t.Any) -> NodeGroup:
         """Create a node group (one instance: we simulate one node)."""
         group = cls(*args, **kwargs)
         group._bind(self, (0,), 0, None)
-        self.node_groups.append(group)
         return group
 
     # -- messaging ------------------------------------------------------------------
@@ -106,7 +105,7 @@ class CharmRuntime:
         spec = (target._entry_specs.get(entry_name)
                 or target.entry_spec(entry_name))  # raises the ChareError
         env = self.env
-        msg = Message(target, spec, args, kwargs, nbytes, env._now)
+        msg = Message(target, spec, args, kwargs, nbytes)
         self.messages_sent += 1
         if _probe.on_send is not None:
             _probe.on_send(msg)
@@ -130,5 +129,4 @@ class CharmRuntime:
         return self.env.run(until=event)
 
     def __repr__(self) -> str:
-        return (f"<CharmRuntime pes={len(self.pes)} arrays={len(self.arrays)} "
-                f"sent={self.messages_sent}>")
+        return f"<CharmRuntime pes={len(self.pes)} sent={self.messages_sent}>"

@@ -428,6 +428,34 @@ class Environment:
             raise target._value
         return target._value
 
+    def close(self) -> None:
+        """End the run: close every live process, drop every pending event.
+
+        Parked processes get ``GeneratorExit``, which clears their frames;
+        dropped events lose their callbacks (the fluid network's pending
+        flush holds a bound method of the network).  With nothing pointing
+        from here into the run, its graph frees by reference count.  No
+        probe point fires; the environment must not be run again.
+        """
+        for process in list(self._active.values()):
+            process.generator.close()
+        self._active.clear()
+        for events in [self._agenda_urgent, self._agenda_normal,
+                       [entry[2] for entry in self._keyed],
+                       *self._buckets.values(), *self._urgent_buckets.values()]:
+            for event in events:
+                event._cb0 = event._cbs = None
+        self._agenda_urgent.clear()
+        self._agenda_normal.clear()
+        self._buckets.clear()
+        self._urgent_buckets.clear()
+        self._times.clear()
+        self._keyed.clear()
+        self._tcache_t = -1.0
+        self._tcache = None
+        self._live = self._dead = 0
+        self.active_process = None
+
     # -- diagnostics ----------------------------------------------------------
 
     def register_process(self, process: "Process") -> None:

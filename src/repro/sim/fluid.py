@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import typing as _t
+import weakref
 from bisect import insort
 from itertools import chain, count
 from operator import attrgetter
@@ -87,7 +88,7 @@ _by_remaining = attrgetter("remaining")
 class Link:
     """A capacity-limited pipe, e.g. the read port of a memory device."""
 
-    __slots__ = ("name", "capacity", "uid", "network", "_classes")
+    __slots__ = ("name", "capacity", "uid", "_network", "_classes")
 
     def __init__(self, name: str, capacity: float, *, uid: int = 0,
                  network: "FluidNetwork | None" = None):
@@ -98,7 +99,8 @@ class Link:
         self.capacity = float(capacity)
         #: creation index; orders the capacities of a memo key
         self.uid = uid
-        self.network = network
+        #: the owning network, held weakly (the network holds the link)
+        self._network = None if network is None else weakref.ref(network)
         #: ids of every flow class crossing this link, live or not, in
         #: creation order (appended when the class is created)
         self._classes: list[int] = []
@@ -106,7 +108,7 @@ class Link:
     @property
     def utilization(self) -> float:
         """Instantaneous fraction of capacity in use."""
-        network = self.network
+        network = None if self._network is None else self._network()
         if network is None:
             return 0.0
         if network._dirty:

@@ -89,6 +89,11 @@ def recorder():
         _probe.unsubscribe(rec)
 
 
+def _delivered(calls):
+    """message id -> the instant its entry began (``on_execute_begin``)."""
+    return {c[2].mid: c[4] for c in calls if c[0] == "begin"}
+
+
 def _check_probe_triples(calls, messages, tasks=None):
     """deliver, begin, end fire once per message, in that order, consistently."""
     by_message = {}
@@ -106,13 +111,13 @@ def _check_probe_triples(calls, messages, tasks=None):
         assert begin[1] == end[1] == pe_id
         assert begin[2] is end[2] is msg
         assert begin[3] is task and end[3] is task
-        assert begin[4] == end[4] == msg.delivered_at
+        assert begin[4] == end[4]
         assert end[5] >= end[4]
         assert end[6] == f"{msg.target.label}.{msg.entry.name}"
 
 
 class TestLatency:
-    def test_delivered_at_is_created_at_plus_latency(self):
+    def test_delivery_is_send_plus_latency(self, recorder):
         rt = make_runtime(message_latency=LATENCY)
         arr = rt.create_array(Worker, 2)
         first = rt.send(arr[0], "plain", "a")
@@ -120,9 +125,9 @@ class TestLatency:
         rt.env.run(until=1.0)
         later = rt.send(arr[0], "plain", "c")
         rt.env.run()
-        for msg in (first, second, later):
-            assert msg.delivered_at == msg.created_at + LATENCY
-        assert later.created_at == 1.0
+        delivered = _delivered(recorder.calls)
+        assert delivered[first.mid] == delivered[second.mid] == LATENCY
+        assert delivered[later.mid] == 1.0 + LATENCY
 
     def test_sends_from_inside_an_entry_carry_the_latency(self):
         rt = make_runtime(cores=1, message_latency=LATENCY)
@@ -132,12 +137,13 @@ class TestLatency:
         assert [tag for tag, _ in arr[0].log] == ["x", "y"]
         assert [t for _, t in arr[0].log] == [LATENCY + LATENCY] * 2
 
-    def test_zero_latency_delivers_at_the_send_instant(self):
+    def test_zero_latency_delivers_at_the_send_instant(self, recorder):
         rt = make_runtime(message_latency=0.0)
         arr = rt.create_array(Worker, 1)
+        rt.env.run(until=0.5)
         msg = rt.send(arr[0], "plain", "now")
         rt.env.run()
-        assert msg.delivered_at == msg.created_at == 0.0
+        assert _delivered(recorder.calls) == {msg.mid: 0.5}
 
 
 class TestOrdering:
@@ -200,12 +206,14 @@ class TestDeliveryProbes:
         rt.env.run()
         _check_probe_triples(recorder.calls, msgs,
                              tasks={m.mid: None for m in msgs})
+        delivered = _delivered(recorder.calls)
+        assert all(t == LATENCY for t in delivered.values())
         ends = {c[2].mid: c for c in recorder.calls if c[0] == "end"}
         assert ends[msgs[0].mid][5] == ends[msgs[0].mid][4]
         assert ends[msgs[1].mid][5] == pytest.approx(
-            msgs[1].delivered_at + 0.125)
+            delivered[msgs[1].mid] + 0.125)
         assert ends[msgs[2].mid][5] == pytest.approx(
-            msgs[2].delivered_at + 0.25)
+            delivered[msgs[2].mid] + 0.25)
 
     def test_ready_tasks(self, recorder):
         built = OOCRuntimeBuilder("multi-io", cores=2, mcdram_capacity=GiB,

@@ -289,11 +289,24 @@ class InflightRecorder:
         self.calls.append(hbm_used)
 
 
+class AllPoints:
+    """Records every catalogued probe point it is called through."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        if name not in probe.CATALOGUE:
+            raise AttributeError(name)
+        return lambda *args: self.calls.append(name)
+
+
 class TestDroppedRuntime:
-    """A runtime dropped mid-run fires nothing into a later subscriber."""
+    """A runtime dropped or closed mid-run fires nothing into a later
+    subscriber."""
 
     @staticmethod
-    def _start_and_drop() -> int:
+    def _start():
         from repro.apps.stencil3d import Stencil3D, StencilConfig
         from repro.core.api import OOCRuntimeBuilder
         from repro.units import MiB
@@ -307,7 +320,11 @@ class TestDroppedRuntime:
         app.array.broadcast("exchange", built.runtime.reducer(len(app.array)))
         built.env.run(until=built.env.now + 1e-4)
         # the strategy generators moving these blocks stay suspended
-        return len(built.manager._inflight)
+        return built
+
+    @classmethod
+    def _start_and_drop(cls) -> int:
+        return len(cls._start().manager._inflight)
 
     def test_finalizing_suspended_moves_fires_no_probe_points(self):
         gc.collect()
@@ -319,3 +336,16 @@ class TestDroppedRuntime:
         finally:
             probe.unsubscribe(recorder)
         assert recorder.calls == []
+
+    def test_closing_suspended_moves_fires_no_probe_points(self):
+        built = self._start()
+        assert len(built.manager._inflight) == 8
+        recorder = AllPoints()
+        probe.subscribe(recorder)
+        try:
+            built.env.close()
+        finally:
+            probe.unsubscribe(recorder)
+        assert recorder.calls == []
+        assert built.env.active_process_names == ()
+        assert built.env.live_entry_count() == 0

@@ -81,13 +81,13 @@ class IdleIndexOracle:
         self.check()
 
     def check(self):
-        rescan = {b.bid: b for b in self.registry
+        rescan = {b.bid: None for b in self.registry
                   if b.state is BlockState.INHBM and b.refcount == 0}
         assert self.index == rescan, (
             f"index-only {sorted(self.index.keys() - rescan.keys())}, "
             f"rescan-only {sorted(rescan.keys() - self.index.keys())}")
         strategy = self.strategy
-        full = sum(task.missing for pe in strategy.manager.runtime.pes
+        full = sum(task.missing for pe in strategy.manager.pes
                    for task in pe.wait_queue)
         cap = max(1, int(strategy.watermark_high
                          * strategy.manager.tracker.budget))

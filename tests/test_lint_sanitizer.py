@@ -268,8 +268,11 @@ class TestPR1RegressionsUnderSanitizer:
         from types import SimpleNamespace
 
         from repro.core.strategies import make_strategy
+
+        class Manager(SimpleNamespace):
+            """A fake manager the strategy can hold weakly."""
+
         strategy = make_strategy("multi-io")
         with pytest.raises(ConfigError, match="at least one PE"):
-            strategy.attach(SimpleNamespace(
-                env=Environment(), runtime=SimpleNamespace(pes=[])))
+            strategy.attach(Manager(env=Environment(), pes=[]))
         assert san.violations == []

@@ -227,11 +227,11 @@ class TestMissingLedger:
 
 class TestIdleIndex:
     """retain/release/begin_move/settle keep ``hbm.idle_blocks`` equal to
-    the blocks settled in HBM with refcount 0."""
+    the bids of the blocks settled in HBM with refcount 0."""
 
     def test_placement_in_hbm_indexes_an_idle_block(self, node):
         block = placed(node, "b", MiB, node.hbm)
-        assert node.hbm.idle_blocks == {block.bid: block}
+        assert node.hbm.idle_blocks == {block.bid: None}
         assert node.ddr.idle_blocks is None
 
     def test_retain_from_zero_removes(self, node):
@@ -248,7 +248,7 @@ class TestIdleIndex:
         block.release()  # 2 -> 1: still in use
         assert node.hbm.idle_blocks == {}
         block.release()
-        assert node.hbm.idle_blocks == {block.bid: block}
+        assert node.hbm.idle_blocks == {block.bid: None}
 
     def test_refcount_on_ddr_block_never_indexes(self, node):
         block = placed(node, "b", MiB, node.ddr)
@@ -271,9 +271,9 @@ class TestIdleIndex:
         for block in (idle, busy):
             block.begin_move()
             block.settle(node.hbm, BlockState.INHBM)
-        assert node.hbm.idle_blocks == {idle.bid: idle}
+        assert node.hbm.idle_blocks == {idle.bid: None}
         busy.release()
-        assert node.hbm.idle_blocks == {idle.bid: idle, busy.bid: busy}
+        assert node.hbm.idle_blocks == {idle.bid: None, busy.bid: None}
 
     def test_settle_to_ddr_leaves_it_out(self, node):
         block = placed(node, "b", MiB, node.hbm)
@@ -300,7 +300,7 @@ class TestIdleIndex:
         assert big.moving and node.hbm.idle_blocks == {}
         with pytest.raises(CapacityError):
             env.run(until=proc)
-        assert big.in_hbm and node.hbm.idle_blocks == {big.bid: big}
+        assert big.in_hbm and node.hbm.idle_blocks == {big.bid: None}
 
     def test_replacement_without_move_follows_the_device(self, node):
         block = placed(node, "b", MiB, node.hbm)

@@ -6,7 +6,6 @@ from repro.core.api import OOCRuntimeBuilder
 from repro.errors import EntryMethodError
 from repro.machine.knl import build_knl
 from repro.runtime.chare import Chare
-from repro.runtime.converse import STOP
 from repro.runtime.entry import entry
 from repro.runtime.interception import RetryFetch
 from repro.runtime.runtime import CharmRuntime
@@ -28,14 +27,6 @@ class TestConverse:
         rt.pes[0].run_queue.put("garbage")
         with pytest.raises(EntryMethodError):
             rt.env.run()
-
-    def test_stop_sentinel_halts_scheduler(self):
-        node = build_knl(Environment(), cores=1, mcdram_capacity=GiB,
-                         ddr_capacity=2 * GiB)
-        rt = CharmRuntime(node)
-        rt.pes[0].run_queue.put(STOP)
-        rt.env.run()
-        assert rt.pes[0].stopped_at is not None
 
     def test_retry_without_interceptor_is_noop(self):
         node = build_knl(Environment(), cores=1, mcdram_capacity=GiB,

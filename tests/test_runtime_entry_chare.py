@@ -200,7 +200,7 @@ class TestChareArray:
         arr = rt.create_array(Sample, 1)
         block = arr[(0,)].declare_block("grid", 2 * MiB)
         assert block in rt.machine.registry
-        assert block.owner is arr[(0,)]
+        assert arr[(0,)].blocks == [block]
         assert block.name == "Sample[0].grid"
 
     def test_declare_block_on_unbound_chare_rejected(self):

@@ -53,8 +53,7 @@ class TestPE:
         env.run(until=10.0)
         pe.busy_time += 4.0
         pe.note_overhead(1.0)
-        pe.stopped_at = 10.0
-        assert pe.wall_time == 10.0
+        assert pe.wall_time == env.now == 10.0
         assert pe.idle_time == 5.0
 
     def test_wall_time_zero_before_start(self):

@@ -49,9 +49,12 @@ def run_once(strategy, chares=8, block=8 * MiB, **kwargs):
     return built
 
 
+class _Manager(SimpleNamespace):
+    """A fake manager a strategy can hold weakly, as it holds the real one."""
+
+
 def _zero_pe_manager():
-    return SimpleNamespace(env=Environment(),
-                           runtime=SimpleNamespace(pes=[]))
+    return _Manager(env=Environment(), pes=[])
 
 
 class TestZeroPEValidation:
@@ -145,8 +148,7 @@ def _capacity_manager(*, uncommitted, budget=100 * MiB, registry=(),
         env=node.env,
         tracker=SimpleNamespace(budget=budget, uncommitted=uncommitted,
                                 can_fit=lambda n: False),
-        runtime=SimpleNamespace(
-            pes=[SimpleNamespace(wait_queue=tasks)]),
+        pes=[SimpleNamespace(wait_queue=tasks)],
         registry=node.registry,
         eviction=_CountingEviction(),
         change_epoch=0,
@@ -164,7 +166,8 @@ def _drain(gen):
 class TestWatermarkMemoization:
     def _strategy(self, mgr):
         strategy = make_strategy("multi-io")
-        strategy.manager = mgr  # bypass setup: exercise the cache directly
+        # bypass attach() and its setup: exercise the cache directly
+        strategy._manager = lambda: mgr
         return strategy
 
     def test_fruitless_scan_memoized_within_epoch(self):
@@ -194,7 +197,7 @@ class TestWatermarkMemoization:
         missing = _block(MiB)
         mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
         strategy = self._strategy(mgr)
-        queued = mgr.runtime.pes[0].wait_queue[0]
+        queued = mgr.pes[0].wait_queue[0]
         assert strategy.missing_bytes(queued) == MiB
         missing.begin_move()
         assert strategy.missing_bytes(queued) == 0
@@ -206,7 +209,7 @@ class TestWatermarkMemoization:
 class TestFreeableCacheInvalidation:
     def _strategy(self, mgr):
         strategy = make_strategy("multi-io")
-        strategy.manager = mgr
+        strategy._manager = lambda: mgr
         return strategy
 
     def test_freeable_scan_cached_within_epoch(self):
