@@ -85,15 +85,6 @@ class MatMulConfig:
         return self.block_dim * self.block_dim * ELEMENT_BYTES
 
     @property
-    def matrix_bytes(self) -> int:
-        return self.n * self.n * ELEMENT_BYTES
-
-    @property
-    def total_working_set(self) -> int:
-        """A + B + C."""
-        return 3 * self.matrix_bytes
-
-    @property
     def flops_per_task(self) -> float:
         """Full-k accumulation for one C block: 2 b^2 N."""
         return 2.0 * self.block_dim * self.block_dim * self.n

@@ -86,10 +86,6 @@ class StencilConfig:
         return (self.elements_per_block * FLOPS_PER_ELEMENT_PER_SWEEP
                 * self.inner_sweeps)
 
-    def reduced_working_set(self, n_pes: int) -> int:
-        """One wave of blocks — what over-decomposition keeps in HBM."""
-        return min(self.n_chares, n_pes) * self.block_bytes
-
     def chare_grid(self) -> tuple[int, int, int]:
         """Near-cubic factorisation of the chare count."""
         n = self.n_chares

@@ -15,12 +15,11 @@ from repro.bench.harness import (
 from repro.bench.report import format_table, render_experiment
 from repro.bench.regression import (
     best_wall_time,
-    read_bench,
     write_bench,
 )
 
 __all__ = [
     "ExperimentResult", "Scale", "speedup_table",
     "format_table", "render_experiment",
-    "best_wall_time", "read_bench", "write_bench",
+    "best_wall_time", "write_bench",
 ]

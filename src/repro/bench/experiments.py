@@ -6,10 +6,10 @@ an enumeration of :class:`~repro.exec.spec.RunSpec` simulation runs
 that folds the runs' result dicts into an
 :class:`~repro.bench.harness.ExperimentResult` whose rows/series mirror
 what the paper plots, and ``claims``, which lists the paper's shape
-claims the result breaks.  Plans run under the current
-:mod:`repro.exec.context`, so ``repro experiments -j 8`` fans the same
-runs out over a process pool and caches them without touching any
-figure's output, and exits 1 when a claim breaks.
+claims the result breaks.  ``repro experiments -j 8`` hands the specs
+to :func:`~repro.exec.engine.run_specs`, which fans the same runs out
+over a process pool and caches them without touching any figure's
+output, and exits 1 when a claim breaks.
 
 Enumeration is canonical by construction: spec params serialize with
 sorted keys, sweeps iterate explicit tuples, and no ordering depends on

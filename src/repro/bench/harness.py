@@ -10,10 +10,10 @@ paper's literal sizes.
 Each figure is a :class:`FigurePlan`: a list of declarative
 :class:`~repro.exec.spec.RunSpec` simulation runs plus an ``assemble``
 function that folds their result dicts into an
-:class:`ExperimentResult`.  :func:`run_plan` executes a plan through
-the current :mod:`repro.exec.context` — serially by default, or fanned
-out over a process pool with content-addressed caching when the CLI
-(or a test) installs a parallel context.
+:class:`ExperimentResult`.  :func:`run_plan` executes one plan
+serially; ``repro experiments`` instead hands every plan's specs to
+:func:`~repro.exec.engine.run_specs`, which fans them out over a
+process pool with content-addressed caching.
 """
 
 from __future__ import annotations
@@ -105,10 +105,23 @@ class FigurePlan(_t.NamedTuple):
 
 
 def run_plan(plan: FigurePlan) -> ExperimentResult:
-    """Execute a plan under the current execution context and assemble."""
-    from repro.exec.context import execute
+    """Execute a plan serially and assemble its result.
 
-    return plan.assemble(execute(plan.specs))
+    Raises :class:`~repro.errors.ExperimentError` naming every failed
+    spec — assembly needs all values, so a partial figure is an error,
+    not a NaN.
+    """
+    from repro.errors import ExperimentError
+    from repro.exec.engine import run_specs
+
+    results = run_specs(plan.specs)
+    failed = [r for r in results if not r.ok]
+    if failed:
+        lines = [f"{r.spec.display()}: {r.error}" for r in failed]
+        raise ExperimentError(
+            f"{len(failed)} of {len(results)} runs failed:\n  "
+            + "\n  ".join(lines))
+    return plan.assemble([_t.cast(dict, r.result) for r in results])
 
 
 def speedup_table(times: _t.Mapping[str, _t.Mapping[str, float]],

@@ -8,8 +8,8 @@ just correctness green.  The convention is small and tool-agnostic:
   ``{scenario: {metric: value}}`` mapping;
 * the result is written to ``BENCH_<name>.json`` at the repository root
   (next to ``pyproject.toml``), committed alongside the change;
-* the next PR re-runs the benchmark and eyeballs/asserts against the
-  committed numbers via :func:`read_bench`.
+* the next change re-runs the benchmark and compares against the
+  committed numbers (``repro trend`` folds them into a history).
 
 File format (one JSON object)::
 
@@ -38,8 +38,7 @@ import time
 import typing as _t
 from pathlib import Path
 
-__all__ = ["repo_root", "bench_path", "write_bench", "read_bench",
-           "best_wall_time"]
+__all__ = ["repo_root", "bench_path", "write_bench", "best_wall_time"]
 
 #: bump when the file layout changes incompatibly
 SCHEMA_VERSION = 1
@@ -85,16 +84,6 @@ def write_bench(name: str, metrics: _t.Mapping[str, _t.Mapping[str, float]],
         payload["metrics_digest"] = dict(metrics_digest)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_bench(name: str, *, directory: "Path | None" = None) -> dict | None:
-    """Load a previously recorded run, or ``None`` if absent/corrupt."""
-    path = bench_path(name, directory)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) and "metrics" in data else None
 
 
 def best_wall_time(fn: _t.Callable[[], _t.Any], *, repeats: int = 3

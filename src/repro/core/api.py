@@ -62,7 +62,6 @@ class OOCRuntimeBuilder:
                  ddr_capacity: int | str = 96 * GiB,
                  eviction: EvictionPolicy | None = None,
                  node_level_run_queue: bool = False,
-                 message_latency: float = 2e-6,
                  machine_config: MachineConfig | None = None):
         #: explicit machine description; overrides the KNL knobs when set
         #: (e.g. :func:`repro.config.nvm_dram_config`)
@@ -75,7 +74,6 @@ class OOCRuntimeBuilder:
         self.ddr_capacity = ddr_capacity
         self.eviction = eviction
         self.node_level_run_queue = node_level_run_queue
-        self.message_latency = message_latency
 
     def build(self) -> BuiltRuntime:
         """Build a complete stack in a fresh environment."""
@@ -95,7 +93,7 @@ class OOCRuntimeBuilder:
                 cluster_mode=self.cluster_mode,
                 mcdram_capacity=self.mcdram_capacity,
                 ddr_capacity=self.ddr_capacity)
-        runtime = CharmRuntime(machine, message_latency=self.message_latency)
+        runtime = CharmRuntime(machine)
         if isinstance(self.strategy_spec, Strategy):
             strategy = self.strategy_spec
         else:

@@ -24,7 +24,7 @@ STRATEGIES: dict[str, type[Strategy]] = {
 }
 
 
-def make_strategy(name: str, **kwargs) -> Strategy:
+def make_strategy(name: str) -> Strategy:
     """Instantiate a strategy by its registry name."""
     try:
         cls = STRATEGIES[name]
@@ -32,7 +32,7 @@ def make_strategy(name: str, **kwargs) -> Strategy:
         raise ValueError(
             f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}"
         ) from None
-    return cls(**kwargs)
+    return cls()
 
 
 __all__ = [

@@ -75,9 +75,6 @@ class Strategy:
     def setup(self) -> None:
         """Spawn IO threads etc.  Called once, from :meth:`attach`."""
 
-    def stop(self) -> None:
-        """Tear down IO threads at end of run."""
-
     # -- placement ---------------------------------------------------------------
 
     def place_initial(self, blocks: _t.Iterable[DataBlock]) -> None:

@@ -43,7 +43,6 @@ class MultiIOThreadStrategy(Strategy):
         super().__init__()
         self.gates: dict[int, Gate] = {}
         self.evict_requests: dict[int, deque[DataBlock]] = {}
-        self.io_processes: list = []
         #: SMT lanes the IO threads are pinned to, for inspection
         self.io_pinning: dict[int, int] = {}
 
@@ -55,15 +54,7 @@ class MultiIOThreadStrategy(Strategy):
             sibling = pe.core.smt_sibling() if len(pe.core.threads) > 1 \
                 else pe.core.primary_thread
             self.io_pinning[pe.id] = sibling.global_id
-            self.io_processes.append(mgr.env.process(
-                self._io_main(pe), name=f"io-thread-{pe.id}"))
-
-    def stop(self) -> None:
-        """Tear down IO threads.  Idempotent: processes that already exited
-        (or were interrupted by an earlier ``stop``) are skipped."""
-        for proc in self.io_processes:
-            if proc.is_alive:
-                proc.interrupt("shutdown")
+            mgr.env.process(self._io_main(pe), name=f"io-thread-{pe.id}")
 
     # -- worker side ---------------------------------------------------------
 

@@ -25,22 +25,15 @@ class NaiveStrategy(Strategy):
     name = "naive"
     intercepts = False
 
-    def __init__(self, *, hbm_fill_limit: int | None = None):
+    def __init__(self) -> None:
         super().__init__()
-        #: paper: "We allocate close to 15GB or more on HBM in Baseline
-        #: case... ensuring that we do not over-subscribe" — a soft fill
-        #: cap below the hard device capacity.  None = fill to capacity.
-        self.hbm_fill_limit = hbm_fill_limit
         self.blocks_in_hbm = 0
         self.blocks_in_ddr = 0
 
     def place_initial(self, blocks: _t.Iterable[DataBlock]) -> None:
         mgr = self._mgr()
-        limit = (self.hbm_fill_limit if self.hbm_fill_limit is not None
-                 else mgr.hbm.capacity)
         for block in blocks:
-            fits_soft_cap = mgr.hbm.used + block.nbytes <= limit
-            if fits_soft_cap and mgr.hbm.can_allocate(block.nbytes):
+            if mgr.hbm.can_allocate(block.nbytes):
                 mgr.topology.place_block(block, mgr.hbm)
                 self.blocks_in_hbm += 1
             else:

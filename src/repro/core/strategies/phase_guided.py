@@ -22,12 +22,11 @@ no-op and the strategy behaves exactly like ``multi-io``.
 
 from __future__ import annotations
 
-import os
 import typing as _t
 
 from repro.core.ooc_task import OOCTask
 from repro.core.strategies.multi_io import MultiIOThreadStrategy
-from repro.core.strategies.static_guided import (_default_guidance,
+from repro.core.strategies.static_guided import (_resolve_guidance,
                                                  block_site_id)
 from repro.mem.block import BlockState, DataBlock
 from repro.runtime.pe import PE
@@ -45,11 +44,9 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
     name = "phase-guided"
     intercepts = True
 
-    def __init__(self, *, guidance: "GuidanceFile | None" = None,
-                 guidance_path: str | None = None):
+    def __init__(self) -> None:
         super().__init__()
-        self._guidance = guidance
-        self._guidance_path = guidance_path
+        self._guidance: "GuidanceFile | None" = None
         #: highest phase index observed from submitted entries
         self.phase = -1
         self.phase_advances = 0
@@ -74,12 +71,7 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
 
     def guidance(self) -> "GuidanceFile":
         if self._guidance is None:
-            from repro.lint.guidance import load_guidance
-            path = self._guidance_path or os.environ.get("REPRO_GUIDANCE")
-            if path:
-                self._guidance = load_guidance(path)
-            else:
-                self._guidance = _default_guidance()
+            self._guidance = _resolve_guidance()
         return self._guidance
 
     def setup(self) -> None:

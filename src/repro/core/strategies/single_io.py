@@ -44,12 +44,7 @@ class SingleIOThreadStrategy(Strategy):
         mgr = self._mgr()
         self._require_pes()
         self.gate = Gate(mgr.env, name="single-io.gate")
-        self.io_process = mgr.env.process(self._io_main(), name="io-thread")
-
-    def stop(self) -> None:
-        proc = getattr(self, "io_process", None)
-        if proc is not None and proc.is_alive:
-            proc.interrupt("shutdown")
+        mgr.env.process(self._io_main(), name="io-thread")
 
     # -- worker side ---------------------------------------------------------
 

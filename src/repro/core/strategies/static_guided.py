@@ -10,10 +10,10 @@ traffic-dead are pinned to DDR outright, and only then does the
 HBM-until-full fill run.  Like the baseline it never intercepts
 messages — the interesting part happened at lint time.
 
-Guidance resolution order: an explicit ``guidance=`` object or
-``guidance_path=`` argument, the ``$REPRO_GUIDANCE`` environment
-variable, else a one-shot in-process analysis of :mod:`repro.apps`
-(cached per interpreter, so sweeps do not re-parse per run).
+Guidance comes from the file named by the ``$REPRO_GUIDANCE``
+environment variable, else from a one-shot in-process analysis of
+:mod:`repro.apps` (cached per interpreter, so sweeps do not re-parse per
+run).
 
 A runtime block labelled ``"StencilChare[3].grid"`` maps to guidance
 site ``"StencilChare.grid"``; node-group-shared blocks
@@ -58,7 +58,12 @@ def block_site_id(block: DataBlock) -> str | None:
     return f"{cls}.{name}"
 
 
-def _default_guidance() -> "GuidanceFile":
+def _resolve_guidance() -> "GuidanceFile":
+    """``$REPRO_GUIDANCE`` when set, else the cached repro.apps analysis."""
+    path = os.environ.get("REPRO_GUIDANCE")
+    if path:
+        from repro.lint.guidance import load_guidance
+        return load_guidance(path)
     global _DEFAULT_GUIDANCE
     if _DEFAULT_GUIDANCE is None:
         import repro.apps as _apps
@@ -74,22 +79,14 @@ class StaticGuidedStrategy(NaiveStrategy):
     name = "static-guided"
     intercepts = False
 
-    def __init__(self, *, hbm_fill_limit: int | None = None,
-                 guidance: "GuidanceFile | None" = None,
-                 guidance_path: str | None = None):
-        super().__init__(hbm_fill_limit=hbm_fill_limit)
-        self._guidance = guidance
-        self._guidance_path = guidance_path
+    def __init__(self) -> None:
+        super().__init__()
+        self._guidance: "GuidanceFile | None" = None
         self.blocks_pinned_ddr = 0
 
     def guidance(self) -> "GuidanceFile":
         if self._guidance is None:
-            from repro.lint.guidance import load_guidance
-            path = self._guidance_path or os.environ.get("REPRO_GUIDANCE")
-            if path:
-                self._guidance = load_guidance(path)
-            else:
-                self._guidance = _default_guidance()
+            self._guidance = _resolve_guidance()
         return self._guidance
 
     def place_initial(self, blocks: _t.Iterable[DataBlock]) -> None:

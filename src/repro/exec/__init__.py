@@ -21,16 +21,12 @@ package makes that set *declarative* and *incremental*:
   the affected figures;
 * :mod:`repro.exec.fingerprint` — the source-tree hash that names
   cache generations;
-* :mod:`repro.exec.context` — the process-wide :class:`ExecContext`
-  the figure functions execute under (serial + uncached by default);
 * :mod:`repro.exec.explore` — parallel seed exploration for
   ``repro race --explore-schedules``.
 """
 
 from repro.exec.cache import (ResultCache, cache_stats, clear_cache,
                               default_cache_root)
-from repro.exec.context import (ExecContext, execute, get_context,
-                                set_context, using)
 from repro.exec.engine import Engine, RunResult, run_specs
 from repro.exec.explore import ParallelExplorationReport, parallel_explore
 from repro.exec.fingerprint import code_fingerprint
@@ -41,6 +37,5 @@ __all__ = [
     "code_fingerprint",
     "ResultCache", "default_cache_root", "cache_stats", "clear_cache",
     "Engine", "RunResult", "run_specs",
-    "ExecContext", "get_context", "set_context", "using", "execute",
     "ParallelExplorationReport", "parallel_explore",
 ]

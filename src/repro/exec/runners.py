@@ -72,8 +72,8 @@ def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
     A traced run (``params["trace"]``, set by the Figure 5/6 stencil
     specs) subscribes a :class:`~repro.trace.Tracer` for the app run
     only, so no later run in this process sees its probe points.  Once
-    the result is read, ``Environment.close()`` ends the run, so its
-    object graph frees by reference count.
+    the result is read, or the run raised, ``Environment.close()`` ends
+    the run, so its object graph frees by reference count.
     """
     from repro.exec.apps import APPS, build
     from repro.sim.environment import Environment
@@ -81,38 +81,41 @@ def run_app_spec(app: str, params: _t.Mapping[str, _t.Any]) -> dict:
 
     entry = APPS[app]
     env = Environment()
-    replicate = int(params.get("replicate", 0))
-    if replicate:
-        # Replicate r > 0: permute same-instant event ordering with the
-        # explorer's seeded tie-breaker.  Deterministic per (spec, r) — the
-        # replicate id is part of the spec identity, so every replicate is
-        # its own cache entry and re-runs stay byte-identical.
-        from repro.exec.spec import stable_seed
-        from repro.race.explorer import SeededTieBreaker
-
-        env.set_tie_breaker(
-            SeededTieBreaker(stable_seed("replicate", replicate)))
-    built = build(params, env)
-    cfg = entry.config(params)
-    tracer = Tracer(env).install() if params.get("trace") else None
     try:
-        result = entry.cls(built, cfg).run()
-    finally:
-        if tracer is not None:
-            tracer.uninstall()
-    out = entry.result(result)
-    if tracer is not None:
-        from repro.trace.projections import build_report
+        replicate = int(params.get("replicate", 0))
+        if replicate:
+            # Replicate r > 0: permute same-instant event ordering with
+            # the explorer's seeded tie-breaker.  Deterministic per
+            # (spec, r) — the replicate id is part of the spec identity,
+            # so every replicate is its own cache entry and re-runs stay
+            # byte-identical.
+            from repro.exec.spec import stable_seed
+            from repro.race.explorer import SeededTieBreaker
 
-        report = build_report(tracer)
-        tasks_per_pe = {f"pe{pe.id}": pe.tasks_executed
-                        for pe in built.runtime.pes}
-        out["wait_fraction"] = report.mean_wait_fraction()
-        out["utilization"] = report.mean_utilization()
-        out["preprocess_per_task"] = \
-            report.mean_preprocess_per_task(tasks_per_pe)
-    env.close()
-    return out
+            env.set_tie_breaker(
+                SeededTieBreaker(stable_seed("replicate", replicate)))
+        built = build(params, env)
+        cfg = entry.config(params)
+        tracer = Tracer(env).install() if params.get("trace") else None
+        try:
+            result = entry.cls(built, cfg).run()
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+        out = entry.result(result)
+        if tracer is not None:
+            from repro.trace.projections import build_report
+
+            report = build_report(tracer)
+            tasks_per_pe = {f"pe{pe.id}": pe.tasks_executed
+                            for pe in built.runtime.pes}
+            out["wait_fraction"] = report.mean_wait_fraction()
+            out["utilization"] = report.mean_utilization()
+            out["preprocess_per_task"] = \
+                report.mean_preprocess_per_task(tasks_per_pe)
+        return out
+    finally:
+        env.close()
 
 
 def run_schedule_spec(params: _t.Mapping[str, _t.Any]) -> dict:

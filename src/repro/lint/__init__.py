@@ -8,9 +8,8 @@ the truth the runtime schedules by):
 * :mod:`repro.lint.sanitizer` — "simsan", an opt-in runtime invariant
   checker over hook points in the memory subsystem (rules ``SAN2xx``).
 
-On top of the static pass sits the dataflow/traffic stack ("bwlint"):
-:mod:`repro.lint.cfg` (basic blocks), :mod:`repro.lint.dataflow` (the
-monotone worklist solver, reaching definitions, liveness, loop nests),
+On top of the static pass sits the traffic stack ("bwlint"):
+:mod:`repro.lint.dataflow` (loop nests with symbolic trip counts),
 :mod:`repro.lint.traffic` (static per-site byte-volume inference, rules
 ``REP3xx``) and :mod:`repro.lint.guidance` (canonical placement-guidance
 files consumed by the ``static-guided`` strategy).
@@ -32,15 +31,13 @@ __all__ = [
     "Finding", "LintReport", "LintViolation", "Severity", "Violation",
     "Rule", "RULES", "STATIC_RULES", "SANITIZER_RULES",
     "SimSanitizer", "check_paths", "check_file", "check_source",
-    "build_cfg", "solve", "ReachingDefinitions", "Liveness", "loop_nests",
+    "loop_nests",
     "AnalyzerCrash", "analyze_tree",
     "GuidanceFile", "build_guidance", "load_guidance",
 ]
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.cfg import build_cfg
-    from repro.lint.dataflow import (Liveness, ReachingDefinitions,
-                                     loop_nests, solve)
+    from repro.lint.dataflow import loop_nests
     from repro.lint.guidance import (GuidanceFile, build_guidance,
                                      load_guidance)
     from repro.lint.sanitizer import SimSanitizer
@@ -54,10 +51,6 @@ _LAZY = {
     "check_paths": "repro.lint.static_checker",
     "check_file": "repro.lint.static_checker",
     "check_source": "repro.lint.static_checker",
-    "build_cfg": "repro.lint.cfg",
-    "solve": "repro.lint.dataflow",
-    "ReachingDefinitions": "repro.lint.dataflow",
-    "Liveness": "repro.lint.dataflow",
     "loop_nests": "repro.lint.dataflow",
     "AnalyzerCrash": "repro.lint.traffic",
     "analyze_tree": "repro.lint.traffic",

@@ -42,7 +42,7 @@ from repro.lint.static_checker import (_block_attrs, _chare_classes,
                                        _module_entry_aliases,
                                        _parse_entry_decorator)
 
-__all__ = ["MethodSummary", "collect_kernel_uses", "class_summaries",
+__all__ = ["MethodSummary", "collect_kernel_uses",
            "entry_signatures", "Dispatch", "CallGraph", "build_call_graph"]
 
 _ONE = Sym("1", 1.0)
@@ -193,19 +193,6 @@ def _helper_summary(name: str,
     return summary
 
 
-def class_summaries(cls: ast.ClassDef | None,
-                    aliases: frozenset[str] = _ENTRY_NAMES,
-                    ev: _t.Any = None,
-                    attr_scope: _t.Mapping | None = None
-                    ) -> dict[str, MethodSummary]:
-    """Summaries for every non-entry helper method of ``cls``."""
-    helpers = _class_helper_methods(cls, aliases)
-    cache: dict[str, MethodSummary] = {}
-    return {name: _helper_summary(name, helpers, ev, attr_scope, cache,
-                                  frozenset())
-            for name in sorted(helpers)}
-
-
 def collect_kernel_uses(func: ast.FunctionDef,
                         cls: ast.ClassDef | None = None,
                         aliases: frozenset[str] = _ENTRY_NAMES,
@@ -293,20 +280,6 @@ class CallGraph:
     entry_dispatches: dict[tuple[str, str], list[Dispatch]]
     #: send/broadcast calls whose entry name is not a literal string
     unknown_sends: int
-
-    def reachable(self) -> set[tuple[str, str]]:
-        """Entries reachable from driver dispatches via message edges."""
-        queue = [key for d in self.driver_dispatches
-                 for key in d.keys() if key in self.entries]
-        seen: set[tuple[str, str]] = set()
-        while queue:
-            key = queue.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            for d in self.entry_dispatches.get(key, ()):
-                queue.extend(k for k in d.keys() if k in self.entries)
-        return seen
 
 
 def _dispatches_in(func: ast.FunctionDef, cls_name: str | None,

@@ -1,19 +1,9 @@
-"""Generic monotone dataflow framework over :mod:`repro.lint.cfg`.
+"""Loop nests and symbolic values for the bwlint traffic analysis.
 
-The engine is the classic worklist fixpoint over a join-semilattice of
-finite fact sets: a :class:`DataflowProblem` names a direction, a
-boundary value, and a per-block transfer function; :func:`solve` iterates
-until no block's output changes.  Termination is guaranteed because all
-shipped problems use set-union join and monotone gen/kill transfers over
-the finite universe of facts syntactically present in one function —
-each iteration can only grow a block's set, and the lattice has finite
-height.
-
-Two canonical instances ship here — :class:`ReachingDefinitions`
-(forward-may) and :class:`Liveness` (backward-may) — plus the loop-nest
-walk (:func:`loop_nests`) with symbolic trip-count inference that
-:mod:`repro.lint.traffic` multiplies into its byte-volume estimates.
-``while`` loops are *unbounded* in this lattice (trip ``None``), which is
+:func:`loop_nests` walks one function's loop tree and infers each loop's
+trip count; :mod:`repro.lint.traffic`, :mod:`repro.lint.phases` and
+:mod:`repro.lint.callgraph` multiply those trips into their byte-volume
+estimates.  ``while`` loops are *unbounded* (trip ``None``), which is
 exactly what rule ``REP305`` reports when one wraps a kernel launch.
 
 Symbolic values are :class:`Sym` pairs — a human-readable expression
@@ -27,17 +17,10 @@ import ast
 import dataclasses
 import typing as _t
 
-from repro.lint.cfg import CFG
-
 __all__ = [
     "Sym", "sym_add", "sym_bin", "sym_mul",
-    "DataflowProblem", "solve",
-    "ReachingDefinitions", "Liveness",
     "Loop", "loop_nests", "iter_loops",
 ]
-
-Fact = _t.Hashable
-FactSet = frozenset
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,231 +79,6 @@ def sym_mul(a: Sym, b: Sym) -> Sym:
     if a.expr == "1" or (a.known() and a.value == 1.0):
         return b
     return sym_bin("*", a, b)
-
-
-class DataflowProblem:
-    """One monotone analysis: direction, boundary, and transfer.
-
-    Subclasses set ``direction`` to ``"forward"`` or ``"backward"`` and
-    implement :meth:`transfer`.  Join is set union (a may-analysis); a
-    must-analysis would override :meth:`join`, which the solver calls
-    through this interface only.
-    """
-
-    direction: str = "forward"
-
-    def boundary(self, cfg: CFG) -> FactSet:
-        """Facts holding at the entry (or exit, if backward)."""
-        return frozenset()
-
-    def join(self, facts: list[FactSet]) -> FactSet:
-        """Combine predecessor (successor) outputs; default is union."""
-        out: frozenset = frozenset()
-        for f in facts:
-            out |= f
-        return out
-
-    def transfer(self, block_stmts: list[ast.stmt],
-                 facts: FactSet) -> FactSet:
-        """Push a fact set through one basic block."""
-        raise NotImplementedError
-
-
-def solve(cfg: CFG, problem: DataflowProblem,
-          ) -> dict[int, tuple[FactSet, FactSet]]:
-    """Worklist fixpoint; returns ``{block: (facts_in, facts_out)}``.
-
-    ``facts_in`` is the join over the relevant neighbours and
-    ``facts_out`` the transferred set, in *analysis* direction (for a
-    backward problem, ``facts_in`` holds after the block in program
-    order).
-    """
-    forward = problem.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-    ins: dict[int, FactSet] = {b.index: frozenset() for b in cfg.blocks}
-    outs: dict[int, FactSet] = {b.index: frozenset() for b in cfg.blocks}
-
-    worklist = sorted(b.index for b in cfg.blocks)
-    pending = set(worklist)
-    while worklist:
-        idx = worklist.pop(0)
-        pending.discard(idx)
-        block = cfg.blocks[idx]
-        sources = block.preds if forward else block.succs
-        joined = problem.join([outs[s] for s in sources])
-        if idx == start:
-            joined |= problem.boundary(cfg)
-        stmts = block.stmts if forward else list(reversed(block.stmts))
-        ins[idx] = joined
-        new_out = problem.transfer(stmts, joined)
-        if new_out != outs[idx]:
-            outs[idx] = new_out
-            targets = block.succs if forward else block.preds
-            for t in sorted(targets):
-                if t not in pending:
-                    pending.add(t)
-                    worklist.append(t)
-    return {i: (ins[i], outs[i]) for i in ins}
-
-
-# ---------------------------------------------------------------------------
-# shallow def/use extraction (compound statements own only their headers)
-# ---------------------------------------------------------------------------
-
-
-def _target_names(target: ast.expr) -> list[str]:
-    names = []
-    for node in ast.walk(target):
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-    return names
-
-
-def stmt_defs(stmt: ast.stmt) -> list[str]:
-    """Names a statement (shallowly) binds."""
-    if isinstance(stmt, ast.Assign):
-        out: list[str] = []
-        for t in stmt.targets:
-            out.extend(_target_names(t))
-        return out
-    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        if isinstance(stmt.target, ast.Name):
-            return [stmt.target.id]
-        return []
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return _target_names(stmt.target)
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        out = []
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                out.extend(_target_names(item.optional_vars))
-        return out
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        return [stmt.name]
-    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-        return [(a.asname or a.name).split(".")[0] for a in stmt.names]
-    if isinstance(stmt, ast.Match):
-        # capture-pattern bindings are per-case, but the Match header is
-        # the only statement the shallow CFG keeps — attach them there
-        # (a may-definition reaching every case block)
-        return _pattern_names(stmt)
-    return []
-
-
-def _pattern_names(stmt: ast.Match) -> list[str]:
-    """Names any case pattern of a ``match`` statement may bind."""
-    names: list[str] = []
-    for case in stmt.cases:
-        for node in ast.walk(case.pattern):
-            if isinstance(node, ast.MatchAs) and node.name is not None:
-                names.append(node.name)
-            elif isinstance(node, ast.MatchStar) and node.name is not None:
-                names.append(node.name)
-            elif isinstance(node, ast.MatchMapping) and node.rest is not None:
-                names.append(node.rest)
-    return names
-
-
-def _expr_uses(expr: ast.expr | None) -> list[str]:
-    if expr is None:
-        return []
-    return [n.id for n in ast.walk(expr)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-
-
-def stmt_uses(stmt: ast.stmt) -> list[str]:
-    """Names a statement (shallowly) reads."""
-    if isinstance(stmt, ast.Assign):
-        return _expr_uses(stmt.value)
-    if isinstance(stmt, ast.AugAssign):
-        uses = _expr_uses(stmt.value)
-        if isinstance(stmt.target, ast.Name):
-            uses.append(stmt.target.id)
-        return uses
-    if isinstance(stmt, ast.AnnAssign):
-        return _expr_uses(stmt.value)
-    if isinstance(stmt, ast.If):
-        return _expr_uses(stmt.test)
-    if isinstance(stmt, ast.While):
-        return _expr_uses(stmt.test)
-    if isinstance(stmt, ast.Match):
-        # the subject plus anything the patterns and guards compare
-        # against; case *bodies* live in their own CFG blocks
-        out = _expr_uses(stmt.subject)
-        for case in stmt.cases:
-            for node in ast.walk(case.pattern):
-                if isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Load):
-                    out.append(node.id)
-            out.extend(_expr_uses(case.guard))
-        return out
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return _expr_uses(stmt.iter)
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        out: list[str] = []
-        for item in stmt.items:
-            out.extend(_expr_uses(item.context_expr))
-        return out
-    if isinstance(stmt, (ast.Return, ast.Expr)):
-        return _expr_uses(stmt.value)
-    if isinstance(stmt, ast.Raise):
-        return _expr_uses(stmt.exc) + _expr_uses(stmt.cause)
-    if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef, ast.Import, ast.ImportFrom,
-                         ast.Pass, ast.Break, ast.Continue, ast.Global,
-                         ast.Nonlocal)):
-        return []
-    if isinstance(stmt, (ast.Assert, ast.Delete)):
-        out = []
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append(node.id)
-        return out
-    # default: every loaded name anywhere in the statement
-    return [n.id for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-
-
-class ReachingDefinitions(DataflowProblem):
-    """Forward-may: which ``(name, line)`` definitions reach a point."""
-
-    direction = "forward"
-
-    def boundary(self, cfg: CFG) -> FactSet:
-        # parameters are definitions at line 0 of the function
-        args = cfg.func.args
-        params = [a.arg for a in
-                  args.posonlyargs + args.args + args.kwonlyargs]
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                params.append(extra.arg)
-        return frozenset((p, 0) for p in params)
-
-    def transfer(self, block_stmts: list[ast.stmt],
-                 facts: FactSet) -> FactSet:
-        current = set(facts)
-        for stmt in block_stmts:
-            for name in stmt_defs(stmt):
-                current = {f for f in current if f[0] != name}
-                current.add((name, stmt.lineno))
-        return frozenset(current)
-
-
-class Liveness(DataflowProblem):
-    """Backward-may: which names are live (read later) at a point."""
-
-    direction = "backward"
-
-    def transfer(self, block_stmts: list[ast.stmt],
-                 facts: FactSet) -> FactSet:
-        # block_stmts arrive reversed (analysis order) from the solver
-        live = set(facts)
-        for stmt in block_stmts:
-            for name in stmt_defs(stmt):
-                live.discard(name)
-            live.update(stmt_uses(stmt))
-        return frozenset(live)
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class LintReport:
             return not self.findings
         return not self.errors
 
-    def by_rule(self, rule: str) -> list[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
     def render(self) -> str:
         lines = [f.render() for f in self.findings]
         lines.append(f"{len(self.errors)} error(s), "

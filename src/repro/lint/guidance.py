@@ -120,16 +120,6 @@ class GuidanceFile:
         """The global phase table (empty on schema-1 files)."""
         return list(self.phases)
 
-    def entry_phase(self, entry_id: str) -> int | None:
-        """Earliest phase whose message closure contains ``entry_id``.
-
-        ``entry_id`` is a ``"Cls.entry"`` name, the same shape the
-        runtime can build from a task's chare type and entry method.
-        """
-        hits = [ph["index"] for ph in self.phases
-                if entry_id in ph.get("entries", ())]
-        return min(hits) if hits else None
-
 
 def _sym_record(sym) -> dict | None:
     if sym is None:

@@ -4,10 +4,9 @@
 REP/SAN/RACE findings render natively in code-scanning UIs.  The output
 is *canonical* — keys sorted, two-space indent, trailing newline — so a
 warm-cache re-run reproduces the artifact byte for byte and CI can diff
-it.  :func:`findings_from_sarif` inverts the export (used by the
-round-trip test and by tooling that post-processes the artifact); only
-the fields :class:`~repro.lint.findings.Finding` carries survive the
-trip, which is exactly what the exporter writes.
+it.  It writes every field :class:`~repro.lint.findings.Finding`
+carries, so a parser can rebuild the findings losslessly (the tests
+round-trip it).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import typing as _t
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import RULES
 
-__all__ = ["SARIF_VERSION", "to_sarif", "findings_from_sarif"]
+__all__ = ["SARIF_VERSION", "to_sarif"]
 
 #: the SARIF spec revision the exporter targets
 SARIF_VERSION = "2.1.0"
@@ -26,9 +25,8 @@ SARIF_VERSION = "2.1.0"
 _SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                "master/Schemata/sarif-schema-2.1.0.json")
 
-#: Severity <-> SARIF result level
+#: Severity -> SARIF result level
 _LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
-_SEVERITIES = {level: sev for sev, level in _LEVELS.items()}
 
 
 def _rule_descriptor(rule_id: str) -> dict:
@@ -89,23 +87,3 @@ def to_sarif(findings: _t.Iterable[Finding], *,
         }],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def findings_from_sarif(text: str) -> list[Finding]:
-    """Parse a document produced by :func:`to_sarif` back into findings."""
-    doc = json.loads(text)
-    findings: list[Finding] = []
-    for run in doc.get("runs", ()):
-        for result in run.get("results", ()):
-            location = result["locations"][0]["physicalLocation"]
-            properties = result.get("properties", {})
-            findings.append(Finding(
-                rule=result["ruleId"],
-                severity=_SEVERITIES[result["level"]],
-                message=result["message"]["text"],
-                file=location["artifactLocation"]["uri"],
-                line=int(location["region"]["startLine"]),
-                chare=properties.get("chare", ""),
-                entry=properties.get("entry", ""),
-            ))
-    return findings

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import typing as _t
 
-from repro.metrics.instruments import (Counter, Gauge, Histogram,
-                                       PolledGauge, Timer)
+from repro.metrics.instruments import Counter, Gauge, Histogram, PolledGauge
 from repro.metrics.recorder import FlightRecorder, Snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.units import format_size, format_time
 
 __all__ = ["to_prometheus", "to_json", "digest", "render_report",
-           "counter_series", "narration_line", "validate_exposition"]
+           "counter_series", "narration_line"]
 
 
 # -- Prometheus text exposition -------------------------------------------------
@@ -50,7 +48,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     """Prometheus text exposition (format version 0.0.4).
 
     Counters get the conventional ``_total`` suffix when the instrument
-    name does not already carry one; histograms and timers expand into
+    name does not already carry one; histograms expand into
     cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
     """
     lines: list[str] = []
@@ -74,46 +72,22 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             header(inst.name, "gauge", inst.description)
             lines.append(
                 f"{inst.name}{_labels(inst.labels)} {_fmt(inst.value)}")
-        elif isinstance(inst, (Histogram, Timer)):
-            hist = inst.histogram if isinstance(inst, Timer) else inst
+        elif isinstance(inst, Histogram):
             header(inst.name, "histogram", inst.description)
             cumulative = 0
-            for bound, count in zip(hist.boundaries, hist.bucket_counts):
+            for bound, count in zip(inst.boundaries, inst.bucket_counts):
                 cumulative += count
                 le = (("le", _fmt(bound)),)
                 lines.append(f"{inst.name}_bucket"
                              f"{_labels(inst.labels, le)} {cumulative}")
             lines.append(f"{inst.name}_bucket"
                          f"{_labels(inst.labels, (('le', '+Inf'),))} "
-                         f"{hist.count}")
+                         f"{inst.count}")
             lines.append(
-                f"{inst.name}_sum{_labels(inst.labels)} {_fmt(hist.sum)}")
+                f"{inst.name}_sum{_labels(inst.labels)} {_fmt(inst.sum)}")
             lines.append(
-                f"{inst.name}_count{_labels(inst.labels)} {hist.count}")
+                f"{inst.name}_count{_labels(inst.labels)} {inst.count}")
     return "\n".join(lines) + "\n"
-
-
-#: one exposition line: name{labels} value  (no timestamps emitted)
-_PROM_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_][a-zA-Z0-9_]*"
-    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\""
-    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\")*\})?"
-    r" (?:[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Inf)|NaN)$")
-_PROM_COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_][a-zA-Z0-9_]*( .*)?$")
-
-
-def validate_exposition(text: str) -> list[str]:
-    """Line-format check of Prometheus output; returns the bad lines."""
-    bad = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            if not _PROM_COMMENT_RE.match(line):
-                bad.append(line)
-        elif not _PROM_SAMPLE_RE.match(line):
-            bad.append(line)
-    return bad
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -134,15 +108,14 @@ def to_json(registry: MetricsRegistry,
         elif isinstance(inst, Gauge):            # PolledGauge included
             record.update(value=inst.value, high_water=inst.high_water,
                           mean=inst.time_weighted_mean())
-        elif isinstance(inst, (Histogram, Timer)):
-            hist = inst.histogram if isinstance(inst, Timer) else inst
+        elif isinstance(inst, Histogram):
             record.update(
-                count=hist.count, sum=hist.sum,
-                min=None if hist.count == 0 else hist.min,
-                max=None if hist.count == 0 else hist.max,
-                p50=None if hist.count == 0 else hist.p50,
-                p95=None if hist.count == 0 else hist.p95,
-                p99=None if hist.count == 0 else hist.p99)
+                count=inst.count, sum=inst.sum,
+                min=None if inst.count == 0 else inst.min,
+                max=None if inst.count == 0 else inst.max,
+                p50=None if inst.count == 0 else inst.p50,
+                p95=None if inst.count == 0 else inst.p95,
+                p99=None if inst.count == 0 else inst.p99)
         instruments.append(record)
     payload: dict[str, _t.Any] = {"schema": 1, "instruments": instruments}
     if recorder is not None:
@@ -178,13 +151,11 @@ def digest(registry: MetricsRegistry) -> dict[str, float]:
             out[name] = float(sum(i.value for i in insts))
         elif isinstance(first, Gauge):
             out[name + "_hwm"] = float(max(i.high_water for i in insts))
-        elif isinstance(first, (Histogram, Timer)):
-            hists = [i.histogram if isinstance(i, Timer) else i
-                     for i in insts]
-            total = sum(h.count for h in hists)
+        elif isinstance(first, Histogram):
+            total = sum(h.count for h in insts)
             out[name + "_count"] = float(total)
             if total:
-                busiest = max(hists, key=lambda h: h.count)
+                busiest = max(insts, key=lambda h: h.count)
                 out[name + "_p50"] = float(busiest.p50)
                 out[name + "_p95"] = float(busiest.p95)
                 out[name + "_p99"] = float(busiest.p99)
@@ -318,7 +289,7 @@ def render_report(registry: MetricsRegistry,
               if isinstance(i, Gauge) and not isinstance(i, PolledGauge)]
     polled = [i for i in registry.instruments() if isinstance(i, PolledGauge)]
     histograms = [i for i in registry.instruments()
-                  if isinstance(i, (Histogram, Timer))]
+                  if isinstance(i, Histogram)]
 
     def strip_base(inst: _t.Any) -> str:
         own = [(k, v) for k, v in inst.labels
@@ -344,13 +315,12 @@ def render_report(registry: MetricsRegistry,
     if histograms:
         lines.append("-- histograms (count / p50 / p95 / p99) --")
         for inst in histograms:
-            hist = inst.histogram if isinstance(inst, Timer) else inst
-            if hist.count == 0:
+            if inst.count == 0:
                 lines.append(f"  {strip_base(inst):52s} {'0':>8s}")
                 continue
             lines.append(
-                f"  {strip_base(inst):52s} {hist.count:>8d} / "
-                f"{_value_str(inst.name, hist.p50):>10s} / "
-                f"{_value_str(inst.name, hist.p95):>10s} / "
-                f"{_value_str(inst.name, hist.p99):>10s}")
+                f"  {strip_base(inst):52s} {inst.count:>8d} / "
+                f"{_value_str(inst.name, inst.p50):>10s} / "
+                f"{_value_str(inst.name, inst.p95):>10s} / "
+                f"{_value_str(inst.name, inst.p99):>10s}")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Typed instruments: Counter, Gauge, Histogram, Timer.
+"""Typed instruments: Counter, Gauge, Histogram.
 
 Every instrument is identified by a Prometheus-compatible name plus a
 (small) label set — ``{pe, tier, strategy, app, reason, ...}`` — and is
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import typing as _t
 
-__all__ = ["Counter", "Gauge", "PolledGauge", "Histogram", "Timer",
+__all__ = ["Counter", "Gauge", "PolledGauge", "Histogram",
            "DEFAULT_LATENCY_BOUNDS", "Clock"]
 
 #: callable returning the current (simulated) time in seconds
@@ -220,35 +220,3 @@ class Histogram(_Instrument):
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
-
-
-class Timer(_Instrument):
-    """Span helper over a latency :class:`Histogram`.
-
-    Generator-friendly (simulated processes cannot use ``with`` across
-    ``yield``)::
-
-        mark = timer.start()
-        ... yield things ...
-        timer.stop(mark)
-    """
-
-    __slots__ = ("clock", "histogram")
-    kind = "timer"
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = (),
-                 description: str = "", clock: Clock | None = None,
-                 boundaries: _t.Sequence[float] | None = None):
-        super().__init__(name, labels, description)
-        self.clock = clock if clock is not None else (lambda: 0.0)
-        self.histogram = Histogram(name, labels, description,
-                                   boundaries=boundaries)
-
-    def start(self) -> float:
-        return self.clock()
-
-    def stop(self, mark: float) -> float:
-        """Record the span opened at ``mark``; returns its duration."""
-        duration = self.clock() - mark
-        self.histogram.observe(duration)
-        return duration

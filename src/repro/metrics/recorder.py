@@ -13,9 +13,8 @@ snapshot stream drives:
 * live run narration (``repro metrics --watch``) via the ``on_snapshot``
   callback, which receives each new snapshot and its predecessor.
 
-Call :meth:`stop` before :meth:`repro.runtime.runtime.CharmRuntime.shutdown`
-— the recorder process re-arms a timeout forever and would keep an
-unbounded ``env.run()`` spinning.
+Call :meth:`stop` before an unbounded ``env.run()`` — the recorder
+process re-arms a timeout forever and would keep it spinning.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ class Snapshot(_t.NamedTuple):
 
     def get(self, series: str, default: float = 0.0) -> float:
         return self.values.get(series, default)
-
-    def sum_prefix(self, prefix: str) -> float:
-        """Sum every series whose name starts with ``prefix`` (label-blind)."""
-        return sum(v for k, v in self.values.items() if k.startswith(prefix))
 
 
 #: callback signature: (new snapshot, previous snapshot or None)
@@ -93,10 +88,6 @@ class FlightRecorder:
             self._process.interrupt("flight recorder stopped")
         self.snapshot()
 
-    @property
-    def running(self) -> bool:
-        return self._process is not None and self._process.is_alive
-
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
@@ -113,16 +104,6 @@ class FlightRecorder:
         """``(time, value)`` points of one flat series across the ring."""
         return [(snap.time, snap.values[series]) for snap in self.snapshots
                 if series in snap.values]
-
-    def sum_series(self, prefix: str) -> list[tuple[float, float]]:
-        """``(time, sum-over-labels)`` points for one metric family."""
-        return [(snap.time, snap.sum_prefix(prefix))
-                for snap in self.snapshots]
-
-    def deltas(self) -> _t.Iterator[tuple[Snapshot, Snapshot]]:
-        """Consecutive ``(previous, current)`` snapshot pairs."""
-        snaps = list(self.snapshots)
-        return zip(snaps, snaps[1:])
 
     def __len__(self) -> int:
         return len(self.snapshots)

@@ -17,7 +17,7 @@ import re
 import typing as _t
 
 from repro.metrics.instruments import (Counter, Gauge, Histogram,
-                                       PolledGauge, Timer, _Instrument)
+                                       PolledGauge, _Instrument)
 
 __all__ = ["MetricsRegistry"]
 
@@ -30,10 +30,9 @@ LabelKey = tuple[tuple[str, str], ...]
 class MetricsRegistry:
     """Owns every instrument of one run.
 
-    ``clock`` feeds the gauges' time-weighted means and the timers; wire it
-    to the simulation clock (``lambda: env.now``) so means and latencies
-    are in *simulated* seconds, matching the tracer and the paper's
-    figures.
+    ``clock`` feeds the gauges' time-weighted means; wire it to the
+    simulation clock (``lambda: env.now``) so means are in *simulated*
+    seconds, matching the tracer and the paper's figures.
     """
 
     def __init__(self, clock: _t.Callable[[], float] | None = None,
@@ -119,12 +118,6 @@ class MetricsRegistry:
             self._fast[key] = instrument
         return instrument
 
-    def timer(self, name: str, description: str = "",
-              boundaries: _t.Sequence[float] | None = None,
-              **labels: str) -> Timer:
-        return self._get_or_create(Timer, name, labels, description,
-                                   clock=self.clock, boundaries=boundaries)
-
     # -- collection ---------------------------------------------------------
 
     def instruments(self) -> list[_Instrument]:
@@ -149,8 +142,7 @@ class MetricsRegistry:
     def flatten(self, *, sample: bool = True) -> dict[str, float]:
         """One flat ``{series: value}`` mapping — the snapshot payload.
 
-        Counters and gauges contribute their value; histograms and timers
-        contribute ``_count`` and ``_sum`` series (cheap to delta between
+        Counters and gauges contribute their value; histograms contribute ``_count`` and ``_sum`` series (cheap to delta between
         snapshots; percentiles are end-of-run report material).
         """
         if sample:
@@ -160,12 +152,10 @@ class MetricsRegistry:
             if isinstance(instrument, (Counter, Gauge)):
                 flat[instrument.series] = instrument.value
             else:
-                hist = instrument.histogram \
-                    if isinstance(instrument, Timer) else instrument
                 base = instrument.name
                 suffix = instrument.label_suffix
-                flat[f"{base}_count{suffix}"] = float(hist.count)
-                flat[f"{base}_sum{suffix}"] = hist.sum
+                flat[f"{base}_count{suffix}"] = float(instrument.count)
+                flat[f"{base}_sum{suffix}"] = instrument.sum
         return flat
 
     def __len__(self) -> int:

@@ -26,14 +26,14 @@ __all__ = [
     "check_paths", "check_file", "check_source", "check_tree",
     "default_targets",
     "SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
-    "run_schedule", "replay", "minimize_schedule", "explore", "app_runner",
+    "run_schedule", "minimize_schedule", "explore", "app_runner",
 ]
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.race.detector import RaceAccess, RaceFinding, RaceSanitizer
     from repro.race.explorer import (ExplorationReport, ScheduleOutcome,
                                      SeededTieBreaker, app_runner, explore,
-                                     minimize_schedule, replay, run_schedule)
+                                     minimize_schedule, run_schedule)
     from repro.race.model_checker import (check_file, check_paths,
                                           check_source, check_tree,
                                           default_targets)
@@ -53,7 +53,6 @@ _LAZY = {
     "ScheduleOutcome": "repro.race.explorer",
     "ExplorationReport": "repro.race.explorer",
     "run_schedule": "repro.race.explorer",
-    "replay": "repro.race.explorer",
     "minimize_schedule": "repro.race.explorer",
     "explore": "repro.race.explorer",
     "app_runner": "repro.race.explorer",

@@ -39,7 +39,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 __all__ = ["SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
-           "run_schedule", "replay", "minimize_schedule", "explore",
+           "run_schedule", "minimize_schedule", "explore",
            "render_report", "app_runner"]
 
 #: a runner builds + runs one application inside the given environment and
@@ -101,13 +101,6 @@ class ScheduleOutcome:
     @property
     def failed(self) -> bool:
         return bool(self.error or self.race_findings or self.san_violations)
-
-    def signature(self) -> tuple:
-        """Comparable digest — equal signatures mean 'same failure'."""
-        return (self.error,
-                tuple(sorted((f.rule, f.block) for f in self.race_findings)),
-                tuple(sorted((v.rule, v.block) for v in self.san_violations)),
-                self.tasks_completed)
 
     def render(self) -> str:
         token = f"seed={self.seed}"
@@ -181,13 +174,6 @@ def run_schedule(runner: Runner, seed: int | None = None, *,
             outcome.tasks_completed = None
     env.close()
     return outcome
-
-
-def replay(runner: Runner, outcome: ScheduleOutcome, *,
-           race: bool = True, sanitize: bool = True) -> ScheduleOutcome:
-    """Re-run an outcome's (seed, limit) token — deterministic."""
-    return run_schedule(runner, outcome.seed, limit=outcome.limit,
-                        race=race, sanitize=sanitize)
 
 
 def minimize_schedule(runner: Runner, outcome: ScheduleOutcome, *,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import typing as _t
 
 from repro import hooks as _probe
@@ -17,36 +16,27 @@ from repro.runtime.pe import PE
 from repro.runtime.reduction import Reducer
 from repro.sim.events import Event
 
-__all__ = ["CharmRuntime"]
+__all__ = ["CharmRuntime", "MESSAGE_LATENCY"]
 
 Index = tuple[int, ...]
+
+#: fixed per-message delivery latency (intra-node), in seconds
+MESSAGE_LATENCY = 2e-6
 
 
 class CharmRuntime:
     """One simulated Charm++ runtime instance on one machine node.
 
-    Construction starts one converse scheduler process per PE; applications
-    then create chare arrays, send messages, and drive the simulation with
-    :meth:`run_until`.
+    Construction starts one converse scheduler process per PE (one PE
+    per core); applications then create chare arrays, send messages, and
+    drive the simulation with :meth:`run_until`.
     """
 
-    def __init__(self, machine: MachineNode, *,
-                 n_pes: int | None = None,
-                 message_latency: float = 2e-6):
+    def __init__(self, machine: MachineNode):
         self.machine = machine
         self.env = machine.env
-        if n_pes is None:
-            n_pes = len(machine.cores)
-        if not 1 <= n_pes <= len(machine.cores):
-            raise RuntimeModelError(
-                f"n_pes must be in [1, {len(machine.cores)}], got {n_pes}")
-        if not 0.0 <= message_latency < math.inf:
-            raise RuntimeModelError("message_latency must be finite and "
-                                    f">= 0, got {message_latency!r}")
-        #: fixed per-message delivery latency (intra-node); 0 puts at once
-        self.message_latency = message_latency
-        self.pes: list[PE] = [PE(self.env, i, machine.cores[i])
-                              for i in range(n_pes)]
+        self.pes: list[PE] = [PE(self.env, i, core)
+                              for i, core in enumerate(machine.cores)]
         #: the OOC manager, installed by :meth:`install_interceptor`
         self.interceptor: Interceptor | None = None
         self.messages_sent = 0
@@ -97,24 +87,21 @@ class CharmRuntime:
              nbytes: int = 0, **kwargs: _t.Any) -> Message:
         """Asynchronously invoke ``target.entry_name(*args)``.
 
-        The message lands on the target's PE run queue after the delivery
-        latency; interception and execution happen in the converse loop.
+        The message lands on the target's PE run queue after
+        :data:`MESSAGE_LATENCY`; interception and execution happen in the
+        converse loop.
         """
         if target.runtime is not self:
             raise ChareError(f"{target!r} does not belong to this runtime")
         spec = (target._entry_specs.get(entry_name)
                 or target.entry_spec(entry_name))  # raises the ChareError
-        env = self.env
         msg = Message(target, spec, args, kwargs, nbytes)
         self.messages_sent += 1
         if _probe.on_send is not None:
             _probe.on_send(msg)
-        run_queue = self.pes[target.pe_id].run_queue
-        if self.message_latency:
-            # the timeout carries the message; its callback is the put
-            env.timeout(self.message_latency, msg)._cb0 = run_queue.put_event
-        else:
-            run_queue.put(msg)
+        # the timeout carries the message; its callback is the put
+        self.env.timeout(MESSAGE_LATENCY, msg)._cb0 = \
+            self.pes[target.pe_id].run_queue.put_event
         return msg
 
     def reducer(self, expected: int, *,

@@ -5,7 +5,7 @@ where PEs spend their time — Figure 5 (wait time under single vs multiple
 IO threads) and Figure 6 (synchronous fetch overhead vs asynchronous).
 This package records the same information from the simulation: typed,
 per-PE time intervals, aggregated into utilisation/wait breakdowns, an
-ASCII timeline renderer, and JSON/CSV export.
+ASCII timeline renderer, and JSON export.
 
 :class:`Tracer` is a run's one interval recorder, a subscriber of the
 probe (:mod:`repro.hooks`).  :class:`repro.obs.SpanTracer` extends it
@@ -27,7 +27,7 @@ from repro.trace.events import TraceCategory, TraceEvent
 from repro.trace.tracer import Tracer
 from repro.trace.projections import PETimeline, ProjectionsReport, build_report
 from repro.trace.render import render_timeline, render_usage_bars
-from repro.trace.export import to_csv, to_json
+from repro.trace.export import to_json
 from repro.trace.occupancy import occupancy_stats, render_occupancy
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "Tracer",
     "PETimeline", "ProjectionsReport", "build_report",
     "render_timeline", "render_usage_bars",
-    "to_csv", "to_json",
+    "to_json",
     "occupancy_stats", "render_occupancy",
 ]

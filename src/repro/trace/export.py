@@ -1,4 +1,4 @@
-"""Trace export: JSON (Chrome-trace-like) and CSV.
+"""Trace export: JSON (Chrome-trace-like).
 
 The JSON export optionally merges *counter series* — ``(time, value)``
 points from the metrics flight recorder (see
@@ -15,8 +15,6 @@ fetches to the tasks they fed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import typing as _t
 
@@ -25,7 +23,7 @@ from repro.trace.tracer import Tracer
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import Span
 
-__all__ = ["to_json", "to_csv", "span_events"]
+__all__ = ["to_json", "span_events"]
 
 #: one counter track: series name -> [(time_s, value), ...]
 CounterSeries = _t.Mapping[str, _t.Sequence[tuple[float, float]]]
@@ -115,15 +113,3 @@ def to_json(tracer: Tracer, *, indent: int | None = None,
     if spans:
         records.extend(span_events(spans))
     return json.dumps({"traceEvents": records}, indent=indent)
-
-
-def to_csv(tracer: Tracer) -> str:
-    """Serialise events as CSV: lane, category, start, end, duration, label."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["lane", "category", "start_s", "end_s", "duration_s", "label"])
-    for ev in tracer.events:
-        writer.writerow([ev.lane, ev.category.value,
-                         f"{ev.start:.9f}", f"{ev.end:.9f}",
-                         f"{ev.duration:.9f}", ev.label])
-    return buffer.getvalue()

@@ -80,11 +80,6 @@ class ProjectionsReport:
         return [tl for name, tl in sorted(self.lanes.items())
                 if name.startswith("pe")]
 
-    @property
-    def io_lanes(self) -> list[PETimeline]:
-        return [tl for name, tl in sorted(self.lanes.items())
-                if name.startswith("io")]
-
     def mean_utilization(self) -> float:
         workers = self.worker_lanes
         if not workers:

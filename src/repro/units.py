@@ -22,9 +22,7 @@ __all__ = [
     "KB", "MB", "GB", "TB",
     "KiB", "MiB", "GiB", "TiB",
     "US", "MS", "SECOND",
-    "parse_size", "format_size",
-    "parse_time", "format_time",
-    "parse_bandwidth", "format_bandwidth",
+    "parse_size", "format_size", "format_time", "format_bandwidth",
 ]
 
 # Decimal (SI) byte units.
@@ -50,26 +48,7 @@ _SIZE_UNITS = {
     "kib": KiB, "mib": MiB, "gib": GiB, "tib": TiB,
 }
 
-_TIME_UNITS = {
-    "ns": 1e-9, "us": US, "ms": MS, "s": SECOND, "sec": SECOND,
-    "min": 60.0, "h": 3600.0,
-}
-
 _QTY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
-
-
-def _parse(text: str | int | float, units: dict[str, float], default_unit: str,
-           what: str) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
-    m = _QTY_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse {what} {text!r}")
-    value = float(m.group(1))
-    unit = (m.group(2) or default_unit).lower()
-    if unit not in units:
-        raise ValueError(f"unknown {what} unit {m.group(2)!r} in {text!r}")
-    return value * units[unit]
 
 
 def parse_size(text: str | int | float) -> int:
@@ -78,22 +57,15 @@ def parse_size(text: str | int | float) -> int:
     Bare numbers are taken as bytes.  The result is rounded to an integer
     byte count because allocators account in whole bytes.
     """
-    return int(round(_parse(text, _SIZE_UNITS, "b", "size")))
-
-
-def parse_time(text: str | int | float) -> float:
-    """Parse ``"20ms"``, ``"1.5 s"``, ``0.25`` ... into seconds."""
-    return _parse(text, _TIME_UNITS, "s", "time")
-
-
-def parse_bandwidth(text: str | int | float) -> float:
-    """Parse ``"490 GB/s"``, ``"90GB/s"`` ... into bytes per second."""
     if isinstance(text, (int, float)):
-        return float(text)
-    cleaned = text.strip()
-    if cleaned.lower().endswith("/s"):
-        cleaned = cleaned[:-2]
-    return float(_parse(cleaned, _SIZE_UNITS, "b", "bandwidth"))
+        return int(round(float(text)))
+    m = _QTY_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse size {text!r}")
+    unit = (m.group(2) or "b").lower()
+    if unit not in _SIZE_UNITS:
+        raise ValueError(f"unknown size unit {m.group(2)!r} in {text!r}")
+    return int(round(float(m.group(1)) * _SIZE_UNITS[unit]))
 
 
 def _format(value: float, steps: list[tuple[float, str]], digits: int) -> str:

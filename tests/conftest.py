@@ -1,4 +1,4 @@
-"""Session-wide fixtures shared by several test modules."""
+"""Fixtures shared by several test modules."""
 
 from __future__ import annotations
 
@@ -24,3 +24,19 @@ def fig8_tiny_result(fig8_tiny_plan):
     from repro.bench.harness import run_plan
 
     return run_plan(fig8_tiny_plan())
+
+
+@pytest.fixture
+def use_guidance(tmp_path, monkeypatch):
+    """Install a guidance file the way a run does: ``$REPRO_GUIDANCE``.
+
+    Calling the fixture with a :class:`~repro.lint.guidance.GuidanceFile`
+    writes it under ``tmp_path`` and points the variable at it; a guided
+    strategy loads it the first time it needs guidance.
+    """
+    def install(guide):
+        path = tmp_path / "guidance.json"
+        guide.write(path)
+        monkeypatch.setenv("REPRO_GUIDANCE", str(path))
+
+    return install

@@ -44,14 +44,7 @@ class RacyIOStrategy(SingleIOThreadStrategy):
         super().setup()
         mgr = self._mgr()
         self.rogue_evictions = 0
-        self.rogue_process = mgr.env.process(self._rogue_main(),
-                                             name="rogue-evictor")
-
-    def stop(self) -> None:
-        super().stop()
-        proc = getattr(self, "rogue_process", None)
-        if proc is not None and proc.is_alive:
-            proc.interrupt("shutdown")
+        mgr.env.process(self._rogue_main(), name="rogue-evictor")
 
     # -- seeded static defects (never called at runtime) -----------------------
 

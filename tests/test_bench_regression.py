@@ -1,9 +1,9 @@
-"""BENCH_*.json recording: write/read round-trip and the metrics digest."""
+"""BENCH_*.json recording: the written file and the metrics digest."""
 
 import json
 
-from repro.bench.regression import (bench_path, best_wall_time, read_bench,
-                                    repo_root, write_bench)
+from repro.bench.regression import (bench_path, best_wall_time, repo_root,
+                                    write_bench)
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.export import digest
 
@@ -14,7 +14,7 @@ class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = write_bench("t", METRICS, directory=tmp_path)
         assert path == bench_path("t", tmp_path)
-        data = read_bench("t", directory=tmp_path)
+        data = json.loads(path.read_text())
         assert data["bench"] == "t"
         assert data["schema"] == 1
         assert data["metrics"]["scenario_a"]["speedup"] == 2.0
@@ -24,16 +24,11 @@ class TestRoundTrip:
         reg = MetricsRegistry()
         reg.counter("repro_moved_bytes_total", src="mcdram").inc(4096)
         reg.gauge("repro_moves_inflight").set(3)
-        write_bench("t", METRICS, directory=tmp_path,
-                    metrics_digest=digest(reg))
-        data = read_bench("t", directory=tmp_path)
+        path = write_bench("t", METRICS, directory=tmp_path,
+                           metrics_digest=digest(reg))
+        data = json.loads(path.read_text())
         assert data["metrics_digest"]["repro_moved_bytes_total"] == 4096.0
         assert data["metrics_digest"]["repro_moves_inflight_hwm"] == 3.0
-
-    def test_read_missing_or_corrupt(self, tmp_path):
-        assert read_bench("absent", directory=tmp_path) is None
-        bench_path("bad", tmp_path).write_text("{not json")
-        assert read_bench("bad", directory=tmp_path) is None
 
     def test_written_file_is_stable_json(self, tmp_path):
         path = write_bench("t", METRICS, directory=tmp_path)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro import hooks as probe
-from repro.metrics.export import validate_exposition
+from tests.test_metrics_export import validate_exposition
 
 SMALL_STENCIL = ["--cores", "8", "--mcdram", "128MiB", "--ddr", "1GiB",
                  "--total", "128MiB", "--block", "8MiB", "--iterations", "1"]

@@ -16,17 +16,17 @@ from repro.core.api import OOCRuntimeBuilder
 from repro.machine.knl import build_knl
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
-from repro.runtime.runtime import CharmRuntime
+from repro.runtime.runtime import MESSAGE_LATENCY, CharmRuntime
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
-LATENCY = 3e-6
+LATENCY = MESSAGE_LATENCY
 
 
-def make_runtime(cores=2, **kwargs):
+def make_runtime(cores=2):
     node = build_knl(Environment(), cores=cores, mcdram_capacity=GiB,
                      ddr_capacity=4 * GiB)
-    return CharmRuntime(node, **kwargs)
+    return CharmRuntime(node)
 
 
 class Worker(Chare):
@@ -118,7 +118,7 @@ def _check_probe_triples(calls, messages, tasks=None):
 
 class TestLatency:
     def test_delivery_is_send_plus_latency(self, recorder):
-        rt = make_runtime(message_latency=LATENCY)
+        rt = make_runtime()
         arr = rt.create_array(Worker, 2)
         first = rt.send(arr[0], "plain", "a")
         second = rt.send(arr[1], "plain", "b")
@@ -130,25 +130,17 @@ class TestLatency:
         assert delivered[later.mid] == 1.0 + LATENCY
 
     def test_sends_from_inside_an_entry_carry_the_latency(self):
-        rt = make_runtime(cores=1, message_latency=LATENCY)
+        rt = make_runtime(cores=1)
         arr = rt.create_array(Worker, 1)
         rt.send(arr[0], "fan_out", ["x", "y"])
         rt.env.run()
         assert [tag for tag, _ in arr[0].log] == ["x", "y"]
         assert [t for _, t in arr[0].log] == [LATENCY + LATENCY] * 2
 
-    def test_zero_latency_delivers_at_the_send_instant(self, recorder):
-        rt = make_runtime(message_latency=0.0)
-        arr = rt.create_array(Worker, 1)
-        rt.env.run(until=0.5)
-        msg = rt.send(arr[0], "plain", "now")
-        rt.env.run()
-        assert _delivered(recorder.calls) == {msg.mid: 0.5}
-
 
 class TestOrdering:
     def test_same_instant_sends_to_one_pe_run_fifo(self):
-        rt = make_runtime(cores=1, message_latency=LATENCY)
+        rt = make_runtime(cores=1)
         arr = rt.create_array(Worker, 3)
         shared = []
         tags = ["a", "b", "c", "d", "e", "f"]
@@ -159,7 +151,7 @@ class TestOrdering:
         assert shared == [(tag, LATENCY) for tag in tags]
 
     def test_fifo_holds_behind_a_busy_entry(self):
-        rt = make_runtime(cores=1, message_latency=LATENCY)
+        rt = make_runtime(cores=1)
         arr = rt.create_array(Worker, 1)
         rt.send(arr[0], "timed", "slow", 1.0)
         for tag in ("p", "q", "r"):
@@ -171,7 +163,7 @@ class TestOrdering:
 
 class TestAccounting:
     def test_counts_per_pe(self):
-        rt = make_runtime(cores=2, message_latency=LATENCY)
+        rt = make_runtime(cores=2)
         arr = rt.create_array(Worker, 4)
         for i in range(4):
             rt.send(arr[i], "plain", i)
@@ -185,7 +177,7 @@ class TestAccounting:
         assert rt.pes[1].busy_time == pytest.approx(0.25)
 
     def test_plain_entry_returning_a_generator_is_driven(self):
-        rt = make_runtime(cores=1, message_latency=LATENCY)
+        rt = make_runtime(cores=1)
         arr = rt.create_array(Worker, 1)
         rt.send(arr[0], "returns_generator", 0.5)
         rt.send(arr[0], "plain", "after")
@@ -198,7 +190,7 @@ class TestAccounting:
 
 class TestDeliveryProbes:
     def test_plain_and_generator_entries(self, recorder):
-        rt = make_runtime(cores=2, message_latency=LATENCY)
+        rt = make_runtime(cores=2)
         arr = rt.create_array(Worker, 2)
         msgs = [rt.send(arr[0], "plain", "a"),
                 rt.send(arr[1], "timed", "b", 0.125),

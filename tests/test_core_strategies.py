@@ -148,19 +148,6 @@ class TestStaticStrategies:
         assert states.count(BlockState.INDDR) == 8
         assert built.strategy.fetches == 0
 
-    def test_naive_fill_limit_honoured(self):
-        built = OOCRuntimeBuilder(
-            make_strategy("naive", hbm_fill_limit=64 * MiB), cores=2,
-            mcdram_capacity=HBM, ddr_capacity=DDR).build()
-        rt = built.runtime
-        arr = rt.create_array(Worker, 8)
-        barrier = rt.reducer(8)
-        arr.broadcast("setup", 32 * MiB, barrier)
-        rt.run_until(barrier.done)
-        built.manager.finalize_placement()
-        in_hbm = sum(1 for c in arr if c.data.state is BlockState.INHBM)
-        assert in_hbm == 2
-
     def test_ddr_only_places_everything_on_ddr(self):
         built, arr = run_app("ddr-only")
         assert all(c.data.state is BlockState.INDDR for c in arr)

@@ -30,7 +30,7 @@ MODULES = [
     "repro.apps.stream_app", "repro.apps.jacobi2d", "repro.apps.spmv",
     "repro.lint", "repro.lint.findings", "repro.lint.rules",
     "repro.lint.static_checker", "repro.lint.sanitizer",
-    "repro.lint.cfg", "repro.lint.dataflow", "repro.lint.traffic",
+    "repro.lint.dataflow", "repro.lint.traffic",
     "repro.lint.guidance", "repro.lint.callgraph", "repro.lint.phases",
     "repro.lint.sarif", "repro.lint.cache",
     "repro.hooks",
@@ -42,7 +42,7 @@ MODULES = [
     "repro.metrics.subscriber",
     "repro.exec", "repro.exec.spec", "repro.exec.fingerprint",
     "repro.exec.cache", "repro.exec.runners", "repro.exec.engine",
-    "repro.exec.context", "repro.exec.explore", "repro.exec.apps",
+    "repro.exec.explore", "repro.exec.apps",
     "repro.obs", "repro.obs.spans", "repro.obs.critpath",
     "repro.obs.stats", "repro.obs.report", "repro.obs.trend",
     "repro.obs.html",

@@ -6,11 +6,10 @@ import json
 import pytest
 
 from repro.bench.experiments import fig2_plan
-from repro.bench.harness import Scale, run_plan
+from repro.bench.harness import FigurePlan, Scale, run_plan
 from repro.errors import ExperimentError
 from repro.exec.cache import ResultCache
-from repro.exec.context import ExecContext, execute, get_context, using
-from repro.exec.engine import Engine
+from repro.exec.engine import Engine, run_specs
 from repro.exec.spec import RunSpec
 
 
@@ -109,37 +108,33 @@ class TestJobsOne:
         assert all(r.ok and r.source == "inline" for r in results)
 
 
-class TestContext:
-    def test_default_context_is_serial_uncached(self):
-        ctx = get_context()
-        assert ctx.jobs == 1 and ctx.cache is None
-
-    def test_using_restores_previous(self):
-        before = get_context()
-        with using(ExecContext(jobs=3)) as ctx:
-            assert get_context() is ctx
-        assert get_context() is before
-
-    def test_execute_raises_naming_failed_specs(self):
-        with pytest.raises(ExperimentError, match="selftest/7"):
-            execute([RunSpec("selftest", {"fail": "x", "value": 7},
-                             label="selftest/7")])
+class TestRunPlan:
+    def test_raises_naming_failed_specs(self):
+        plan = FigurePlan("x", [selftest(1),
+                                RunSpec("selftest", {"fail": "x", "value": 7},
+                                        label="selftest/7")],
+                          assemble=lambda results: pytest.fail("assembled"))
+        with pytest.raises(ExperimentError, match="1 of 2 runs failed"
+                           r":\n  selftest/7: "):
+            run_plan(plan)
 
 
 class TestParallelEquivalence:
     """The acceptance property: tables identical whatever --jobs is."""
 
-    def figure_json(self, ctx):
-        with using(ctx):
-            result = run_plan(fig2_plan(Scale.TINY, iterations=1))
+    def figure_json(self, **engine):
+        plan = fig2_plan(Scale.TINY, iterations=1)
+        results = run_specs(plan.specs, **engine)
+        assert all(r.ok for r in results)
+        result = plan.assemble([r.result for r in results])
         return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
     def test_figure_tables_are_byte_identical(self, tmp_path):
-        serial = self.figure_json(ExecContext())
+        serial = self.figure_json()
         cache = ResultCache(root=tmp_path, fingerprint="f" * 64)
-        parallel = self.figure_json(ExecContext(jobs=2, cache=cache))
+        parallel = self.figure_json(jobs=2, cache=cache)
         warm_cache = ResultCache(root=tmp_path, fingerprint="f" * 64)
-        warm = self.figure_json(ExecContext(jobs=2, cache=warm_cache))
+        warm = self.figure_json(jobs=2, cache=warm_cache)
         assert parallel == serial
         assert warm == serial
         assert warm_cache.session_stats()["hits"] == 2

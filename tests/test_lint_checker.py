@@ -269,5 +269,5 @@ class TestEntryPoints:
         assert not report.ok(strict=True)
         assert len(report.errors) == 6
         assert len(report.warnings) == 2
-        assert [f.rule for f in report.by_rule("REP106")] == ["REP106"]
+        assert [f.rule for f in report if f.rule == "REP106"] == ["REP106"]
         assert "error(s)" in report.render()

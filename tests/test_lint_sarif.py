@@ -5,7 +5,30 @@ import subprocess
 import sys
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.sarif import SARIF_VERSION, findings_from_sarif, to_sarif
+from repro.lint.sarif import SARIF_VERSION, to_sarif
+
+_SEVERITIES = {"error": Severity.ERROR, "warning": Severity.WARNING}
+
+
+def findings_from_sarif(text: str) -> list[Finding]:
+    """Parse a document produced by :func:`to_sarif` back into findings."""
+    doc = json.loads(text)
+    findings: list[Finding] = []
+    for run in doc.get("runs", ()):
+        for result in run.get("results", ()):
+            location = result["locations"][0]["physicalLocation"]
+            properties = result.get("properties", {})
+            findings.append(Finding(
+                rule=result["ruleId"],
+                severity=_SEVERITIES[result["level"]],
+                message=result["message"]["text"],
+                file=location["artifactLocation"]["uri"],
+                line=int(location["region"]["startLine"]),
+                chare=properties.get("chare", ""),
+                entry=properties.get("entry", ""),
+            ))
+    return findings
+
 
 FINDINGS = [
     Finding(rule="REP201", severity=Severity.ERROR,

@@ -1,16 +1,38 @@
 """Exporters: Prometheus exposition, JSON, digest, report, narration."""
 
 import json
+import re
 
 import pytest
 
 from repro.metrics.export import (DEFAULT_COUNTER_FAMILIES, counter_series,
                                   digest, narration_line, render_report,
-                                  to_json, to_prometheus,
-                                  validate_exposition)
+                                  to_json, to_prometheus)
 from repro.metrics.recorder import FlightRecorder, Snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.sim.environment import Environment
+
+#: one exposition line: name{labels} value  (no timestamps emitted)
+_PROM_SAMPLE_RE = re.compile(
+    r"^[a-zA-Z_][a-zA-Z0-9_]*"
+    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\""
+    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\")*\})?"
+    r" (?:[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Inf)|NaN)$")
+_PROM_COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_][a-zA-Z0-9_]*( .*)?$")
+
+
+def validate_exposition(text: str) -> list[str]:
+    """Line-format check of Prometheus output; returns the bad lines."""
+    bad = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not _PROM_COMMENT_RE.match(line):
+                bad.append(line)
+        elif not _PROM_SAMPLE_RE.match(line):
+            bad.append(line)
+    return bad
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""Unit tests for the typed instruments (Counter/Gauge/Histogram/Timer)."""
+"""Unit tests for the typed instruments (Counter/Gauge/Histogram)."""
 
 import math
 
 import pytest
 
 from repro.metrics.instruments import (DEFAULT_LATENCY_BOUNDS, Counter,
-                                       Gauge, Histogram, PolledGauge, Timer)
+                                       Gauge, Histogram, PolledGauge)
 
 
 class FakeClock:
@@ -123,26 +123,3 @@ class TestHistogram:
     def test_quantile_range_checked(self):
         with pytest.raises(ValueError):
             Histogram("lat").quantile(1.5)
-
-
-class TestTimer:
-    def test_start_stop_records_span(self):
-        clock = FakeClock()
-        t = Timer("span", clock=clock)
-        mark = t.start()
-        clock.now = 0.25
-        assert t.stop(mark) == pytest.approx(0.25)
-        assert t.histogram.count == 1
-        assert t.histogram.sum == pytest.approx(0.25)
-
-    def test_overlapping_spans(self):
-        clock = FakeClock()
-        t = Timer("span", clock=clock)
-        a = t.start()
-        clock.now = 1.0
-        b = t.start()
-        clock.now = 3.0
-        t.stop(a)
-        t.stop(b)
-        assert t.histogram.count == 2
-        assert t.histogram.sum == pytest.approx(5.0)

@@ -42,10 +42,10 @@ class TestLifecycle:
         taken = rec.snapshots_taken
         # the queue must drain: an unbounded run() returns because the
         # cadence process no longer re-arms (the shutdown-hang hazard);
-        # the kill is delivered through the event queue, so `running`
-        # flips only once the environment processes it
+        # the kill is delivered through the event queue, so the process
+        # dies only once the environment processes it
         env.run()
-        assert not rec.running
+        assert not rec._process.is_alive
         assert rec.snapshots_taken == taken
 
     def test_stop_is_idempotent(self, env, registry):
@@ -94,22 +94,6 @@ class TestRing:
         assert points[0] == (0.0, 0.0)
         assert points[-1][1] == 3.0
 
-    def test_sum_series_is_label_blind(self, env, registry):
-        registry.counter("repro_events_total", lane="a").inc(1)
-        registry.counter("repro_events_total", lane="b").inc(2)
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
-        rec.stop()
-        assert rec.sum_series("repro_events_total")[0][1] == 3.0
-
-    def test_deltas_pairs_consecutive_snapshots(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
-        env.run(until=0.25)
-        rec.stop()
-        pairs = list(rec.deltas())
-        assert len(pairs) == len(rec) - 1
-        for prev, cur in pairs:
-            assert cur.time >= prev.time
-
 
 class TestCallbacks:
     def test_on_snapshot_receives_previous(self, env, registry):
@@ -125,9 +109,8 @@ class TestCallbacks:
 
 
 class TestSnapshotHelpers:
-    def test_get_and_sum_prefix(self):
+    def test_get_with_default(self):
         snap = Snapshot(1.0, {"repro_a{x=\"1\"}": 2.0,
                               "repro_a{x=\"2\"}": 3.0, "repro_b": 7.0})
         assert snap.get("repro_b") == 7.0
         assert snap.get("missing", -1.0) == -1.0
-        assert snap.sum_prefix("repro_a") == 5.0

@@ -74,14 +74,6 @@ class TestClockWiring:
         now[0] = 4.0
         assert g.time_weighted_mean() == pytest.approx(5.0)
 
-    def test_timer_uses_clock(self):
-        now = [0.0]
-        reg = MetricsRegistry(clock=lambda: now[0])
-        t = reg.timer("repro_span_seconds")
-        mark = t.start()
-        now[0] = 0.125
-        assert t.stop(mark) == pytest.approx(0.125)
-
 
 class TestCollection:
     def test_total_sums_a_family(self):

@@ -6,8 +6,6 @@ process active, sends on behalf of the span that made the completing
 contribution of the latest reduction.  DESIGN.md §12 states the rules.
 """
 
-import pytest
-
 from repro.machine.knl import build_knl
 from repro.obs import SpanTracer
 from repro.runtime.chare import Chare
@@ -18,10 +16,10 @@ from repro.trace.events import TraceCategory
 from repro.units import GiB
 
 
-def make_runtime(cores=2, **kwargs):
+def make_runtime(cores=2):
     node = build_knl(Environment(), cores=cores, mcdram_capacity=GiB,
                      ddr_capacity=4 * GiB)
-    return CharmRuntime(node, **kwargs)
+    return CharmRuntime(node)
 
 
 class Relay(Chare):
@@ -53,12 +51,11 @@ def executes(tracer, entry_name):
             and span.label.endswith(f".{entry_name}")]
 
 
-@pytest.mark.parametrize("latency", [2e-6, 0.0])
-def test_send_to_a_parked_receiver_keeps_its_edge(latency):
+def test_send_to_a_parked_receiver_keeps_its_edge():
     # pe1 has nothing to do until the pong arrives: its scheduler is
     # parked in run_queue.get(), so the message is handed straight to
     # the getter instead of being buffered
-    rt = make_runtime(message_latency=latency)
+    rt = make_runtime()
     relay = rt.create_array(Relay, 2)
     assert [chare.pe_id for chare in relay] == [0, 1]
     tracer = SpanTracer(rt.env).install()

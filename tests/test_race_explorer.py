@@ -3,14 +3,28 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.race.explorer import (SeededTieBreaker, app_runner, explore,
-                                 minimize_schedule, replay, run_schedule)
+from repro.race.explorer import (ScheduleOutcome, SeededTieBreaker,
+                                 app_runner, explore, minimize_schedule,
+                                 run_schedule)
 from repro.sim.environment import Environment
 
 from tests.test_race_detector import load_racy_strategy
 
 SHAPE = dict(cores=8, mcdram=64 << 20, ddr=1 << 30, total=128 << 20,
              block=16 << 20, iterations=1)
+
+
+def signature(outcome: ScheduleOutcome) -> tuple:
+    """Comparable digest — equal signatures mean 'same failure'."""
+    return (outcome.error,
+            tuple(sorted((f.rule, f.block) for f in outcome.race_findings)),
+            tuple(sorted((v.rule, v.block) for v in outcome.san_violations)),
+            outcome.tasks_completed)
+
+
+def replay(runner, outcome: ScheduleOutcome) -> ScheduleOutcome:
+    """Re-run an outcome's (seed, limit) token — deterministic."""
+    return run_schedule(runner, outcome.seed, limit=outcome.limit)
 
 
 def _keys(breaker: SeededTieBreaker, n: int) -> list[int]:
@@ -96,7 +110,7 @@ class TestScheduleRuns:
         a = run_schedule(runner, 11)
         b = run_schedule(runner, 11)
         assert not a.failed
-        assert a.signature() == b.signature()
+        assert signature(a) == signature(b)
         assert a.decisions == b.decisions
         assert a.tasks_completed and a.tasks_completed > 0
 
@@ -145,7 +159,7 @@ class TestExplorationOfSeededBug:
         # the (seed, limit) token replays the same failure, byte for byte
         again = replay(racy_runner, token)
         assert again.failed
-        assert again.signature() == token.signature()
+        assert signature(again) == signature(token)
 
     def test_minimized_limit_is_minimal_under_probe(self, racy_runner):
         failing = run_schedule(racy_runner, 0)

@@ -6,7 +6,8 @@ pause only saves time if nothing a run allocates needs the collector to
 be freed: a cycle left behind would sit in memory until the collector
 next runs.  So every app under every registered strategy, in both event
 queue layouts (batched, and the keyed heap of a seeded tie-breaker),
-plus a traced run, must leave no cyclic garbage at all.
+plus a traced run, must leave no cyclic garbage at all — and so must a
+run that raises.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ def test_every_app_and_strategy_leaves_no_cyclic_garbage(collector_restored):
     for spec in specs:
         out = execute_spec(spec)
         assert out["ok"], out.get("traceback")
+    gc.collect()
+    left = collections.Counter(type(o).__name__ for o in gc.garbage)
+    assert sum(left.values()) == 0, left.most_common(10)
+
+
+def test_a_failing_spec_leaves_no_cyclic_garbage(collector_restored):
+    # a 256 MiB working set cannot fit a 32 MiB HBM: hbm-only raises
+    # mid-build, and the run must still end with Environment.close()
+    spec = {"kind": "stencil", "params": {
+        "strategy": "hbm-only", "cores": 4, "mcdram": 32 * MiB,
+        "ddr": 512 * MiB, "total": 256 * MiB, "block": 16 * MiB,
+        "iterations": 1}}
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    out = execute_spec(spec)
+    assert not out["ok"]
+    assert out["error"].startswith("CapacityError"), out["error"]
     gc.collect()
     left = collections.Counter(type(o).__name__ for o in gc.garbage)
     assert sum(left.values()) == 0, left.most_common(10)

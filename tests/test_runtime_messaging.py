@@ -8,15 +8,15 @@ from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.loadbalance import block_cyclic_map, round_robin_map
 from repro.runtime.reduction import Reducer
-from repro.runtime.runtime import CharmRuntime
+from repro.runtime.runtime import MESSAGE_LATENCY, CharmRuntime
 from repro.sim.environment import Environment
 from repro.units import GiB
 
 
-def make_runtime(cores=4, **kwargs):
+def make_runtime(cores=4):
     node = build_knl(Environment(), cores=cores, mcdram_capacity=GiB,
                      ddr_capacity=4 * GiB)
-    return CharmRuntime(node, **kwargs)
+    return CharmRuntime(node)
 
 
 class Echo(Chare):
@@ -37,7 +37,7 @@ class Echo(Chare):
 
 class TestMessaging:
     def test_send_delivers_after_latency(self):
-        rt = make_runtime(message_latency=3e-6)
+        rt = make_runtime()
         arr = rt.create_array(Echo, 1)
         arr.broadcast("setup")
         red = rt.reducer(1)
@@ -46,7 +46,7 @@ class TestMessaging:
         assert arr[0].log[0][0] == 42
         # both messages sent at t=0 arrive after one latency; FIFO order
         # guarantees setup ran first
-        assert arr[0].log[0][1] == pytest.approx(3e-6)
+        assert arr[0].log[0][1] == pytest.approx(MESSAGE_LATENCY)
 
     def test_broadcast_reaches_all(self):
         rt = make_runtime()
@@ -93,20 +93,6 @@ class TestMessaging:
         pe = rt.pes[0]
         assert pe.tasks_executed == 2
         assert pe.busy_time == pytest.approx(0.5, abs=1e-4)
-
-    @pytest.mark.parametrize("latency", [-1e-6, float("nan"), float("inf"),
-                                         float("-inf")])
-    def test_bad_message_latency_rejected(self, latency):
-        with pytest.raises(RuntimeModelError,
-                           match=f"message_latency .*{latency!r}"):
-            make_runtime(message_latency=latency)
-
-    def test_zero_latency_puts_synchronously(self):
-        rt = make_runtime(cores=1, message_latency=0.0)
-        arr = rt.create_array(Echo, 1)
-        rt.send(arr[0], "setup")
-        # no event in between: the message is already on the run queue
-        assert len(rt.pes[0].run_queue) == 1
 
 
 class TestReducer:

@@ -41,26 +41,6 @@ def run_once(strategy, chares=8, block=8 * MiB, **kwargs):
     return built
 
 
-class TestStop:
-    def test_single_io_stop_kills_io_thread(self):
-        built = run_once("single-io")
-        proc = built.strategy.io_process
-        assert proc.is_alive
-        built.strategy.stop()
-        built.env.run()
-        assert not proc.is_alive
-
-    def test_multi_io_stop_kills_all(self):
-        built = run_once("multi-io")
-        built.strategy.stop()
-        built.env.run()
-        assert all(not p.is_alive for p in built.strategy.io_processes)
-
-    def test_base_stop_is_noop(self):
-        built = run_once("naive")
-        built.strategy.stop()  # must not raise
-
-
 class TestDetachedStrategy:
     def test_unattached_strategy_rejects_use(self):
         strategy = make_strategy("multi-io")

@@ -1,5 +1,5 @@
-"""Strategy lifecycle guards: zero-PE validation, idempotent teardown,
-and the epoch-memoized capacity caches."""
+"""Strategy lifecycle guards: zero-PE validation and the epoch-memoized
+capacity caches."""
 
 from types import SimpleNamespace
 
@@ -68,39 +68,10 @@ class TestZeroPEValidation:
 
     def test_error_is_raised_before_io_threads_spawn(self):
         strategy = make_strategy("multi-io")
+        mgr = _zero_pe_manager()
         with pytest.raises(ConfigError):
-            strategy.attach(_zero_pe_manager())
-        assert strategy.io_processes == []
-
-
-class TestIdempotentStop:
-    """stop() after a completed workload, twice, must be a no-op."""
-
-    def test_multi_io_double_stop(self):
-        built = run_once("multi-io")
-        strategy = built.strategy
-        assert all(p.is_alive for p in strategy.io_processes)
-        strategy.stop()
-        built.env.run()
-        assert all(not p.is_alive for p in strategy.io_processes)
-        # second stop: every process already terminated; must not raise
-        # and must not schedule anything new
-        strategy.stop()
-        assert built.env._live == 0
-        built.env.run()
-
-    def test_single_io_double_stop(self):
-        built = run_once("single-io")
-        strategy = built.strategy
-        strategy.stop()
-        built.env.run()
-        assert not strategy.io_process.is_alive
-        strategy.stop()
-        assert built.env._live == 0
-
-    def test_stop_before_setup_is_noop(self):
-        make_strategy("multi-io").stop()
-        make_strategy("single-io").stop()
+            strategy.attach(mgr)
+        assert mgr.env._live == 0
 
 
 # ---------------------------------------------------------------------------

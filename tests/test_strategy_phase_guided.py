@@ -72,10 +72,10 @@ TWO_PHASE_GUIDE = v2_guide(
     ])
 
 
-def run_two_phase(guide, *, chares=8, block=16 * MiB, cores=4,
-                  **builder_kwargs):
+def run_two_phase(*, chares=8, block=16 * MiB, cores=4, **builder_kwargs):
+    """Run setup, first, second under the guidance ``use_guidance`` set."""
     built = OOCRuntimeBuilder(
-        PhaseGuidedStrategy(guidance=guide), cores=cores,
+        PhaseGuidedStrategy(), cores=cores,
         mcdram_capacity=HBM, ddr_capacity=DDR, **builder_kwargs).build()
     rt = built.runtime
     arr = rt.create_array(TwoPhaseWorker, chares)
@@ -91,8 +91,9 @@ def run_two_phase(guide, *, chares=8, block=16 * MiB, cores=4,
 
 
 class TestPhaseTracking:
-    def test_entry_phase_map_built_from_phase_table(self):
-        strategy = PhaseGuidedStrategy(guidance=TWO_PHASE_GUIDE)
+    def test_entry_phase_map_built_from_phase_table(self, use_guidance):
+        use_guidance(TWO_PHASE_GUIDE)
+        strategy = PhaseGuidedStrategy()
         built = OOCRuntimeBuilder(strategy, cores=2, mcdram_capacity=HBM,
                                   ddr_capacity=DDR).build()
         assert strategy._entry_phase == {"TwoPhaseWorker.setup": 0,
@@ -102,42 +103,46 @@ class TestPhaseTracking:
                                        "TwoPhaseWorker.late": (2, 2)}
         assert built.strategy is strategy
 
-    def test_entry_repeated_across_phases_maps_to_earliest(self):
-        guide = v2_guide(sites={}, phases=[
-            phase_row(0, ["W.go"]), phase_row(1, ["W.go"])])
-        strategy = PhaseGuidedStrategy(guidance=guide)
+    def test_entry_repeated_across_phases_maps_to_earliest(
+            self, use_guidance):
+        use_guidance(v2_guide(sites={}, phases=[
+            phase_row(0, ["W.go"]), phase_row(1, ["W.go"])]))
+        strategy = PhaseGuidedStrategy()
         OOCRuntimeBuilder(strategy, cores=2, mcdram_capacity=HBM,
                           ddr_capacity=DDR).build()
         assert strategy._entry_phase == {"W.go": 0}
 
-    def test_phase_advances_monotonically_through_run(self):
-        built, _ = run_two_phase(TWO_PHASE_GUIDE)
+    def test_phase_advances_monotonically_through_run(self, use_guidance):
+        use_guidance(TWO_PHASE_GUIDE)
+        built, _ = run_two_phase()
         assert built.strategy.phase == 2
         # setup is not intercepted (not a prefetch entry), so the
         # strategy first observes phase 1, then phase 2
         assert built.strategy.phase_advances == 2
 
-    def test_phase_dead_blocks_evicted_at_boundary(self):
+    def test_phase_dead_blocks_evicted_at_boundary(self, use_guidance):
         # 8 x 2 x 16 MiB = 256 MiB exactly fills HBM; without the
         # phase-dead sweep, 'early' blocks would linger INHBM
-        built, arr = run_two_phase(TWO_PHASE_GUIDE)
+        use_guidance(TWO_PHASE_GUIDE)
+        built, arr = run_two_phase()
         assert built.strategy.phase_evictions_requested > 0
         assert all(c.early.state is BlockState.INDDR for c in arr)
 
-    def test_lookahead_prefetch_fires(self):
+    def test_lookahead_prefetch_fires(self, use_guidance):
         # during phase 1, idle IO lanes pull 'late' (first hot in
         # phase 2) so phase 2 starts partially resident
-        built, _ = run_two_phase(TWO_PHASE_GUIDE)
+        use_guidance(TWO_PHASE_GUIDE)
+        built, _ = run_two_phase()
         assert built.strategy.lookahead_prefetches > 0
 
 
 class TestDegradedModes:
-    def test_v1_guidance_behaves_exactly_like_multi_io(self):
-        v1 = GuidanceFile(sites={
+    def test_v1_guidance_behaves_exactly_like_multi_io(self, use_guidance):
+        use_guidance(GuidanceFile(sites={
             "TwoPhaseWorker.early": site("TwoPhaseWorker", "early"),
             "TwoPhaseWorker.late": site("TwoPhaseWorker", "late", order=1),
-        }, schema=1)
-        phased, _ = run_two_phase(v1)
+        }, schema=1))
+        phased, _ = run_two_phase()
         assert phased.strategy.phase == -1
         assert phased.strategy.phase_evictions_requested == 0
         assert phased.strategy.lookahead_prefetches == 0
@@ -156,35 +161,29 @@ class TestDegradedModes:
             rt.run_until(red.done)
         assert phased.env.now == built.env.now
 
-    def test_empty_guidance_still_completes(self):
-        built, arr = run_two_phase(GuidanceFile(sites={}))
+    def test_empty_guidance_still_completes(self, use_guidance):
+        use_guidance(GuidanceFile(sites={}))
+        built, arr = run_two_phase()
         assert built.manager.tasks_completed == 16
 
-    def test_guidance_path_kwarg_resolution(self, tmp_path):
-        path = tmp_path / "g.json"
-        TWO_PHASE_GUIDE.write(path)
-        strategy = PhaseGuidedStrategy(guidance_path=str(path))
-        guide = strategy.guidance()
+    def test_guidance_env_resolution(self, use_guidance):
+        use_guidance(TWO_PHASE_GUIDE)
+        guide = PhaseGuidedStrategy().guidance()
         assert guide.schema == GUIDANCE_SCHEMA
-        assert guide.entry_phase("TwoPhaseWorker.second") == 2
-
-    def test_guidance_env_resolution(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.json"
-        TWO_PHASE_GUIDE.write(path)
-        monkeypatch.setenv("REPRO_GUIDANCE", str(path))
-        strategy = PhaseGuidedStrategy()
-        assert strategy.guidance().entry_phase("TwoPhaseWorker.first") == 1
+        assert guide.phase_table() == TWO_PHASE_GUIDE.phase_table()
 
     def test_registry_construction(self):
         assert make_strategy("phase-guided").name == "phase-guided"
 
-    def test_deterministic_repeat(self):
-        t1 = run_two_phase(TWO_PHASE_GUIDE)[0].env.now
-        t2 = run_two_phase(TWO_PHASE_GUIDE)[0].env.now
+    def test_deterministic_repeat(self, use_guidance):
+        use_guidance(TWO_PHASE_GUIDE)
+        t1 = run_two_phase()[0].env.now
+        t2 = run_two_phase()[0].env.now
         assert t1 == t2
 
-    def test_registry_invariants_after_run(self):
-        built, _ = run_two_phase(TWO_PHASE_GUIDE)
+    def test_registry_invariants_after_run(self, use_guidance):
+        use_guidance(TWO_PHASE_GUIDE)
+        built, _ = run_two_phase()
         check_registry_invariants(built.machine.registry)
         assert built.machine.hbm.allocator.peak_used <= HBM
 

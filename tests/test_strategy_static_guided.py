@@ -88,51 +88,45 @@ def run_app(strategy, *, chare=Worker, chares=16, block=32 * MiB, rounds=2,
 
 
 class TestPlacement:
-    def test_unknown_sites_place_exactly_like_naive(self):
+    def test_unknown_sites_place_exactly_like_naive(self, use_guidance):
         # the test Worker has no guidance record, so every block gets
         # the default density and placement degrades to the baseline
-        empty = GuidanceFile(sites={})
-        guided, garr = run_app(StaticGuidedStrategy(guidance=empty))
+        use_guidance(GuidanceFile(sites={}))
+        guided, garr = run_app(StaticGuidedStrategy())
         naive, narr = run_app("naive")
         assert [c.data.state for c in garr] == [c.data.state for c in narr]
         assert guided.env.now == naive.env.now
 
-    def test_high_priority_sites_claim_hbm_first(self):
-        guide = GuidanceFile(sites={
+    def test_high_priority_sites_claim_hbm_first(self, use_guidance):
+        use_guidance(GuidanceFile(sites={
             "TwoBlockWorker.cold": record("TwoBlockWorker", "cold",
                                           priority=0.5, order=0),
             "TwoBlockWorker.hot": record("TwoBlockWorker", "hot",
                                          priority=5.0, order=1),
-        })
+        }))
         # 8 chares x 2 x 32 MiB = 512 MiB over a 256 MiB HBM: only the
         # 8 hot blocks fit
-        built, arr = run_app(StaticGuidedStrategy(guidance=guide),
+        built, arr = run_app(StaticGuidedStrategy(),
                              chare=TwoBlockWorker, chares=8, rounds=1)
         assert all(c.hot.state is BlockState.INHBM for c in arr)
         assert all(c.cold.state is BlockState.INDDR for c in arr)
 
-    def test_ddr_tier_sites_are_pinned(self):
-        guide = GuidanceFile(sites={
+    def test_ddr_tier_sites_are_pinned(self, use_guidance):
+        use_guidance(GuidanceFile(sites={
             "Worker.data": record("Worker", "data", tier="ddr",
-                                  priority=0.0)})
-        built, arr = run_app(StaticGuidedStrategy(guidance=guide),
-                             chares=4, rounds=1)
+                                  priority=0.0)}))
+        built, arr = run_app(StaticGuidedStrategy(), chares=4, rounds=1)
         assert all(c.data.state is BlockState.INDDR for c in arr)
         assert built.strategy.blocks_pinned_ddr == 4
 
-    def test_guidance_path_kwarg_and_env(self, tmp_path, monkeypatch):
-        guide = GuidanceFile(sites={
-            "Worker.data": record("Worker", "data", tier="ddr")})
-        path = tmp_path / "g.json"
-        guide.write(path)
-        strategy = StaticGuidedStrategy(guidance_path=str(path))
-        assert strategy.guidance().tier("Worker.data") == "ddr"
-        monkeypatch.setenv("REPRO_GUIDANCE", str(path))
+    def test_guidance_from_env(self, use_guidance):
+        use_guidance(GuidanceFile(sites={
+            "Worker.data": record("Worker", "data", tier="ddr")}))
         from_env = StaticGuidedStrategy()
         assert from_env.guidance().tier("Worker.data") == "ddr"
 
     def test_never_intercepts(self):
-        strategy = StaticGuidedStrategy(guidance=GuidanceFile(sites={}))
+        strategy = StaticGuidedStrategy()
         assert strategy.intercepts is False
         with pytest.raises(SchedulingError):
             next(strategy.submit(None, None))

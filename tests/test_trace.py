@@ -1,14 +1,12 @@
 """Unit tests for tracing, projections aggregation, rendering, export."""
 
-import csv
-import io
 import json
 
 import pytest
 
 from repro.sim.environment import Environment
 from repro.trace.events import TraceCategory, TraceEvent
-from repro.trace.export import to_csv, to_json
+from repro.trace.export import to_json
 from repro.trace.projections import build_report
 from repro.trace.render import render_timeline, render_usage_bars
 from repro.trace.tracer import Tracer
@@ -80,7 +78,7 @@ class TestProjections:
     def test_worker_and_io_lane_split(self, tracer):
         report = build_report(tracer)
         assert [tl.lane for tl in report.worker_lanes] == ["pe0", "pe1"]
-        assert [tl.lane for tl in report.io_lanes] == ["io0"]
+        assert sorted(report.lanes) == ["io0", "pe0", "pe1"]
 
     def test_mean_metrics(self, tracer):
         report = build_report(tracer)
@@ -128,9 +126,3 @@ class TestExport:
         assert first["ph"] == "X"
         assert first["ts"] == 0.0
         assert first["dur"] == 4.0e6  # microseconds
-
-    def test_csv_round_trip(self, tracer):
-        rows = list(csv.DictReader(io.StringIO(to_csv(tracer))))
-        assert len(rows) == 4
-        assert rows[0]["lane"] == "pe0"
-        assert float(rows[0]["duration_s"]) == 4.0

@@ -7,8 +7,6 @@ slices plus their flow ("s"/"f") arrow pairs — the shapes Perfetto
 requires.
 """
 
-import csv
-import io
 import json
 
 import pytest
@@ -16,7 +14,7 @@ import pytest
 from repro.obs.spans import Span
 from repro.sim.environment import Environment
 from repro.trace.events import TraceCategory, TraceEvent
-from repro.trace.export import span_events, to_csv, to_json
+from repro.trace.export import span_events, to_json
 from repro.trace.tracer import Tracer
 
 
@@ -183,24 +181,3 @@ class TestJsonSpanEvents:
     def test_no_spans_no_span_events(self, tracer):
         events = json.loads(to_json(tracer, spans=[]))["traceEvents"]
         assert all(not e["cat"].startswith("span.") for e in events)
-
-
-class TestCsv:
-    def test_header_and_row_shape(self, tracer):
-        rows = list(csv.DictReader(io.StringIO(to_csv(tracer))))
-        assert len(rows) == 3
-        assert set(rows[0]) == {"lane", "category", "start_s", "end_s",
-                                "duration_s", "label"}
-
-    def test_values_round_trip(self, tracer):
-        rows = list(csv.DictReader(io.StringIO(to_csv(tracer))))
-        evict = next(r for r in rows if r["label"] == "evict b1")
-        assert evict["lane"] == "io0"
-        assert evict["category"] == "io_evict"
-        assert float(evict["start_s"]) == pytest.approx(0.003)
-        assert float(evict["duration_s"]) == pytest.approx(0.0005)
-
-    def test_empty_tracer_has_header_only(self):
-        text = to_csv(Tracer(Environment()))
-        assert text.splitlines()[0].startswith("lane,")
-        assert len(text.splitlines()) == 1
