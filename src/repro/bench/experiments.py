@@ -48,10 +48,10 @@ STRATEGY_SERIES = {
 }
 
 
-def _machine(strategy: str, scale: Scale, *, trace: bool = False,
-             cores: int = 64) -> dict[str, _t.Any]:
+def _machine(strategy: str, scale: Scale, *,
+             trace: bool = False) -> dict[str, _t.Any]:
     """The common machine params of one figure run (canonical subset)."""
-    return {"strategy": strategy, "cores": cores,
+    return {"strategy": strategy, "cores": 64,
             "mcdram": scale.mcdram, "ddr": scale.ddr, "trace": trace}
 
 
@@ -171,8 +171,8 @@ def _fig2_claims(result: ExperimentResult) -> list[str]:
 # Figures 5 & 6 — Projections: wait time and sync-vs-async overhead
 # ---------------------------------------------------------------------------
 
-def _traced_stencil_spec(strategy: str, scale: Scale, *, figure: str,
-                         iterations: int = 3) -> RunSpec:
+def _traced_stencil_spec(strategy: str, scale: Scale, *,
+                         figure: str) -> RunSpec:
     """The out-of-core traced Stencil3D run Figures 5 and 6 both use.
 
     The spec identity excludes the figure name, so the shared multi-io
@@ -183,7 +183,7 @@ def _traced_stencil_spec(strategy: str, scale: Scale, *, figure: str,
     return RunSpec(
         "stencil",
         {**_machine(strategy, scale, trace=True), "total": total,
-         "block": scale.size(64 * MiB), "iterations": iterations},
+         "block": scale.size(64 * MiB), "iterations": 3},
         cost=4.0 * total / GiB,
         label=f"{figure}/traced-stencil/{strategy}")
 

@@ -44,9 +44,9 @@ __all__ = ["repo_root", "bench_path", "write_bench", "best_wall_time"]
 SCHEMA_VERSION = 1
 
 
-def repo_root(start: "Path | None" = None) -> Path:
+def repo_root() -> Path:
     """The repository root: nearest ancestor holding ``pyproject.toml``."""
-    here = (start or Path(__file__)).resolve()
+    here = Path(__file__).resolve()
     for candidate in [here, *here.parents]:
         if (candidate / "pyproject.toml").is_file():
             return candidate

@@ -143,8 +143,7 @@ def knl_config(*, cores: int = 64,
                memory_mode: MemoryMode = MemoryMode.FLAT,
                cluster_mode: ClusterMode = ClusterMode.ALL_TO_ALL,
                mcdram_capacity: _t.Union[int, str] = 16 * GiB,
-               ddr_capacity: _t.Union[int, str] = 96 * GiB,
-               hybrid_cache_fraction: float = 0.5) -> MachineConfig:
+               ddr_capacity: _t.Union[int, str] = 96 * GiB) -> MachineConfig:
     """The paper's testbed configuration, with knobs for ablations.
 
     Cluster mode: the paper uses All-to-All, noting it "has the most impact
@@ -164,7 +163,6 @@ def knl_config(*, cores: int = 64,
         devices=(ddr, mcdram),
         memory_mode=memory_mode,
         cluster_mode=cluster_mode,
-        hybrid_cache_fraction=hybrid_cache_fraction,
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.config import ClusterMode, MachineConfig, MemoryMode
+from repro.config import ClusterMode, MachineConfig
 from repro.core.eviction import EvictionPolicy
 from repro.core.manager import OOCManager
 from repro.core.strategies import Strategy, make_strategy
@@ -56,7 +56,6 @@ class OOCRuntimeBuilder:
 
     def __init__(self, strategy: str | Strategy = "multi-io", *,
                  cores: int = 64,
-                 memory_mode: MemoryMode = MemoryMode.FLAT,
                  cluster_mode: ClusterMode = ClusterMode.ALL_TO_ALL,
                  mcdram_capacity: int | str = 16 * GiB,
                  ddr_capacity: int | str = 96 * GiB,
@@ -68,7 +67,6 @@ class OOCRuntimeBuilder:
         self.machine_config = machine_config
         self.strategy_spec = strategy
         self.cores = cores
-        self.memory_mode = memory_mode
         self.cluster_mode = cluster_mode
         self.mcdram_capacity = mcdram_capacity
         self.ddr_capacity = ddr_capacity
@@ -89,8 +87,7 @@ class OOCRuntimeBuilder:
             machine = build_machine(env, self.machine_config)
         else:
             machine = build_knl(
-                env, cores=self.cores, memory_mode=self.memory_mode,
-                cluster_mode=self.cluster_mode,
+                env, cores=self.cores, cluster_mode=self.cluster_mode,
                 mcdram_capacity=self.mcdram_capacity,
                 ddr_capacity=self.ddr_capacity)
         runtime = CharmRuntime(machine)

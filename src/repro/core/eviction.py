@@ -23,6 +23,13 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["EvictionPolicy", "OwnBlocksEviction", "LRUEviction"]
 
+#: :class:`OwnBlocksEviction`'s eager post-task eviction only engages above
+#: this HBM utilisation; below it, idle blocks stay resident for reuse and
+#: space is made on demand instead.  0.0 reproduces the paper's
+#: always-eager text literally (at the cost of evicting reusable blocks
+#: into a 95% empty HBM, which is what kills read-only reuse).
+PRESSURE_THRESHOLD = 0.92
+
 
 def _evictable(block: DataBlock) -> bool:
     return (block.state is BlockState.INHBM and not block.in_use
@@ -90,20 +97,12 @@ class OwnBlocksEviction(EvictionPolicy):
 
     name = "own-blocks"
 
-    def __init__(self, *, pressure_threshold: float = 0.92):
-        #: eager post-task eviction only engages above this HBM utilisation;
-        #: below it, idle blocks stay resident for reuse and space is made
-        #: on demand instead.  0.0 reproduces the paper's always-eager text
-        #: literally (at the cost of evicting reusable blocks into a 95%%
-        #: empty HBM, which is what kills read-only reuse).
-        self.pressure_threshold = pressure_threshold
-
     def post_task_victims(self, task: "OOCTask",
                           tracker: "HBMTracker | None" = None) -> list[DataBlock]:
-        if tracker is not None and self.pressure_threshold > 0.0:
+        if tracker is not None:
             utilisation = ((tracker.in_use + tracker.reserved)
                            / max(tracker.budget, 1))
-            if utilisation < self.pressure_threshold:
+            if utilisation < PRESSURE_THRESHOLD:
                 return []
         # Keep blocks some queued task still needs: the runtime can see
         # every wait queue, so evicting them is avoidable thrash.

@@ -27,7 +27,6 @@ class HBMTracker:
         self.reserved = 0
         self.peak_reserved = 0
         self.rejected_fits = 0
-        self.granted_reservations = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -69,7 +68,6 @@ class HBMTracker:
                 f"({self.uncommitted}B)")
         self.reserved += nbytes
         self.peak_reserved = max(self.peak_reserved, self.reserved)
-        self.granted_reservations += 1
         return nbytes
 
     def unreserve(self, nbytes: int) -> None:

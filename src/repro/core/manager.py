@@ -14,7 +14,7 @@ from repro import hooks as _probe
 from repro.core.eviction import EvictionPolicy, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask, TaskState
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.mem.block import BlockState, DataBlock
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
@@ -98,7 +98,8 @@ class OOCManager:
         for block in task.blocks:
             block.add_demand(task.tid, task)
         if task.total_dep_bytes > self.tracker.budget:
-            raise SchedulingError(
+            # no schedule can run this task: the machine is misconfigured
+            raise ConfigError(
                 f"task #{task.tid} needs {task.total_dep_bytes}B of HBM but "
                 f"the budget is {self.tracker.budget}B; decompose further")
         self.tasks_intercepted += 1

@@ -202,8 +202,6 @@ class Strategy:
         finally:
             if not finalized:
                 mgr.end_inflight(block, done_event)
-        block.evict_count += 1
-        block.last_evicted_at = mgr.env.now
         self.evictions += 1
         self.bytes_evicted += block.nbytes
         if _probe.on_evict is not None:

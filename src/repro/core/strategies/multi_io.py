@@ -43,17 +43,12 @@ class MultiIOThreadStrategy(Strategy):
         super().__init__()
         self.gates: dict[int, Gate] = {}
         self.evict_requests: dict[int, deque[DataBlock]] = {}
-        #: SMT lanes the IO threads are pinned to, for inspection
-        self.io_pinning: dict[int, int] = {}
 
     def setup(self) -> None:
         mgr = self._mgr()
         for pe in self._require_pes():
             self.gates[pe.id] = Gate(mgr.env, name=f"multi-io.gate{pe.id}")
             self.evict_requests[pe.id] = deque()
-            sibling = pe.core.smt_sibling() if len(pe.core.threads) > 1 \
-                else pe.core.primary_thread
-            self.io_pinning[pe.id] = sibling.global_id
             mgr.env.process(self._io_main(pe), name=f"io-thread-{pe.id}")
 
     # -- worker side ---------------------------------------------------------

@@ -25,20 +25,13 @@ class NaiveStrategy(Strategy):
     name = "naive"
     intercepts = False
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.blocks_in_hbm = 0
-        self.blocks_in_ddr = 0
-
     def place_initial(self, blocks: _t.Iterable[DataBlock]) -> None:
         mgr = self._mgr()
         for block in blocks:
             if mgr.hbm.can_allocate(block.nbytes):
                 mgr.topology.place_block(block, mgr.hbm)
-                self.blocks_in_hbm += 1
             else:
                 mgr.topology.place_block(block, mgr.ddr)
-                self.blocks_in_ddr += 1
 
     def submit(self, pe: PE, task) -> _t.Generator:  # pragma: no cover
         raise SchedulingError("NaiveStrategy never intercepts messages")

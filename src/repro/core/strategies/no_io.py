@@ -36,8 +36,6 @@ class NoIOThreadStrategy(Strategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self.parked_tasks = 0
-        self.retries_posted = 0
         #: PEs with a RetryFetch already queued (avoid flooding)
         self._retry_pending: set[int] = set()
 
@@ -54,7 +52,6 @@ class NoIOThreadStrategy(Strategy):
             if ok:
                 self.make_ready(pe, task)
                 return
-        self.parked_tasks += 1
         pe.wait_enqueue(task)
 
     def task_finished(self, pe: PE, task: OOCTask) -> _t.Generator:
@@ -122,5 +119,4 @@ class NoIOThreadStrategy(Strategy):
             if self.missing_bytes(head) > mgr.tracker.budget - mgr.tracker.reserved:
                 continue
             self._retry_pending.add(other.id)
-            self.retries_posted += 1
             other.run_queue.put(RetryFetch())

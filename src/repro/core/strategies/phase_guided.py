@@ -49,14 +49,6 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
         self._guidance: "GuidanceFile | None" = None
         #: highest phase index observed from submitted entries
         self.phase = -1
-        self.phase_advances = 0
-        #: phase-dead blocks handed to the IO eviction queues
-        self.phase_evictions_requested = 0
-        #: blocks brought in by the next-phase lookahead prefetch
-        self.lookahead_prefetches = 0
-        #: post-task victims kept resident because their site is still
-        #: hot in the current (or a later) phase
-        self.hot_retentions = 0
         #: "Cls.entry" -> earliest phase containing that entry
         self._entry_phase: dict[str, int] = {}
         #: site id -> (first_phase, last_phase)
@@ -98,7 +90,6 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
         if phase is None or phase <= self.phase:
             return
         self.phase = phase
-        self.phase_advances += 1
         self._retain_hot = self._phase_set_fits()
         self._request_phase_dead_evictions(pe)
 
@@ -138,7 +129,6 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
             interval = self._intervals.get(site) if site else None
             if interval is not None and interval[1] < self.phase:
                 requests.append(block)
-                self.phase_evictions_requested += 1
         if requests:
             self.gates[pe.id].open()
 
@@ -168,7 +158,6 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
             site = block_site_id(victim)
             interval = self._intervals.get(site) if site else None
             if interval is not None and interval[1] >= self.phase:
-                self.hot_retentions += 1
                 continue
             kept.append(victim)
         return kept
@@ -204,6 +193,5 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
                 block, lane, TraceCategory.IO_FETCH)
             if not fetched:
                 break
-            self.lookahead_prefetches += 1
             progress = True
         return progress

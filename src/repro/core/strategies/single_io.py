@@ -38,7 +38,6 @@ class SingleIOThreadStrategy(Strategy):
         super().__init__()
         self.gate: Gate | None = None
         self._rr_start = 0
-        self.scan_passes = 0
 
     def setup(self) -> None:
         mgr = self._mgr()
@@ -86,7 +85,6 @@ class SingleIOThreadStrategy(Strategy):
     def _scan_once(self, pes: list[PE]) -> _t.Generator:
         """One fair pass: at most one task fetched per PE wait queue."""
         mgr = self._mgr()
-        self.scan_passes += 1
         progress = yield from self.maintain_watermarks(IO_LANE)
         n = len(pes)
         for k in range(n):

@@ -82,7 +82,6 @@ class StaticGuidedStrategy(NaiveStrategy):
     def __init__(self) -> None:
         super().__init__()
         self._guidance: "GuidanceFile | None" = None
-        self.blocks_pinned_ddr = 0
 
     def guidance(self) -> "GuidanceFile":
         if self._guidance is None:
@@ -108,8 +107,6 @@ class StaticGuidedStrategy(NaiveStrategy):
         super().place_initial(block for _prio, _seq, block in ranked)
         for block in pinned:
             mgr.topology.place_block(block, mgr.ddr)
-            self.blocks_in_ddr += 1
-            self.blocks_pinned_ddr += 1
 
     def submit(self, pe: PE, task) -> _t.Generator:  # pragma: no cover
         raise SchedulingError(

@@ -59,9 +59,8 @@ class MemoryModelError(ReproError):
 class CapacityError(MemoryModelError):
     """An allocation would exceed a memory device's capacity."""
 
-    def __init__(self, message: str, *, requested: int = 0, available: int = 0):
+    def __init__(self, message: str, *, available: int = 0):
         super().__init__(message)
-        self.requested = requested
         self.available = available
 
 

@@ -46,20 +46,14 @@ def _package_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def code_fingerprint(root: "Path | str | None" = None, *,
-                     refresh: bool = False) -> str:
-    """Hex digest naming the current source tree under ``root``.
-
-    ``root`` defaults to the installed ``repro`` package directory.
-    ``refresh`` bypasses the per-process memo (tests that rewrite
-    files mid-process).
-    """
-    base = Path(root) if root is not None else _package_root()
+def code_fingerprint() -> str:
+    """Hex digest naming the installed ``repro`` package's source tree."""
+    base = _package_root()
     # the memo key carries the guidance: tests monkeypatch
     # $REPRO_GUIDANCE mid-process and must see a fresh generation
     guidance = _guidance_digest()
     memo_key = f"{base}\x00{guidance}"
-    if not refresh and memo_key in _memo:
+    if memo_key in _memo:
         return _memo[memo_key]
     digest = hashlib.sha256()
     digest.update(f"guidance={guidance}".encode())

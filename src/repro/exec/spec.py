@@ -62,11 +62,11 @@ def canonical_json(obj: _t.Any) -> str:
                       separators=(",", ":"))
 
 
-def stable_seed(*parts: _t.Any, bits: int = 48) -> int:
-    """A deterministic seed from string-able parts (hash-salt-proof)."""
+def stable_seed(*parts: _t.Any) -> int:
+    """A deterministic 48-bit seed from string-able parts (hash-salt-proof)."""
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[: (bits + 7) // 8], "big") % (1 << bits)
+    return int.from_bytes(digest[:6], "big")
 
 
 @dataclasses.dataclass(frozen=True)

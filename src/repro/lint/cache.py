@@ -55,12 +55,9 @@ def findings_from_payload(payload: _t.Iterable[dict]) -> list[Finding]:
 class AnalysisCache:
     """Content-addressed store for lint/guidance analysis payloads."""
 
-    def __init__(self, root: "Path | str | None" = None, *,
-                 enabled: bool = True):
-        if root is None:
-            from repro.exec.cache import default_cache_root
-            root = default_cache_root()
-        self.root = Path(root) / "lint"
+    def __init__(self, *, enabled: bool = True):
+        from repro.exec.cache import default_cache_root
+        self.root = default_cache_root() / "lint"
         self.enabled = enabled
         self.hits = 0
         self.misses = 0

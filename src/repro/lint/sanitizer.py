@@ -267,23 +267,20 @@ class SimSanitizer:
                     device=dev.name)
         return len(self.violations) - before
 
-    def check_quiescent(self, manager: "OOCManager | None" = None, *,
-                        drain: bool = True) -> int:
+    def check_quiescent(self, manager: "OOCManager | None" = None) -> int:
         """End-of-run sweep: leaks, stuck MOVING, pending waiters.
 
         Call at a quiescence point — after the last reduction completed,
-        before (or instead of) runtime shutdown.  With ``drain`` (the
-        default) the event queue is first run dry so asynchronous
-        background evictions still in flight at the barrier settle; a
-        block still ``MOVING`` after that has no pending event left to
-        settle it and is genuinely stuck (the PR 1 bug class).  Returns
-        the number of new violations.
+        before (or instead of) runtime shutdown.  The event queue is first
+        run dry so asynchronous background evictions still in flight at the
+        barrier settle; a block still ``MOVING`` after that has no pending
+        event left to settle it and is genuinely stuck.  Returns the number
+        of new violations.
         """
         mgr = manager or self.manager
         if mgr is None:
             return 0
-        if drain:
-            mgr.env.run()
+        mgr.env.run()
         before = len(self.violations)
         env = mgr.env
         counter = getattr(env, "_live", None)

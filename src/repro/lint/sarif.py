@@ -64,8 +64,7 @@ def _result(finding: Finding) -> dict:
     return result
 
 
-def to_sarif(findings: _t.Iterable[Finding], *,
-             tool_version: str = "0") -> str:
+def to_sarif(findings: _t.Iterable[Finding]) -> str:
     """Serialize ``findings`` as one canonical SARIF 2.1.0 document."""
     ordered = sorted(findings, key=lambda f: (f.file, f.line, f.rule,
                                               f.message))
@@ -79,7 +78,7 @@ def to_sarif(findings: _t.Iterable[Finding], *,
                     "name": "repro-lint",
                     "informationUri":
                         "https://github.com/paper-repro/repro",
-                    "version": tool_version,
+                    "version": "0",
                     "rules": [_rule_descriptor(r) for r in rule_ids],
                 },
             },

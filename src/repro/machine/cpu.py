@@ -1,11 +1,11 @@
 """Cores, tiles and SMT threads (paper §III-B, Figure 4).
 
 KNL packs 2 physical cores per tile (34 tiles, 68 cores, 4-way SMT → 272
-hardware threads).  The runtime maps one worker PE per physical core and —
-in the Multiple-IO-threads strategy — pins each IO thread to an SMT sibling
-of its worker "so as to not increase the usage of the number of physical
-cores" (§IV-B).  The hardware-thread objects here exist so that pinning is
-explicit and testable.
+hardware threads).  The runtime maps one worker PE per physical core; the
+paper pins each Multiple-IO-threads IO thread to an SMT sibling of its
+worker "so as to not increase the usage of the number of physical cores"
+(§IV-B).  In the model an IO thread is a simulated process of its own
+that takes no worker core, so no thread is pinned explicitly.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ class Core:
             HardwareThread(global_id=core_id * smt + lane,
                            core_id=core_id, smt_lane=lane)
             for lane in range(smt))
-
-    @property
-    def primary_thread(self) -> HardwareThread:
-        return self.threads[0]
-
-    def smt_sibling(self, lane: int = 1) -> HardwareThread:
-        """The SMT lane IO threads get pinned to (lane 1 by default)."""
-        if lane >= len(self.threads):
-            raise ConfigError(
-                f"core {self.core_id} has no SMT lane {lane} "
-                f"(smt={len(self.threads)})")
-        return self.threads[lane]
 
     def __repr__(self) -> str:
         return f"<Core {self.core_id} tile={self.tile_id} smt={len(self.threads)}>"

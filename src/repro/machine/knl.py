@@ -12,8 +12,6 @@ Cluster modes scale bandwidth/latency inside :func:`repro.config.knl_config`.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.config import ClusterMode, MachineConfig, MemoryMode, knl_config
 from repro.errors import ConfigError
 from repro.machine.node import MachineNode
@@ -24,14 +22,13 @@ from repro.units import GiB
 
 __all__ = ["build_machine", "build_knl"]
 
+#: fraction of MCDRAM that HYBRID mode configures as cache
+HYBRID_CACHE_FRACTION = 0.5
 
-def build_machine(env: Environment, config: MachineConfig, *,
-                  allocator_cls: type = PagedAllocator,
-                  allocator_kwargs: dict[str, _t.Any] | None = None,
-                  ) -> MachineNode:
+
+def build_machine(env: Environment, config: MachineConfig) -> MachineNode:
     """Build a node from an explicit config (flat-mode semantics)."""
-    node = MachineNode(env, config, allocator_cls=allocator_cls,
-                       allocator_kwargs=allocator_kwargs)
+    node = MachineNode(env, config)
     node.mcdram_cache = None  # type: ignore[attr-defined]
     return node
 
@@ -42,9 +39,7 @@ def build_knl(env: Environment, *,
               cluster_mode: ClusterMode = ClusterMode.ALL_TO_ALL,
               mcdram_capacity: int | str = 16 * GiB,
               ddr_capacity: int | str = 96 * GiB,
-              hybrid_cache_fraction: float = 0.5,
               allocator_cls: type = PagedAllocator,
-              allocator_kwargs: dict[str, _t.Any] | None = None,
               ) -> MachineNode:
     """Build the paper's KNL node in the requested mode.
 
@@ -56,14 +51,12 @@ def build_knl(env: Environment, *,
     base = knl_config(cores=cores, memory_mode=memory_mode,
                       cluster_mode=cluster_mode,
                       mcdram_capacity=mcdram_capacity,
-                      ddr_capacity=ddr_capacity,
-                      hybrid_cache_fraction=hybrid_cache_fraction)
+                      ddr_capacity=ddr_capacity)
     ddr_cfg = base.device("ddr4")
     mcdram_cfg = base.device("mcdram")
 
     if memory_mode is MemoryMode.FLAT:
-        node = MachineNode(env, base, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs)
+        node = MachineNode(env, base, allocator_cls=allocator_cls)
         node.mcdram_cache = None  # type: ignore[attr-defined]
         return node
 
@@ -74,8 +67,7 @@ def build_knl(env: Environment, *,
             core_mem_bandwidth=base.core_mem_bandwidth,
             devices=(ddr_cfg,), memory_mode=memory_mode,
             cluster_mode=cluster_mode)
-        node = MachineNode(env, cfg, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs)
+        node = MachineNode(env, cfg, allocator_cls=allocator_cls)
         node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
             mcdram_cfg.capacity,
             hit_bandwidth=mcdram_cfg.read_bandwidth,
@@ -83,7 +75,7 @@ def build_knl(env: Environment, *,
         return node
 
     if memory_mode is MemoryMode.HYBRID:
-        cache_bytes = int(mcdram_cfg.capacity * hybrid_cache_fraction)
+        cache_bytes = int(mcdram_cfg.capacity * HYBRID_CACHE_FRACTION)
         flat_bytes = mcdram_cfg.capacity - cache_bytes
         if flat_bytes <= 0:
             raise ConfigError(
@@ -95,15 +87,14 @@ def build_knl(env: Environment, *,
             core_mem_bandwidth=base.core_mem_bandwidth,
             devices=(ddr_cfg, flat_mcdram), memory_mode=memory_mode,
             cluster_mode=cluster_mode,
-            hybrid_cache_fraction=hybrid_cache_fraction)
-        node = MachineNode(env, cfg, allocator_cls=allocator_cls,
-                           allocator_kwargs=allocator_kwargs)
+            hybrid_cache_fraction=HYBRID_CACHE_FRACTION)
+        node = MachineNode(env, cfg, allocator_cls=allocator_cls)
         if cache_bytes > 0:
             node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
                 cache_bytes,
                 hit_bandwidth=mcdram_cfg.read_bandwidth,
                 miss_bandwidth=ddr_cfg.read_bandwidth)
-        else:  # pragma: no cover - guarded above
+        else:
             node.mcdram_cache = None  # type: ignore[attr-defined]
         return node
 

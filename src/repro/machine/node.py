@@ -48,16 +48,14 @@ class MachineNode:
     """A simulated node built from a :class:`MachineConfig`."""
 
     def __init__(self, env: Environment, config: MachineConfig, *,
-                 allocator_cls: type = PagedAllocator,
-                 allocator_kwargs: dict[str, _t.Any] | None = None):
+                 allocator_cls: type = PagedAllocator):
         self.env = env
         self.config = config
         self.network = FluidNetwork(env)
-        kwargs = allocator_kwargs or {}
         devices = []
         for dev_cfg in config.devices:
             allocator = allocator_cls(dev_cfg.capacity,
-                                      name=f"{dev_cfg.name}.alloc", **kwargs)
+                                      name=f"{dev_cfg.name}.alloc")
             devices.append(MemoryDevice(
                 name=dev_cfg.name, numa_node=dev_cfg.numa_node,
                 capacity=dev_cfg.capacity,
@@ -94,7 +92,7 @@ class MachineNode:
 
     def run_kernel(self, core: Core | int, flops: float,
                    traffic: _t.Mapping[MemoryDevice, tuple[float, float]],
-                   *, weight: float = 1.0) -> _t.Generator:
+                   ) -> _t.Generator:
         """Execute a kernel on ``core``; yields inside a simulated process.
 
         ``traffic`` maps each device to ``(read_bytes, write_bytes)`` the
@@ -121,7 +119,7 @@ class MachineNode:
                     continue
                 cap = core.mem_bandwidth * (dev_bytes / total_bytes)
                 flow = device.mixed_flow(read_bytes, write_bytes,
-                                         weight=weight, max_rate=cap)
+                                         max_rate=cap)
                 waits.append(flow.done)
         if waits:
             yield self.env.all_of(waits)
@@ -133,8 +131,7 @@ class MachineNode:
 
     def run_kernel_on_blocks(self, core: Core | int, flops: float,
                              reads: _t.Iterable, writes: _t.Iterable,
-                             *, traffic_scale: float = 1.0,
-                             weight: float = 1.0) -> _t.Generator:
+                             *, traffic_scale: float = 1.0) -> _t.Generator:
         """Kernel traffic derived from data blocks' current residency.
 
         ``reads``/``writes`` are :class:`~repro.mem.block.DataBlock`s; each
@@ -159,8 +156,7 @@ class MachineNode:
             entry[1] += block.nbytes * traffic_scale
         result = yield from self.run_kernel(
             core, flops,
-            {dev: (r, w) for dev, (r, w) in traffic.items()},
-            weight=weight)
+            {dev: (r, w) for dev, (r, w) in traffic.items()})
         return result
 
     def __repr__(self) -> str:

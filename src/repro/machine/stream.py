@@ -27,6 +27,9 @@ from repro.units import MiB
 
 __all__ = ["STREAM_KERNELS", "StreamResult", "run_stream"]
 
+#: timed repetitions per measurement; the best one is reported
+_REPEATS = 3
+
 #: kernel name -> (reads per element, writes per element)
 STREAM_KERNELS: dict[str, tuple[int, int]] = {
     "copy": (1, 1),
@@ -55,12 +58,12 @@ class StreamResult:
 
 def run_stream(node: MachineNode, device: MemoryDevice | str, *,
                kernel: str = "triad", threads: int | None = None,
-               array_bytes: int = 64 * MiB, repeats: int = 3) -> StreamResult:
+               array_bytes: int = 64 * MiB) -> StreamResult:
     """Measure STREAM bandwidth for ``kernel`` on ``device``.
 
     Each thread streams its own ``array_bytes`` working array; the reported
     bandwidth is total touched bytes over the elapsed (simulated) time of
-    the slowest thread, best of ``repeats`` — mirroring real STREAM.
+    the slowest thread, best of :data:`_REPEATS` — mirroring real STREAM.
     """
     if kernel not in STREAM_KERNELS:
         raise ExperimentError(
@@ -78,7 +81,7 @@ def run_stream(node: MachineNode, device: MemoryDevice | str, *,
 
     env = node.env
     best_elapsed = float("inf")
-    for _rep in range(max(1, repeats)):
+    for _rep in range(_REPEATS):
         start = env.now
         # Fast path: a streaming kernel with no compute floor is exactly one
         # mixed flow per thread, so start the flows directly instead of

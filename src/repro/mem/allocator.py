@@ -72,7 +72,6 @@ class Allocator:
         self.used = 0
         self.peak_used = 0
         self.alloc_calls = 0
-        self.free_calls = 0
         self.failed_allocs = 0
 
     # -- interface ------------------------------------------------------------
@@ -110,7 +109,7 @@ class Allocator:
             raise CapacityError(
                 f"{self.name}: cannot allocate {nbytes}B "
                 f"({self.available}B of {self.capacity}B available)",
-                requested=nbytes, available=self.available)
+                available=self.available)
         self.used += nbytes
         self.peak_used = max(self.peak_used, self.used)
         self.alloc_calls += 1
@@ -124,7 +123,6 @@ class Allocator:
             raise AllocationError(f"double free of {allocation!r}")
         allocation.live = False
         self.used -= allocation.nbytes
-        self.free_calls += 1
 
 
 class PagedAllocator(Allocator):
@@ -182,7 +180,7 @@ class FreeListAllocator(Allocator):
         raise CapacityError(
             f"{self.name}: no free range of {nbytes}B "
             f"(free total {self.available}B, fragmented)",
-            requested=nbytes, available=self.available)
+            available=self.available)
 
     def free(self, allocation: Allocation) -> None:
         self._give_back(allocation)
@@ -214,9 +212,6 @@ class PoolAllocator(Allocator):
         self.pool_hit_cost = pool_hit_cost
         self._inner = FreeListAllocator(capacity, name=f"{self.name}.inner")
         self._pools: dict[int, list[Allocation]] = {}
-        self.pool_hits = 0
-        self.pool_misses = 0
-        self._last_was_hit = False
 
     @staticmethod
     def size_class(nbytes: int) -> int:
@@ -233,15 +228,11 @@ class PoolAllocator(Allocator):
         pool = self._pools.get(cls)
         if pool:
             inner = pool.pop()
-            self.pool_hits += 1
-            self._last_was_hit = True
             self._take(cls)
             alloc = Allocation(inner.offset, cls, self)
             # Stash the inner allocation so free() can return it to the pool.
             alloc_inner_map[alloc.aid] = inner
             return alloc
-        self.pool_misses += 1
-        self._last_was_hit = False
         try:
             inner = self._inner.allocate(cls)
         except CapacityError:

@@ -75,22 +75,18 @@ class DataBlock:
     __slots__ = (
         "bid", "name", "nbytes", "state", "device", "allocation",
         "_refcount", "_pending", "_next_use", "pinned",
-        "last_scheduled_at", "last_evicted_at", "fetch_count",
-        "evict_count", "bytes_moved", "payload", "_idle_index",
+        "last_scheduled_at", "bytes_moved", "payload", "_idle_index",
     )
 
-    def __init__(self, name: str, nbytes: int, *,
-                 state: BlockState = BlockState.INDDR,
-                 device: "MemoryDevice | None" = None,
-                 payload: _t.Any = None):
+    def __init__(self, name: str, nbytes: int, *, payload: _t.Any = None):
         if nbytes < 0:
             raise BlockStateError(f"block {name!r} size must be >= 0")
         self.bid = next(_block_ids)
         self.name = name
         self.nbytes = int(nbytes)
-        self.state = state
+        self.state = BlockState.INDDR
         #: the device currently hosting the bytes
-        self.device: "MemoryDevice | None" = device
+        self.device: "MemoryDevice | None" = None
         #: live allocation handle on ``device``
         self.allocation: "Allocation | None" = None
         self._refcount = 0
@@ -105,9 +101,6 @@ class DataBlock:
         #: pinned blocks are never evicted (used by node-group caching)
         self.pinned = False
         self.last_scheduled_at: float | None = None
-        self.last_evicted_at: float | None = None
-        self.fetch_count = 0
-        self.evict_count = 0
         self.bytes_moved = 0
         self.payload = payload
         # The idle index of the device this block is settled on in HBM

@@ -29,36 +29,37 @@ from repro.errors import ConfigError
 __all__ = ["DirectMappedCache"]
 
 
+#: cache line, bytes
+LINE_SIZE = 64
+#: extra *effective* occupancy per missing line, seconds.  Misses overlap
+#: heavily in a memory-side cache, so this is the pipelined per-line cost
+#: (~1 ns), not the raw fill round-trip latency.
+MISS_LATENCY_PENALTY = 1.0e-9
+#: fraction of random-placement conflicts the OS avoids by sorting free
+#: pages by cache colour (KNL's kernel "zonesort").  0 models fully
+#: fragmented physical memory; 1 models perfect colouring (contiguous
+#: regions never self-conflict in an address-indexed direct-mapped cache).
+PAGE_COLORING_QUALITY = 0.7
+#: sweeps over the working set that amortise the cold-start sweep; the
+#: paper's workloads run 20 iterations
+REUSE_SWEEPS = 20
+
+
 class DirectMappedCache:
     """Analytic direct-mapped memory-side cache."""
 
-    def __init__(self, capacity: int, line_size: int = 64, *,
+    def __init__(self, capacity: int, *,
                  hit_bandwidth: float = 380e9,
-                 miss_bandwidth: float = 85e9,
-                 miss_latency_penalty: float = 1.0e-9,
-                 page_coloring_quality: float = 0.7):
-        if capacity <= 0 or line_size <= 0:
-            raise ConfigError("cache capacity and line size must be > 0")
-        if capacity % line_size:
+                 miss_bandwidth: float = 85e9):
+        if capacity <= 0:
+            raise ConfigError("cache capacity must be > 0")
+        if capacity % LINE_SIZE:
             raise ConfigError("cache capacity must be a multiple of line size")
         self.capacity = int(capacity)
-        self.line_size = int(line_size)
-        self.sets = self.capacity // self.line_size
+        self.sets = self.capacity // LINE_SIZE
         #: bandwidth served on hit (MCDRAM) and miss (DDR4 fill), B/s
         self.hit_bandwidth = float(hit_bandwidth)
         self.miss_bandwidth = float(miss_bandwidth)
-        #: extra *effective* occupancy per missing line, seconds.  Misses
-        #: overlap heavily in a memory-side cache, so this is the pipelined
-        #: per-line cost (~1 ns), not the raw fill round-trip latency.
-        self.miss_latency_penalty = float(miss_latency_penalty)
-        if not 0.0 <= page_coloring_quality <= 1.0:
-            raise ConfigError("page_coloring_quality must be in [0, 1]")
-        #: fraction of random-placement conflicts the OS avoids by sorting
-        #: free pages by cache colour (KNL's kernel "zonesort").  0 models
-        #: fully fragmented physical memory; 1 models perfect colouring
-        #: (contiguous regions never self-conflict in an address-indexed
-        #: direct-mapped cache).
-        self.page_coloring_quality = float(page_coloring_quality)
 
     # -- miss-rate model -----------------------------------------------------
 
@@ -68,19 +69,16 @@ class DirectMappedCache:
         Occupancy model: throwing ``n`` balls into ``s`` bins, the expected
         number of balls alone in their bin is ``n * (1 - 1/s)^(n-1)``.
         """
-        n = min(working_set, self.capacity) // self.line_size
+        n = min(working_set, self.capacity) // LINE_SIZE
         if n <= 1:
             return 0.0
         s = self.sets
         alone = (1.0 - 1.0 / s) ** (n - 1)
-        return (1.0 - alone) * (1.0 - self.page_coloring_quality)
+        return (1.0 - alone) * (1.0 - PAGE_COLORING_QUALITY)
 
-    def miss_rate(self, working_set: int, *, reuse_sweeps: int = 20) -> float:
-        """Steady-state miss rate of a cyclic sweep over ``working_set``.
-
-        ``reuse_sweeps`` amortises the cold-start sweep; the paper's
-        workloads run 20 iterations.
-        """
+    def miss_rate(self, working_set: int) -> float:
+        """Steady-state miss rate of a cyclic sweep over ``working_set``,
+        cold start amortised over :data:`REUSE_SWEEPS` sweeps."""
         if working_set <= 0:
             return 0.0
         w = float(working_set)
@@ -97,30 +95,27 @@ class DirectMappedCache:
             # first-order model is hit ≈ c/w (fraction of sweep resident).
             steady = 1.0 - c / w
             steady = steady + (1.0 - steady) * self.conflict_fraction(working_set)
-        cold = 1.0 / max(reuse_sweeps, 1)
+        cold = 1.0 / REUSE_SWEEPS
         return min(1.0, steady * (1.0 - cold) + cold)
 
     # -- effective service rates ----------------------------------------------
 
-    def effective_bandwidth(self, working_set: int, *,
-                            reuse_sweeps: int = 20) -> float:
+    def effective_bandwidth(self, working_set: int) -> float:
         """Average service bandwidth of a sweep, hits+misses combined."""
-        m = self.miss_rate(working_set, reuse_sweeps=reuse_sweeps)
+        m = self.miss_rate(working_set)
         # Per-byte service time is a miss-rate-weighted harmonic blend; the
         # miss path also pays the transaction latency amortised per line.
         hit_t = 1.0 / self.hit_bandwidth
-        miss_t = 1.0 / self.miss_bandwidth + self.miss_latency_penalty / self.line_size
+        miss_t = 1.0 / self.miss_bandwidth + MISS_LATENCY_PENALTY / LINE_SIZE
         per_byte = (1.0 - m) * hit_t + m * miss_t
         return 1.0 / per_byte
 
-    def sweep_time(self, working_set: int, total_bytes: float, *,
-                   reuse_sweeps: int = 20) -> float:
+    def sweep_time(self, working_set: int, total_bytes: float) -> float:
         """Seconds to stream ``total_bytes`` with this working set."""
         if total_bytes <= 0:
             return 0.0
-        return total_bytes / self.effective_bandwidth(
-            working_set, reuse_sweeps=reuse_sweeps)
+        return total_bytes / self.effective_bandwidth(working_set)
 
     def __repr__(self) -> str:
-        return (f"<DirectMappedCache {self.capacity}B lines={self.line_size} "
+        return (f"<DirectMappedCache {self.capacity}B lines={LINE_SIZE} "
                 f"sets={self.sets}>")

@@ -88,7 +88,7 @@ class MemoryDevice:
     # -- traffic ------------------------------------------------------------------
 
     def mixed_flow(self, read_bytes: float, write_bytes: float, *,
-                   weight: float = 1.0, max_rate: float = math.inf) -> Flow:
+                   max_rate: float = math.inf) -> Flow:
         """A combined read+write stream (e.g. a kernel's traffic).
 
         Modelled as a single flow crossing both ports, sized by the total
@@ -104,8 +104,7 @@ class MemoryDevice:
             links.append(self.write_link)
         self.bytes_read += read_bytes
         self.bytes_written += write_bytes
-        return self.network.start_flow(total, links, weight=weight,
-                                       max_rate=max_rate)
+        return self.network.start_flow(total, links, max_rate=max_rate)
 
     def __repr__(self) -> str:
         return (f"<MemoryDevice {self.name} node={self.numa_node} "

@@ -65,6 +65,10 @@ class MoveResult:
         return self.nbytes / self.copy_time if self.copy_time > 0 else math.inf
 
 
+#: syscall+kernel bookkeeping per page for migrate_pages mode, seconds
+MIGRATE_PAGES_PER_PAGE_COST = 1.2e-7
+
+
 class DataMover:
     """Executes block moves over the fluid network.
 
@@ -73,14 +77,11 @@ class DataMover:
     """
 
     def __init__(self, env: Environment, topology: MemoryTopology, *,
-                 per_thread_copy_bw: float = 12e9,
-                 migrate_pages_per_page_cost: float = 1.2e-7):
+                 per_thread_copy_bw: float = 12e9):
         self.env = env
         self.topology = topology
         #: cap on a single mover thread's copy rate (B/s)
         self.per_thread_copy_bw = per_thread_copy_bw
-        #: syscall+kernel bookkeeping per page for migrate_pages mode
-        self.migrate_pages_per_page_cost = migrate_pages_per_page_cost
         self.moves_completed = 0
         self.bytes_moved = 0
         self.results: list[MoveResult] = []
@@ -109,7 +110,7 @@ class DataMover:
             raise CapacityError(
                 f"{dst.name} cannot hold block {block.name!r} "
                 f"({block.nbytes}B > {dst.available}B free)",
-                requested=block.nbytes, available=dst.available)
+                available=dst.available)
 
         started = self.env.now
         if _probe.on_move_start is not None:
@@ -191,7 +192,7 @@ class DataMover:
         if not dst.can_allocate(padded):
             raise CapacityError(
                 f"{dst.name} cannot hold {padded}B (page-padded)",
-                requested=padded, available=dst.available)
+                available=dst.available)
 
         started = self.env.now
         if _probe.on_move_start is not None:
@@ -210,7 +211,7 @@ class DataMover:
             raise
 
         # Kernel bookkeeping scales with page count, serial per mover.
-        yield self.env.timeout(pages * self.migrate_pages_per_page_cost)
+        yield self.env.timeout(pages * MIGRATE_PAGES_PER_PAGE_COST)
         flow = dst.network.start_flow(padded, [src.read_link, dst.write_link],
                                       weight=weight,
                                       max_rate=self.per_thread_copy_bw)

@@ -175,16 +175,16 @@ DEFAULT_COUNTER_FAMILIES = (
 
 
 def counter_series(recorder: FlightRecorder,
-                   families: _t.Sequence[str] = DEFAULT_COUNTER_FAMILIES,
                    ) -> dict[str, list[tuple[float, float]]]:
-    """Per-family ``(time, value)`` series summed across labels.
+    """Per-family ``(time, value)`` series summed across labels, for each
+    of :data:`DEFAULT_COUNTER_FAMILIES`.
 
     The result plugs straight into :func:`repro.trace.export.to_json`'s
     ``counters`` argument, merging queue depth and occupancy tracks into
     the Chrome trace.
     """
     out: dict[str, list[tuple[float, float]]] = {}
-    for family in families:
+    for family in DEFAULT_COUNTER_FAMILIES:
         points = []
         for snap in recorder.snapshots:
             total = 0.0

@@ -90,14 +90,12 @@ class Gauge(_Instrument):
         self._integral = 0.0   # integral of value over [created, since]
         self._since = now      # when `value` last changed
         self._created = now
-        self.updates = 0
 
     def set(self, value: float) -> None:
         now = self.clock()
         self._integral += self.value * (now - self._since)
         self._since = now
         self.value = value
-        self.updates += 1
         if value > self.high_water:
             self.high_water = value
         if value < self.low_water:
@@ -109,10 +107,9 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0) -> None:
         self.set(self.value - amount)
 
-    def time_weighted_mean(self, now: float | None = None) -> float:
+    def time_weighted_mean(self) -> float:
         """Mean of the gauge over sim time since creation."""
-        if now is None:
-            now = self.clock()
+        now = self.clock()
         span = now - self._created
         if span <= 0:
             return self.value

@@ -39,6 +39,9 @@ class Snapshot(_t.NamedTuple):
         return self.values.get(series, default)
 
 
+#: snapshots the ring keeps; older ones fall off the front
+CAPACITY = 1024
+
 #: callback signature: (new snapshot, previous snapshot or None)
 OnSnapshot = _t.Callable[[Snapshot, "Snapshot | None"], None]
 
@@ -47,17 +50,15 @@ class FlightRecorder:
     """Snapshots ``registry`` every ``cadence`` sim-seconds into a ring."""
 
     def __init__(self, env: Environment, registry: MetricsRegistry, *,
-                 cadence: float = 0.05, capacity: int = 1024,
+                 cadence: float = 0.05,
                  on_snapshot: OnSnapshot | None = None):
         if cadence <= 0:
             raise SimulationError(f"cadence must be > 0, got {cadence}")
-        if capacity < 2:
-            raise SimulationError("capacity must hold at least 2 snapshots")
         self.env = env
         self.registry = registry
         self.cadence = cadence
         self.on_snapshot = on_snapshot
-        self.snapshots: deque[Snapshot] = deque(maxlen=capacity)
+        self.snapshots: deque[Snapshot] = deque(maxlen=CAPACITY)
         self.snapshots_taken = 0
         self.started_at: float | None = None
         self.stopped_at: float | None = None

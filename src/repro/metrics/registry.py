@@ -44,7 +44,6 @@ class MetricsRegistry:
         # label order is stable), skipping the merge+sort of _key() on every
         # event — this is what keeps the enabled overhead small-multiple
         self._fast: dict[tuple, _t.Any] = {}
-        self.created_at = self.clock()
 
     # -- child lookup -------------------------------------------------------
 
@@ -139,14 +138,13 @@ class MetricsRegistry:
         return sum(inst.value for inst in self._instruments.values()
                    if inst.name == name and isinstance(inst, (Counter, Gauge)))
 
-    def flatten(self, *, sample: bool = True) -> dict[str, float]:
+    def flatten(self) -> dict[str, float]:
         """One flat ``{series: value}`` mapping — the snapshot payload.
 
         Counters and gauges contribute their value; histograms contribute ``_count`` and ``_sum`` series (cheap to delta between
         snapshots; percentiles are end-of-run report material).
         """
-        if sample:
-            self.sample_polled()
+        self.sample_polled()
         flat: dict[str, float] = {}
         for instrument in self.instruments():
             if isinstance(instrument, (Counter, Gauge)):

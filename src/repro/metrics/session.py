@@ -32,7 +32,7 @@ class MetricsSession:
     """Subscribed, bound and recording from construction until ``finish``."""
 
     def __init__(self, built: "BuiltRuntime", *, app: str = "",
-                 cadence: float = 0.05, capacity: int = 1024,
+                 cadence: float = 0.05,
                  on_snapshot: OnSnapshot | None = None):
         self.built = built
         self.registry = MetricsRegistry(
@@ -40,7 +40,7 @@ class MetricsSession:
             strategy=built.manager.strategy.name, app=app)
         bind_built_runtime(self.registry, built)
         self.recorder = FlightRecorder(
-            built.env, self.registry, cadence=cadence, capacity=capacity,
+            built.env, self.registry, cadence=cadence,
             on_snapshot=on_snapshot)
         self.subscriber = MetricsSubscriber(self.registry).subscribe()
         self.recorder.start()

@@ -86,11 +86,10 @@ class Chain:
     def duration(self) -> float:
         return sum(step.duration for step in self.steps)
 
-    def render(self, *, max_labels: int = 6) -> str:
+    def render(self) -> str:
         labels = [step.label for step in self.steps]
-        shown = labels[:max_labels]
-        tail = f" … (+{len(labels) - max_labels} more)" \
-            if len(labels) > max_labels else ""
+        shown = labels[:6]
+        tail = f" … (+{len(labels) - 6} more)" if len(labels) > 6 else ""
         lanes = sorted({step.lane for step in self.steps})
         return (f"{format_time(self.duration)} on {','.join(lanes)}: "
                 + " -> ".join(shown) + tail)
@@ -119,7 +118,7 @@ class CritPathReport:
         return self.contributions.get(bucket, 0.0) / self.makespan \
             if self.makespan > 0 else 0.0
 
-    def render(self, *, top_chains: int = 5, title: str = "") -> str:
+    def render(self, *, title: str = "") -> str:
         head = f"== critical path{': ' + title if title else ''} =="
         lines = [head,
                  f"   makespan {format_time(self.makespan)} "
@@ -137,7 +136,7 @@ class CritPathReport:
                     f"{bucket.replace('_', '-')}={format_time(row[bucket])}"
                     for bucket in BUCKETS if row.get(bucket, 0.0) > 0)
                 lines.append(f"   {lane:6s} {cells}")
-        shown = self.chains[:top_chains]
+        shown = self.chains[:5]
         if shown:
             lines.append(f"-- top {len(shown)} longest chains --")
             for i, chain in enumerate(shown, 1):

@@ -59,8 +59,8 @@ def page(title: str, body: str, *, subtitle: str = "") -> str:
             f"<body>\n<h1>{esc(title)}</h1>{sub}\n{body}\n</body></html>\n")
 
 
-def _ticks(top: float, n: int = 4) -> list[float]:
-    return [top * i / n for i in range(n + 1)]
+def _ticks(top: float) -> list[float]:
+    return [top * i / 4 for i in range(5)]
 
 
 def bar_chart(xs: _t.Sequence[str], labels: _t.Sequence[str],
@@ -142,9 +142,9 @@ def bar_chart(xs: _t.Sequence[str], labels: _t.Sequence[str],
     return "".join(parts)
 
 
-def sparkline(values: _t.Sequence[float], *, width: int = 220,
-              height: int = 36) -> str:
+def sparkline(values: _t.Sequence[float]) -> str:
     """One inline-SVG sparkline; dots mark first/last points."""
+    width, height = 220, 36
     if not values:
         return "<svg width=\"1\" height=\"1\"></svg>"
     lo, hi = min(values), max(values)

@@ -55,21 +55,19 @@ DEFAULT_TREND_METRICS: tuple[tuple[str, str], ...] = (
 )
 
 
-def history_path(directory: "Path | None" = None) -> Path:
-    base = directory if directory is not None else repo_root()
-    return base / "bench_history.jsonl"
+def history_path() -> Path:
+    return repo_root() / "bench_history.jsonl"
 
 
-def collect_bench_files(directory: "Path | None" = None) -> dict[str, dict]:
+def collect_bench_files() -> dict[str, dict]:
     """Load every ``BENCH_*.json`` at the repo root, keyed by bench name.
 
     ``BENCH_e2e.json`` is ``benchmarks/e2e/run.py --json`` output, not a
     regression record: each workload's per-metric ``median`` folds into
     ``metrics[workload][metric]``.
     """
-    base = directory if directory is not None else repo_root()
     benches: dict[str, dict] = {}
-    for path in sorted(base.glob("BENCH_*.json")):
+    for path in sorted(repo_root().glob("BENCH_*.json")):
         try:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
@@ -116,17 +114,16 @@ def load_history(path: "Path | None" = None) -> list[dict]:
     return records
 
 
-def append_history(commit: str, *, directory: "Path | None" = None,
-                   path: "Path | None" = None) -> dict | None:
+def append_history(commit: str, *, path: "Path | None" = None) -> dict | None:
     """Append one history record for ``commit`` from the current BENCH files.
 
     Returns the record written, or None when the commit is already
     recorded (idempotent re-runs) or no BENCH files exist.
     """
-    benches = collect_bench_files(directory)
+    benches = collect_bench_files()
     if not benches:
         return None
-    target = path if path is not None else history_path(directory)
+    target = path if path is not None else history_path()
     if any(record.get("commit") == commit
            for record in load_history(target)):
         return None
@@ -147,12 +144,10 @@ def _lookup(record: _t.Mapping, dotted: str) -> float | None:
     return float(value) if isinstance(value, (int, float)) else None
 
 
-def render_trend_html(records: _t.Sequence[_t.Mapping], *,
-                      metrics: _t.Sequence[tuple[str, str]] =
-                      DEFAULT_TREND_METRICS) -> str:
+def render_trend_html(records: _t.Sequence[_t.Mapping]) -> str:
     """Sparkline-per-metric page over the history records (oldest first)."""
     rows = []
-    for dotted, label in metrics:
+    for dotted, label in DEFAULT_TREND_METRICS:
         points = [(record.get("commit", "?"), _lookup(record, dotted))
                   for record in records]
         known = [(commit, value) for commit, value in points

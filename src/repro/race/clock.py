@@ -47,11 +47,11 @@ def happened_before(actor: str, own: int,
     return current.get(actor, 0) >= own
 
 
-def format_clock(clock: _t.Mapping[str, int], *, limit: int = 6) -> str:
-    """Compact ``{a@3, b@1, ...}`` rendering for race reports."""
+def format_clock(clock: _t.Mapping[str, int]) -> str:
+    """Compact ``{a@3, b@1, ...}`` rendering (six actors) for race reports."""
     items = sorted(clock.items(), key=lambda kv: (-kv[1], kv[0]))
-    shown = ", ".join(f"{actor}@{stamp}" for actor, stamp in items[:limit])
-    extra = len(items) - limit
+    shown = ", ".join(f"{actor}@{stamp}" for actor, stamp in items[:6])
+    extra = len(items) - 6
     if extra > 0:
         shown += f", +{extra} more"
     return "{" + shown + "}"

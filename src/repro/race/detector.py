@@ -59,6 +59,8 @@ __all__ = ["RaceAccess", "RaceFinding", "RaceSanitizer"]
 
 #: actor name for the top-level driving script (not a simulated process)
 MAIN_ACTOR = "main"
+#: findings kept per run; later ones only count as suppressed
+MAX_FINDINGS = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,9 +120,8 @@ class RaceSanitizer:
     completion so one interleaving yields all its findings.
     """
 
-    def __init__(self, *, stacks: bool = True, max_findings: int = 100):
+    def __init__(self, *, stacks: bool = True):
         self.stacks = stacks
-        self.max_findings = max_findings
         self.findings: list[RaceFinding] = []
         self.suppressed = 0
         self.events_observed = 0
@@ -362,7 +363,7 @@ class RaceSanitizer:
         if key in self._seen:
             return
         self._seen.add(key)
-        if len(self.findings) >= self.max_findings:
+        if len(self.findings) >= MAX_FINDINGS:
             self.suppressed += 1
             return
         message = (f"unordered {earlier.op} by {earlier.actor} and "
@@ -378,7 +379,7 @@ class RaceSanitizer:
         if key in self._seen:
             return
         self._seen.add(key)
-        if len(self.findings) >= self.max_findings:
+        if len(self.findings) >= MAX_FINDINGS:
             self.suppressed += 1
             return
         label = self._task_label() or "an undeclared task"

@@ -122,9 +122,10 @@ class ScheduleOutcome:
 
 
 def run_schedule(runner: Runner, seed: int | None = None, *,
-                 limit: int | None = None, race: bool = True,
-                 sanitize: bool = True) -> ScheduleOutcome:
-    """Run one schedule; ``seed=None`` keeps plain FIFO ordering."""
+                 limit: int | None = None) -> ScheduleOutcome:
+    """Run one schedule under racesan and simsan; ``seed=None`` keeps plain
+    FIFO ordering."""
+    from repro.lint import SimSanitizer
     from repro.race.detector import RaceSanitizer
     from repro.sim.environment import Environment
 
@@ -135,11 +136,8 @@ def run_schedule(runner: Runner, seed: int | None = None, *,
         breaker = SeededTieBreaker(seed, limit)
         env.set_tie_breaker(breaker)
         rng = random.Random(seed ^ 0x5EED)
-    racesan = RaceSanitizer().install(env) if race else None
-    simsan = None
-    if sanitize:
-        from repro.lint import SimSanitizer
-        simsan = SimSanitizer(mode="record").install()
+    racesan = RaceSanitizer().install(env)
+    simsan = SimSanitizer(mode="record").install()
     error: str | None = None
     detail = ""
     manager: _t.Any = None
@@ -151,19 +149,17 @@ def run_schedule(runner: Runner, seed: int | None = None, *,
             error, detail = "deadlock", str(exc)
         except Exception as exc:  # noqa: BLE001 - every crash is an outcome
             error, detail = type(exc).__name__, str(exc)
-        if simsan is not None and manager is not None and error is None:
+        if manager is not None and error is None:
             simsan.check_quiescent(manager)
     finally:
-        if racesan is not None:
-            racesan.uninstall()
-        if simsan is not None:
-            simsan.uninstall()
+        racesan.uninstall()
+        simsan.uninstall()
     outcome = ScheduleOutcome(
         seed=seed, limit=limit,
         decisions=breaker.decisions if breaker is not None else 0,
         error=error, detail=detail,
-        race_findings=list(racesan.findings) if racesan is not None else [],
-        san_violations=list(simsan.violations) if simsan is not None else [])
+        race_findings=list(racesan.findings),
+        san_violations=list(simsan.violations))
     if error == "deadlock":
         outcome.san_violations.append(Violation(
             rule="RACE303", message=detail, at=env.now))
@@ -176,9 +172,8 @@ def run_schedule(runner: Runner, seed: int | None = None, *,
     return outcome
 
 
-def minimize_schedule(runner: Runner, outcome: ScheduleOutcome, *,
-                      race: bool = True,
-                      sanitize: bool = True) -> ScheduleOutcome:
+def minimize_schedule(runner: Runner,
+                      outcome: ScheduleOutcome) -> ScheduleOutcome:
     """Binary-search the smallest decision prefix that still fails.
 
     Returns a failing outcome whose ``limit`` is minimal under the probe
@@ -191,15 +186,13 @@ def minimize_schedule(runner: Runner, outcome: ScheduleOutcome, *,
     best = outcome
     while low < high:
         mid = (low + high) // 2
-        probe = run_schedule(runner, outcome.seed, limit=mid,
-                             race=race, sanitize=sanitize)
+        probe = run_schedule(runner, outcome.seed, limit=mid)
         if probe.failed:
             best = probe
             high = mid
         else:
             low = mid + 1
-    final = run_schedule(runner, outcome.seed, limit=low,
-                         race=race, sanitize=sanitize)
+    final = run_schedule(runner, outcome.seed, limit=low)
     return final if final.failed else best
 
 
@@ -240,17 +233,15 @@ def render_report(lines: _t.Sequence[str], failing: int,
     return "\n".join(out)
 
 
-def explore(runner: Runner, *, schedules: int = 8, base_seed: int = 0,
-            race: bool = True, sanitize: bool = True,
-            minimize: bool = True) -> ExplorationReport:
+def explore(runner: Runner, *, schedules: int = 8,
+            base_seed: int = 0) -> ExplorationReport:
     """Run ``schedules`` seeded permutations; minimize the first failure."""
-    outcomes = [run_schedule(runner, seed, race=race, sanitize=sanitize)
+    outcomes = [run_schedule(runner, seed)
                 for seed in range(base_seed, base_seed + schedules)]
     report = ExplorationReport(outcomes=outcomes)
     failing = report.failing
-    if failing and minimize:
-        report.minimized = minimize_schedule(
-            runner, failing[0], race=race, sanitize=sanitize)
+    if failing:
+        report.minimized = minimize_schedule(runner, failing[0])
     return report
 
 

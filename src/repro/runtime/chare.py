@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as _t
 import weakref
-from itertools import count
 
 from repro.errors import ChareError
 from repro.mem.block import DataBlock
@@ -22,7 +21,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Chare", "ChareArray", "NodeGroup"]
 
-_chare_ids = count()
 
 
 class Chare:
@@ -40,7 +38,6 @@ class Chare:
         cls._entry_specs = collect_entry_specs(cls)
 
     def __init__(self) -> None:
-        self.cid = next(_chare_ids)
         self.runtime: "CharmRuntime | None" = None
         self.index: tuple[int, ...] = ()
         self.pe_id: int = -1
@@ -157,12 +154,12 @@ class ChareArray:
         self.runtime.send(self[index], entry_name, *args,
                           nbytes=nbytes, **kwargs)
 
-    def broadcast(self, entry_name: str, *args: _t.Any, nbytes: int = 0,
+    def broadcast(self, entry_name: str, *args: _t.Any,
                   **kwargs: _t.Any) -> None:
         """Send a message to every element (deterministic index order)."""
         for index in sorted(self.elements):
             self.runtime.send(self.elements[index], entry_name, *args,
-                              nbytes=nbytes, **kwargs)
+                              **kwargs)
 
     def __repr__(self) -> str:
         return f"<ChareArray {self.name} n={len(self.elements)}>"
@@ -182,10 +179,9 @@ class NodeGroup(Chare):
         #: shared read-only cache: key -> DataBlock
         self.shared: dict[_t.Any, DataBlock] = {}
 
-    def share_block(self, key: _t.Any, nbytes: int, *,
-                    payload: _t.Any = None) -> DataBlock:
+    def share_block(self, key: _t.Any, nbytes: int) -> DataBlock:
         """Get-or-create a node-shared block (refcounted like any other)."""
         if key not in self.shared:
-            block = self.declare_block(f"shared{key}", nbytes, payload=payload)
+            block = self.declare_block(f"shared{key}", nbytes)
             self.shared[key] = block
         return self.shared[key]

@@ -62,7 +62,6 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
         chare = message.target
         spec = message.entry
         started = env._now
-        pe.messages_delivered += 1
         if _probe.on_deliver is not None:
             _probe.on_deliver(pe, message, task)
         if _probe.on_execute_begin is not None:

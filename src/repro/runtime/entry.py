@@ -36,19 +36,16 @@ _SPEC_ATTR = "_repro_entry_spec"
 class EntrySpec:
     """Metadata for one entry method of a chare class."""
 
-    __slots__ = ("name", "func", "prefetch", "deps", "exclusive")
+    __slots__ = ("name", "func", "prefetch", "deps")
 
     def __init__(self, name: str, func: _t.Callable, prefetch: bool,
-                 deps: tuple[tuple[str, AccessIntent], ...],
-                 exclusive: bool = False):
+                 deps: tuple[tuple[str, AccessIntent], ...]):
         self.name = name
         self.func = func
         #: the paper's ``[prefetch]`` attribute
         self.prefetch = prefetch
         #: ``(attribute name, intent)`` pairs from the annotation
         self.deps = deps
-        #: reserved for node-group entry methods
-        self.exclusive = exclusive
 
     def resolve_deps(self, chare: "Chare") -> list[tuple[DataBlock, AccessIntent]]:
         """Look up the dependence blocks on a concrete chare instance.

@@ -23,9 +23,6 @@ from repro.machine.cpu import Core
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.process import Process
-
 __all__ = ["PE"]
 
 
@@ -40,12 +37,10 @@ class PE:
         self.run_queue = Store(env, name=f"pe{pe_id}.runq")
         #: tasks parked until their data is prefetched
         self.wait_queue: deque = deque()
-        self.scheduler_process: "Process | None" = None
         # -- accounting -------------------------------------------------------
         self.busy_time = 0.0          # executing entry methods
         self.overhead_time = 0.0      # pre/post-processing on this PE
         self.tasks_executed = 0
-        self.messages_delivered = 0
         self.started_at: float | None = None
 
     # -- wait queue helpers (FIFO, as the paper specifies) ---------------------

@@ -41,7 +41,7 @@ class CharmRuntime:
         self.interceptor: Interceptor | None = None
         self.messages_sent = 0
         for pe in self.pes:
-            pe.scheduler_process = self.env.process(
+            self.env.process(
                 converse_scheduler(self, pe), name=f"converse-pe{pe.id}")
 
     # -- interception -----------------------------------------------------------

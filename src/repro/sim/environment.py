@@ -91,8 +91,8 @@ class Environment:
                  "_live", "_dead", "_active", "_tie_break",
                  "_tcache_t", "_tcache", "active_process")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         #: one-slot bucket cache for timeout(): consecutive timeouts to
         #: the same instant (the 64-lane lockstep shape) skip the float
         #: hash + dict lookup.  Invalidated wholesale wherever a bucket

@@ -107,7 +107,7 @@ class Event:
 
     # -- triggering --------------------------------------------------------
 
-    def succeed(self, value: _t.Any = None, delay: float = 0.0) -> "Event":
+    def succeed(self, value: _t.Any = None) -> "Event":
         """Mark the event successful and schedule callback processing."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -117,16 +117,16 @@ class Event:
         # single hottest call in the simulator (every store handoff,
         # resource grant and process resumption lands here)
         env = self.env
-        if delay == 0.0 and env._tie_break is None:
+        if env._tie_break is None:
             env._agenda_normal.append(self)
             env._live += 1
             if _probe.on_scheduled is not None:
                 _probe.on_scheduled(self)
         else:
-            env.schedule(self, delay)
+            env.schedule(self)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Mark the event failed; waiters will see ``exception`` raised."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")

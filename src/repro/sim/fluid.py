@@ -193,9 +193,6 @@ class FluidNetwork:
         #: (an Event in the batched event loop, a heap entry under a
         #: schedule-explorer tie-breaker; env.cancel accepts either)
         self._wake_entry: object | None = None
-        #: total bytes moved to completion through this network
-        self.completed_bytes = 0.0
-        self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
         #: flow classes: (weight, max_rate, links) -> class id.  Per class
@@ -274,7 +271,6 @@ class FluidNetwork:
         if nbytes <= _EPSILON_BYTES:
             flow.remaining = 0.0
             flow.finished_at = env.now
-            self.completed_flows += 1
             done.succeed()
             return flow
         if path is None:
@@ -353,8 +349,6 @@ class FluidNetwork:
             self._detach(flow)
             flow.remaining = 0.0
             flow.finished_at = now
-            self.completed_bytes += flow.total
-            self.completed_flows += 1
             flow.done.succeed()
             classes |= 1 << flow._cls
         # departures free capacity now; the flush re-solves the survivors

@@ -26,10 +26,10 @@ class Gate:
     waiter through until ``close()``.
     """
 
-    def __init__(self, env: Environment, is_open: bool = False, name: str = "gate"):
+    def __init__(self, env: Environment, name: str = "gate"):
         self.env = env
         self.name = name
-        self._open = is_open
+        self._open = False
         self._waiters: deque[Event] = deque()
 
     @property

@@ -104,23 +104,15 @@ class ProjectionsReport:
         return totals / counts if counts else 0.0
 
 
-def build_report(tracer: Tracer, *, start: float = 0.0,
-                 end: float | None = None) -> ProjectionsReport:
-    """Aggregate a tracer's events over ``[start, end]`` into a report.
-
-    Events are clipped to the window, so a report over one iteration of an
-    application is as valid as a whole-run report.
-    """
-    if end is None:
-        end = max((ev.end for ev in tracer.events), default=start)
-    window = max(0.0, end - start)
+def build_report(tracer: Tracer) -> ProjectionsReport:
+    """Aggregate a tracer's events over ``[0, last event end]`` into a
+    report."""
+    window = max((ev.end for ev in tracer.events), default=0.0)
     lanes: dict[str, PETimeline] = {}
     for ev in tracer.events:
-        clipped_start = max(ev.start, start)
-        clipped_end = min(ev.end, end)
-        if clipped_end <= clipped_start:
+        if ev.end <= ev.start:
             continue
         tl = lanes.setdefault(ev.lane, PETimeline(lane=ev.lane, window=window))
         field = _CATEGORY_FIELDS[ev.category]
-        setattr(tl, field, getattr(tl, field) + (clipped_end - clipped_start))
+        setattr(tl, field, getattr(tl, field) + (ev.end - ev.start))
     return ProjectionsReport(window=window, lanes=lanes)

@@ -11,7 +11,6 @@ bucket coloured by the dominant category in that bucket:
 
 from __future__ import annotations
 
-import typing as _t
 
 from repro.trace.events import TraceCategory
 from repro.trace.projections import ProjectionsReport
@@ -32,15 +31,17 @@ _GLYPHS = {
 
 IDLE_GLYPH = "."
 
+#: time buckets (characters) per timeline row
+TIMELINE_WIDTH = 100
 
-def render_timeline(tracer: Tracer, *, width: int = 100,
-                    start: float = 0.0, end: float | None = None,
-                    lanes: _t.Sequence[str] | None = None) -> str:
-    """Render lane rows over ``width`` time buckets."""
-    if end is None:
-        end = max((ev.end for ev in tracer.events), default=start)
+
+def render_timeline(tracer: Tracer) -> str:
+    """Render lane rows over :data:`TIMELINE_WIDTH` time buckets."""
+    width = TIMELINE_WIDTH
+    start = 0.0
+    end = max((ev.end for ev in tracer.events), default=start)
     span = end - start
-    lane_names = list(lanes) if lanes is not None else tracer.lanes()
+    lane_names = tracer.lanes()
     if span <= 0 or not lane_names:
         return "(empty timeline)"
     bucket = span / width

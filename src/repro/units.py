@@ -76,25 +76,25 @@ def _format(value: float, steps: list[tuple[float, str]], digits: int) -> str:
     return f"{value / factor:.{digits}f}{suffix}"
 
 
-def format_size(nbytes: float, digits: int = 2) -> str:
+def format_size(nbytes: float) -> str:
     """Render a byte count with a binary suffix, e.g. ``"16.00GiB"``."""
     return _format(float(nbytes),
                    [(TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB"), (1, "B")],
-                   digits)
+                   2)
 
 
-def format_time(seconds: float, digits: int = 3) -> str:
+def format_time(seconds: float) -> str:
     """Render a duration with an appropriate suffix, e.g. ``"12.500ms"``."""
     if seconds == 0:
         return "0s"
     return _format(seconds,
                    [(3600.0, "h"), (60.0, "min"), (1.0, "s"),
                     (MS, "ms"), (US, "us"), (1e-9, "ns")],
-                   digits)
+                   3)
 
 
-def format_bandwidth(bytes_per_s: float, digits: int = 1) -> str:
+def format_bandwidth(bytes_per_s: float) -> str:
     """Render a bandwidth in decimal units, e.g. ``"485.0GB/s"``."""
     return _format(bytes_per_s,
                    [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB"), (1, "B")],
-                   digits) + "/s"
+                   1) + "/s"

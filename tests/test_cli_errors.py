@@ -7,8 +7,9 @@ replicate, job and schedule counts, the replay ``--limit``, figure/app
 names, the trend history path, the metrics interval and every output
 path (``--trace-out``, ``guide -o``, ``lint --guidance``,
 ``trend``/``report``/``leaderboard -o``: its directory must exist and
-it must not be one) by the commands, all raising a ``ConfigError`` the
-CLI catches once in ``main``.
+it must not be one) by the commands, and a task larger than the whole
+HBM budget by the OOC manager, all raising a ``ConfigError`` the CLI
+catches once in ``main``.
 Neither path may end in a traceback.
 """
 
@@ -31,6 +32,10 @@ CASES = [
     ("matmul-count", ["matmul", "--block-dim", "0"], "0"),
     ("spmv-size", ["spmv", "--block-bytes", "12 parsecs"], "12 parsecs"),
     ("spmv-count", ["spmv", "--block-rows", "0"], "0"),
+    # one task's blocks exceed the whole HBM budget: no schedule can run it
+    ("stencil-task-over-hbm", ["stencil", "--mcdram", "1KiB"], "1024B"),
+    ("matmul-task-over-hbm", ["matmul", "--mcdram", "1KiB"], "1024B"),
+    ("spmv-task-over-hbm", ["spmv", "--mcdram", "1KiB"], "1024B"),
     # `repro stream` itself takes no size; its app's size lives on metrics
     ("stream-size", ["metrics", "--app", "stream", "--array", "lots"],
      "lots"),

@@ -171,7 +171,6 @@ class TestAccounting:
         rt.send(arr[0], "fan_out", ["u", "v"])
         rt.env.run()
         # round-robin map: elements 0, 2 on pe0; 1, 3 on pe1
-        assert [pe.messages_delivered for pe in rt.pes] == [5, 3]
         assert [pe.tasks_executed for pe in rt.pes] == [5, 3]
         assert rt.messages_sent == 8
         assert rt.pes[1].busy_time == pytest.approx(0.25)
@@ -244,4 +243,3 @@ class TestDeliveryProbes:
         _check_probe_triples(recorder.calls, list(msgs.values()), tasks)
         assert built.manager.tasks_intercepted == 4
         assert sum(pe.tasks_executed for pe in rt.pes) == 8
-        assert sum(pe.messages_delivered for pe in rt.pes) == 8

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import eviction
 from repro.core.eviction import LRUEviction, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask
@@ -50,14 +51,14 @@ def task_over(blocks):
 
 class TestOwnBlocks:
     def test_evicts_own_idle_blocks_under_pressure(self, node):
-        policy = OwnBlocksEviction(pressure_threshold=0.0)
+        policy = OwnBlocksEviction()
         a, b = resident(node, "a"), resident(node, "b")
         task = task_over([a, b])
         victims = policy.post_task_victims(task)
         assert set(victims) == {a, b}
 
     def test_keeps_in_use_blocks(self, node):
-        policy = OwnBlocksEviction(pressure_threshold=0.0)
+        policy = OwnBlocksEviction()
         a, b = resident(node, "a"), resident(node, "b")
         b.retain()  # another task is running with b
         victims = policy.post_task_victims(task_over([a, b]))
@@ -65,14 +66,15 @@ class TestOwnBlocks:
 
     def test_keeps_demanded_blocks(self, node):
         """Blocks a queued task will need are not eagerly evicted."""
-        policy = OwnBlocksEviction(pressure_threshold=0.0)
+        policy = OwnBlocksEviction()
         a, b = resident(node, "a"), resident(node, "b")
         demand(b, 99)
         victims = policy.post_task_victims(task_over([a, b]))
         assert victims == [a]
 
-    def test_pressure_threshold_gates_eagerness(self, node):
-        policy = OwnBlocksEviction(pressure_threshold=0.9)
+    def test_pressure_threshold_gates_eagerness(self, node, monkeypatch):
+        monkeypatch.setattr(eviction, "PRESSURE_THRESHOLD", 0.9)
+        policy = OwnBlocksEviction()
         tracker = HBMTracker(node.hbm)
         a = resident(node, "a")
         # utilisation ~0: no eager eviction
@@ -88,7 +90,7 @@ class TestOwnBlocks:
         assert victims == [old]
 
     def test_pinned_never_victim(self, node):
-        policy = OwnBlocksEviction(pressure_threshold=0.0)
+        policy = OwnBlocksEviction()
         a = resident(node, "a")
         a.pinned = True
         assert policy.post_task_victims(task_over([a])) == []

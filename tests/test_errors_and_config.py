@@ -23,8 +23,7 @@ class TestErrorHierarchy:
             assert issubclass(cls, errors.ReproError)
 
     def test_capacity_error_payload(self):
-        err = errors.CapacityError("full", requested=100, available=10)
-        assert err.requested == 100
+        err = errors.CapacityError("full", available=10)
         assert err.available == 10
 
     def test_deadlock_error_waiting_list(self):

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.exec.cache import (ENTRY_SCHEMA, ResultCache, cache_stats,
                               clear_cache)
+from repro.exec import fingerprint
 from repro.exec.fingerprint import code_fingerprint
 from repro.exec.spec import RunSpec, canonical_json, stable_seed
 
@@ -48,8 +49,8 @@ class TestStableSeed:
         assert stable_seed("fig8", 2) != stable_seed("fig8", 3)
 
     def test_respects_bit_width(self):
-        for bits in (8, 32, 48):
-            assert 0 <= stable_seed("x", bits=bits) < (1 << bits)
+        for part in ("x", "fig8", 2):
+            assert 0 <= stable_seed(part) < (1 << 48)
 
 
 class TestRunSpec:
@@ -75,35 +76,47 @@ class TestRunSpec:
 
 
 class TestFingerprint:
-    def test_stable_for_unchanged_tree(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        f1 = code_fingerprint(tmp_path, refresh=True)
-        f2 = code_fingerprint(tmp_path, refresh=True)
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        """Fingerprint ``tmp_path`` instead of the package, memo empty."""
+        monkeypatch.setattr(fingerprint, "_package_root", lambda: tmp_path)
+        monkeypatch.setattr(fingerprint, "_memo", {})
+        return tmp_path
+
+    @staticmethod
+    def fresh():
+        fingerprint._memo.clear()
+        return code_fingerprint()
+
+    def test_stable_for_unchanged_tree(self, tree):
+        (tree / "a.py").write_text("x = 1\n")
+        f1 = self.fresh()
+        f2 = self.fresh()
         assert f1 == f2
 
-    def test_changes_when_source_changes(self, tmp_path):
-        mod = tmp_path / "a.py"
+    def test_changes_when_source_changes(self, tree):
+        mod = tree / "a.py"
         mod.write_text("x = 1\n")
-        before = code_fingerprint(tmp_path, refresh=True)
+        before = self.fresh()
         mod.write_text("x = 2\n")
-        after = code_fingerprint(tmp_path, refresh=True)
+        after = self.fresh()
         assert before != after
 
-    def test_memo_requires_refresh_to_see_edits(self, tmp_path):
-        mod = tmp_path / "a.py"
+    def test_memo_requires_refresh_to_see_edits(self, tree):
+        mod = tree / "a.py"
         mod.write_text("x = 1\n")
-        before = code_fingerprint(tmp_path, refresh=True)
+        before = self.fresh()
         mod.write_text("x = 2\n")
-        assert code_fingerprint(tmp_path) == before
-        assert code_fingerprint(tmp_path, refresh=True) != before
+        assert code_fingerprint() == before
+        assert self.fresh() != before
 
-    def test_pycache_is_ignored(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        before = code_fingerprint(tmp_path, refresh=True)
-        pyc = tmp_path / "__pycache__"
+    def test_pycache_is_ignored(self, tree):
+        (tree / "a.py").write_text("x = 1\n")
+        before = self.fresh()
+        pyc = tree / "__pycache__"
         pyc.mkdir()
         (pyc / "a.cpython-311.py").write_text("junk\n")
-        assert code_fingerprint(tmp_path, refresh=True) == before
+        assert self.fresh() == before
 
 
 class TestResultCache:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec import cache as exec_cache
 from repro.lint import traffic
 from repro.lint.cache import (AnalysisCache, cached_build_guidance,
                               cached_check_paths, findings_from_payload,
@@ -42,8 +43,16 @@ def target(tmp_path):
 
 
 @pytest.fixture
-def cache(tmp_path):
-    return AnalysisCache(tmp_path / "cache-root")
+def cache_root(tmp_path, monkeypatch):
+    """Point the analysis cache at ``tmp_path`` instead of the repo."""
+    root = tmp_path / "cache-root"
+    monkeypatch.setattr(exec_cache, "default_cache_root", lambda: root)
+    return root
+
+
+@pytest.fixture
+def cache(cache_root):
+    return AnalysisCache()
 
 
 class TestPayload:
@@ -77,12 +86,12 @@ class TestLintCaching:
         assert cache.hits == 0 and cache.stores == 2
         assert any(f.rule == "REP102" for f in report)
 
-    def test_disabled_cache_never_touches_disk(self, target, tmp_path):
-        cache = AnalysisCache(tmp_path / "off", enabled=False)
+    def test_disabled_cache_never_touches_disk(self, target, cache_root):
+        cache = AnalysisCache(enabled=False)
         cached_check_paths([target], cache=cache)
         cached_check_paths([target], cache=cache)
         assert (cache.hits, cache.stores) == (0, 0)
-        assert not (tmp_path / "off").exists()
+        assert not cache_root.exists()
 
     def test_force_crash_hook_bypasses_warm_entries(self, target, cache):
         cached_check_paths([target], cache=cache)  # warm

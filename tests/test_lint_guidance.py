@@ -151,26 +151,26 @@ class TestFingerprintFolding:
         from repro.exec.fingerprint import code_fingerprint
 
         monkeypatch.delenv("REPRO_GUIDANCE", raising=False)
-        base = code_fingerprint(refresh=True)
+        base = code_fingerprint()
         path = tmp_path / "guidance.json"
         apps_guidance.write(path)
         monkeypatch.setenv("REPRO_GUIDANCE", str(path))
-        with_guidance = code_fingerprint(refresh=True)
+        with_guidance = code_fingerprint()
         assert with_guidance != base
         # same content at a different path hashes identically
         other = tmp_path / "copy.json"
         other.write_text(path.read_text())
         monkeypatch.setenv("REPRO_GUIDANCE", str(other))
-        assert code_fingerprint(refresh=True) == with_guidance
+        assert code_fingerprint() == with_guidance
         monkeypatch.delenv("REPRO_GUIDANCE")
-        assert code_fingerprint(refresh=True) == base
+        assert code_fingerprint() == base
 
     def test_missing_guidance_file_is_a_distinct_state(self, tmp_path,
                                                        monkeypatch):
         from repro.exec.fingerprint import code_fingerprint
 
         monkeypatch.delenv("REPRO_GUIDANCE", raising=False)
-        base = code_fingerprint(refresh=True)
+        base = code_fingerprint()
         monkeypatch.setenv("REPRO_GUIDANCE",
                            str(tmp_path / "does-not-exist.json"))
-        assert code_fingerprint(refresh=True) != base
+        assert code_fingerprint() != base

@@ -23,13 +23,9 @@ class TestCpuLayout:
     def test_smt_sibling_distinct_from_primary(self):
         cores, _ = build_cpu(4, 2, 4, 35e9, 12e9)
         core = cores[0]
-        assert core.smt_sibling().global_id != core.primary_thread.global_id
-        assert core.smt_sibling().core_id == core.core_id
-
-    def test_sibling_without_smt_rejected(self):
-        cores, _ = build_cpu(2, 1, 1, 35e9, 12e9)
-        with pytest.raises(ConfigError):
-            cores[0].smt_sibling()
+        primary, sibling = core.threads[:2]
+        assert sibling.global_id != primary.global_id
+        assert sibling.core_id == core.core_id
 
     def test_hardware_thread_ids_unique(self):
         cores, _ = build_cpu(8, 4, 4, 35e9, 12e9)

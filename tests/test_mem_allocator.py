@@ -113,9 +113,11 @@ class TestPool:
         pool = PoolAllocator(1 << 20)
         a = pool.allocate(5000)
         pool.free(a)
-        pool.allocate(5000)
-        assert pool.pool_hits == 1
-        assert pool.pool_misses == 1
+        # the freed chunk is pooled: the next same-class allocation hits
+        # and reuses it
+        assert pool.alloc_cost(5000) == pool.pool_hit_cost
+        assert pool.allocate(5000).offset == a.offset
+        assert pool.alloc_cost(5000) > pool.pool_hit_cost
 
     def test_size_class_rounding(self):
         assert PoolAllocator.size_class(1) == 4096
@@ -135,8 +137,10 @@ class TestPool:
         pool = PoolAllocator(1 << 20)
         a = pool.allocate(4096)
         pool.free(a)
+        assert pool.alloc_cost(100_000) > pool.pool_hit_cost
         pool.allocate(100_000)
-        assert pool.pool_hits == 0
+        # the pooled 4 KiB chunk is still there for its own class
+        assert pool.alloc_cost(4096) == pool.pool_hit_cost
 
 
 @pytest.mark.parametrize("cls", [FreeListAllocator, PagedAllocator])

@@ -155,10 +155,11 @@ class TestKNLFactory:
         assert node.mcdram_cache is not None
         assert node.mcdram_cache.capacity == 16 * GiB
 
-    def test_hybrid_mode_splits_mcdram(self):
+    def test_hybrid_mode_splits_mcdram(self, monkeypatch):
         from repro.config import MemoryMode
-        node = build_knl(Environment(), memory_mode=MemoryMode.HYBRID,
-                         hybrid_cache_fraction=0.25)
+        from repro.machine import knl
+        monkeypatch.setattr(knl, "HYBRID_CACHE_FRACTION", 0.25)
+        node = build_knl(Environment(), memory_mode=MemoryMode.HYBRID)
         assert node.hbm.capacity == 12 * GiB
         assert node.mcdram_cache.capacity == 4 * GiB
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import BlockStateError, ConfigError
 from repro.machine.knl import build_knl
 from repro.mem.block import DataBlock
+from repro.mem import cache as cache_model
 from repro.mem.cache import DirectMappedCache
 from repro.sim.environment import Environment
 from repro.units import GiB, KiB, MiB
@@ -61,11 +62,12 @@ class TestDirectMappedCache:
         with pytest.raises(ConfigError):
             DirectMappedCache(0)
         with pytest.raises(ConfigError):
-            DirectMappedCache(100, line_size=64)  # not a multiple
+            DirectMappedCache(100)  # not a multiple of the 64 B line
 
-    def test_tiny_working_set_rarely_misses(self):
+    def test_tiny_working_set_rarely_misses(self, monkeypatch):
+        monkeypatch.setattr(cache_model, "REUSE_SWEEPS", 1000)
         cache = DirectMappedCache(16 * MiB)
-        assert cache.miss_rate(64 * KiB, reuse_sweeps=1000) < 0.05
+        assert cache.miss_rate(64 * KiB) < 0.05
 
     def test_oversized_working_set_mostly_misses(self):
         cache = DirectMappedCache(16 * MiB)
@@ -77,16 +79,16 @@ class TestDirectMappedCache:
                  (MiB, 4 * MiB, 12 * MiB, 32 * MiB, 64 * MiB)]
         assert rates == sorted(rates)
 
-    def test_conflicts_exist_even_when_fitting(self):
+    def test_conflicts_exist_even_when_fitting(self, monkeypatch):
         """The paper's §I claim: caching suffers conflict misses."""
         cache = DirectMappedCache(16 * MiB)
         assert cache.conflict_fraction(12 * MiB) > 0.1
         # without zonesort-style page colouring it is far worse
-        raw = DirectMappedCache(16 * MiB, page_coloring_quality=0.0)
-        assert raw.conflict_fraction(12 * MiB) > 0.4
+        monkeypatch.setattr(cache_model, "PAGE_COLORING_QUALITY", 0.0)
+        assert cache.conflict_fraction(12 * MiB) > 0.4
         # perfect colouring removes self-conflicts entirely
-        ideal = DirectMappedCache(16 * MiB, page_coloring_quality=1.0)
-        assert ideal.conflict_fraction(12 * MiB) == 0.0
+        monkeypatch.setattr(cache_model, "PAGE_COLORING_QUALITY", 1.0)
+        assert cache.conflict_fraction(12 * MiB) == 0.0
 
     def test_effective_bandwidth_between_endpoints(self):
         cache = DirectMappedCache(16 * MiB, hit_bandwidth=400e9,
@@ -103,12 +105,14 @@ class TestDirectMappedCache:
         t2 = cache.sweep_time(8 * MiB, 2e9)
         assert t2 == pytest.approx(2 * t1)
 
-    def test_simulation_validates_model_capacity_regime(self):
+    def test_simulation_validates_model_capacity_regime(self, monkeypatch):
         """Monte-Carlo mapping agrees with the closed form when thrashing."""
-        cache = DirectMappedCache(4 * MiB, line_size=4096)
+        monkeypatch.setattr(cache_model, "LINE_SIZE", 4096)
+        monkeypatch.setattr(cache_model, "REUSE_SWEEPS", 4)
+        cache = DirectMappedCache(4 * MiB)
         ws = 16 * MiB
         simulated = simulate_miss_rate(cache, ws, sweeps=4)
-        modelled = cache.miss_rate(ws, reuse_sweeps=4)
+        modelled = cache.miss_rate(ws)
         assert simulated == pytest.approx(modelled, abs=0.15)
 
     @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.metrics import recorder
 from repro.metrics.recorder import FlightRecorder, Snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.sim.environment import Environment
@@ -64,13 +65,12 @@ class TestLifecycle:
     def test_bad_parameters_rejected(self, env, registry):
         with pytest.raises(SimulationError):
             FlightRecorder(env, registry, cadence=0.0)
-        with pytest.raises(SimulationError):
-            FlightRecorder(env, registry, capacity=1)
 
 
 class TestRing:
-    def test_capacity_bounds_the_ring(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1, capacity=4).start()
+    def test_capacity_bounds_the_ring(self, env, registry, monkeypatch):
+        monkeypatch.setattr(recorder, "CAPACITY", 4)
+        rec = FlightRecorder(env, registry, cadence=0.1).start()
         env.run(until=2.0)
         rec.stop()
         assert len(rec) == 4

@@ -5,6 +5,7 @@ import os
 import types
 
 from repro.race.clock import format_clock, fresh, happened_before, join
+from repro.race import detector
 from repro.race.detector import RaceSanitizer
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -52,8 +53,8 @@ class TestClocks:
         assert not happened_before("a", 1, {"b": 9})
 
     def test_format_clock_truncates(self):
-        text = format_clock({f"p{i}": i for i in range(10)}, limit=2)
-        assert "+8 more" in text
+        text = format_clock({f"p{i}": i for i in range(10)})
+        assert "+4 more" in text
 
 
 class TestDetectorUnits:
@@ -150,8 +151,9 @@ class TestDetectorUnits:
         # one finding per directed (actor, op) pair: A→B and B→A, not six
         assert len(rs.findings) == 2
 
-    def test_max_findings_cap_counts_suppressed(self):
-        rs = RaceSanitizer(stacks=False, max_findings=1)
+    def test_max_findings_cap_counts_suppressed(self, monkeypatch):
+        monkeypatch.setattr(detector, "MAX_FINDINGS", 1)
+        rs = RaceSanitizer(stacks=False)
         for bid in range(3):
             b = _block(bid)
             _switch(rs, "A")

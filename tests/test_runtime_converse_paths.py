@@ -34,7 +34,7 @@ class TestConverse:
         rt = CharmRuntime(node)
         rt.pes[0].run_queue.put(RetryFetch())
         rt.env.run()  # must not raise
-        assert rt.pes[0].messages_delivered == 0
+        assert rt.pes[0].tasks_executed == 0
 
     def test_messages_after_retry_still_delivered(self):
         built = OOCRuntimeBuilder("no-io", cores=1, mcdram_capacity=GiB,

@@ -17,9 +17,6 @@ class TestClock:
     def test_starts_at_zero(self, env):
         assert env.now == 0.0
 
-    def test_custom_initial_time(self):
-        assert Environment(initial_time=5.0).now == 5.0
-
     def test_run_to_time_advances_clock(self, env):
         env.timeout(1.0)
         env.run(until=10.0)

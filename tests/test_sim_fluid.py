@@ -146,11 +146,11 @@ class TestEdgeCases:
 
     def test_counters(self):
         env, net = make_net(10.0)
-        net.start_flow(5.0, ["l0"])
-        net.start_flow(5.0, ["l0"])
+        flows = [net.start_flow(5.0, ["l0"]) for _ in range(2)]
         env.run()
-        assert net.completed_flows == 2
-        assert net.completed_bytes == pytest.approx(10.0)
+        assert all(flow.done.ok for flow in flows)
+        assert sum(flow.total for flow in flows) == pytest.approx(10.0)
+        assert env.now == pytest.approx(1.0)
 
 
 class TestFluidProperties:

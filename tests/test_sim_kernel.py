@@ -207,13 +207,20 @@ def _same_instant_events(env: Environment, names: str,
     return events
 
 
+def _due_events(env: Environment, names: str, seen: list,
+                delay: float) -> list[Event]:
+    """One timeout per name, all due ``delay`` from now, in name order."""
+    events = [env.timeout(delay, name) for name in names]
+    for ev in events:
+        ev.add_callback(lambda e: seen.append((env.now, e.value)))
+    return events
+
+
 @pytest.mark.parametrize("delay", [0.0, 2.0])
 def test_run_until_target_stops_before_same_instant_followers(delay) -> None:
     env = Environment()
     seen: list = []
-    a, target, b, c = _same_instant_events(env, "atbc", seen)
-    for ev in (a, target, b, c):
-        ev.succeed(ev.name, delay=delay)
+    a, target, b, c = _due_events(env, "atbc", seen, delay)
     assert env.run(until=target) == "t"
     assert seen == [(delay, "a"), (delay, "t")]
     assert not b.processed and not c.processed
@@ -224,9 +231,7 @@ def test_run_until_target_stops_before_same_instant_followers(delay) -> None:
     # the step oracle stops at the same point
     oracle = Environment()
     seen_o: list = []
-    events = _same_instant_events(oracle, "atbc", seen_o)
-    for ev in events:
-        ev.succeed(ev.name, delay=delay)
+    events = _due_events(oracle, "atbc", seen_o, delay)
     while not events[1].processed:
         sim_oracle.step(oracle)
     assert seen_o == [(delay, "a"), (delay, "t")]

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
-from repro.core.strategies import MultiIOThreadStrategy, make_strategy
+from repro.core.strategies import (MultiIOThreadStrategy,
+                                   SingleIOThreadStrategy, make_strategy)
 from repro.errors import SchedulingError
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
+from repro.runtime.pe import PE
 from repro.units import GiB, MiB
 
 HBM = 128 * MiB
@@ -63,11 +65,22 @@ class TestStrategyCounters:
         assert strat.bytes_fetched % (8 * MiB) == 0
         assert strat.fetches == strat.bytes_fetched // (8 * MiB)
 
-    def test_no_io_parked_counter(self):
-        built = run_once("no-io", chares=32)
+    def test_no_io_parked_counter(self, monkeypatch):
+        parked = []
+        enqueue = PE.wait_enqueue
+        monkeypatch.setattr(PE, "wait_enqueue", lambda pe, task: (
+            parked.append(task), enqueue(pe, task)))
+        run_once("no-io", chares=32)
         # 32 x 8 MiB = 256 MiB against a 128 MiB HBM: some tasks must park
-        assert built.strategy.parked_tasks > 0
+        assert parked
 
-    def test_single_io_scan_passes_counted(self):
-        built = run_once("single-io")
-        assert built.strategy.scan_passes > 0
+    def test_single_io_scan_passes_counted(self, monkeypatch):
+        passes = []
+        scan = SingleIOThreadStrategy._scan_once
+
+        def counted(strategy, pes):
+            passes.append(1)
+            return scan(strategy, pes)
+        monkeypatch.setattr(SingleIOThreadStrategy, "_scan_once", counted)
+        run_once("single-io")
+        assert passes

@@ -112,40 +112,63 @@ class TestPhaseTracking:
                           ddr_capacity=DDR).build()
         assert strategy._entry_phase == {"W.go": 0}
 
-    def test_phase_advances_monotonically_through_run(self, use_guidance):
+    def test_phase_advances_monotonically_through_run(self, use_guidance,
+                                                      monkeypatch):
+        seen = []
+        observe = PhaseGuidedStrategy._observe_phase
+
+        def recorded(strategy, pe, task):
+            observe(strategy, pe, task)
+            if not seen or seen[-1] != strategy.phase:
+                seen.append(strategy.phase)
+        monkeypatch.setattr(PhaseGuidedStrategy, "_observe_phase", recorded)
         use_guidance(TWO_PHASE_GUIDE)
         built, _ = run_two_phase()
         assert built.strategy.phase == 2
         # setup is not intercepted (not a prefetch entry), so the
         # strategy first observes phase 1, then phase 2
-        assert built.strategy.phase_advances == 2
+        assert seen == [1, 2]
 
     def test_phase_dead_blocks_evicted_at_boundary(self, use_guidance):
         # 8 x 2 x 16 MiB = 256 MiB exactly fills HBM; without the
         # phase-dead sweep, 'early' blocks would linger INHBM
         use_guidance(TWO_PHASE_GUIDE)
         built, arr = run_two_phase()
-        assert built.strategy.phase_evictions_requested > 0
         assert all(c.early.state is BlockState.INDDR for c in arr)
 
-    def test_lookahead_prefetch_fires(self, use_guidance):
+    def test_lookahead_prefetch_fires(self, use_guidance, lookahead):
         # during phase 1, idle IO lanes pull 'late' (first hot in
         # phase 2) so phase 2 starts partially resident
         use_guidance(TWO_PHASE_GUIDE)
-        built, _ = run_two_phase()
-        assert built.strategy.lookahead_prefetches > 0
+        run_two_phase()
+        assert lookahead
+
+
+@pytest.fixture
+def lookahead(monkeypatch):
+    """Records each idle-IO lookahead pass that prefetched a block."""
+    fired = []
+    idle_work = PhaseGuidedStrategy.io_idle_work
+
+    def recorded(strategy, pe, lane):
+        progress = yield from idle_work(strategy, pe, lane)
+        if progress:
+            fired.append(lane)
+        return progress
+    monkeypatch.setattr(PhaseGuidedStrategy, "io_idle_work", recorded)
+    return fired
 
 
 class TestDegradedModes:
-    def test_v1_guidance_behaves_exactly_like_multi_io(self, use_guidance):
+    def test_v1_guidance_behaves_exactly_like_multi_io(self, use_guidance,
+                                                       lookahead):
         use_guidance(GuidanceFile(sites={
             "TwoPhaseWorker.early": site("TwoPhaseWorker", "early"),
             "TwoPhaseWorker.late": site("TwoPhaseWorker", "late", order=1),
         }, schema=1))
         phased, _ = run_two_phase()
         assert phased.strategy.phase == -1
-        assert phased.strategy.phase_evictions_requested == 0
-        assert phased.strategy.lookahead_prefetches == 0
+        assert not lookahead
 
         built = OOCRuntimeBuilder(
             "multi-io", cores=4, mcdram_capacity=HBM, ddr_capacity=DDR).build()
