@@ -54,9 +54,8 @@ Commands
     the happens-before race detector, exploring ``--explore-schedules N``
     seeded event orderings (``-j/--jobs`` explores seeds in parallel) and
     minimizing the first failure to a ``(--seed, --limit)`` replay token.
-    ``stencil``/``matmul``/``spmv`` accept the same ``--race`` /
-    ``--explore-schedules`` / ``--seed`` / ``--limit`` flags on a normal
-    run.
+    ``stencil``/``matmul``/``spmv`` accept ``--race`` to run the detector
+    on a normal run.
 ``report``
     The self-reporting experiment suite: run figure sweeps across N
     seeded schedule replicates on the parallel engine, print mean ± 95%
@@ -143,9 +142,9 @@ def _add_machine_args(parser: argparse.ArgumentParser, *,
                       checks: bool = True) -> None:
     """The machine and observer flags of one app run.
 
-    ``checks`` adds the checker and schedule flags (``--sanitize``,
-    ``--race``, ``--explore-schedules``, ``--seed``, ``--limit``), which
-    only the app commands honour.
+    ``checks`` adds the checker flags (``--sanitize``, ``--race``), which
+    only the app commands honour; the schedule flags live on ``repro
+    race``.
     """
     parser.add_argument("--strategy", default="multi-io",
                         choices=sorted(STRATEGIES))
@@ -182,18 +181,6 @@ def _add_machine_args(parser: argparse.ArgumentParser, *,
     parser.add_argument("--race", action="store_true",
                         help="run under the repro.race happens-before "
                              "detector (racesan); non-zero exit on races")
-    parser.add_argument("--explore-schedules", type=int, default=0,
-                        metavar="N",
-                        help="re-run across N seeded event-order "
-                             "permutations under racesan+simsan and "
-                             "minimize the first failure")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="schedule seed: base seed with "
-                             "--explore-schedules, else replay one "
-                             "permuted schedule")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="decision limit of a minimized replay token "
-                             "(with --seed)")
 
 
 def _add_shape_args(parser: argparse.ArgumentParser,
@@ -309,40 +296,6 @@ def _print_outcome(outcome: _t.Any) -> int:
     for item in outcome.race_findings + outcome.san_violations:
         print(item.render())
     return 1 if outcome.failed else 0
-
-
-def _explore_or_replay(args: argparse.Namespace, app: str,
-                       params: _t.Mapping[str, _t.Any]) -> int | None:
-    """Handle ``--explore-schedules`` / ``--seed`` schedule modes.
-
-    Returns an exit code when one of the modes ran, None for a normal run.
-    """
-    schedules, seed, limit = args.explore_schedules, args.seed, args.limit
-    _check_count("--explore-schedules", schedules, 0)
-    if limit is not None:
-        if seed is None:
-            raise ConfigError(f"--limit {limit} needs --seed")
-        _check_count("--limit", limit, 0)
-    if not schedules and seed is None:
-        return None
-    from repro.race import app_runner, explore, run_schedule
-
-    # builds the app config: a bad shape fails before any schedule runs
-    runner = app_runner(app, params)
-    if not schedules:
-        return _print_outcome(run_schedule(runner, seed, limit=limit))
-    jobs = getattr(args, "jobs", 1)
-    _check_count("--jobs", jobs)
-    base_seed = seed if seed is not None else 0
-    if jobs > 1:
-        from repro.exec.explore import parallel_explore
-
-        report = parallel_explore(app, params, schedules=schedules,
-                                  base_seed=base_seed, jobs=jobs)
-    else:
-        report = explore(runner, schedules=schedules, base_seed=base_seed)
-    print(report.render())
-    return 1 if report.failing else 0
 
 
 def _start_spans(args: argparse.Namespace, built: _t.Any) -> _t.Any:
@@ -537,7 +490,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
     """Run one app once.
 
     ``stencil``/``matmul``/``spmv`` print the run report and honour the
-    schedule and checker flags; ``metrics`` prints only the telemetry.
+    checker flags; ``metrics`` prints only the telemetry.
     """
     _check_observer_args(args)
     report = args.command != "metrics"
@@ -545,10 +498,6 @@ def _cmd_app(args: argparse.Namespace) -> int:
     params = _app_params(args, app)
     entry = APPS[app]
     cfg = entry.config(params)
-    if report:
-        code = _explore_or_replay(args, app, params)
-        if code is not None:
-            return code
     sanitizer = _start_sanitizer(args)
     built = build(params, Environment())
     if sanitizer is not None:
@@ -813,14 +762,24 @@ def _cmd_race(args: argparse.Namespace) -> int:
         print(f"{len(report.errors)} error(s), "
               f"{len(report.warnings)} warning(s)")
         return 0 if report.ok(strict=True) else 1
+    schedules, seed, limit = args.explore_schedules, args.seed, args.limit
+    _check_count("--explore-schedules", schedules, 0)
+    if limit is not None:
+        if seed is None:
+            raise ConfigError(f"--limit {limit} needs --seed")
+        _check_count("--limit", limit, 0)
     params = _app_params(args, args.app)
-    code = _explore_or_replay(args, args.app, params)
-    if code is not None:
-        return code
-    # no schedules asked for: one FIFO run under racesan+simsan
-    from repro.race import app_runner, run_schedule
+    from repro.race import app_runner, explore, run_schedule
 
-    return _print_outcome(run_schedule(app_runner(args.app, params)))
+    if not schedules:
+        # one schedule under racesan+simsan: FIFO, or a (seed, limit) replay
+        return _print_outcome(run_schedule(app_runner(args.app, params),
+                                           seed, limit=limit))
+    _check_count("--jobs", args.jobs)
+    report = explore(args.app, params, schedules=schedules,
+                     base_seed=seed or 0, jobs=args.jobs)
+    print(report.render())
+    return 1 if report.failing else 0
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:

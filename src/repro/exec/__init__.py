@@ -20,15 +20,15 @@ package makes that set *declarative* and *incremental*:
   code-fingerprint generation, so editing one strategy only re-executes
   the affected figures;
 * :mod:`repro.exec.fingerprint` — the source-tree hash that names
-  cache generations;
-* :mod:`repro.exec.explore` — parallel seed exploration for
-  ``repro race --explore-schedules``.
+  cache generations.
+
+The schedule explorer (:func:`repro.race.explorer.explore`) runs each
+seed of ``repro race --explore-schedules`` as a ``schedule`` spec.
 """
 
 from repro.exec.cache import (ResultCache, cache_stats, clear_cache,
                               default_cache_root)
 from repro.exec.engine import Engine, RunResult, run_specs
-from repro.exec.explore import ParallelExplorationReport, parallel_explore
 from repro.exec.fingerprint import code_fingerprint
 from repro.exec.spec import RunSpec, canonical_json, stable_seed
 
@@ -37,5 +37,4 @@ __all__ = [
     "code_fingerprint",
     "ResultCache", "default_cache_root", "cache_stats", "clear_cache",
     "Engine", "RunResult", "run_specs",
-    "ParallelExplorationReport", "parallel_explore",
 ]

@@ -113,7 +113,7 @@ APPS: dict[str, App] = {
 def build(params: Params, env: "Environment") -> BuiltRuntime:
     """Build the machine, runtime and OOC manager of one run into ``env``.
 
-    ``params["strategy"]`` is a registry name or a strategy instance.
+    ``params["strategy"]`` is a registry name, as in every run spec.
     """
     return OOCRuntimeBuilder(
         params["strategy"], cores=int(params["cores"]),

@@ -9,8 +9,8 @@ Three parts guard the runtime's concurrent migration decisions:
   checker over the strategy/mover protocol classes (rules ``REP2xx``,
   also run by :func:`repro.lint.check_source`);
 * :mod:`repro.race.explorer` — a seeded deterministic schedule explorer
-  that permutes same-instant event orderings and replays/minimizes
-  failing schedules.
+  that permutes same-instant event orderings, sweeps the seeds as
+  :mod:`repro.exec` specs and replays/minimizes failing schedules.
 
 Hot-path modules import only the probe (:mod:`repro.hooks`), which the
 detector subscribes to; everything here loads lazily so race checking

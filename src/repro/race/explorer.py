@@ -19,6 +19,10 @@ across N permuted schedules:
   deadlock (:class:`~repro.errors.DeadlockError`), crashes, races and
   invariant violations, plus a stuck-queue sweep at quiescence.
 
+:func:`explore` is the one sweep: each seed is a ``schedule`` spec of the
+:mod:`repro.exec` engine, run inline at ``jobs=1`` and over a process
+pool above that, with the same report whatever ``jobs`` is.
+
 A failing schedule is **minimized** by binary-searching the smallest
 decision prefix that still fails: decisions past the ``limit`` fall back
 to FIFO, so the replay token is just ``(seed, limit)`` — two runs of the
@@ -39,8 +43,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 __all__ = ["SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
-           "run_schedule", "minimize_schedule", "explore",
-           "render_report", "app_runner"]
+           "run_schedule", "minimize_schedule", "explore", "app_runner"]
 
 #: a runner builds + runs one application inside the given environment and
 #: returns the OOC manager (or None); ``rng`` seeds app-level ordering
@@ -198,50 +201,72 @@ def minimize_schedule(runner: Runner,
 
 @dataclasses.dataclass
 class ExplorationReport:
-    """Aggregate of one :func:`explore` sweep."""
+    """Aggregate of one :func:`explore` sweep.
 
-    outcomes: list[ScheduleOutcome]
+    ``rows`` holds one ``{"seed", "failed", "rendered"}`` dict per seed,
+    in seed order; ``minimized`` is the locally re-run minimized first
+    failure, if any schedule failed and its re-run failed too.
+    """
+
+    rows: list[dict]
     minimized: ScheduleOutcome | None = None
 
     @property
-    def failing(self) -> list[ScheduleOutcome]:
-        return [o for o in self.outcomes if o.failed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing
+    def failing(self) -> list[dict]:
+        """The rows whose schedule crashed, raced or violated."""
+        return [row for row in self.rows if row["failed"]]
 
     def render(self) -> str:
-        return render_report([o.render() for o in self.outcomes],
-                             len(self.failing), self.minimized)
+        """One line per schedule, the failing count, then the minimized
+        replay token and its first three findings of each kind."""
+        out = [row["rendered"] for row in self.rows]
+        out.append(f"explored {len(self.rows)} schedule(s): "
+                   f"{len(self.failing)} failing")
+        minimized = self.minimized
+        if minimized is not None:
+            out.append(
+                f"minimized replay token: seed={minimized.seed} "
+                f"limit={minimized.limit} "
+                f"(re-run with --seed {minimized.seed} "
+                f"--limit {minimized.limit})")
+            shown = minimized.race_findings[:3] + minimized.san_violations[:3]
+            out.extend(item.render() for item in shown)
+        return "\n".join(out)
 
 
-def render_report(lines: _t.Sequence[str], failing: int,
-                  minimized: ScheduleOutcome | None) -> str:
-    """An exploration report: one line per schedule, the failing count,
-    then the minimized replay token and its first three findings of
-    each kind."""
-    out = [*lines, f"explored {len(lines)} schedule(s): {failing} failing"]
-    if minimized is not None:
-        out.append(
-            f"minimized replay token: seed={minimized.seed} "
-            f"limit={minimized.limit} "
-            f"(re-run with --seed {minimized.seed} "
-            f"--limit {minimized.limit})")
-        shown = minimized.race_findings[:3] + minimized.san_violations[:3]
-        out.extend(item.render() for item in shown)
-    return "\n".join(out)
+def explore(app: str, params: _t.Mapping[str, _t.Any], *, schedules: int,
+            base_seed: int = 0, jobs: int = 1) -> ExplorationReport:
+    """Run ``schedules`` seeded permutations of one app run; minimize the
+    first failure.
 
+    Every seed in ``[base_seed, base_seed + schedules)`` is one
+    ``schedule`` :class:`~repro.exec.spec.RunSpec` carrying ``params``
+    whole; :func:`repro.exec.run_specs` runs them inline at ``jobs=1``
+    and over a process pool above that, and hands the rows back in seed
+    order.  A spec whose executor raised (an engine error, not a
+    schedule verdict) is a failing ``error=worker-error`` row.  The
+    first failing seed is re-run and minimized here, on
+    :func:`app_runner`, so the replay token and its findings are real
+    outcomes.
+    """
+    from repro.exec import RunSpec, run_specs
 
-def explore(runner: Runner, *, schedules: int = 8,
-            base_seed: int = 0) -> ExplorationReport:
-    """Run ``schedules`` seeded permutations; minimize the first failure."""
-    outcomes = [run_schedule(runner, seed)
-                for seed in range(base_seed, base_seed + schedules)]
-    report = ExplorationReport(outcomes=outcomes)
-    failing = report.failing
-    if failing:
-        report.minimized = minimize_schedule(runner, failing[0])
+    # builds the app config: a bad shape fails before any schedule runs
+    runner = app_runner(app, params)
+    seeds = range(base_seed, base_seed + schedules)
+    specs = [RunSpec("schedule",
+                     {"app": app, "seed": seed, "params": dict(params)})
+             for seed in seeds]
+    report = ExplorationReport(rows=[
+        result.result if result.ok else
+        {"seed": seed, "failed": True,
+         "rendered": f"seed={seed}: FAIL error=worker-error — "
+                     f"{result.error}"}
+        for seed, result in zip(seeds, run_specs(specs, jobs=jobs))])
+    if report.failing:
+        first = run_schedule(runner, report.failing[0]["seed"])
+        if first.failed:
+            report.minimized = minimize_schedule(runner, first)
     return report
 
 
@@ -254,18 +279,13 @@ def _permute_io_order(strategy: _t.Any, rng: "random.Random | None") -> None:
         strategy._rr_start = rng.randrange(1 << 10)
 
 
-def _fresh_strategy(strategy: _t.Any) -> _t.Any:
-    """Registry names pass through; classes/factories are instantiated so
-    every schedule gets pristine strategy state (replay determinism)."""
-    return strategy() if callable(strategy) else strategy
-
-
 def app_runner(app: str, params: _t.Mapping[str, _t.Any]) -> Runner:
     """A runner for one :data:`repro.exec.apps.APPS` run from its params.
 
     The app config is built once, here, so a bad shape raises
     :class:`~repro.errors.ConfigError` before any schedule runs.
-    ``params["strategy"]`` may also be a strategy class or factory.
+    ``params["strategy"]`` is a registry name, so every schedule builds
+    a pristine strategy (replay determinism).
     """
     from repro.exec.apps import APPS, build
 
@@ -273,8 +293,7 @@ def app_runner(app: str, params: _t.Mapping[str, _t.Any]) -> Runner:
     cfg = entry.config(params)
 
     def run(env: "Environment", rng: "random.Random | None") -> _t.Any:
-        built = build({**params,
-                       "strategy": _fresh_strategy(params["strategy"])}, env)
+        built = build(params, env)
         _permute_io_order(built.strategy, rng)
         entry.cls(built, cfg).run()
         return built.manager

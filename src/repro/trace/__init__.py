@@ -4,8 +4,8 @@ The paper uses Projections (the Charm++ performance visualiser) to show
 where PEs spend their time — Figure 5 (wait time under single vs multiple
 IO threads) and Figure 6 (synchronous fetch overhead vs asynchronous).
 This package records the same information from the simulation: typed,
-per-PE time intervals, aggregated into utilisation/wait breakdowns, an
-ASCII timeline renderer, and JSON export.
+per-PE time intervals, aggregated into utilisation/wait breakdowns, ASCII
+usage bars, and JSON export.
 
 :class:`Tracer` is a run's one interval recorder, a subscriber of the
 probe (:mod:`repro.hooks`).  :class:`repro.obs.SpanTracer` extends it
@@ -26,7 +26,7 @@ unsubscribes it in a ``finally``::
 from repro.trace.events import TraceCategory, TraceEvent
 from repro.trace.tracer import Tracer
 from repro.trace.projections import PETimeline, ProjectionsReport, build_report
-from repro.trace.render import render_timeline, render_usage_bars
+from repro.trace.render import render_usage_bars
 from repro.trace.export import to_json
 from repro.trace.occupancy import occupancy_stats, render_occupancy
 
@@ -34,7 +34,7 @@ __all__ = [
     "TraceCategory", "TraceEvent",
     "Tracer",
     "PETimeline", "ProjectionsReport", "build_report",
-    "render_timeline", "render_usage_bars",
+    "render_usage_bars",
     "to_json",
     "occupancy_stats", "render_occupancy",
 ]

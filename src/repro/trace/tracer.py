@@ -96,8 +96,5 @@ class Tracer:
     def lanes(self) -> list[str]:
         return sorted({ev.lane for ev in self.events})
 
-    def events_for(self, lane: str) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.lane == lane]
-
     def __len__(self) -> int:
         return len(self.events)

@@ -40,3 +40,25 @@ def use_guidance(tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GUIDANCE", str(path))
 
     return install
+
+
+@pytest.fixture
+def racy_io(monkeypatch):
+    """Register the seeded-defect strategy ``tests/fixtures/racy_strategy.py``
+    in the strategy registry for one test; returns its name.
+
+    Schedule specs carry a strategy by registry name only, so this is how
+    the explorer and its ``schedule`` specs reach the fixture.
+    """
+    import importlib.util
+    import os
+
+    from repro.core.strategies import STRATEGIES
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "racy_strategy.py")
+    spec = importlib.util.spec_from_file_location("racy_strategy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setitem(STRATEGIES, "racy-io", module.RacyIOStrategy)
+    return "racy-io"

@@ -47,7 +47,6 @@ CASES = [
     ("report-figure", ["report", "--figures", "fig99"], "fig99"),
     ("leaderboard-app", ["leaderboard", "--apps", "nope"], "nope"),
     ("race-schedules", ["race", "--explore-schedules", "-1"], "-1"),
-    ("stencil-schedules", ["stencil", "--explore-schedules", "-2"], "-2"),
     # a bad app shape fails once, before any schedule runs
     ("race-shape",
      ["race", "--app", "stencil", "--iterations", "0",
@@ -57,15 +56,13 @@ CASES = [
       "--explore-schedules", "2", "-j", "2"], "0"),
     ("race-shape-fifo", ["race", "--app", "matmul", "--working-set", "0"],
      "0"),
-    ("stencil-shape-schedules",
-     ["stencil", "--iterations", "0", "--explore-schedules", "2"], "0"),
-    ("matmul-shape-seed", ["matmul", "--block-dim", "0", "--seed", "1"],
-     "0"),
+    ("matmul-shape-seed",
+     ["race", "--app", "matmul", "--block-dim", "0", "--seed", "1"], "0"),
     ("spmv-shape-seed",
-     ["spmv", "--block-rows", "4", "--couplings", "99", "--seed", "1"], "99"),
+     ["race", "--app", "spmv", "--block-rows", "4", "--couplings", "99",
+      "--seed", "1"], "99"),
     ("race-limit", ["race", "--seed", "1", "--limit", "-1"], "-1"),
     ("race-limit-no-seed", ["race", "--limit", "5"], "--limit 5"),
-    ("stencil-limit-no-seed", ["stencil", "--limit", "3"], "--limit 3"),
     ("experiments-jobs", ["experiments", "--figures", "fig1", "-j", "0"],
      "0"),
     ("report-jobs", ["report", "--figures", "fig2", "-j", "-1"], "-1"),
@@ -85,6 +82,23 @@ CASES = [
      ["metrics", "--explore-schedules", "2"], "--explore-schedules"),
     ("metrics-seed", ["metrics", "--seed", "1"], "--seed"),
     ("metrics-limit", ["metrics", "--limit", "1"], "--limit"),
+    # the schedule flags live on `repro race` only; the app commands
+    # reject them rather than silently dropping their observer flags
+    ("stencil-schedules", ["stencil", "--explore-schedules", "-2"],
+     "--explore-schedules"),
+    ("stencil-shape-schedules",
+     ["stencil", "--iterations", "0", "--explore-schedules", "2"],
+     "--explore-schedules"),
+    ("stencil-seed", ["stencil", "--seed", "5"], "--seed"),
+    ("stencil-limit-no-seed", ["stencil", "--limit", "3"], "--limit"),
+    ("matmul-schedules", ["matmul", "--explore-schedules", "2"],
+     "--explore-schedules"),
+    ("matmul-seed", ["matmul", "--seed", "3"], "--seed"),
+    ("matmul-limit", ["matmul", "--limit", "1"], "--limit"),
+    ("spmv-schedules", ["spmv", "--explore-schedules", "2"],
+     "--explore-schedules"),
+    ("spmv-seed", ["spmv", "--seed", "1"], "--seed"),
+    ("spmv-limit", ["spmv", "--limit", "1"], "--limit"),
     ("stencil-trace-out",
      ["stencil", "--trace-out", "no-such-dir/t.json"], "no-such-dir/t.json"),
     ("matmul-trace-out",

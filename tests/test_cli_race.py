@@ -1,4 +1,4 @@
-"""CLI tests for `repro race` and the schedule flags on stencil/matmul."""
+"""CLI tests for `repro race` and the `--race` flag on the app commands."""
 
 import os
 
@@ -54,14 +54,16 @@ class TestAppFlags:
         assert probe.on_retain is None
 
     def test_stencil_explore_flag_short_circuits(self, capsys):
-        assert main(["stencil", "--explore-schedules", "2", "--seed", "5",
-                     "--strategy", "multi-io", *SMALL]) == 0
+        assert main(["race", "--app", "stencil", "--explore-schedules", "2",
+                     "--seed", "5", "--strategy", "multi-io", *SMALL]) == 0
         out = capsys.readouterr().out
         assert "explored 2 schedule(s)" in out
-        assert "total time" not in out  # exploration replaces the run
+        assert "seed=5: ok" in out and "seed=6: ok" in out
+        assert "seed=None" not in out  # exploration replaces the FIFO run
 
     def test_matmul_seed_replays_one_schedule(self, capsys):
-        assert main(["matmul", "--seed", "3", "--strategy", "multi-io",
+        assert main(["race", "--app", "matmul", "--seed", "3",
+                     "--strategy", "multi-io",
                      "--cores", "8", "--mcdram", "64MiB", "--ddr", "1GiB",
                      "--working-set", "64MiB", "--block-dim", "64"]) == 0
-        assert "seed=3: ok" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("seed=3: ok")

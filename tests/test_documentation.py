@@ -42,7 +42,7 @@ MODULES = [
     "repro.metrics.subscriber",
     "repro.exec", "repro.exec.spec", "repro.exec.fingerprint",
     "repro.exec.cache", "repro.exec.runners", "repro.exec.engine",
-    "repro.exec.explore", "repro.exec.apps",
+    "repro.exec.apps",
     "repro.obs", "repro.obs.spans", "repro.obs.critpath",
     "repro.obs.stats", "repro.obs.report", "repro.obs.trend",
     "repro.obs.html",

@@ -142,25 +142,17 @@ class TestParallelEquivalence:
 
 class TestParallelExplore:
     def test_matches_serial_explorer_report(self):
-        from repro.exec.explore import parallel_explore
-        from repro.race.explorer import app_runner, explore
+        # a non-zero matrix seed: the workers must get the params whole,
+        # or they would explore a different matrix than the inline run
+        from repro.race.explorer import app_runner, explore, run_schedule
         from repro.units import MiB
 
-        machine = dict(strategy="multi-io", cores=4,
-                       mcdram=64 * MiB, ddr=256 * MiB)
-        shapes = {
-            "stencil": dict(total=64 * MiB, block=16 * MiB, iterations=1),
-            "matmul": dict(working_set=48 * MiB, block_dim=64),
-            # a non-zero matrix seed: the workers must get the same matrix
-            "spmv": dict(block_rows=8, block_bytes=4 * MiB,
-                         vector_bytes=256 * 1024, couplings=2,
-                         iterations=1, seed=3),
-        }
-        for app, shape in shapes.items():
-            params = {**machine, **shape}
-            serial = explore(app_runner(app, params), schedules=2,
-                             base_seed=0)
-            report = parallel_explore(app, params, schedules=2,
-                                      base_seed=0, jobs=2)
-            assert report.render() == serial.render(), app
-            assert report.ok == serial.ok
+        params = dict(strategy="multi-io", cores=4, mcdram=64 * MiB,
+                      ddr=256 * MiB, block_rows=8, block_bytes=4 * MiB,
+                      vector_bytes=256 * 1024, couplings=2, iterations=1,
+                      seed=3)
+        serial = explore("spmv", params, schedules=2, jobs=1)
+        report = explore("spmv", params, schedules=2, jobs=2)
+        assert report.render() == serial.render()
+        local = run_schedule(app_runner("spmv", params), 0)
+        assert serial.render().splitlines()[0] == local.render()

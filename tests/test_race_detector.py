@@ -1,23 +1,10 @@
 """racesan unit tests (hand-driven clocks) + whole-app integration."""
 
-import importlib.util
-import os
 import types
 
 from repro.race.clock import format_clock, fresh, happened_before, join
 from repro.race import detector
 from repro.race.detector import RaceSanitizer
-
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
-                       "racy_strategy.py")
-
-
-def load_racy_strategy():
-    spec = importlib.util.spec_from_file_location("racy_strategy", FIXTURE)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.RacyIOStrategy
-
 
 def _block(bid):
     return types.SimpleNamespace(bid=bid, name=f"blk{bid}")
@@ -187,10 +174,10 @@ class TestDetectorIntegration:
                 assert not outcome.failed, \
                     f"{app} seed={seed}: {outcome.render()}"
 
-    def test_racy_fixture_reports_race301_with_evidence(self):
+    def test_racy_fixture_reports_race301_with_evidence(self, racy_io):
         from repro.race.explorer import app_runner, run_schedule
         runner = app_runner("stencil", dict(
-            strategy=load_racy_strategy(), cores=8, mcdram=64 << 20,
+            strategy=racy_io, cores=8, mcdram=64 << 20,
             ddr=1 << 30, total=128 << 20, block=16 << 20, iterations=1))
         outcome = run_schedule(runner, None)
         races = [f for f in outcome.race_findings if f.rule == "RACE301"]

@@ -8,8 +8,6 @@ from repro.race.explorer import (ScheduleOutcome, SeededTieBreaker,
                                  run_schedule)
 from repro.sim.environment import Environment
 
-from tests.test_race_detector import load_racy_strategy
-
 SHAPE = dict(cores=8, mcdram=64 << 20, ddr=1 << 30, total=128 << 20,
              block=16 << 20, iterations=1)
 
@@ -145,31 +143,53 @@ class TestScheduleRuns:
 
 
 class TestExplorationOfSeededBug:
-    @pytest.fixture(scope="class")
-    def racy_runner(self):
-        return app_runner("stencil",
-                          dict(strategy=load_racy_strategy(), **SHAPE))
+    @pytest.fixture
+    def racy_params(self, racy_io):
+        return dict(strategy=racy_io, **SHAPE)
 
-    def test_explorer_finds_minimizes_and_replays(self, racy_runner):
-        report = explore(racy_runner, schedules=2, base_seed=0)
+    def test_explorer_finds_minimizes_and_replays(self, racy_params):
+        report = explore("stencil", racy_params, schedules=2, base_seed=0)
         assert report.failing, report.render()
         token = report.minimized
         assert token is not None and token.failed
         assert "minimized replay token" in report.render()
         # the (seed, limit) token replays the same failure, byte for byte
-        again = replay(racy_runner, token)
+        again = replay(app_runner("stencil", racy_params), token)
         assert again.failed
         assert signature(again) == signature(token)
 
-    def test_minimized_limit_is_minimal_under_probe(self, racy_runner):
-        failing = run_schedule(racy_runner, 0)
+    def test_minimized_limit_is_minimal_under_probe(self, racy_params):
+        runner = app_runner("stencil", racy_params)
+        failing = run_schedule(runner, 0)
         assert failing.failed
-        token = minimize_schedule(racy_runner, failing)
+        token = minimize_schedule(runner, failing)
         assert token.limit is not None
         assert token.limit <= failing.decisions
 
     def test_exploration_of_clean_strategy_reports_ok(self):
-        runner = app_runner("stencil", dict(strategy="multi-io", **SHAPE))
-        report = explore(runner, schedules=2, base_seed=0)
-        assert report.ok and report.minimized is None
+        report = explore("stencil", dict(strategy="multi-io", **SHAPE),
+                         schedules=2, base_seed=0)
+        assert not report.failing and report.minimized is None
         assert "0 failing" in report.render()
+
+    def test_engine_error_is_a_failing_row(self, monkeypatch):
+        from repro.exec import runners
+
+        schedule = runners.EXECUTORS["schedule"]
+
+        def lose_seed_one(params):
+            if params["seed"] == 1:
+                raise RuntimeError("worker lost")
+            return schedule(params)
+
+        monkeypatch.setitem(runners.EXECUTORS, "schedule", lose_seed_one)
+        report = explore("stencil", dict(strategy="multi-io", **SHAPE),
+                         schedules=2, base_seed=0, jobs=1)
+        lines = report.render().splitlines()
+        assert lines[0].startswith("seed=0: ok (")
+        assert lines[1] == ("seed=1: FAIL error=worker-error — "
+                            "RuntimeError: worker lost")
+        assert lines[2] == "explored 2 schedule(s): 1 failing"
+        assert [row["seed"] for row in report.failing] == [1]
+        # seed 1 re-runs clean outside the engine: nothing to minimize
+        assert report.minimized is None

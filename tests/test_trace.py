@@ -7,9 +7,8 @@ import pytest
 from repro.sim.environment import Environment
 from repro.trace.events import TraceCategory, TraceEvent
 from repro.trace.export import to_json
-from repro.trace import render
 from repro.trace.projections import build_report
-from repro.trace.render import render_timeline, render_usage_bars
+from repro.trace.render import render_usage_bars
 from repro.trace.tracer import Tracer
 
 
@@ -44,8 +43,7 @@ class TestTracer:
         execute = [ev for ev in tracer.events
                    if ev.category is TraceCategory.EXECUTE]
         assert sum(ev.duration for ev in execute) == 5.0
-        assert sum(ev.duration for ev in tracer.events_for("pe0")
-                   if ev.category is TraceCategory.EXECUTE) == 4.0
+        assert sum(ev.duration for ev in execute if ev.lane == "pe0") == 4.0
 
 
 class TestProjections:
@@ -93,17 +91,6 @@ class TestProjections:
 
 
 class TestRendering:
-    def test_timeline_contains_lanes_and_legend(self, tracer, monkeypatch):
-        monkeypatch.setattr(render, "TIMELINE_WIDTH", 40)
-        art = render_timeline(tracer)
-        assert "pe0" in art and "io0" in art
-        assert "legend:" in art
-        assert "#" in art  # execute glyph present
-
-    def test_empty_timeline(self):
-        art = render_timeline(Tracer(Environment()))
-        assert art == "(empty timeline)"
-
     def test_usage_bars(self, tracer):
         art = render_usage_bars(build_report(tracer), width=20)
         assert "util" in art and "wait" in art
