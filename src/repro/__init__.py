@@ -52,8 +52,6 @@ from repro.mem import AccessIntent, BlockState, DataBlock
 from repro.runtime import Chare, ChareArray, CharmRuntime, NodeGroup, entry
 from repro.sim import Environment
 from repro.apps import (
-    Jacobi2D,
-    JacobiConfig,
     MatMul,
     MatMulConfig,
     Stencil3D,
@@ -82,3 +80,12 @@ __all__ = [
     "Stencil3D", "StencilConfig", "MatMul", "MatMulConfig",
     "StreamApp", "StreamAppConfig", "Jacobi2D", "JacobiConfig",
 ]
+
+
+def __getattr__(name: str):
+    # Jacobi2D and JacobiConfig load lazily: see repro.apps
+    if name in ("Jacobi2D", "JacobiConfig"):
+        from repro import apps
+
+        return getattr(apps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ from repro.mem.allocator import (
     PoolAllocator,
 )
 from repro.mem.topology import MemoryTopology
-from repro.mem.mover import DataMover, MoveResult
+from repro.mem.mover import DataMover
 from repro.mem.registry import BlockRegistry
 from repro.mem.cache import DirectMappedCache
 
@@ -34,7 +34,7 @@ __all__ = [
     "Allocation", "Allocator", "FreeListAllocator",
     "PagedAllocator", "PoolAllocator",
     "MemoryTopology",
-    "DataMover", "MoveResult",
+    "DataMover",
     "BlockRegistry",
     "DirectMappedCache",
 ]

@@ -25,7 +25,6 @@ cites ([11]: memcpy projected more scalable on KNL than migrate_pages).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing as _t
 
@@ -36,33 +35,10 @@ from repro.mem.device import MemoryDevice
 from repro.mem.topology import MemoryTopology
 from repro.sim.environment import Environment
 
-__all__ = ["MoveResult", "DataMover"]
+__all__ = ["DataMover"]
 
 #: Linux base page size; migrate_pages works at this granularity.
 PAGE_SIZE = 4096
-
-
-@dataclasses.dataclass
-class MoveResult:
-    """Timing breakdown of one block move."""
-
-    block: DataBlock
-    src: str
-    dst: str
-    nbytes: int
-    started_at: float
-    finished_at: float
-    alloc_time: float
-    copy_time: float
-    free_time: float
-
-    @property
-    def total_time(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def effective_bandwidth(self) -> float:
-        return self.nbytes / self.copy_time if self.copy_time > 0 else math.inf
 
 
 #: syscall+kernel bookkeeping per page for migrate_pages mode, seconds
@@ -84,9 +60,6 @@ class DataMover:
         self.per_thread_copy_bw = per_thread_copy_bw
         self.moves_completed = 0
         self.bytes_moved = 0
-        self.results: list[MoveResult] = []
-        #: keep full per-move results only when tracing asks for them
-        self.keep_results = False
 
     # -- memcpy-style move (the paper's mechanism) -----------------------------
 
@@ -131,7 +104,6 @@ class DataMover:
             if _probe.on_move_rollback is not None:
                 _probe.on_move_rollback(block, src, dst)
             raise
-        after_alloc = self.env.now
 
         # Step 2: memcpy — one flow across src.read + dst.write.
         if block.nbytes > 0:
@@ -144,7 +116,6 @@ class DataMover:
             src.bytes_read += block.nbytes
             dst.bytes_written += block.nbytes
             yield flow.done
-        after_copy = self.env.now
 
         # Step 3: free the source buffer (numa_free).
         free_cost = src.allocator.free_cost(block.nbytes)
@@ -160,15 +131,6 @@ class DataMover:
 
         self.moves_completed += 1
         self.bytes_moved += block.nbytes
-        result = MoveResult(
-            block=block, src=src.name, dst=dst.name, nbytes=block.nbytes,
-            started_at=started, finished_at=self.env.now,
-            alloc_time=after_alloc - started,
-            copy_time=after_copy - after_alloc,
-            free_time=self.env.now - after_copy)
-        if self.keep_results:
-            self.results.append(result)
-        return result
 
     # -- migrate_pages-style move (modelled alternative) -------------------------
 
@@ -227,10 +189,3 @@ class DataMover:
 
         self.moves_completed += 1
         self.bytes_moved += padded
-        result = MoveResult(
-            block=block, src=src.name, dst=dst.name, nbytes=padded,
-            started_at=started, finished_at=self.env.now,
-            alloc_time=0.0, copy_time=self.env.now - started, free_time=0.0)
-        if self.keep_results:
-            self.results.append(result)
-        return result

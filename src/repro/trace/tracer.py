@@ -93,8 +93,5 @@ class Tracer:
 
     # -- queries ------------------------------------------------------------
 
-    def lanes(self) -> list[str]:
-        return sorted({ev.lane for ev in self.events})
-
     def __len__(self) -> int:
         return len(self.events)

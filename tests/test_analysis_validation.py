@@ -87,8 +87,7 @@ class TestMoveAgainstSim:
         block = DataBlock("m", 128 * MiB)
         node.registry.register(block)
         node.topology.place_block(block, node.ddr)
-        proc = node.env.process(node.mover.move(block, node.hbm))
-        result = node.env.run(until=proc)
+        node.env.run(until=node.env.process(node.mover.move(block, node.hbm)))
         predicted = analysis.move_time(
             128 * MiB,
             src_read_share=node.ddr.read_bandwidth,
@@ -97,7 +96,7 @@ class TestMoveAgainstSim:
             alloc_cost=node.hbm.allocator.alloc_cost(128 * MiB),
             free_cost=node.ddr.allocator.free_cost(128 * MiB),
             latency=node.ddr.latency + node.hbm.latency)
-        assert result.total_time == pytest.approx(predicted, rel=0.01)
+        assert node.env.now == pytest.approx(predicted, rel=0.01)
 
 
 class TestStencilAgainstSim:

@@ -27,29 +27,35 @@ class TestMove:
     def test_move_updates_residency(self, node):
         block = place(node, "b", 64 * MiB, node.ddr)
         proc = node.env.process(node.mover.move(block, node.hbm))
-        result = node.env.run(until=proc)
+        assert node.env.run(until=proc) is None
         assert block.state is BlockState.INHBM
         assert block.device is node.hbm
         assert node.ddr.used == 0
         assert node.hbm.used == 64 * MiB
-        assert result.nbytes == 64 * MiB
+        assert block.bytes_moved == 64 * MiB
 
     def test_move_time_has_three_parts(self, node):
-        block = place(node, "b", 64 * MiB, node.ddr)
-        proc = node.env.process(node.mover.move(block, node.hbm))
-        result = node.env.run(until=proc)
-        assert result.alloc_time > 0
-        assert result.copy_time > 0
-        assert result.free_time > 0
-        assert result.total_time == pytest.approx(
-            result.alloc_time + result.copy_time + result.free_time)
+        nbytes = 64 * MiB
+        block = place(node, "b", nbytes, node.ddr)
+        alloc = node.hbm.allocator.alloc_cost(nbytes)
+        latency = node.ddr.latency + node.hbm.latency
+        # a lone mover thread copies at its cap or the slower port's rate
+        copy = nbytes / min(node.mover.per_thread_copy_bw,
+                            node.ddr.read_bandwidth, node.hbm.write_bandwidth)
+        free = node.ddr.allocator.free_cost(nbytes)
+        assert alloc > 0 and copy > 0 and free > 0
+        node.env.run(until=node.env.process(node.mover.move(block, node.hbm)))
+        assert node.env.now == pytest.approx(alloc + latency + copy + free)
 
     def test_lone_copy_runs_at_thread_cap(self, node):
-        block = place(node, "b", 50 * MiB, node.ddr)
-        proc = node.env.process(node.mover.move(block, node.hbm))
-        result = node.env.run(until=proc)
+        nbytes = 50 * MiB
+        block = place(node, "b", nbytes, node.ddr)
+        node.env.run(until=node.env.process(node.mover.move(block, node.hbm)))
+        copy_time = (node.env.now - node.hbm.allocator.alloc_cost(nbytes)
+                     - node.ddr.latency - node.hbm.latency
+                     - node.ddr.allocator.free_cost(nbytes))
         cap = node.mover.per_thread_copy_bw
-        assert result.effective_bandwidth == pytest.approx(cap, rel=1e-2)
+        assert nbytes / copy_time == pytest.approx(cap, rel=1e-2)
 
     def test_hbm_to_ddr_slower_than_ddr_to_hbm(self, node):
         """Figure 7: memcpy cost slightly higher HBM->DDR (DDR write port
@@ -126,8 +132,9 @@ class TestMigratePages:
     def test_rounds_to_pages(self, node):
         block = place(node, "b", 5000, node.ddr)  # 2 pages
         proc = node.env.process(node.mover.move_migrate_pages(block, node.hbm))
-        result = node.env.run(until=proc)
-        assert result.nbytes == 8192
+        assert node.env.run(until=proc) is None
+        assert block.bytes_moved == 8192
+        assert node.mover.bytes_moved == 8192
         assert node.hbm.used == 8192
 
     def test_slower_than_memcpy_for_many_pages(self, node):

@@ -43,7 +43,7 @@ class TestCollection:
         assert TraceCategory.IO_EVICT in cats
 
     def test_lanes_split_workers_from_io_threads(self, multi_io):
-        lanes = multi_io.lanes()
+        lanes = {ev.lane for ev in multi_io.events}
         assert any(lane.startswith("pe") for lane in lanes)
         assert any(lane.startswith("io") for lane in lanes)
 

@@ -1,21 +1,32 @@
 """Tests for deterministic random streams."""
 
-import numpy as np
+import random
 
-from repro.sim.rand import RandomStreams
+import numpy as np
+import pytest
+
+from repro.apps.spmv import SpMVConfig
+from repro.sim import rand
+from repro.sim.rand import PCG64Stream, RandomStreams
+
+_SEED_SOURCE = random.Random(20170529)
+#: seeds for the numpy parity checks: both ends of the 64-bit range, the
+#: 32-bit word boundary, and 200 more drawn from a fixed-seed generator
+PARITY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+    _SEED_SOURCE.getrandbits(64) for _ in range(200)]
 
 
 class TestRandomStreams:
     def test_same_seed_same_stream(self):
-        a = RandomStreams(7).stream("workload").random(5)
-        b = RandomStreams(7).stream("workload").random(5)
-        assert np.array_equal(a, b)
+        a = RandomStreams(7).stream("workload")
+        b = RandomStreams(7).stream("workload")
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
     def test_named_streams_independent(self):
         streams = RandomStreams(7)
-        a = streams.stream("a").random(5)
-        b = streams.stream("b").random(5)
-        assert not np.array_equal(a, b)
+        a = streams.stream("a")
+        b = streams.stream("b")
+        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
     def test_stream_cached(self):
         streams = RandomStreams(0)
@@ -23,8 +34,67 @@ class TestRandomStreams:
 
     def test_adding_stream_does_not_perturb_existing(self):
         s1 = RandomStreams(3)
-        first = s1.stream("main").random(4)
+        first = [s1.stream("main").random() for _ in range(4)]
         s2 = RandomStreams(3)
         s2.stream("other")            # extra consumer created first
-        second = s2.stream("main").random(4)
-        assert np.array_equal(first, second)
+        second = [s2.stream("main").random() for _ in range(4)]
+        assert first == second
+
+
+class TestNumpyParity:
+    """Each draw equals ``numpy.random.default_rng(seed)``'s, bit for bit."""
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    def test_interleaved_draws_match(self, seed):
+        ours, theirs = PCG64Stream(seed), np.random.default_rng(seed)
+        script = random.Random(seed)
+        for _ in range(60):
+            kind = script.randrange(4)
+            if kind == 0:
+                assert ours.random() == theirs.random()
+            elif kind == 1:
+                # SpMV's banded offset: consumes half-words, so the next
+                # 32-bit draw takes the buffered upper half
+                assert ours.integers(-2, 3) == theirs.integers(-2, 3)
+            elif kind == 2:
+                high = script.randrange(2, 2**32 + 1)
+                assert ours.integers(0, high) == theirs.integers(0, high)
+            else:
+                # a one-value range draws nothing in numpy either
+                assert ours.integers(9, 10) == theirs.integers(9, 10) == 9
+
+    def test_lemire_rejection_matches(self):
+        """Range 2**31 + 1 rejects almost half of all 32-bit draws."""
+        for seed in PARITY_SEEDS[:20]:
+            ours, theirs = PCG64Stream(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert (ours.integers(0, 2**31 + 1)
+                        == theirs.integers(0, 2**31 + 1))
+            # the rejections left both generators at the same point
+            assert ours.random() == theirs.random()
+
+    def test_full_32_bit_range_matches(self):
+        ours, theirs = PCG64Stream(5), np.random.default_rng(5)
+        for _ in range(20):
+            assert ours.integers(-2**31, 2**31) == theirs.integers(-2**31, 2**31)
+
+    def test_empty_and_too_wide_ranges_rejected(self):
+        stream = PCG64Stream(0)
+        with pytest.raises(ValueError):
+            stream.integers(3, 3)
+        with pytest.raises(ValueError):
+            stream.integers(0, 2**32 + 1)
+
+    def test_seed_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            PCG64Stream(-1)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_spmv_coupling_pattern_matches(self, seed, monkeypatch):
+        # the leaderboard's TINY shape, and a wider, less banded one
+        configs = [SpMVConfig(block_rows=32, seed=seed),
+                   SpMVConfig(block_rows=64, couplings=5, banded=0.6,
+                              seed=seed)]
+        ours = [config.coupling_pattern() for config in configs]
+        monkeypatch.setattr(rand, "PCG64Stream", np.random.default_rng)
+        assert ours == [config.coupling_pattern() for config in configs]
