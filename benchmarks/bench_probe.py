@@ -1,7 +1,7 @@
 """Probe overhead guard (``BENCH_probe.json``).
 
-Every observer — simsan, racesan, the metrics subscriber, the span
-tracer and the Projections interval tracer — watches the runtime
+Every observer — simsan, racesan and the run's one recorder, whose log
+the metrics, span and Projections views read — watches the runtime
 through the probe points of
 :mod:`repro.hooks`.  With nothing subscribed, each point costs a single
 module-global ``is not None`` test.  This bench times one hook-heavy
@@ -14,13 +14,14 @@ evict continuously, in these lanes:
   bounds the cost of the dormant probe sites plus machine noise;
 * one *enabled* lane per subscriber: ``simsan`` (a recording
   :class:`~repro.lint.SimSanitizer` with a quiescence sweep),
-  ``metrics`` (a full :class:`~repro.metrics.MetricsSession`),
+  ``metrics`` (a full :class:`~repro.metrics.MetricsSession`: the
+  recorder plus the fold of its log at every snapshot),
   ``racesan`` (a :class:`~repro.race.RaceSanitizer` with stack capture
   off, to measure the algorithm rather than the traceback module) and
-  ``spans`` (a :class:`~repro.obs.SpanTracer`, the interval recorder
-  with its causal layer, plus a critical-path walk of its result) and
-  ``projections`` (a :class:`~repro.trace.Tracer` alone, the Figure 5/6
-  interval recorder).
+  ``spans`` (a :class:`~repro.obs.SpanTracer`, the causal layer over
+  the recorder it installs, plus a critical-path walk of its result) and
+  ``projections`` (a :class:`~repro.trace.Tracer` alone, the recorder
+  behind the Figure 5/6 intervals).
 
 Every lane sample is timed right after a fresh ``baseline`` sample, and
 a lane's ratio is the median over rounds of these adjacent pairs.  On a

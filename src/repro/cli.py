@@ -33,7 +33,7 @@ Commands
     ``--guidance PATH`` also writes a placement-guidance file;
     ``--format sarif`` emits a canonical SARIF 2.1.0 document on stdout
     (summary on stderr).  Warm re-runs are answered from the
-    fingerprint-keyed ``.repro-cache/lint/`` analysis cache;
+    fingerprint-keyed analysis cache in ``.repro-cache/``;
     ``--no-cache`` bypasses it.
 ``guide``
     Emit the bwlint placement-guidance file (canonical JSON, SHA-256
@@ -717,14 +717,18 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     """Append to / render the BENCH trend history."""
-    import os
     from pathlib import Path
 
     from repro.obs import trend as obs_trend
 
     history = Path(args.history) if args.history else None
     if args.action == "append":
-        commit = args.commit or os.environ.get("GITHUB_SHA") or "local"
+        # a commit is recorded once, so a made-up id would swallow the
+        # next append's snapshots
+        commit = args.commit
+        if not commit:
+            raise ConfigError("trend append needs --commit SHA, the commit "
+                              "the BENCH_*.json snapshots belong to")
         record = obs_trend.append_history(commit, path=history)
         if record is None:
             print(f"trend: nothing appended for {commit} (already "
@@ -986,8 +990,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         "trend", help="BENCH_*.json trend history + sparkline dashboard")
     p_tr.add_argument("action", choices=["append", "render"])
     p_tr.add_argument("--commit", default=None, metavar="SHA",
-                      help="commit id for 'append' (default: $GITHUB_SHA, "
-                           "then 'local')")
+                      help="commit id for 'append' (required there)")
     p_tr.add_argument("--history", default=None, metavar="PATH",
                       help="history file (default: bench_history.jsonl at "
                            "the repo root)")

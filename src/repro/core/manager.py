@@ -9,6 +9,7 @@ Owns the strategy, the HBM tracker, the eviction policy and the
 from __future__ import annotations
 
 import typing as _t
+from itertools import count
 
 from repro import hooks as _probe
 from repro.core.eviction import EvictionPolicy, OwnBlocksEviction
@@ -54,6 +55,8 @@ class OOCManager:
         #: per-block in-flight move completion events
         self._inflight: dict[int, Event] = {}
         self.tasks_intercepted = 0
+        #: this run's task numbers
+        self._task_ids = count()
         self.tasks_readied = 0
         self.tasks_completed = 0
         self.placement_done = False
@@ -94,7 +97,7 @@ class OOCManager:
             raise SchedulingError(
                 "a [prefetch] message arrived before finalize_placement()")
         deps = message.entry.resolve_deps(message.target)
-        task = OOCTask(message, pe.id, deps)
+        task = OOCTask(next(self._task_ids), message, pe.id, deps)
         for block in task.blocks:
             block.add_demand(task.tid, task)
         if task.total_dep_bytes > self.tracker.budget:

@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import enum
 import typing as _t
-from itertools import count
 
 from repro.errors import SchedulingError
 from repro.mem.block import AccessIntent, BlockState, DataBlock
 from repro.runtime.message import Message
 
 __all__ = ["TaskState", "OOCTask"]
-
-_task_ids = count()
 
 
 class TaskState(enum.Enum):
@@ -45,9 +42,9 @@ class OOCTask:
     __slots__ = ("tid", "message", "pe_id", "deps", "blocks", "missing",
                  "state", "retained")
 
-    def __init__(self, message: Message, pe_id: int,
+    def __init__(self, tid: int, message: Message, pe_id: int,
                  deps: _t.Sequence[tuple[DataBlock, AccessIntent]]):
-        self.tid = next(_task_ids)
+        self.tid = tid
         self.message = message
         self.pe_id = pe_id
         # Deduplicate blocks (a block listed twice keeps the strongest

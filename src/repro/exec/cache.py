@@ -5,6 +5,7 @@ Layout::
     .repro-cache/
       <fingerprint[:16]>/          one generation per code fingerprint
         <spec-key>.json            {"spec": ..., "result": ..., ...}
+        <analysis-key>.json        a bwlint analysis (repro.lint.cache)
 
 The entry key is the spec's SHA-256 content key
 (:meth:`repro.exec.spec.RunSpec.key`); the generation directory is the
@@ -82,25 +83,31 @@ class ResultCache:
     def put(self, spec: RunSpec, result: _t.Any, *,
             elapsed_s: float = 0.0) -> Path:
         """Store one run's result atomically; returns the entry path."""
-        path = self.path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
+        path = self.write(spec.key(), {
             "schema": ENTRY_SCHEMA,
             "fingerprint": self.fingerprint,
             "spec": spec.identity(),
             "elapsed_s": elapsed_s,
             "result": result,
-        }
+        })
+        self.stores += 1
+        return path
+
+    def write(self, key: str, payload: _t.Any) -> Path:
+        """Publish ``payload`` as ``<generation>/<key>.json`` atomically: a
+        concurrent reader sees the old entry or the new one, never a
+        torn write."""
+        path = self.generation / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        self.stores += 1
         return path
 
     def session_stats(self) -> dict[str, int]:

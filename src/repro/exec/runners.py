@@ -40,7 +40,6 @@ def run_stream_spec(params: _t.Mapping[str, _t.Any]) -> dict:
 def run_memcpy_spec(params: _t.Mapping[str, _t.Any]) -> dict:
     """N concurrent movers migrating equal slices (Figure 7 cell)."""
     from repro.machine.knl import build_knl
-    from repro.mem.block import DataBlock
     from repro.sim.environment import Environment
 
     threads = int(params["threads"])
@@ -54,8 +53,7 @@ def run_memcpy_spec(params: _t.Mapping[str, _t.Any]) -> dict:
         src, dst = node.hbm, node.ddr
     blocks = []
     for i in range(threads):
-        block = DataBlock(f"mig{i}", per_thread)
-        node.registry.register(block)
+        block = node.registry.declare(f"mig{i}", per_thread)
         node.topology.place_block(block, src)
         blocks.append(block)
     done = [env.process(node.mover.move(b, dst), name=f"mv{i}")

@@ -1,10 +1,11 @@
 """The probe: one catalogue of notify-only points every observer shares.
 
 Every observer of a run — the simsan invariant sanitizer, the racesan
-happens-before detector, the causal span tracer, the metrics subscriber
-and the Projections interval tracer — watches the runtime through the
-module globals below, one per *probe point*.  A point is named after the ``on_*`` method an
-observer implements, and its global holds
+happens-before detector, the run's one recorder (:class:`repro.trace.Tracer`,
+whose log metrics fold) and the causal span tracer — watches the runtime
+through the module globals below, one per *probe point*.  A point is
+named after the ``on_*`` method an observer implements, and its global
+holds
 
 * ``None`` when no subscriber implements that method (the default);
 * the bound method itself when exactly one subscriber does;
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import typing as _t
 
-__all__ = ["CATALOGUE", "subscribe", "unsubscribe"]
+__all__ = ["CATALOGUE", "subscribe", "refresh", "unsubscribe"]
 
 #: a probe point's value: None, one bound method, or a fan-out
 Point = _t.Callable[..., None] | None
@@ -132,7 +133,9 @@ def _fan_out(methods: tuple[_t.Callable[..., None], ...]
     return fan_out
 
 
-def _publish() -> None:
+def refresh() -> None:
+    """Rebind every point; call it after a subscriber changed which
+    ``on_*`` methods it offers."""
     namespace = globals()
     for point in CATALOGUE:
         methods = tuple(method for method in
@@ -149,7 +152,7 @@ def subscribe(observer: _t.Any) -> None:
         raise TypeError("cannot subscribe None to the probe")
     if not any(existing is observer for existing in _subscribers):
         _subscribers.append(observer)
-        _publish()
+        refresh()
 
 
 def unsubscribe(observer: _t.Any) -> None:
@@ -157,4 +160,4 @@ def unsubscribe(observer: _t.Any) -> None:
     kept = [existing for existing in _subscribers if existing is not observer]
     if len(kept) != len(_subscribers):
         _subscribers[:] = kept
-        _publish()
+        refresh()

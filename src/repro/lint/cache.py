@@ -2,12 +2,13 @@
 
 ``repro lint`` and ``repro guide`` re-parse and re-analyze every target
 file on each invocation; on a warm tree that work is pure waste.  This
-cache stores finished analysis payloads under
-``.repro-cache/lint/<fingerprint>/<key>.json`` — the same cache root
-(and the same :func:`repro.exec.fingerprint.code_fingerprint`
-generation scheme) the experiment result cache uses, so editing any
-simulator source or pointing ``$REPRO_GUIDANCE`` elsewhere starts a
-fresh generation while ``cache clear`` wipes both caches at once.
+cache stores finished analysis payloads as
+``.repro-cache/<fingerprint>/<key>.json``, in the current generation
+directory of the experiment result cache and through its atomic write
+(:meth:`repro.exec.cache.ResultCache.write`).  Editing any simulator
+source or pointing ``$REPRO_GUIDANCE`` elsewhere starts a fresh
+generation, and ``cache stats`` and ``cache clear`` count analysis
+entries and run results alike.
 
 The entry key is a SHA-256 over the *content* of every analyzed file
 (resolved through the same :func:`~repro.lint.static_checker.
@@ -24,9 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import typing as _t
-from pathlib import Path
 
 from repro.lint.findings import Finding, LintReport, Severity
 
@@ -56,18 +55,12 @@ class AnalysisCache:
     """Content-addressed store for lint/guidance analysis payloads."""
 
     def __init__(self, *, enabled: bool = True):
-        from repro.exec.cache import default_cache_root
-        self.root = default_cache_root() / "lint"
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
     # -- keying ----------------------------------------------------------
-
-    def _generation(self) -> Path:
-        from repro.exec.fingerprint import code_fingerprint
-        return self.root / code_fingerprint()[:16]
 
     def _active(self) -> bool:
         # the test hook injects analyzer crashes; a cached success would
@@ -94,7 +87,8 @@ class AnalysisCache:
                targets: _t.Sequence[str | os.PathLike]) -> "dict | None":
         if not self._active():
             return None
-        path = self._generation() / f"{self.key(kind, targets)}.json"
+        from repro.exec.cache import ResultCache
+        path = ResultCache().generation / f"{self.key(kind, targets)}.json"
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -108,22 +102,8 @@ class AnalysisCache:
               payload: dict) -> None:
         if not self._active():
             return
-        generation = self._generation()
-        generation.mkdir(parents=True, exist_ok=True)
-        path = generation / f"{self.key(kind, targets)}.json"
-        # atomic publish: a concurrent reader sees the old entry or the
-        # new one, never a torn write
-        fd, tmp = tempfile.mkstemp(dir=generation, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        from repro.exec.cache import ResultCache
+        ResultCache().write(self.key(kind, targets), payload)
         self.stores += 1
 
 

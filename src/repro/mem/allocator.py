@@ -34,16 +34,15 @@ DEFAULT_ALLOC_PER_BYTE = 2.5e-12  # ~2.5 us per GB... dominated by base for smal
 #: Default per-call free overhead, seconds.
 DEFAULT_FREE_BASE = 2e-6
 
-_alloc_ids = count()
-
-
 class Allocation:
     """A live reservation of ``nbytes`` at ``offset`` on a device."""
 
     __slots__ = ("aid", "offset", "nbytes", "allocator", "live")
 
-    def __init__(self, offset: int, nbytes: int, allocator: "Allocator"):
-        self.aid = next(_alloc_ids)
+    def __init__(self, aid: int, offset: int, nbytes: int,
+                 allocator: "Allocator"):
+        #: numbered by the allocator that made it
+        self.aid = aid
         self.offset = offset
         self.nbytes = nbytes
         self.allocator = allocator
@@ -71,6 +70,8 @@ class Allocator:
         self.free_base = free_base
         self.used = 0
         self.peak_used = 0
+        #: this allocator's allocation numbers
+        self._ids = count()
         self.alloc_calls = 0
         self.failed_allocs = 0
 
@@ -143,7 +144,7 @@ class PagedAllocator(Allocator):
         if nbytes <= 0:
             raise AllocationError("allocation size must be > 0")
         self._take(nbytes)
-        alloc = Allocation(self._cursor, nbytes, self)
+        alloc = Allocation(next(self._ids), self._cursor, nbytes, self)
         self._cursor += nbytes
         return alloc
 
@@ -173,7 +174,7 @@ class FreeListAllocator(Allocator):
                     del self._free[i]
                 else:
                     self._free[i] = (off + nbytes, length - nbytes)
-                return Allocation(off, nbytes, self)
+                return Allocation(next(self._ids), off, nbytes, self)
         self.failed_allocs += 1
         if _probe.on_alloc_failure is not None:
             _probe.on_alloc_failure(self, nbytes)
@@ -212,6 +213,8 @@ class PoolAllocator(Allocator):
         self.pool_hit_cost = pool_hit_cost
         self._inner = FreeListAllocator(capacity, name=f"{self.name}.inner")
         self._pools: dict[int, list[Allocation]] = {}
+        #: outer allocation id -> the inner free-list allocation behind it
+        self._inner_of: dict[int, Allocation] = {}
 
     @staticmethod
     def size_class(nbytes: int) -> int:
@@ -229,9 +232,9 @@ class PoolAllocator(Allocator):
         if pool:
             inner = pool.pop()
             self._take(cls)
-            alloc = Allocation(inner.offset, cls, self)
+            alloc = Allocation(next(self._ids), inner.offset, cls, self)
             # Stash the inner allocation so free() can return it to the pool.
-            alloc_inner_map[alloc.aid] = inner
+            self._inner_of[alloc.aid] = inner
             return alloc
         try:
             inner = self._inner.allocate(cls)
@@ -239,13 +242,13 @@ class PoolAllocator(Allocator):
             self.failed_allocs += 1
             raise
         self._take(cls)
-        alloc = Allocation(inner.offset, cls, self)
-        alloc_inner_map[alloc.aid] = inner
+        alloc = Allocation(next(self._ids), inner.offset, cls, self)
+        self._inner_of[alloc.aid] = inner
         return alloc
 
     def free(self, allocation: Allocation) -> None:
         self._give_back(allocation)
-        inner = alloc_inner_map.pop(allocation.aid)
+        inner = self._inner_of.pop(allocation.aid)
         self._pools.setdefault(inner.nbytes, []).append(inner)
 
     def alloc_cost(self, nbytes: int) -> float:
@@ -257,8 +260,3 @@ class PoolAllocator(Allocator):
 
     def free_cost(self, nbytes: int) -> float:
         return self.pool_hit_cost  # just a list push
-
-
-#: PoolAllocator bookkeeping: maps outer allocation ids to inner free-list
-#: allocations.  Module-level so Allocation stays slot-only and cheap.
-alloc_inner_map: dict[int, Allocation] = {}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import typing as _t
-from itertools import count
 
 from repro import hooks as _probe
 from repro.errors import BlockStateError
@@ -27,8 +26,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mem.device import MemoryDevice
 
 __all__ = ["AccessIntent", "BlockState", "DataBlock"]
-
-_block_ids = count()
 
 
 class AccessIntent(enum.Enum):
@@ -78,10 +75,11 @@ class DataBlock:
         "last_scheduled_at", "bytes_moved", "payload", "_idle_index",
     )
 
-    def __init__(self, name: str, nbytes: int, *, payload: _t.Any = None):
+    def __init__(self, name: str, nbytes: int, *, bid: int,
+                 payload: _t.Any = None):
         if nbytes < 0:
             raise BlockStateError(f"block {name!r} size must be >= 0")
-        self.bid = next(_block_ids)
+        self.bid = bid
         self.name = name
         self.nbytes = int(nbytes)
         self.state = BlockState.INDDR

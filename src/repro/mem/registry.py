@@ -7,6 +7,7 @@ level; this registry is that store.
 from __future__ import annotations
 
 import typing as _t
+from itertools import count
 
 from repro.errors import BlockStateError
 from repro.mem.block import DataBlock
@@ -21,11 +22,19 @@ class BlockRegistry:
     def __init__(self, topology: MemoryTopology):
         self.topology = topology
         self._blocks: dict[int, DataBlock] = {}
+        #: this run's block numbers
+        self._block_ids = count()
         # the devices' idle indices: the HBM node's, or none in cache mode
         self._idle_indices = [dev.idle_blocks for dev in topology.devices
                               if dev.idle_blocks is not None]
 
     # -- membership -----------------------------------------------------------
+
+    def declare(self, name: str, nbytes: int, *,
+                payload: _t.Any = None) -> DataBlock:
+        """A new block, numbered within this run and registered."""
+        return self.register(DataBlock(name, nbytes, bid=next(self._block_ids),
+                                       payload=payload))
 
     def register(self, block: DataBlock) -> DataBlock:
         if block.bid in self._blocks:

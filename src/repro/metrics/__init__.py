@@ -6,9 +6,10 @@ A simulation-clock-aware metrics layer over the OOC runtime:
   mean and high-water marks, fixed-boundary :class:`Histogram` with
   p50/p95/p99), labelled ``{pe, tier, strategy,
   app, ...}`` and memoized per label set;
-* a probe subscriber (:class:`MetricsSubscriber`) that owns every pushed
-  metric: hot paths only announce events through :mod:`repro.hooks` and
-  pay one ``is not None`` test per event when metrics are off;
+* pushed metrics (moves, fetches, evictions, fetch outcomes) folded
+  from the run's one recorder log (:class:`repro.trace.Tracer`) at each
+  snapshot: hot paths only announce events through :mod:`repro.hooks`
+  and pay one ``is not None`` test per event when no observer is on;
 * polled gauges (:func:`bind_built_runtime`) for queue depths, tier
   occupancy and PE time accounting — zero cost until sampled;
 * a :class:`FlightRecorder` snapshotting the registry on a sim-time
@@ -28,13 +29,11 @@ from repro.metrics.instruments import (DEFAULT_LATENCY_BOUNDS, Counter,
 from repro.metrics.recorder import FlightRecorder, Snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.session import MetricsSession
-from repro.metrics.subscriber import MetricsSubscriber
 
 __all__ = [
     "Counter", "Gauge", "PolledGauge", "Histogram",
     "DEFAULT_LATENCY_BOUNDS",
     "MetricsRegistry", "FlightRecorder", "Snapshot", "MetricsSession",
-    "MetricsSubscriber",
     "bind_built_runtime",
     "to_prometheus", "to_json", "digest", "render_report",
     "counter_series", "narration_line",

@@ -1,11 +1,10 @@
 """Wire a registry to a built runtime stack via polled gauges.
 
-The hot paths push counters/histograms through the probe (see
-:mod:`repro.metrics.subscriber`); everything that can be *read* instead of
-*pushed* — queue depths, tier occupancy, PE time accounting, manager task
-counts — is registered here as a polled gauge, sampled only when the
-flight recorder (or an exporter) takes a snapshot.  That keeps the
-steady-state cost of those signals at exactly zero.
+Counters and histograms are folded from the run's recorder log (see
+:mod:`repro.metrics.session`); everything that can be *read* instead —
+queue depths, tier occupancy, PE time accounting, manager task counts —
+is registered here as a polled gauge, sampled only when the flight
+recorder (or an exporter) takes a snapshot, at zero steady-state cost.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 Every instrument is identified by a Prometheus-compatible name plus a
 (small) label set — ``{pe, tier, strategy, app, reason, ...}`` — and is
-owned by a :class:`~repro.metrics.registry.MetricsRegistry`, which hands
-out memoized children so hot paths pay one dict lookup per update when
-metrics are enabled (and one ``is not None`` test per probe point when
-they are not; see :mod:`repro.hooks`).
+owned by a :class:`~repro.metrics.registry.MetricsRegistry`, which
+memoizes one child per label set.
 
 Gauges are *simulation-clock aware*: they integrate ``value * dt`` over
 sim time so the flight-recorder report can show time-weighted means (mean
@@ -17,6 +15,7 @@ from __future__ import annotations
 
 import math
 import typing as _t
+from bisect import bisect_left
 
 __all__ = ["Counter", "Gauge", "PolledGauge", "Histogram",
            "DEFAULT_LATENCY_BOUNDS", "Clock"]
@@ -76,7 +75,7 @@ class Gauge(_Instrument):
     mean over the simulated clock."""
 
     __slots__ = ("clock", "value", "high_water", "low_water",
-                 "_integral", "_since", "_created", "updates")
+                 "_integral", "_since", "_created")
     kind = "gauge"
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = (),
@@ -126,9 +125,9 @@ class PolledGauge(Gauge):
 
     __slots__ = ("fn",)
 
-    def __init__(self, name: str, fn: _t.Callable[[], float],
-                 labels: tuple[tuple[str, str], ...] = (),
-                 description: str = "", clock: Clock | None = None):
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = (),
+                 description: str = "", clock: Clock | None = None, *,
+                 fn: _t.Callable[[], float]):
         super().__init__(name, labels, description, clock=clock)
         self.fn = fn
 
@@ -162,14 +161,8 @@ class Histogram(_Instrument):
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        # linear scan: boundary lists are short and observations are on
-        # simulated (not wall-clock) critical paths
-        i = 0
-        bounds = self.boundaries
-        n = len(bounds)
-        while i < n and value > bounds[i]:
-            i += 1
-        self.bucket_counts[i] += 1
+        # the first bucket whose upper bound is >= value (+Inf past the end)
+        self.bucket_counts[bisect_left(self.boundaries, value)] += 1
         self.count += 1
         self.sum += value
         if value < self.min:

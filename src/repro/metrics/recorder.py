@@ -1,9 +1,10 @@
 """The flight recorder: periodic registry snapshots on the sim clock.
 
-A :class:`FlightRecorder` spawns one simulated process that flattens the
-registry every ``cadence`` simulated seconds into a ring buffer (old
-snapshots fall off — it is a *flight* recorder, not an archive).  The
-snapshot stream drives:
+A :class:`FlightRecorder` spawns one simulated process that collects a
+flat ``{series: value}`` mapping (a registry's ``flatten``, after the
+session's fold) every ``cadence`` simulated seconds into a ring buffer
+(old snapshots fall off — it is a *flight* recorder, not an archive).
+The snapshot stream drives:
 
 * the end-of-run report and JSON/Prometheus exports
   (:mod:`repro.metrics.export`);
@@ -23,7 +24,6 @@ import typing as _t
 from collections import deque
 
 from repro.errors import SimulationError
-from repro.metrics.registry import MetricsRegistry
 from repro.sim.environment import Environment
 
 __all__ = ["Snapshot", "FlightRecorder"]
@@ -47,20 +47,20 @@ OnSnapshot = _t.Callable[[Snapshot, "Snapshot | None"], None]
 
 
 class FlightRecorder:
-    """Snapshots ``registry`` every ``cadence`` sim-seconds into a ring."""
+    """Snapshots ``collect()`` every ``cadence`` sim-seconds into a ring."""
 
-    def __init__(self, env: Environment, registry: MetricsRegistry, *,
+    def __init__(self, env: Environment,
+                 collect: _t.Callable[[], dict[str, float]], *,
                  cadence: float = 0.05,
                  on_snapshot: OnSnapshot | None = None):
         if cadence <= 0:
             raise SimulationError(f"cadence must be > 0, got {cadence}")
         self.env = env
-        self.registry = registry
+        self.collect = collect
         self.cadence = cadence
         self.on_snapshot = on_snapshot
         self.snapshots: deque[Snapshot] = deque(maxlen=CAPACITY)
         self.snapshots_taken = 0
-        self.started_at: float | None = None
         self.stopped_at: float | None = None
         self._process: _t.Any = None
 
@@ -70,7 +70,6 @@ class FlightRecorder:
         """Take the t=0 snapshot and spawn the cadence process."""
         if self._process is not None:
             raise SimulationError("flight recorder already started")
-        self.started_at = self.env.now
         self.snapshot()
         self._process = self.env.process(self._main(), name="flight-recorder")
         return self
@@ -94,17 +93,9 @@ class FlightRecorder:
     def snapshot(self) -> Snapshot:
         """Take one snapshot now (also usable between cadence ticks)."""
         previous = self.snapshots[-1] if self.snapshots else None
-        snap = Snapshot(self.env.now, self.registry.flatten())
+        snap = Snapshot(self.env.now, self.collect())
         self.snapshots.append(snap)
         self.snapshots_taken += 1
         if self.on_snapshot is not None:
             self.on_snapshot(snap, previous)
         return snap
-
-    def series(self, series: str) -> list[tuple[float, float]]:
-        """``(time, value)`` points of one flat series across the ring."""
-        return [(snap.time, snap.values[series]) for snap in self.snapshots
-                if series in snap.values]
-
-    def __len__(self) -> int:
-        return len(self.snapshots)

@@ -1,10 +1,10 @@
 """The instrument registry: memoized typed children, flat snapshots.
 
 One :class:`MetricsRegistry` holds one run's instruments; a
-:class:`~repro.metrics.subscriber.MetricsSubscriber` feeds it from the
-probe.  Instruments are memoized by ``(name, labels)``, so the
-subscriber can call ``registry.counter("repro_moves_total", src=...,
-dst=...)`` on every event and always get the same child back.
+:class:`~repro.metrics.session.MetricsSession` feeds it by folding the
+run's recorder log.  Instruments are memoized by ``(name, labels)``, so
+``registry.counter("repro_moves_total", src=..., dst=...)`` always
+returns the same child.
 
 ``base_labels`` (typically ``{strategy, app}``) are stamped onto every
 instrument, giving the ``{pe, tier, strategy, app}`` label discipline the
@@ -40,10 +40,9 @@ class MetricsRegistry:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.base_labels = {k: str(v) for k, v in base_labels.items()}
         self._instruments: dict[tuple[str, LabelKey], _Instrument] = {}
-        # hot-path memo keyed by the *caller's* raw kwargs (per call site the
-        # label order is stable), skipping the merge+sort of _key() on every
-        # event — this is what keeps the enabled overhead small-multiple
-        self._fast: dict[tuple, _t.Any] = {}
+        #: the instruments in (name, labels) order, None after a new one
+        #: registers: sorting the keys was most of a snapshot's cost
+        self._sorted: list[_Instrument] | None = None
 
     # -- child lookup -------------------------------------------------------
 
@@ -60,6 +59,7 @@ class MetricsRegistry:
         if instrument is None:
             instrument = cls(name, key[1], description, **kwargs)
             self._instruments[key] = instrument
+            self._sorted = None
         elif not isinstance(instrument, cls) or \
                 (cls is Gauge and isinstance(instrument, PolledGauge)):
             raise TypeError(
@@ -69,22 +69,11 @@ class MetricsRegistry:
 
     def counter(self, name: str, description: str = "",
                 **labels: str) -> Counter:
-        key = (Counter, name, tuple(labels.items()))
-        instrument = self._fast.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(Counter, name, labels,
-                                             description)
-            self._fast[key] = instrument
-        return instrument
+        return self._get_or_create(Counter, name, labels, description)
 
     def gauge(self, name: str, description: str = "", **labels: str) -> Gauge:
-        key = (Gauge, name, tuple(labels.items()))
-        instrument = self._fast.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(Gauge, name, labels, description,
-                                             clock=self.clock)
-            self._fast[key] = instrument
-        return instrument
+        return self._get_or_create(Gauge, name, labels, description,
+                                   clock=self.clock)
 
     def observe(self, name: str, fn: _t.Callable[[], float],
                 description: str = "", **labels: str) -> PolledGauge:
@@ -93,35 +82,22 @@ class MetricsRegistry:
         Zero hot-path cost — the way to track queue depths, tier occupancy
         and PE time accounting.
         """
-        key = self._key(name, labels)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = PolledGauge(name, fn, key[1], description,
-                                     clock=self.clock)
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, PolledGauge):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(instrument).__name__}, requested PolledGauge")
-        return instrument
+        return self._get_or_create(PolledGauge, name, labels, description,
+                                   clock=self.clock, fn=fn)
 
     def histogram(self, name: str, description: str = "",
-                  boundaries: _t.Sequence[float] | None = None,
                   **labels: str) -> Histogram:
-        key = (Histogram, name, tuple(labels.items()))
-        instrument = self._fast.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(Histogram, name, labels,
-                                             description,
-                                             boundaries=boundaries)
-            self._fast[key] = instrument
-        return instrument
+        """A latency histogram over the default bucket boundaries."""
+        return self._get_or_create(Histogram, name, labels, description)
 
     # -- collection ---------------------------------------------------------
 
     def instruments(self) -> list[_Instrument]:
         """Every registered instrument, sorted by (name, labels)."""
-        return [self._instruments[k] for k in sorted(self._instruments)]
+        if self._sorted is None:
+            self._sorted = [self._instruments[k]
+                            for k in sorted(self._instruments)]
+        return list(self._sorted)
 
     def get(self, name: str, **labels: str) -> _Instrument | None:
         """Look up an existing instrument without creating it."""
@@ -155,6 +131,3 @@ class MetricsRegistry:
                 flat[f"{base}_count{suffix}"] = float(instrument.count)
                 flat[f"{base}_sum{suffix}"] = instrument.sum
         return flat
-
-    def __len__(self) -> int:
-        return len(self._instruments)

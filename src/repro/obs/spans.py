@@ -2,9 +2,9 @@
 
 A :class:`Span` is a closed interval on one lane (``pe3``, ``io1``) with
 *causal parents*: the spans whose completion enabled it.
-:class:`SpanTracer` is the Projections interval recorder
-(:class:`repro.trace.Tracer`, DESIGN.md §16) with a causal layer on
-top.  It builds the DAG from two groups of probe points:
+:class:`SpanTracer` keeps one causal record per interval of the run's
+one recorder (:class:`repro.trace.Tracer`, DESIGN.md §16), from two
+groups of probe points:
 
 * the **span points** are the recorder's interval points, plus the
   begin of an execution and ``on_serve`` — entry-method execution (the
@@ -43,6 +43,7 @@ import dataclasses
 import itertools
 import typing as _t
 
+from repro import hooks as _probe
 from repro.trace.events import TraceCategory
 from repro.trace.tracer import Tracer
 
@@ -73,24 +74,26 @@ class Span:
         return self.end - self.start
 
 
-class SpanTracer(Tracer):
-    """The Projections interval recorder plus the causal layer.
+class SpanTracer:
+    """A causal layer over the run's recorder.
 
-    Construct it on the run's environment, subscribe with
-    :meth:`install` (alongside racesan, simsan or metrics if they are
-    on), run the application, then :meth:`uninstall` and read
-    :attr:`spans`.  Each interval lands once, in the inherited
-    :attr:`events` log; next to it the tracer keeps one small causal
-    record, and :attr:`spans` joins the two when it is read.  It always
-    subscribes on its own, never reading another recorder's log, so two
-    span tracers on one run stay independent.
+    Construct it on the run's environment, :meth:`install` it before the
+    application (next to racesan, simsan or metrics if they are on), run
+    the application, then :meth:`uninstall` and read :attr:`spans`.
+    Installing holds the run's recorder (:attr:`tracer`), installing one
+    if none is subscribed; the span tracer keeps one causal record per
+    interval logged after that, and :attr:`spans` joins the two.
     """
 
     def __init__(self, env: _t.Any):
-        super().__init__(env)
-        #: one per interval of ``events``: ``(sid, causes, tid, block,
-        #: evict reason)``, or None for an execute end with no matching
-        #: begin (installed mid-run), which gets no span
+        self.env = env
+        #: the run's recorder, shared with every other view
+        self.tracer = Tracer(env)
+        #: how many intervals the log held at install
+        self._offset = 0
+        #: one per interval logged since install: ``(sid, causes, tid,
+        #: block)``, or None for an execute end with no matching begin
+        #: (installed mid-run), which gets no span
         self._causal: list[tuple[_t.Any, ...] | None] = []
         #: how many causal records ``_spans`` has been built from
         self._built = 0
@@ -111,8 +114,15 @@ class SpanTracer(Tracer):
         #: id(block) -> span id of the move that (last) made it resident
         self._block_fetch: dict[int, int] = {}
 
-    def _host(self) -> None:
-        return None
+    def install(self) -> "SpanTracer":
+        self.tracer.install()
+        self._offset = len(self.tracer.events) - len(self._causal)
+        _probe.subscribe(self)
+        return self
+
+    def uninstall(self) -> None:
+        _probe.unsubscribe(self)
+        self.tracer.uninstall()
 
     # -- the span DAG: the log joined with the causal records -------------
 
@@ -127,11 +137,12 @@ class SpanTracer(Tracer):
         # still open when its effect closed: it finishes last, so it is
         # the primary parent; otherwise the latest-ending cause is.
         spans, by_sid, first = self._spans, self._by_sid, self._built
-        for record, event in zip(self._causal[first:], self.events[first:]):
+        for record, event in zip(self._causal[first:],
+                                 self.tracer.events[self._offset + first:]):
             if record is None:
                 continue
-            sid, causes, tid, block, reason = record
-            lane, category, start, end, label = event
+            sid, causes, tid, block = record
+            lane, category, start, end, label, _, reason = event
             parent: int | None = None
             best = -1.0
             for cause in causes:
@@ -165,7 +176,7 @@ class SpanTracer(Tracer):
         opened = self._open.get(self.env.active_process)
         self._reduce_src = None if opened is None else opened[0]
 
-    # -- span points: the inherited interval plus its causal record ---------
+    # -- span points: the causal record of each logged interval ------------
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
@@ -183,11 +194,10 @@ class SpanTracer(Tracer):
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
-        super().on_execute_end(pe_id, message, task, started, now, label)
         opened = self._open.pop(self.env.active_process, None)
         self._causal.append(
             None if opened is None else
-            (*opened, None if task is None else task.tid, "", None))
+            (*opened, None if task is None else task.tid, ""))
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
         self._lane_task[lane] = task.tid
@@ -197,19 +207,16 @@ class SpanTracer(Tracer):
 
     def on_fetch(self, block: _t.Any, lane: str, category: TraceCategory,
                  started: float, now: float) -> None:
-        super().on_fetch(block, lane, category, started, now)
         origin = self._serve_origin.pop(lane, None)
         sid = self._new_sid()
         self._causal.append((sid, () if origin is None else (origin,),
-                             self._lane_task.get(lane), block.name, None))
+                             self._lane_task.get(lane), block.name))
         self._block_fetch[id(block)] = sid
 
     def on_evict(self, block: _t.Any, lane: str, category: TraceCategory,
                  started: float, now: float, reason: str) -> None:
-        super().on_evict(block, lane, category, started, now, reason)
         self._causal.append((self._new_sid(), (), self._lane_task.get(lane),
-                             block.name, reason))
+                             block.name))
 
     def on_queue_op(self, lane: str, started: float, now: float) -> None:
-        super().on_queue_op(lane, started, now)
-        self._causal.append((self._new_sid(), (), None, "", None))
+        self._causal.append((self._new_sid(), (), None, ""))

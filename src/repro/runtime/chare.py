@@ -88,8 +88,8 @@ class Chare:
         if self.runtime is None:
             raise ChareError(
                 f"declare_block before {self.label} was inserted into the runtime")
-        block = DataBlock(f"{self.label}.{name}", nbytes, payload=payload)
-        self.runtime.machine.registry.register(block)
+        block = self.runtime.machine.registry.declare(
+            f"{self.label}.{name}", nbytes, payload=payload)
         self.blocks.append(block)
         return block
 

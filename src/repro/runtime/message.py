@@ -8,7 +8,6 @@ the message." (§III-A)
 from __future__ import annotations
 
 import typing as _t
-from itertools import count
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.chare import Chare
@@ -16,19 +15,21 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Message"]
 
-_msg_ids = count()
-
 
 class Message:
-    """An entry-method invocation in flight (never subclassed)."""
+    """An entry-method invocation in flight (never subclassed).
+
+    ``mid`` numbers the message within its run: the sending
+    :class:`~repro.runtime.runtime.CharmRuntime` hands the numbers out.
+    """
 
     __slots__ = ("mid", "target", "entry", "args", "kwargs", "nbytes",
                  "intercepted")
 
-    def __init__(self, target: "Chare", entry: "EntrySpec",
+    def __init__(self, mid: int, target: "Chare", entry: "EntrySpec",
                  args: tuple = (), kwargs: dict | None = None,
                  nbytes: int = 0):
-        self.mid = next(_msg_ids)
+        self.mid = mid
         self.target = target
         self.entry = entry
         self.args = args

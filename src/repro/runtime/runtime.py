@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import typing as _t
+from itertools import count
 
 from repro import hooks as _probe
 from repro.errors import ChareError, RuntimeModelError
@@ -40,6 +41,8 @@ class CharmRuntime:
         #: the OOC manager, installed by :meth:`install_interceptor`
         self.interceptor: Interceptor | None = None
         self.messages_sent = 0
+        #: this run's message numbers
+        self._message_ids = count()
         for pe in self.pes:
             self.env.process(
                 converse_scheduler(self, pe), name=f"converse-pe{pe.id}")
@@ -95,7 +98,8 @@ class CharmRuntime:
             raise ChareError(f"{target!r} does not belong to this runtime")
         spec = (target._entry_specs.get(entry_name)
                 or target.entry_spec(entry_name))  # raises the ChareError
-        msg = Message(target, spec, args, kwargs, nbytes)
+        msg = Message(next(self._message_ids), target, spec, args, kwargs,
+                      nbytes)
         self.messages_sent += 1
         if _probe.on_send is not None:
             _probe.on_send(msg)

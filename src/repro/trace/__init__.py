@@ -7,13 +7,11 @@ This package records the same information from the simulation: typed,
 per-PE time intervals, aggregated into utilisation/wait breakdowns, ASCII
 usage bars, and JSON export.
 
-:class:`Tracer` is a run's one interval recorder, a subscriber of the
-probe (:mod:`repro.hooks`).  :class:`repro.obs.SpanTracer` extends it
-with an optional causal layer, so with spans on each interval is still
-logged once, and a plain ``Tracer`` installed next to a recorder on the
-same environment reads that recorder's log instead of subscribing.  The
-code that reads the intervals subscribes the tracer for one run and
-unsubscribes it in a ``finally``::
+:class:`Tracer` is a run's one recorder, a subscriber of the probe
+(:mod:`repro.hooks`); spans (:class:`repro.obs.SpanTracer`) and metrics
+(:class:`repro.metrics.MetricsSession`) hold the same one.  The code
+that reads the log installs a tracer for one run and uninstalls it in a
+``finally``::
 
     tracer = Tracer(built.env).install()
     try:

@@ -40,6 +40,8 @@ class _Interval(_t.NamedTuple):
     start: float
     end: float
     label: str = ""
+    nbytes: int | None = None    # the moved block's bytes (fetch, evict)
+    reason: str | None = None    # what caused an eviction
 
 
 class TraceEvent(_Interval):
@@ -48,16 +50,19 @@ class TraceEvent(_Interval):
     An immutable named tuple: a traced run records one per execute,
     fetch, evict and queue operation, and a tuple is the cheapest record
     to build (a frozen dataclass made the traced stencil bench ~10% slower).
+    Fetches and evictions also carry what the metrics fold reads.
     """
 
     __slots__ = ()
 
     def __new__(cls, lane: str, category: TraceCategory, start: float,
-                end: float, label: str = "") -> "TraceEvent":
+                end: float, label: str = "", nbytes: int | None = None,
+                reason: str | None = None) -> "TraceEvent":
         if end < start:
             raise ValueError(
                 f"trace event ends before it starts ({start}..{end})")
-        return super().__new__(cls, lane, category, start, end, label)
+        return super().__new__(cls, lane, category, start, end, label,
+                               nbytes, reason)
 
     @property
     def duration(self) -> float:

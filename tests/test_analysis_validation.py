@@ -13,7 +13,6 @@ from repro.apps.stencil3d import Stencil3D, StencilConfig
 from repro.config import knl_config
 from repro.core.api import OOCRuntimeBuilder
 from repro.machine.knl import build_knl
-from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
@@ -36,8 +35,7 @@ class TestKernelAgainstSim:
         node = build_knl(Environment(), cores=4, mcdram_capacity=GiB,
                          ddr_capacity=4 * GiB)
         nbytes = mb * MiB
-        block = DataBlock("b", nbytes)
-        node.registry.register(block)
+        block = node.registry.declare("b", nbytes)
         node.topology.place_block(block, node.hbm)
 
         def body():
@@ -60,8 +58,7 @@ class TestKernelAgainstSim:
         nbytes = 16 * MiB
         blocks = []
         for i in range(64):
-            b = DataBlock(f"b{i}", nbytes)
-            node.registry.register(b)
+            b = node.registry.declare(f"b{i}", nbytes)
             node.topology.place_block(b, node.ddr)
             blocks.append(b)
 
@@ -84,8 +81,7 @@ class TestMoveAgainstSim:
     def test_single_move_matches_model(self):
         node = build_knl(Environment(), mcdram_capacity=GiB,
                          ddr_capacity=4 * GiB)
-        block = DataBlock("m", 128 * MiB)
-        node.registry.register(block)
+        block = node.registry.declare("m", 128 * MiB)
         node.topology.place_block(block, node.ddr)
         node.env.run(until=node.env.process(node.mover.move(block, node.hbm)))
         predicted = analysis.move_time(

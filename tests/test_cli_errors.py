@@ -70,6 +70,8 @@ CASES = [
     ("trend-history",
      ["trend", "render", "--history", "no-such-history.jsonl"],
      "no-such-history.jsonl"),
+    # a commit is recorded once: no made-up default id for it
+    ("trend-append-commit", ["trend", "append"], "--commit"),
     ("stencil-metrics-interval",
      ["stencil", "--metrics", "--metrics-interval", "0"], "0"),
     ("metrics-interval",

@@ -1,5 +1,6 @@
 """Unit tests for eviction policies."""
 
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -9,12 +10,15 @@ from repro.core.eviction import LRUEviction, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask
 from repro.machine.knl import build_knl
-from repro.mem.block import AccessIntent, DataBlock
+from repro.mem.block import AccessIntent
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+
+#: numbers for tasks made outside a run
+TIDS = count()
 
 
 class _C(Chare):
@@ -30,8 +34,7 @@ def node():
 
 
 def resident(node, name, nbytes=MiB, last_used=None):
-    block = DataBlock(name, nbytes)
-    node.registry.register(block)
+    block = node.registry.declare(name, nbytes)
     node.topology.place_block(block, node.hbm)
     if last_used is not None:
         block.retain(last_used)
@@ -45,8 +48,9 @@ def demand(block, serial):
 
 
 def task_over(blocks):
-    msg = Message(_C(), _C._entry_specs["work"])
-    return OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks])
+    msg = Message(0, _C(), _C._entry_specs["work"])
+    return OOCTask(next(TIDS), msg, 0,
+                   [(b, AccessIntent.READWRITE) for b in blocks])
 
 
 class TestOwnBlocks:

@@ -1,5 +1,7 @@
 """Tests for the OOC manager: interception protocol, accounting, wiring."""
 
+from itertools import count
+
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
@@ -9,6 +11,9 @@ from repro.errors import RuntimeModelError, SchedulingError
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 HBM = 256 * MiB
 DDR = 2 * GiB
@@ -49,8 +54,8 @@ class TestWiring:
         arr = rt.create_array(Worker, 2)
         from repro.runtime.message import Message
         chare = arr[(0,)]
-        prefetch_msg = Message(chare, chare.entry_spec("compute"))
-        plain_msg = Message(chare, chare.entry_spec("plain"))
+        prefetch_msg = Message(0, chare, chare.entry_spec("compute"))
+        plain_msg = Message(1, chare, chare.entry_spec("plain"))
         assert built.manager.wants(prefetch_msg)
         assert not built.manager.wants(plain_msg)
 
@@ -60,7 +65,7 @@ class TestWiring:
         arr = rt.create_array(Worker, 1)
         from repro.runtime.message import Message
         chare = arr[(0,)]
-        msg = Message(chare, chare.entry_spec("compute"))
+        msg = Message(0, chare, chare.entry_spec("compute"))
         assert not built.manager.wants(msg)
 
     def test_prefetch_before_placement_rejected(self):
@@ -129,7 +134,7 @@ class TestInflightRegistry:
     def test_begin_end_inflight(self):
         built = build()
         from repro.mem.block import DataBlock
-        block = DataBlock("b", MiB)
+        block = DataBlock("b", MiB, bid=next(BIDS))
         ev = built.manager.begin_inflight(block)
         assert not ev.triggered
         built.manager.end_inflight(block, ev)
@@ -138,7 +143,7 @@ class TestInflightRegistry:
     def test_double_begin_rejected(self):
         built = build()
         from repro.mem.block import DataBlock
-        block = DataBlock("b", MiB)
+        block = DataBlock("b", MiB, bid=next(BIDS))
         built.manager.begin_inflight(block)
         with pytest.raises(SchedulingError):
             built.manager.begin_inflight(block)
@@ -146,6 +151,6 @@ class TestInflightRegistry:
     def test_inflight_event_after_completion_is_fired(self):
         built = build()
         from repro.mem.block import DataBlock
-        block = DataBlock("b", MiB)
+        block = DataBlock("b", MiB, bid=next(BIDS))
         ev = built.manager.inflight_event(block)  # nothing in flight
         assert ev.triggered

@@ -1,5 +1,7 @@
 """Unit tests for HBMTracker and OOCTask."""
 
+from itertools import count
+
 import pytest
 
 from repro.core.hbm import HBMTracker
@@ -12,6 +14,9 @@ from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 
 @pytest.fixture
@@ -67,25 +72,26 @@ class _Dummy(Chare):
 def make_task(node, blocks_with_intents, pe_id=0):
     chare = _Dummy()
     spec = _Dummy._entry_specs["work"]
-    msg = Message(chare, spec)
-    return OOCTask(msg, pe_id, blocks_with_intents)
+    msg = Message(0, chare, spec)
+    return OOCTask(0, msg, pe_id, blocks_with_intents)
 
 
 class TestOOCTask:
     def test_dedupes_blocks(self, node):
-        block = DataBlock("shared", MiB)
+        block = DataBlock("shared", MiB, bid=next(BIDS))
         task = make_task(node, [(block, AccessIntent.READONLY),
                                 (block, AccessIntent.READONLY)])
         assert len(task.deps) == 1
 
     def test_conflicting_intents_merge_to_readwrite(self, node):
-        block = DataBlock("shared", MiB)
+        block = DataBlock("shared", MiB, bid=next(BIDS))
         task = make_task(node, [(block, AccessIntent.READONLY),
                                 (block, AccessIntent.WRITEONLY)])
         assert task.deps[0][1] is AccessIntent.READWRITE
 
     def test_missing_blocks_and_residency(self, node):
-        a, b = DataBlock("a", MiB), DataBlock("b", MiB)
+        a = DataBlock("a", MiB, bid=next(BIDS))
+        b = DataBlock("b", MiB, bid=next(BIDS))
         node.topology.place_block(a, node.hbm)
         node.topology.place_block(b, node.ddr)
         task = make_task(node, [(a, AccessIntent.READONLY),
@@ -95,7 +101,7 @@ class TestOOCTask:
         assert task.total_dep_bytes == 2 * MiB
 
     def test_retain_release_exactly_once(self, node):
-        block = DataBlock("a", MiB)
+        block = DataBlock("a", MiB, bid=next(BIDS))
         task = make_task(node, [(block, AccessIntent.READWRITE)])
         task.retain_all(1.0)
         assert block.refcount == 1
@@ -107,5 +113,6 @@ class TestOOCTask:
             task.release_all()
 
     def test_initial_state(self, node):
-        task = make_task(node, [(DataBlock("a", 1), AccessIntent.READONLY)])
+        block = DataBlock("a", 1, bid=next(BIDS))
+        task = make_task(node, [(block, AccessIntent.READONLY)])
         assert task.state is TaskState.WAITING

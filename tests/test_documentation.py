@@ -39,7 +39,6 @@ MODULES = [
     "repro.metrics", "repro.metrics.instruments",
     "repro.metrics.registry", "repro.metrics.recorder",
     "repro.metrics.export", "repro.metrics.bind", "repro.metrics.session",
-    "repro.metrics.subscriber",
     "repro.exec", "repro.exec.spec", "repro.exec.fingerprint",
     "repro.exec.cache", "repro.exec.runners", "repro.exec.engine",
     "repro.exec.apps",

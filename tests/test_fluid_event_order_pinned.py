@@ -22,7 +22,6 @@ import pytest
 from repro import hooks
 from repro.exec.apps import APPS, build
 from repro.machine.knl import build_knl
-from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 from tests.fluid_oracle import cancel_flow
@@ -79,8 +78,7 @@ def _burst_log() -> EventLog:
     for i in range(64):
         src, dst = ((node.ddr, node.hbm) if i % 2 == 0
                     else (node.hbm, node.ddr))
-        block = DataBlock(f"burst{i}", (i % 7 + 1) * MiB)
-        node.registry.register(block)
+        block = node.registry.declare(f"burst{i}", (i % 7 + 1) * MiB)
         node.topology.place_block(block, src)
         moves.append((i, block, dst))
 

@@ -17,7 +17,6 @@ from repro.bench.harness import Scale
 from repro.core.api import OOCRuntimeBuilder
 from repro.errors import SimulationError
 from repro.machine.knl import build_knl
-from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
 from repro.units import GiB
@@ -115,8 +114,7 @@ def _fig7_style_run(network_cls, monkeypatch, *, threads=64):
     per_thread = Scale.SMALL.size(2 * GiB) // threads
     blocks = []
     for i in range(threads):
-        block = DataBlock(f"mig{i}", per_thread)
-        node.registry.register(block)
+        block = node.registry.declare(f"mig{i}", per_thread)
         node.topology.place_block(block, node.ddr)
         blocks.append(block)
     done = [env.process(node.mover.move(b, node.hbm), name=f"mv{i}")

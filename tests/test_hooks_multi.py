@@ -151,17 +151,19 @@ class TestSubsystemSlots:
         assert probe.on_retain is None and probe.on_scheduled is None
 
     def test_two_metrics_subscribers_coexist(self):
-        from repro.metrics import MetricsRegistry, MetricsSubscriber
+        from repro.core.api import OOCRuntimeBuilder
+        from repro.metrics import MetricsSession
 
-        first = MetricsSubscriber(MetricsRegistry()).subscribe()
-        second = MetricsSubscriber(MetricsRegistry()).subscribe()
+        # one recorder per environment: two runs, two recorders
+        first = MetricsSession(OOCRuntimeBuilder(cores=2).build())
+        second = MetricsSession(OOCRuntimeBuilder(cores=2).build())
         try:
             probe.on_fetch_issued(None, "io0")
         finally:
-            second.unsubscribe()
-            first.unsubscribe()
-        for sub in (first, second):
-            assert sub.registry.total("repro_prefetch_issued_total") == 1
+            second.finish()
+            first.finish()
+        for session in (first, second):
+            assert session.registry.total("repro_prefetch_issued_total") == 1
         assert probe.on_fetch_issued is None
 
 
@@ -172,44 +174,49 @@ class TestThreeObserverCoexistence:
         from repro.apps.stencil3d import Stencil3D, StencilConfig
         from repro.core.api import OOCRuntimeBuilder
         from repro.lint import SimSanitizer
-        from repro.metrics import MetricsRegistry, MetricsSubscriber
+        from repro.metrics import MetricsSession
         from repro.race import RaceSanitizer
         from repro.sim.environment import Environment
 
         env = Environment()
         simsan = SimSanitizer(mode="record").install()
         racesan = RaceSanitizer().install(env)
-        registry = MetricsRegistry(clock=lambda: env.now)
-        metrics = MetricsSubscriber(registry).subscribe()
+        metrics = None
         try:
-            assert probe.on_move_end.__name__ == "fan_out"
             built = OOCRuntimeBuilder(
                 "multi-io", cores=8, mcdram_capacity=128 << 20,
                 ddr_capacity=1 << 30).build_into(env)
+            metrics = MetricsSession(built, app="stencil")
+            assert probe.on_move_end.__name__ == "fan_out"
             cfg = StencilConfig(total_bytes=256 << 20, block_bytes=16 << 20,
                                 iterations=1)
             Stencil3D(built, cfg).run()
+            # stop the flight recorder before the sweep runs the queue dry
+            metrics.finish()
             simsan.check_quiescent(built.manager)
         finally:
-            metrics.unsubscribe()
+            if metrics is not None:
+                metrics.finish()
             racesan.uninstall()
             simsan.uninstall()
         assert simsan.violations == []
         assert racesan.findings == []
         assert racesan.accesses_observed > 0
         assert racesan.events_observed > 0
-        names = {inst.name for inst in registry.instruments()}
+        names = {inst.name for inst in metrics.registry.instruments()}
         assert "repro_prefetch_issued_total" in names
         # everything unwound: every point is None again
         assert all(getattr(probe, point) is None for point in probe.CATALOGUE)
 
 
 class TestMetricsDigestEquivalence:
-    """The subscriber reproduces the digests of the former in-line metrics.
+    """Metrics reproduce the digests of the former in-line metrics.
 
     The expected digests were recorded from the same runs when every
     metric update still sat at its call site; the float values must match
-    exactly, not approximately.
+    exactly, not approximately.  The two app runs read a session's fold;
+    the bare-mover run reads the push-path oracle, whose equality with
+    the fold ``test_metrics_fold_oracle.py`` checks on the same moves.
     """
 
     expected = json.loads(DIGESTS.read_text())
@@ -247,10 +254,10 @@ class TestMetricsDigestEquivalence:
         from repro.errors import CapacityError
         from repro.machine.knl import build_knl
         from repro.mem.allocator import FreeListAllocator
-        from repro.mem.block import DataBlock
-        from repro.metrics import MetricsRegistry, MetricsSubscriber, digest
+        from repro.metrics import MetricsRegistry, digest
         from repro.sim.environment import Environment
         from repro.units import GiB, MiB
+        from tests.metrics_oracle import MetricsSubscriber
 
         env = Environment()
         registry = MetricsRegistry(clock=lambda: env.now)
@@ -260,8 +267,7 @@ class TestMetricsDigestEquivalence:
                              allocator_cls=FreeListAllocator)
 
             def place(name, nbytes, device):
-                block = DataBlock(name, nbytes)
-                node.registry.register(block)
+                block = node.registry.declare(name, nbytes)
                 node.topology.place_block(block, device)
                 return block
 

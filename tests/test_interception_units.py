@@ -15,7 +15,7 @@ class Target(Chare):
 class TestReadyTask:
     def test_wraps_message_and_task(self):
         chare = Target()
-        msg = Message(chare, Target._entry_specs["go"])
+        msg = Message(0, chare, Target._entry_specs["go"])
         ready = ReadyTask(msg, task="the-task")
         assert ready.message is msg
         assert ready.task == "the-task"

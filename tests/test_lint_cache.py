@@ -110,7 +110,7 @@ class TestLintCaching:
 
     def test_corrupt_entry_is_a_miss(self, target, cache):
         cached_check_paths([target], cache=cache)
-        generation = cache._generation()
+        generation = exec_cache.ResultCache().generation
         for entry in generation.glob("*.json"):
             entry.write_text("{truncated")
         report = cached_check_paths([target], cache=cache)
@@ -132,3 +132,20 @@ class TestGuidanceCaching:
         assert [ph["label"] for ph in warm.phase_table()] == \
             ["C.setup", "C.go"]
         assert warm.first_phase("C.a") == 1
+
+
+class TestOneLayout:
+    """Analysis entries share the result cache's generation directory."""
+
+    def test_stats_total_equals_clear_count(self, target, cache, cache_root):
+        from repro.exec.spec import RunSpec
+
+        cached_check_paths([target], cache=cache)
+        cached_build_guidance([target], cache=cache)
+        exec_cache.ResultCache().put(RunSpec("stencil", {"total": 1024}),
+                                     {"v": 1})
+        stats = exec_cache.cache_stats(cache_root)
+        assert "lint" not in stats["generations"]
+        assert list(stats["generations"]) == [stats["current"]]
+        assert stats["total_entries"] == 3
+        assert exec_cache.clear_cache(cache_root) == stats["total_entries"]

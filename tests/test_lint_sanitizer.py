@@ -17,7 +17,7 @@ from repro.lint import SimSanitizer
 from repro.lint.findings import LintViolation
 from repro.machine.knl import build_knl
 from repro.mem.allocator import FreeListAllocator
-from repro.mem.block import BlockState, DataBlock
+from repro.mem.block import BlockState
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
@@ -39,8 +39,7 @@ def san():
 
 
 def place(node, name, nbytes, device):
-    block = DataBlock(name, nbytes)
-    node.registry.register(block)
+    block = node.registry.declare(name, nbytes)
     node.topology.place_block(block, device)
     return block
 

@@ -1,5 +1,7 @@
 """Unit tests for the machine layer: CPU layout, kernels, STREAM."""
 
+from itertools import count
+
 import pytest
 
 from repro.config import ConfigError, MachineConfig, knl_config
@@ -10,6 +12,9 @@ from repro.machine.stream import run_stream
 from repro.mem.block import DataBlock
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 
 class TestCpuLayout:
@@ -85,8 +90,8 @@ class TestKernelExecution:
             next(node.run_kernel(0, flops=-1, traffic={}))
 
     def test_kernel_on_blocks_uses_residency(self, node):
-        fast = DataBlock("fast", 120 * MiB)
-        slow = DataBlock("slow", 120 * MiB)
+        fast = DataBlock("fast", 120 * MiB, bid=next(BIDS))
+        slow = DataBlock("slow", 120 * MiB, bid=next(BIDS))
         node.registry.register(fast)
         node.registry.register(slow)
         node.topology.place_block(fast, node.hbm)
@@ -107,7 +112,7 @@ class TestKernelExecution:
         assert r_fast.bytes_touched == r_slow.bytes_touched
 
     def test_unplaced_block_rejected(self, node):
-        ghost = DataBlock("ghost", MiB)
+        ghost = DataBlock("ghost", MiB, bid=next(BIDS))
         with pytest.raises(ConfigError):
             next(node.run_kernel_on_blocks(0, 0.0, reads=[ghost], writes=[]))
 

@@ -1,5 +1,6 @@
 """Unit tests for DataBlock (the CkIOHandle analog)."""
 
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,10 @@ from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+
+#: numbers for blocks and tasks made outside a run
+BIDS = count()
+TIDS = count()
 
 
 def _queued():
@@ -30,12 +35,12 @@ class TestAccessIntent:
 
 class TestRefcount:
     def test_starts_at_zero(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         assert block.refcount == 0
         assert not block.in_use
 
     def test_retain_release_cycle(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         assert block.retain() == 1
         assert block.retain() == 2
         assert block.in_use
@@ -45,23 +50,23 @@ class TestRefcount:
 
     def test_release_underflow_raises(self):
         with pytest.raises(BlockStateError):
-            DataBlock("b", 100).release()
+            DataBlock("b", 100, bid=next(BIDS)).release()
 
     def test_retain_records_schedule_time(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         block.retain(now=12.5)
         assert block.last_scheduled_at == 12.5
 
 
 class TestDemand:
     def test_demand_counts_pending_tasks(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         block.add_demand(5, _queued())
         block.add_demand(9, _queued())
         assert block.demand == 2
 
     def test_next_use_is_min_pending_serial(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         block.add_demand(9, _queued())
         block.add_demand(5, _queued())
         block.add_demand(7, _queued())
@@ -70,16 +75,16 @@ class TestDemand:
         assert block.next_use == 7
 
     def test_next_use_sentinel_when_idle(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         assert block.next_use == 1 << 62
 
     def test_drop_unknown_serial_raises(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         with pytest.raises(BlockStateError):
             block.drop_demand(3)
 
     def test_next_use_cache_updates_on_smaller_add(self):
-        block = DataBlock("b", 100)
+        block = DataBlock("b", 100, bid=next(BIDS))
         block.add_demand(10, _queued())
         assert block.next_use == 10
         block.add_demand(2, _queued())
@@ -88,34 +93,38 @@ class TestDemand:
 
 class TestStateMachine:
     def test_default_state_is_inddr(self):
-        assert DataBlock("b", 8).state is BlockState.INDDR
+        assert DataBlock("b", 8, bid=next(BIDS)).state is BlockState.INDDR
 
     def test_begin_move_twice_raises(self):
-        block = DataBlock("b", 8)
+        block = DataBlock("b", 8, bid=next(BIDS))
         block.begin_move()
         with pytest.raises(BlockStateError):
             block.begin_move()
 
     def test_settle_needs_concrete_state(self):
-        block = DataBlock("b", 8)
+        block = DataBlock("b", 8, bid=next(BIDS))
         block.begin_move()
         with pytest.raises(BlockStateError):
             block.settle(None, BlockState.MOVING)
 
     def test_negative_size_rejected(self):
         with pytest.raises(BlockStateError):
-            DataBlock("b", -1)
+            DataBlock("b", -1, bid=next(BIDS))
 
     def test_state_predicates(self):
-        block = DataBlock("b", 8)
+        block = DataBlock("b", 8, bid=next(BIDS))
         assert block.state is BlockState.INDDR
         assert not block.in_hbm and not block.moving
         block.begin_move()
         assert block.moving
 
     def test_unique_ids(self):
-        a, b = DataBlock("a", 1), DataBlock("b", 1)
+        # numbered per run by the registry that declares them
+        first, second = (build_knl(Environment(), cores=1).registry
+                         for _ in range(2))
+        a, b = first.declare("a", 1), first.declare("b", 1)
         assert a.bid != b.bid
+        assert second.declare("a", 1).bid == a.bid
 
 
 class _C(Chare):
@@ -126,8 +135,9 @@ class _C(Chare):
 
 def queued_task(*blocks):
     """An OOCTask over ``blocks``, registered as demand like intercept()."""
-    msg = Message(_C(), _C._entry_specs["work"])
-    task = OOCTask(msg, 0, [(b, AccessIntent.READONLY) for b in blocks])
+    msg = Message(0, _C(), _C._entry_specs["work"])
+    task = OOCTask(next(TIDS), msg, 0,
+                   [(b, AccessIntent.READONLY) for b in blocks])
     for block in task.blocks:
         block.add_demand(task.tid, task)
     return task
@@ -140,8 +150,7 @@ def node():
 
 
 def placed(node, name, nbytes, device):
-    block = DataBlock(name, nbytes)
-    node.registry.register(block)
+    block = node.registry.declare(name, nbytes)
     node.topology.place_block(block, device)
     return block
 
@@ -155,7 +164,7 @@ class TestMissingLedger:
         assert queued_task(ddr, hbm).missing == 3 * MiB
 
     def test_initial_placement_in_hbm_clears_count(self, node):
-        block = DataBlock("b", 2 * MiB)  # INDDR until placed
+        block = DataBlock("b", 2 * MiB, bid=next(BIDS))  # INDDR until placed
         task = queued_task(block)
         assert task.missing == 2 * MiB
         node.topology.place_block(block, node.hbm)

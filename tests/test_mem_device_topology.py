@@ -1,5 +1,7 @@
 """Unit tests for MemoryDevice and MemoryTopology."""
 
+from itertools import count
+
 import pytest
 
 from repro.config import ConfigError
@@ -12,6 +14,9 @@ from repro.mem.topology import MemoryTopology
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 
 def make_device(name="dev", node=0, capacity=GiB, read=90e9, write=80e9,
@@ -107,7 +112,7 @@ class TestMemoryTopology:
             MemoryTopology([a, b])
 
     def test_place_block_sets_state(self, topo):
-        block = DataBlock("b", 64 * MiB)
+        block = DataBlock("b", 64 * MiB, bid=next(BIDS))
         topo.place_block(block, topo.hbm)
         assert block.state is BlockState.INHBM
         assert block.device is topo.hbm
@@ -118,13 +123,13 @@ class TestMemoryTopology:
         assert topo.state_for(topo.ddr) is BlockState.INDDR
 
     def test_double_place_rejected(self, topo):
-        block = DataBlock("b", 1024)
+        block = DataBlock("b", 1024, bid=next(BIDS))
         topo.place_block(block, topo.hbm)
         with pytest.raises(ConfigError):
             topo.place_block(block, topo.ddr)
 
     def test_release_block(self, topo):
-        block = DataBlock("b", 1024)
+        block = DataBlock("b", 1024, bid=next(BIDS))
         topo.place_block(block, topo.hbm)
         topo.release_block(block)
         assert topo.hbm.used == 0

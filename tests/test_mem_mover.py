@@ -1,5 +1,7 @@
 """Unit tests for the DataMover (numa_alloc_onnode + memcpy + numa_free)."""
 
+from itertools import count
+
 import pytest
 
 from repro.errors import BlockStateError, CapacityError
@@ -9,6 +11,9 @@ from repro.mem.allocator import FreeListAllocator
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
+#: numbers for blocks made outside a block registry
+BIDS = count()
+
 
 @pytest.fixture
 def node():
@@ -17,8 +22,7 @@ def node():
 
 
 def place(node, name, nbytes, device):
-    block = DataBlock(name, nbytes)
-    node.registry.register(block)
+    block = node.registry.declare(name, nbytes)
     node.topology.place_block(block, device)
     return block
 
@@ -89,7 +93,7 @@ class TestMove:
             next(node.mover.move(block, node.ddr))
 
     def test_unplaced_block_rejected(self, node):
-        block = DataBlock("ghost", MiB)
+        block = DataBlock("ghost", MiB, bid=next(BIDS))
         with pytest.raises(BlockStateError):
             next(node.mover.move(block, node.hbm))
 

@@ -1,5 +1,7 @@
 """Unit + property tests for BlockRegistry and the cache-mode model."""
 
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,9 @@ from repro.sim.environment import Environment
 from repro.units import GiB, KiB, MiB
 from tests.mem_oracle import check_registry_invariants, simulate_miss_rate
 
+#: numbers for blocks made outside a block registry
+BIDS = count()
+
 
 @pytest.fixture
 def node():
@@ -20,21 +25,19 @@ def node():
 
 class TestRegistry:
     def test_register_and_lookup(self, node):
-        block = DataBlock("b", 100)
-        node.registry.register(block)
+        block = node.registry.declare("b", 100)
         assert block in node.registry
         assert node.registry.get(block.bid) is block
 
     def test_double_register_rejected(self, node):
-        block = DataBlock("b", 100)
-        node.registry.register(block)
+        block = node.registry.declare("b", 100)
         with pytest.raises(BlockStateError):
             node.registry.register(block)
 
     def test_evictable_excludes_in_use_and_pinned(self, node):
-        free_b = DataBlock("free", 10)
-        used_b = DataBlock("used", 10)
-        pinned_b = DataBlock("pinned", 10)
+        free_b = DataBlock("free", 10, bid=next(BIDS))
+        used_b = DataBlock("used", 10, bid=next(BIDS))
+        pinned_b = DataBlock("pinned", 10, bid=next(BIDS))
         for b in (free_b, used_b, pinned_b):
             node.registry.register(b)
             node.topology.place_block(b, node.hbm)
@@ -43,14 +46,12 @@ class TestRegistry:
         assert node.registry.evictable_blocks() == [free_b]
 
     def test_invariants_pass_on_clean_state(self, node):
-        block = DataBlock("b", 100)
-        node.registry.register(block)
+        block = node.registry.declare("b", 100)
         node.topology.place_block(block, node.hbm)
         check_registry_invariants(node.registry)
 
     def test_invariants_catch_dangling_residency(self, node):
-        block = DataBlock("b", 100)
-        node.registry.register(block)
+        block = node.registry.declare("b", 100)
         node.topology.place_block(block, node.hbm)
         node.topology.release_block(block)  # state still says INHBM
         with pytest.raises(BlockStateError):

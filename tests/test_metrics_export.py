@@ -42,7 +42,6 @@ def registry():
                 src="mcdram", dst="ddr4").inc(5)
     reg.gauge("repro_moves_inflight", "moves in flight").set(2)
     h = reg.histogram("repro_move_latency_seconds", "move latency",
-                      boundaries=(0.001, 0.01, 0.1),
                       src="mcdram", dst="ddr4")
     h.observe(0.005)
     h.observe(0.05)
@@ -122,11 +121,11 @@ class TestJson:
 
     def test_snapshots_included_with_recorder(self, registry):
         env = Environment()
-        rec = FlightRecorder(env, registry, cadence=0.5).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.5).start()
         rec.stop()
         doc = json.loads(to_json(registry, rec))
         assert doc["cadence"] == 0.5
-        assert len(doc["snapshots"]) == len(rec)
+        assert len(doc["snapshots"]) == len(rec.snapshots)
         assert doc["snapshots"][0]["time"] == 0.0
 
 
@@ -178,7 +177,7 @@ class TestCounterSeries:
         reg = MetricsRegistry(clock=lambda: env.now)
         reg.observe("repro_pe_wait_depth", lambda: 2.0, pe="0")
         reg.observe("repro_pe_wait_depth", lambda: 3.0, pe="1")
-        rec = FlightRecorder(env, reg, cadence=0.5).start()
+        rec = FlightRecorder(env, reg.flatten, cadence=0.5).start()
         rec.stop()
         series = counter_series(rec)
         assert series["repro_pe_wait_depth"][0] == (0.0, 5.0)
@@ -216,7 +215,7 @@ class TestNarration:
 class TestReport:
     def test_sections_and_base_label_stripping(self, registry):
         env = Environment()
-        rec = FlightRecorder(env, registry, cadence=0.5).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.5).start()
         rec.stop()
         report = render_report(registry, rec, title="stencil")
         assert "flight recorder report: stencil" in report

@@ -71,7 +71,7 @@ class TestGauge:
 class TestPolledGauge:
     def test_sample_reads_the_callable(self):
         backing = [3]
-        g = PolledGauge("depth", lambda: backing[0])
+        g = PolledGauge("depth", fn=lambda: backing[0])
         assert g.value == 0.0
         assert g.sample() == 3.0
         backing[0] = 9

@@ -128,7 +128,7 @@ class TestSessionLifecycle:
         built = _build()
         with pytest.raises(RuntimeError):  # noqa: SIM117 - deliberate nesting
             with MetricsSession(built, app="t") as session:
-                assert probe.on_fetch == session.subscriber.on_fetch
+                assert probe.on_fetch == session.tracer.on_fetch
                 raise RuntimeError("boom")
         assert probe.on_fetch is None
 

@@ -21,13 +21,13 @@ def registry(env):
 
 class TestLifecycle:
     def test_start_takes_t0_snapshot(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
-        assert len(rec) == 1
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
+        assert len(rec.snapshots) == 1
         assert rec.snapshots[0].time == 0.0
         rec.stop()
 
     def test_cadence_snapshots_on_sim_clock(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         env.run(until=0.55)
         # t=0 plus ticks at 0.1 .. 0.5
         assert rec.snapshots_taken == 6
@@ -37,7 +37,7 @@ class TestLifecycle:
         assert times[-1] == pytest.approx(0.55)  # final stop() snapshot
 
     def test_stop_retires_the_process(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         env.run(until=0.25)
         rec.stop()
         taken = rec.snapshots_taken
@@ -50,37 +50,37 @@ class TestLifecycle:
         assert rec.snapshots_taken == taken
 
     def test_stop_is_idempotent(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         rec.stop()
         taken = rec.snapshots_taken
         rec.stop()
         assert rec.snapshots_taken == taken
 
     def test_double_start_rejected(self, env, registry):
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         with pytest.raises(SimulationError):
             rec.start()
         rec.stop()
 
     def test_bad_parameters_rejected(self, env, registry):
         with pytest.raises(SimulationError):
-            FlightRecorder(env, registry, cadence=0.0)
+            FlightRecorder(env, registry.flatten, cadence=0.0)
 
 
 class TestRing:
     def test_capacity_bounds_the_ring(self, env, registry, monkeypatch):
         monkeypatch.setattr(recorder, "CAPACITY", 4)
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         env.run(until=2.0)
         rec.stop()
-        assert len(rec) == 4
+        assert len(rec.snapshots) == 4
         assert rec.snapshots_taken > 4
         # oldest snapshots fell off the front
         assert rec.snapshots[0].time > 0.0
 
     def test_series_tracks_a_counter(self, env, registry):
         counter = registry.counter("repro_events_total")
-        rec = FlightRecorder(env, registry, cadence=0.1).start()
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
 
         def bump():
             while True:
@@ -90,7 +90,8 @@ class TestRing:
         env.process(bump(), name="bumper")
         env.run(until=0.35)
         rec.stop()
-        points = rec.series("repro_events_total")
+        points = [(snap.time, snap.values["repro_events_total"])
+                  for snap in rec.snapshots]
         assert points[0] == (0.0, 0.0)
         assert points[-1][1] == 3.0
 
@@ -98,7 +99,7 @@ class TestRing:
 class TestCallbacks:
     def test_on_snapshot_receives_previous(self, env, registry):
         calls = []
-        rec = FlightRecorder(env, registry, cadence=0.1,
+        rec = FlightRecorder(env, registry.flatten, cadence=0.1,
                              on_snapshot=lambda s, p: calls.append((s, p)))
         rec.start()
         env.run(until=0.15)

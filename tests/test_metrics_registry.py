@@ -1,11 +1,11 @@
-"""Unit tests for MetricsRegistry and its probe subscriber."""
+"""Unit tests for MetricsRegistry, the push-path oracle and the fold."""
 
 import pytest
 
 from repro import hooks as probe
-from repro.metrics import MetricsSubscriber
 from repro.metrics.instruments import Counter, Gauge, PolledGauge
 from repro.metrics.registry import MetricsRegistry
+from tests.metrics_oracle import MetricsSubscriber
 
 
 class TestChildMemoization:
@@ -16,8 +16,8 @@ class TestChildMemoization:
         assert a is b
 
     def test_kwarg_order_does_not_split_children(self):
-        # the fast-path memo keys on raw kwargs order; the slow path must
-        # still unify differently-ordered call sites onto one child
+        # labels are sorted into the key, so differently-ordered call
+        # sites share one child
         reg = MetricsRegistry()
         a = reg.counter("repro_moves_total", src="mcdram", dst="ddr4")
         b = reg.counter("repro_moves_total", dst="ddr4", src="mcdram")
@@ -28,7 +28,7 @@ class TestChildMemoization:
         a = reg.counter("repro_moves_total", src="mcdram")
         b = reg.counter("repro_moves_total", src="ddr4")
         assert a is not b
-        assert len(reg) == 2
+        assert len(reg.instruments()) == 2
 
     def test_base_labels_stamped_on_every_child(self):
         reg = MetricsRegistry(strategy="multi-io", app="stencil")
@@ -60,7 +60,7 @@ class TestChildMemoization:
         assert reg.get("repro_moves_total") is None
         reg.counter("repro_moves_total")
         assert isinstance(reg.get("repro_moves_total"), Counter)
-        assert len(reg) == 1
+        assert len(reg.instruments()) == 1
 
 
 class TestClockWiring:
@@ -133,12 +133,16 @@ class TestHooksSlot:
             sub.unsubscribe()
 
     def test_fetch_outcomes_are_counted_per_lane(self):
-        reg = MetricsRegistry()
-        sub = MetricsSubscriber(reg)
-        for point in (sub.on_fetch_hit, sub.on_fetch_joined,
-                      sub.on_fetch_issued, sub.on_fetch_canceled):
-            point(None, "io0")
-        sub.on_fetch_hit(None, "io1")
+        from repro.core.api import OOCRuntimeBuilder
+        from repro.metrics import MetricsSession
+
+        built = OOCRuntimeBuilder("multi-io", cores=2).build()
+        with MetricsSession(built) as session:
+            for point in (probe.on_fetch_hit, probe.on_fetch_joined,
+                          probe.on_fetch_issued, probe.on_fetch_canceled):
+                point(None, "io0")
+            probe.on_fetch_hit(None, "io1")
+        reg = session.registry
         assert reg.total("repro_prefetch_hits_total") == 2
         assert reg.counter("repro_prefetch_hits_total", lane="io1").value == 1
         for name in ("joined", "issued", "canceled"):

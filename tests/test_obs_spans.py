@@ -43,7 +43,7 @@ class TestCollection:
         assert TraceCategory.IO_EVICT in cats
 
     def test_lanes_split_workers_from_io_threads(self, multi_io):
-        lanes = {ev.lane for ev in multi_io.events}
+        lanes = {ev.lane for ev in multi_io.tracer.events}
         assert any(lane.startswith("pe") for lane in lanes)
         assert any(lane.startswith("io") for lane in lanes)
 
@@ -61,8 +61,9 @@ class TestCollection:
         start = min(s.start for s in multi_io.spans)
         end = max(s.end for s in multi_io.spans)
         assert start <= end
-        assert (start, end) == (min(ev.start for ev in multi_io.events),
-                                max(ev.end for ev in multi_io.events))
+        events = multi_io.tracer.events
+        assert (start, end) == (min(ev.start for ev in events),
+                                max(ev.end for ev in events))
 
     def test_execute_spans_carry_entry_method_labels(self, multi_io):
         labels = {s.label for s in multi_io.spans

@@ -15,13 +15,11 @@ import pytest
 
 from repro import hooks as probe
 from repro.lint.sanitizer import SimSanitizer
-from repro.metrics.subscriber import MetricsSubscriber
 from repro.obs.spans import SpanTracer
 from repro.race.detector import RaceSanitizer
 from repro.trace.tracer import Tracer
 
-SUBSCRIBERS = (SimSanitizer, RaceSanitizer, SpanTracer, MetricsSubscriber,
-               Tracer)
+SUBSCRIBERS = (SimSanitizer, RaceSanitizer, SpanTracer, Tracer)
 SRC = Path(probe.__file__).parent
 
 

@@ -158,6 +158,18 @@ class TestExplorationOfSeededBug:
         assert again.failed
         assert signature(again) == signature(token)
 
+    def test_schedule_spec_renders_the_same_twice(self, racy_params):
+        # ids are numbered per run, so a second run in one process names
+        # the same task numbers as the first
+        from repro.exec.runners import execute_spec
+
+        payload = {"kind": "schedule", "params": {
+            "app": "stencil", "seed": 0, "params": racy_params}}
+        first, second = (execute_spec(payload) for _ in range(2))
+        assert first["ok"] and first["result"]["failed"]
+        assert "task #" in first["result"]["rendered"]
+        assert first["result"]["rendered"] == second["result"]["rendered"]
+
     def test_minimized_limit_is_minimal_under_probe(self, racy_params):
         runner = app_runner("stencil", racy_params)
         failing = run_schedule(runner, 0)

@@ -5,6 +5,7 @@ from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
+from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
 from repro.units import GiB
 
@@ -23,14 +24,20 @@ def make_pe():
 
 class TestMessage:
     def test_unique_ids(self):
-        chare = Thing()
-        spec = Thing._entry_specs["poke"]
-        assert Message(chare, spec).mid != Message(chare, spec).mid
+        # numbered per run by the runtime that sends them
+        def sent_ids(count):
+            runtime = CharmRuntime(build_knl(Environment(), cores=1))
+            chare = runtime.create_array(Thing, 1)[0]
+            return [runtime.send(chare, "poke").mid for _ in range(count)]
+
+        first = sent_ids(3)
+        assert len(set(first)) == 3
+        assert sent_ids(3) == first
 
     def test_repr_includes_target_and_entry(self):
         chare = Thing()
-        text = repr(Message(chare, Thing._entry_specs["poke"]))
-        assert "poke" in text
+        text = repr(Message(7, chare, Thing._entry_specs["poke"]))
+        assert "poke" in text and "#7" in text
 
 
 class TestPE:

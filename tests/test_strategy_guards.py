@@ -1,6 +1,7 @@
 """Strategy lifecycle guards: zero-PE validation and the epoch-memoized
 capacity caches."""
 
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,9 @@ from repro.runtime.entry import entry
 from repro.runtime.message import Message
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 HBM = 128 * MiB
 DDR = 1 * GiB
@@ -80,7 +84,7 @@ class TestZeroPEValidation:
 
 def _block(nbytes, *, in_use=False, pinned=False):
     """A block in DDR4 until ``_capacity_manager`` places it in HBM."""
-    block = DataBlock(f"b{nbytes}", nbytes)
+    block = DataBlock(f"b{nbytes}", nbytes, bid=next(BIDS))
     if in_use:
         block.retain()
     block.pinned = pinned
@@ -89,8 +93,8 @@ def _block(nbytes, *, in_use=False, pinned=False):
 
 def _task(*blocks):
     """A queued OOCTask over ``blocks``, registered as demand."""
-    msg = Message(W(), W._entry_specs["go"])
-    task = OOCTask(msg, 0, [(b, AccessIntent.READWRITE) for b in blocks])
+    msg = Message(0, W(), W._entry_specs["go"])
+    task = OOCTask(0, msg, 0, [(b, AccessIntent.READWRITE) for b in blocks])
     for block in blocks:
         block.add_demand(task.tid, task)
     return task

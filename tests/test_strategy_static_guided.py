@@ -1,5 +1,7 @@
 """Tests for StaticGuidedStrategy and the block-label -> site mapping."""
 
+from itertools import count
+
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
@@ -11,6 +13,9 @@ from repro.mem.block import BlockState, DataBlock
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
 from repro.units import GiB, MiB
+
+#: numbers for blocks made outside a block registry
+BIDS = count()
 
 HBM = 256 * MiB
 DDR = 2 * GiB
@@ -25,19 +30,20 @@ def record(cls, name, *, tier="hbm", priority=1.0, order=0, shared=False):
 
 class TestBlockSiteId:
     def test_chare_array_block(self):
-        block = DataBlock("StencilChare[3].grid", MiB)
+        block = DataBlock("StencilChare[3].grid", MiB, bid=next(BIDS))
         assert block_site_id(block) == "StencilChare.grid"
 
     def test_multi_index_chare_block(self):
-        block = DataBlock("MatMulChare[(1, 2)].C", MiB)
+        block = DataBlock("MatMulChare[(1, 2)].C", MiB, bid=next(BIDS))
         assert block_site_id(block) == "MatMulChare.C"
 
     def test_shared_nodegroup_block(self):
-        block = DataBlock("MatMulPanels[nodegroup].shared('A', 2)", MiB)
+        block = DataBlock("MatMulPanels[nodegroup].shared('A', 2)", MiB,
+                          bid=next(BIDS))
         assert block_site_id(block) == "MatMulPanels.A"
 
     def test_unstructured_label_is_none(self):
-        assert block_site_id(DataBlock("scratch", MiB)) is None
+        assert block_site_id(DataBlock("scratch", MiB, bid=next(BIDS))) is None
 
 
 class Worker(Chare):

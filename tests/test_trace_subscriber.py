@@ -1,7 +1,8 @@
 """The Projections ``Tracer`` as a run-scoped probe subscriber.
 
-A run has one interval recorder: a plain ``Tracer`` installed next to a
-``SpanTracer`` reads the span tracer's log, so the Projections intervals
+A run has one recorder: a ``SpanTracer`` holds the ``Tracer`` already
+subscribed on its environment, or installs one, and a plain ``Tracer``
+installed next to it reads the same log, so the Projections intervals
 and the spans are two views of the same execute, fetch, evict and
 queue-op records.  The spec runner subscribes it for one app run only: after
 ``execute_spec`` every probe point is unbound again, even when the app
@@ -63,7 +64,7 @@ def test_intervals_match_the_span_tracer(strategy):
     finally:
         tracer.uninstall()
         spans.uninstall()
-    assert tracer.events is spans.events
+    assert tracer.events is spans.tracer.events
     for categories in (EXECUTE, FETCH, EVICT, QUEUE_OP):
         mine = _intervals(tracer.events, categories)
         assert mine, f"the run produced no {categories} intervals"
@@ -81,21 +82,24 @@ def test_one_recorder_per_environment():
     spans = SpanTracer(env).install()
     tracer = Tracer(env).install()
     try:
-        # the plain tracer reads the span tracer's log: no fan-out
-        assert probe.on_execute_end == spans.on_execute_end
-        assert probe.on_queue_op == spans.on_queue_op
-        assert tracer.events is spans.events
-        assert tracer.occupancy is spans.occupancy
+        # the plain tracer reads the span tracer's recorder: its interval
+        # points fan out to the recorder and the causal layer only
+        assert probe.on_execute_end.__name__ == "fan_out"
+        assert probe.on_move_end == spans.tracer.on_move_end
+        assert probe.on_send == spans.on_send
+        assert tracer.events is spans.tracer.events
+        assert tracer.occupancy is spans.tracer.occupancy
         second = Tracer(env).install()
-        assert second.events is spans.events
+        assert second.events is spans.tracer.events
         second.uninstall()
-        # a span tracer always subscribes on its own
+        # a second span tracer is a second causal layer over the same log
         other = SpanTracer(env).install()
-        assert other.events is not spans.events
+        assert other.tracer.events is spans.tracer.events
         other.uninstall()
-        # releasing the recorder's own hold keeps it for the reader
+        # releasing the span tracer keeps the recorder for the reader
         spans.uninstall()
-        assert probe.on_execute_end == spans.on_execute_end
+        assert probe.on_execute_end == spans.tracer.on_execute_end
+        assert probe.on_send is None
     finally:
         tracer.uninstall()
         spans.uninstall()
@@ -106,6 +110,48 @@ def test_one_recorder_per_environment():
         assert probe.on_execute_end == alone.on_execute_end
     finally:
         alone.uninstall()
+    assert _all_points_unbound()
+
+
+def _stencil_run(observed):
+    """One stencil run with the CLI's observers: metrics, spans, then
+    Projections; or Projections alone."""
+    from repro.metrics import MetricsSession
+
+    built = OOCRuntimeBuilder("multi-io", cores=8, mcdram_capacity=128 * MiB,
+                              ddr_capacity=GiB).build()
+    session = MetricsSession(built, app="stencil") if observed else None
+    spans = SpanTracer(built.env).install() if observed else None
+    tracer = Tracer(built.env).install()
+    try:
+        Stencil3D(built, StencilConfig(total_bytes=256 * MiB,
+                                       block_bytes=16 * MiB,
+                                       iterations=2)).run()
+    finally:
+        tracer.uninstall()
+        if spans is not None:
+            spans.uninstall()
+        if session is not None:
+            session.finish()
+    return tracer, spans, session
+
+
+def test_one_log_per_run_in_cli_order():
+    alone, _, _ = _stencil_run(observed=False)
+    tracer, spans, session = _stencil_run(observed=True)
+    log = session.tracer
+    for name in ("events", "occupancy", "moves", "tallies"):
+        assert getattr(tracer, name) is getattr(log, name), name
+        assert getattr(spans.tracer, name) is getattr(log, name), name
+    assert tracer.events == alone.events
+    assert len(tracer.moves) == len(alone.moves) > 0
+    assert len(spans.spans) == len(tracer.events)
+    # metrics folded the same log the other views read
+    ends = sum(1 for record in log.moves if record[0] == "end")
+    assert session.registry.total("repro_moves_total") == ends
+    fetched = sum(ev.nbytes for ev in log.events
+                  if ev.nbytes is not None and ev.reason is None)
+    assert session.registry.total("repro_fetched_bytes_total") == fetched
     assert _all_points_unbound()
 
 
