@@ -29,7 +29,8 @@ Commands
     and inferred memory traffic (bwlint, rules ``REP3xx``) in files,
     directories or importable modules.  Exit codes: 0 clean, 1 findings,
     2 the analyzer itself failed (the offending file and function are
-    named on stderr).  ``--select REP3`` filters by rule-id prefix;
+    named on stderr).  ``--select REP3`` filters by rule-id prefix
+    (repeat the flag for several; a prefix no rule id has exits 2);
     ``--guidance PATH`` also writes a placement-guidance file;
     ``--format sarif`` emits a canonical SARIF 2.1.0 document on stdout
     (summary on stderr).  Warm re-runs are answered from the
@@ -545,6 +546,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: no targets given (files, directories or module names)",
               file=sys.stderr)
         return 2
+    prefixes = tuple(args.select or ())
+    for prefix in prefixes:
+        # a prefix no rule has would filter every finding away and pass
+        # the gate without checking anything
+        if not any(rule_id.startswith(prefix) for rule_id in RULES):
+            raise ConfigError(f"--select {prefix}: no rule id starts with "
+                              "it (see repro lint --rules)")
     _check_out_dir("--guidance", args.guidance)
     try:
         from repro.lint.cache import AnalysisCache, cached_check_paths
@@ -566,8 +574,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"lint: internal error: {exc}", file=sys.stderr)
         return 2
     findings = list(report)
-    if args.select:
-        prefixes = tuple(args.select)
+    if prefixes:
         findings = [f for f in findings if f.rule.startswith(prefixes)]
     from repro.lint.findings import Severity
     errors = [f for f in findings if f.severity is Severity.ERROR]
@@ -865,9 +872,10 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="treat warnings as errors")
     p_lint.add_argument("--rules", action="store_true",
                         help="print the rule catalog and exit")
-    p_lint.add_argument("--select", nargs="*", metavar="PREFIX",
-                        help="only report rules matching these id prefixes "
-                             "(e.g. --select REP3)")
+    p_lint.add_argument("--select", action="append", metavar="PREFIX",
+                        help="only report rules whose id starts with PREFIX; "
+                             "repeat for several (e.g. --select REP1 "
+                             "--select REP3)")
     p_lint.add_argument("--guidance", metavar="PATH",
                         help="also write a bwlint placement-guidance file "
                              "for the lint targets")

@@ -35,11 +35,10 @@ import dataclasses
 import typing as _t
 
 from repro.lint.dataflow import Loop, Sym, iter_loops, loop_nests, sym_mul
-from repro.lint.static_checker import (_block_attrs, _chare_classes,
-                                       _class_helper_methods, _ENTRY_NAMES,
+from repro.lint.nodeindex import NodeIndex
+from repro.lint.static_checker import (_block_attrs, _class_helper_methods,
                                        _is_self_call, _is_self_expr,
                                        _KernelUse, _local_defs,
-                                       _module_entry_aliases,
                                        _parse_entry_decorator)
 
 __all__ = ["MethodSummary", "collect_kernel_uses",
@@ -48,19 +47,14 @@ __all__ = ["MethodSummary", "collect_kernel_uses",
 _ONE = Sym("1", 1.0)
 
 
-def _contains(outer: ast.AST, node: ast.AST) -> bool:
-    marker = id(node)
-    return any(id(sub) == marker for sub in ast.walk(outer))
-
-
-def _loop_product(base: Sym, loops: list[Loop],
+def _loop_product(index: NodeIndex, base: Sym, loops: list[Loop],
                   node: ast.Call | None) -> Sym:
     """Multiply in the known trip counts of loops enclosing ``node``."""
     if node is None:
         return base
     for loop in iter_loops(loops):
         if loop.trip is not None and loop.trip.known() \
-                and _contains(loop.node, node):
+                and index.contains(loop.node, node):
             base = sym_mul(base, loop.trip)
     return base
 
@@ -98,11 +92,11 @@ class MethodSummary:
     widened: bool = False
 
 
-def _scan_method(method: ast.FunctionDef,
+def _scan_method(index: NodeIndex, method: ast.FunctionDef,
                  helpers: _t.Mapping[str, ast.FunctionDef],
                  ev: _t.Any, attr_scope: _t.Mapping | None) -> _MethodBody:
     """Extract direct kernel launches + helper call sites from one body."""
-    local_defs = _local_defs(method)
+    local_defs = _local_defs(index, method)
     scope: dict = dict(attr_scope or {})
     if ev is not None:
         for arg in method.args.args[1:] + method.args.kwonlyargs:
@@ -113,9 +107,7 @@ def _scan_method(method: ast.FunctionDef,
              if ev is not None else [])
     uses: list[_KernelUse] = []
     calls: list[tuple[ast.Call, str]] = []
-    for node in ast.walk(method):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in index.calls(method):
         if _is_self_call(node, "kernel", local_defs):
             reads_expr: ast.expr | None = None
             writes_expr: ast.expr | None = None
@@ -146,7 +138,8 @@ def _scan_method(method: ast.FunctionDef,
                        scope=scope, defs=local_defs)
 
 
-def _launch_factor(use: _KernelUse, body: _MethodBody, ev: _t.Any) -> Sym:
+def _launch_factor(index: NodeIndex, use: _KernelUse, body: _MethodBody,
+                   ev: _t.Any) -> Sym:
     """traffic_scale × enclosing known trips for one direct launch."""
     factor = _ONE
     if ev is not None and use.call is not None:
@@ -155,10 +148,10 @@ def _launch_factor(use: _KernelUse, body: _MethodBody, ev: _t.Any) -> Sym:
                 got = ev.eval(kw.value, body.scope, body.defs)
                 if isinstance(got, Sym):
                     factor = got
-    return _loop_product(factor, body.loops, use.call)
+    return _loop_product(index, factor, body.loops, use.call)
 
 
-def _helper_summary(name: str,
+def _helper_summary(index: NodeIndex, name: str,
                     helpers: _t.Mapping[str, ast.FunctionDef],
                     ev: _t.Any, attr_scope: _t.Mapping | None,
                     cache: dict[str, MethodSummary],
@@ -166,18 +159,18 @@ def _helper_summary(name: str,
     cached = cache.get(name)
     if cached is not None:
         return cached
-    body = _scan_method(helpers[name], helpers, ev, attr_scope)
-    uses = [dataclasses.replace(u, factor=_launch_factor(u, body, ev))
+    body = _scan_method(index, helpers[name], helpers, ev, attr_scope)
+    uses = [dataclasses.replace(u, factor=_launch_factor(index, u, body, ev))
             for u in body.uses]
     widened = False
     for call, callee in body.calls:
         if callee in visiting or callee == name:
             widened = True  # recursion back-edge: widen, don't descend
             continue
-        sub = _helper_summary(callee, helpers, ev, attr_scope, cache,
+        sub = _helper_summary(index, callee, helpers, ev, attr_scope, cache,
                               visiting | {name})
         widened |= sub.widened
-        site = _loop_product(_ONE, body.loops, call)
+        site = _loop_product(index, _ONE, body.loops, call)
         uses.extend(
             dataclasses.replace(u, anchor=call,
                                 factor=sym_mul(u.factor or _ONE, site))
@@ -193,9 +186,8 @@ def _helper_summary(name: str,
     return summary
 
 
-def collect_kernel_uses(func: ast.FunctionDef,
-                        cls: ast.ClassDef | None = None,
-                        aliases: frozenset[str] = _ENTRY_NAMES,
+def collect_kernel_uses(index: NodeIndex, func: ast.FunctionDef,
+                        cls: ast.ClassDef, aliases: frozenset[str],
                         ev: _t.Any = None,
                         attr_scope: _t.Mapping | None = None
                         ) -> list[_KernelUse]:
@@ -206,7 +198,9 @@ def collect_kernel_uses(func: ast.FunctionDef,
     carries send-wired parameter values summaries cannot see).
     Helper-derived launches arrive with the helper-context factor folded
     in and their ``anchor`` re-pointed at the entry-body call site, so
-    entry-level loop containment still applies on top.
+    entry-level loop containment still applies on top.  ``index`` is the
+    module's :class:`~repro.lint.nodeindex.NodeIndex`; ``func`` and
+    ``cls`` are nodes of its tree.
 
     ``ev`` is the traffic evaluator (duck-typed: ``eval`` /
     ``annotation_value`` / ``trip_evaluator``); without it factors stay
@@ -214,12 +208,12 @@ def collect_kernel_uses(func: ast.FunctionDef,
     declaration checker needs.
     """
     helpers = _class_helper_methods(cls, aliases)
-    body = _scan_method(func, helpers, ev, attr_scope)
+    body = _scan_method(index, func, helpers, ev, attr_scope)
     uses = list(body.uses)
     cache: dict[str, MethodSummary] = {}
     for call, callee in body.calls:
-        summary = _helper_summary(callee, helpers, ev, attr_scope, cache,
-                                  frozenset({func.name}))
+        summary = _helper_summary(index, callee, helpers, ev, attr_scope,
+                                  cache, frozenset({func.name}))
         uses.extend(dataclasses.replace(u, anchor=call)
                     for u in summary.uses)
     return uses
@@ -282,15 +276,15 @@ class CallGraph:
     unknown_sends: int
 
 
-def _dispatches_in(func: ast.FunctionDef, cls_name: str | None,
+def _dispatches_in(index: NodeIndex, func: ast.FunctionDef,
+                   cls_name: str | None,
                    sigs: _t.Mapping[tuple[str, int],
                                     list[tuple[str, list[str]]]]
                    ) -> tuple[list[Dispatch], int]:
     out: list[Dispatch] = []
     unknown = 0
-    for node in ast.walk(func):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+    for node in index.calls(func):
+        if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("send", "broadcast")):
             continue
         name: str | None = None
@@ -315,16 +309,21 @@ def _dispatches_in(func: ast.FunctionDef, cls_name: str | None,
     return out, unknown
 
 
-def _helper_closure(method: ast.FunctionDef,
+def _helper_calls(index: NodeIndex, method: ast.FunctionDef,
+                  helpers: _t.Mapping[str, ast.FunctionDef]) -> list[str]:
+    """Names of the ``self.<helper>()`` calls in ``method``, walk order."""
+    local_defs = _local_defs(index, method)
+    return [node.func.attr for node in index.calls(method)
+            if isinstance(node.func, ast.Attribute)
+            and node.func.attr in helpers
+            and _is_self_expr(node.func.value, local_defs)]
+
+
+def _helper_closure(index: NodeIndex, method: ast.FunctionDef,
                     helpers: _t.Mapping[str, ast.FunctionDef],
                     edges: _t.Mapping[str, list[str]]) -> list[str]:
     """Helper methods transitively callable from ``method``, sorted."""
-    local_defs = _local_defs(method)
-    queue = [node.func.attr for node in ast.walk(method)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr in helpers
-             and _is_self_expr(node.func.value, local_defs)]
+    queue = _helper_calls(index, method, helpers)
     seen: set[str] = set()
     while queue:
         name = queue.pop()
@@ -335,12 +334,9 @@ def _helper_closure(method: ast.FunctionDef,
     return sorted(seen)
 
 
-def build_call_graph(tree: ast.Module,
-                     aliases: frozenset[str] | None = None) -> CallGraph:
+def build_call_graph(index: NodeIndex, aliases: frozenset[str]) -> CallGraph:
     """Build the message graph for one parsed module."""
-    if aliases is None:
-        aliases = _module_entry_aliases(tree)
-    chares = _chare_classes(tree)
+    chares = index.chares
     chare_names = {c.name for c in chares}
     sigs = entry_signatures(chares, aliases)
 
@@ -354,16 +350,12 @@ def build_call_graph(tree: ast.Module,
         helper_disp: dict[str, list[Dispatch]] = {}
         helper_edges: dict[str, list[str]] = {}
         for name, method in sorted(helpers.items()):
-            d, u = _dispatches_in(method, cls.name, sigs)
+            d, u = _dispatches_in(index, method, cls.name, sigs)
             helper_disp[name] = d
             unknown += u
-            defs = _local_defs(method)
             helper_edges[name] = [
-                node.func.attr for node in ast.walk(method)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in helpers and node.func.attr != name
-                and _is_self_expr(node.func.value, defs)]
+                callee for callee in _helper_calls(index, method, helpers)
+                if callee != name]
         for method in cls.body:
             if not isinstance(method, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
@@ -374,22 +366,24 @@ def build_call_graph(tree: ast.Module,
             fn = _t.cast(ast.FunctionDef, method)
             key = (cls.name, method.name)
             entries[key] = fn
-            d, u = _dispatches_in(fn, cls.name, sigs)
+            d, u = _dispatches_in(index, fn, cls.name, sigs)
             unknown += u
-            for helper in _helper_closure(fn, helpers, helper_edges):
+            for helper in _helper_closure(index, fn, helpers, helper_edges):
                 d.extend(helper_disp[helper])
             entry_dispatches[key] = d
 
-    for node in tree.body:
+    for node in index.tree.body:
         if isinstance(node, ast.ClassDef) and node.name not in chare_names:
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    d, u = _dispatches_in(_t.cast(ast.FunctionDef, sub),
+                    d, u = _dispatches_in(index,
+                                          _t.cast(ast.FunctionDef, sub),
                                           node.name, sigs)
                     driver_dispatches.extend(d)
                     unknown += u
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            d, u = _dispatches_in(_t.cast(ast.FunctionDef, node), None, sigs)
+            d, u = _dispatches_in(index, _t.cast(ast.FunctionDef, node),
+                                  None, sigs)
             driver_dispatches.extend(d)
             unknown += u
 

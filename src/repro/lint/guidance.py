@@ -133,25 +133,39 @@ def _trip_record(sym) -> dict | None:
     return {"expr": sym.expr, "count": _num(sym.value)}
 
 
-def build_guidance(paths: _t.Iterable[str | os.PathLike]) -> GuidanceFile:
-    """Analyze every python file under ``paths`` into one guidance file."""
+def _analyze_file(file: str):
+    """One file's :class:`~repro.lint.traffic.ModuleTraffic`, or None when
+    it does not parse (the lint pass reports REP100; guidance skips it).
+
+    The parse tree and its node index die with this call, so only one
+    module's tree is alive at a time.
+    """
     import ast
 
-    from repro.lint.static_checker import iter_python_files
+    from repro.lint.nodeindex import NodeIndex
     from repro.lint.traffic import analyze_tree
+
+    with open(file, encoding="utf-8") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=str(file))
+    except SyntaxError:
+        return None
+    return analyze_tree(NodeIndex(tree), str(file))
+
+
+def build_guidance(paths: _t.Iterable[str | os.PathLike]) -> GuidanceFile:
+    """Analyze every python file under ``paths`` into one guidance file."""
+    from repro.lint.static_checker import iter_python_files
 
     collected = []
     phase_table: list[dict] = []
     #: site id -> ("phases" rows, first_phase, last_phase), global indices
     site_phases: dict[str, tuple[list[dict], int, int]] = {}
     for file in iter_python_files(paths):
-        with open(file, encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
-            continue  # the lint pass reports REP100; guidance just skips
-        module = analyze_tree(tree, str(file))
+        module = _analyze_file(file)
+        if module is None:
+            continue
         for site in module.sites.values():
             if site.order >= 0 or site.reads or site.writes:
                 collected.append(site)

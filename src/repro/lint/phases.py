@@ -31,6 +31,7 @@ import typing as _t
 from repro.lint.callgraph import CallGraph, Dispatch, build_call_graph
 from repro.lint.dataflow import Sym, iter_loops, loop_nests, sym_add, sym_mul
 from repro.lint.findings import Finding
+from repro.lint.nodeindex import NodeIndex
 from repro.lint.rules import STATIC_RULES
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,12 +84,7 @@ class PhaseTimeline:
         return min(touched), max(touched)
 
 
-def _contains(outer: ast.AST, node: ast.AST) -> bool:
-    marker = id(node)
-    return any(id(sub) == marker for sub in ast.walk(outer))
-
-
-def _dispatch_trips(d: Dispatch, ev: "_Evaluator",
+def _dispatch_trips(index: NodeIndex, d: Dispatch, ev: "_Evaluator",
                     class_refs: _t.Mapping[str, _t.Mapping]) -> Sym | None:
     """Known trip product of the driver loops enclosing one dispatch."""
     from repro.lint.traffic import _assign_defs
@@ -101,11 +97,11 @@ def _dispatch_trips(d: Dispatch, ev: "_Evaluator",
     if d.caller_cls is not None:
         for attr, val in class_refs.get(d.caller_cls, {}).items():
             scope[("self", attr)] = val
-    defs = _assign_defs(d.func)
+    defs = _assign_defs(index, d.func)
     trips = Sym("1", 1.0)
     for loop in iter_loops(loop_nests(d.func,
                                       ev.trip_evaluator(scope, defs))):
-        if not _contains(loop.node, d.call):
+        if not index.contains(loop.node, d.call):
             continue
         if loop.trip is None or not loop.trip.known():
             return None
@@ -127,7 +123,7 @@ def _closure(cg: CallGraph, d: Dispatch) -> list[tuple[str, str]]:
     return sorted(seen)
 
 
-def analyze_phases(tree: ast.Module, filename: str, ev: "_Evaluator",
+def analyze_phases(index: NodeIndex, filename: str, ev: "_Evaluator",
                    chares: "list[_ChareTraffic]",
                    class_refs: _t.Mapping[str, _t.Mapping],
                    aliases: frozenset[str]) -> PhaseTimeline:
@@ -135,7 +131,7 @@ def analyze_phases(tree: ast.Module, filename: str, ev: "_Evaluator",
     from repro.lint.traffic import DEFAULT_HBM_BYTES, _use_factor
     from repro.units import GiB
 
-    cg = build_call_graph(tree, aliases)
+    cg = build_call_graph(index, aliases)
     suppressed = cg.unknown_sends > 0
 
     entry_map: dict[tuple[str, str], tuple["_ChareTraffic",
@@ -160,7 +156,7 @@ def analyze_phases(tree: ast.Module, filename: str, ev: "_Evaluator",
         label = (f"{d.targets[0]}.{d.entry}" if len(d.targets) == 1
                  else d.entry)
         phase = Phase(index=len(phases), label=label, line=d.line,
-                      trips=_dispatch_trips(d, ev, class_refs),
+                      trips=_dispatch_trips(index, d, ev, class_refs),
                       entries=tuple(f"{c}.{e}" for c, e in keys))
         phases.append(phase)
         closures.append(keys)
@@ -185,7 +181,7 @@ def analyze_phases(tree: ast.Module, filename: str, ev: "_Evaluator",
                         readish or intent in ("readonly", "readwrite"),
                         writish or intent in ("writeonly", "readwrite"))
             for use in e.uses:
-                factor = _use_factor(e, use, ev)
+                factor = _use_factor(index, e, use, ev)
                 for attr in sorted(use.reads | use.writes):
                     site = sites.get(ct.bindings.get(attr, ""))
                     if site is None or site.size is None:
@@ -221,7 +217,7 @@ def analyze_phases(tree: ast.Module, filename: str, ev: "_Evaluator",
     # Any string constant equal to the entry name suppresses — dispatch
     # also happens through entry_spec("name")-style lookups the message
     # graph does not model, and a may-analysis must not guess.
-    named = {node.value for node in ast.walk(tree)
+    named = {node.value for node in index.walk(index.tree)
              if isinstance(node, ast.Constant)
              and isinstance(node.value, str)}
     for (cls_name, entry_name), method in sorted(cg.entries.items()):

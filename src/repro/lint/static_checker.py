@@ -28,12 +28,10 @@ import typing as _t
 
 from repro.lint.dataflow import Sym
 from repro.lint.findings import Finding, LintReport
+from repro.lint.nodeindex import NodeIndex
 from repro.lint.rules import STATIC_RULES
 
 __all__ = ["check_paths", "check_file", "check_source", "iter_python_files"]
-
-#: class names that make a subclass chare-like without further evidence
-_CHARE_ROOTS = {"Chare", "NodeGroup"}
 
 #: names that always denote the entry decorator
 _ENTRY_NAMES = frozenset({"entry"})
@@ -220,10 +218,11 @@ class _KernelUse:
     factor: Sym | None = None
 
 
-def _local_defs(func: ast.FunctionDef | ast.AsyncFunctionDef
+def _local_defs(index: NodeIndex,
+                func: ast.FunctionDef | ast.AsyncFunctionDef
                 ) -> dict[str, ast.expr]:
     defs: dict[str, ast.expr] = {}
-    for node in ast.walk(func):
+    for node in index.walk(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             defs[node.targets[0].id] = node.value
@@ -266,12 +265,9 @@ def _is_self_call(node: ast.Call, method: str,
             and _is_self_expr(fn.value, defs))
 
 
-def _class_helper_methods(cls: ast.ClassDef | None,
-                          aliases: frozenset[str]
+def _class_helper_methods(cls: ast.ClassDef, aliases: frozenset[str]
                           ) -> dict[str, ast.FunctionDef]:
     """Non-entry methods of ``cls``, candidates for call inlining."""
-    if cls is None:
-        return {}
     out: dict[str, ast.FunctionDef] = {}
     for method in cls.body:
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -283,9 +279,8 @@ def _class_helper_methods(cls: ast.ClassDef | None,
     return out
 
 
-def _collect_kernel_uses(func: ast.FunctionDef,
-                         cls: ast.ClassDef | None = None,
-                         aliases: frozenset[str] = _ENTRY_NAMES
+def _collect_kernel_uses(index: NodeIndex, func: ast.FunctionDef,
+                         cls: ast.ClassDef, aliases: frozenset[str]
                          ) -> list[_KernelUse]:
     """Kernel calls reachable from ``func``'s body (interprocedural).
 
@@ -297,16 +292,16 @@ def _collect_kernel_uses(func: ast.FunctionDef,
     """
     # lazy: callgraph imports this module's extraction primitives
     from repro.lint.callgraph import collect_kernel_uses
-    return collect_kernel_uses(func, cls, aliases)
+    return collect_kernel_uses(index, func, cls, aliases)
 
 
-def _collect_declared_blocks(func: ast.FunctionDef) -> list[tuple[str, int]]:
+def _collect_declared_blocks(index: NodeIndex, func: ast.FunctionDef
+                             ) -> list[tuple[str, int]]:
     """Literal first arguments of ``self.declare_block(...)`` calls."""
-    local_defs = _local_defs(func)
+    local_defs = _local_defs(index, func)
     out: list[tuple[str, int]] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) \
-                and _is_self_call(node, "declare_block", local_defs):
+    for node in index.calls(func):
+        if _is_self_call(node, "declare_block", local_defs):
             if node.args and isinstance(node.args[0], ast.Constant) \
                     and isinstance(node.args[0].value, str):
                 out.append((node.args[0].value, node.lineno))
@@ -315,35 +310,11 @@ def _collect_declared_blocks(func: ast.FunctionDef) -> list[tuple[str, int]]:
     return out
 
 
-# -- class discovery -------------------------------------------------------------
-
-
-def _chare_classes(tree: ast.Module) -> list[ast.ClassDef]:
-    """Classes (transitively) deriving from Chare/NodeGroup in this module."""
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    chare_like: set[str] = set(_CHARE_ROOTS)
-    changed = True
-    while changed:
-        changed = False
-        for cls in classes:
-            if cls.name in chare_like:
-                continue
-            for base in cls.bases:
-                name = base.id if isinstance(base, ast.Name) else (
-                    base.attr if isinstance(base, ast.Attribute) else None)
-                if name in chare_like:
-                    chare_like.add(cls.name)
-                    changed = True
-                    break
-    return [c for c in classes if c.name in chare_like
-            and c.name not in _CHARE_ROOTS]
-
-
 # -- per-class checks -------------------------------------------------------------
 
 
-def _check_class(cls: ast.ClassDef, file: str,
-                 aliases: frozenset[str] = _ENTRY_NAMES) -> list[Finding]:
+def _check_class(index: NodeIndex, cls: ast.ClassDef, file: str,
+                 aliases: frozenset[str]) -> list[Finding]:
     findings: list[Finding] = []
     declared_names: dict[str, int] = {}
     for method in cls.body:
@@ -354,7 +325,7 @@ def _check_class(cls: ast.ClassDef, file: str,
             decl = _parse_entry_decorator(dec, aliases)
             if decl is not None:
                 break
-        block_decls = _collect_declared_blocks(method)
+        block_decls = _collect_declared_blocks(index, method)
         for name, line in block_decls:
             if not name:
                 continue
@@ -382,16 +353,16 @@ def _check_class(cls: ast.ClassDef, file: str,
             findings.append(_finding(
                 "REP103", "[prefetch] entry declares no data dependences",
                 file, decl.line, chare=cls.name, entry=method.name))
-        findings.extend(_check_entry_body(cls, method, decl, file, aliases))
+        findings.extend(_check_entry_body(index, cls, method, decl, file,
+                                          aliases))
     return findings
 
 
-def _check_entry_body(cls: ast.ClassDef, method: ast.FunctionDef,
-                      decl: _EntryDecl, file: str,
-                      aliases: frozenset[str] = _ENTRY_NAMES
-                      ) -> list[Finding]:
+def _check_entry_body(index: NodeIndex, cls: ast.ClassDef,
+                      method: ast.FunctionDef, decl: _EntryDecl, file: str,
+                      aliases: frozenset[str]) -> list[Finding]:
     findings: list[Finding] = []
-    uses = _collect_kernel_uses(method, cls, aliases)
+    uses = _collect_kernel_uses(index, method, cls, aliases)
     if not uses:
         return findings
     used_reads: set[str] = set()
@@ -446,24 +417,26 @@ def check_source(source: str, filename: str = "<string>") -> list[Finding]:
 
     Runs both the declaration cross-check (``REP1xx``) and the
     placement-state model checker (``REP2xx``,
-    :mod:`repro.race.model_checker`) over the same parse.
+    :mod:`repro.race.model_checker`) and the traffic pass (``REP3xx``)
+    over the same parse and one :class:`~repro.lint.nodeindex.NodeIndex`.
     """
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
         return [_finding("REP100", f"could not parse: {exc.msg}",
                          filename, exc.lineno or 1)]
+    index = NodeIndex(tree)
     findings: list[Finding] = []
     aliases = _module_entry_aliases(tree)
-    for cls in _chare_classes(tree):
-        findings.extend(_check_class(cls, filename, aliases))
+    for cls in index.chares:
+        findings.extend(_check_class(index, cls, filename, aliases))
     # lazy: repro.race.model_checker imports this module for
     # iter_python_files, so a top-level import here would be a cycle
     from repro.race.model_checker import check_tree as _model_check_tree
-    findings.extend(_model_check_tree(tree, filename))
+    findings.extend(_model_check_tree(index, filename))
     # the bwlint traffic pass (REP3xx); lazy for the same cycle reason
     from repro.lint.traffic import check_tree as _traffic_check_tree
-    findings.extend(_traffic_check_tree(tree, filename))
+    findings.extend(_traffic_check_tree(index, filename))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
 

@@ -36,12 +36,12 @@ import typing as _t
 from repro.lint.dataflow import (Loop, Sym, iter_loops, loop_nests,
                                  sym_add as _sym_add, sym_bin as _sym_bin,
                                  sym_mul as _sym_mul)
-from repro.lint.callgraph import collect_kernel_uses
+from repro.lint.callgraph import _loop_product, collect_kernel_uses
 from repro.lint.callgraph import entry_signatures as _entry_signatures
 from repro.lint.findings import Finding
+from repro.lint.nodeindex import NodeIndex
 from repro.lint.rules import STATIC_RULES
-from repro.lint.static_checker import (_chare_classes, _EntryDecl,
-                                       _is_self_call, _KernelUse,
+from repro.lint.static_checker import (_EntryDecl, _is_self_call, _KernelUse,
                                        _module_entry_aliases,
                                        _parse_entry_decorator)
 from repro.units import GiB
@@ -148,11 +148,12 @@ def _config_info(cls: ast.ClassDef) -> _ConfigInfo:
     return _ConfigInfo(cls.name, fields, props)
 
 
-def _assign_defs(func: ast.FunctionDef | ast.AsyncFunctionDef
+def _assign_defs(index: NodeIndex,
+                 func: ast.FunctionDef | ast.AsyncFunctionDef
                  ) -> dict[str, ast.expr]:
     """Local single-assignment map, including parallel tuple unpacking."""
     defs: dict[str, ast.expr] = {}
-    for node in ast.walk(func):
+    for node in index.walk(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
@@ -172,18 +173,17 @@ def _assign_defs(func: ast.FunctionDef | ast.AsyncFunctionDef
 class _Evaluator:
     """Restricted expression evaluator over one module's constants."""
 
-    def __init__(self, tree: ast.Module):
+    def __init__(self, index: NodeIndex):
         self.configs: dict[str, _ConfigInfo] = {}
-        self.chare_names: set[str] = set()
+        self.chare_names = {c.name for c in index.chares}
         self.module_env: dict[str, Sym] = {}
         self._field_cache: dict[tuple[str, str], Sym | None] = {}
         self._field_stack: set[tuple[str, str]] = set()
-        self._collect(tree)
+        self._collect(index.tree)
 
     def _collect(self, tree: ast.Module) -> None:
         import repro.units as _units
 
-        self.chare_names = {c.name for c in _chare_classes(tree)}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) \
                     and node.module == "repro.units":
@@ -403,7 +403,8 @@ def _functions_with_class(tree: ast.Module) -> list[
     return out
 
 
-def _class_attr_refs(cls: ast.ClassDef, ev: _Evaluator) -> dict[str, Value]:
+def _class_attr_refs(index: NodeIndex, cls: ast.ClassDef,
+                     ev: _Evaluator) -> dict[str, Value]:
     """``self.X`` attributes holding configs or chare handles."""
     refs: dict[str, Value] = {}
     for method in cls.body:
@@ -414,7 +415,7 @@ def _class_attr_refs(cls: ast.ClassDef, ev: _Evaluator) -> dict[str, Value]:
             val = ev.annotation_value(arg.annotation)
             if val is not None:
                 param_scope[arg.arg] = val
-        for node in ast.walk(method):
+        for node in index.walk(method):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -435,7 +436,7 @@ def _class_attr_refs(cls: ast.ClassDef, ev: _Evaluator) -> dict[str, Value]:
     return refs
 
 
-def _send_arg_map(tree: ast.Module, ev: _Evaluator,
+def _send_arg_map(index: NodeIndex, ev: _Evaluator,
                   class_refs: _t.Mapping[str, dict[str, Value]],
                   sigs: _t.Mapping[tuple[str, int],
                                    list[tuple[str, list[str]]]]
@@ -446,7 +447,12 @@ def _send_arg_map(tree: ast.Module, ev: _Evaluator,
     values from different call sites degrade to None per position.
     """
     out: dict[tuple[str, str], list[Value | None]] = {}
-    for cls, func in _functions_with_class(tree):
+    for cls, func in _functions_with_class(index.tree):
+        sends = [node for node in index.calls(func)
+                 if isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("send", "broadcast")]
+        if not sends:
+            continue
         scope: dict[_ScopeKey, Value] = {}
         for arg in func.args.args + func.args.kwonlyargs:
             val = ev.annotation_value(arg.annotation)
@@ -455,12 +461,8 @@ def _send_arg_map(tree: ast.Module, ev: _Evaluator,
         if cls is not None:
             for attr, val in class_refs.get(cls.name, {}).items():
                 scope[("self", attr)] = val
-        defs = _assign_defs(func)
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("send", "broadcast")):
-                continue
+        defs = _assign_defs(index, func)
+        for node in sends:
             name_idx = None
             for i, arg in enumerate(node.args[:2]):
                 if isinstance(arg, ast.Constant) \
@@ -542,8 +544,8 @@ def _resolve_accessor(owner: str, cls: ast.ClassDef, method_name: str,
     return None
 
 
-def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
-                   aliases: frozenset[str],
+def _analyze_chare(index: NodeIndex, ct: _ChareTraffic, ev: _Evaluator,
+                   aliases: frozenset[str], attr_refs: dict[str, Value],
                    send_map: _t.Mapping[tuple[str, str],
                                         list[Value | None]],
                    filename: str) -> None:
@@ -551,12 +553,11 @@ def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
     cls = ct.cls
     if _FORCE_CRASH and cls.name == _FORCE_CRASH:
         raise RuntimeError("forced analyzer crash (test hook)")
-    ct.attr_refs = dict(_class_attr_refs(cls, ev).items())
+    ct.attr_refs = dict(attr_refs)
     declared_literals: list[str] = []
     pending_alias: list[tuple[str, str]] = []
     deferred: list[tuple[str, tuple[str, str, str]]] = []
-    module_classes = {c.name: c for c in ast.walk(tree)
-                      if isinstance(c, ast.ClassDef)}
+    module_classes = index.class_named
 
     for method in cls.body:
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -580,7 +581,7 @@ def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
                     scope[pname] = val
         for attr, val in ct.attr_refs.items():
             scope[("self", attr)] = val
-        defs = _assign_defs(method)
+        defs = _assign_defs(index, method)
         in_prefetch = bool(decl is not None and decl.prefetch)
 
         def make_site(name: str, size_expr: ast.expr | None, line: int,
@@ -601,7 +602,7 @@ def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
             ct.sites[site_id] = site
             return site
 
-        for node in ast.walk(method):
+        for node in index.walk(method):
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 call = node.value
                 if _is_self_call(call, "share_block", defs) and call.args:
@@ -682,7 +683,7 @@ def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
         if decl is not None:
             attr_scope = {("self", a): v for a, v in ct.attr_refs.items()}
             uses = collect_kernel_uses(
-                _t.cast(ast.FunctionDef, method), cls, aliases,
+                index, _t.cast(ast.FunctionDef, method), cls, aliases,
                 ev=ev, attr_scope=attr_scope)
             loops = loop_nests(_t.cast(ast.FunctionDef, method),
                                ev.trip_evaluator(scope, defs))
@@ -703,15 +704,14 @@ def _analyze_chare(ct: _ChareTraffic, tree: ast.Module, ev: _Evaluator,
     ct._deferred = deferred  # type: ignore[attr-defined]
 
 
-def _kernel_lines_in(node: ast.AST, uses: list[_KernelUse]) -> list[_KernelUse]:
-    """Uses whose *anchor* (entry-body launch point) lies inside ``node``."""
-    calls = {id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
-    return [u for u in uses
-            if (u.anchor or u.call) is not None
-            and id(u.anchor or u.call) in calls]
+def _launches_in(index: NodeIndex, node: ast.AST,
+                 uses: list[_KernelUse]) -> bool:
+    """Does any use's *anchor* (entry-body launch point) lie in ``node``?"""
+    return any(index.contains(node, u.anchor or u.call) for u in uses
+               if (u.anchor or u.call) is not None)
 
 
-def _use_factor(entry: _EntryTraffic, use: _KernelUse,
+def _use_factor(index: NodeIndex, entry: _EntryTraffic, use: _KernelUse,
                 ev: _Evaluator) -> Sym:
     """traffic_scale x enclosing bounded-loop trip counts for one launch.
 
@@ -727,11 +727,7 @@ def _use_factor(entry: _EntryTraffic, use: _KernelUse,
                 got = ev.eval(kw.value, entry.scope, entry.defs)
                 if isinstance(got, Sym):
                     factor = got
-    for loop in iter_loops(entry.loops):
-        if loop.trip is not None and loop.trip.known() \
-                and _kernel_lines_in(loop.node, [use]):
-            factor = _sym_mul(factor, loop.trip)
-    return factor
+    return _loop_product(index, factor, entry.loops, use.anchor or use.call)
 
 
 # ---------------------------------------------------------------------------
@@ -739,25 +735,8 @@ def _use_factor(entry: _EntryTraffic, use: _KernelUse,
 # ---------------------------------------------------------------------------
 
 
-def _module_attr_loads(tree: ast.Module) -> set[str]:
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-
-
-def _attr_stores_outside(tree: ast.Module, cls: ast.ClassDef) -> set[str]:
-    """Attribute names stored anywhere outside ``cls`` (test-harness
-    wiring like ``chare.a = block`` suppresses unbound-handle findings)."""
-    inside = {id(n) for n in ast.walk(cls)}
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and id(node) not in inside}
-
-
-def _emit_class_findings(ct: _ChareTraffic, tree: ast.Module,
-                         filename: str,
-                         attr_loads: set[str]) -> list[Finding]:
+def _emit_class_findings(index: NodeIndex, ct: _ChareTraffic,
+                         filename: str) -> list[Finding]:
     findings: list[Finding] = []
     cls = ct.cls
     if ct.tainted or not (ct.sites or ct.bindings):
@@ -771,13 +750,15 @@ def _emit_class_findings(ct: _ChareTraffic, tree: ast.Module,
     for e in ct.entries:
         for u in e.uses:
             written |= u.writes
-    stores_outside = _attr_stores_outside(tree, cls)
+    # test-harness wiring like ``chare.a = block`` outside the class
+    # suppresses unbound-handle findings
+    stores_outside = index.attr_stores_outside(cls)
 
     for e in prefetch_entries:
         name = e.method.name
         # REP305: unbounded loop around a kernel launch
         for loop in iter_loops(e.loops):
-            if not loop.bounded and _kernel_lines_in(loop.node, e.uses):
+            if not loop.bounded and _launches_in(index, loop.node, e.uses):
                 findings.append(_finding(
                     "REP305",
                     "while-loop with no inferable trip count wraps a "
@@ -859,7 +840,7 @@ def _emit_class_findings(ct: _ChareTraffic, tree: ast.Module,
             site = ct.sites.get(site_id)
             if site is None or site.shared or site.prefetch_declared:
                 continue
-            if attr in attr_loads:
+            if attr in index.attr_loads:
                 continue
             findings.append(_finding(
                 "REP301",
@@ -909,22 +890,22 @@ def _emit_shared_intent_findings(chares: list[_ChareTraffic],
 # ---------------------------------------------------------------------------
 
 
-def analyze_tree(tree: ast.Module, filename: str = "<string>"
+def analyze_tree(index: NodeIndex, filename: str = "<string>"
                  ) -> ModuleTraffic:
-    """Run the full traffic analysis over one parsed module."""
-    ev = _Evaluator(tree)
-    aliases = _module_entry_aliases(tree)
-    chare_nodes = _chare_classes(tree)
-    class_refs = {c.name: _class_attr_refs(c, ev)
-                  for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
-    sigs = _entry_signatures(chare_nodes, aliases)
-    send_map = _send_arg_map(tree, ev, class_refs, sigs)
+    """Run the full traffic analysis over one indexed module."""
+    ev = _Evaluator(index)
+    aliases = _module_entry_aliases(index.tree)
+    refs_of = {c: _class_attr_refs(index, c, ev) for c in index.classes}
+    class_refs = {c.name: refs for c, refs in refs_of.items()}
+    sigs = _entry_signatures(index.chares, aliases)
+    send_map = _send_arg_map(index, ev, class_refs, sigs)
 
     chares: list[_ChareTraffic] = []
-    for cls in chare_nodes:
+    for cls in index.chares:
         ct = _ChareTraffic(cls=cls)
         try:
-            _analyze_chare(ct, tree, ev, aliases, send_map, filename)
+            _analyze_chare(index, ct, ev, aliases, refs_of[cls], send_map,
+                           filename)
         except Exception as exc:  # noqa: BLE001 - crash contract
             raise AnalyzerCrash(filename, cls.name, exc) from exc
         chares.append(ct)
@@ -940,21 +921,19 @@ def analyze_tree(tree: ast.Module, filename: str = "<string>"
                 ct.unresolved.add(attr)
 
     findings: list[Finding] = []
-    attr_loads = _module_attr_loads(tree)
     for ct in chares:
         try:
-            findings.extend(
-                _emit_class_findings(ct, tree, filename, attr_loads))
+            findings.extend(_emit_class_findings(index, ct, filename))
         except Exception as exc:  # noqa: BLE001 - crash contract
             raise AnalyzerCrash(filename, ct.cls.name, exc) from exc
     findings.extend(_emit_shared_intent_findings(chares, filename))
 
-    sites = _aggregate_traffic(chares, ev)
+    sites = _aggregate_traffic(index, chares, ev)
     # the phase-ordered layer (REP31x); lazy import — phases.py imports
     # this module's internals at its own top level
     from repro.lint.phases import analyze_phases
     try:
-        timeline = analyze_phases(tree, filename, ev, chares, class_refs,
+        timeline = analyze_phases(index, filename, ev, chares, class_refs,
                                   aliases)
     except Exception as exc:  # noqa: BLE001 - crash contract
         raise AnalyzerCrash(filename, "<phases>", exc) from exc
@@ -963,7 +942,7 @@ def analyze_tree(tree: ast.Module, filename: str = "<string>"
                          timeline=timeline)
 
 
-def _aggregate_traffic(chares: list[_ChareTraffic],
+def _aggregate_traffic(index: NodeIndex, chares: list[_ChareTraffic],
                        ev: _Evaluator) -> dict[str, SiteTraffic]:
     """Fold kernel launches into per-site read/write byte volumes."""
     sites: dict[str, SiteTraffic] = {}
@@ -985,7 +964,7 @@ def _aggregate_traffic(chares: list[_ChareTraffic],
                         site.order = touch_order
                         touch_order += 1
             for use in e.uses:
-                factor = _use_factor(e, use, ev)
+                factor = _use_factor(index, e, use, ev)
                 for attr in sorted(use.reads):
                     site = sites.get(ct.bindings.get(attr, ""))
                     if site is not None and site.size is not None:
@@ -1005,7 +984,7 @@ def _aggregate_traffic(chares: list[_ChareTraffic],
     return sites
 
 
-def check_tree(tree: ast.Module, filename: str = "<string>"
+def check_tree(index: NodeIndex, filename: str = "<string>"
                ) -> list[Finding]:
-    """The REP3xx findings for one parsed module (bwlint rule surface)."""
-    return analyze_tree(tree, filename).findings
+    """The REP3xx findings for one indexed module (bwlint rule surface)."""
+    return analyze_tree(index, filename).findings

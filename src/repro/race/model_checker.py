@@ -38,6 +38,7 @@ import os
 import typing as _t
 
 from repro.lint.findings import Finding, LintReport
+from repro.lint.nodeindex import NodeIndex, base_name
 from repro.lint.rules import STATIC_RULES
 from repro.lint.static_checker import iter_python_files
 
@@ -73,44 +74,36 @@ def _protocol_like(name: str | None, like: set[str]) -> bool:
                                  or name.endswith(("Strategy", "Mover")))
 
 
-def _protocol_classes(tree: ast.Module) -> list[ast.ClassDef]:
+def _protocol_classes(index: NodeIndex) -> list[ast.ClassDef]:
     """Classes in the subclass closure of the protocol roots, roots included."""
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
     like = set(MODEL_ROOTS)
     changed = True
     while changed:
         changed = False
-        for cls in classes:
+        for cls in index.classes:
             if cls.name in like:
                 continue
-            for base in cls.bases:
-                name = base.id if isinstance(base, ast.Name) else (
-                    base.attr if isinstance(base, ast.Attribute) else None)
-                if _protocol_like(name, like):
-                    like.add(cls.name)
-                    changed = True
-                    break
-    return [c for c in classes if c.name in like]
+            if any(_protocol_like(base_name(b), like) for b in cls.bases):
+                like.add(cls.name)
+                changed = True
+    return [c for c in index.classes if c.name in like]
 
 
-def _walk_shallow(func: ast.AST) -> _t.Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+def _own(index: NodeIndex, method: ast.AST, node: ast.AST) -> bool:
+    """Is ``node`` in ``method``'s own body, not inside a nested def?"""
+    above = index.parent(node)
+    while above is not method:
+        if isinstance(above, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef, ast.Lambda)):
+            return False
+        above = index.parent(above)
+    return True
 
 
-def _parents(root: ast.AST) -> dict[ast.AST, ast.AST]:
-    out: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(root):
-        for child in ast.iter_child_nodes(node):
-            out[child] = node
-    return out
+def _within(index: NodeIndex, roots: _t.Sequence[ast.AST],
+            nodes: _t.Iterable[ast.AST]) -> list[ast.AST]:
+    """The ``nodes`` that lie inside one of the ``roots`` subtrees."""
+    return [n for n in nodes if any(index.contains(r, n) for r in roots)]
 
 
 # -- small matchers ------------------------------------------------------------
@@ -138,29 +131,27 @@ def _mover_call(node: ast.AST) -> bool:
             and node.func.value.attr == "mover")
 
 
-def _mentions_ddr(node: ast.expr) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and "ddr" in sub.attr.lower():
-            return True
-        if isinstance(sub, ast.Name) and "ddr" in sub.id.lower():
-            return True
-    return False
+def _names_ddr(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return "ddr" in node.attr.lower()
+    return isinstance(node, ast.Name) and "ddr" in node.id.lower()
 
 
-def _mentions_guard(test: ast.expr, name: str) -> bool:
-    for sub in ast.walk(test):
-        if (isinstance(sub, ast.Attribute) and sub.attr in _GUARD_ATTRS
-                and isinstance(sub.value, ast.Name) and sub.value.id == name):
-            return True
-    return False
+def _guard_name(node: ast.AST) -> str | None:
+    """``x`` for an ``x.in_use``/``x.pinned`` read, else None."""
+    if isinstance(node, ast.Attribute) and node.attr in _GUARD_ATTRS \
+            and isinstance(node.value, ast.Name):
+        return node.value.id
+    return None
 
 
 # -- per-rule passes -----------------------------------------------------------
 
 
-def _check_state_assigns(cls: ast.ClassDef, file: str) -> list[Finding]:
+def _check_state_assigns(index: NodeIndex, cls: ast.ClassDef,
+                         file: str) -> list[Finding]:
     findings = []
-    for node in ast.walk(cls):
+    for node in index.walk(cls):
         if not isinstance(node, ast.Assign):
             continue
         if not any(isinstance(t, ast.Attribute) and t.attr == "state"
@@ -175,9 +166,10 @@ def _check_state_assigns(cls: ast.ClassDef, file: str) -> list[Finding]:
     return findings
 
 
-def _check_settle_literals(cls: ast.ClassDef, file: str) -> list[Finding]:
+def _check_settle_literals(index: NodeIndex, cls: ast.ClassDef,
+                           file: str) -> list[Finding]:
     findings = []
-    for node in ast.walk(cls):
+    for node in index.calls(cls):
         if not _attr_call(node, "settle"):
             continue
         operands = list(node.args) + [kw.value for kw in node.keywords]
@@ -190,42 +182,44 @@ def _check_settle_literals(cls: ast.ClassDef, file: str) -> list[Finding]:
     return findings
 
 
-def _check_evictions(cls: ast.ClassDef, method: ast.FunctionDef,
-                     file: str) -> list[Finding]:
+def _check_evictions(index: NodeIndex, cls: ast.ClassDef,
+                     method: ast.FunctionDef, file: str) -> list[Finding]:
     findings: list[Finding] = []
-    parents = _parents(method)
+    nodes = index.walk(method)
+    guards = [n for n in nodes if _guard_name(n) is not None]
+
+    def guarded_names(test: ast.expr) -> set[str | None]:
+        return {_guard_name(g) for g in _within(index, [test], guards)}
+
     # guard clauses: `if victim.in_use ...: raise/return/...` earlier in
     # the method dominate everything after them (sibling-order approx.)
+    breaks = [n for n in nodes if isinstance(n, _FLOW_BREAKS)]
     guard_clauses: list[tuple[str, int]] = []
-    for node in ast.walk(method):
+    for node in nodes:
         if not isinstance(node, ast.If):
             continue
-        breaks = any(isinstance(sub, _FLOW_BREAKS)
-                     for stmt in node.body for sub in ast.walk(stmt))
-        if not breaks:
-            continue
-        for name_node in ast.walk(node.test):
-            if isinstance(name_node, ast.Name) \
-                    and _mentions_guard(node.test, name_node.id):
-                guard_clauses.append((name_node.id, node.lineno))
-    for node in ast.walk(method):
+        names = guarded_names(node.test)
+        if names and _within(index, node.body, breaks):
+            guard_clauses.extend((name, node.lineno) for name in names)
+    ddr = [n for n in nodes if _names_ddr(n)]
+    for node in index.calls(method):
         victim: ast.expr | None = None
         if _attr_call(node, "evict_block") and node.args:
             victim = node.args[0]
         elif _mover_call(node) and len(node.args) >= 2 \
-                and _mentions_ddr(node.args[1]):
+                and _within(index, [node.args[1]], ddr):
             victim = node.args[0]
         if not isinstance(victim, ast.Name):
             continue
         name = victim.id
         guarded = any(g_name == name and g_line < node.lineno
                       for g_name, g_line in guard_clauses)
-        ancestor = parents.get(node)
-        while not guarded and ancestor is not None:
+        ancestor = index.parent(node)
+        while not guarded and ancestor is not method:
             if isinstance(ancestor, (ast.If, ast.While)) \
-                    and _mentions_guard(ancestor.test, name):
+                    and name in guarded_names(ancestor.test):
                 guarded = True
-            ancestor = parents.get(ancestor)
+            ancestor = index.parent(ancestor)
         if not guarded:
             findings.append(_finding(
                 "REP202",
@@ -235,9 +229,12 @@ def _check_evictions(cls: ast.ClassDef, method: ast.FunctionDef,
     return findings
 
 
-def _check_move_exits(cls: ast.ClassDef, method: ast.FunctionDef,
-                      file: str) -> list[Finding]:
-    nodes = list(_walk_shallow(method))
+def _check_move_exits(index: NodeIndex, cls: ast.ClassDef,
+                      method: ast.FunctionDef, file: str) -> list[Finding]:
+    nodes = [n for n in index.walk(method)[1:]
+             if (isinstance(n, (ast.Return, ast.Raise))
+                 or _attr_call(n, "begin_move") or _attr_call(n, "settle"))
+             and _own(index, method, n)]
     begins = [n.lineno for n in nodes if _attr_call(n, "begin_move")]
     if not begins:
         return []
@@ -267,12 +264,12 @@ def _check_move_exits(cls: ast.ClassDef, method: ast.FunctionDef,
     return findings
 
 
-def _check_inflight(cls: ast.ClassDef, method: ast.FunctionDef,
-                    file: str) -> list[Finding]:
-    mover_calls = [n for n in ast.walk(method) if _mover_call(n)]
+def _check_inflight(index: NodeIndex, cls: ast.ClassDef,
+                    method: ast.FunctionDef, file: str) -> list[Finding]:
+    mover_calls = [n for n in index.calls(method) if _mover_call(n)]
     if not mover_calls:
         return []
-    if any(_attr_call(n, "begin_inflight") for n in ast.walk(method)):
+    if any(_attr_call(n, "begin_inflight") for n in index.calls(method)):
         return []
     return [_finding(
         "REP204",
@@ -281,10 +278,11 @@ def _check_inflight(cls: ast.ClassDef, method: ast.FunctionDef,
         chare=cls.name, entry=method.name) for call in mover_calls]
 
 
-def _check_fetch_results(cls: ast.ClassDef, method: ast.FunctionDef,
-                         file: str) -> list[Finding]:
+def _check_fetch_results(index: NodeIndex, cls: ast.ClassDef,
+                         method: ast.FunctionDef, file: str
+                         ) -> list[Finding]:
     findings = []
-    for node in ast.walk(method):
+    for node in index.walk(method):
         if not isinstance(node, ast.Expr):
             continue
         value = node.value
@@ -302,20 +300,19 @@ def _check_fetch_results(cls: ast.ClassDef, method: ast.FunctionDef,
 # -- entry points --------------------------------------------------------------
 
 
-def check_tree(tree: ast.Module, filename: str) -> list[Finding]:
-    """Model-check one parsed module; returns findings (empty on clean)."""
+def check_tree(index: NodeIndex, filename: str) -> list[Finding]:
+    """Model-check one indexed module; returns findings (empty on clean)."""
     findings: list[Finding] = []
-    for cls in _protocol_classes(tree):
-        findings.extend(_check_state_assigns(cls, filename))
-        findings.extend(_check_settle_literals(cls, filename))
+    for cls in _protocol_classes(index):
+        findings.extend(_check_state_assigns(index, cls, filename))
+        findings.extend(_check_settle_literals(index, cls, filename))
         for method in cls.body:
             if not isinstance(method, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
                 continue
-            findings.extend(_check_evictions(cls, method, filename))
-            findings.extend(_check_move_exits(cls, method, filename))
-            findings.extend(_check_inflight(cls, method, filename))
-            findings.extend(_check_fetch_results(cls, method, filename))
+            for check in (_check_evictions, _check_move_exits,
+                          _check_inflight, _check_fetch_results):
+                findings.extend(check(index, cls, method, filename))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
 
@@ -327,7 +324,7 @@ def check_source(source: str, filename: str = "<string>") -> list[Finding]:
     except SyntaxError as exc:
         return [_finding("REP100", f"could not parse: {exc.msg}",
                          filename, exc.lineno or 1)]
-    return check_tree(tree, filename)
+    return check_tree(NodeIndex(tree), filename)
 
 
 def check_file(path: str | os.PathLike) -> list[Finding]:

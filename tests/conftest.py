@@ -26,6 +26,20 @@ def fig8_tiny_result(fig8_tiny_plan):
     return run_plan(fig8_tiny_plan())
 
 
+@pytest.fixture(scope="session")
+def repo_lint_report():
+    """``repro lint`` of ``src/repro`` and ``examples``, run once per session.
+
+    The self-lint gate and the REP3xx clean-tree test both read it.
+    """
+    from pathlib import Path
+
+    from repro.lint.static_checker import check_paths
+
+    root = Path(__file__).resolve().parent.parent
+    return check_paths([root / "src" / "repro", root / "examples"])
+
+
 @pytest.fixture
 def use_guidance(tmp_path, monkeypatch):
     """Install a guidance file the way a run does: ``$REPRO_GUIDANCE``.

@@ -110,6 +110,11 @@ CASES = [
     ("lint-guidance",
      ["lint", "repro.apps", "--guidance", "no-such-dir/g.json"],
      "no-such-dir/g.json"),
+    # a prefix no rule id starts with would filter every finding away;
+    # --select takes one prefix, so it may come before the targets too
+    ("lint-select", ["lint", "repro.apps", "--select", "BOGUS"], "BOGUS"),
+    ("lint-select-first", ["lint", "--select", "BOGUS", "repro.apps"],
+     "BOGUS"),
     ("trend-out", ["trend", "render", "-o", "no-such-dir/t.html"],
      "no-such-dir/t.html"),
     ("report-out", ["report", "--figures", "fig2", "-o", "no-such-dir/r.html"],
@@ -143,3 +148,22 @@ def test_bad_value_is_one_line_and_exit_2(argv, value, capsys) -> None:
     assert lines[0].startswith("repro")
     assert "error: " in lines[0]
     assert value in lines[0]
+
+
+#: the lint fixture has REP1xx findings and no REP3xx ones
+LINT_FIXTURE = str(Path(__file__).resolve().parent / "fixtures"
+                   / "lint_bad_chare.py")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["lint", LINT_FIXTURE, "--select", "REP3"], 0),
+    (["lint", "--select", "REP3", LINT_FIXTURE], 0),
+    (["lint", LINT_FIXTURE, "--select", "REP1"], 1),
+    (["lint", "--select", "REP1", LINT_FIXTURE], 1),
+], ids=["rep3-targets-first", "rep3-select-first", "rep1-targets-first",
+        "rep1-select-first"])
+def test_lint_select_before_or_after_targets(argv, code, capsys) -> None:
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert ("REP102" in out) == (code == 1)

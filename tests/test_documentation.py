@@ -32,7 +32,7 @@ MODULES = [
     "repro.lint.static_checker", "repro.lint.sanitizer",
     "repro.lint.dataflow", "repro.lint.traffic",
     "repro.lint.guidance", "repro.lint.callgraph", "repro.lint.phases",
-    "repro.lint.sarif", "repro.lint.cache",
+    "repro.lint.sarif", "repro.lint.cache", "repro.lint.nodeindex",
     "repro.hooks",
     "repro.race", "repro.race.clock",
     "repro.race.detector", "repro.race.model_checker", "repro.race.explorer",

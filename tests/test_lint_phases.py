@@ -4,24 +4,25 @@ import ast
 import textwrap
 
 from repro.lint.guidance import build_guidance, render_timeline
+from repro.lint.nodeindex import NodeIndex
 from repro.lint.phases import analyze_phases  # noqa: F401 - import check
 from repro.lint.traffic import analyze_tree, check_tree
 
 
 def phase_rules(body: str) -> list[str]:
-    tree = ast.parse(textwrap.dedent(body))
-    return sorted(f.rule for f in check_tree(tree, "t.py")
+    index = NodeIndex(ast.parse(textwrap.dedent(body)))
+    return sorted(f.rule for f in check_tree(index, "t.py")
                   if f.rule.startswith("REP31"))
 
 
 def timeline_of(body: str):
-    tree = ast.parse(textwrap.dedent(body))
-    return analyze_tree(tree, "t.py").timeline
+    index = NodeIndex(ast.parse(textwrap.dedent(body)))
+    return analyze_tree(index, "t.py").timeline
 
 
 def sites_of(body: str):
-    tree = ast.parse(textwrap.dedent(body))
-    return analyze_tree(tree, "t.py").sites
+    index = NodeIndex(ast.parse(textwrap.dedent(body)))
+    return analyze_tree(index, "t.py").sites
 
 
 # Two-phase clean module: the driver dispatches produce() then consume(),

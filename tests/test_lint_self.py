@@ -17,9 +17,9 @@ from repro.lint import check_paths
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_repro_lint_sources_and_examples_clean():
-    report = check_paths([ROOT / "src" / "repro", ROOT / "examples"])
-    assert report.ok(strict=True), "\n" + report.render()
+def test_repro_lint_sources_and_examples_clean(repo_lint_report):
+    assert repo_lint_report.ok(strict=True), \
+        "\n" + repo_lint_report.render()
 
 
 def test_repro_lint_test_chares_clean():

@@ -5,19 +5,20 @@ import textwrap
 
 import pytest
 
+from repro.lint.nodeindex import NodeIndex
 from repro.lint.traffic import AnalyzerCrash, analyze_tree, check_tree
 from repro.units import MiB
 
 
 def traffic_rules(body: str) -> list[str]:
-    tree = ast.parse(textwrap.dedent(body))
-    return sorted(f.rule for f in check_tree(tree, "t.py")
+    index = NodeIndex(ast.parse(textwrap.dedent(body)))
+    return sorted(f.rule for f in check_tree(index, "t.py")
                   if f.rule.startswith("REP3"))
 
 
 def sites_of(body: str):
-    tree = ast.parse(textwrap.dedent(body))
-    return analyze_tree(tree, "t.py").sites
+    index = NodeIndex(ast.parse(textwrap.dedent(body)))
+    return analyze_tree(index, "t.py").sites
 
 
 # A well-formed chare: setup binds the site, the prefetch kernel reads
@@ -378,22 +379,17 @@ class TestCrashContract:
         import repro.lint.traffic as traffic_mod
 
         monkeypatch.setattr(traffic_mod, "_FORCE_CRASH", "C")
-        tree = ast.parse(textwrap.dedent(CLEAN))
+        index = NodeIndex(ast.parse(textwrap.dedent(CLEAN)))
         with pytest.raises(AnalyzerCrash) as err:
-            check_tree(tree, "boom.py")
+            check_tree(index, "boom.py")
         assert err.value.file == "boom.py"
         assert err.value.function == "C"
         assert isinstance(err.value.cause, RuntimeError)
 
 
 class TestCleanTree:
-    def test_repo_sources_have_zero_rep3_findings(self):
+    def test_repo_sources_have_zero_rep3_findings(self, repo_lint_report):
         """REP300-306 must report nothing on the repo's own code."""
-        from pathlib import Path
-
-        from repro.lint.static_checker import check_paths
-
-        root = Path(__file__).resolve().parents[1]
-        report = check_paths([root / "src" / "repro", root / "examples"])
-        rep3 = [f for f in report.findings if f.rule.startswith("REP3")]
+        rep3 = [f for f in repo_lint_report.findings
+                if f.rule.startswith("REP3")]
         assert rep3 == [], [f.render() for f in rep3]
