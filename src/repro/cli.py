@@ -543,9 +543,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"    {rule.description}")
         return 0
     if not args.targets:
-        print("lint: no targets given (files, directories or module names)",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("lint: no targets given (files, directories or "
+                          "module names)")
     prefixes = tuple(args.select or ())
     for prefix in prefixes:
         # a prefix no rule has would filter every finding away and pass
@@ -559,8 +558,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         cache = AnalysisCache(enabled=not args.no_cache)
         report = cached_check_paths(args.targets, cache=cache)
     except FileNotFoundError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"lint: {exc}") from None
     except AnalyzerCrash as exc:
         # the analyzer itself broke: exit 2 naming the offending spot so
         # a bug in the checker is never mistaken for a clean tree

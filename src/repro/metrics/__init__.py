@@ -21,14 +21,9 @@ A simulation-clock-aware metrics layer over the OOC runtime:
 See README "Observability" for the instrument table and CLI usage.
 """
 
-from repro.metrics.bind import bind_built_runtime
-from repro.metrics.export import (counter_series, digest, narration_line,
-                                  render_report, to_json, to_prometheus)
-from repro.metrics.instruments import (DEFAULT_LATENCY_BOUNDS, Counter,
-                                       Gauge, Histogram, PolledGauge)
-from repro.metrics.recorder import FlightRecorder, Snapshot
-from repro.metrics.registry import MetricsRegistry
-from repro.metrics.session import MetricsSession
+from __future__ import annotations
+
+import typing as _t
 
 __all__ = [
     "Counter", "Gauge", "PolledGauge", "Histogram",
@@ -38,3 +33,41 @@ __all__ = [
     "to_prometheus", "to_json", "digest", "render_report",
     "counter_series", "narration_line",
 ]
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.metrics.bind import bind_built_runtime
+    from repro.metrics.export import (counter_series, digest, narration_line,
+                                      render_report, to_json, to_prometheus)
+    from repro.metrics.instruments import (DEFAULT_LATENCY_BOUNDS, Counter,
+                                           Gauge, Histogram, PolledGauge)
+    from repro.metrics.recorder import FlightRecorder, Snapshot
+    from repro.metrics.registry import MetricsRegistry
+    from repro.metrics.session import MetricsSession
+
+#: lazy attribute -> defining submodule: a run that only records metrics
+#: (``MetricsSession``) does not load the exporters
+_LAZY = {
+    **dict.fromkeys(("Counter", "Gauge", "PolledGauge", "Histogram",
+                     "DEFAULT_LATENCY_BOUNDS"), "repro.metrics.instruments"),
+    "MetricsRegistry": "repro.metrics.registry",
+    "FlightRecorder": "repro.metrics.recorder",
+    "Snapshot": "repro.metrics.recorder",
+    "MetricsSession": "repro.metrics.session",
+    "bind_built_runtime": "repro.metrics.bind",
+    **dict.fromkeys(("to_prometheus", "to_json", "digest", "render_report",
+                     "counter_series", "narration_line"),
+                    "repro.metrics.export"),
+}
+
+
+def __getattr__(name: str) -> _t.Any:
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+    module = importlib.import_module(module_name)
+    value = getattr(module, name)
+    globals()[name] = value
+    return value

@@ -10,6 +10,7 @@ recorder (or an exporter) takes a snapshot, at zero steady-state cost.
 from __future__ import annotations
 
 import typing as _t
+from operator import attrgetter
 
 from repro.metrics.registry import MetricsRegistry
 
@@ -21,32 +22,38 @@ __all__ = ["bind_built_runtime"]
 
 def bind_built_runtime(registry: MetricsRegistry,
                        built: "BuiltRuntime") -> MetricsRegistry:
-    """Register polled gauges over ``built``'s devices, PEs and manager."""
+    """Register polled gauges over ``built``'s devices, PEs and manager.
+
+    Each gauge reads its object through a reader shared by its family
+    (``len`` or one ``attrgetter``), so a run's hundreds of gauges add no
+    closure each for the cyclic collector to walk.
+    """
     manager = built.manager
     mover = built.machine.mover
 
     # -- memory tiers ------------------------------------------------------
+    used, available, peak_used, alloc_calls, failed_allocs, bytes_read, \
+        bytes_written = map(attrgetter, (
+            "used", "available", "peak_used", "alloc_calls", "failed_allocs",
+            "bytes_read", "bytes_written"))
     for device in (manager.hbm, manager.ddr):
         alloc = device.allocator
-        registry.observe("repro_mem_used_bytes", lambda d=device: d.used,
-                         "bytes resident on the tier", tier=device.name)
-        registry.observe("repro_mem_free_bytes", lambda d=device: d.available,
-                         "bytes free on the tier", tier=device.name)
-        registry.observe("repro_mem_high_water_bytes",
-                         lambda a=alloc: a.peak_used,
-                         "allocator high-water mark", tier=device.name)
-        registry.observe("repro_mem_alloc_calls",
-                         lambda a=alloc: a.alloc_calls,
-                         "allocator allocate() calls", tier=device.name)
-        registry.observe("repro_mem_alloc_failures",
-                         lambda a=alloc: a.failed_allocs,
-                         "failed allocations on the tier", tier=device.name)
-        registry.observe("repro_mem_read_bytes",
-                         lambda d=device: d.bytes_read,
-                         "bytes read off the tier", tier=device.name)
-        registry.observe("repro_mem_written_bytes",
-                         lambda d=device: d.bytes_written,
-                         "bytes written to the tier", tier=device.name)
+        tier = device.name
+        registry.observe("repro_mem_used_bytes", used,
+                         "bytes resident on the tier", of=device, tier=tier)
+        registry.observe("repro_mem_free_bytes", available,
+                         "bytes free on the tier", of=device, tier=tier)
+        registry.observe("repro_mem_high_water_bytes", peak_used,
+                         "allocator high-water mark", of=alloc, tier=tier)
+        registry.observe("repro_mem_alloc_calls", alloc_calls,
+                         "allocator allocate() calls", of=alloc, tier=tier)
+        registry.observe("repro_mem_alloc_failures", failed_allocs,
+                         "failed allocations on the tier", of=alloc,
+                         tier=tier)
+        registry.observe("repro_mem_read_bytes", bytes_read,
+                         "bytes read off the tier", of=device, tier=tier)
+        registry.observe("repro_mem_written_bytes", bytes_written,
+                         "bytes written to the tier", of=device, tier=tier)
 
     # -- HBM tracker -------------------------------------------------------
     tracker = manager.tracker
@@ -73,19 +80,23 @@ def bind_built_runtime(registry: MetricsRegistry,
                      "tasks that finished post-processing")
 
     # -- PEs: queue depths + busy/idle/blocked accounting ------------------
+    busy, blocked, idle = (lambda pe: pe.busy_time,
+                           lambda pe: pe.overhead_time,
+                           lambda pe: pe.idle_time)
     for pe in built.runtime.pes:
         label = str(pe.id)
-        registry.observe("repro_pe_wait_depth",
-                         lambda p=pe: len(p.wait_queue),
-                         "tasks parked awaiting prefetch", pe=label)
-        registry.observe("repro_pe_run_depth",
-                         lambda p=pe: len(p.run_queue),
-                         "converse run-queue depth", pe=label)
-        registry.observe("repro_pe_busy_seconds", lambda p=pe: p.busy_time,
-                         "time executing entry methods", pe=label)
-        registry.observe("repro_pe_blocked_seconds",
-                         lambda p=pe: p.overhead_time,
-                         "time blocked in pre/post-processing", pe=label)
-        registry.observe("repro_pe_idle_seconds", lambda p=pe: p.idle_time,
-                         "scheduler time neither busy nor blocked", pe=label)
+        registry.observe("repro_pe_wait_depth", len,
+                         "tasks parked awaiting prefetch", of=pe.wait_queue,
+                         pe=label)
+        registry.observe("repro_pe_run_depth", len,
+                         "converse run-queue depth", of=pe.run_queue,
+                         pe=label)
+        registry.observe("repro_pe_busy_seconds", busy,
+                         "time executing entry methods", of=pe, pe=label)
+        registry.observe("repro_pe_blocked_seconds", blocked,
+                         "time blocked in pre/post-processing", of=pe,
+                         pe=label)
+        registry.observe("repro_pe_idle_seconds", idle,
+                         "scheduler time neither busy nor blocked", of=pe,
+                         pe=label)
     return registry

@@ -100,6 +100,25 @@ class Gauge(_Instrument):
         if value < self.low_water:
             self.low_water = value
 
+    def replay(self, times: _t.Iterable[float],
+               values: _t.Iterable[float]) -> None:
+        """:meth:`set` each value in order, the clock reading its time.
+
+        The same float operations in the same order, on locals: the
+        metrics fold replays a run's logged updates this way.
+        """
+        integral, since, current = self._integral, self._since, self.value
+        high, low = self.high_water, self.low_water
+        for now, value in zip(times, values):
+            integral += current * (now - since)
+            since, current = now, value
+            if value > high:
+                high = value
+            if value < low:
+                low = value
+        self._integral, self._since, self.value = integral, since, current
+        self.high_water, self.low_water = high, low
+
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
@@ -115,25 +134,55 @@ class Gauge(_Instrument):
         return (self._integral + self.value * (now - self._since)) / span
 
 
+def _call(fn: _t.Callable[[], float]) -> float:
+    return fn()
+
+
+#: ``of`` default of :class:`PolledGauge`: ``fn`` takes no argument
+_NO_ARG: _t.Any = object()
+
+
 class PolledGauge(Gauge):
     """Gauge backed by a callable, evaluated at snapshot/collect time.
 
     The zero-hot-path-cost way to track queue depths, tier occupancy and
     PE time accounting: nothing happens until the flight recorder (or an
-    exporter) calls :meth:`sample`.
+    exporter) calls :meth:`sample`.  It reads ``fn()``, or ``fn(of)``
+    when ``of`` is given: gauges over many objects can then share one
+    reader (``len``, an ``operator.attrgetter``) where a closure per
+    gauge would be one more object for the cyclic collector to walk.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "of")
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = (),
                  description: str = "", clock: Clock | None = None, *,
-                 fn: _t.Callable[[], float]):
+                 fn: _t.Callable[..., float], of: _t.Any = _NO_ARG):
         super().__init__(name, labels, description, clock=clock)
-        self.fn = fn
+        # stored as a one-argument reader and its argument
+        self.fn, self.of = (_call, fn) if of is _NO_ARG else (fn, of)
 
     def sample(self) -> float:
-        self.set(float(self.fn()))
+        self.set(float(self.fn(self.of)))
         return self.value
+
+
+def sample_polled(gauges: _t.Iterable[PolledGauge], now: float) -> None:
+    """:meth:`PolledGauge.sample` every gauge at one clock reading.
+
+    One pass over the gauges' state, with :meth:`Gauge.set`'s float
+    operations inlined: a flight-recorder snapshot samples every polled
+    gauge of the run.
+    """
+    for gauge in gauges:
+        value = float(gauge.fn(gauge.of))
+        gauge._integral += gauge.value * (now - gauge._since)
+        gauge._since = now
+        gauge.value = value
+        if value > gauge.high_water:
+            gauge.high_water = value
+        if value < gauge.low_water:
+            gauge.low_water = value
 
 
 class Histogram(_Instrument):
@@ -169,6 +218,21 @@ class Histogram(_Instrument):
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_all(self, values: _t.Iterable[float]) -> None:
+        """:meth:`observe` each value in order, on locals: the same
+        float operations, for the metrics fold's replay of a log."""
+        bounds, buckets = self.boundaries, self.bucket_counts
+        count, total, low, high = self.count, self.sum, self.min, self.max
+        for value in values:
+            buckets[bisect_left(bounds, value)] += 1
+            count += 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count, self.sum, self.min, self.max = count, total, low, high
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile by linear interpolation in-bucket.

@@ -14,8 +14,10 @@ The snapshot stream drives:
 * live run narration (``repro metrics --watch``) via the ``on_snapshot``
   callback, which receives each new snapshot and its predecessor.
 
-Call :meth:`stop` before an unbounded ``env.run()`` — the recorder
-process re-arms a timeout forever and would keep it spinning.
+The cadence timeouts are daemon timeouts
+(:meth:`~repro.sim.environment.Environment.daemon_timeout`): a run that
+would end, or deadlock, unobserved ends the same way with a recorder
+attached, at the same instant.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class FlightRecorder:
         return self
 
     def _main(self) -> _t.Generator:
+        # daemon ticks: the recorder never keeps a run going on its own
         while True:
-            yield self.env.timeout(self.cadence)
+            yield self.env.daemon_timeout(self.cadence)
             self.snapshot()
 
     def stop(self) -> None:

@@ -19,12 +19,15 @@ leak into the next one; the session is also a context manager.
 
 from __future__ import annotations
 
+import collections
 import typing as _t
+from itertools import compress
 
 from repro.metrics.bind import bind_built_runtime
+from repro.metrics.instruments import Counter, Gauge, Histogram
 from repro.metrics.recorder import FlightRecorder, OnSnapshot
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import Log, Tracer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import BuiltRuntime
@@ -94,51 +97,64 @@ class _ReplayClock:
 class _Fold:
     """Folds a recorder's log into the pushed instruments of a registry."""
 
-    def __init__(self, registry: MetricsRegistry, log: Tracer,
+    def __init__(self, registry: MetricsRegistry, tracer: Tracer,
                  clock: _ReplayClock):
-        self.registry, self.log, self.clock = registry, log, clock
-        #: how far each of the log's four lists has been folded
+        self.registry, self.tracer, self.clock = registry, tracer, clock
+        #: how far each of the log's four record kinds has been folded
         self._folded = (0, 0, 0, 0)
         #: record key -> the instrument(s) that record updates
         self._children: dict[tuple, _t.Any] = {}
 
     def collect(self) -> dict[str, float]:
         """Fold the records logged since the last call, then flatten."""
-        log = self.log
-        lists = (log.events, log.occupancy, log.moves, log.tallies)
-        done, self._folded = self._folded, tuple(map(len, lists))
-        events, occupancy, moves, tallies = (
-            records[start:] for records, start in zip(lists, done))
+        log = self.tracer.log
+        done, self._folded = self._folded, (
+            len(log.lane), len(log.occ_time), len(log.move_kind),
+            len(log.tally_kind))
+        # every histogram's latencies of this fold, in log order, and
+        # every counter's sum: counters add integers (event counts and
+        # byte sizes), so one inc(total) equals the per-record incs
+        latencies: dict[Histogram, list[float]] = collections.defaultdict(list)
+        adds: dict[Counter, int] = collections.defaultdict(int)
         try:
-            self._fold_intervals(events)
-            self._fold_moves(occupancy, moves)
+            self._fold_intervals(log, done[0], latencies, adds)
+            self._fold_moves(log, done[1], done[2], latencies, adds)
             children = self._children
-            for key in tallies:
-                if key not in children:
+            for key, n in collections.Counter(zip(
+                    log.tally_kind[done[3]:],
+                    log.tally_name[done[3]:])).items():
+                counter = children.get(key)
+                if counter is None:
                     family, description, label = _TALLIES[key[0]]
-                    children[key] = self.registry.counter(
+                    counter = children[key] = self.registry.counter(
                         family, description, **{label: key[1]})
-                children[key].inc()
+                adds[counter] += n
         finally:
             self.clock.at = None
+        for histogram, values in latencies.items():
+            histogram.observe_all(values)
+        for counter, total in adds.items():
+            counter.inc(total)
         return self.registry.flatten()
 
-    def _fold_intervals(self, events: list) -> None:
-        # indexed, not unpacked: unpacking a tuple subclass is the slow path
+    def _fold_intervals(self, log: Log, first: int,
+                        latencies: dict[Histogram, list[float]],
+                        adds: dict[Counter, int]) -> None:
         reg, children = self.registry, self._children
-        for ev in events:
-            nbytes, reason = ev[5], ev[6]
-            if nbytes is None:          # an execute or a queue op
-                continue
-            key = ("fetch", ev[0]) if reason is None else ("evict", reason)
+        lanes, starts, ends, reasons = log.lane, log.start, log.end, log.reason
+        nbytes = log.nbytes
+        # the fetches and evictions: the intervals that moved bytes
+        for row in compress(range(first, len(nbytes)), nbytes[first:]):
+            lane, reason = lanes[row], reasons[row]
+            key = ("fetch", lane) if reason is None else ("evict", reason)
             child = children.get(key)
             if child is None:
                 child = children[key] = (
                     (reg.counter("repro_fetched_bytes_total",
-                                 "bytes fetched into HBM", lane=ev[0]),
+                                 "bytes fetched into HBM", lane=lane),
                      reg.histogram("repro_fetch_latency_seconds",
                                    "reserve-to-resident fetch latency",
-                                   lane=ev[0]))
+                                   lane=lane))
                     if reason is None else
                     (reg.counter("repro_evicted_bytes_total",
                                  "bytes evicted to DDR by cause",
@@ -148,37 +164,52 @@ class _Fold:
                      reg.counter("repro_evictions_total",
                                  "blocks evicted to DDR by cause",
                                  reason=reason)))
-            child[0].inc(nbytes)
-            child[1].observe(ev[3] - ev[2])
+            adds[child[0]] += nbytes[row]
+            latencies[child[1]].append(ends[row] - starts[row])
             if reason is not None:
-                child[2].inc()
+                adds[child[2]] += 1
 
-    def _fold_moves(self, occupancy: list, moves: list) -> None:
-        reg, children, clock = self.registry, self._children, self.clock
+    def _gauge(self, key: str, when: float, name: str,
+               description: str) -> Gauge:
+        """The pushed gauge ``key``, made at ``when`` by its first record."""
+        gauge = self._children.get((key,))
+        if gauge is None:
+            self.clock.at = when
+            gauge = self._children[(key,)] = self.registry.gauge(
+                name, description)
+        return gauge
+
+    def _fold_moves(self, log: Log, first_sample: int, first_move: int,
+                    latencies: dict[Histogram, list[float]],
+                    adds: dict[Counter, int]) -> None:
         # HBM in use at the manager's occupancy-log points, so the
         # gauge's high-water mark agrees with occupancy_stats' peak
-        hbm = children.get(("hbm",))
-        for clock.at, used in occupancy:
-            if hbm is None:
-                hbm = children[("hbm",)] = reg.gauge(
-                    "repro_hbm_used_bytes",
-                    "HBM bytes in use at move completions")
-            hbm.set(used)
-        inflight = children.get(("inflight",))
-        for record in moves:
-            kind, clock.at = record[0], record[1]
-            if inflight is None:
-                inflight = children[("inflight",)] = reg.gauge(
-                    "repro_moves_inflight", "block moves currently in flight")
-            if kind == "start":
-                inflight.inc()
-                continue
-            inflight.dec()
-            src, dst = record[2], record[3]
-            if kind == "rollback":
-                reg.counter("repro_move_rollbacks_total",
-                            "moves rolled back on fragmented destination",
-                            src=src, dst=dst).inc()
+        times = log.occ_time[first_sample:]
+        if times:
+            self._gauge("hbm", times[0], "repro_hbm_used_bytes",
+                        "HBM bytes in use at move completions").replay(
+                times, log.occ_used[first_sample:])
+        times = log.move_time[first_move:]
+        if not times:
+            return
+        reg, children = self.registry, self._children
+        inflight = self._gauge("inflight", times[0], "repro_moves_inflight",
+                               "block moves currently in flight")
+        # the in-flight count after each record, as inc() and dec() step it
+        level, levels = inflight.value, []
+        for kind in log.move_kind[first_move:]:
+            level = level + 1.0 if kind == "start" else level - 1.0
+            levels.append(level)
+        inflight.replay(times, levels)
+        # the rollbacks and the ends: the records that name their devices
+        srcs, dsts, nbytes = log.move_src, log.move_dst, log.move_nbytes
+        for row in compress(range(first_move, len(srcs)), srcs[first_move:]):
+            src, dst, moved = srcs[row], dsts[row], nbytes[row]
+            if moved is None:
+                adds[reg.counter(
+                    "repro_move_rollbacks_total",
+                    "moves rolled back on fragmented destination",
+                    src=src, dst=dst)] += 1
                 continue
             child = children.get(("move", src, dst))
             if child is None:
@@ -190,6 +221,7 @@ class _Fold:
                     reg.histogram("repro_move_latency_seconds",
                                   "end-to-end alloc+copy+free move latency",
                                   src=src, dst=dst))
-            child[0].inc()
-            child[1].inc(record[4])
-            child[2].observe(record[1] - record[5])
+            adds[child[0]] += 1
+            adds[child[1]] += moved
+            latencies[child[2]].append(log.move_time[row]
+                                       - log.move_started[row])

@@ -2,11 +2,12 @@
 
 Four layers, each consuming the one below:
 
-* :mod:`repro.obs.spans` — :class:`SpanTracer` is the Projections
-  interval recorder (:class:`repro.trace.Tracer`) plus a causal layer:
-  each execute/fetch/evict/queue-op interval is logged once, beside a
-  small causal record, and the span DAG is joined from the two when
-  read, with each message's source stamped where it is created
+* :mod:`repro.obs.spans` — :class:`SpanTracer` is a causal layer over
+  the Projections interval recorder (:class:`repro.trace.Tracer`): each
+  execute/fetch/evict/queue-op interval is logged once, and the recorder
+  closes a small causal row beside it in the same call; the span DAG is
+  joined from the two when read, with each message's source stamped
+  where it is created
   (``on_send``, and ``on_reduce`` for driver code between reductions);
   it subscribes to no sim-core point, so the drain loop stays fused;
 * :mod:`repro.obs.critpath` — :func:`critical_path` walks a finished

@@ -11,7 +11,10 @@ groups of probe points:
   inline entry body of :func:`repro.runtime.converse.converse_scheduler`),
   block fetch/evict (:class:`repro.core.strategies.base.Strategy`) and
   queue-lock charges
-  (:meth:`repro.core.manager.OOCManager.charge_queue_op`);
+  (:meth:`repro.core.manager.OOCManager.charge_queue_op`).  The tracer
+  subscribes to the begin and ``on_serve`` only: at each interval point
+  the recorder logs the interval and closes the tracer's causal row
+  (:class:`repro.trace.tracer.CausalLog`) in the same call;
 * the **source points** stamp causality where it is created:
   ``on_send`` when :meth:`~repro.runtime.runtime.CharmRuntime.send`
   builds a message and ``on_reduce`` when a
@@ -40,12 +43,11 @@ full edge set for Perfetto flow arrows and the critical-path walk.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing as _t
 
 from repro import hooks as _probe
 from repro.trace.events import TraceCategory
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import CausalLog, Tracer
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -81,48 +83,43 @@ class SpanTracer:
     application (next to racesan, simsan or metrics if they are on), run
     the application, then :meth:`uninstall` and read :attr:`spans`.
     Installing holds the run's recorder (:attr:`tracer`), installing one
-    if none is subscribed; the span tracer keeps one causal record per
-    interval logged after that, and :attr:`spans` joins the two.
+    if none is subscribed, and attaches this layer's :attr:`causal` log
+    to it: the recorder closes one causal row per interval it logs after
+    that, and :attr:`spans` joins the two.
     """
 
     def __init__(self, env: _t.Any):
         self.env = env
         #: the run's recorder, shared with every other view
         self.tracer = Tracer(env)
+        #: the causal rows the recorder closes, and the state this
+        #: layer's probe points keep for it
+        self.causal = CausalLog()
         #: how many intervals the log held at install
         self._offset = 0
-        #: one per interval logged since install: ``(sid, causes, tid,
-        #: block)``, or None for an execute end with no matching begin
-        #: (installed mid-run), which gets no span
-        self._causal: list[tuple[_t.Any, ...] | None] = []
-        #: how many causal records ``_spans`` has been built from
+        #: how many causal rows ``_spans`` has been built from
         self._built = 0
         self._spans: list[Span] = []
         self._by_sid: dict[int, Span] = {}
-        #: span ids, in begin order for executes and close order otherwise
-        self._new_sid = itertools.count().__next__
-        #: process -> (sid, causes) of the execute span open on it
-        self._open: dict[_t.Any, tuple[int, tuple[int, ...]]] = {}
         #: message -> source span id, stamped at send
         self._item_src: dict[_t.Any, int] = {}
         #: the span that completed the latest reduction (driver sends)
         self._reduce_src: int | None = None
-        #: lane -> origin span id for the next fetch of the served task
-        self._serve_origin: dict[str, int] = {}
-        #: lane -> tid of the task the lane is currently serving
-        self._lane_task: dict[str, int | None] = {}
-        #: id(block) -> span id of the move that (last) made it resident
-        self._block_fetch: dict[int, int] = {}
 
     def install(self) -> "SpanTracer":
-        self.tracer.install()
-        self._offset = len(self.tracer.events) - len(self._causal)
+        self.tracer.install(causal=self.causal)
+        self._offset = len(self.tracer.log) - len(self.causal.sid)
         _probe.subscribe(self)
         return self
 
     def uninstall(self) -> None:
+        """Detach from the recorder and drop the open execute spans and
+        unconsumed message sources, so no process or message of the
+        finished run stays reachable from here."""
         _probe.unsubscribe(self)
         self.tracer.uninstall()
+        self.causal.open.clear()
+        self._item_src.clear()
 
     # -- the span DAG: the log joined with the causal records -------------
 
@@ -135,30 +132,44 @@ class SpanTracer:
     def _build(self) -> None:
         # Built in close order, a cause with no span yet is one that was
         # still open when its effect closed: it finishes last, so it is
-        # the primary parent; otherwise the latest-ending cause is.
+        # the primary parent; otherwise the latest-ending cause is.  A
+        # lone cause is the parent either way.
         spans, by_sid, first = self._spans, self._by_sid, self._built
-        for record, event in zip(self._causal[first:],
-                                 self.tracer.events[self._offset + first:]):
-            if record is None:
+        log, causal = self.tracer.log, self.causal
+        row = self._offset + first
+        cause_ids = causal.cause_ids
+        low = causal.cause_end[first - 1] if first else 0
+        for sid, tid, block, high, lane, category, start, end, label, \
+                reason in zip(causal.sid[first:], causal.tid[first:],
+                              causal.block[first:], causal.cause_end[first:],
+                              log.lane[row:], log.category[row:],
+                              log.start[row:], log.end[row:],
+                              log.label[row:], log.reason[row:]):
+            if high == low:
+                causes, parent = (), None
+            elif high == low + 1:
+                parent = cause_ids[low]
+                causes = (parent,)
+            else:
+                causes = tuple(cause_ids[low:high])
+                parent, best = None, -1.0
+                for cause in causes:
+                    done = by_sid.get(cause)
+                    if done is None:
+                        parent = cause
+                        break
+                    if done.end >= best:
+                        best, parent = done.end, cause
+            low = high
+            if sid < 0:
                 continue
-            sid, causes, tid, block = record
-            lane, category, start, end, label, _, reason = event
-            parent: int | None = None
-            best = -1.0
-            for cause in causes:
-                done = by_sid.get(cause)
-                if done is None:
-                    parent = cause
-                    break
-                if done.end >= best:
-                    best, parent = done.end, cause
             if reason is not None:
                 label = f"{label} [{reason}]"
             span = Span(sid, lane, category, start, end, label, causes,
                         parent, tid, block)
             spans.append(span)
             by_sid[sid] = span
-        self._built = len(self._causal)
+        self._built = len(causal.sid)
 
     # -- causal sources: stamped where messages and reductions happen ------
 
@@ -167,56 +178,33 @@ class SpanTracer:
         if process is None:
             src = self._reduce_src
         else:
-            opened = self._open.get(process)
+            opened = self.causal.open.get(process)
             src = None if opened is None else opened[0]
         if src is not None:
             self._item_src[message] = src
 
     def on_reduce(self, reducer: _t.Any) -> None:
-        opened = self._open.get(self.env.active_process)
+        opened = self.causal.open.get(self.env.active_process)
         self._reduce_src = None if opened is None else opened[0]
 
-    # -- span points: the causal record of each logged interval ------------
+    # -- span points: where a span opens or its task is known -------------
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
-        causes: list[int] = []
+        causal = self.causal
         src = self._item_src.pop(message, None)
-        if src is not None:
-            causes.append(src)
+        causes = [] if src is None else [src]
         if task is not None:
+            block_fetch = causal.block_fetch
             for block in task.blocks:
-                fetched = self._block_fetch.get(id(block))
+                fetched = block_fetch.get(id(block))
                 if fetched is not None and fetched not in causes:
                     causes.append(fetched)
-        self._open[self.env.active_process] = (self._new_sid(),
-                                               tuple(causes))
-
-    def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
-                       started: float, now: float, label: str) -> None:
-        opened = self._open.pop(self.env.active_process, None)
-        self._causal.append(
-            None if opened is None else
-            (*opened, None if task is None else task.tid, ""))
+        causal.open[self.env.active_process] = (causal.new_sid(), causes)
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
-        self._lane_task[lane] = task.tid
+        causal = self.causal
+        causal.lane_task[lane] = task.tid
         src = self._item_src.get(task.message)
         if src is not None:
-            self._serve_origin[lane] = src
-
-    def on_fetch(self, block: _t.Any, lane: str, category: TraceCategory,
-                 started: float, now: float) -> None:
-        origin = self._serve_origin.pop(lane, None)
-        sid = self._new_sid()
-        self._causal.append((sid, () if origin is None else (origin,),
-                             self._lane_task.get(lane), block.name))
-        self._block_fetch[id(block)] = sid
-
-    def on_evict(self, block: _t.Any, lane: str, category: TraceCategory,
-                 started: float, now: float, reason: str) -> None:
-        self._causal.append((self._new_sid(), (), self._lane_task.get(lane),
-                             block.name))
-
-    def on_queue_op(self, lane: str, started: float, now: float) -> None:
-        self._causal.append((self._new_sid(), (), None, ""))
+            causal.serve_origin[lane] = src

@@ -88,7 +88,7 @@ class Environment:
 
     __slots__ = ("_now", "_times", "_buckets", "_urgent_buckets",
                  "_agenda_urgent", "_agenda_normal", "_keyed",
-                 "_live", "_dead", "_active", "_tie_break",
+                 "_live", "_dead", "_daemons", "_active", "_tie_break",
                  "_tcache_t", "_tcache", "active_process")
 
     def __init__(self):
@@ -117,6 +117,8 @@ class Environment:
         self._live = 0
         #: number of cancelled entries still parked in the structures
         self._dead = 0
+        #: how many of the live entries are daemon timeouts
+        self._daemons = 0
         #: live processes, for deadlock diagnostics
         self._active: dict[int, "Process"] = {}
         #: the process whose generator is running right now, else None
@@ -183,6 +185,21 @@ class Environment:
         if _probe.on_scheduled is not None:
             _probe.on_scheduled(ev)
         return ev
+
+    def daemon_timeout(self, delay: float) -> Timeout:
+        """A timeout that does not keep a run going.
+
+        ``run()`` and ``run(until=<Event>)`` end, as if the queue were
+        dry, once only daemon timeouts are pending at later instants: a
+        periodic observer (the metrics flight recorder) then cannot keep
+        a finished or deadlocked run alive, and the run ends at the
+        instant and with the ``DeadlockError`` it has unobserved.  A run
+        to a deadline processes them as any other timeout.
+        """
+        return _DaemonTimeout(self, delay)
+
+    def _daemon_fired(self, event: Event) -> None:
+        self._daemons -= 1
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -272,6 +289,8 @@ class Environment:
         event._cancelled = True
         self._live -= 1
         self._dead += 1
+        if type(event) is _DaemonTimeout:
+            self._daemons -= 1
         if self._dead > _COMPACT_MIN_DEAD and self._dead > self._live:
             self._compact()
         return True
@@ -453,7 +472,7 @@ class Environment:
         self._keyed.clear()
         self._tcache_t = -1.0
         self._tcache = None
-        self._live = self._dead = 0
+        self._live = self._dead = self._daemons = 0
         self.active_process = None
 
     # -- diagnostics ----------------------------------------------------------
@@ -471,3 +490,15 @@ class Environment:
 
     def __repr__(self) -> str:
         return f"<Environment t={self._now:g} pending={self._live}>"
+
+
+class _DaemonTimeout(Timeout):
+    """A timeout counted in ``Environment._daemons`` while it is live
+    (:meth:`Environment.daemon_timeout`)."""
+
+    __slots__ = ()
+
+    def __init__(self, env: Environment, delay: float):
+        super().__init__(env, delay)
+        env._daemons += 1
+        self._cb0 = env._daemon_fired

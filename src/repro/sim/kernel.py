@@ -36,6 +36,10 @@ holds the plain stepper both are tested against.
   other points fire the same on both paths.  The check is made once per
   batch, so an observer subscribed mid-batch takes over at the next
   batch.
+* **Daemons.** Without a deadline, both loops stop as if the queue
+  were dry when the clock would advance and every live entry left is a
+  daemon timeout (:meth:`Environment.daemon_timeout`).  Both loops
+  check this, and the deadline, once per instant.
 * **Accounting.** ``env._live`` counts every scheduled, uncancelled
   entry.  Scheduling increments it, :meth:`Environment.cancel`
   decrements it, and the loop subtracts the events it processed once per
@@ -100,9 +104,12 @@ def drain(env: "Environment", target: "Event | None" = None,
             batch = env._agenda_normal
             if batch:
                 env._agenda_normal = spare
-            elif advance(deadline):
+            elif ((env._live > env._daemons or deadline < _INF)
+                  and advance(deadline)):
                 continue
             else:
+                # dry, past the deadline, or (deadline-free) only daemon
+                # timeouts are left
                 if env._live and not env._times:  # pragma: no cover
                     raise SimulationError(
                         f"{env._live} live entr(ies) unreachable by "
@@ -187,6 +194,7 @@ def drain_keyed(env: "Environment", target: "Event | None" = None,
     process_t = _process_type()
     pending = PENDING
     heap = env._keyed
+    now = env._now
     done = 0
     try:
         while heap:
@@ -196,10 +204,14 @@ def drain_keyed(env: "Environment", target: "Event | None" = None,
                 env._dead -= 1
                 continue
             when = entry[0]
-            if when > deadline:
-                _heappush(heap, entry)
-                return
-            env._now = when
+            if when > now:
+                if when > deadline or (
+                        env._daemons and deadline == _INF
+                        and env._live - done <= env._daemons):
+                    # past the deadline, or only daemon timeouts are left
+                    _heappush(heap, entry)
+                    return
+                env._now = now = when
             done += 1
             event._processed = True
             callback = event._cb0

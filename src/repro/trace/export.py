@@ -87,17 +87,19 @@ def to_json(tracer: Tracer, *, indent: int | None = None,
     the causal span slices and their flow arrows (see
     :func:`span_events`).
     """
+    log = tracer.log
     records: list[dict[str, _t.Any]] = [
         {
-            "name": ev.label or ev.category.value,
-            "cat": ev.category.value,
+            "name": label or category.value,
+            "cat": category.value,
             "ph": "X",
             "pid": 0,
-            "tid": ev.lane,
-            "ts": ev.start * 1e6,
-            "dur": ev.duration * 1e6,
+            "tid": lane,
+            "ts": start * 1e6,
+            "dur": (end - start) * 1e6,
         }
-        for ev in tracer.events
+        for lane, category, start, end, label in zip(
+            log.lane, log.category, log.start, log.end, log.label)
     ]
     if counters:
         for name in sorted(counters):

@@ -57,15 +57,15 @@ class PETimeline:
         return (self.idle + self.overhead) / self.window
 
 
-_CATEGORY_FIELDS = {
-    TraceCategory.EXECUTE: "execute",
-    TraceCategory.PREPROCESS_FETCH: "preprocess_fetch",
-    TraceCategory.POSTPROCESS_EVICT: "postprocess_evict",
-    TraceCategory.IO_FETCH: "io_fetch",
-    TraceCategory.IO_EVICT: "io_evict",
-    TraceCategory.LOCK_WAIT: "lock_wait",
-    TraceCategory.SCHEDULING: "scheduling",
-}
+#: each category's position among the :class:`PETimeline` fields after
+#: ``window`` (``execute`` .. ``scheduling``)
+_CATEGORY_INDEX = {category: i for i, category in enumerate((
+    TraceCategory.EXECUTE, TraceCategory.PREPROCESS_FETCH,
+    TraceCategory.POSTPROCESS_EVICT, TraceCategory.IO_FETCH,
+    TraceCategory.IO_EVICT, TraceCategory.LOCK_WAIT,
+    TraceCategory.SCHEDULING))}
+_EXECUTE = TraceCategory.EXECUTE
+_SCHEDULING = TraceCategory.SCHEDULING
 
 
 @dataclasses.dataclass
@@ -107,12 +107,25 @@ class ProjectionsReport:
 def build_report(tracer: Tracer) -> ProjectionsReport:
     """Aggregate a tracer's events over ``[0, last event end]`` into a
     report."""
-    window = max((ev.end for ev in tracer.events), default=0.0)
-    lanes: dict[str, PETimeline] = {}
-    for ev in tracer.events:
-        if ev.end <= ev.start:
+    log = tracer.log
+    window = max(log.end, default=0.0)
+    # per lane, one running sum per category in field order; each adds
+    # its durations in log order, as the timeline fields would
+    sums: dict[str, list[float]] = {}
+    for lane, category, start, end in zip(log.lane, log.category, log.start,
+                                          log.end):
+        if end <= start:
             continue
-        tl = lanes.setdefault(ev.lane, PETimeline(lane=ev.lane, window=window))
-        field = _CATEGORY_FIELDS[ev.category]
-        setattr(tl, field, getattr(tl, field) + (ev.end - ev.start))
+        acc = sums.get(lane)
+        if acc is None:
+            acc = sums[lane] = [0.0] * len(_CATEGORY_INDEX)
+        # the two common categories skip the enum's Python-level hash
+        if category is _EXECUTE:
+            acc[0] += end - start
+        elif category is _SCHEDULING:
+            acc[6] += end - start
+        else:
+            acc[_CATEGORY_INDEX[category]] += end - start
+    lanes = {lane: PETimeline(lane, window, *acc)
+             for lane, acc in sums.items()}
     return ProjectionsReport(window=window, lanes=lanes)

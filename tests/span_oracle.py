@@ -14,8 +14,9 @@ getter parked in ``run_queue.get()`` is never buffered, so no
 ``on_handoff_put`` fires for it.  :meth:`EventThreadedSpanTracer.on_resume`
 sources such a message from the getter event's own source instead.
 
-It shares :class:`SpanTracer`'s span construction, fetch/evict/queue-op
-points and queries, and replaces only the causal-source bookkeeping.
+It shares :class:`SpanTracer`'s span construction, the causal records
+the recorder closes and the queries, and replaces only the causal-source
+bookkeeping.
 Subscribe it next to a :class:`SpanTracer` in one run and compare
 ``spans`` (and the critical path) for equality.
 """
@@ -46,8 +47,6 @@ class EventThreadedSpanTracer(SpanTracer):
         self._event_snap: int | None = None
         #: actor name -> its currently-open execute span id
         self._open_by_actor: dict[str, int] = {}
-        #: actor name -> (sid, causes) of the open execute span
-        self._pending_exec: dict[str, tuple[int, tuple[int, ...]]] = {}
         #: id(queued item) -> source span id (put->get handoff edge)
         self._src_by_id: dict[int, int] = {}
 
@@ -102,32 +101,29 @@ class EventThreadedSpanTracer(SpanTracer):
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
-        sid = self._new_sid()
+        causal = self.causal
+        sid = causal.new_sid()
         causes: list[int] = []
         src = self._src_by_id.pop(id(message), None)
         if src is not None:
             causes.append(src)
         if task is not None:
             for block in task.blocks:
-                fetched = self._block_fetch.get(id(block))
+                fetched = causal.block_fetch.get(id(block))
                 if fetched is not None and fetched not in causes:
                     causes.append(fetched)
-        actor = f"converse-pe{pe_id}"
-        self._open_by_actor[actor] = sid
-        self._pending_exec[actor] = (sid, tuple(causes))
+        self._open_by_actor[f"converse-pe{pe_id}"] = sid
+        # the recorder closes the span from here, keyed as it keys it
+        causal.open[self.env.active_process] = (sid, causes)
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
-        actor = f"converse-pe{pe_id}"
-        pending = self._pending_exec.pop(actor, None)
-        self._open_by_actor.pop(actor, None)
-        if pending is not None:
-            # hand the span to the shipped close path, keyed as it keys it
-            self._open[self.env.active_process] = pending
-        super().on_execute_end(pe_id, message, task, started, now, label)
+        # the recorder closes the span; the actor's context ends here
+        self._open_by_actor.pop(f"converse-pe{pe_id}", None)
 
     def on_serve(self, task: _t.Any, lane: str) -> None:
-        self._lane_task[lane] = task.tid
+        causal = self.causal
+        causal.lane_task[lane] = task.tid
         src = self._src_by_id.get(id(task.message))
         if src is not None:
-            self._serve_origin[lane] = src
+            causal.serve_origin[lane] = src

@@ -115,6 +115,10 @@ CASES = [
     ("lint-select", ["lint", "repro.apps", "--select", "BOGUS"], "BOGUS"),
     ("lint-select-first", ["lint", "--select", "BOGUS", "repro.apps"],
      "BOGUS"),
+    # a lint run needs a target, and every target must exist
+    ("lint-no-targets", ["lint"], "no targets"),
+    ("lint-target", ["lint", "no.such.module.anywhere"],
+     "no.such.module.anywhere"),
     ("trend-out", ["trend", "render", "-o", "no-such-dir/t.html"],
      "no-such-dir/t.html"),
     ("report-out", ["report", "--figures", "fig2", "-o", "no-such-dir/r.html"],

@@ -38,7 +38,9 @@ class TestLintCommand:
 
     def test_unknown_target_exits_two(self, capsys):
         assert main(["lint", "no.such.module.anywhere"]) == 2
-        assert "lint:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: lint: ")
+        assert "no.such.module.anywhere" in err
 
     def test_no_targets_exits_two(self, capsys):
         assert main(["lint"]) == 2

@@ -12,11 +12,18 @@ from repro.trace.render import render_usage_bars
 from repro.trace.tracer import Tracer
 
 
+def _log(tracer, events):
+    """Append ready-made intervals to the tracer's column log."""
+    for event in events:
+        for column, value in zip(TraceEvent._fields, event):
+            getattr(tracer.log, column).append(value)
+
+
 @pytest.fixture
 def tracer():
     env = Environment()
     t = Tracer(env)
-    t.events.extend([
+    _log(t, [
         TraceEvent("pe0", TraceCategory.EXECUTE, 0.0, 4.0, "kernel-a"),
         TraceEvent("pe0", TraceCategory.PREPROCESS_FETCH, 4.0, 5.0, "fetch-a"),
         TraceEvent("pe1", TraceCategory.EXECUTE, 1.0, 2.0, "kernel-b"),

@@ -18,10 +18,17 @@ from repro.trace.export import span_events, to_json
 from repro.trace.tracer import Tracer
 
 
+def _log(tracer, events):
+    """Append ready-made intervals to the tracer's column log."""
+    for event in events:
+        for column, value in zip(TraceEvent._fields, event):
+            getattr(tracer.log, column).append(value)
+
+
 @pytest.fixture
 def tracer():
     t = Tracer(Environment())
-    t.events.extend([
+    _log(t, [
         TraceEvent("pe0", TraceCategory.EXECUTE, 0.0, 0.004, "stencil.sweep"),
         TraceEvent("io0", TraceCategory.IO_FETCH, 0.001, 0.003, "fetch b3"),
         TraceEvent("io0", TraceCategory.IO_EVICT, 0.003, 0.0035, "evict b1"),

@@ -64,7 +64,7 @@ def test_intervals_match_the_span_tracer(strategy):
     finally:
         tracer.uninstall()
         spans.uninstall()
-    assert tracer.events is spans.tracer.events
+    assert tracer.log is spans.tracer.log
     for categories in (EXECUTE, FETCH, EVICT, QUEUE_OP):
         mine = _intervals(tracer.events, categories)
         assert mine, f"the run produced no {categories} intervals"
@@ -82,23 +82,27 @@ def test_one_recorder_per_environment():
     spans = SpanTracer(env).install()
     tracer = Tracer(env).install()
     try:
-        # the plain tracer reads the span tracer's recorder: its interval
-        # points fan out to the recorder and the causal layer only
-        assert probe.on_execute_end.__name__ == "fan_out"
+        # the plain tracer reads the span tracer's recorder, which closes
+        # the causal record itself: no interval point is a fan-out
+        assert probe.on_execute_end == spans.tracer.on_execute_end
+        assert probe.on_fetch == spans.tracer.on_fetch
         assert probe.on_move_end == spans.tracer.on_move_end
         assert probe.on_send == spans.on_send
-        assert tracer.events is spans.tracer.events
-        assert tracer.occupancy is spans.tracer.occupancy
+        assert spans.tracer._causal == (spans.causal,)
+        assert tracer.log is spans.tracer.log
         second = Tracer(env).install()
-        assert second.events is spans.tracer.events
+        assert second.log is spans.tracer.log
         second.uninstall()
         # a second span tracer is a second causal layer over the same log
         other = SpanTracer(env).install()
-        assert other.tracer.events is spans.tracer.events
+        assert other.tracer.log is spans.tracer.log
+        assert spans.tracer._causal == (spans.causal, other.causal)
         other.uninstall()
+        assert spans.tracer._causal == (spans.causal,)
         # releasing the span tracer keeps the recorder for the reader
         spans.uninstall()
         assert probe.on_execute_end == spans.tracer.on_execute_end
+        assert spans.tracer._causal == ()
         assert probe.on_send is None
     finally:
         tracer.uninstall()
@@ -140,19 +144,89 @@ def test_one_log_per_run_in_cli_order():
     alone, _, _ = _stencil_run(observed=False)
     tracer, spans, session = _stencil_run(observed=True)
     log = session.tracer
-    for name in ("events", "occupancy", "moves", "tallies"):
-        assert getattr(tracer, name) is getattr(log, name), name
-        assert getattr(spans.tracer, name) is getattr(log, name), name
+    assert tracer.log is log.log and spans.tracer.log is log.log
     assert tracer.events == alone.events
-    assert len(tracer.moves) == len(alone.moves) > 0
+    assert list(tracer.log.move_kind) == list(alone.log.move_kind)
+    assert len(tracer.log.move_kind) > 0
     assert len(spans.spans) == len(tracer.events)
     # metrics folded the same log the other views read
-    ends = sum(1 for record in log.moves if record[0] == "end")
+    ends = log.log.move_kind.count("end")
     assert session.registry.total("repro_moves_total") == ends
     fetched = sum(ev.nbytes for ev in log.events
                   if ev.nbytes is not None and ev.reason is None)
     assert session.registry.total("repro_fetched_bytes_total") == fetched
     assert _all_points_unbound()
+
+
+def test_no_point_fans_out_under_every_view():
+    """Projections, spans and metrics on one run: each bound point is one
+    subscriber's bound method, never a fan-out."""
+    from repro.metrics import MetricsSession
+
+    built = OOCRuntimeBuilder("multi-io", cores=8, mcdram_capacity=128 * MiB,
+                              ddr_capacity=GiB).build()
+    session = MetricsSession(built, app="stencil")
+    spans = SpanTracer(built.env).install()
+    tracer = Tracer(built.env).install()
+    try:
+        bound = {point: getattr(probe, point) for point in probe.CATALOGUE
+                 if getattr(probe, point) is not None}
+        assert {"on_execute_end", "on_fetch", "on_evict", "on_queue_op",
+                "on_send", "on_execute_begin"} <= set(bound)
+        for point, method in bound.items():
+            assert getattr(method, "__self__", None) in (
+                session.tracer, spans), point
+    finally:
+        tracer.uninstall()
+        spans.uninstall()
+        session.finish()
+    assert _all_points_unbound()
+
+
+def _observed_objects(iterations):
+    """GC-tracked objects alive after a traced stencil run, with and
+    without metrics and spans installed, and the intervals it logged."""
+    import gc
+
+    from repro.metrics import MetricsSession
+
+    alive = []
+    for observed in (False, True):
+        built = OOCRuntimeBuilder("multi-io", cores=8,
+                                  mcdram_capacity=128 * MiB,
+                                  ddr_capacity=GiB).build()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            session = (MetricsSession(built, app="stencil") if observed
+                       else None)
+            spans = SpanTracer(built.env).install() if observed else None
+            tracer = Tracer(built.env).install()
+            try:
+                Stencil3D(built, StencilConfig(
+                    total_bytes=256 * MiB, block_bytes=16 * MiB,
+                    iterations=iterations)).run()
+                alive.append(len(gc.get_objects()) - before)
+            finally:
+                tracer.uninstall()
+                if spans is not None:
+                    spans.uninstall()
+                if session is not None:
+                    session.finish()
+        finally:
+            gc.enable()
+    return alive[1] - alive[0], len(tracer)
+
+
+def test_observers_keep_no_object_per_logged_interval():
+    """The log and the causal rows are columns: a longer run adds fewer
+    than one tracked object per 10 intervals it logs."""
+    short_objects, short_intervals = _observed_objects(iterations=1)
+    long_objects, long_intervals = _observed_objects(iterations=4)
+    assert long_intervals - short_intervals > 400
+    assert (long_objects - short_objects) * 10 < \
+        long_intervals - short_intervals
 
 
 class _Recording(Tracer):
