@@ -41,7 +41,7 @@ def cache_mode_time(total, block):
     bytes_per_iter = 2 * total * cfg.sweep_traffic_factor
     kernel_time = node.mcdram_cache.sweep_time(total, bytes_per_iter * 5)
     compute_floor = (cfg.flops_per_task * cfg.n_chares * 5
-                     / (node.config.core_flops * len(node.cores)))
+                     / (node.config.core_flops * node.config.cores))
     return max(kernel_time, compute_floor)
 
 

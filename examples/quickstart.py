@@ -27,9 +27,9 @@ class Compute(Chare):
     @entry(prefetch=True, readwrite=["A"], writeonly=["B"])
     def compute_kernel(self, reducer):
         # The runtime guarantees A and B are in HBM when this body runs.
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=2e9, reads=[self.A], writes=[self.A, self.B])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 def main():

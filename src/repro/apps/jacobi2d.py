@@ -81,7 +81,7 @@ class JacobiChare(Chare):
     def sweep(self, neighbours: dict, reducer: Reducer) -> _t.Generator:
         """One Jacobi sweep: simulated time + functional coarse update."""
         cfg = self.config
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=cfg.flops_per_task, reads=[self.u], writes=[self.u])
         # Functional part: 5-point average on the coarse mirror with ghost
         # columns/rows taken from neighbour mirrors (previous iterate).
@@ -102,7 +102,7 @@ class JacobiChare(Chare):
                       + padded[1:-1, :-2] + padded[1:-1, 2:])
         residual = float(np.max(np.abs(new - old)))
         self.u.payload = new
-        reducer.contribute((residual, result.duration))
+        reducer.contribute((residual, duration))
 
 
 class Jacobi2D:

@@ -157,7 +157,7 @@ class MatMulChare(Chare):
     def multiply(self, reducer: Reducer) -> _t.Generator:
         """``cblas_dgemm`` over the panels (the ``[prefetch]`` task)."""
         cfg: MatMulConfig = self.array.app_config  # type: ignore[union-attr]
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=cfg.flops_per_task,
             reads=[self.A, self.B], writes=[self.C],
             traffic_scale=cfg.mkl_pack_factor)
@@ -167,13 +167,11 @@ class MatMulChare(Chare):
             scratch = cfg.task_bytes * cfg.mkl_scratch_fraction
             machine = self.runtime.machine  # type: ignore[union-attr]
             extra = yield from machine.run_kernel(
-                self.runtime.pes[getattr(self, "_exec_pe_id", self.pe_id)].core,
-                flops=0.0,
-                traffic={machine.ddr: (scratch / 2, scratch / 2)})
-            self._kernel_time += extra.duration
-        self._kernel_time += result.duration
+                0.0, {machine.ddr: (scratch / 2, scratch / 2)})
+            self._kernel_time += extra
+        self._kernel_time += duration
         self._tasks_done += 1
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 class MatMul:

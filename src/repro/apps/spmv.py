@@ -134,11 +134,11 @@ class SpMVChare(Chare):
     @entry(prefetch=True, readonly=["A", "x_blocks"], writeonly=["y"])
     def multiply(self, reducer: Reducer) -> _t.Generator:
         cfg: SpMVConfig = self.array.app_config  # type: ignore[union-attr]
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=cfg.flops_per_task,
             reads=[self.A] + list(self.x_blocks), writes=[self.y])
         self._tasks_done += 1
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 class SpMV:

@@ -169,12 +169,12 @@ class StencilChare(Chare):
     def compute_kernel(self, reducer: Reducer) -> _t.Generator:
         """The ``[prefetch]``-annotated bandwidth-sensitive task."""
         cfg: StencilConfig = self.array.app_config  # type: ignore[union-attr]
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=cfg.flops_per_task, reads=[self.grid], writes=[self.grid],
             traffic_scale=cfg.sweep_traffic_factor)
-        self._kernel_time += result.duration
+        self._kernel_time += duration
         self._tasks_done += 1
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 class Stencil3D:

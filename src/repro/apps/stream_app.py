@@ -68,9 +68,9 @@ class StreamChare(Chare):
         cfg: StreamAppConfig = self.array.app_config  # type: ignore[union-attr]
         reads, writes = STREAM_KERNELS[cfg.kernel]
         read_blocks = [self.b, self.c][:reads]
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=0.0, reads=read_blocks, writes=[self.a])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 class StreamApp:

@@ -508,8 +508,18 @@ def _cmd_app(args: argparse.Namespace) -> int:
     spans = _start_spans(args, built)
     window_start = built.env.now
     occupancy = report and app == "stencil"
-    with _projections(args, built, always=occupancy) as tracer:
-        result = entry.cls(built, cfg).run()
+    try:
+        with _projections(args, built, always=occupancy) as tracer:
+            result = entry.cls(built, cfg).run()
+    except BaseException:
+        # a run that raised (say, a working set no device can hold) must
+        # not leave its observers subscribed in the caller's process
+        if metrics is not None:
+            metrics.finish()
+        for observer in (spans, racesan, sanitizer):
+            if observer is not None:
+                observer.uninstall()
+        raise
     if report:
         print(f"strategy        : {args.strategy}")
         for line in _HEADERS[app](cfg, result):

@@ -2,7 +2,7 @@
 
 Defaults are calibrated to the paper's testbed: a Stampede 2.0 Intel Xeon
 Phi Knights Landing node in Flat / All-to-All mode — 68 cores (64 used),
-4-way SMT, 16 GB MCDRAM at >4x the bandwidth of 96 GB DDR4 (§III-B, §V).
+16 GB MCDRAM at >4x the bandwidth of 96 GB DDR4 (§III-B, §V).
 
 Bandwidth numbers are *effective STREAM-class* bandwidths, because the
 fluid model equates a device port's capacity with what concurrent streaming
@@ -100,9 +100,8 @@ class MachineConfig:
     """Static description of a many-core node with heterogeneous memory."""
 
     name: str = "knl"
+    #: worker cores, one PE each (KNL has 68; the paper uses 64)
     cores: int = 64
-    tiles: int = 34
-    smt: int = 4
     #: peak double-precision rate per core, FLOP/s (AVX-512 dgemm-class)
     core_flops: float = 35e9
     #: memory bandwidth a single core can extract, B/s
@@ -112,22 +111,14 @@ class MachineConfig:
     #: in the few-GB/s range; this is why one IO thread cannot feed 64 PEs)
     copy_bandwidth: float = 5e9
     devices: tuple[DeviceConfig, ...] = (KNL_DDR4, KNL_MCDRAM)
-    memory_mode: MemoryMode = MemoryMode.FLAT
-    cluster_mode: ClusterMode = ClusterMode.ALL_TO_ALL
-    #: fraction of MCDRAM configured as cache in HYBRID mode
-    hybrid_cache_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ConfigError("cores must be > 0")
-        if self.smt < 1:
-            raise ConfigError("smt must be >= 1")
         if self.core_flops <= 0 or self.core_mem_bandwidth <= 0:
             raise ConfigError("core rates must be > 0")
         if not self.devices:
             raise ConfigError("a machine needs at least one memory device")
-        if not 0.0 <= self.hybrid_cache_fraction <= 1.0:
-            raise ConfigError("hybrid_cache_fraction must be in [0, 1]")
         nodes = [d.numa_node for d in self.devices]
         if len(set(nodes)) != len(nodes):
             raise ConfigError("duplicate numa node ids in device list")
@@ -161,8 +152,6 @@ def knl_config(*, cores: int = 64,
         name=f"knl-{memory_mode.value}-{cluster_mode.value}",
         cores=cores,
         devices=(ddr, mcdram),
-        memory_mode=memory_mode,
-        cluster_mode=cluster_mode,
     )
 
 
@@ -180,5 +169,4 @@ def nvm_dram_config(*, cores: int = 64,
     dram = DRAM_DEVICE.scaled(capacity=parse_size(dram_capacity))
     nvm = NVM_DEVICE.scaled(capacity=parse_size(nvm_capacity))
     return MachineConfig(
-        name="nvm-dram", cores=cores, tiles=max(1, cores // 2), smt=2,
-        devices=(nvm, dram))
+        name="nvm-dram", cores=cores, devices=(nvm, dram))

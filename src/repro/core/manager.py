@@ -15,12 +15,13 @@ from repro import hooks as _probe
 from repro.core.eviction import EvictionPolicy, OwnBlocksEviction
 from repro.core.hbm import HBMTracker
 from repro.core.ooc_task import OOCTask, TaskState
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import CapacityError, ConfigError, SchedulingError
 from repro.mem.block import BlockState, DataBlock
 from repro.runtime.message import Message
 from repro.runtime.pe import PE
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.events import Event
+from repro.units import format_size
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.strategies.base import Strategy
@@ -77,13 +78,26 @@ class OOCManager:
         """Place every registered block per the strategy's initial rule.
 
         Call after the application declared its blocks (setup phase) and
-        before compute messages flow.
+        before compute messages flow.  A working set the machine cannot
+        hold is a configuration error naming the full device.
         """
         if self.placement_done:
             raise SchedulingError("finalize_placement called twice")
         unplaced = [b for b in self.registry
                     if b.allocation is None or not b.allocation.live]
-        self.strategy.place_initial(unplaced)
+        try:
+            self.strategy.place_initial(unplaced)
+        except CapacityError as exc:
+            if exc.device is None:
+                raise
+            device = self.topology.device(exc.device)
+            # the working set less what the strategy put on other devices
+            asked = sum(b.nbytes for b in unplaced
+                        if b.device is None or b.device is device)
+            raise ConfigError(
+                f"{self.strategy.name} placement asked {device.name} to "
+                f"hold {format_size(asked)} but it holds "
+                f"{format_size(device.capacity)}") from None
         self.placement_done = True
 
     # -- Interceptor protocol ----------------------------------------------------

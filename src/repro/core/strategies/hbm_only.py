@@ -33,7 +33,7 @@ class HBMOnlyStrategy(Strategy):
                 f"hbm-only placement needs {format_size(total)} but only "
                 f"{format_size(mgr.hbm.available)} of HBM is free; this "
                 "strategy is for fits-in-HBM working sets (paper Fig. 2)",
-                available=mgr.hbm.available)
+                available=mgr.hbm.available, device=mgr.hbm.name)
         for block in block_list:
             mgr.topology.place_block(block, mgr.hbm)
 

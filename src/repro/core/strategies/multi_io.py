@@ -3,8 +3,10 @@
 "There is one IO thread per worker thread...  Each IO thread pops tasks
 from the wait queue of that PE and brings in data till the HBM is full.
 All IO threads are likely working in parallel, hence there is no starvation
-problem."  IO threads are pinned to the SMT sibling of their worker's core
-("scheduled on the hyperthread cores corresponding to the worker threads").
+problem."  The paper schedules each IO thread "on the hyperthread cores
+corresponding to the worker threads"; here an IO thread is a simulated
+process of its own that takes no worker core, and the SMT layout is not
+modelled.  Its copies draw on the mover's per-thread bandwidth.
 
 The IO thread also evicts, so that both fetch *and* evict are asynchronous,
 matching the strategy's stated benefit: a finishing worker only queues its
@@ -91,7 +93,7 @@ class MultiIOThreadStrategy(Strategy):
         for gate in self.gates.values():
             gate.open()
 
-    # -- IO thread (one per PE, pinned to the SMT sibling) ------------------------
+    # -- IO thread (one per PE) ---------------------------------------------------
 
     def _io_main(self, pe: PE) -> _t.Generator:
         mgr = self._mgr()

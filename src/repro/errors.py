@@ -59,9 +59,12 @@ class MemoryModelError(ReproError):
 class CapacityError(MemoryModelError):
     """An allocation would exceed a memory device's capacity."""
 
-    def __init__(self, message: str, *, available: int = 0):
+    def __init__(self, message: str, *, available: int = 0,
+                 device: str | None = None):
         super().__init__(message)
         self.available = available
+        #: name of the full device, when the raiser knows it
+        self.device = device
 
 
 class AllocationError(MemoryModelError):

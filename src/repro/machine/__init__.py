@@ -1,18 +1,17 @@
 """KNL-class machine models.
 
-Binds the memory substrate to a core/tile layout and provides kernel
-execution primitives (compute floor + memory flows) plus the STREAM
-bandwidth measurement used to calibrate against the paper's Figure 1.
+Binds the memory substrate to per-core compute and bandwidth rates and
+provides kernel execution primitives (compute floor + memory flows) plus
+the STREAM bandwidth measurement used to calibrate against the paper's
+Figure 1.
 """
 
-from repro.machine.cpu import Core, Tile, build_cpu
-from repro.machine.node import KernelResult, MachineNode
+from repro.machine.node import MachineNode
 from repro.machine.knl import build_knl, build_machine
 from repro.machine.stream import StreamResult, run_stream
 
 __all__ = [
-    "Core", "Tile", "build_cpu",
-    "KernelResult", "MachineNode",
+    "MachineNode",
     "build_knl", "build_machine",
     "StreamResult", "run_stream",
 ]

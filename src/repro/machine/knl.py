@@ -12,6 +12,8 @@ Cluster modes scale bandwidth/latency inside :func:`repro.config.knl_config`.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config import ClusterMode, MachineConfig, MemoryMode, knl_config
 from repro.errors import ConfigError
 from repro.machine.node import MachineNode
@@ -28,9 +30,7 @@ HYBRID_CACHE_FRACTION = 0.5
 
 def build_machine(env: Environment, config: MachineConfig) -> MachineNode:
     """Build a node from an explicit config (flat-mode semantics)."""
-    node = MachineNode(env, config)
-    node.mcdram_cache = None  # type: ignore[attr-defined]
-    return node
+    return MachineNode(env, config)
 
 
 def build_knl(env: Environment, *,
@@ -56,19 +56,12 @@ def build_knl(env: Environment, *,
     mcdram_cfg = base.device("mcdram")
 
     if memory_mode is MemoryMode.FLAT:
-        node = MachineNode(env, base, allocator_cls=allocator_cls)
-        node.mcdram_cache = None  # type: ignore[attr-defined]
-        return node
+        return MachineNode(env, base, allocator_cls=allocator_cls)
 
     if memory_mode is MemoryMode.CACHE:
-        cfg = MachineConfig(
-            name=base.name, cores=base.cores, tiles=base.tiles, smt=base.smt,
-            core_flops=base.core_flops,
-            core_mem_bandwidth=base.core_mem_bandwidth,
-            devices=(ddr_cfg,), memory_mode=memory_mode,
-            cluster_mode=cluster_mode)
+        cfg = dataclasses.replace(base, devices=(ddr_cfg,))
         node = MachineNode(env, cfg, allocator_cls=allocator_cls)
-        node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
+        node.mcdram_cache = DirectMappedCache(
             mcdram_cfg.capacity,
             hit_bandwidth=mcdram_cfg.read_bandwidth,
             miss_bandwidth=ddr_cfg.read_bandwidth)
@@ -81,21 +74,13 @@ def build_knl(env: Environment, *,
             raise ConfigError(
                 "hybrid mode needs a non-empty flat MCDRAM partition")
         flat_mcdram = mcdram_cfg.scaled(capacity=flat_bytes)
-        cfg = MachineConfig(
-            name=base.name, cores=base.cores, tiles=base.tiles, smt=base.smt,
-            core_flops=base.core_flops,
-            core_mem_bandwidth=base.core_mem_bandwidth,
-            devices=(ddr_cfg, flat_mcdram), memory_mode=memory_mode,
-            cluster_mode=cluster_mode,
-            hybrid_cache_fraction=HYBRID_CACHE_FRACTION)
+        cfg = dataclasses.replace(base, devices=(ddr_cfg, flat_mcdram))
         node = MachineNode(env, cfg, allocator_cls=allocator_cls)
         if cache_bytes > 0:
-            node.mcdram_cache = DirectMappedCache(  # type: ignore[attr-defined]
+            node.mcdram_cache = DirectMappedCache(
                 cache_bytes,
                 hit_bandwidth=mcdram_cfg.read_bandwidth,
                 miss_bandwidth=ddr_cfg.read_bandwidth)
-        else:
-            node.mcdram_cache = None  # type: ignore[attr-defined]
         return node
 
     raise ConfigError(f"unknown memory mode {memory_mode!r}")

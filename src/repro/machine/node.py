@@ -1,4 +1,4 @@
-"""A many-core node: cores + heterogeneous memory + kernel execution.
+"""A many-core node: per-core rates + heterogeneous memory + kernel execution.
 
 The kernel execution primitive implements the "roofline in time" model:
 a task's duration is the *maximum* of its compute floor (flops at the
@@ -6,18 +6,21 @@ core's rate) and the completion of its memory traffic (fluid flows on the
 devices hosting its data).  Because the flows share ports with every other
 concurrent kernel, prefetch and eviction, bandwidth sensitivity — the
 paper's central phenomenon — falls out of the model.
+
+All cores are identical, so a core is just its two rates: the FLOP rate
+and the memory bandwidth one core can draw by itself.  KNL's 34-tile,
+4-way-SMT layout (§III-B) is not modelled; no result depends on it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
 from repro import hooks as _probe
 from repro.config import MachineConfig
 from repro.errors import ConfigError
-from repro.machine.cpu import Core, build_cpu
 from repro.mem.allocator import PagedAllocator
+from repro.mem.cache import DirectMappedCache
 from repro.mem.device import MemoryDevice
 from repro.mem.mover import DataMover
 from repro.mem.registry import BlockRegistry
@@ -25,23 +28,7 @@ from repro.mem.topology import MemoryTopology
 from repro.sim.environment import Environment
 from repro.sim.fluid import FluidNetwork
 
-__all__ = ["KernelResult", "MachineNode"]
-
-
-@dataclasses.dataclass
-class KernelResult:
-    """Timing of one kernel execution."""
-
-    core_id: int
-    flops: float
-    bytes_touched: float
-    started_at: float
-    finished_at: float
-    compute_floor: float
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
+__all__ = ["MachineNode"]
 
 
 class MachineNode:
@@ -67,9 +54,12 @@ class MachineNode:
         self.registry = BlockRegistry(self.topology)
         self.mover = DataMover(env, self.topology,
                                per_thread_copy_bw=config.copy_bandwidth)
-        self.cores, self.tiles = build_cpu(
-            config.cores, config.tiles, config.smt,
-            config.core_flops, config.core_mem_bandwidth)
+        #: peak FLOP/s of one core
+        self.core_flops = config.core_flops
+        #: memory bandwidth one core can draw by itself, B/s
+        self.core_mem_bandwidth = config.core_mem_bandwidth
+        #: MCDRAM cache model in KNL cache/hybrid mode, else None
+        self.mcdram_cache: DirectMappedCache | None = None
         #: kernel executions completed, for sanity accounting
         self.kernels_executed = 0
 
@@ -83,28 +73,22 @@ class MachineNode:
     def ddr(self) -> MemoryDevice:
         return self.topology.ddr
 
-    def core(self, core_id: int) -> Core:
-        if not 0 <= core_id < len(self.cores):
-            raise ConfigError(f"no core {core_id} (have {len(self.cores)})")
-        return self.cores[core_id]
-
     # -- kernel execution -----------------------------------------------------
 
-    def run_kernel(self, core: Core | int, flops: float,
+    def run_kernel(self, flops: float,
                    traffic: _t.Mapping[MemoryDevice, tuple[float, float]],
                    ) -> _t.Generator:
-        """Execute a kernel on ``core``; yields inside a simulated process.
+        """Execute a kernel on one core; yields inside a simulated process.
 
         ``traffic`` maps each device to ``(read_bytes, write_bytes)`` the
         kernel touches there.  The kernel finishes when both the compute
-        floor has elapsed and every memory flow has drained.
+        floor has elapsed and every memory flow has drained; its duration
+        in seconds is the return value.
         """
-        if isinstance(core, int):
-            core = self.core(core)
         if flops < 0:
             raise ConfigError("flops must be >= 0")
         started = self.env.now
-        floor = flops / core.flops if flops > 0 else 0.0
+        floor = flops / self.core_flops if flops > 0 else 0.0
 
         total_bytes = sum(r + w for r, w in traffic.values())
         waits = []
@@ -117,19 +101,16 @@ class MachineNode:
                 dev_bytes = read_bytes + write_bytes
                 if dev_bytes <= 0:
                     continue
-                cap = core.mem_bandwidth * (dev_bytes / total_bytes)
+                cap = self.core_mem_bandwidth * (dev_bytes / total_bytes)
                 flow = device.mixed_flow(read_bytes, write_bytes,
                                          max_rate=cap)
                 waits.append(flow.done)
         if waits:
             yield self.env.all_of(waits)
         self.kernels_executed += 1
-        return KernelResult(
-            core_id=core.core_id, flops=flops, bytes_touched=total_bytes,
-            started_at=started, finished_at=self.env.now,
-            compute_floor=floor)
+        return self.env.now - started
 
-    def run_kernel_on_blocks(self, core: Core | int, flops: float,
+    def run_kernel_on_blocks(self, flops: float,
                              reads: _t.Iterable, writes: _t.Iterable,
                              *, traffic_scale: float = 1.0) -> _t.Generator:
         """Kernel traffic derived from data blocks' current residency.
@@ -137,7 +118,7 @@ class MachineNode:
         ``reads``/``writes`` are :class:`~repro.mem.block.DataBlock`s; each
         contributes its size (scaled) on whatever device currently hosts it.
         This is how the Naive baseline's penalty arises: blocks left on DDR4
-        drag the kernel down to DDR4 bandwidth.
+        drag the kernel down to DDR4 bandwidth.  Returns the duration.
         """
         reads = tuple(reads)
         writes = tuple(writes)
@@ -154,11 +135,9 @@ class MachineNode:
                 raise ConfigError(f"write block {block.name!r} is not resident")
             entry = traffic.setdefault(block.device, [0.0, 0.0])
             entry[1] += block.nbytes * traffic_scale
-        result = yield from self.run_kernel(
-            core, flops,
-            {dev: (r, w) for dev, (r, w) in traffic.items()})
-        return result
+        return (yield from self.run_kernel(
+            flops, {dev: (r, w) for dev, (r, w) in traffic.items()}))
 
     def __repr__(self) -> str:
-        return (f"<MachineNode {self.config.name} cores={len(self.cores)} "
+        return (f"<MachineNode {self.config.name} cores={self.config.cores} "
                 f"devices={[d.name for d in self.topology.devices]}>")

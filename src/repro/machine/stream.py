@@ -70,10 +70,11 @@ def run_stream(node: MachineNode, device: MemoryDevice | str, *,
             f"unknown STREAM kernel {kernel!r}; choose from {sorted(STREAM_KERNELS)}")
     if isinstance(device, str):
         device = node.topology.device(device)
-    nthreads = threads if threads is not None else len(node.cores)
-    if nthreads < 1 or nthreads > len(node.cores):
+    cores = node.config.cores
+    nthreads = threads if threads is not None else cores
+    if nthreads < 1 or nthreads > cores:
         raise ExperimentError(
-            f"threads must be in [1, {len(node.cores)}], got {nthreads}")
+            f"threads must be in [1, {cores}], got {nthreads}")
     reads, writes = STREAM_KERNELS[kernel]
     read_bytes = float(reads * array_bytes)
     write_bytes = float(writes * array_bytes)
@@ -89,10 +90,9 @@ def run_stream(node: MachineNode, device: MemoryDevice | str, *,
         # flows begin at the same instant, which the incremental fluid
         # solver batches into a single rate solve.
         done_events = []
-        for tid in range(nthreads):
-            core = node.cores[tid]
+        for _tid in range(nthreads):
             flow = device.mixed_flow(read_bytes, write_bytes,
-                                     max_rate=core.mem_bandwidth)
+                                     max_rate=node.core_mem_bandwidth)
             done_events.append(flow.done)
             node.kernels_executed += 1
         env.run(env.all_of(done_events))

@@ -68,10 +68,17 @@ class MemoryTopology:
     # -- block placement -----------------------------------------------------------
 
     def place_block(self, block: DataBlock, device: MemoryDevice) -> None:
-        """Bind a block's initial residency (no data movement, just space)."""
+        """Bind a block's initial residency (no data movement, just space).
+
+        A full ``device`` raises :class:`CapacityError` naming it.
+        """
         if block.allocation is not None and block.allocation.live:
             raise ConfigError(f"block {block.name!r} is already placed")
-        block.allocation = device.allocate(block.nbytes)
+        try:
+            block.allocation = device.allocate(block.nbytes)
+        except CapacityError as exc:
+            raise CapacityError(str(exc), available=exc.available,
+                                device=device.name) from None
         block.settle(device, self.state_for(device))
 
     def release_block(self, block: DataBlock) -> None:

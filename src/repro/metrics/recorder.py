@@ -1,9 +1,9 @@
 """The flight recorder: periodic registry snapshots on the sim clock.
 
-A :class:`FlightRecorder` spawns one simulated process that collects a
-flat ``{series: value}`` mapping (a registry's ``flatten``, after the
-session's fold) every ``cadence`` simulated seconds into a ring buffer
-(old snapshots fall off — it is a *flight* recorder, not an archive).
+A :class:`FlightRecorder` collects a flat ``{series: value}`` mapping (a
+registry's ``flatten``, after the session's fold) every ``cadence``
+simulated seconds into a ring buffer (old snapshots fall off — it is a
+*flight* recorder, not an archive).
 The snapshot stream drives:
 
 * the end-of-run report and JSON/Prometheus exports
@@ -14,10 +14,12 @@ The snapshot stream drives:
 * live run narration (``repro metrics --watch``) via the ``on_snapshot``
   callback, which receives each new snapshot and its predecessor.
 
-The cadence timeouts are daemon timeouts
-(:meth:`~repro.sim.environment.Environment.daemon_timeout`): a run that
-would end, or deadlock, unobserved ends the same way with a recorder
-attached, at the same instant.
+Each tick is a daemon timeout
+(:meth:`~repro.sim.environment.Environment.daemon_timeout`) whose
+callback takes the snapshot and arms the next tick; no simulated process
+is involved.  A run that would end, or deadlock, unobserved ends the same
+way with a recorder attached, at the same instant, with the same waiting
+processes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import deque
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
+from repro.sim.events import Event
 
 __all__ = ["Snapshot", "FlightRecorder"]
 
@@ -64,31 +67,37 @@ class FlightRecorder:
         self.snapshots: deque[Snapshot] = deque(maxlen=CAPACITY)
         self.snapshots_taken = 0
         self.stopped_at: float | None = None
-        self._process: _t.Any = None
+        #: the armed cadence tick, else None
+        self._tick: Event | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "FlightRecorder":
-        """Take the t=0 snapshot and spawn the cadence process."""
-        if self._process is not None:
+        """Take the t=0 snapshot and arm the first cadence tick."""
+        if self._tick is not None or self.stopped_at is not None:
             raise SimulationError("flight recorder already started")
         self.snapshot()
-        self._process = self.env.process(self._main(), name="flight-recorder")
+        self._arm()
         return self
 
-    def _main(self) -> _t.Generator:
+    def _arm(self) -> None:
         # daemon ticks: the recorder never keeps a run going on its own
-        while True:
-            yield self.env.daemon_timeout(self.cadence)
-            self.snapshot()
+        self._tick = self.env.daemon_timeout(self.cadence)
+        self._tick.add_callback(self._on_tick)
+
+    def _on_tick(self, _event: Event) -> None:
+        self.snapshot()
+        if self.stopped_at is None:  # an on_snapshot callback may stop us
+            self._arm()
 
     def stop(self) -> None:
-        """Final snapshot, then retire the cadence process (idempotent)."""
+        """Final snapshot, then cancel the pending tick (idempotent)."""
         if self.stopped_at is not None:
             return
         self.stopped_at = self.env.now
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("flight recorder stopped")
+        if self._tick is not None:
+            self.env.cancel(self._tick)
+            self._tick = None
         self.snapshot()
 
     # -- snapshots ----------------------------------------------------------

@@ -96,16 +96,14 @@ class Chare:
     def kernel(self, flops: float, reads: _t.Sequence[DataBlock] = (),
                writes: _t.Sequence[DataBlock] = (), *,
                traffic_scale: float = 1.0) -> _t.Generator:
-        """Run a compute kernel on this chare's PE (generator; ``yield from``)."""
+        """Run a compute kernel on this chare's PE (generator; ``yield from``).
+
+        Returns the kernel's duration in seconds.
+        """
         if self.runtime is None:
             raise ChareError("kernel() on an unbound chare")
-        # Use the PE whose converse loop is executing us (set on delivery):
-        # with the node-level run queue option a ready task may run on a PE
-        # other than the chare's home.
-        pe = self.runtime.pes[getattr(self, "_exec_pe_id", self.pe_id)]
-        result = yield from self.runtime.machine.run_kernel_on_blocks(
-            pe.core, flops, reads, writes, traffic_scale=traffic_scale)
-        return result
+        return (yield from self.runtime.machine.run_kernel_on_blocks(
+            flops, reads, writes, traffic_scale=traffic_scale))
 
     def send(self, entry_name: str, *args: _t.Any, nbytes: int = 0,
              **kwargs: _t.Any) -> None:

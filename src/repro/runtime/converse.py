@@ -68,7 +68,6 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
             # begin is published before the entry runs so messages sent from
             # inside it can parent on this span (causal send -> execute edges)
             _probe.on_execute_begin(pe_id, message, task, started)
-        chare._exec_pe_id = pe_id
         result = spec.func(chare, *message.args, **message.kwargs)
         if type(result) is _GeneratorType:
             # a generator entry, or a plain one that returned a generator

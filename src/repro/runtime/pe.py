@@ -19,7 +19,6 @@ import typing as _t
 from collections import deque
 
 from repro import hooks as _probe
-from repro.machine.cpu import Core
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
 
@@ -27,12 +26,11 @@ __all__ = ["PE"]
 
 
 class PE:
-    """One worker processing entity bound to a physical core."""
+    """One worker processing entity (one per core)."""
 
-    def __init__(self, env: Environment, pe_id: int, core: Core):
+    def __init__(self, env: Environment, pe_id: int):
         self.env = env
         self.id = pe_id
-        self.core = core
         #: converse queue: messages + ready OOC tasks, FIFO
         self.run_queue = Store(env, name=f"pe{pe_id}.runq")
         #: tasks parked until their data is prefetched
@@ -82,5 +80,5 @@ class PE:
         return max(0.0, self.wall_time - self.busy_time - self.overhead_time)
 
     def __repr__(self) -> str:
-        return (f"<PE {self.id} core={self.core.core_id} "
+        return (f"<PE {self.id} "
                 f"runq={len(self.run_queue)} waitq={len(self.wait_queue)}>")

@@ -36,8 +36,8 @@ class CharmRuntime:
     def __init__(self, machine: MachineNode):
         self.machine = machine
         self.env = machine.env
-        self.pes: list[PE] = [PE(self.env, i, core)
-                              for i, core in enumerate(machine.cores)]
+        self.pes: list[PE] = [PE(self.env, i)
+                              for i in range(machine.config.cores)]
         #: the OOC manager, installed by :meth:`install_interceptor`
         self.interceptor: Interceptor | None = None
         self.messages_sent = 0

@@ -47,6 +47,7 @@ import typing as _t
 from heapq import heapify as _heapify
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
+from itertools import count
 
 from repro import hooks as _probe
 from repro.errors import DeadlockError, SimulationError
@@ -89,6 +90,7 @@ class Environment:
     __slots__ = ("_now", "_times", "_buckets", "_urgent_buckets",
                  "_agenda_urgent", "_agenda_normal", "_keyed",
                  "_live", "_dead", "_daemons", "_active", "_tie_break",
+                 "_daemon_keys",
                  "_tcache_t", "_tcache", "active_process")
 
     def __init__(self):
@@ -126,6 +128,9 @@ class Environment:
         self.active_process: "Process | None" = None
         #: the installed tie-breaker's key iterator, else None
         self._tie_break: _t.Iterator[int] | None = None
+        #: tie-breaker keys of daemon timeouts: a stream of their own,
+        #: above the keys a breaker draws and below the priority bits
+        self._daemon_keys = count(1 << 79)
 
     # -- clock --------------------------------------------------------------
 
@@ -494,11 +499,23 @@ class Environment:
 
 class _DaemonTimeout(Timeout):
     """A timeout counted in ``Environment._daemons`` while it is live
-    (:meth:`Environment.daemon_timeout`)."""
+    (:meth:`Environment.daemon_timeout`).
+
+    Under a tie-breaker it draws no key from the breaker, so an observed
+    run permutes its own events exactly as the unobserved run does.
+    """
 
     __slots__ = ()
 
     def __init__(self, env: Environment, delay: float):
-        super().__init__(env, delay)
+        breaker = env._tie_break
+        if breaker is None:
+            super().__init__(env, delay)
+        else:
+            env._tie_break = env._daemon_keys
+            try:
+                super().__init__(env, delay)
+            finally:
+                env._tie_break = breaker
         env._daemons += 1
         self._cb0 = env._daemon_fired

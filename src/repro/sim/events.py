@@ -159,17 +159,6 @@ class Event:
         else:
             self._cbs.append(callback)
 
-    def _process(self) -> None:
-        """Run the callbacks exactly once (called by the event loop)."""
-        self._processed = True
-        cb0, self._cb0 = self._cb0, None
-        cbs, self._cbs = self._cbs, None
-        if cb0 is not None:
-            cb0(self)
-        if cbs is not None:
-            for callback in cbs:
-                callback(self)
-
     def __repr__(self) -> str:
         state = ("processed" if self.processed
                  else "triggered" if self.triggered else "pending")

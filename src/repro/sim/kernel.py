@@ -123,9 +123,9 @@ def drain(env: "Environment", target: "Event | None" = None,
                     env._dead -= 1
                     skipped += 1
                     continue
-                # the callback slots are cleared as in Event._process: a
-                # processed event must not keep its waiters alive (a
-                # condition and its children would form a cycle)
+                # the callback slots are cleared: a processed event must
+                # not keep its waiters alive (a condition and its
+                # children would form a cycle)
                 event._processed = True
                 callback = event._cb0
                 event._cb0 = None

@@ -60,21 +60,6 @@ class Process(Event):
         env.register_process(self)
         _Init(env).add_callback(self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Kill the process by throwing :class:`ProcessKilled` into it."""
-        if not self.is_alive:
-            return
-        kill = self.env.event(name=f"interrupt({self.name})")
-        kill.fail(ProcessKilled(cause if cause is not None else self.name))
-        kill.defuse()
-        # Detach from whatever it was waiting on and resume with the failure.
-        kill.add_callback(self._resume)
-
     # -- driving the generator ------------------------------------------------
 
     def _resume(self, event: Event) -> None:

@@ -4,7 +4,7 @@
 :func:`repro.sim.kernel.drain_keyed` pops the tie-breaker heap; both fuse
 the common "resume the waiting process" callback.  :func:`step` does
 none of that: it takes exactly one live event off either queue layout and
-runs it through the plain :meth:`Event._process` dispatch, which calls
+runs its callbacks one by one (:func:`dispatch`), calling
 ``Process._resume`` like any other callback.  The tests drive the same
 workload both ways and require identical traces.
 
@@ -18,9 +18,10 @@ import typing as _t
 from heapq import heappop
 
 from repro import hooks as _probe
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError, ProcessKilled, SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
+from repro.sim.process import Process
 
 INF = float("inf")
 
@@ -90,6 +91,31 @@ def _next_event(env: Environment) -> Event:
         return event
 
 
+def dispatch(event: Event) -> None:
+    """Run an event's callbacks exactly once, clearing its slots first."""
+    cb0, event._cb0 = event._cb0, None
+    cbs, event._cbs = event._cbs, None
+    if cb0 is not None:
+        cb0(event)
+    if cbs is not None:
+        for callback in cbs:
+            callback(event)
+
+
+def interrupt(process: Process, cause: _t.Any = None) -> None:
+    """Kill ``process`` by throwing :class:`ProcessKilled` into it.
+
+    The kill is a failed, defused event delivered through the queue; a
+    finished process is left alone.
+    """
+    if process.triggered:
+        return
+    kill = process.env.event(name=f"interrupt({process.name})")
+    kill.fail(ProcessKilled(cause if cause is not None else process.name))
+    kill.defuse()
+    kill.add_callback(process._resume)
+
+
 def step(env: Environment) -> None:
     """Process exactly one live event: run its callbacks, surface failures."""
     event = _next_event(env)
@@ -97,7 +123,7 @@ def step(env: Environment) -> None:
     env._live -= 1
     if _probe.on_processing is not None:
         _probe.on_processing(event)
-    event._process()
+    dispatch(event)
     if not event._ok and not event._defused:
         # nobody handled this failure: surface it instead of silently
         # dropping a crashed process

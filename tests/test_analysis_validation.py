@@ -39,11 +39,10 @@ class TestKernelAgainstSim:
         node.topology.place_block(block, node.hbm)
 
         def body():
-            result = yield from node.run_kernel_on_blocks(
-                0, flops, reads=[block], writes=[block])
-            return result
+            return (yield from node.run_kernel_on_blocks(
+                flops, reads=[block], writes=[block]))
 
-        sim = node.env.run(until=node.env.process(body())).duration
+        sim = node.env.run(until=node.env.process(body()))
         cfg = node.config
         predicted = analysis.kernel_time(
             flops, 2 * nbytes,
@@ -63,9 +62,8 @@ class TestKernelAgainstSim:
             blocks.append(b)
 
         def body(i):
-            result = yield from node.run_kernel_on_blocks(
-                i, 0.0, reads=[blocks[i]], writes=[blocks[i]])
-            return result
+            return (yield from node.run_kernel_on_blocks(
+                0.0, reads=[blocks[i]], writes=[blocks[i]]))
 
         env = node.env
         procs = [env.process(body(i)) for i in range(64)]
@@ -74,7 +72,7 @@ class TestKernelAgainstSim:
                                          node.config.core_mem_bandwidth)
         predicted = 2 * nbytes / share
         for proc in procs:
-            assert proc.value.duration == pytest.approx(predicted, rel=0.01)
+            assert proc.value == pytest.approx(predicted, rel=0.01)
 
 
 class TestMoveAgainstSim:

@@ -8,8 +8,9 @@ names, the trend history path, the metrics interval and every output
 path (``--trace-out``, ``guide -o``, ``lint --guidance``,
 ``trend``/``report``/``leaderboard -o``: its directory must exist and
 it must not be one) by the commands, and a task larger than the whole
-HBM budget by the OOC manager, all raising a ``ConfigError`` the CLI
-catches once in ``main``.
+HBM budget or a working set larger than the device it is placed on by
+the OOC manager, all raising a ``ConfigError`` the CLI catches once in
+``main``.
 Neither path may end in a traceback.
 """
 
@@ -36,6 +37,14 @@ CASES = [
     ("stencil-task-over-hbm", ["stencil", "--mcdram", "1KiB"], "1024B"),
     ("matmul-task-over-hbm", ["matmul", "--mcdram", "1KiB"], "1024B"),
     ("spmv-task-over-hbm", ["spmv", "--mcdram", "1KiB"], "1024B"),
+    # a working set larger than the device its strategy places it on
+    ("stencil-ddr-too-small", ["stencil", "--ddr", "1MiB"],
+     "ddr4 to hold 2.00GiB but it holds 1.00MiB"),
+    ("stencil-hbm-only-too-small",
+     ["stencil", "--strategy", "hbm-only", "--mcdram", "64MiB"],
+     "mcdram to hold 2.00GiB but it holds 64.00MiB"),
+    ("metrics-ddr-too-small", ["metrics", "--app", "stream", "--ddr", "1MiB"],
+     "ddr4 to hold 768.00MiB but it holds 1.00MiB"),
     # `repro stream` itself takes no size; its app's size lives on metrics
     ("stream-size", ["metrics", "--app", "stream", "--array", "lots"],
      "lots"),

@@ -27,9 +27,9 @@ class Worker(Chare):
 
     @entry(prefetch=True, readwrite=["data"])
     def compute(self, reducer):
-        result = yield from self.kernel(flops=1e8, reads=[self.data],
+        duration = yield from self.kernel(flops=1e8, reads=[self.data],
                                         writes=[self.data])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
     @entry
     def plain(self, reducer):

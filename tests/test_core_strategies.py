@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.strategies import STRATEGIES, make_strategy
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.mem.block import BlockState
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
@@ -37,9 +37,9 @@ class Worker(Chare):
     @entry(prefetch=True, readwrite=["data"])
     def compute(self, reducer):
         self.resident_at_compute = self.data.state
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1e8, reads=[self.data], writes=[self.data])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 def run_app(strategy, *, chares=16, block=32 * MiB, rounds=2, cores=4,
@@ -154,7 +154,7 @@ class TestStaticStrategies:
         assert all(c.data.state is BlockState.INDDR for c in arr)
 
     def test_hbm_only_requires_fit(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="mcdram"):
             run_app("hbm-only", chares=16, block=32 * MiB)  # 512 > 256 MiB
 
     def test_hbm_only_places_everything_in_hbm(self):

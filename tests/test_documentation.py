@@ -17,7 +17,7 @@ MODULES = [
     "repro.mem", "repro.mem.block", "repro.mem.device", "repro.mem.allocator",
     "repro.mem.topology", "repro.mem.mover", "repro.mem.registry",
     "repro.mem.cache",
-    "repro.machine", "repro.machine.cpu", "repro.machine.node",
+    "repro.machine", "repro.machine.node",
     "repro.machine.knl", "repro.machine.stream",
     "repro.runtime", "repro.runtime.message", "repro.runtime.entry",
     "repro.runtime.chare", "repro.runtime.pe", "repro.runtime.converse",

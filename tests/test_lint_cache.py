@@ -22,9 +22,9 @@ class C(Chare):
 
     @entry(prefetch=True, readwrite=["a"])
     def go(self, red):
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1.0, reads=[self.a], writes=[self.a])
-        red.contribute(result.duration)
+        red.contribute(duration)
 
 
 def main(arr, red):

@@ -40,15 +40,15 @@ CLEAN = """
 
         @entry(prefetch=True, writeonly=["a"])
         def produce(self, red):
-            result = yield from self.kernel(
+            duration = yield from self.kernel(
                 flops=1.0, reads=[], writes=[self.a])
-            red.contribute(result.duration)
+            red.contribute(duration)
 
         @entry(prefetch=True, readonly=["a"])
         def consume(self, red):
-            result = yield from self.kernel(
+            duration = yield from self.kernel(
                 flops=1.0, reads=[self.a], writes=[])
-            red.contribute(result.duration)
+            red.contribute(duration)
 
     def main(arr, red):
         arr.broadcast("setup", red)
@@ -85,9 +85,9 @@ class TestPhaseSegmentation:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def main(arr, red):
                 arr.broadcast("setup", red)
@@ -132,15 +132,15 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def first(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry(prefetch=True, readwrite=["b"])
                 def second(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.b], writes=[self.b])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def main(arr, red):
                 arr.broadcast("setup", red)
@@ -162,15 +162,15 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, writeonly=["a"])
                 def produce(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry(prefetch=True, readonly=["a"])
                 def consume(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def main(arr, red):
                 arr.broadcast("setup", red)
@@ -194,15 +194,15 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readonly=["a"], readwrite=["b"])
                 def early(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.b], writes=[self.b])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry(prefetch=True, readonly=["a"])
                 def late(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def main(arr, red):
                 arr.broadcast("setup", red)
@@ -226,15 +226,15 @@ class TestRuleFixtures:
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
                     self.send("helper", red)
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry(prefetch=True, readwrite=["b"])
                 def helper(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.b], writes=[self.b])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def main(arr, red):
                 arr.broadcast("setup", red)
@@ -255,9 +255,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry
                 def orphan(self, red):
@@ -283,9 +283,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 @entry
                 def orphan(self, red):
@@ -312,11 +312,11 @@ phase 1: StencilChare.exchange [src/repro/apps/stencil3d.py:225] trips=20
 """
 
 GOLDEN_MATMUL = """\
-phase 0: MatMulPanels.setup [src/repro/apps/matmul.py:200] trips=1
+phase 0: MatMulPanels.setup [src/repro/apps/matmul.py:198] trips=1
   entry MatMulPanels.setup
-phase 1: MatMulChare.setup [src/repro/apps/matmul.py:203] trips=1
+phase 1: MatMulChare.setup [src/repro/apps/matmul.py:201] trips=1
   entry MatMulChare.setup
-phase 2: MatMulChare.multiply [src/repro/apps/matmul.py:210] trips=1
+phase 2: MatMulChare.multiply [src/repro/apps/matmul.py:208] trips=1
   entry MatMulChare.multiply
   site MatMulChare.C reads=- writes=524288
   site MatMulPanels.A reads=33554432 writes=-
@@ -366,9 +366,9 @@ HELPER_BASED = """
             barrier.contribute()
 
         def inner(self, red):
-            result = yield from self.kernel(
+            duration = yield from self.kernel(
                 flops=1.0, reads=[self.a], writes=[self.a])
-            red.contribute(result.duration)
+            red.contribute(duration)
 
         def outer(self, red):
             for j in range(3):
@@ -394,9 +394,9 @@ INLINED = """
         def go(self, red):
             for i in range(5):
                 for j in range(3):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 """
 
 
@@ -420,7 +420,7 @@ class TestSummaryVsInlined:
                     barrier.contribute()
 
                 def spin(self, red, n):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
                     if n:
                         yield from self.spin(red, n - 1)

@@ -93,7 +93,7 @@ class TestInjectedViolations:
         block = place(node, "b", MiB, node.hbm)
         node.topology.release_block(block)
         proc = node.env.process(
-            node.run_kernel_on_blocks(0, 0.0, [block], []))
+            node.run_kernel_on_blocks(0.0, [block], []))
         node.env.run(until=proc)
         assert "SAN202" in rules(san)
         assert "use-after-evict" in san.violations[0].message
@@ -104,7 +104,7 @@ class TestInjectedViolations:
         node.env.run(until=1e-5)  # move started, not finished
         assert block.moving
         proc = node.env.process(
-            node.run_kernel_on_blocks(0, 0.0, [block], []))
+            node.run_kernel_on_blocks(0.0, [block], []))
         node.env.run(until=proc)
         assert "SAN202" in rules(san)
 

@@ -133,9 +133,9 @@ class TestCLI:
             "        barrier.contribute()\n\n"
             "    @entry(prefetch=True, readonly=['a'])\n"
             "    def go(self, red):\n"
-            "        result = yield from self.kernel(\n"
+            "        duration = yield from self.kernel(\n"
             "            flops=1.0, reads=[self.a], writes=[self.a])\n"
-            "        red.contribute(result.duration)\n")
+            "        red.contribute(duration)\n")
         proc = self._lint("--format", "sarif", "--no-cache", str(bad))
         assert proc.returncode == 1
         restored = findings_from_sarif(proc.stdout)

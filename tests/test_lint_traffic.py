@@ -35,9 +35,9 @@ CLEAN = """
 
         @entry(prefetch=True, readwrite=["a"])
         def go(self, red):
-            result = yield from self.kernel(
+            duration = yield from self.kernel(
                 flops=1.0, reads=[self.a], writes=[self.a])
-            red.contribute(result.duration)
+            red.contribute(duration)
 """
 
 
@@ -60,9 +60,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"], writeonly=["out"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.out])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP300"]
 
     def test_rep301_dead_allocation(self):
@@ -80,9 +80,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP301"]
 
     def test_rep302_writeonly_shared_site(self):
@@ -108,9 +108,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, writeonly=["s"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[], writes=[self.s])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP302"]
 
     def test_rep303_unbound_dependence(self):
@@ -127,10 +127,10 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readwrite=["a"], readonly=["ghost"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a, self.ghost],
                         writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP303"]
 
     def test_rep304_footprint_exceeds_hbm(self):
@@ -149,10 +149,10 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readonly=["a"], readwrite=["b"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a, self.b],
                         writes=[self.b])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP304"]
 
     def test_rep305_unbounded_kernel_loop(self):
@@ -170,9 +170,9 @@ class TestRuleFixtures:
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
                     while not self.converged():
-                        result = yield from self.kernel(
+                        duration = yield from self.kernel(
                             flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 def converged(self):
                     return True
@@ -194,9 +194,9 @@ class TestRuleFixtures:
 
                 @entry(prefetch=True, readonly=["a"], writeonly=["b"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.b])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == ["REP306"]
 
 
@@ -217,10 +217,10 @@ class TestSuppressionGates:
 
                 @entry(prefetch=True, readwrite=["a"], readonly=["ghost"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a, self.ghost],
                         writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == []
 
     def test_unknown_kernel_args_suppress_intent_rules(self):
@@ -237,9 +237,9 @@ class TestSuppressionGates:
 
                 @entry(prefetch=True, readwrite=["a"], readonly=["ghost"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=self.pick(), writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
                 def pick(self):
                     return [self.a]
@@ -260,10 +260,10 @@ class TestSuppressionGates:
 
                 @entry(prefetch=True, readwrite=["a"], readonly=["s"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a, self.s],
                         writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """) == []
 
 
@@ -294,9 +294,9 @@ class TestInference:
 
                 @entry(prefetch=True, readwrite=["buf"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.buf], writes=[self.buf])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
 
             def drive(array, barrier):
                 for idx in array.indices:
@@ -318,9 +318,9 @@ class TestInference:
                 @entry(prefetch=True, readonly=["a"])
                 def go(self, red):
                     for _ in range(5):
-                        result = yield from self.kernel(
+                        duration = yield from self.kernel(
                             flops=1.0, reads=[self.a], writes=[])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """)
         assert sites["C.a"].reads.value == 5000.0
         assert sites["C.a"].writes is None or sites["C.a"].writes.value == 0.0
@@ -338,10 +338,10 @@ class TestInference:
 
                 @entry(prefetch=True, readonly=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[],
                         traffic_scale=8.0)
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """)
         assert sites["C.a"].reads.value == 8000.0
 
@@ -365,9 +365,9 @@ class TestInference:
 
                 @entry(prefetch=True, readwrite=["a"])
                 def go(self, red):
-                    result = yield from self.kernel(
+                    duration = yield from self.kernel(
                         flops=1.0, reads=[self.a], writes=[self.a])
-                    red.contribute(result.duration)
+                    red.contribute(duration)
         """)
         site = sites["C.a"]
         assert site.size.value == float(64 * MiB)

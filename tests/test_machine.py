@@ -1,12 +1,12 @@
-"""Unit tests for the machine layer: CPU layout, kernels, STREAM."""
+"""Unit tests for the machine layer: config, kernels, STREAM."""
 
+import dataclasses
 from itertools import count
 
 import pytest
 
 from repro.config import ConfigError, MachineConfig, knl_config
 from repro.errors import ExperimentError
-from repro.machine.cpu import build_cpu
 from repro.machine.knl import build_knl
 from repro.machine.stream import run_stream
 from repro.mem.block import DataBlock
@@ -17,33 +17,12 @@ from repro.units import GiB, MiB
 BIDS = count()
 
 
-class TestCpuLayout:
-    def test_knl_layout(self):
-        cores, tiles = build_cpu(68, 34, 4, 35e9, 12e9)
-        assert len(cores) == 68
-        assert len(tiles) == 34
-        assert all(len(t.cores) == 2 for t in tiles)
-        assert len(cores[0].threads) == 4
-
-    def test_smt_sibling_distinct_from_primary(self):
-        cores, _ = build_cpu(4, 2, 4, 35e9, 12e9)
-        core = cores[0]
-        primary, sibling = core.threads[:2]
-        assert sibling.global_id != primary.global_id
-        assert sibling.core_id == core.core_id
-
-    def test_hardware_thread_ids_unique(self):
-        cores, _ = build_cpu(8, 4, 4, 35e9, 12e9)
-        ids = [t.global_id for c in cores for t in c.threads]
-        assert len(set(ids)) == len(ids) == 32
-
-
 class TestConfig:
     def test_knl_config_defaults(self):
         cfg = knl_config()
         assert cfg.cores == 64
         assert cfg.device("mcdram").capacity == 16 * GiB
-        assert cfg.cores * cfg.smt == 256
+        assert len(dataclasses.fields(cfg)) == 6
 
     def test_unknown_device_rejected(self):
         with pytest.raises(ConfigError):
@@ -53,9 +32,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MachineConfig(cores=0)
         with pytest.raises(ConfigError):
-            MachineConfig(smt=0)
+            MachineConfig(core_flops=0.0)
         with pytest.raises(ConfigError):
-            MachineConfig(hybrid_cache_fraction=1.5)
+            MachineConfig(devices=())
 
 
 class TestKernelExecution:
@@ -65,29 +44,29 @@ class TestKernelExecution:
                          ddr_capacity=4 * GiB)
 
     def test_pure_compute_kernel(self, node):
-        proc = node.env.process(node.run_kernel(0, flops=35e9, traffic={}))
-        result = node.env.run(until=proc)
-        assert result.duration == pytest.approx(1.0)
-        assert result.duration == pytest.approx(result.compute_floor)
+        proc = node.env.process(node.run_kernel(flops=35e9, traffic={}))
+        duration = node.env.run(until=proc)
+        assert duration == pytest.approx(1.0)
+        assert duration == pytest.approx(35e9 / node.core_flops)
 
     def test_memory_bound_kernel(self, node):
         # 12 GB over one core capped at 12 GB/s -> 1 s, compute floor tiny
         proc = node.env.process(node.run_kernel(
-            0, flops=1e6, traffic={node.hbm: (12e9, 0.0)}))
-        result = node.env.run(until=proc)
-        assert result.duration == pytest.approx(1.0, rel=1e-3)
-        assert result.duration > result.compute_floor * (1 + 1e-9)
+            flops=1e6, traffic={node.hbm: (12e9, 0.0)}))
+        duration = node.env.run(until=proc)
+        assert duration == pytest.approx(1.0, rel=1e-3)
+        assert duration > 1e6 / node.core_flops * (1 + 1e-9)
 
     def test_roofline_max_semantics(self, node):
         """Duration = max(compute floor, memory time), not the sum."""
         proc = node.env.process(node.run_kernel(
-            0, flops=35e9, traffic={node.hbm: (6e9, 0.0)}))  # mem: 0.5s
-        result = node.env.run(until=proc)
-        assert result.duration == pytest.approx(1.0, rel=1e-3)
+            flops=35e9, traffic={node.hbm: (6e9, 0.0)}))  # mem: 0.5s
+        duration = node.env.run(until=proc)
+        assert duration == pytest.approx(1.0, rel=1e-3)
 
     def test_negative_flops_rejected(self, node):
         with pytest.raises(ConfigError):
-            next(node.run_kernel(0, flops=-1, traffic={}))
+            next(node.run_kernel(flops=-1, traffic={}))
 
     def test_kernel_on_blocks_uses_residency(self, node):
         fast = DataBlock("fast", 120 * MiB, bid=next(BIDS))
@@ -99,22 +78,21 @@ class TestKernelExecution:
         env = node.env
 
         def run(block):
-            result = yield from node.run_kernel_on_blocks(
-                0, flops=0.0, reads=[block], writes=[block])
-            return result
+            return (yield from node.run_kernel_on_blocks(
+                flops=0.0, reads=[block], writes=[block]))
 
-        r_fast = env.run(until=env.process(run(fast)))
-        r_slow = env.run(until=env.process(run(slow)))
+        env.run(until=env.process(run(fast)))
+        env.run(until=env.process(run(slow)))
         # both capped by the per-core 12 GB/s here; with 4 cores no
         # contention, so only device bandwidth differences show when
         # aggregated -- so instead verify traffic accounting:
-        assert node.hbm.bytes_read > 0 and node.ddr.bytes_read > 0
-        assert r_fast.bytes_touched == r_slow.bytes_touched
+        assert node.hbm.bytes_read == node.ddr.bytes_read == 120 * MiB
+        assert node.hbm.bytes_written == node.ddr.bytes_written == 120 * MiB
 
     def test_unplaced_block_rejected(self, node):
         ghost = DataBlock("ghost", MiB, bid=next(BIDS))
         with pytest.raises(ConfigError):
-            next(node.run_kernel_on_blocks(0, 0.0, reads=[ghost], writes=[]))
+            next(node.run_kernel_on_blocks(0.0, reads=[ghost], writes=[]))
 
     def test_contention_between_kernels(self):
         """Enough concurrent kernels saturate the device and slow down."""
@@ -123,16 +101,15 @@ class TestKernelExecution:
         env = node.env
         nbytes = 4e9
 
-        def kernel(core):
-            result = yield from node.run_kernel(
-                core, flops=0.0, traffic={node.ddr: (nbytes, nbytes)})
-            return result
+        def kernel():
+            return (yield from node.run_kernel(
+                flops=0.0, traffic={node.ddr: (nbytes, nbytes)}))
 
-        solo = env.run(until=env.process(kernel(0))).duration
+        solo = env.run(until=env.process(kernel()))
         # 16 cores x 12 GB/s demand = 192 GB/s against an 80 GB/s port
-        procs = [env.process(kernel(c)) for c in range(16)]
+        procs = [env.process(kernel()) for _ in range(16)]
         env.run(until=env.all_of(procs))
-        crowd = max(p.value.duration for p in procs)
+        crowd = max(p.value for p in procs)
         assert crowd > solo * 2.0
 
 

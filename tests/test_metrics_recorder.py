@@ -37,16 +37,17 @@ class TestLifecycle:
         assert times[-1] == pytest.approx(0.55)  # final stop() snapshot
 
     def test_stop_retires_the_process(self, env, registry):
+        """stop() cancels the pending tick: nothing keeps the run going."""
         rec = FlightRecorder(env, registry.flatten, cadence=0.1).start()
         env.run(until=0.25)
+        tick = rec._tick
         rec.stop()
         taken = rec.snapshots_taken
         # the queue must drain: an unbounded run() returns because the
-        # cadence process no longer re-arms (the shutdown-hang hazard);
-        # the kill is delivered through the event queue, so the process
-        # dies only once the environment processes it
+        # cadence tick no longer re-arms (the shutdown-hang hazard)
         env.run()
-        assert not rec._process.is_alive
+        assert tick._cancelled and not tick.processed
+        assert env.now == pytest.approx(0.25)
         assert rec.snapshots_taken == taken
 
     def test_stop_is_idempotent(self, env, registry):

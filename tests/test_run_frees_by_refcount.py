@@ -92,7 +92,7 @@ def test_a_failing_spec_leaves_no_cyclic_garbage(collector_restored):
     gc.set_debug(gc.DEBUG_SAVEALL)
     out = execute_spec(spec)
     assert not out["ok"]
-    assert out["error"].startswith("CapacityError"), out["error"]
+    assert out["error"].startswith("ConfigError"), out["error"]
     gc.collect()
     left = collections.Counter(type(o).__name__ for o in gc.garbage)
     assert sum(left.values()) == 0, left.most_common(10)

@@ -7,7 +7,6 @@ from repro.runtime.message import Message
 from repro.runtime.pe import PE
 from repro.runtime.runtime import CharmRuntime
 from repro.sim.environment import Environment
-from repro.units import GiB
 
 
 class Thing(Chare):
@@ -18,8 +17,7 @@ class Thing(Chare):
 
 def make_pe():
     env = Environment()
-    node = build_knl(env, cores=1, mcdram_capacity=GiB, ddr_capacity=2 * GiB)
-    return env, PE(env, 0, node.cores[0])
+    return env, PE(env, 0)
 
 
 class TestMessage:

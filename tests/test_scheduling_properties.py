@@ -35,9 +35,9 @@ class PropWorker(Chare):
     def compute(self, reducer):
         blocks = [self.own] + list(self.shared)
         self.states_seen.append(tuple(b.state for b in blocks))
-        result = yield from self.kernel(flops=5e7, reads=blocks,
+        duration = yield from self.kernel(flops=5e7, reads=blocks,
                                         writes=[self.own])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 def run_workload(strategy, chares, block_mib, hbm_mib, rounds,

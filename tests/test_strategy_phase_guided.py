@@ -47,15 +47,15 @@ class TwoPhaseWorker(Chare):
 
     @entry(prefetch=True, readwrite=["early"])
     def first(self, reducer):
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1e8, reads=[self.early], writes=[self.early])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
     @entry(prefetch=True, readwrite=["late"])
     def second(self, reducer):
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1e8, reads=[self.late], writes=[self.late])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 TWO_PHASE_GUIDE = v2_guide(

@@ -54,9 +54,9 @@ class Worker(Chare):
 
     @entry(prefetch=True, readwrite=["data"])
     def compute(self, reducer):
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1e8, reads=[self.data], writes=[self.data])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 class TwoBlockWorker(Chare):
@@ -70,9 +70,9 @@ class TwoBlockWorker(Chare):
 
     @entry(prefetch=True, readonly=["cold"], readwrite=["hot"])
     def compute(self, reducer):
-        result = yield from self.kernel(
+        duration = yield from self.kernel(
             flops=1e8, reads=[self.cold, self.hot], writes=[self.hot])
-        reducer.contribute(result.duration)
+        reducer.contribute(duration)
 
 
 def run_app(strategy, *, chare=Worker, chares=16, block=32 * MiB, rounds=2,
