@@ -13,6 +13,7 @@ reuse, as MatMul's read-only panels show).
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappop, heappush
 
 from repro.mem.block import BlockState, DataBlock
 from repro.mem.registry import BlockRegistry
@@ -59,27 +60,41 @@ def _lru_victims(registry: BlockRegistry, needed_bytes: int,
     exhausted — evicting a block that a waiting task is about to fetch
     back is pure thrash.  ``include_demanded=False`` excludes them
     entirely (used by the proactive watermark evictor, which must never
-    churn hot data)."""
+    churn hot data).
+
+    Idle (demand-0) blocks go first, oldest-use first (LRU).  Among
+    still-demanded blocks the FIFO wait queues make next use knowable:
+    evict the block whose earliest pending task is *farthest away*
+    (Belady's rule), not the LRU one — for cyclic reuse patterns LRU
+    would evict exactly the block needed soonest.  The idle index's heap
+    holds exactly that order (:class:`~repro.mem.block.IdleIndex`), so
+    this pops the prefix it needs instead of sorting every candidate:
+    stale entries are dropped, and the live ones popped (victims and
+    skipped pinned or unregistered blocks alike) go back on the heap.
+    """
     victims: list[DataBlock] = []
+    index = registry.idle_index
+    if index is None:
+        return victims
+    heap = index.heap
+    current = index.get
+    block_of = registry.get
+    popped = []
     freed = 0
-    # Idle (demand-0) blocks go first, oldest-use first (LRU).  Among
-    # still-demanded blocks the FIFO wait queues make next use knowable:
-    # evict the block whose earliest pending task is *farthest away*
-    # (Belady's rule), not the LRU one — for cyclic reuse patterns LRU
-    # would evict exactly the block needed soonest.
-    candidates = sorted(
-        (b for b in registry.evictable_blocks()
-         if include_demanded or b.demand == 0),
-        key=lambda b: (
-            (0, b.last_scheduled_at if b.last_scheduled_at is not None
-             else -1.0, b.bid)
-            if b.demand == 0 else
-            (1, -b.next_use, b.bid)))
-    for block in candidates:
-        if freed >= needed_bytes:
-            break
-        victims.append(block)
-        freed += block.nbytes
+    while freed < needed_bytes and heap:
+        entry = heappop(heap)
+        bid = entry[2]
+        if current(bid) is not entry:
+            continue  # stale: the block left the index or was re-keyed
+        popped.append(entry)
+        if entry[0] and not include_demanded:
+            break  # the idle blocks are exhausted; the rest are demanded
+        block = block_of(bid)
+        if block is not None and not block.pinned:
+            victims.append(block)
+            freed += block.nbytes
+    for entry in popped:
+        heappush(heap, entry)
     return victims
 
 

@@ -130,9 +130,11 @@ class OOCManager:
                     f"block {block.name!r} left HBM while task #{task.tid} "
                     "was running (refcount gating failed)")
         task.state = TaskState.DONE
-        task.release_all()
+        # demand first: a block released to refcount 0 then joins the
+        # idle index under its final victim key, in one push
         for block in task.blocks:
             block.drop_demand(task.tid)
+        task.release_all()
         self.tasks_completed += 1
         self.change_epoch += 1
         yield from self.strategy.task_finished(pe, task)

@@ -70,6 +70,8 @@ class Strategy:
 
     def attach(self, manager: "OOCManager") -> None:
         self._manager = weakref.ref(manager)
+        #: each worker PE's trace lane, indexed by PE id
+        self.pe_lanes = [f"pe{pe.id}" for pe in manager.pes]
         self.setup()
 
     def setup(self) -> None:

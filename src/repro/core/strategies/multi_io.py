@@ -58,7 +58,7 @@ class MultiIOThreadStrategy(Strategy):
     def submit(self, pe: PE, task: OOCTask) -> _t.Generator:
         """Pre-processing is now trivial: enqueue and wake the local IO thread."""
         mgr = self._mgr()
-        yield from mgr.charge_queue_op(f"pe{pe.id}")
+        yield from mgr.charge_queue_op(self.pe_lanes[pe.id])
         pe.wait_enqueue(task)
         self.gates[pe.id].open()
 

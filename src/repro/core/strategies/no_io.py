@@ -43,10 +43,11 @@ class NoIOThreadStrategy(Strategy):
 
     def submit(self, pe: PE, task: OOCTask) -> _t.Generator:
         mgr = self._mgr()
-        yield from mgr.charge_queue_op(f"pe{pe.id}")
+        lane = self.pe_lanes[pe.id]
+        yield from mgr.charge_queue_op(lane)
         if self.can_fetch_task(task):
             ok = yield from self.fetch_task_blocks(
-                task, f"pe{pe.id}",
+                task, lane,
                 TraceCategory.PREPROCESS_FETCH,
                 evict_category=TraceCategory.POSTPROCESS_EVICT)
             if ok:
@@ -63,7 +64,7 @@ class NoIOThreadStrategy(Strategy):
         blocks for a waiting task and schedules the task."
         """
         mgr = self._mgr()
-        lane = f"pe{pe.id}"
+        lane = self.pe_lanes[pe.id]
         evicted = False
         for victim in mgr.eviction.post_task_victims(task, mgr.tracker):
             if victim.in_hbm and not victim.in_use and not victim.pinned:
@@ -88,7 +89,7 @@ class NoIOThreadStrategy(Strategy):
 
     def _drain_waiters(self, pe: PE) -> _t.Generator:
         mgr = self._mgr()
-        lane = f"pe{pe.id}"
+        lane = self.pe_lanes[pe.id]
         while pe.wait_queue:
             head = pe.wait_queue[0]
             if not self.can_fetch_task(head):

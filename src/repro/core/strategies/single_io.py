@@ -50,7 +50,7 @@ class SingleIOThreadStrategy(Strategy):
     def submit(self, pe: PE, task: OOCTask) -> _t.Generator:
         """Pre-processing: park the task; signal the IO thread."""
         mgr = self._mgr()
-        yield from mgr.charge_queue_op(f"pe{pe.id}")
+        yield from mgr.charge_queue_op(self.pe_lanes[pe.id])
         pe.wait_enqueue(task)
         assert self.gate is not None
         self.gate.open()
@@ -61,7 +61,8 @@ class SingleIOThreadStrategy(Strategy):
         for victim in mgr.eviction.post_task_victims(task, mgr.tracker):
             if victim.in_hbm and not victim.in_use and not victim.pinned:
                 yield from self.evict_block(
-                    victim, f"pe{pe.id}", TraceCategory.POSTPROCESS_EVICT,
+                    victim, self.pe_lanes[pe.id],
+                    TraceCategory.POSTPROCESS_EVICT,
                     reason="post-task")
         assert self.gate is not None
         self.gate.open()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import typing as _t
+from heapq import heapify, heappush
 
 from repro import hooks as _probe
 from repro.errors import BlockStateError
@@ -25,7 +26,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mem.allocator import Allocation
     from repro.mem.device import MemoryDevice
 
-__all__ = ["AccessIntent", "BlockState", "DataBlock"]
+__all__ = ["AccessIntent", "BlockState", "DataBlock", "IdleIndex"]
 
 
 class AccessIntent(enum.Enum):
@@ -58,6 +59,69 @@ class BlockState(enum.Enum):
     INDDR = "INDDR"
     #: transfer in flight (transient; the paper treats this inside its locks)
     MOVING = "MOVING"
+
+
+#: An idle index compacts its victim heap once the stale entries outnumber
+#: the live ones more than STALE_FACTOR times over, plus STALE_SLACK (so a
+#: near-empty index does not compact on every change).
+STALE_FACTOR = 2
+STALE_SLACK = 64
+
+
+class IdleIndex(dict):
+    """The blocks settled on an HBM device with refcount 0, and their
+    eviction order.
+
+    A dict ``bid -> entry``: the keys are the idle blocks' ids in
+    insertion order, and each value is the block's current entry in
+    ``heap``, a lazy min-heap in victim order.  An entry is the victim
+    key itself: ``(0, last_scheduled_at or -1.0, bid)`` for a block no
+    queued task needs (least recently scheduled first) and ``(1,
+    -next_use, bid)`` for one that queued tasks still need (farthest
+    next use first).  A re-key pushes a new entry and leaves the old one
+    in the heap; an entry is live exactly while it *is* its block's value
+    here, so readers recognise stale entries by identity and drop them.
+    Ids, not blocks: see :class:`~repro.mem.device.MemoryDevice`.
+
+    DataBlock's transitions keep it current: :meth:`remove` when a block
+    leaves (``retain`` from 0, ``begin_move``, a re-placement) and
+    :meth:`push` whenever an idle block gets a key (``release`` to 0, a
+    ``settle`` into HBM at refcount 0, ``add_demand``/``drop_demand``
+    while idle).
+    """
+
+    __slots__ = ("heap",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.heap: list[tuple[int, float, int]] = []
+
+    def push(self, block: "DataBlock") -> None:
+        """Index ``block`` under its current victim key."""
+        bid = block.bid
+        if block._pending:
+            entry = (1, -block.next_use, bid)
+        else:
+            ts = block.last_scheduled_at
+            entry = (0, -1.0 if ts is None else ts, bid)
+        if self.get(bid) != entry:
+            self[bid] = entry
+            heappush(self.heap, entry)
+            if len(self.heap) > (STALE_FACTOR + 1) * len(self) + STALE_SLACK:
+                self.compact()
+
+    def remove(self, bid: int) -> None:
+        """Take block ``bid`` out; its heap entry goes stale."""
+        del self[bid]
+        if len(self.heap) > (STALE_FACTOR + 1) * len(self) + STALE_SLACK:
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop every stale entry from the heap."""
+        get = self.get
+        heap = self.heap
+        heap[:] = [entry for entry in heap if get(entry[2]) is entry]
+        heapify(heap)
 
 
 class DataBlock:
@@ -103,9 +167,10 @@ class DataBlock:
         self.payload = payload
         # The idle index of the device this block is settled on in HBM
         # (``MemoryDevice.idle_blocks``), else None.  The block's bid is
-        # in that dict exactly while its refcount is 0; retain/release/
-        # begin_move/settle keep it so.
-        self._idle_index: "dict[int, None] | None" = None
+        # in that index exactly while its refcount is 0; retain/release/
+        # begin_move/settle keep it so, and add_demand/drop_demand keep
+        # its victim key current.
+        self._idle_index: IdleIndex | None = None
 
     # -- reference counting -------------------------------------------------
 
@@ -124,7 +189,7 @@ class DataBlock:
             _probe.on_retain(self)
         self._refcount += 1
         if self._refcount == 1 and self._idle_index is not None:
-            del self._idle_index[self.bid]
+            self._idle_index.remove(self.bid)
         if now is not None:
             self.last_scheduled_at = now
         return self._refcount
@@ -138,7 +203,7 @@ class DataBlock:
                 f"refcount underflow on block {self.name!r}")
         self._refcount -= 1
         if self._refcount == 0 and self._idle_index is not None:
-            self._idle_index[self.bid] = None
+            self._idle_index.push(self)
         return self._refcount
 
     @property
@@ -165,6 +230,8 @@ class DataBlock:
         self._pending[task_serial] = task
         if self._next_use is not None and task_serial < self._next_use:
             self._next_use = task_serial
+        if self._refcount == 0 and self._idle_index is not None:
+            self._idle_index.push(self)
 
     def drop_demand(self, task_serial: int) -> None:
         try:
@@ -174,6 +241,8 @@ class DataBlock:
                 f"demand underflow on block {self.name!r}") from None
         if self._next_use == task_serial:
             self._next_use = None  # recompute lazily
+        if self._refcount == 0 and self._idle_index is not None:
+            self._idle_index.push(self)
 
     # -- placement ------------------------------------------------------------
 
@@ -200,7 +269,7 @@ class DataBlock:
                 task.missing -= nbytes
         if self._idle_index is not None:
             if self._refcount == 0:
-                del self._idle_index[self.bid]
+                self._idle_index.remove(self.bid)
             self._idle_index = None
         self.state = BlockState.MOVING
 
@@ -221,9 +290,9 @@ class DataBlock:
             # release_block) may leave an old index behind
             if self._refcount == 0:
                 if self._idle_index is not None:
-                    del self._idle_index[self.bid]
+                    self._idle_index.remove(self.bid)
                 if index is not None:
-                    index[self.bid] = None
+                    index.push(self)
             self._idle_index = index
         if _probe.on_settle is not None:
             _probe.on_settle(self)

@@ -17,6 +17,7 @@ import math
 import typing as _t
 
 from repro.errors import ConfigError
+from repro.mem.block import IdleIndex
 from repro.sim.fluid import Flow, FluidNetwork, Link
 from repro.units import format_bandwidth, format_size
 
@@ -58,13 +59,13 @@ class MemoryDevice:
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         #: the idle index: the bids of the blocks settled here in INHBM
-        #: with refcount 0 — the eviction candidates — as an insertion-
-        #: ordered dict of ``bid -> None``.  Ids, not blocks: a block
-        #: points at its device, so holding blocks here would make every
-        #: idle block a reference cycle.  DataBlock's retain/release/
-        #: begin_move/settle maintain it; only the HBM node keeps one.
-        self.idle_blocks: "dict[int, None] | None" = (
-            {} if numa_node == HBM_NODE else None)
+        #: with refcount 0 — the eviction candidates — with their victim
+        #: heap.  Ids, not blocks: a block points at its device, so
+        #: holding blocks here would make every idle block a reference
+        #: cycle.  DataBlock's transitions maintain it; only the HBM node
+        #: keeps one.
+        self.idle_blocks: IdleIndex | None = (
+            IdleIndex() if numa_node == HBM_NODE else None)
 
     # -- capacity ---------------------------------------------------------------
 

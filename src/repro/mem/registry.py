@@ -10,7 +10,7 @@ import typing as _t
 from itertools import count
 
 from repro.errors import BlockStateError
-from repro.mem.block import DataBlock
+from repro.mem.block import DataBlock, IdleIndex
 from repro.mem.topology import MemoryTopology
 
 __all__ = ["BlockRegistry"]
@@ -24,9 +24,11 @@ class BlockRegistry:
         self._blocks: dict[int, DataBlock] = {}
         #: this run's block numbers
         self._block_ids = count()
-        # the devices' idle indices: the HBM node's, or none in cache mode
-        self._idle_indices = [dev.idle_blocks for dev in topology.devices
-                              if dev.idle_blocks is not None]
+        #: the HBM node's idle index, or None in cache mode (numa node
+        #: ids are unique, so at most one device keeps one)
+        self.idle_index: IdleIndex | None = next(
+            (dev.idle_blocks for dev in topology.devices
+             if dev.idle_blocks is not None), None)
 
     # -- membership -----------------------------------------------------------
 
@@ -67,8 +69,11 @@ class BlockRegistry:
         idle blocks rather than the registry.  ``pinned`` and membership
         are checked here: the index tracks only state and refcount.
         """
+        index = self.idle_index
+        if index is None:
+            return []
         get = self._blocks.get
-        return [b for index in self._idle_indices for bid in index
+        return [b for bid in index
                 if (b := get(bid)) is not None and not b.pinned]
 
     def total_bytes(self) -> int:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import typing as _t
+from operator import attrgetter
 
 from repro.trace.events import TraceCategory
 from repro.units import format_time
@@ -144,6 +145,13 @@ class CritPathReport:
         return "\n".join(lines)
 
 
+_START = attrgetter("start")
+_END = attrgetter("end")
+_START_END_SID = attrgetter("start", "end", "sid")
+_START_LANE_SID = attrgetter("start", "lane", "sid")
+_END_START_LANE_SID = attrgetter("end", "start", "lane", "sid")
+
+
 def _empty_report(start: float, end: float) -> CritPathReport:
     return CritPathReport(start, end,
                           {bucket: 0.0 for bucket in BUCKETS}, {}, [], [])
@@ -159,14 +167,14 @@ def critical_path(spans: "_t.Sequence[Span]", *,
     """
     if not spans:
         return _empty_report(start or 0.0, end or 0.0)
-    t_end = max(s.end for s in spans) if end is None else end
-    t_start = min(s.start for s in spans) if start is None else start
+    t_end = max(map(_END, spans)) if end is None else end
+    t_start = min(map(_START, spans)) if start is None else start
     if t_end <= t_start:
         return _empty_report(t_start, t_end)
 
     by_sid = {span.sid: span for span in spans}
     lane_spans: dict[str, list[Span]] = {}
-    for span in sorted(spans, key=lambda s: (s.start, s.end, s.sid)):
+    for span in sorted(spans, key=_START_END_SID):
         lane_spans.setdefault(span.lane, []).append(span)
     lane_starts = {lane: [s.start for s in row]
                    for lane, row in lane_spans.items()}
@@ -191,7 +199,12 @@ def critical_path(spans: "_t.Sequence[Span]", *,
         report = _empty_report(t_start, t_end)
         report.contributions["scheduling"] = t_end - t_start
         return report
-    cur: "Span | None" = max(candidates, key=lambda s: coverage_key(s, t_end))
+    # the head maximizes coverage_key(s, t_end) with C-level keys: a span
+    # reaching t_end covers it fully, so those outrank every other
+    # candidate and tie on (start, lane, sid)
+    covering = [s for s in candidates if s.end >= t_end]
+    cur: "Span | None" = (max(covering, key=_START_LANE_SID) if covering
+                          else max(candidates, key=_END_START_LANE_SID))
 
     contributions = {bucket: 0.0 for bucket in BUCKETS}
     by_lane: dict[str, dict[str, float]] = {}

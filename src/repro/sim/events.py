@@ -215,15 +215,19 @@ class AllOf(Event):
             for ev in self.events:
                 ev.add_callback(self._check)
 
+    # _collect and _check run once per child of every AllOf (one per
+    # kernel): they read the slots behind ``triggered``/``ok``/``value``
+
     def _collect(self) -> dict[Event, _t.Any]:
-        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
+        return {ev: ev._value for ev in self.events
+                if ev._value is not PENDING and ev._ok}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        if not event.ok:
+        if not event._ok:
             event.defuse()
-            self.fail(event.value)
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:

@@ -29,25 +29,24 @@ class Gate:
     def __init__(self, env: Environment, name: str = "gate"):
         self.env = env
         self.name = name
-        self._open = False
+        #: True from open() until close(): waiters pass immediately
+        self.is_open = False
         self._waiters: deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
+        # wait() runs once per park; format its event name once
+        self._wait_name = f"{name}.wait"
 
     def wait(self) -> Event:
-        ev = self.env.event(name=f"{self.name}.wait")
-        if self._open:
+        ev = Event(self.env, self._wait_name)
+        if self.is_open:
             ev.succeed()
         else:
             self._waiters.append(ev)
         return ev
 
     def open(self) -> None:
-        self._open = True
+        self.is_open = True
         while self._waiters:
             self._waiters.popleft().succeed()
 
     def close(self) -> None:
-        self._open = False
+        self.is_open = False

@@ -7,6 +7,10 @@
 * :func:`simulate_miss_rate` replays a cyclic sweep against an explicit
   direct-mapped tag array, the Monte-Carlo check of
   :meth:`~repro.mem.cache.DirectMappedCache.miss_rate`.
+* :func:`sorted_victims` is the LRU victim selection as it was before the
+  idle index: filter and sort every registered block.
+  :func:`check_victim_heap` holds the idle index's lazy heap to that
+  order's key (:func:`victim_key`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BlockStateError
-from repro.mem.block import BlockState
+from repro.mem.block import STALE_FACTOR, STALE_SLACK, BlockState, IdleIndex
 from repro.mem.cache import DirectMappedCache
 from repro.mem.registry import BlockRegistry
 
@@ -76,3 +80,50 @@ def simulate_miss_rate(cache: DirectMappedCache, working_set: int, *,
                 misses += 1
                 tags[s] = page
     return misses / (pages * max(1, sweeps))
+
+
+def victim_key(block) -> tuple:
+    """The LRU victim sort key: idle blocks least recently scheduled
+    first, then demanded blocks farthest next use first, ``bid`` last."""
+    if block.demand == 0:
+        ts = block.last_scheduled_at
+        return (0, -1.0 if ts is None else ts, block.bid)
+    return (1, -block.next_use, block.bid)
+
+
+def sorted_victims(registry: BlockRegistry, needed_bytes: int,
+                   include_demanded: bool = True) -> list:
+    """The victim selection before the idle index: filter and sort every
+    registered block."""
+    candidates = sorted(
+        (b for b in registry
+         if b.state is BlockState.INHBM and not b.in_use and not b.pinned
+         and (include_demanded or b.demand == 0)),
+        key=victim_key)
+    victims, freed = [], 0
+    for block in candidates:
+        if freed >= needed_bytes:
+            break
+        victims.append(block)
+        freed += block.nbytes
+    return victims
+
+
+def check_victim_heap(registry: BlockRegistry, index: IdleIndex) -> int:
+    """Raise unless every idle block's entry is live in the heap under
+    its current :func:`victim_key`, the heap is ordered and its stale
+    entries are within the compaction bound; returns the stale count."""
+    heap = index.heap
+    in_heap = {id(entry) for entry in heap}
+    for bid, entry in index.items():
+        if entry != victim_key(registry.get(bid)):
+            raise BlockStateError(f"block #{bid} indexed under {entry}")
+        if id(entry) not in in_heap:
+            raise BlockStateError(f"block #{bid} has no live heap entry")
+    if any(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))):
+        raise BlockStateError("victim heap out of order")
+    stale = len(heap) - len(index)
+    if not 0 <= stale <= STALE_FACTOR * len(index) + STALE_SLACK:
+        raise BlockStateError(
+            f"{stale} stale entries over {len(index)} live ones")
+    return stale

@@ -2,14 +2,18 @@
 a full rescan of the block registry after every processed event.
 
 ``MemoryDevice.idle_blocks`` is updated incrementally by
-``DataBlock.retain`` / ``release`` / ``begin_move`` / ``settle``.  The
+``DataBlock.retain`` / ``release`` / ``begin_move`` / ``settle``, and its
+victim heap also by ``add_demand`` / ``drop_demand``.  The
 oracles here recompute from scratch what the index replaced:
 
 * the index itself against a registry rescan of ``{INHBM, refcount 0}``,
   each time the event loop is about to process the next event (so after
-  each previous one), and once more when the run drains;
+  each previous one), and once more when the run drains — and, at each of
+  those points, the victim heap: every idle block's entry is in the heap
+  under the block's current victim key, and the stale entries stay under
+  the compaction bound;
 * every victim list against the full-registry sort the LRU policy used
-  before the index existed (``registry_lru_victims`` below);
+  before the index existed (``tests.mem_oracle.sorted_victims``);
 * the early-exit pending-missing sum of ``maintain_watermarks`` against
   the full sum, as the ``(low, high, proceed)`` it decides.
 
@@ -29,29 +33,9 @@ from repro.mem.block import BlockState
 from repro.race.explorer import SeededTieBreaker
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
+from tests.mem_oracle import check_victim_heap, sorted_victims
 
 STRATEGIES = ["no-io", "single-io", "multi-io", "phase-guided"]
-
-
-def registry_lru_victims(registry, needed_bytes, include_demanded=True):
-    """The victim selection before the idle index: filter and sort every
-    registered block."""
-    candidates = sorted(
-        (b for b in registry
-         if b.state is BlockState.INHBM and not b.in_use and not b.pinned
-         and (include_demanded or b.demand == 0)),
-        key=lambda b: (
-            (0, b.last_scheduled_at if b.last_scheduled_at is not None
-             else -1.0, b.bid)
-            if b.demand == 0 else
-            (1, -b.next_use, b.bid)))
-    victims, freed = [], 0
-    for block in candidates:
-        if freed >= needed_bytes:
-            break
-        victims.append(block)
-        freed += block.nbytes
-    return victims
 
 
 def watermark_decision(strategy, pending_missing):
@@ -73,6 +57,7 @@ class IdleIndexOracle:
         self.index = built.manager.hbm.idle_blocks
         self.strategy = built.strategy
         self.checks = 0
+        self.max_stale = 0
         self.scans = 0
         self.victims = 0
         self.wm_truncated = 0
@@ -81,11 +66,13 @@ class IdleIndexOracle:
         self.check()
 
     def check(self):
-        rescan = {b.bid: None for b in self.registry
+        rescan = {b.bid for b in self.registry
                   if b.state is BlockState.INHBM and b.refcount == 0}
-        assert self.index == rescan, (
-            f"index-only {sorted(self.index.keys() - rescan.keys())}, "
-            f"rescan-only {sorted(rescan.keys() - self.index.keys())}")
+        assert self.index.keys() == rescan, (
+            f"index-only {sorted(self.index.keys() - rescan)}, "
+            f"rescan-only {sorted(rescan - self.index.keys())}")
+        self.max_stale = max(self.max_stale,
+                             check_victim_heap(self.registry, self.index))
         strategy = self.strategy
         full = sum(task.missing for pe in strategy.manager.pes
                    for task in pe.wait_queue)
@@ -99,8 +86,7 @@ class IdleIndexOracle:
 
     def lru_victims(self, registry, needed_bytes, include_demanded=True):
         got = self.real_lru_victims(registry, needed_bytes, include_demanded)
-        expected = registry_lru_victims(registry, needed_bytes,
-                                        include_demanded)
+        expected = sorted_victims(registry, needed_bytes, include_demanded)
         assert [b.bid for b in got] == [b.bid for b in expected]
         self.scans += 1
         self.victims += len(got)
@@ -151,6 +137,7 @@ def test_idle_index_matches_rescan_after_every_event(app, strategy, seed,
     assert summary["tasks_completed"] == summary["tasks_intercepted"] > 0
     assert summary["evictions"] > 0
     assert oracle.checks > 100
+    assert oracle.max_stale > 0  # re-keys and retains did leave stale entries
     assert oracle.wm_truncated > 0  # the early exit did cut sums short
     # no-io's post-task eviction keeps the stencil clear of victim scans
     if (app, strategy) != ("stencil", "no-io"):

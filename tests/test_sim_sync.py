@@ -1,7 +1,10 @@
 """Unit tests for the IO threads' wake-up gate."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.strategies.multi_io import MultiIOThreadStrategy
 from repro.sim.environment import Environment
 from repro.sim.sync import Gate
 
@@ -54,3 +57,37 @@ class TestGate:
         env.process(worker(env, gate))
         env.run()
         assert log == [("io-woke", 1.0), ("io-woke", 2.0)]
+
+
+class TestMultiIOBroadcast:
+    """A completion's wake broadcast over every PE's gate."""
+
+    def broadcast(self, env, parked, local):
+        strategy = MultiIOThreadStrategy()
+        strategy.gates = {i: Gate(env, f"g{i}") for i in range(4)}
+        log = []
+
+        def io_thread(gate):
+            yield gate.wait()
+            log.append(gate.name)
+
+        for i in parked:
+            env.process(io_thread(strategy.gates[i]))
+        env.run()
+        assert log == []
+        strategy._wake_after_evict(SimpleNamespace(id=local))
+        env.run()
+        return strategy.gates, log
+
+    def test_parked_waiters_resume_in_gate_order(self, env):
+        _, log = self.broadcast(env, parked=(3, 0, 2), local=2)
+        assert log == ["g2", "g0", "g3"]  # the local PE's thread first
+
+    def test_gate_without_waiter_is_only_latched(self, env):
+        gates, log = self.broadcast(env, parked=(0, 2), local=0)
+        assert log == ["g0", "g2"]
+        assert all(gate.is_open for gate in gates.values())
+        assert gates[1].wait().triggered  # its thread will not park
+
+    def test_wait_event_name(self, env):
+        assert Gate(env, "io").wait().name == "io.wait"
