@@ -125,7 +125,6 @@ def run_bench(directory: Path | None = None) -> Path:
         "phase_analysis": {
             "phases": len(phases),
             "sites_with_interval": sites_with_interval,
-            "schema": guidance.schema,
         },
     }
     print(f"  full_tree: {n_files} files in {lint_wall*1e3:.0f}ms, "

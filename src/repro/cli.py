@@ -25,13 +25,14 @@ Commands
 ``stream``
     Print the Figure-1 STREAM table (``--sanitize`` supported).
 ``lint``
-    Statically check dependence declarations (``@entry`` vs kernel usage)
-    and inferred memory traffic (bwlint, rules ``REP3xx``) in files,
-    directories or importable modules.  Exit codes: 0 clean, 1 findings,
+    Statically check dependence declarations (``@entry`` vs kernel usage,
+    rules ``REP1xx``), the placement-state protocol of the strategies and
+    mover (``REP2xx``) and inferred memory traffic (bwlint, ``REP3xx``)
+    in files, directories or importable modules.  Exit codes: 0 clean, 1 findings,
     2 the analyzer itself failed (the offending file and function are
     named on stderr).  ``--select REP3`` filters by rule-id prefix
-    (repeat the flag for several; a prefix no rule id has exits 2);
-    ``--guidance PATH`` also writes a placement-guidance file;
+    (repeat the flag for several; a prefix no rule id has exits 2), so
+    ``--strict --select REP2`` is the placement-state model checker alone;
     ``--format sarif`` emits a canonical SARIF 2.1.0 document on stdout
     (summary on stderr).  Warm re-runs are answered from the
     fingerprint-keyed analysis cache in ``.repro-cache/``;
@@ -39,9 +40,9 @@ Commands
 ``guide``
     Emit the bwlint placement-guidance file (canonical JSON, SHA-256
     identity) that ``--strategy static-guided`` and ``--strategy
-    phase-guided`` consume.  ``--phases`` prints the deterministic
-    human-readable phase-timeline render instead of the JSON;
-    ``--no-cache`` bypasses the analysis cache.
+    phase-guided`` build in-process from ``repro.apps``.  ``--phases``
+    prints the deterministic human-readable phase-timeline render instead
+    of the JSON.
 ``metrics``
     Run one application under the :mod:`repro.metrics` telemetry
     subsystem and export the flight-recorder output (``--format
@@ -49,10 +50,8 @@ Commands
     ``stencil``/``matmul`` also accept ``--metrics`` to append the same
     output to a normal run.
 ``race``
-    The :mod:`repro.race` concurrency checkers: ``--static`` model-checks
-    the placement-state protocol (rules ``REP2xx``) over the strategies
-    and mover (or explicit targets); the dynamic mode runs one app under
-    the happens-before race detector, exploring ``--explore-schedules N``
+    The :mod:`repro.race` dynamic checkers: run one app under the
+    happens-before race detector, exploring ``--explore-schedules N``
     seeded event orderings (``-j/--jobs`` explores seeds in parallel) and
     minimizing the first failure to a ``(--seed, --limit)`` replay token.
     ``stencil``/``matmul``/``spmv`` accept ``--race`` to run the detector
@@ -88,7 +87,7 @@ Examples::
     python -m repro stencil --sanitize --total 512MiB --block 8MiB
     python -m repro stencil --metrics --format report
     python -m repro metrics --app stencil --watch --format prom
-    python -m repro race --static
+    python -m repro lint --strict --select REP2 src/repro/core/strategies
     python -m repro race --app stencil --explore-schedules 8 -j 4
     python -m repro stencil --race --total 256MiB --block 16MiB
     python -m repro spmv --strategy multi-io --block-rows 32
@@ -562,13 +561,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if not any(rule_id.startswith(prefix) for rule_id in RULES):
             raise ConfigError(f"--select {prefix}: no rule id starts with "
                               "it (see repro lint --rules)")
-    _check_out_dir("--guidance", args.guidance)
     try:
         from repro.lint.cache import AnalysisCache, cached_check_paths
-        cache = AnalysisCache(enabled=not args.no_cache)
-        report = cached_check_paths(args.targets, cache=cache)
+        report = cached_check_paths(
+            args.targets, cache=AnalysisCache(enabled=not args.no_cache))
     except FileNotFoundError as exc:
-        raise ConfigError(f"lint: {exc}") from None
+        raise ConfigError(str(exc)) from None
     except AnalyzerCrash as exc:
         # the analyzer itself broke: exit 2 naming the offending spot so
         # a bug in the checker is never mistaken for a clean tree
@@ -598,13 +596,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for finding in findings:
             print(finding.render())
         print(f"{len(errors)} error(s), {len(warnings)} warning(s)")
-    if args.guidance:
-        from repro.lint.cache import cached_build_guidance
-        guide = cached_build_guidance(args.targets, cache=cache)
-        guide.write(args.guidance)
-        print(f"guidance for {len(guide.sites)} site(s) written to "
-              f"{args.guidance} (sha256 {guide.identity()[:16]})",
-              file=sys.stderr)
     ok = not errors and not (args.strict and warnings)
     return 0 if ok else 1
 
@@ -612,16 +603,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_guide(args: argparse.Namespace) -> int:
     """Emit a bwlint placement-guidance file for the given sources."""
     from repro.lint import AnalyzerCrash
-    from repro.lint.cache import AnalysisCache, cached_build_guidance
+    from repro.lint.guidance import build_guidance
 
     _check_out_dir("--output", args.output)
-    targets = args.targets or ["repro.apps"]
     try:
-        guide = cached_build_guidance(
-            targets, cache=AnalysisCache(enabled=not args.no_cache))
+        guide = build_guidance(args.targets or ["repro.apps"])
     except FileNotFoundError as exc:
-        print(f"guide: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(exc)) from None
     except AnalyzerCrash as exc:
         print(f"guide: internal error in {exc.file}, "
               f"function {exc.function}: "
@@ -764,23 +752,6 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 
 
 def _cmd_race(args: argparse.Namespace) -> int:
-    if args.static or args.targets:
-        from repro.race import check_paths, default_targets
-
-        targets = args.targets or default_targets()
-        try:
-            report = check_paths(targets)
-        except FileNotFoundError as exc:
-            print(f"race: {exc}", file=sys.stderr)
-            return 2
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"race: internal error: {exc}", file=sys.stderr)
-            return 2
-        for finding in report:
-            print(finding.render())
-        print(f"{len(report.errors)} error(s), "
-              f"{len(report.warnings)} warning(s)")
-        return 0 if report.ok(strict=True) else 1
     schedules, seed, limit = args.explore_schedules, args.seed, args.limit
     _check_count("--explore-schedules", schedules, 0)
     if limit is not None:
@@ -884,9 +855,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="only report rules whose id starts with PREFIX; "
                              "repeat for several (e.g. --select REP1 "
                              "--select REP3)")
-    p_lint.add_argument("--guidance", metavar="PATH",
-                        help="also write a bwlint placement-guidance file "
-                             "for the lint targets")
     p_lint.add_argument("--format", default="text",
                         choices=["text", "sarif"],
                         help="findings output: human text (default) or a "
@@ -904,23 +872,12 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     p_guide.add_argument("-o", "--output", metavar="PATH",
                          help="write here instead of stdout")
     p_guide.add_argument("--phases", action="store_true",
-                         help="print the v2 phase timeline (deterministic "
+                         help="print the phase timeline (deterministic "
                               "human-readable render) instead of the JSON")
-    p_guide.add_argument("--no-cache", action="store_true",
-                         help="re-analyze even when a warm .repro-cache/ "
-                              "entry exists for these targets")
     p_guide.set_defaults(func=_cmd_guide)
 
     p_race = sub.add_parser(
-        "race", help="race detector / placement model checker / "
-                     "schedule explorer")
-    p_race.add_argument("targets", nargs="*", metavar="TARGET",
-                        help="files or directories to model-check "
-                             "statically (default: the shipped strategies "
-                             "and mover; implies --static)")
-    p_race.add_argument("--static", action="store_true",
-                        help="model-check the placement-state protocol "
-                             "(REP2xx) instead of running an app")
+        "race", help="race detector / schedule explorer")
     race_apps = ["stencil", "matmul", "spmv"]
     p_race.add_argument("--app", default="stencil", choices=race_apps)
     p_race.add_argument("--strategy", default="multi-io",

@@ -2,7 +2,7 @@
 
 :class:`~repro.core.strategies.static_guided.StaticGuidedStrategy`
 consumes only the *aggregate* per-site traffic of a GuidanceFile; this
-strategy replays the schema-2 **phase timeline**
+strategy replays the **phase timeline**
 (:mod:`repro.lint.phases`) on top of the full multi-IO machinery:
 
 * the current phase is observed from the entry methods being submitted
@@ -16,8 +16,8 @@ strategy replays the schema-2 **phase timeline**
   lookahead fetch rides otherwise-wasted IO bandwidth and never blocks
   the demand path.
 
-With a schema-1 guidance file (no phase table) every hook degrades to a
-no-op and the strategy behaves exactly like ``multi-io``.
+With an empty phase table every hook degrades to a no-op and the
+strategy behaves exactly like ``multi-io``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class PhaseGuidedStrategy(MultiIOThreadStrategy):
         #: working set fits HBM, enabling post-task victim retention
         self._retain_hot = False
 
-    # -- guidance resolution (same order as StaticGuidedStrategy) ----------
+    # -- guidance resolution (shared with StaticGuidedStrategy) ------------
 
     def guidance(self) -> "GuidanceFile":
         if self._guidance is None:

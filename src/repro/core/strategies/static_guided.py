@@ -10,10 +10,9 @@ traffic-dead are pinned to DDR outright, and only then does the
 HBM-until-full fill run.  Like the baseline it never intercepts
 messages — the interesting part happened at lint time.
 
-Guidance comes from the file named by the ``$REPRO_GUIDANCE``
-environment variable, else from a one-shot in-process analysis of
-:mod:`repro.apps` (cached per interpreter, so sweeps do not re-parse per
-run).
+Guidance comes from a one-shot in-process analysis of :mod:`repro.apps`
+(cached per interpreter, so sweeps do not re-parse per run): the
+placement follows what the shipped programs declare, nothing else.
 
 A runtime block labelled ``"StencilChare[3].grid"`` maps to guidance
 site ``"StencilChare.grid"``; node-group-shared blocks
@@ -59,11 +58,7 @@ def block_site_id(block: DataBlock) -> str | None:
 
 
 def _resolve_guidance() -> "GuidanceFile":
-    """``$REPRO_GUIDANCE`` when set, else the cached repro.apps analysis."""
-    path = os.environ.get("REPRO_GUIDANCE")
-    if path:
-        from repro.lint.guidance import load_guidance
-        return load_guidance(path)
+    """The repro.apps analysis, built on first use."""
     global _DEFAULT_GUIDANCE
     if _DEFAULT_GUIDANCE is None:
         import repro.apps as _apps

@@ -61,17 +61,9 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def path(self, spec: RunSpec) -> Path:
-        """Where this spec's entry lives in the current generation."""
-        return self.generation / f"{spec.key()}.json"
-
     def get(self, spec: RunSpec) -> "dict | None":
         """The cached result payload, or None on miss/corruption."""
-        try:
-            entry = json.loads(self.path(spec).read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
+        entry = self.read(spec.key())
         if (not isinstance(entry, dict)
                 or entry.get("schema") != ENTRY_SCHEMA
                 or "result" not in entry):
@@ -92,6 +84,16 @@ class ResultCache:
         })
         self.stores += 1
         return path
+
+    def read(self, key: str) -> _t.Any:
+        """The payload stored as ``<generation>/<key>.json``, or None when
+        it is missing or unreadable (a corrupt entry is a miss)."""
+        try:
+            with open(self.generation / f"{key}.json",
+                      encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, ValueError):
+            return None
 
     def write(self, key: str, payload: _t.Any) -> Path:
         """Publish ``payload`` as ``<generation>/<key>.json`` atomically: a

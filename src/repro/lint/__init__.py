@@ -11,8 +11,8 @@ the truth the runtime schedules by):
 On top of the static pass sits the traffic stack ("bwlint"):
 :mod:`repro.lint.dataflow` (loop nests with symbolic trip counts),
 :mod:`repro.lint.traffic` (static per-site byte-volume inference, rules
-``REP3xx``) and :mod:`repro.lint.guidance` (canonical placement-guidance
-files consumed by the ``static-guided`` strategy).
+``REP3xx``) and :mod:`repro.lint.guidance` (canonical placement guidance
+consumed by the ``static-guided`` and ``phase-guided`` strategies).
 
 Hot-path modules import only the probe (:mod:`repro.hooks`), which the
 sanitizer subscribes to; everything here loads lazily so the lint
@@ -33,13 +33,12 @@ __all__ = [
     "SimSanitizer", "check_paths", "check_file", "check_source",
     "loop_nests",
     "AnalyzerCrash", "analyze_tree",
-    "GuidanceFile", "build_guidance", "load_guidance",
+    "GuidanceFile", "build_guidance",
 ]
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.lint.dataflow import loop_nests
-    from repro.lint.guidance import (GuidanceFile, build_guidance,
-                                     load_guidance)
+    from repro.lint.guidance import GuidanceFile, build_guidance
     from repro.lint.sanitizer import SimSanitizer
     from repro.lint.static_checker import check_file, check_paths, check_source
     from repro.lint.traffic import AnalyzerCrash, analyze_tree
@@ -56,7 +55,6 @@ _LAZY = {
     "analyze_tree": "repro.lint.traffic",
     "GuidanceFile": "repro.lint.guidance",
     "build_guidance": "repro.lint.guidance",
-    "load_guidance": "repro.lint.guidance",
 }
 
 

@@ -1,4 +1,4 @@
-"""Compiler-guided placement files (the bwlint → runtime contract).
+"""Compiler-guided placement guidance (the bwlint → runtime contract).
 
 :func:`build_guidance` runs the static traffic analysis
 (:mod:`repro.lint.traffic`) over a source tree and folds the per-site
@@ -6,25 +6,22 @@ byte volumes into a :class:`GuidanceFile`: one record per allocation
 site carrying its symbolic size, inferred read/write volumes, a tier
 hint and a fetch-order rank.  :class:`StaticGuidedStrategy
 <repro.core.strategies.static_guided.StaticGuidedStrategy>` consumes
-nothing but this file — the runtime side never re-analyzes source.
+nothing but this record set — the runtime side never re-analyzes
+source.  The guided strategies build it in-process from
+:mod:`repro.apps`; ``repro guide`` prints or writes the same document.
 
 The serialized form is *canonical*: keys sorted, two-space indent,
-trailing newline, no floats where an int is exact.  Emitting, loading
-and re-emitting a guidance file is byte-identical, so the SHA-256
+trailing newline, no floats where an int is exact, so the SHA-256
 :meth:`GuidanceFile.identity` is a stable name for "what the analyzer
-believed" — :func:`repro.exec.fingerprint.code_fingerprint` folds it
-into the experiment cache key exactly like the solver backend flag, and
-a stale guidance file invalidates cached results instead of silently
-steering placement.
+believed".
 
-Schema 2 adds the *phase timeline* (:mod:`repro.lint.phases`): a
-top-level ``phases`` table (one row per driver dispatch, globally
+The document also carries the *phase timeline* (:mod:`repro.lint.phases`):
+a top-level ``phases`` table (one row per driver dispatch, globally
 indexed across the analyzed modules in discovery order) and, per site,
 the liveness interval (``first_phase``/``last_phase``) plus per-phase
-read/write volumes.  Schema-1 files still load — and round-trip
-byte-identically — so existing ``$REPRO_GUIDANCE`` files keep working;
-:class:`~repro.core.strategies.phase_guided.PhaseGuidedStrategy` simply
-degrades to static-guided behaviour when the phase table is absent.
+read/write volumes.  With an empty phase table
+:class:`~repro.core.strategies.phase_guided.PhaseGuidedStrategy` behaves
+exactly like ``multi-io``.
 """
 
 from __future__ import annotations
@@ -35,11 +32,7 @@ import json
 import os
 import typing as _t
 
-__all__ = ["GuidanceFile", "build_guidance", "load_guidance",
-           "render_timeline", "GUIDANCE_SCHEMA"]
-
-#: bumped on any change to the record layout below
-GUIDANCE_SCHEMA = 2
+__all__ = ["GuidanceFile", "build_guidance", "render_timeline"]
 
 
 def _num(value: float | None) -> int | float | None:
@@ -53,21 +46,20 @@ def _num(value: float | None) -> int | float | None:
 
 @dataclasses.dataclass
 class GuidanceFile:
-    """A parsed (or freshly built) placement-guidance document."""
+    """A placement-guidance document."""
 
     #: site id ("Cls.name") -> record dict, exactly as serialized
     sites: dict[str, dict]
-    schema: int = GUIDANCE_SCHEMA
-    #: schema >= 2: global phase table, one record per driver dispatch
+    #: global phase table, one record per driver dispatch
     phases: list[dict] = dataclasses.field(default_factory=list)
 
     def dumps(self) -> str:
-        doc: dict[str, _t.Any] = {
-            "schema": self.schema,
+        # "schema" names the record layout below for readers of the file
+        doc = {
+            "schema": 2,
             "sites": {sid: self.sites[sid] for sid in sorted(self.sites)},
+            "phases": self.phases,
         }
-        if self.schema >= 2:
-            doc["phases"] = self.phases
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def identity(self) -> str:
@@ -77,12 +69,6 @@ class GuidanceFile:
     def write(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.dumps())
-
-    @classmethod
-    def loads(cls, text: str) -> GuidanceFile:
-        doc = json.loads(text)
-        return cls(sites=dict(doc["sites"]), schema=int(doc["schema"]),
-                   phases=list(doc.get("phases", ())))
 
     def tier(self, site_id: str) -> str | None:
         record = self.sites.get(site_id)
@@ -100,7 +86,7 @@ class GuidanceFile:
             return len(self.sites)
         return int(record["fetch_order"])
 
-    # -- schema 2 accessors (all degrade to None on schema-1 files) ------
+    # -- phase accessors (None for a site no phase touches) --------------
 
     def first_phase(self, site_id: str) -> int | None:
         """First phase that declares or touches ``site_id``, if known."""
@@ -117,7 +103,7 @@ class GuidanceFile:
         return record.get("last_phase")
 
     def phase_table(self) -> list[dict]:
-        """The global phase table (empty on schema-1 files)."""
+        """The global phase table (empty when no driver dispatches)."""
         return list(self.phases)
 
 
@@ -234,12 +220,6 @@ def build_guidance(paths: _t.Iterable[str | os.PathLike]) -> GuidanceFile:
     return GuidanceFile(sites=sites, phases=phase_table)
 
 
-def load_guidance(path: str | os.PathLike) -> GuidanceFile:
-    """Read a guidance file produced by :func:`build_guidance`."""
-    with open(path, encoding="utf-8") as fh:
-        return GuidanceFile.loads(fh.read())
-
-
 def _volume(record: dict | None) -> str:
     if record is None:
         return "-"
@@ -249,14 +229,14 @@ def _volume(record: dict | None) -> str:
 
 
 def render_timeline(guidance: GuidanceFile) -> str:
-    """Human-readable, deterministic render of the v2 phase timeline.
+    """Human-readable, deterministic render of the phase timeline.
 
     The same renderer backs ``repro guide --phases`` and the golden
     snapshot tests, so the CLI output cannot drift from what the tests
     pin down.
     """
     if not guidance.phases:
-        return "(no phase timeline: schema-1 guidance or no driver dispatches)\n"
+        return "(no phase timeline: no driver dispatches)\n"
     lines: list[str] = []
     for ph in guidance.phases:
         trips = ph.get("trips")

@@ -430,11 +430,12 @@ def check_source(source: str, filename: str = "<string>") -> list[Finding]:
     aliases = _module_entry_aliases(tree)
     for cls in index.chares:
         findings.extend(_check_class(index, cls, filename, aliases))
-    # lazy: repro.race.model_checker imports this module for
-    # iter_python_files, so a top-level import here would be a cycle
+    # lazy: guidance builds import this module for iter_python_files
+    # alone and never load the model checker
     from repro.race.model_checker import check_tree as _model_check_tree
     findings.extend(_model_check_tree(index, filename))
-    # the bwlint traffic pass (REP3xx); lazy for the same cycle reason
+    # the bwlint traffic pass (REP3xx); lazy because repro.lint.traffic
+    # imports this module, so a top-level import here would be a cycle
     from repro.lint.traffic import check_tree as _traffic_check_tree
     findings.extend(_traffic_check_tree(index, filename))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))

@@ -53,10 +53,6 @@ __all__ = ["AnalyzerCrash", "ModuleTraffic", "SiteTraffic", "analyze_tree",
 #: so it uses the full-scale tier size, not any scaled-down CLI machine.
 DEFAULT_HBM_BYTES = 16 * GiB
 
-#: test hook: a class name that makes the analyzer raise mid-flight, so the
-#: CLI's crash-to-exit-2 contract can be exercised without a real defect
-_FORCE_CRASH: str | None = None
-
 
 class AnalyzerCrash(Exception):
     """The traffic analyzer itself failed (not a lint verdict).
@@ -551,8 +547,6 @@ def _analyze_chare(index: NodeIndex, ct: _ChareTraffic, ev: _Evaluator,
                    filename: str) -> None:
     """Fill one :class:`_ChareTraffic` in (sites, bindings, entries)."""
     cls = ct.cls
-    if _FORCE_CRASH and cls.name == _FORCE_CRASH:
-        raise RuntimeError("forced analyzer crash (test hook)")
     ct.attr_refs = dict(attr_refs)
     declared_literals: list[str] = []
     pending_alias: list[tuple[str, str]] = []

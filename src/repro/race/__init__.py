@@ -6,8 +6,8 @@ Three parts guard the runtime's concurrent migration decisions:
   race detector subscribed to the runtime's probe points (rules
   ``RACE3xx``);
 * :mod:`repro.race.model_checker` — a static placement-state model
-  checker over the strategy/mover protocol classes (rules ``REP2xx``,
-  also run by :func:`repro.lint.check_source`);
+  checker over the strategy/mover protocol classes (rules ``REP2xx``),
+  one pass of :func:`repro.lint.check_source` and so of ``repro lint``;
 * :mod:`repro.race.explorer` — a seeded deterministic schedule explorer
   that permutes same-instant event orderings, sweeps the seeds as
   :mod:`repro.exec` specs and replays/minimizes failing schedules.
@@ -23,8 +23,7 @@ import typing as _t
 
 __all__ = [
     "RaceAccess", "RaceFinding", "RaceSanitizer",
-    "check_paths", "check_file", "check_source", "check_tree",
-    "default_targets",
+    "check_tree",
     "SeededTieBreaker", "ScheduleOutcome", "ExplorationReport",
     "run_schedule", "minimize_schedule", "explore", "app_runner",
 ]
@@ -34,9 +33,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.race.explorer import (ExplorationReport, ScheduleOutcome,
                                      SeededTieBreaker, app_runner, explore,
                                      minimize_schedule, run_schedule)
-    from repro.race.model_checker import (check_file, check_paths,
-                                          check_source, check_tree,
-                                          default_targets)
+    from repro.race.model_checker import check_tree
 
 #: lazy attribute -> defining submodule (keeps hook-site imports cheap and
 #: avoids import cycles with repro.sim / repro.runtime)
@@ -44,11 +41,7 @@ _LAZY = {
     "RaceAccess": "repro.race.detector",
     "RaceFinding": "repro.race.detector",
     "RaceSanitizer": "repro.race.detector",
-    "check_paths": "repro.race.model_checker",
-    "check_file": "repro.race.model_checker",
-    "check_source": "repro.race.model_checker",
     "check_tree": "repro.race.model_checker",
-    "default_targets": "repro.race.model_checker",
     "SeededTieBreaker": "repro.race.explorer",
     "ScheduleOutcome": "repro.race.explorer",
     "ExplorationReport": "repro.race.explorer",

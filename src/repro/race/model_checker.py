@@ -27,23 +27,20 @@ legal ``INDDR → MOVING → INHBM`` (and reverse) transitions of
 The dataflow is deliberately approximate (sibling order stands in for
 dominance), tuned so the shipped strategies and mover check clean while
 each seeded defect in ``tests/fixtures/racy_strategy.py`` is caught.
-The pass runs automatically as part of :func:`repro.lint.check_source`,
-and standalone via ``repro race --static``.
+The pass runs as part of :func:`repro.lint.check_source`; ``repro lint
+--strict --select REP2 TARGET...`` reports it alone.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import typing as _t
 
-from repro.lint.findings import Finding, LintReport
+from repro.lint.findings import Finding
 from repro.lint.nodeindex import NodeIndex, base_name
 from repro.lint.rules import STATIC_RULES
-from repro.lint.static_checker import iter_python_files
 
-__all__ = ["check_tree", "check_source", "check_file", "check_paths",
-           "default_targets"]
+__all__ = ["check_tree"]
 
 #: class names whose (transitive) subclasses own the placement protocol
 MODEL_ROOTS = {"Strategy", "DataMover", "Mover"}
@@ -315,35 +312,3 @@ def check_tree(index: NodeIndex, filename: str) -> list[Finding]:
                 findings.extend(check(index, cls, method, filename))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
-
-
-def check_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Model-check one source text (standalone; no REP1xx pass)."""
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        return [_finding("REP100", f"could not parse: {exc.msg}",
-                         filename, exc.lineno or 1)]
-    return check_tree(NodeIndex(tree), filename)
-
-
-def check_file(path: str | os.PathLike) -> list[Finding]:
-    """Model-check one python file; findings anchored to its path."""
-    with open(path, encoding="utf-8") as fh:
-        return check_source(fh.read(), filename=str(path))
-
-
-def check_paths(paths: _t.Iterable[str | os.PathLike]) -> LintReport:
-    """Model-check every python file under ``paths``."""
-    report = LintReport()
-    for file in iter_python_files(paths):
-        report.extend(check_file(file))
-    return report
-
-
-def default_targets() -> list[str]:
-    """The protocol surface the ISSUE names: strategies/ and the mover."""
-    import repro.core.strategies as strategies_pkg
-    import repro.mem.mover as mover_mod
-    return [os.path.dirname(os.path.abspath(strategies_pkg.__file__)),
-            os.path.abspath(mover_mod.__file__)]

@@ -41,17 +41,32 @@ def repo_lint_report():
 
 
 @pytest.fixture
-def use_guidance(tmp_path, monkeypatch):
-    """Install a guidance file the way a run does: ``$REPRO_GUIDANCE``.
+def use_guidance(monkeypatch):
+    """Called with a :class:`~repro.lint.guidance.GuidanceFile`, installs
+    it for the guided strategies in place of the repro.apps analysis."""
+    from repro.core.strategies import static_guided
 
-    Calling the fixture with a :class:`~repro.lint.guidance.GuidanceFile`
-    writes it under ``tmp_path`` and points the variable at it; a guided
-    strategy loads it the first time it needs guidance.
-    """
     def install(guide):
-        path = tmp_path / "guidance.json"
-        guide.write(path)
-        monkeypatch.setenv("REPRO_GUIDANCE", str(path))
+        monkeypatch.setattr(static_guided, "_DEFAULT_GUIDANCE", guide)
+
+    return install
+
+
+@pytest.fixture
+def crash_analyzer(monkeypatch):
+    """Called with a class name, makes the traffic analyzer raise while
+    analyzing that class (its crash contract raises ``AnalyzerCrash``)."""
+    from repro.lint import traffic
+
+    def install(class_name):
+        analyze = traffic._analyze_chare
+
+        def crashing(index, ct, *args):
+            if ct.cls.name == class_name:
+                raise RuntimeError("injected analyzer crash")
+            return analyze(index, ct, *args)
+
+        monkeypatch.setattr(traffic, "_analyze_chare", crashing)
 
     return install
 

@@ -4,8 +4,8 @@ Sizes are parsed by argparse ``type=`` converters (a usage error);
 counts are validated by the app configs (under ``race``,
 ``--explore-schedules`` and ``--seed`` before any schedule runs),
 replicate, job and schedule counts, the replay ``--limit``, figure/app
-names, the trend history path, the metrics interval and every output
-path (``--trace-out``, ``guide -o``, ``lint --guidance``,
+names, ``lint``/``guide`` targets, the trend history path, the metrics
+interval and every output path (``--trace-out``, ``guide -o``,
 ``trend``/``report``/``leaderboard -o``: its directory must exist and
 it must not be one) by the commands, and a task larger than the whole
 HBM budget or a working set larger than the device it is placed on by
@@ -116,9 +116,6 @@ CASES = [
      ["matmul", "--trace-out", "no-such-dir/m.json"], "no-such-dir/m.json"),
     ("guide-output",
      ["guide", "-o", "no-such-dir/x.json"], "no-such-dir/x.json"),
-    ("lint-guidance",
-     ["lint", "repro.apps", "--guidance", "no-such-dir/g.json"],
-     "no-such-dir/g.json"),
     # a prefix no rule id starts with would filter every finding away;
     # --select takes one prefix, so it may come before the targets too
     ("lint-select", ["lint", "repro.apps", "--select", "BOGUS"], "BOGUS"),
@@ -128,6 +125,10 @@ CASES = [
     ("lint-no-targets", ["lint"], "no targets"),
     ("lint-target", ["lint", "no.such.module.anywhere"],
      "no.such.module.anywhere"),
+    ("guide-target", ["guide", "no.such.module.anywhere"],
+     "no.such.module.anywhere"),
+    ("guide-phases-target", ["guide", "--phases", "no/such/dir"],
+     "no/such/dir"),
     ("trend-out", ["trend", "render", "-o", "no-such-dir/t.html"],
      "no-such-dir/t.html"),
     ("report-out", ["report", "--figures", "fig2", "-o", "no-such-dir/r.html"],
@@ -138,8 +139,6 @@ CASES = [
     ("stencil-trace-out-dir", ["stencil", "--trace-out", A_DIR], A_DIR),
     ("matmul-trace-out-dir", ["matmul", "--trace-out", A_DIR], A_DIR),
     ("guide-output-dir", ["guide", "-o", A_DIR], A_DIR),
-    ("lint-guidance-dir", ["lint", "repro.apps", "--guidance", A_DIR],
-     A_DIR),
     ("trend-out-dir", ["trend", "render", "-o", A_DIR], A_DIR),
     ("report-out-dir", ["report", "--figures", "fig2", "-o", A_DIR], A_DIR),
     ("leaderboard-out-dir", ["leaderboard", "-o", A_DIR], A_DIR),

@@ -1,9 +1,11 @@
-"""CLI tests for `repro race` and the `--race` flag on the app commands."""
+"""CLI tests for `repro race`, the `--race` flag on the app commands and
+the REP2xx model checker behind `repro lint --select REP2`."""
 
 import os
 
 from repro.cli import main
 from repro import hooks as probe
+from tests.test_race_model_checker import DEFAULT_TARGETS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "racy_strategy.py")
@@ -12,12 +14,15 @@ SMALL = ["--cores", "8", "--mcdram", "64MiB", "--ddr", "1GiB",
 
 
 class TestStaticMode:
+    """The placement model checker runs as ``repro lint --select REP2``."""
+
     def test_default_targets_check_clean(self, capsys):
-        assert main(["race", "--static"]) == 0
+        assert main(["lint", "--strict", "--select", "REP2",
+                     *DEFAULT_TARGETS]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_fixture_exits_nonzero_with_all_rules(self, capsys):
-        assert main(["race", FIXTURE]) == 1  # targets imply --static
+        assert main(["lint", "--strict", "--select", "REP2", FIXTURE]) == 1
         out = capsys.readouterr().out
         for rule in ("REP200", "REP201", "REP202", "REP203",
                      "REP204", "REP205"):
@@ -25,8 +30,11 @@ class TestStaticMode:
         assert f"{FIXTURE}:" in out
 
     def test_missing_target_exits_two(self, capsys):
-        assert main(["race", "--static", "/no/such/path.py"]) == 2
-        assert "race:" in capsys.readouterr().err
+        assert main(["lint", "--strict", "--select", "REP2",
+                     "/no/such/path.py"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "/no/such/path.py" in err
 
 
 class TestDynamicMode:

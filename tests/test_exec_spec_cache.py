@@ -149,17 +149,16 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path, fingerprint="f" * 64)
         spec = self.spec()
-        cache.put(spec, {"v": 1})
-        cache.path(spec).write_text("{ not json")
+        cache.put(spec, {"v": 1}).write_text("{ not json")
         assert cache.get(spec) is None
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path, fingerprint="f" * 64)
         spec = self.spec()
-        cache.put(spec, {"v": 1})
-        entry = json.loads(cache.path(spec).read_text())
+        path = cache.put(spec, {"v": 1})
+        entry = json.loads(path.read_text())
         entry["schema"] = ENTRY_SCHEMA + 1
-        cache.path(spec).write_text(json.dumps(entry))
+        path.write_text(json.dumps(entry))
         assert cache.get(spec) is None
 
     def test_stats_and_clear(self, tmp_path):

@@ -1,12 +1,11 @@
-"""Fingerprint-keyed lint/guidance cache: hits, invalidation, bypass."""
+"""Fingerprint-keyed lint cache: hits, invalidation, bypass."""
 
 import pytest
 
 from repro.exec import cache as exec_cache
 from repro.lint import traffic
-from repro.lint.cache import (AnalysisCache, cached_build_guidance,
-                              cached_check_paths, findings_from_payload,
-                              findings_to_payload)
+from repro.lint.cache import (AnalysisCache, cached_check_paths,
+                              findings_from_payload, findings_to_payload)
 from repro.lint.findings import Finding, Severity
 
 CLEAN = """\
@@ -93,20 +92,13 @@ class TestLintCaching:
         assert (cache.hits, cache.stores) == (0, 0)
         assert not cache_root.exists()
 
-    def test_force_crash_hook_bypasses_warm_entries(self, target, cache):
-        cached_check_paths([target], cache=cache)  # warm
-        traffic._FORCE_CRASH = "C"  # crash while analyzing class C
-        try:
-            with pytest.raises(traffic.AnalyzerCrash):
-                cached_check_paths([target], cache=cache)
-        finally:
-            traffic._FORCE_CRASH = None
-        assert cache.hits == 0
-
-    def test_lint_and_guide_keys_do_not_collide(self, target, cache):
-        cached_check_paths([target], cache=cache)
-        cached_build_guidance([target], cache=cache)
-        assert cache.hits == 0 and cache.stores == 2
+    def test_crash_writes_no_entry(self, target, cache, cache_root,
+                                   crash_analyzer):
+        crash_analyzer("C")  # crash while analyzing class C
+        with pytest.raises(traffic.AnalyzerCrash):
+            cached_check_paths([target], cache=cache)
+        assert (cache.hits, cache.stores) == (0, 0)
+        assert not list(cache_root.rglob("*.json"))
 
     def test_corrupt_entry_is_a_miss(self, target, cache):
         cached_check_paths([target], cache=cache)
@@ -118,22 +110,6 @@ class TestLintCaching:
         assert not list(report)
 
 
-class TestGuidanceCaching:
-    def test_warm_guidance_is_byte_identical(self, target, cache):
-        cold = cached_build_guidance([target], cache=cache)
-        warm = cached_build_guidance([target], cache=cache)
-        assert cache.hits == 1
-        assert warm.dumps() == cold.dumps()
-
-    def test_warm_guidance_keeps_phase_table(self, target, cache):
-        cached_build_guidance([target], cache=cache)
-        warm = cached_build_guidance([target], cache=cache)
-        assert warm.schema >= 2
-        assert [ph["label"] for ph in warm.phase_table()] == \
-            ["C.setup", "C.go"]
-        assert warm.first_phase("C.a") == 1
-
-
 class TestOneLayout:
     """Analysis entries share the result cache's generation directory."""
 
@@ -141,11 +117,10 @@ class TestOneLayout:
         from repro.exec.spec import RunSpec
 
         cached_check_paths([target], cache=cache)
-        cached_build_guidance([target], cache=cache)
         exec_cache.ResultCache().put(RunSpec("stencil", {"total": 1024}),
                                      {"v": 1})
         stats = exec_cache.cache_stats(cache_root)
         assert "lint" not in stats["generations"]
         assert list(stats["generations"]) == [stats["current"]]
-        assert stats["total_entries"] == 3
+        assert stats["total_entries"] == 2
         assert exec_cache.clear_cache(cache_root) == stats["total_entries"]

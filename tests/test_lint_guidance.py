@@ -1,4 +1,4 @@
-"""Guidance-file tests: canonical form, identity, fingerprint folding."""
+"""Guidance tests: build, canonical form, identity, phase timeline."""
 
 import json
 from pathlib import Path
@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro.apps
-from repro.lint.guidance import (GUIDANCE_SCHEMA, GuidanceFile,
-                                 build_guidance, load_guidance)
+from repro.lint.guidance import GuidanceFile, build_guidance
 
 APPS_DIR = Path(repro.apps.__file__).parent
 
@@ -49,15 +48,17 @@ class TestCanonicalForm:
         first = apps_guidance.dumps()
         path = tmp_path / "guidance.json"
         apps_guidance.write(path)
-        reloaded = load_guidance(path)
-        assert reloaded.dumps() == first
-        assert reloaded.identity() == apps_guidance.identity()
+        assert path.read_text(encoding="utf-8") == first
+        doc = json.loads(first)
+        rebuilt = GuidanceFile(sites=doc["sites"], phases=doc["phases"])
+        assert rebuilt.dumps() == first
+        assert rebuilt.identity() == apps_guidance.identity()
 
     def test_serialization_is_sorted_and_terminated(self, apps_guidance):
         text = apps_guidance.dumps()
         assert text.endswith("\n")
         doc = json.loads(text)
-        assert doc["schema"] == GUIDANCE_SCHEMA
+        assert doc["schema"] == 2
         assert list(doc["sites"]) == sorted(doc["sites"])
 
     def test_identity_changes_with_content(self, apps_guidance):
@@ -91,7 +92,7 @@ class TestAccessors:
 
 class TestSchemaV2:
     def test_build_emits_schema_2_with_phase_table(self, apps_guidance):
-        assert apps_guidance.schema == GUIDANCE_SCHEMA == 2
+        assert json.loads(apps_guidance.dumps())["schema"] == 2
         phases = apps_guidance.phase_table()
         assert phases, "apps tree must segment into phases"
         # global indices: consecutive from 0 across all modules
@@ -123,54 +124,23 @@ class TestSchemaV2:
         assert apps_guidance.first_phase("StencilChare.grid") == first
         assert entry_phase("Nope.x") is None
 
-    def test_v1_document_loads_and_round_trips_byte_identically(
-            self, apps_guidance):
-        doc = json.loads(apps_guidance.dumps())
-        doc["schema"] = 1
-        del doc["phases"]
-        for record in doc["sites"].values():
-            for key in ("first_phase", "last_phase", "phases"):
-                record.pop(key, None)
-        v1_text = json.dumps(doc, sort_keys=True, indent=2,
-                             ensure_ascii=False) + "\n"
-        v1 = GuidanceFile.loads(v1_text)
-        assert v1.schema == 1
-        assert v1.phase_table() == []
-        assert v1.first_phase("StencilChare.grid") is None
-        assert v1.dumps() == v1_text
-
     def test_phase_rows_carry_per_phase_volumes(self, apps_guidance):
         rows = apps_guidance.sites["StencilChare.grid"]["phases"]
         assert rows
         assert all(row["reads"] or row["writes"] for row in rows)
 
 
-class TestFingerprintFolding:
-    def test_guidance_env_changes_code_fingerprint(self, apps_guidance,
-                                                   tmp_path, monkeypatch):
-        from repro.exec.fingerprint import code_fingerprint
+class TestNoEnvironmentSwitch:
+    """Guidance is built from the shipped sources; the environment is no
+    way in, so it names no cache generation either."""
 
+    def test_junk_guidance_path_leaves_fingerprint_unchanged(
+            self, tmp_path, monkeypatch):
+        from repro.exec import fingerprint
+
+        monkeypatch.setattr(fingerprint, "_memo", {})
         monkeypatch.delenv("REPRO_GUIDANCE", raising=False)
-        base = code_fingerprint()
-        path = tmp_path / "guidance.json"
-        apps_guidance.write(path)
-        monkeypatch.setenv("REPRO_GUIDANCE", str(path))
-        with_guidance = code_fingerprint()
-        assert with_guidance != base
-        # same content at a different path hashes identically
-        other = tmp_path / "copy.json"
-        other.write_text(path.read_text())
-        monkeypatch.setenv("REPRO_GUIDANCE", str(other))
-        assert code_fingerprint() == with_guidance
-        monkeypatch.delenv("REPRO_GUIDANCE")
-        assert code_fingerprint() == base
-
-    def test_missing_guidance_file_is_a_distinct_state(self, tmp_path,
-                                                       monkeypatch):
-        from repro.exec.fingerprint import code_fingerprint
-
-        monkeypatch.delenv("REPRO_GUIDANCE", raising=False)
-        base = code_fingerprint()
-        monkeypatch.setenv("REPRO_GUIDANCE",
-                           str(tmp_path / "does-not-exist.json"))
-        assert code_fingerprint() != base
+        base = fingerprint.code_fingerprint()
+        fingerprint._memo.clear()
+        monkeypatch.setenv("REPRO_GUIDANCE", str(tmp_path / "junk.json"))
+        assert fingerprint.code_fingerprint() == base

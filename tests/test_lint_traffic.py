@@ -375,10 +375,8 @@ class TestInference:
 
 
 class TestCrashContract:
-    def test_forced_crash_raises_analyzer_crash(self, monkeypatch):
-        import repro.lint.traffic as traffic_mod
-
-        monkeypatch.setattr(traffic_mod, "_FORCE_CRASH", "C")
+    def test_forced_crash_raises_analyzer_crash(self, crash_analyzer):
+        crash_analyzer("C")
         index = NodeIndex(ast.parse(textwrap.dedent(CLEAN)))
         with pytest.raises(AnalyzerCrash) as err:
             check_tree(index, "boom.py")

@@ -1,22 +1,42 @@
-"""REP2xx placement-state model checker: clean surface + seeded defects."""
+"""REP2xx placement-state model checker: clean surface + seeded defects.
+
+The checker runs inside the lint pipeline; these tests drive it through
+:func:`repro.lint.check_source` and its file and path drivers and keep
+the REP2xx findings, as ``repro lint --select REP2`` does.
+"""
 
 import os
 import textwrap
 
-from repro.race.model_checker import (check_file, check_paths, check_source,
-                                      default_targets)
+from repro import lint
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "racy_strategy.py")
+#: the placement-protocol surface CI gates: the strategies and the mover
+DEFAULT_TARGETS = [os.path.join(SRC, "core", "strategies"),
+                   os.path.join(SRC, "mem", "mover.py")]
+
+
+def rep2(findings):
+    return [f for f in findings if f.rule.startswith("REP2")]
+
+
+def check_source(source):
+    return rep2(lint.check_source(source))
+
+
+def check_file(path):
+    return rep2(lint.check_file(path))
 
 
 class TestDefaultSurface:
     def test_shipped_strategies_and_mover_check_clean(self):
-        report = check_paths(default_targets())
-        assert list(report) == [], "\n".join(f.render() for f in report)
+        report = rep2(lint.check_paths(DEFAULT_TARGETS))
+        assert report == [], "\n".join(f.render() for f in report)
 
     def test_default_targets_exist(self):
-        for target in default_targets():
+        for target in DEFAULT_TARGETS:
             assert os.path.exists(target)
 
 
@@ -77,7 +97,7 @@ class TestScoping:
         assert check_source(source) == []
 
     def test_syntax_error_reports_rep100(self):
-        findings = check_source("def broken(:\n")
+        findings = lint.check_source("def broken(:\n")
         assert [f.rule for f in findings] == ["REP100"]
 
 

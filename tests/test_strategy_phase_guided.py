@@ -5,7 +5,7 @@ import pytest
 from repro.core.api import OOCRuntimeBuilder
 from repro.core.strategies import make_strategy
 from repro.core.strategies.phase_guided import PhaseGuidedStrategy
-from repro.lint.guidance import GUIDANCE_SCHEMA, GuidanceFile
+from repro.lint.guidance import GuidanceFile
 from repro.mem.block import BlockState
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
@@ -27,10 +27,6 @@ def site(cls, name, *, first=None, last=None, tier="hbm", priority=1.0,
         rec["last_phase"] = last if last is not None else first
         rec["phases"] = []
     return rec
-
-
-def v2_guide(sites, phases):
-    return GuidanceFile(sites=sites, schema=GUIDANCE_SCHEMA, phases=phases)
 
 
 def phase_row(index, entries, *, label="", line=0):
@@ -58,7 +54,7 @@ class TwoPhaseWorker(Chare):
         reducer.contribute(duration)
 
 
-TWO_PHASE_GUIDE = v2_guide(
+TWO_PHASE_GUIDE = GuidanceFile(
     sites={
         "TwoPhaseWorker.early": site("TwoPhaseWorker", "early",
                                      first=1, last=1),
@@ -105,7 +101,7 @@ class TestPhaseTracking:
 
     def test_entry_repeated_across_phases_maps_to_earliest(
             self, use_guidance):
-        use_guidance(v2_guide(sites={}, phases=[
+        use_guidance(GuidanceFile(sites={}, phases=[
             phase_row(0, ["W.go"]), phase_row(1, ["W.go"])]))
         strategy = PhaseGuidedStrategy()
         OOCRuntimeBuilder(strategy, cores=2, mcdram_capacity=HBM,
@@ -160,12 +156,12 @@ def lookahead(monkeypatch):
 
 
 class TestDegradedModes:
-    def test_v1_guidance_behaves_exactly_like_multi_io(self, use_guidance,
-                                                       lookahead):
+    def test_empty_phase_table_behaves_exactly_like_multi_io(
+            self, use_guidance, lookahead):
         use_guidance(GuidanceFile(sites={
             "TwoPhaseWorker.early": site("TwoPhaseWorker", "early"),
             "TwoPhaseWorker.late": site("TwoPhaseWorker", "late", order=1),
-        }, schema=1))
+        }, phases=[]))
         phased, _ = run_two_phase()
         assert phased.strategy.phase == -1
         assert not lookahead
@@ -189,10 +185,13 @@ class TestDegradedModes:
         built, arr = run_two_phase()
         assert built.manager.tasks_completed == 16
 
-    def test_guidance_env_resolution(self, use_guidance):
+    def test_guidance_env_resolution(self, use_guidance, tmp_path,
+                                     monkeypatch):
+        # the environment is no way in: a junk $REPRO_GUIDANCE is not read
         use_guidance(TWO_PHASE_GUIDE)
+        monkeypatch.setenv("REPRO_GUIDANCE", str(tmp_path / "junk.json"))
         guide = PhaseGuidedStrategy().guidance()
-        assert guide.schema == GUIDANCE_SCHEMA
+        assert guide is TWO_PHASE_GUIDE
         assert guide.phase_table() == TWO_PHASE_GUIDE.phase_table()
 
     def test_registry_construction(self):

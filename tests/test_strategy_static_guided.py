@@ -75,6 +75,15 @@ class TwoBlockWorker(Chare):
         reducer.contribute(duration)
 
 
+#: the hot site outranks the cold one, which TwoBlockWorker declares first
+HOT_FIRST = GuidanceFile(sites={
+    "TwoBlockWorker.cold": record("TwoBlockWorker", "cold",
+                                  priority=0.5, order=0),
+    "TwoBlockWorker.hot": record("TwoBlockWorker", "hot",
+                                 priority=5.0, order=1),
+})
+
+
 def run_app(strategy, *, chare=Worker, chares=16, block=32 * MiB, rounds=2,
             cores=4, **builder_kwargs):
     built = OOCRuntimeBuilder(strategy, cores=cores, mcdram_capacity=HBM,
@@ -104,12 +113,7 @@ class TestPlacement:
         assert guided.env.now == naive.env.now
 
     def test_high_priority_sites_claim_hbm_first(self, use_guidance):
-        use_guidance(GuidanceFile(sites={
-            "TwoBlockWorker.cold": record("TwoBlockWorker", "cold",
-                                          priority=0.5, order=0),
-            "TwoBlockWorker.hot": record("TwoBlockWorker", "hot",
-                                         priority=5.0, order=1),
-        }))
+        use_guidance(HOT_FIRST)
         # 8 chares x 2 x 32 MiB = 512 MiB over a 256 MiB HBM: only the
         # 8 hot blocks fit
         built, arr = run_app(StaticGuidedStrategy(),
@@ -124,11 +128,21 @@ class TestPlacement:
         built, arr = run_app(StaticGuidedStrategy(), chares=4, rounds=1)
         assert all(c.data.state is BlockState.INDDR for c in arr)
 
-    def test_guidance_from_env(self, use_guidance):
-        use_guidance(GuidanceFile(sites={
-            "Worker.data": record("Worker", "data", tier="ddr")}))
-        from_env = StaticGuidedStrategy()
-        assert from_env.guidance().tier("Worker.data") == "ddr"
+    def test_guidance_from_env(self, use_guidance, tmp_path, monkeypatch):
+        # the environment is no way in: a junk $REPRO_GUIDANCE changes
+        # neither the guidance a strategy reads nor where it places data
+        use_guidance(HOT_FIRST)
+        monkeypatch.delenv("REPRO_GUIDANCE", raising=False)
+        plain, parr = run_app(StaticGuidedStrategy(),
+                              chare=TwoBlockWorker, chares=8, rounds=1)
+        monkeypatch.setenv("REPRO_GUIDANCE", str(tmp_path / "junk.json"))
+        strategy = StaticGuidedStrategy()
+        assert strategy.guidance() is HOT_FIRST
+        junk, jarr = run_app(strategy, chare=TwoBlockWorker, chares=8,
+                             rounds=1)
+        assert [(c.cold.state, c.hot.state) for c in jarr] == \
+            [(c.cold.state, c.hot.state) for c in parr]
+        assert junk.env.now == plain.env.now
 
     def test_never_intercepts(self):
         strategy = StaticGuidedStrategy()
